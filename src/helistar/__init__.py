@@ -7,11 +7,13 @@ and vertex figures, enumerates catalogs over strip ranges, and exports OBJ
 meshes, unfolding nets, and slide-together module sheets.
 """
 
+# set before the submodule imports: catalog reads it while the package loads
+__version__ = "0.1.0"
+
 from .analysis import Classification, classify, triangles_properly_intersect, vertex_figure
 from .band_combinatorics import (
     BandSpec,
     OffsetTriple,
-    component_count,
     edge_faces,
     face_vertices,
     incident_faces,
@@ -67,8 +69,6 @@ from .realization import (
     verify_uniform,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "BandSpec",
     "BranchSolution",
@@ -94,7 +94,6 @@ __all__ = [
     "chord",
     "classify",
     "closure_determinant",
-    "component_count",
     "component_params",
     "dihedral_angles",
     "edge_faces",

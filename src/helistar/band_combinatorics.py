@@ -32,7 +32,6 @@ __all__ = [
     "BandSpec",
     "OffsetTriple",
     "offsets_from_band",
-    "component_count",
     "split_compound",
     "face_vertices",
     "incident_faces",
@@ -93,20 +92,11 @@ class OffsetTriple:
         """gcd(a, b): 1 for a connected polyhedron, g for a g-compound."""
         return math.gcd(self.a, self.b)
 
-    @classmethod
-    def from_band(cls, spec: BandSpec) -> "OffsetTriple":
-        return offsets_from_band(spec)
-
 
 def offsets_from_band(spec: BandSpec) -> OffsetTriple:
     """Edge offsets (min(s, n-s), max(s, n-s), n) of a band."""
     n, s = spec.n_strips, spec.shift
     return OffsetTriple(min(s, n - s), max(s, n - s), n)
-
-
-def component_count(spec: BandSpec) -> int:
-    """gcd(n, s); g > 1 means the band builds g congruent interleaved copies."""
-    return math.gcd(spec.n_strips, spec.shift)
 
 
 def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
@@ -115,7 +105,7 @@ def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
     The component's index line embeds in the parent's as every g-th index:
     g * phi_component(i, j) = phi_parent(i, j) on the shared labels.
     """
-    g = component_count(spec)
+    g = spec.components
     if g == 1:
         raise NotACompoundError(f"band ({spec.n_strips},{spec.shift}) is connected")
     return g, BandSpec(spec.n_strips // g, spec.shift // g)

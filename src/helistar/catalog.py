@@ -15,14 +15,17 @@ strips, 12 crossed-figure members) as soft notes, never hard assertions.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, fields
 
+from . import __version__
 from .analysis import classify
 from .band_combinatorics import BandSpec, split_compound
-from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band
+from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
 from .errors import CatalogFormatError, ParameterError
+from .export import _fmt, _opened
 
 __all__ = [
     "CatalogEntry",
@@ -43,18 +46,11 @@ REFERENCE_CROSSED_TALLY = 12  # published reference tally, crossed-figure family
 
 CHIRALITY_NOTE = "one enantiomorph of a chiral pair; mirror twist is 2*pi - theta"
 
-# serialized field order, fixed
-_ENTRY_FIELDS = [
-    "name", "n_strips", "shift", "branch_index", "winding_m",
-    "theta", "r", "h", "residual", "intersecting", "vertex_figure",
-    "components", "chirality_note",
-]
-_REAL_FIELDS = {"theta", "r", "h", "residual"}
-_INT_FIELDS = {"n_strips", "shift", "branch_index", "winding_m", "components"}
-
 
 @dataclass
 class CatalogEntry:
+    """One catalog row; the field order here is the serialized order."""
+
     name: str
     n_strips: int
     shift: int
@@ -73,6 +69,11 @@ class CatalogEntry:
     def is_star(self) -> bool:
         """Connected, self-intersecting, simple figure: one star deltahedron."""
         return self.components == 1 and self.intersecting and self.vertex_figure == "simple"
+
+
+_ENTRY_FIELDS = [f.name for f in fields(CatalogEntry)]
+_REAL_FIELDS = {"theta", "r", "h", "residual"}
+_INT_FIELDS = {"n_strips", "shift", "branch_index", "winding_m", "components"}
 
 
 def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixParams]:
@@ -103,8 +104,7 @@ def _entry_name(solution: BranchSolution) -> str:
     if g == 1:
         return _base_name(band.n_strips, band.shift, solution.winding_m)
     g, comp, cp = component_params(solution)
-    m_comp = round(comp.n_strips * comp.shift * cp.theta / (2.0 * math.pi))
-    return f"compound {g} x {_base_name(comp.n_strips, comp.shift, m_comp)}"
+    return f"compound {g} x {_base_name(comp.n_strips, comp.shift, winding_estimate(comp, cp))}"
 
 
 def enumerate_catalog(
@@ -278,25 +278,29 @@ def format_report(report: CatalogReport) -> str:
     return "\n".join(out)
 
 
-def _fmt_real(x: float) -> str:
-    s = format(float(x), ".15g")
-    return "0" if s == "-0" else s
+def _typed(name: str, v):
+    """An entry field value as the type the field table gives it."""
+    if name in _REAL_FIELDS:
+        return float(v)
+    if name in _INT_FIELDS:
+        return int(v)
+    return v
 
 
-def _entry_json_lines(e: CatalogEntry, indent: str) -> str:
-    parts = []
-    for name in _ENTRY_FIELDS:
-        v = getattr(e, name)
-        if name in _REAL_FIELDS:
-            val = _fmt_real(v)
-        elif name in _INT_FIELDS:
-            val = str(int(v))
-        elif isinstance(v, bool):
-            val = "true" if v else "false"
-        else:
-            val = json.dumps(v)
-        parts.append(f'{indent}  "{name}": {val}')
-    return ",\n".join(parts)
+def _scalar(v) -> str:
+    """Catalog text of one value: reals to 15 significant digits with no "-0",
+    ints plain, bools as true/false, anything else as JSON."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _fmt(v, ".15g")
+    if isinstance(v, int):
+        return str(v)
+    return json.dumps(v)
+
+
+def _entry_values(e: CatalogEntry) -> list:
+    return [_typed(name, getattr(e, name)) for name in _ENTRY_FIELDS]
 
 
 def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None) -> None:
@@ -305,30 +309,16 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     Reals carry 15 significant digits; the field order is fixed. options is
     recorded verbatim (sorted keys) so a catalog names the run that made it.
     """
-    own = not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8", newline="\n") if own else sink
-    try:
-        fh.write('{\n  "generated_by": "helistar 0.1.0",\n  "options": ')
-        opt = options or {}
-
-        def dump(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return _fmt_real(v)
-            if isinstance(v, int):
-                return str(v)
-            return json.dumps(v)
-
-        fh.write("{" + ", ".join(f'"{k}": {dump(opt[k])}' for k in sorted(opt)) + "},\n")
+    opt = options or {}
+    with _opened(sink) as fh:
+        fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": ')
+        fh.write("{" + ", ".join(f'"{k}": {_scalar(opt[k])}' for k in sorted(opt)) + "},\n")
         fh.write('  "entries": [')
         for i, e in enumerate(entries):
             fh.write("," if i else "")
-            fh.write("\n    {\n" + _entry_json_lines(e, "    ") + "\n    }")
+            lines = (f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
+            fh.write("\n    {\n" + ",\n".join(lines) + "\n    }")
         fh.write("\n  ]\n}\n" if entries else "]\n}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def read_catalog(source) -> list[CatalogEntry]:
@@ -336,13 +326,8 @@ def read_catalog(source) -> list[CatalogEntry]:
 
     Raises CatalogFormatError with line/field diagnostics on malformed input.
     """
-    own = not hasattr(source, "read")
-    fh = open(source, "r", encoding="utf-8") if own else source
-    try:
+    with _opened(source, "r", newline=None) as fh:
         text = fh.read()
-    finally:
-        if own:
-            fh.close()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -351,41 +336,28 @@ def read_catalog(source) -> list[CatalogEntry]:
         ) from exc
     if not isinstance(doc, dict) or "entries" not in doc:
         raise CatalogFormatError("catalog document must be an object with an 'entries' field")
+    if not isinstance(doc["entries"], list):
+        raise CatalogFormatError("field 'entries' must be a list")
     entries = []
     for i, raw in enumerate(doc["entries"]):
+        if not isinstance(raw, dict):
+            raise CatalogFormatError(f"entry {i}: must be an object")
         kwargs = {}
-        for f in fields(CatalogEntry):
-            if f.name not in raw:
-                raise CatalogFormatError(f"entry {i}: missing field {f.name!r}")
-            kwargs[f.name] = raw[f.name]
-        for name in _REAL_FIELDS:
-            kwargs[name] = float(kwargs[name])
-        for name in _INT_FIELDS:
-            kwargs[name] = int(kwargs[name])
+        for name in _ENTRY_FIELDS:
+            if name not in raw:
+                raise CatalogFormatError(f"entry {i}: missing field {name!r}")
+            try:
+                kwargs[name] = _typed(name, raw[name])
+            except (TypeError, ValueError) as exc:
+                raise CatalogFormatError(f"entry {i}: field {name!r}: {exc}") from exc
         entries.append(CatalogEntry(**kwargs))
     return entries
 
 
 def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
     """CSV export: mandatory header row, then one row per entry, same order."""
-    import csv
-
-    own = not hasattr(sink, "write")
-    fh = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with _opened(sink, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_ENTRY_FIELDS)
         for e in entries:
-            row = []
-            for name in _ENTRY_FIELDS:
-                v = getattr(e, name)
-                if name in _REAL_FIELDS:
-                    row.append(_fmt_real(v))
-                elif isinstance(v, bool):
-                    row.append("true" if v else "false")
-                else:
-                    row.append(v)
-            w.writerow(row)
-    finally:
-        if own:
-            fh.close()
+            w.writerow(v if isinstance(v, str) else _scalar(v) for v in _entry_values(e))

@@ -3,10 +3,10 @@
 Subcommands: solve, generate, enumerate, verify, net, modules, antiprism.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 no result.
 Every subcommand takes --json for machine-readable output; outputs carry no
-timestamps, so identical invocations produce identical bytes. Solver flags
-mirror the solver option names one-to-one; HELISTAR_GRID_POINTS in the
-environment overrides the default scan resolution (an explicit --grid-points
-still wins).
+timestamps, so identical invocations produce identical bytes. The hidden
+solver flags are derived from the SolverOptions fields, one flag per field
+(min_A becomes --min-A); HELISTAR_GRID_POINTS in the environment overrides the
+default scan resolution (an explicit --grid-points still wins).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .analysis import classify
 from .band_combinatorics import BandSpec
@@ -35,37 +36,32 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_RESULT = 3
 
-_SOLVER_FLAGS = [
-    ("--theta-min", float), ("--theta-max", float), ("--grid-points", int),
-    ("--bisection-tol", float), ("--residual-tol", float),
-    ("--min-A", float), ("--min-B", float),
-]
-
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    for flag, typ in _SOLVER_FLAGS:
-        p.add_argument(flag, type=typ, default=None, help=argparse.SUPPRESS)
+    for f in fields(SolverOptions):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=type(f.default), default=None, help=argparse.SUPPRESS)
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
     kwargs = {}
-    for flag, _typ in _SOLVER_FLAGS:
-        name = flag.lstrip("-").replace("-", "_")
-        val = getattr(args, name, None)
+    for f in fields(SolverOptions):
+        val = getattr(args, f.name)
         if val is not None:
-            kwargs[name] = val
-    if "grid_points" not in kwargs and "HELISTAR_GRID_POINTS" in os.environ:
-        kwargs["grid_points"] = int(os.environ["HELISTAR_GRID_POINTS"])
+            kwargs[f.name] = val
+    env = os.environ.get("HELISTAR_GRID_POINTS")
+    if "grid_points" not in kwargs and env is not None:
+        try:
+            kwargs["grid_points"] = int(env)
+        except ValueError:
+            raise ParameterError(f"HELISTAR_GRID_POINTS must be an integer, got {env!r}") from None
     return SolverOptions(**kwargs)
 
 
 def _band(args: argparse.Namespace) -> BandSpec:
-    n, s = args.strips, args.shift
-    if n < 3:
-        raise ParameterError(f"--strips must be >= 3, got {n}")
-    if not 1 <= s <= n - 1:
-        raise ParameterError(f"--shift must be in [1, {n - 1}], got {s}")
-    return BandSpec(n, s)
+    if args.strips < 3:
+        raise ParameterError(f"--strips must be >= 3, got {args.strips}")
+    return BandSpec(args.strips, args.shift)
 
 
 def _branch_rows(band: BandSpec, opts: SolverOptions) -> list[dict]:
@@ -144,25 +140,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.min > args.max:
-        print("--min must be <= --max", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.min < 3:
-        print("--min must be >= 3", file=sys.stderr)
-        return EXIT_BAD_INPUT
     opts = _solver_options(args)
     entries = enumerate_catalog(args.min, args.max, opts, include_compounds=args.include_compounds)
     options_record = {
         "n_min": args.min,
         "n_max": args.max,
         "include_compounds": args.include_compounds,
-        "theta_min": opts.theta_min,
-        "theta_max": opts.theta_max,
-        "grid_points": opts.grid_points,
-        "bisection_tol": opts.bisection_tol,
-        "residual_tol": opts.residual_tol,
-        "min_A": opts.min_A,
-        "min_B": opts.min_B,
+        **asdict(opts),
     }
     write_catalog(entries, args.catalog, options_record)
     if args.csv:
@@ -225,18 +209,13 @@ def _cmd_modules(args: argparse.Namespace) -> int:
         columns=args.columns,
         slit_fraction=args.slit_fraction,
     )
-    export_modules_svg(sol, mopts, args.out)
-    count = mopts.periods * sol.offsets.c - sol.offsets.c + 1
+    count = export_modules_svg(sol, mopts, args.out)
     print(json.dumps({"out": args.out, "modules": count}, indent=2)
           if args.json else f"wrote {args.out}: {count} modules")
     return EXIT_OK
 
 
 def _cmd_antiprism(args: argparse.Namespace) -> int:
-    if args.gon < 3:
-        raise ParameterError(f"--gon must be >= 3, got {args.gon}")
-    if args.rings < 2:
-        raise ParameterError(f"--rings must be >= 2, got {args.rings}")
     seg = antiprism_tower(args.gon, args.rings)
     export_obj(seg, args.out, frame=args.frame)
     h = float(seg.vertices[args.gon][2])

@@ -81,8 +81,9 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ParameterError(f"{f.name} must be positive")
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0):
+                raise ParameterError(f"{f.name} must be positive and finite, got {v}")
         if self.grid_points < 1000:
             raise ParameterError("grid_points must be >= 1000")
         if self.theta_min >= self.theta_max:

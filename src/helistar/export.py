@@ -11,6 +11,7 @@ and stated inside the emitted file.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,15 +35,20 @@ Label = tuple[int, int]
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-def _fmt9(x: float) -> str:
-    s = f"{x:.9f}"
-    return "0.000000000" if s == "-0.000000000" else s
+def _fmt(x: float, spec: str) -> str:
+    """format(x, spec), with a negative zero written as zero."""
+    s = format(float(x), spec)
+    return s.lstrip("-") if float(s) == 0.0 else s
 
 
-def _open(sink, newline="\n"):
-    if hasattr(sink, "write"):
-        return sink, False
-    return open(sink, "w", encoding="utf-8", newline=newline), True
+@contextmanager
+def _opened(target, mode: str = "w", newline: str | None = "\n"):
+    """target itself if it is a file object, else the path opened and closed after."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode, encoding="utf-8", newline=newline) as fh:
+            yield fh
 
 
 def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
@@ -53,19 +59,15 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
     """
     if len(segment.vertices) == 0:
         raise ParameterError("refusing to write an empty mesh")
-    fh, own = _open(sink)
-    try:
+    with _opened(sink) as fh:
         for v in segment.vertices:
-            fh.write(f"v {_fmt9(v[0])} {_fmt9(v[1])} {_fmt9(v[2])}\n")
+            fh.write(f"v {_fmt(v[0], '.9f')} {_fmt(v[1], '.9f')} {_fmt(v[2], '.9f')}\n")
         if frame:
             for (u, w, _tag) in segment.edges:
                 fh.write(f"l {u + 1} {w + 1}\n")
         else:
             for (i, j, k) in segment.faces:
                 fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,12 @@ _SVG_STYLE = (
 
 
 def _mm(x: float) -> str:
-    s = f"{x:.3f}"
-    return "0.000" if s == "-0.000" else s
+    return _fmt(x, ".3f")
+
+
+def _check_edge_mm(edge_mm: float) -> None:
+    if not (math.isfinite(edge_mm) and edge_mm > 0):
+        raise ParameterError(f"edge_mm must be positive and finite, got {edge_mm}")
 
 
 def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
@@ -165,6 +171,7 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     valleys dash-dot; each fold carries its dihedral in degrees. The seam rows
     are numbered so row j on the right column meets row j + s on the left.
     """
+    _check_edge_mm(edge_mm)
     margin = 0.35 * edge_mm
     ymax = max(p[1] for p in net.points.values())
     xmax = max(p[0] for p in net.points.values())
@@ -176,8 +183,7 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
 
     w = xmax * edge_mm + 2 * margin
     h = ymax * edge_mm + 2 * margin + 14.0
-    fh, own = _open(sink)
-    try:
+    with _opened(sink) as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
             f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n'
@@ -216,9 +222,6 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
             f"matching seam numbers glue together</text>\n"
         )
         fh.write("</svg>\n")
-    finally:
-        if own:
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -237,18 +240,23 @@ class ModuleOptions:
     gap_mm: float = 8.0
     slit_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        _check_edge_mm(self.edge_mm)
+        if self.periods < 1:
+            raise ParameterError("periods must be >= 1")
+        if self.columns < 1:
+            raise ParameterError("columns must be >= 1")
 
-def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> None:
+
+def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> int:
     """Sheet of congruent rhombus modules, one per (U_k, D_k) face pair.
 
     Each module is two unit triangles glued along the class-c edge, which is
     drawn as the fold line; the window of `periods` periods holds faces/2 such
-    pairs. Modules are identical, so the sheet is just a grid of them.
+    pairs. Modules are identical, so the sheet is just a grid of them. Returns
+    the module count.
     """
-    if opts.periods < 1:
-        raise ParameterError("periods must be >= 1")
-    off = solution.offsets
-    c = off.c
+    c = solution.offsets.c
     count = opts.periods * c - c + 1  # face pairs in the window = faces/2
     angles = dihedral_angles(solution)
     edge = opts.edge_mm
@@ -271,15 +279,14 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> N
 
     slits = [slit(A, B), slit(C, D)]
 
-    cols = max(1, opts.columns)
+    cols = opts.columns
     pitch_x = edge + opts.gap_mm
     pitch_y = 2.0 * SQRT3_2 * edge + opts.gap_mm
     rows_n = (count + cols - 1) // cols
     w = cols * pitch_x + opts.gap_mm
     h = rows_n * pitch_y + opts.gap_mm + 14.0
 
-    fh, own = _open(sink)
-    try:
+    with _opened(sink) as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
             f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n'
@@ -317,6 +324,4 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> N
             f"{fold_dir} fold on the diagonal, short strokes = slits</text>\n"
         )
         fh.write("</svg>\n")
-    finally:
-        if own:
-            fh.close()
+    return count

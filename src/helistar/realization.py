@@ -83,13 +83,23 @@ class UniformityReport:
         }
 
 
+def _outward(verts: np.ndarray, faces: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """faces, all flipped together if their summed radial normal component is negative.
+
+    Flipping per face would break the opposite-traversal pairing on shared edges.
+    """
+    p = verts[np.asarray(faces)]
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    radial = float(np.sum(n[:, :2] * p.mean(axis=1)[:, :2]))
+    return [(i, k, j) for (i, j, k) in faces] if radial < 0.0 else faces
+
+
 def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     """Materialize the window k in [0, periods*c] of a branch.
 
     Faces U_k, D_k are emitted for every k whose three indices fit the window.
     Orientation is outward: if the mean radial component of the face normals
-    comes out negative, both families are flipped together (per-face flipping
-    would break the opposite-traversal pairing on shared edges).
+    comes out negative, both families are flipped together.
     """
     if periods < 1:
         raise ParameterError("periods must be >= 1")
@@ -102,16 +112,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     for k in range(kmax - c + 1):
         faces.append(face_vertices("U", k, off))
         faces.append(face_vertices("D", k, off))
-
-    # outward = positive mean radial normal component over the whole window
-    radial = 0.0
-    for tri in faces:
-        p = verts[list(tri)]
-        n = np.cross(p[1] - p[0], p[2] - p[0])
-        centroid = p.mean(axis=0)
-        radial += float(np.dot(n[:2], centroid[:2]))
-    if radial < 0.0:
-        faces = [(i, k, j) for (i, j, k) in faces]
+    faces = _outward(verts, faces)
 
     edges: list[tuple[int, int, str]] = []
     for tag, d in (("a", a), ("b", b), ("c", c)):
@@ -135,15 +136,6 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     tetrahelix on its class-a edges (three tetrahedra stack around each).
     """
     return _interior_dihedrals(solution.offsets, solution.params)
-
-
-def _constellation(verts: np.ndarray, center: int, cycle: list[int]) -> np.ndarray:
-    """Sorted pairwise distances among a vertex and its 6 cycle neighbors."""
-    idx = [center] + [center + w for w in cycle]
-    pts = verts[idx]
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    iu = np.triu_indices(len(idx), k=1)
-    return np.sort(d[iu])
 
 
 def verify_uniform(
@@ -261,12 +253,7 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
         for i in range(gon):
             faces.append((vid(j, i), vid(j, i + 1), vid(j + 1, i)))
             faces.append((vid(j + 1, i), vid(j, i + 1), vid(j + 1, i + 1)))
-
-    # outward check on one face; construction order is consistent throughout
-    p = verts[list(faces[0])]
-    n = np.cross(p[1] - p[0], p[2] - p[0])
-    if float(np.dot(n[:2], p.mean(axis=0)[:2])) < 0.0:
-        faces = [(i, k, j) for (i, j, k) in faces]
+    faces = _outward(verts, faces)
 
     edges: list[tuple[int, int, str]] = []
     for j in range(rings):

@@ -9,7 +9,6 @@ from helistar import (
     NotACompoundError,
     OffsetTriple,
     ParameterError,
-    component_count,
     edge_faces,
     face_vertices,
     incident_faces,
@@ -71,7 +70,7 @@ class TestOffsetTriple:
     def test_components(self):
         assert OffsetTriple(2, 4, 6).components == 2
         assert OffsetTriple(2, 3, 5).components == 1
-        assert component_count(BandSpec(12, 8)) == 4
+        assert BandSpec(12, 8).components == 4
 
 
 class TestIndexMap:

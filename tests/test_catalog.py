@@ -1,12 +1,15 @@
 """Naming, enumeration, report building, and catalog persistence."""
 
 import io
+import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from helistar import (
     BandSpec,
+    CatalogEntry,
     CatalogFormatError,
     NotACompoundError,
     ParameterError,
@@ -26,6 +29,74 @@ from helistar.catalog import _ENTRY_FIELDS
 TET_THETA = math.acos(-2.0 / 3.0)
 TET_R = 3.0 * math.sqrt(3.0) / 10.0
 TET_H = 1.0 / math.sqrt(10.0)
+
+PINNED_ENTRIES = [
+    CatalogEntry(
+        name='odd, "quoted" name', n_strips=7, shift=3, branch_index=2, winding_m=3,
+        theta=-0.0, r=2.25597318603832e-13, h=0.5, residual=1e-16, intersecting=True,
+        vertex_figure="simple", components=1, chirality_note="note",
+    ),
+    CatalogEntry(
+        name="6(1) helical deltahedron", n_strips=6, shift=1, branch_index=1, winding_m=1,
+        theta=1.0471975511965976, r=1.0, h=-0.0, residual=0.0, intersecting=False,
+        vertex_figure="crossed", components=1, chirality_note="note",
+    ),
+]
+
+
+def pinned_doc(**override) -> str:
+    """Catalog text of the pinned entries with fields of the second one replaced."""
+    raw = [asdict(e) for e in PINNED_ENTRIES]
+    raw[1].update(override)
+    return json.dumps({"entries": raw})
+
+
+PINNED_OPTIONS = {"flag": True, "count": 5, "tol": 1e-13, "label": "x,y", "none": None, "neg": -0.0}
+
+PINNED_JSON = """\
+{
+  "generated_by": "helistar 0.1.0",
+  "options": {"count": 5, "flag": true, "label": "x,y", "neg": 0, "none": null, "tol": 1e-13},
+  "entries": [
+    {
+      "name": "odd, \\"quoted\\" name",
+      "n_strips": 7,
+      "shift": 3,
+      "branch_index": 2,
+      "winding_m": 3,
+      "theta": 0,
+      "r": 2.25597318603832e-13,
+      "h": 0.5,
+      "residual": 1e-16,
+      "intersecting": true,
+      "vertex_figure": "simple",
+      "components": 1,
+      "chirality_note": "note"
+    },
+    {
+      "name": "6(1) helical deltahedron",
+      "n_strips": 6,
+      "shift": 1,
+      "branch_index": 1,
+      "winding_m": 1,
+      "theta": 1.0471975511966,
+      "r": 1,
+      "h": 0,
+      "residual": 0,
+      "intersecting": false,
+      "vertex_figure": "crossed",
+      "components": 1,
+      "chirality_note": "note"
+    }
+  ]
+}
+"""
+
+PINNED_CSV = """\
+name,n_strips,shift,branch_index,winding_m,theta,r,h,residual,intersecting,vertex_figure,components,chirality_note
+"odd, ""quoted"" name",7,3,2,3,0,2.25597318603832e-13,0.5,1e-16,true,simple,1,note
+6(1) helical deltahedron,6,1,1,1,1.0471975511966,1,0,0,false,crossed,1,note
+"""
 
 
 class TestNaming:
@@ -121,6 +192,16 @@ class TestReport:
 
 
 class TestPersistence:
+    def test_json_bytes_are_pinned(self):
+        buf = io.StringIO()
+        write_catalog(PINNED_ENTRIES, buf, PINNED_OPTIONS)
+        assert buf.getvalue() == PINNED_JSON
+
+    def test_csv_bytes_are_pinned(self):
+        buf = io.StringIO()
+        write_catalog_csv(PINNED_ENTRIES, buf)
+        assert buf.getvalue() == PINNED_CSV
+
     def test_write_read_write_is_byte_identical(self, catalog_entries):
         opts = {"n_min": 5, "n_max": 12, "include_compounds": True}
         buf1 = io.StringIO()
@@ -158,6 +239,20 @@ class TestPersistence:
     def test_not_an_object(self):
         with pytest.raises(CatalogFormatError):
             read_catalog(io.StringIO("[1, 2]"))
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ('{"entries": 5}', "'entries' must be a list"),
+            ('{"entries": [5]}', "entry 0: must be an object"),
+            (pinned_doc(n_strips="abc"), "entry 1: field 'n_strips'"),
+            (pinned_doc(n_strips=None), "entry 1: field 'n_strips'"),
+        ],
+        ids=["entries-not-a-list", "entry-not-an-object", "n_strips-abc", "n_strips-null"],
+    )
+    def test_malformed_entries_name_index_and_field(self, doc, match):
+        with pytest.raises(CatalogFormatError, match=match):
+            read_catalog(io.StringIO(doc))
 
     def test_csv_header_and_rows(self, catalog_entries):
         buf = io.StringIO()

@@ -37,6 +37,17 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--strips", "2", "--shift", "1")
         assert code == 2
 
+    def test_malformed_grid_env_is_invalid(self, capsys, monkeypatch):
+        monkeypatch.setenv("HELISTAR_GRID_POINTS", "abc")
+        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2")
+        assert code == 2
+        assert "HELISTAR_GRID_POINTS" in err
+
+    def test_non_finite_solver_flag_is_invalid(self, capsys):
+        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2", "--theta-min", "nan")
+        assert code == 2
+        assert "theta_min" in err
+
     def test_no_branches_is_no_result(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "4", "--shift", "2")
         assert code == 3
@@ -175,6 +186,23 @@ class TestSheets:
         )
         assert code == 0 and out.exists()
         assert "6 modules" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modules", "--edge-mm", "0"],
+            ["modules", "--columns", "0"],
+            ["modules", "--periods", "0"],
+            ["net", "--edge-mm", "-5"],
+        ],
+    )
+    def test_bad_sheet_dimensions_are_invalid(self, capsys, tmp_path, argv):
+        out = tmp_path / "sheet.svg"
+        code, _, err = run(
+            capsys, *argv, "--strips", "5", "--shift", "2", "--out", str(out),
+        )
+        assert code == 2 and "must be" in err
+        assert not out.exists()
 
     def test_antiprism(self, capsys, tmp_path):
         out = tmp_path / "ap.obj"

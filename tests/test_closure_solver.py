@@ -153,6 +153,12 @@ class TestOptions:
         with pytest.raises(ParameterError):
             SolverOptions(**kwargs)
 
+    @pytest.mark.parametrize("field", ["theta_min", "theta_max", "residual_tol", "min_B"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_options(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            SolverOptions(**{field: value})
+
     def test_defaults(self):
         o = SolverOptions()
         assert o.grid_points == 200000

@@ -173,6 +173,12 @@ class TestNetSvg:
         export_net_svg(net, b)
         assert a.getvalue() == b.getvalue()
 
+    @pytest.mark.parametrize("edge_mm", [0.0, -5.0, math.nan, math.inf])
+    def test_rejects_bad_edge_length(self, band52, edge_mm):
+        net = unfold_net(band52[0], rows=2)
+        with pytest.raises(ParameterError, match="edge_mm"):
+            export_net_svg(net, io.StringIO(), edge_mm=edge_mm)
+
 
 class TestModulesSvg:
     def test_one_rhombus_per_face_pair(self, band52):
@@ -195,3 +201,17 @@ class TestModulesSvg:
         assert a.getvalue() == b.getvalue()
         with pytest.raises(ParameterError):
             export_modules_svg(band52[0], ModuleOptions(periods=0), io.StringIO())
+
+    def test_returns_module_count(self, band52):
+        buf = io.StringIO()
+        count = export_modules_svg(band52[0], ModuleOptions(periods=3), buf)
+        assert count == len(realize(band52[0], 3).faces) // 2
+        assert buf.getvalue().count('class="cut"') == count
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"edge_mm": 0.0}, {"edge_mm": -1.0}, {"edge_mm": math.nan}, {"columns": 0}, {"periods": 0}],
+    )
+    def test_options_reject_bad_dimensions(self, kwargs):
+        with pytest.raises(ParameterError):
+            ModuleOptions(**kwargs)
