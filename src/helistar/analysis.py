@@ -6,7 +6,10 @@ Two exact finite tests stand in for questions about an infinite surface:
   can only meet faces with base in [k-c, k+c]; faces exactly c apart meet the
   prototype's axial extremes in a single plane where both shrink to the shared
   vertex. Testing U_0 and D_0 against that window therefore decides the whole
-  surface, by screw symmetry.
+  surface, by screw symmetry. The window's 2*(4c+2) pairs go through the
+  triangle-triangle predicate as one stack in a single call; that batched
+  predicate is the only one, and triangles_properly_intersect is a batch of
+  one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -16,13 +19,12 @@ Two exact finite tests stand in for questions about an infinite surface:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .band_combinatorics import face_vertices, incident_faces, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, helix_points
+from .closure_solver import BranchSolution, _cross, _dot, _normals, _unit, helix_points
 
 __all__ = [
     "Classification",
@@ -48,25 +50,23 @@ class Classification:
     figure_polygon: np.ndarray  # (6, 3) neighbor positions in cycle order
 
 
-def _tri_interval(tri: np.ndarray, dist: np.ndarray, axis: np.ndarray) -> tuple[float, float] | None:
-    """Parameter interval where a triangle meets the other one's plane.
+def _interval(tri: np.ndarray, dist: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter interval where each triangle meets the other one's plane.
 
-    dist holds the triangle's signed vertex distances to that plane; axis is
-    the direction of the plane-intersection line. Returns None when the
-    triangle lies strictly on one side.
+    tri is (m, 3, 3); dist holds each triangle's signed vertex distances to
+    that plane; axis is the direction of the plane-intersection line. On-plane
+    vertices and strict edge crossings both contribute a parameter. A row with
+    neither (the triangle lies strictly on one side) gets the empty interval
+    (inf, -inf).
     """
-    ts: list[float] = []
-    for i in range(3):
-        if abs(dist[i]) <= _PLANE_EPS:
-            ts.append(float(np.dot(axis, tri[i])))
-    for i in range(3):
-        j = (i + 1) % 3
-        if dist[i] * dist[j] < 0.0 and abs(dist[i]) > _PLANE_EPS and abs(dist[j]) > _PLANE_EPS:
-            s = dist[i] / (dist[i] - dist[j])
-            ts.append(float(np.dot(axis, tri[i] + s * (tri[j] - tri[i]))))
-    if not ts:
-        return None
-    return min(ts), max(ts)
+    nxt = [1, 2, 0]  # edge i runs from vertex i to vertex nxt[i]
+    on = np.abs(dist) <= _PLANE_EPS
+    crosses = (dist * dist[:, nxt] < 0.0) & ~on & ~on[:, nxt]
+    s = dist / (dist - dist[:, nxt])  # masked off where the edge does not cross
+    hits = tri + s[..., None] * (tri[:, nxt] - tri)
+    t = np.concatenate([_dot(axis[:, None], tri), _dot(axis[:, None], hits)], axis=1)
+    ok = np.concatenate([on, crosses], axis=1)
+    return np.where(ok, t, np.inf).min(axis=1), np.where(ok, t, -np.inf).max(axis=1)
 
 
 def _poly_area(poly: list[np.ndarray]) -> float:
@@ -139,6 +139,44 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray, tol: flo
     return False
 
 
+def _intersect(
+    T1: np.ndarray,
+    T2: np.ndarray,
+    shared: np.ndarray,
+    tol: float = MEASURE_TOL,
+) -> np.ndarray:
+    """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
+
+    Moeller's interval test, one array pass over all m pairs: rows sharing an
+    edge, rows with a degenerate triangle and rows with one triangle strictly
+    on one side of the other's plane are rejected; coplanar rows go through
+    the 2D clip one by one; the rest intersect when the two triangles'
+    intervals on the planes' common line overlap by more than tol.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
+        n1 = _normals(T1)
+        n2 = _normals(T2)
+        n1n = np.sqrt(_dot(n1, n1))
+        n2n = np.sqrt(_dot(n2, n2))
+        live = (shared < 2) & (n1n != 0.0) & (n2n != 0.0)
+        n1 = n1 / n1n[:, None]
+        n2 = n2 / n2n[:, None]
+
+        d2 = _dot(n1[:, None], T2 - T1[:, :1])
+        d1 = _dot(n2[:, None], T1 - T2[:, :1])
+        for d in (d2, d1):
+            live &= ~(np.all(d > _PLANE_EPS, axis=1) | np.all(d < -_PLANE_EPS, axis=1))
+        coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=1)
+
+        axis = _unit(_cross(n1, n2))
+        lo1, hi1 = _interval(T1, d1, axis)
+        lo2, hi2 = _interval(T2, d2, axis)
+        hit = live & ~coplanar & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > tol)
+    for i in np.flatnonzero(coplanar):
+        hit[i] = _coplanar_intersect(T1[i], T2[i], n1[i], tol)
+    return hit
+
+
 def triangles_properly_intersect(
     t1: np.ndarray,
     t2: np.ndarray,
@@ -152,36 +190,9 @@ def triangles_properly_intersect(
     faces sharing one vertex count only when the overlap extends beyond it.
     Contacts of measure below tol are touching, not intersecting.
     """
-    if shared >= 2:
-        return False
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    n1 = np.cross(t1[1] - t1[0], t1[2] - t1[0])
-    n2 = np.cross(t2[1] - t2[0], t2[2] - t2[0])
-    n1n = np.linalg.norm(n1)
-    n2n = np.linalg.norm(n2)
-    if n1n == 0.0 or n2n == 0.0:
-        return False
-    n1 = n1 / n1n
-    n2 = n2 / n2n
-
-    d2 = np.array([np.dot(n1, p - t1[0]) for p in t2])
-    if np.all(d2 > _PLANE_EPS) or np.all(d2 < -_PLANE_EPS):
-        return False
-    d1 = np.array([np.dot(n2, p - t2[0]) for p in t1])
-    if np.all(d1 > _PLANE_EPS) or np.all(d1 < -_PLANE_EPS):
-        return False
-
-    if np.all(np.abs(d2) <= _PLANE_EPS):
-        return _coplanar_intersect(t1, t2, n1, tol)
-
-    axis = np.cross(n1, n2)
-    axis = axis / np.linalg.norm(axis)
-    i1 = _tri_interval(t1, d1, axis)
-    i2 = _tri_interval(t2, d2, axis)
-    if i1 is None or i2 is None:
-        return False
-    return min(i1[1], i2[1]) - max(i1[0], i2[0]) > tol
+    T1 = np.asarray(t1, dtype=float)[None]
+    T2 = np.asarray(t2, dtype=float)[None]
+    return bool(_intersect(T1, T2, np.array([shared]), tol)[0])
 
 
 def classify_face_intersection(
@@ -191,40 +202,30 @@ def classify_face_intersection(
     """Decide self-intersection; returns the first witness pair found.
 
     Prototypes U_base and D_base are tested against every face with base
-    index in [base-c, base+c]. The default base of 0 is exhaustive by screw
-    symmetry; other bases exist so the invariance is checkable.
+    index in [base-c, base+c], all pairs in one predicate call. The witness
+    is the first hit in scan order: prototype U then D, window k ascending,
+    U_k before D_k. The default base of 0 is exhaustive by screw symmetry;
+    other bases exist so the invariance is checkable.
     """
     off = solution.offsets
     c = off.c
-    params = solution.params
-    cache: dict[FaceId, tuple[tuple[int, ...], np.ndarray]] = {}
-
-    def load(fid: FaceId) -> tuple[tuple[int, ...], np.ndarray]:
-        if fid not in cache:
-            idx = face_vertices(fid[0], fid[1], off)
-            cache[fid] = (idx, helix_points(params, idx))
-        return cache[fid]
-
-    for proto in (("U", base), ("D", base)):
-        pidx, ptri = load(proto)
-        for k in range(base - c, base + c + 1):
-            for kind in ("U", "D"):
-                other: FaceId = (kind, k)
-                if other == proto:
-                    continue
-                oidx, otri = load(other)
-                shared = len(set(pidx) & set(oidx))
-                if shared >= 2:
-                    continue
-                if triangles_properly_intersect(ptri, otri, shared):
-                    return True, (proto, other)
-    return False, None
-
-
-def _face_normal(params, off, fid: FaceId) -> np.ndarray:
-    pts = helix_points(params, face_vertices(fid[0], fid[1], off))
-    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    return n / np.linalg.norm(n)
+    shape = np.array([face_vertices("U", 0, off), face_vertices("D", 0, off)])
+    first = base - c  # lowest vertex index in the window
+    protos = base + shape
+    window = (np.arange(first, base + c + 1)[:, None, None] + shape).reshape(-1, 3)
+    pts = helix_points(solution.params, np.arange(first, base + 2 * c + 1))
+    shared = (protos[:, None, :, None] == window[None, :, None, :]).any(axis=-1).sum(axis=-1)
+    hits = _intersect(
+        np.repeat(pts[protos - first], len(window), axis=0),
+        np.tile(pts[window - first], (2, 1, 1)),
+        shared.ravel(),
+    )
+    at = int(np.argmax(hits))
+    if not hits[at]:
+        return False, None
+    proto, other = divmod(at, len(window))
+    k, kind = divmod(other, 2)
+    return True, (("UD"[proto], base), ("UD"[kind], first + k))
 
 
 def _segments_cross_2d(p1, p2, q1, q2) -> bool:
@@ -263,9 +264,8 @@ def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, 
     cycle = vertex_neighbor_cycle(off)
     polygon = helix_points(params, [base + w for w in cycle])
 
-    axis = np.zeros(3)
-    for fid in incident_faces(off, base):
-        axis += _face_normal(params, off, fid)
+    faces = np.array([face_vertices(kind, k, off) for kind, k in incident_faces(off, base)])
+    axis = _unit(_normals(helix_points(params, faces))).sum(axis=0)
     norm = float(np.linalg.norm(axis))
     if norm < 1e-9:
         return polygon, "indeterminate"
@@ -275,9 +275,9 @@ def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, 
     seed = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(seed, axis)) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, seed)
+    e1 = _cross(axis, seed)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = _cross(axis, e1)
     rel = polygon - center
     flat = np.stack([rel @ e1, rel @ e2], axis=1)
     return polygon, _figure_kind(flat)

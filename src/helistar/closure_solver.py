@@ -155,44 +155,71 @@ def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float]:
     return float(sol[0]), float(sol[1])
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (..., 3) stacks, component by component."""
+    return np.stack(
+        [
+            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+        ],
+        axis=-1,
+    )
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of broadcastable (..., 3) stacks.
+
+    Goes through matmul, which sums each row exactly as np.dot does on one
+    pair of 3-vectors, so stacked and single-vector results agree bit for bit.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _normals(tri: np.ndarray) -> np.ndarray:
+    """Orientation normals (unnormalized) of a (..., 3, 3) stack of triangles."""
+    return _cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length (the np.linalg.norm of each row)."""
+    return v / np.sqrt(_dot(v, v))[..., None]
+
+
 def _interior_dihedrals(offsets: OffsetTriple, params: HelixParams) -> dict[str, float]:
     """Interior dihedral per edge class, measured through the solid, in (0, 2pi).
 
     For each class the two incident prototype faces are taken from the
     combinatorics; u1, u2 are their in-plane perpendiculars to the shared edge.
     The angle between them is the dihedral; it is reflex when u2 pokes to the
-    outside of face 1 (positive against face 1's orientation normal).
+    outside of face 1 (positive against face 1's orientation normal). The
+    three classes are handled as one (3, 2) stack of face pairs.
     """
-    out: dict[str, float] = {}
-    for cls in ("a", "b", "c"):
-        (k1_kind, k1), (k2_kind, k2) = edge_faces(offsets, cls)
-        f1 = face_vertices(k1_kind, k1, offsets)
-        f2 = face_vertices(k2_kind, k2, offsets)
-        shared = sorted(set(f1) & set(f2))
-        p, q = helix_points(params, shared)
-        e = q - p
-        e = e / np.linalg.norm(e)
-
-        def wing(face) -> tuple[np.ndarray, np.ndarray]:
-            pts = helix_points(params, face)
-            apex = pts[[i for i, v in enumerate(face) if v not in shared][0]]
-            w = apex - p
-            w = w - np.dot(w, e) * e
-            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-            return w / np.linalg.norm(w), n / np.linalg.norm(n)
-
-        u1, n1 = wing(f1)
-        u2, _ = wing(f2)
-        ang = math.acos(float(np.clip(np.dot(u1, u2), -1.0, 1.0)))
-        if float(np.dot(u2, n1)) > 0.0:
-            ang = 2.0 * math.pi - ang
-        out[cls] = ang
-    return out
+    classes = ("a", "b", "c")
+    faces = np.array(
+        [[face_vertices(kind, k, offsets) for kind, k in edge_faces(offsets, cls)] for cls in classes]
+    )
+    on_edge = (faces[:, :, :, None] == faces[:, ::-1, None, :]).any(axis=-1)
+    edge = np.sort(faces[:, 0][on_edge[:, 0]].reshape(3, 2), axis=1)
+    apex = faces[~on_edge].reshape(3, 2)
+    p = helix_points(params, edge[:, 0])
+    e = _unit(helix_points(params, edge[:, 1]) - p)
+    w = helix_points(params, apex) - p[:, None]
+    u = _unit(w - _dot(w, e[:, None])[..., None] * e[:, None])
+    n1 = _unit(_normals(helix_points(params, faces[:, 0])))
+    cosines = np.clip(_dot(u[:, 0], u[:, 1]), -1.0, 1.0).tolist()
+    outside = (_dot(u[:, 1], n1) > 0.0).tolist()
+    # math.acos, not np.arccos: the two differ in the last bit, and these
+    # angles are printed in net and module sheets
+    return {
+        cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x)
+        for cls, x, out in zip(classes, cosines, outside)
+    }
 
 
 def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
-    pts = helix_points(params, face_vertices("U", 0, offsets))
-    return 0.5 * float(np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0])))
+    n = _normals(helix_points(params, face_vertices("U", 0, offsets)))
+    return 0.5 * float(np.sqrt(_dot(n, n)))
 
 
 def solve_branches(

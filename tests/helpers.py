@@ -2,8 +2,10 @@
 
 refold_max_error folds a net forward by its annotated dihedrals and compares
 against the helix coordinates; brute_force_intersecting checks a realized
-window by testing every face pair. Both are deliberately independent of the
-implementation paths they check.
+window by testing every face pair with the package predicate, and
+oracle_intersecting checks the same window with a segment-triangle test that
+shares no code with helistar.analysis. All are deliberately independent of
+the implementation paths they check.
 """
 
 from __future__ import annotations
@@ -122,3 +124,45 @@ def brute_force_intersecting(solution: BranchSolution, periods: int = 3) -> bool
                 hit = True
                 return hit
     return hit
+
+
+ORACLE_EPS = 1e-9  # margin from every boundary for a crossing to count
+
+
+def oracle_intersecting(solution: BranchSolution, periods: int = 3) -> bool:
+    """Moeller-Trumbore crossing test over a realized window.
+
+    True when, for some pair of faces sharing fewer than 2 vertices, an edge
+    of one face passes through the other face strictly inside: barycentric
+    coordinates and segment parameter all beyond ORACLE_EPS from 0 and 1.
+    Edges parallel to the face plane (coplanar contact) never count.
+    """
+    seg = realize(solution, periods)
+    verts = np.asarray(seg.vertices, dtype=float)
+    faces = np.asarray(seg.faces)
+    ia, ib = np.triu_indices(len(faces), k=1)
+    shared = (faces[ia][:, :, None] == faces[ib][:, None, :]).any(axis=2).sum(axis=1)
+    ia, ib = ia[shared < 2], ib[shared < 2]
+    # every edge of face ia against face ib, and every edge of ib against ia
+    starts = verts[faces[np.concatenate([ia, ib])]]  # (p, 3, 3): edge i runs from corner i to i+1
+    tri = verts[faces[np.concatenate([ib, ia])]][:, None]  # (p, 1, 3, 3)
+    seg_dir = np.roll(starts, -1, axis=1) - starts
+    e1 = tri[:, :, 1] - tri[:, :, 0]
+    e2 = tri[:, :, 2] - tri[:, :, 0]
+    pvec = np.cross(seg_dir, e2)
+    det = np.sum(e1 * pvec, axis=-1)
+    tvec = starts - tri[:, :, 0]
+    qvec = np.cross(tvec, e1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # parallel edges masked below
+        u = np.sum(tvec * pvec, axis=-1) / det
+        v = np.sum(seg_dir * qvec, axis=-1) / det
+        t = np.sum(e2 * qvec, axis=-1) / det
+    inside = (
+        (np.abs(det) > ORACLE_EPS)
+        & (u > ORACLE_EPS)
+        & (v > ORACLE_EPS)
+        & (u + v < 1.0 - ORACLE_EPS)
+        & (t > ORACLE_EPS)
+        & (t < 1.0 - ORACLE_EPS)
+    )
+    return bool(inside.any())

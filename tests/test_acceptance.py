@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helistar as hs
-from helpers import brute_force_intersecting, refold_max_error
+from helpers import brute_force_intersecting, oracle_intersecting, refold_max_error
 
 # named star objects: (n, s) -> winding m, all expected connected,
 # intersecting, and simple-figured
@@ -123,6 +123,7 @@ def test_c07_classifier_matches_brute_force(entry_solutions):
         if entry.n_strips > 9:
             continue
         assert entry.intersecting == brute_force_intersecting(sol, periods=3), entry.name
+        assert entry.intersecting == oracle_intersecting(sol, periods=3), entry.name
         checked += 1
     assert checked >= 30
 

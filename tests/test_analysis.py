@@ -1,6 +1,8 @@
 """Intersection predicate fixtures, classifier verdicts, vertex figures."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,21 @@ class TestClassifier:
         b3 = solve_band(BandSpec(7, 2))[2]
         assert b3.winding_m == 6
         assert not classify(b3).intersecting
+
+    def test_witnesses_are_pinned(self, solutions_5_12):
+        # verdict and witness of every 5..12 branch, recorded from the scalar
+        # pair-by-pair scan; pins the scan order the demos print
+        rows = json.loads((Path(__file__).parent / "data" / "face_witnesses_5_12.json").read_text())
+        assert [5, 2, 1, True, [["U", 0], ["D", -2]]] in rows
+        expected = {}
+        for n, s, branch, hit, witness in rows:
+            expected[(n, s, branch)] = (hit, None if witness is None else tuple(map(tuple, witness)))
+        got = {
+            (n, s, sol.branch_index): classify_face_intersection(sol)
+            for (n, s), sols in solutions_5_12.items()
+            for sol in sols
+        }
+        assert got == expected
 
     @pytest.mark.parametrize("base", [3, 7, 11])
     def test_screw_invariance(self, band52, base):
