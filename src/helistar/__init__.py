@@ -40,13 +40,11 @@ from .closure_solver import (
     closure_determinant,
     helix_points,
     solve_band,
-    solve_branches,
     winding_estimate,
 )
 from .errors import (
     CatalogFormatError,
     HelistarError,
-    MissingBandError,
     NotACompoundError,
     ParameterError,
     WindowError,
@@ -80,7 +78,6 @@ __all__ = [
     "HelistarError",
     "HelixParams",
     "MeshSegment",
-    "MissingBandError",
     "ModuleOptions",
     "NetLayout",
     "NotACompoundError",
@@ -109,7 +106,6 @@ __all__ = [
     "read_catalog",
     "realize",
     "solve_band",
-    "solve_branches",
     "split_compound",
     "triangles_properly_intersect",
     "unfold_net",

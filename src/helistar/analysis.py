@@ -69,15 +69,20 @@ def _interval(tri: np.ndarray, dist: np.ndarray, axis: np.ndarray) -> tuple[np.n
     return np.where(ok, t, np.inf).min(axis=1), np.where(ok, t, -np.inf).max(axis=1)
 
 
-def _poly_area(poly: list[np.ndarray]) -> float:
-    if len(poly) < 3:
-        return 0.0
+def _shoelace(poly: list[np.ndarray]) -> float:
+    """Signed shoelace sum of a 2D polygon: twice its area, positive if CCW."""
     s = 0.0
     for i in range(len(poly)):
         x1, y1 = poly[i]
         x2, y2 = poly[(i + 1) % len(poly)]
         s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
+    return s
+
+
+def _poly_area(poly: list[np.ndarray]) -> float:
+    if len(poly) < 3:
+        return 0.0
+    return abs(_shoelace(poly)) / 2.0
 
 
 def _clip_area(sub: list[np.ndarray], clip: list[np.ndarray]) -> float:
@@ -108,14 +113,10 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray, tol: flo
     to2d = lambda p: np.array([np.dot(p - t1[0], e1), np.dot(p - t1[0], e2)])
     q1 = [to2d(p) for p in t1]
     q2 = [to2d(p) for p in t2]
-    if _poly_area(q1) == 0.0:  # degenerate source triangle, nothing to clip against
+    s = _shoelace(q1)
+    if s == 0.0:  # degenerate source triangle, nothing to clip against
         return False
     # orient the clip polygon CCW
-    s = 0.0
-    for i in range(3):
-        x1, y1 = q1[i]
-        x2, y2 = q1[(i + 1) % 3]
-        s += x1 * y2 - x2 * y1
     if s < 0.0:
         q1 = q1[::-1]
     if _clip_area(q2, q1) > tol:

@@ -24,7 +24,7 @@ so one integer index and one offset triple carry the entire combinatorics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotACompoundError, ParameterError
 
@@ -42,18 +42,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BandSpec:
-    """n side-by-side strips glued with a shift of s steps.
+    """n side-by-side strips glued with a shift of s steps: a branch's identity.
 
     Stored in canonical form with shift <= floor(n/2); a shift of n - s is the
-    mirror image of s and is normalized away, with the value as given kept in
-    shift_given. n = 2 is accepted only so that compound components such as
+    mirror image of s and is normalized away. Every offset triple is a band's
+    image: OffsetTriple(a, b, a + b) is offsets_from_band(BandSpec(a + b, a)).
+    n = 2 is accepted only so that compound components such as
     (6,3) -> 3 x (2,1) are representable; it is degenerate (a = b) and has no
     geometric branches.
     """
 
     n_strips: int
     shift: int
-    shift_given: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n, s = self.n_strips, self.shift
@@ -63,8 +63,6 @@ class BandSpec:
             raise ParameterError(f"n_strips must be >= 2, got {n}")
         if not 1 <= s <= n - 1:
             raise ParameterError(f"shift must be in [1, {n - 1}], got {s}")
-        if self.shift_given == -1:
-            object.__setattr__(self, "shift_given", s)
         if s > n // 2:
             object.__setattr__(self, "shift", n - s)
 
@@ -86,11 +84,6 @@ class OffsetTriple:
             raise ParameterError(f"need 1 <= a <= b, got a={self.a} b={self.b}")
         if self.c != self.a + self.b:
             raise ParameterError(f"need c = a + b, got {self.c} != {self.a + self.b}")
-
-    @property
-    def components(self) -> int:
-        """gcd(a, b): 1 for a connected polyhedron, g for a g-compound."""
-        return math.gcd(self.a, self.b)
 
 
 def offsets_from_band(spec: BandSpec) -> OffsetTriple:

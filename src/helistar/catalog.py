@@ -83,8 +83,6 @@ def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixPara
     back into (0, pi) (the fold picks the stored enantiomorph) and its rise is
     g*h; the radius is shared.
     """
-    if solution.band is None:
-        raise ParameterError("component split needs a band, not free offsets")
     g, comp = split_compound(solution.band)
     theta_c = math.fmod(g * solution.params.theta, 2.0 * math.pi)
     if theta_c > math.pi:

@@ -109,20 +109,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pick_branch(band: BandSpec, opts: SolverOptions, index: int):
-    sols = solve_band(band, opts)
+def _pick_branch(args: argparse.Namespace):
+    """The --branch branch of the --strips/--shift band, or None after a message."""
+    sols = solve_band(_band(args), _solver_options(args))
     if not sols:
         print("no branches for this band", file=sys.stderr)
         return None
-    if not 1 <= index <= len(sols):
-        print(f"branch {index} not available; range is 1..{len(sols)}", file=sys.stderr)
+    if not 1 <= args.branch <= len(sols):
+        print(f"branch {args.branch} not available; range is 1..{len(sols)}", file=sys.stderr)
         return None
-    return sols[index - 1]
+    return sols[args.branch - 1]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    band = _band(args)
-    sol = _pick_branch(band, _solver_options(args), args.branch)
+    sol = _pick_branch(args)
     if sol is None:
         return EXIT_NO_RESULT
     seg = realize(sol, args.periods)
@@ -163,8 +163,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    band = _band(args)
-    sol = _pick_branch(band, _solver_options(args), args.branch)
+    sol = _pick_branch(args)
     if sol is None:
         return EXIT_NO_RESULT
     seg = realize(sol, args.periods)
@@ -187,8 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
-    band = _band(args)
-    sol = _pick_branch(band, _solver_options(args), args.branch)
+    sol = _pick_branch(args)
     if sol is None:
         return EXIT_NO_RESULT
     net = unfold_net(sol, rows=args.rows)
@@ -199,8 +197,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_modules(args: argparse.Namespace) -> int:
-    band = _band(args)
-    sol = _pick_branch(band, _solver_options(args), args.branch)
+    sol = _pick_branch(args)
     if sol is None:
         return EXIT_NO_RESULT
     mopts = ModuleOptions(

@@ -48,7 +48,6 @@ __all__ = [
     "chord",
     "helix_points",
     "closure_determinant",
-    "solve_branches",
     "solve_band",
     "winding_estimate",
 ]
@@ -92,18 +91,21 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class BranchSolution:
-    """One root of the closure equations plus its labels.
+    """One root of the closure equations of a band, with its labels.
 
-    winding_m is None when no band is attached (free offset triples carry no
-    strip count, so the winding label is unavailable).
+    The band is the branch's identity; its edge offsets are derived from it.
     """
 
-    offsets: OffsetTriple
-    band: BandSpec | None
+    band: BandSpec
     params: HelixParams
     branch_index: int
-    winding_m: int | None
+    winding_m: int
     residual: float
+
+    @property
+    def offsets(self) -> OffsetTriple:
+        """The band's image on the index line, offsets_from_band(band)."""
+        return offsets_from_band(self.band)
 
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
@@ -222,28 +224,17 @@ def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
     return 0.5 * float(np.sqrt(_dot(n, n)))
 
 
-def solve_branches(
-    offsets: OffsetTriple,
-    opts: SolverOptions | None = None,
-    band: BandSpec | None = None,
-) -> list[BranchSolution]:
-    """All admissible roots of D on [theta_min, theta_max], theta ascending.
+def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
+    """All admissible roots of the band's D on [theta_min, theta_max], theta ascending.
 
     Uniform grid scan, bisection on every sign change, then (A, B) from the
     linear system with the third equation as a residual check. Roots with
     A < min_A or B < min_B (flat or axis-collapsed degenerations), a zero-area
     face, any adjacent-face pair coplanar within 1e-6 rad, or residual above
     residual_tol are dropped. An empty result is an answer, not an error.
-
-    When band is given it must reduce to these offsets; branches then carry
-    the winding label.
     """
     opts = opts or SolverOptions()
-    if band is not None and offsets_from_band(band) != offsets:
-        raise ParameterError(
-            f"band ({band.n_strips},{band.shift}) does not reduce to offsets "
-            f"({offsets.a},{offsets.b},{offsets.c})"
-        )
+    offsets = offsets_from_band(band)
     if offsets.a == offsets.b:
         # the a- and b-chord equations coincide, so D vanishes identically and
         # the band flexes through a continuum; there are no isolated branches
@@ -282,17 +273,11 @@ def solve_branches(
             continue
         branches.append(
             BranchSolution(
-                offsets=offsets,
                 band=band,
                 params=params,
                 branch_index=len(branches) + 1,
-                winding_m=winding_estimate(band, params) if band is not None else None,
+                winding_m=winding_estimate(band, params),
                 residual=residual,
             )
         )
     return branches
-
-
-def solve_band(spec: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
-    """solve_branches for a band's offsets, with winding labels attached."""
-    return solve_branches(offsets_from_band(spec), opts, band=spec)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: parameter problems exit 2, empty results
-exit 3, failed verification exits 1.
+Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
+result exits 3 and a failed verification exits 1 without raising.
 """
 
 
@@ -15,10 +15,6 @@ class ParameterError(HelistarError):
 
 class NotACompoundError(HelistarError):
     """split_compound was called on a band with gcd(n, s) = 1."""
-
-
-class MissingBandError(HelistarError):
-    """An operation that needs strip/shift structure got a free offset triple."""
 
 
 class WindowError(HelistarError):

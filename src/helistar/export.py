@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import MissingBandError, ParameterError
+from .errors import ParameterError
 from .realization import MeshSegment, dihedral_angles
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 Label = tuple[int, int]
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
+SQRT3_4 = SQRT3_2 / 2.0  # quarter-point to rhombus centre, in edges
 
 
 def _fmt(x: float, spec: str) -> str:
@@ -109,8 +110,6 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     dihedral; the two boundary columns are the seam and carry the shift
     correspondence instead of a fold.
     """
-    if solution.band is None:
-        raise MissingBandError("unfolding needs a band; free offset triples have no strips")
     if rows < 1:
         raise ParameterError("rows must be >= 1")
     n, s = solution.band.n_strips, solution.band.shift
@@ -231,7 +230,9 @@ class ModuleOptions:
     The slit convention is this package's: one slit per class-a edge at its
     quarter-point, perpendicular into the rhombus, slit_fraction of an edge
     long; the two slits are images of each other under the rhombus's
-    180-degree rotation.
+    180-degree rotation. They lie on one line through the rhombus centre, at
+    sqrt(3)/4 of an edge from each quarter-point, so slit_fraction must stay
+    below sqrt(3)/4 or the slits meet and cut the module in two.
     """
 
     edge_mm: float = 40.0
@@ -246,6 +247,12 @@ class ModuleOptions:
             raise ParameterError("periods must be >= 1")
         if self.columns < 1:
             raise ParameterError("columns must be >= 1")
+        if not (math.isfinite(self.gap_mm) and self.gap_mm >= 0):
+            raise ParameterError(f"gap_mm must be non-negative and finite, got {self.gap_mm}")
+        if not 0 < self.slit_fraction < SQRT3_4:
+            raise ParameterError(
+                f"slit_fraction must be in (0, sqrt(3)/4), got {self.slit_fraction}"
+            )
 
 
 def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> int:

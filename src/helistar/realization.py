@@ -10,7 +10,7 @@ different (closed-form) construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,20 +67,7 @@ class UniformityReport:
         return self.edge_length_ok and self.face_angle_ok and self.constellation_ok and self.edge_faces_ok
 
     def as_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "interior_count": self.interior_count,
-            "face_count": self.face_count,
-            "edge_length_max_dev": self.edge_length_max_dev,
-            "face_angle_max_dev": self.face_angle_max_dev,
-            "constellation_max_dev": self.constellation_max_dev,
-            "bad_interior_edges": self.bad_interior_edges,
-            "edge_length_ok": self.edge_length_ok,
-            "face_angle_ok": self.face_angle_ok,
-            "constellation_ok": self.constellation_ok,
-            "edge_faces_ok": self.edge_faces_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _outward(verts: np.ndarray, faces: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:

@@ -32,7 +32,6 @@ class TestBandSpec:
     def test_mirror_shift_canonicalized(self):
         b = BandSpec(5, 3)
         assert b.shift == 2
-        assert b.shift_given == 3
         assert b == BandSpec(5, 2)
 
     def test_components_is_gcd(self):
@@ -68,9 +67,12 @@ class TestOffsetTriple:
             OffsetTriple(0, 1, 1)
 
     def test_components(self):
-        assert OffsetTriple(2, 4, 6).components == 2
-        assert OffsetTriple(2, 3, 5).components == 1
         assert BandSpec(12, 8).components == 4
+
+    def test_every_triple_is_a_band(self):
+        for a in range(1, 21):
+            for b in range(a, 21):
+                assert offsets_from_band(BandSpec(a + b, a)) == OffsetTriple(a, b, a + b)
 
 
 class TestIndexMap:

@@ -19,11 +19,9 @@ from helistar import (
     format_report,
     read_catalog,
     solve_band,
-    solve_branches,
     write_catalog,
     write_catalog_csv,
 )
-from helistar.band_combinatorics import OffsetTriple
 from helistar.catalog import _ENTRY_FIELDS
 
 TET_THETA = math.acos(-2.0 / 3.0)
@@ -136,13 +134,6 @@ class TestComponentParams:
     def test_connected_band_is_not_a_compound(self, band52):
         with pytest.raises(NotACompoundError):
             component_params(band52[0])
-
-    def test_needs_a_band(self):
-        sols = solve_branches(OffsetTriple(2, 4, 6))
-        assert sols  # offsets alone do have branches, but no strips
-        with pytest.raises(ParameterError):
-            component_params(sols[0])
-
 
 class TestEnumerate:
     def test_orders_and_skips_compounds_by_default(self):

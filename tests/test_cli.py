@@ -194,6 +194,9 @@ class TestSheets:
             ["modules", "--columns", "0"],
             ["modules", "--periods", "0"],
             ["net", "--edge-mm", "-5"],
+            ["modules", "--slit-fraction", "nan"],
+            ["modules", "--slit-fraction", "-1"],
+            ["modules", "--slit-fraction", "0.6"],
         ],
     )
     def test_bad_sheet_dimensions_are_invalid(self, capsys, tmp_path, argv):

@@ -16,7 +16,6 @@ from helistar import (
     helix_points,
     offsets_from_band,
     solve_band,
-    solve_branches,
     winding_estimate,
 )
 
@@ -122,15 +121,11 @@ class TestBranches:
         for x, y in zip(base, fine):
             assert abs(x.params.theta - y.params.theta) < 1e-8
 
-    def test_free_offsets_have_no_winding(self):
-        sols = solve_branches(OffsetTriple(1, 2, 3))
-        assert len(sols) == 1
-        assert sols[0].winding_m is None
-        assert sols[0].band is None
-
-    def test_band_must_reduce_to_offsets(self):
-        with pytest.raises(ParameterError):
-            solve_branches(OffsetTriple(1, 2, 3), band=BandSpec(5, 2))
+    def test_offsets_are_the_band_image(self):
+        for n in range(3, 13):
+            for s in range(1, n // 2 + 1):
+                for sol in solve_band(BandSpec(n, s)):
+                    assert sol.offsets == offsets_from_band(sol.band)
 
     def test_winding_estimate(self, tetrahelix):
         assert winding_estimate(tetrahelix.band, tetrahelix.params) == 1

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from helistar import (
     BandSpec,
     MeshSegment,
-    MissingBandError,
     ModuleOptions,
     ParameterError,
     dihedral_angles,
@@ -121,12 +121,6 @@ class TestNet:
         assert unfold_net(band52[0], rows=1).seam_pairs == []
 
     def test_needs_band_and_rows(self, band52):
-        from helistar import solve_branches
-        from helistar.band_combinatorics import OffsetTriple
-
-        free = solve_branches(OffsetTriple(2, 3, 5))[0]
-        with pytest.raises(MissingBandError):
-            unfold_net(free)
         with pytest.raises(ParameterError):
             unfold_net(band52[0], rows=0)
 
@@ -210,8 +204,34 @@ class TestModulesSvg:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"edge_mm": 0.0}, {"edge_mm": -1.0}, {"edge_mm": math.nan}, {"columns": 0}, {"periods": 0}],
+        [
+            {"edge_mm": 0.0},
+            {"edge_mm": -1.0},
+            {"edge_mm": math.nan},
+            {"columns": 0},
+            {"periods": 0},
+            {"gap_mm": -1.0},
+            {"gap_mm": math.nan},
+            {"gap_mm": math.inf},
+            {"slit_fraction": 0.0},
+            {"slit_fraction": -1.0},
+            {"slit_fraction": math.nan},
+            {"slit_fraction": math.sqrt(3.0) / 4.0},
+            {"slit_fraction": 0.6},
+        ],
     )
     def test_options_reject_bad_dimensions(self, kwargs):
         with pytest.raises(ParameterError):
             ModuleOptions(**kwargs)
+
+    def test_options_accept_the_open_slit_range(self):
+        ModuleOptions(gap_mm=0.0, slit_fraction=1e-9)
+        ModuleOptions(slit_fraction=math.nextafter(math.sqrt(3.0) / 4.0, 0.0))
+
+    def test_slits_meet_at_the_rhombus_centre(self, band52):
+        # at the bound both slit tips land on the centre, where the module splits
+        buf = io.StringIO()
+        fraction = math.nextafter(math.sqrt(3.0) / 4.0, 0.0)
+        export_modules_svg(band52[0], ModuleOptions(periods=1, slit_fraction=fraction), buf)
+        tips = re.findall(r'<line class="slit" .* x2="([^"]+)" y2="([^"]+)"', buf.getvalue())
+        assert len(tips) == 2 and tips[0] == tips[1]

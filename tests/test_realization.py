@@ -146,16 +146,20 @@ class TestVerifyUniform:
 
     def test_report_dict_keys(self, tetrahelix):
         d = verify_uniform(realize(tetrahelix, 4), tetrahelix.offsets).as_dict()
-        for key in (
+        assert list(d) == [
             "vertex_count",
             "interior_count",
             "face_count",
             "edge_length_max_dev",
             "face_angle_max_dev",
             "constellation_max_dev",
+            "bad_interior_edges",
+            "edge_length_ok",
+            "face_angle_ok",
+            "constellation_ok",
+            "edge_faces_ok",
             "passed",
-        ):
-            assert key in d
+        ]
 
 
 class TestAntiprismTower:
