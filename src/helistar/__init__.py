@@ -113,4 +113,6 @@ __all__ = [
     "vertex_figure",
     "vertex_neighbor_cycle",
     "winding_estimate",
+    "write_catalog",
+    "write_catalog_csv",
 ]

@@ -106,7 +106,7 @@ def _clip_area(sub: list[np.ndarray], clip: list[np.ndarray]) -> float:
     return _poly_area(poly)
 
 
-def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray, tol: float) -> bool:
+def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
     e1 = t1[1] - t1[0]
     e1 = e1 / np.linalg.norm(e1)
     e2 = np.cross(n1, e1)
@@ -119,7 +119,7 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray, tol: flo
     # orient the clip polygon CCW
     if s < 0.0:
         q1 = q1[::-1]
-    if _clip_area(q2, q1) > tol:
+    if _clip_area(q2, q1) > MEASURE_TOL:
         return True
     # area can vanish while the boundaries still share a positive-length
     # segment; collinear edge overlap counts as a proper intersection too
@@ -135,24 +135,19 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray, tol: flo
                 continue
             a1, a2 = sorted((0.0, L))
             b1, b2 = sorted((float(np.dot(p3 - p1, u)), float(np.dot(p4 - p1, u))))
-            if min(a2, b2) - max(a1, b1) > tol:
+            if min(a2, b2) - max(a1, b1) > MEASURE_TOL:
                 return True
     return False
 
 
-def _intersect(
-    T1: np.ndarray,
-    T2: np.ndarray,
-    shared: np.ndarray,
-    tol: float = MEASURE_TOL,
-) -> np.ndarray:
+def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
 
     Moeller's interval test, one array pass over all m pairs: rows sharing an
     edge, rows with a degenerate triangle and rows with one triangle strictly
     on one side of the other's plane are rejected; coplanar rows go through
     the 2D clip one by one; the rest intersect when the two triangles'
-    intervals on the planes' common line overlap by more than tol.
+    intervals on the planes' common line overlap by more than MEASURE_TOL.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
         n1 = _normals(T1)
@@ -172,28 +167,23 @@ def _intersect(
         axis = _unit(_cross(n1, n2))
         lo1, hi1 = _interval(T1, d1, axis)
         lo2, hi2 = _interval(T2, d2, axis)
-        hit = live & ~coplanar & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > tol)
+        hit = live & ~coplanar & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL)
     for i in np.flatnonzero(coplanar):
-        hit[i] = _coplanar_intersect(T1[i], T2[i], n1[i], tol)
+        hit[i] = _coplanar_intersect(T1[i], T2[i], n1[i])
     return hit
 
 
-def triangles_properly_intersect(
-    t1: np.ndarray,
-    t2: np.ndarray,
-    shared: int = 0,
-    tol: float = MEASURE_TOL,
-) -> bool:
+def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0) -> bool:
     """True when two triangles share a region of positive length or area.
 
     shared is the number of combinatorially identified vertices. Two faces
     sharing an edge meet exactly in that edge and never properly intersect;
     faces sharing one vertex count only when the overlap extends beyond it.
-    Contacts of measure below tol are touching, not intersecting.
+    Contacts of measure below MEASURE_TOL are touching, not intersecting.
     """
     T1 = np.asarray(t1, dtype=float)[None]
     T2 = np.asarray(t2, dtype=float)[None]
-    return bool(_intersect(T1, T2, np.array([shared]), tol)[0])
+    return bool(_intersect(T1, T2, np.array([shared]))[0])
 
 
 def classify_face_intersection(

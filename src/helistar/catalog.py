@@ -71,9 +71,9 @@ class CatalogEntry:
         return self.components == 1 and self.intersecting and self.vertex_figure == "simple"
 
 
-_ENTRY_FIELDS = [f.name for f in fields(CatalogEntry)]
-_REAL_FIELDS = {"theta", "r", "h", "residual"}
-_INT_FIELDS = {"n_strips", "shift", "branch_index", "winding_m", "components"}
+_TYPES = {t.__name__: t for t in (str, int, float, bool)}
+_ENTRY_TYPES = {f.name: _TYPES[f.type] for f in fields(CatalogEntry)}
+_ENTRY_FIELDS = list(_ENTRY_TYPES)
 
 
 def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixParams]:
@@ -277,12 +277,16 @@ def format_report(report: CatalogReport) -> str:
 
 
 def _typed(name: str, v):
-    """An entry field value as the type the field table gives it."""
-    if name in _REAL_FIELDS:
-        return float(v)
-    if name in _INT_FIELDS:
-        return int(v)
-    return v
+    """An entry field value as its CatalogEntry type; TypeError if it is not one.
+
+    A bool is never taken for a number, an integer is a valid real, and
+    nothing else converts: "false" is not a bool and 5.7 is not an int.
+    """
+    kind = _ENTRY_TYPES[name]
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise TypeError(f"expected {kind.__name__}, got {v!r}")
+    return kind(v)
 
 
 def _scalar(v) -> str:

@@ -3,19 +3,16 @@
 Subcommands: solve, generate, enumerate, verify, net, modules, antiprism.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 no result.
 Every subcommand takes --json for machine-readable output; outputs carry no
-timestamps, so identical invocations produce identical bytes. The hidden
-solver flags are derived from the SolverOptions fields, one flag per field
-(min_A becomes --min-A); HELISTAR_GRID_POINTS in the environment overrides the
-default scan resolution (an explicit --grid-points still wins).
+timestamps, so identical invocations produce identical bytes. Every
+subcommand that solves takes --grid-points, the resolution of the theta scan;
+the solver's acceptance thresholds are constants, not flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, fields
 
 from .analysis import classify
 from .band_combinatorics import BandSpec
@@ -38,24 +35,14 @@ EXIT_NO_RESULT = 3
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    for f in fields(SolverOptions):
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), default=None, help=argparse.SUPPRESS)
+    p.add_argument(
+        "--grid-points", type=int, default=SolverOptions.grid_points,
+        help="theta scan resolution (>= 1000)",
+    )
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    kwargs = {}
-    for f in fields(SolverOptions):
-        val = getattr(args, f.name)
-        if val is not None:
-            kwargs[f.name] = val
-    env = os.environ.get("HELISTAR_GRID_POINTS")
-    if "grid_points" not in kwargs and env is not None:
-        try:
-            kwargs["grid_points"] = int(env)
-        except ValueError:
-            raise ParameterError(f"HELISTAR_GRID_POINTS must be an integer, got {env!r}") from None
-    return SolverOptions(**kwargs)
+    return SolverOptions(args.grid_points)
 
 
 def _band(args: argparse.Namespace) -> BandSpec:
@@ -146,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "n_min": args.min,
         "n_max": args.max,
         "include_compounds": args.include_compounds,
-        **asdict(opts),
+        "grid_points": opts.grid_points,
     }
     write_catalog(entries, args.catalog, options_record)
     if args.csv:

@@ -33,7 +33,7 @@ identically (those bands have no isolated roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect
@@ -52,7 +52,14 @@ __all__ = [
     "winding_estimate",
 ]
 
-# Rejection guards, part of the solver contract.
+# Scan window and acceptance thresholds: part of the definition of a branch,
+# not settings.
+THETA_MIN = 1e-3
+THETA_MAX = math.pi - 1e-3
+BISECTION_TOL = 1e-13
+RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
+MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
+MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
 DEGENERATE_AREA = 1e-12
 
@@ -68,25 +75,15 @@ class HelixParams:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Scan and acceptance tolerances. The defaults are part of the contract."""
+    """Resolution of the theta scan: an int of at least 1000 grid points."""
 
-    theta_min: float = 1e-3
-    theta_max: float = math.pi - 1e-3
     grid_points: int = 200_000
-    bisection_tol: float = 1e-13
-    residual_tol: float = 1e-9
-    min_A: float = 1e-9
-    min_B: float = 1e-9
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{f.name} must be positive and finite, got {v}")
-        if self.grid_points < 1000:
-            raise ParameterError("grid_points must be >= 1000")
-        if self.theta_min >= self.theta_max:
-            raise ParameterError("theta_min must be < theta_max")
+        if type(self.grid_points) is not int or self.grid_points < 1000:
+            raise ParameterError(
+                f"grid_points must be an integer >= 1000, got {self.grid_points!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -225,13 +222,13 @@ def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
 
 
 def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
-    """All admissible roots of the band's D on [theta_min, theta_max], theta ascending.
+    """All admissible roots of the band's D on [THETA_MIN, THETA_MAX], theta ascending.
 
     Uniform grid scan, bisection on every sign change, then (A, B) from the
     linear system with the third equation as a residual check. Roots with
-    A < min_A or B < min_B (flat or axis-collapsed degenerations), a zero-area
-    face, any adjacent-face pair coplanar within 1e-6 rad, or residual above
-    residual_tol are dropped. An empty result is an answer, not an error.
+    A < MIN_A or B < MIN_B (flat or axis-collapsed degenerations), a zero-area
+    face, any adjacent-face pair coplanar within COPLANAR_GAP, or residual
+    above RESIDUAL_TOL are dropped. An empty result is an answer, not an error.
     """
     opts = opts or SolverOptions()
     offsets = offsets_from_band(band)
@@ -240,7 +237,7 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
         # the band flexes through a continuum; there are no isolated branches
         return []
 
-    grid = np.linspace(opts.theta_min, opts.theta_max, opts.grid_points)
+    grid = np.linspace(THETA_MIN, THETA_MAX, opts.grid_points)
     dval = closure_determinant(offsets, grid)
 
     roots: list[float] = []
@@ -250,7 +247,7 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
     flips = np.flatnonzero((dval[:-1] * dval[1:]) < 0.0)
     f = lambda t: closure_determinant(offsets, t)
     for i in flips:
-        roots.append(float(bisect(f, grid[i], grid[i + 1], xtol=opts.bisection_tol)))
+        roots.append(float(bisect(f, grid[i], grid[i + 1], xtol=BISECTION_TOL)))
     roots.sort()
     # merge duplicates from a grid point landing on (or next to) a root
     merged: list[float] = []
@@ -261,11 +258,11 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
     branches: list[BranchSolution] = []
     for theta in merged:
         A, B = _solve_AB(offsets, theta)
-        if A < opts.min_A or B < opts.min_B:
+        if A < MIN_A or B < MIN_B:
             continue
         params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
         residual = max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
-        if residual > opts.residual_tol:
+        if residual > RESIDUAL_TOL:
             continue
         if _face_area(offsets, params) < DEGENERATE_AREA:
             continue

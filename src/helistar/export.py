@@ -34,6 +34,7 @@ Label = tuple[int, int]
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT3_4 = SQRT3_2 / 2.0  # quarter-point to rhombus centre, in edges
+GAP_MM = 8.0  # module sheet margin and spacing between modules
 
 
 def _fmt(x: float, spec: str) -> str:
@@ -238,17 +239,14 @@ class ModuleOptions:
     edge_mm: float = 40.0
     periods: int = 2
     columns: int = 5
-    gap_mm: float = 8.0
     slit_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         _check_edge_mm(self.edge_mm)
-        if self.periods < 1:
-            raise ParameterError("periods must be >= 1")
-        if self.columns < 1:
-            raise ParameterError("columns must be >= 1")
-        if not (math.isfinite(self.gap_mm) and self.gap_mm >= 0):
-            raise ParameterError(f"gap_mm must be non-negative and finite, got {self.gap_mm}")
+        for name in ("periods", "columns"):
+            v = getattr(self, name)
+            if type(v) is not int or v < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
         if not 0 < self.slit_fraction < SQRT3_4:
             raise ParameterError(
                 f"slit_fraction must be in (0, sqrt(3)/4), got {self.slit_fraction}"
@@ -287,11 +285,11 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     slits = [slit(A, B), slit(C, D)]
 
     cols = opts.columns
-    pitch_x = edge + opts.gap_mm
-    pitch_y = 2.0 * SQRT3_2 * edge + opts.gap_mm
+    pitch_x = edge + GAP_MM
+    pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
     rows_n = (count + cols - 1) // cols
-    w = cols * pitch_x + opts.gap_mm
-    h = rows_n * pitch_y + opts.gap_mm + 14.0
+    w = cols * pitch_x + GAP_MM
+    h = rows_n * pitch_y + GAP_MM + 14.0
 
     with _opened(sink) as fh:
         fh.write(
@@ -309,8 +307,8 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
             f"180-degree rotationally symmetric.</desc>\n"
         )
         for m in range(count):
-            ox = opts.gap_mm + (m % cols) * pitch_x
-            oy = opts.gap_mm + (m // cols) * pitch_y
+            ox = GAP_MM + (m % cols) * pitch_x
+            oy = GAP_MM + (m // cols) * pitch_y
 
             def pt(p: np.ndarray) -> str:
                 return f"{_mm(ox + p[0])} {_mm(oy + p[1])}"
@@ -326,7 +324,7 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
                     f'x2="{_mm(ox + p1[0])}" y2="{_mm(oy + p1[1])}"/>\n'
                 )
         fh.write(
-            f'<text x="{_mm(opts.gap_mm)}" y="{_mm(h - 5.0)}" font-size="3.5">'
+            f'<text x="{_mm(GAP_MM)}" y="{_mm(h - 5.0)}" font-size="3.5">'
             f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
             f"{fold_dir} fold on the diagonal, short strokes = slits</text>\n"
         )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band_combinatorics import OffsetTriple, face_vertices, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, HelixParams, _interior_dihedrals, helix_points
+from .closure_solver import BranchSolution, _interior_dihedrals, _normals, helix_points
 from .errors import ParameterError, WindowError
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "UniformityReport",
     "antiprism_tower",
 ]
+
+UNIFORM_TOL = 1e-9  # max deviation of edge length, face angle and constellation
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _outward(verts: np.ndarray, faces: list[tuple[int, int, int]]) -> list[tuple
     Flipping per face would break the opposite-traversal pairing on shared edges.
     """
     p = verts[np.asarray(faces)]
-    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n = _normals(p)
     radial = float(np.sum(n[:, :2] * p.mean(axis=1)[:, :2]))
     return [(i, k, j) for (i, j, k) in faces] if radial < 0.0 else faces
 
@@ -125,17 +127,14 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     return _interior_dihedrals(solution.offsets, solution.params)
 
 
-def verify_uniform(
-    segment: MeshSegment,
-    offsets: OffsetTriple | None = None,
-    tol: float = 1e-9,
-) -> UniformityReport:
+def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) -> UniformityReport:
     """Check the window against the uniformity contract.
 
     Checks: every edge has length 1; every face angle is pi/3; all interior
     vertices carry congruent neighbor constellations (sorted pairwise-distance
     multisets of the closed 1-ring agree); every interior edge lies in exactly
-    2 faces. Needs at least one interior vertex.
+    2 faces. Each deviation must be at most UNIFORM_TOL. Needs at least one
+    interior vertex.
 
     offsets are required for the constellation check on helix windows (they
     define the neighbor cycle); antiprism towers pass offsets=None and get
@@ -203,9 +202,9 @@ def verify_uniform(
         face_angle_max_dev=ang_dev,
         constellation_max_dev=const_dev,
         bad_interior_edges=bad,
-        edge_length_ok=edge_dev <= tol,
-        face_angle_ok=ang_dev <= tol,
-        constellation_ok=const_dev <= tol,
+        edge_length_ok=edge_dev <= UNIFORM_TOL,
+        face_angle_ok=ang_dev <= UNIFORM_TOL,
+        constellation_ok=const_dev <= UNIFORM_TOL,
         edge_faces_ok=bad == 0,
     )
 

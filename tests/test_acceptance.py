@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import helistar as hs
 from helpers import brute_force_intersecting, oracle_intersecting, refold_max_error

@@ -238,8 +238,19 @@ class TestPersistence:
             ('{"entries": [5]}', "entry 0: must be an object"),
             (pinned_doc(n_strips="abc"), "entry 1: field 'n_strips'"),
             (pinned_doc(n_strips=None), "entry 1: field 'n_strips'"),
+            (pinned_doc(intersecting="false"), "entry 1: field 'intersecting'"),
+            (pinned_doc(intersecting=0), "entry 1: field 'intersecting'"),
+            (pinned_doc(n_strips=5.7), "entry 1: field 'n_strips'"),
+            (pinned_doc(components=True), "entry 1: field 'components'"),
+            (pinned_doc(theta="1.5"), "entry 1: field 'theta'"),
+            (pinned_doc(r=True), "entry 1: field 'r'"),
+            (pinned_doc(vertex_figure=1), "entry 1: field 'vertex_figure'"),
         ],
-        ids=["entries-not-a-list", "entry-not-an-object", "n_strips-abc", "n_strips-null"],
+        ids=[
+            "entries-not-a-list", "entry-not-an-object", "n_strips-abc", "n_strips-null",
+            "intersecting-string", "intersecting-int", "n_strips-real", "components-bool",
+            "theta-string", "r-bool", "vertex_figure-int",
+        ],
     )
     def test_malformed_entries_name_index_and_field(self, doc, match):
         with pytest.raises(CatalogFormatError, match=match):

@@ -1,4 +1,4 @@
-"""CLI surface: subcommands, exit codes, json output, env override."""
+"""CLI surface: subcommands, exit codes, json output, the grid flag."""
 
 import json
 
@@ -37,16 +37,13 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--strips", "2", "--shift", "1")
         assert code == 2
 
-    def test_malformed_grid_env_is_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("HELISTAR_GRID_POINTS", "abc")
-        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2")
-        assert code == 2
-        assert "HELISTAR_GRID_POINTS" in err
-
     def test_non_finite_solver_flag_is_invalid(self, capsys):
-        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2", "--theta-min", "nan")
+        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2", "--grid-points", "500")
         assert code == 2
-        assert "theta_min" in err
+        assert "grid_points" in err
+        # the acceptance thresholds are constants, not flags
+        code, _, _ = run(capsys, "solve", "--strips", "5", "--shift", "2", "--residual-tol", "1")
+        assert code == 2
 
     def test_no_branches_is_no_result(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "4", "--shift", "2")
@@ -98,6 +95,7 @@ class TestEnumerate:
         doc = json.loads(cat.read_text())
         assert doc["generated_by"] == "helistar 0.1.0"
         assert doc["options"]["n_min"] == 5
+        assert sorted(doc["options"]) == ["grid_points", "include_compounds", "n_max", "n_min"]
 
     def test_json_report(self, capsys, tmp_path):
         code, out, _ = run(
@@ -116,18 +114,7 @@ class TestEnumerate:
         )
         assert code == 2
 
-    def test_env_var_sets_grid(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HELISTAR_GRID_POINTS", "50000")
-        code, _, _ = run(
-            capsys, "enumerate", "--min", "5", "--max", "5",
-            "--catalog", str(tmp_path / "c.json"),
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "c.json").read_text())
-        assert doc["options"]["grid_points"] == 50000
-
-    def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("HELISTAR_GRID_POINTS", "50000")
+    def test_grid_points_flag_is_recorded(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "enumerate", "--min", "5", "--max", "5",
             "--grid-points", "80000", "--catalog", str(tmp_path / "c.json"),

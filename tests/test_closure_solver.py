@@ -18,6 +18,7 @@ from helistar import (
     solve_band,
     winding_estimate,
 )
+from helistar import closure_solver as cs
 
 # Boerdijk-Coxeter helix of regular tetrahedra: the classical closed form.
 TET_THETA = math.acos(-2.0 / 3.0)
@@ -95,10 +96,6 @@ class TestBranches:
             for d in (s.offsets.a, s.offsets.b, s.offsets.c):
                 assert abs(chord(q, d) - 1.0) < 1e-9
 
-    def test_restricted_window_is_empty(self):
-        opts = SolverOptions(theta_max=1.0)
-        assert solve_band(BandSpec(3, 1), opts) == []
-
     def test_a_equals_b_bands_have_no_branches(self):
         assert solve_band(BandSpec(4, 2)) == []
         assert solve_band(BandSpec(6, 3)) == []
@@ -138,26 +135,24 @@ class TestOptions:
         "kwargs",
         [
             {"grid_points": 500},
-            {"theta_min": 2.0, "theta_max": 1.0},
-            {"bisection_tol": 0.0},
-            {"residual_tol": -1.0},
-            {"min_A": 0.0},
+            {"grid_points": 999},
+            {"grid_points": 250000.0},
+            {"grid_points": True},
+            {"grid_points": "200000"},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="grid_points"):
             SolverOptions(**kwargs)
 
-    @pytest.mark.parametrize("field", ["theta_min", "theta_max", "residual_tol", "min_B"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_non_finite_options(self, field, value):
-        with pytest.raises(ParameterError, match=field):
-            SolverOptions(**{field: value})
-
     def test_defaults(self):
-        o = SolverOptions()
-        assert o.grid_points == 200000
-        assert o.residual_tol == 1e-9
+        assert SolverOptions().grid_points == 200000
+        assert (cs.THETA_MIN, cs.THETA_MAX) == (1e-3, math.pi - 1e-3)
+        assert cs.BISECTION_TOL == 1e-13
+        assert cs.RESIDUAL_TOL == 1e-9
+        assert cs.MIN_A == cs.MIN_B == 1e-9
+        assert cs.COPLANAR_GAP == 1e-6
+        assert cs.DEGENERATE_AREA == 1e-12
 
 
 class TestHelixPoints:

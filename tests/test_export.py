@@ -210,14 +210,14 @@ class TestModulesSvg:
             {"edge_mm": math.nan},
             {"columns": 0},
             {"periods": 0},
-            {"gap_mm": -1.0},
-            {"gap_mm": math.nan},
-            {"gap_mm": math.inf},
             {"slit_fraction": 0.0},
             {"slit_fraction": -1.0},
             {"slit_fraction": math.nan},
             {"slit_fraction": math.sqrt(3.0) / 4.0},
             {"slit_fraction": 0.6},
+            {"periods": 1.5},
+            {"columns": 2.5},
+            {"columns": True},
         ],
     )
     def test_options_reject_bad_dimensions(self, kwargs):
@@ -225,7 +225,7 @@ class TestModulesSvg:
             ModuleOptions(**kwargs)
 
     def test_options_accept_the_open_slit_range(self):
-        ModuleOptions(gap_mm=0.0, slit_fraction=1e-9)
+        ModuleOptions(slit_fraction=1e-9)
         ModuleOptions(slit_fraction=math.nextafter(math.sqrt(3.0) / 4.0, 0.0))
 
     def test_slits_meet_at_the_rhombus_centre(self, band52):

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from helistar import (
-    BandSpec,
     ParameterError,
     WindowError,
     antiprism_tower,
     dihedral_angles,
     realize,
-    solve_band,
     verify_uniform,
 )
 
