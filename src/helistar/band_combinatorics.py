@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotACompoundError, ParameterError
+from .errors import NotACompoundError, ParameterError, check_int
 
 __all__ = [
     "BandSpec",
@@ -57,11 +57,9 @@ class BandSpec:
 
     def __post_init__(self) -> None:
         n, s = self.n_strips, self.shift
-        if not (isinstance(n, int) and isinstance(s, int)):
-            raise ParameterError("n_strips and shift must be integers")
-        if n < 2:
-            raise ParameterError(f"n_strips must be >= 2, got {n}")
-        if not 1 <= s <= n - 1:
+        check_int("n_strips", n, 2)
+        check_int("shift", s, 1)
+        if s > n - 1:
             raise ParameterError(f"shift must be in [1, {n - 1}], got {s}")
         if s > n // 2:
             object.__setattr__(self, "shift", n - s)

@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import classify
 from .band_combinatorics import BandSpec, split_compound
 from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
-from .errors import CatalogFormatError, ParameterError
+from .errors import CatalogFormatError, check_int
 from .export import _fmt, _opened
 
 __all__ = [
@@ -117,8 +117,8 @@ def enumerate_catalog(
     skipped unless include_compounds. Order is (n, s, branch_index). Bands
     whose determinant never crosses zero simply contribute nothing.
     """
-    if not 3 <= n_min <= n_max:
-        raise ParameterError(f"need 3 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    check_int("n_min", n_min, 3)
+    check_int("n_max", n_max, n_min)
     opts = opts or SolverOptions()
     entries: list[CatalogEntry] = []
     for n in range(n_min, n_max + 1):

@@ -36,10 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .band_combinatorics import BandSpec, OffsetTriple, edge_faces, face_vertices, offsets_from_band
-from .errors import ParameterError
+from .errors import check_int
 
 __all__ = [
     "HelixParams",
@@ -57,6 +56,7 @@ __all__ = [
 THETA_MIN = 1e-3
 THETA_MAX = math.pi - 1e-3
 BISECTION_TOL = 1e-13
+BISECTION_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
 MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
@@ -80,10 +80,7 @@ class SolverOptions:
     grid_points: int = 200_000
 
     def __post_init__(self) -> None:
-        if type(self.grid_points) is not int or self.grid_points < 1000:
-            raise ParameterError(
-                f"grid_points must be an integer >= 1000, got {self.grid_points!r}"
-            )
+        check_int("grid_points", self.grid_points, 1000)
 
 
 @dataclass(frozen=True)
@@ -221,14 +218,38 @@ def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
     return 0.5 * float(np.sqrt(_dot(n, n)))
 
 
+def _bisect(offsets: OffsetTriple, lo: np.ndarray, width: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, lo + width] of D at once, one lane per bracket.
+
+    flo is D(lo), nonzero and of opposite sign to D(lo + width). Each lane
+    takes scipy.optimize.bisect's steps exactly: halve the width, evaluate D
+    at mid = lo + width, move lo to mid when D(mid) * flo >= 0, and stop at
+    mid once D(mid) == 0 or |width| < BISECTION_TOL + BISECTION_RTOL * |mid|.
+    """
+    roots = np.empty_like(lo)
+    lanes = np.arange(lo.size)
+    while lanes.size:
+        width = width * 0.5
+        mid = lo + width
+        fmid = closure_determinant(offsets, mid)
+        lo = np.where(fmid * flo >= 0.0, mid, lo)
+        done = (fmid == 0.0) | (np.abs(width) < BISECTION_TOL + BISECTION_RTOL * np.abs(mid))
+        roots[lanes[done]] = mid[done]
+        live = ~done
+        lanes, lo, width, flo = lanes[live], lo[live], width[live], flo[live]
+    return roots
+
+
 def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
     """All admissible roots of the band's D on [THETA_MIN, THETA_MAX], theta ascending.
 
-    Uniform grid scan, bisection on every sign change, then (A, B) from the
-    linear system with the third equation as a residual check. Roots with
-    A < MIN_A or B < MIN_B (flat or axis-collapsed degenerations), a zero-area
-    face, any adjacent-face pair coplanar within COPLANAR_GAP, or residual
-    above RESIDUAL_TOL are dropped. An empty result is an answer, not an error.
+    Uniform grid scan; the brackets of all sign changes are then bisected
+    together, step for step as scipy.optimize.bisect bisects each one alone;
+    then (A, B) from the linear system with the third equation as a residual
+    check. Roots with A < MIN_A or B < MIN_B (flat or axis-collapsed
+    degenerations), a zero-area face, any adjacent-face pair coplanar within
+    COPLANAR_GAP, or residual above RESIDUAL_TOL are dropped. An empty result
+    is an answer, not an error.
     """
     opts = opts or SolverOptions()
     offsets = offsets_from_band(band)
@@ -240,15 +261,9 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
     grid = np.linspace(THETA_MIN, THETA_MAX, opts.grid_points)
     dval = closure_determinant(offsets, grid)
 
-    roots: list[float] = []
-    zero = dval == 0.0
-    for i in np.flatnonzero(zero):
-        roots.append(float(grid[i]))
     flips = np.flatnonzero((dval[:-1] * dval[1:]) < 0.0)
-    f = lambda t: closure_determinant(offsets, t)
-    for i in flips:
-        roots.append(float(bisect(f, grid[i], grid[i + 1], xtol=BISECTION_TOL)))
-    roots.sort()
+    bisected = _bisect(offsets, grid[flips], grid[flips + 1] - grid[flips], dval[flips])
+    roots = np.sort(np.concatenate([grid[dval == 0.0], bisected])).tolist()
     # merge duplicates from a grid point landing on (or next to) a root
     merged: list[float] = []
     for t in roots:

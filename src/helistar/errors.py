@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
 result exits 3 and a failed verification exits 1 without raising.
@@ -23,3 +23,13 @@ class WindowError(HelistarError):
 
 class CatalogFormatError(HelistarError):
     """A catalog document failed to parse; the message names line and field."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """ParameterError naming the parameter unless value is an int >= minimum.
+
+    Exactly int: a bool, a float (even 5.0) or a str is refused, never
+    converted, so a count or index cannot be silently truncated or misread.
+    """
+    if type(value) is not int or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .realization import MeshSegment, dihedral_angles
 
 __all__ = [
@@ -111,8 +111,7 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     dihedral; the two boundary columns are the seam and carry the shift
     correspondence instead of a fold.
     """
-    if rows < 1:
-        raise ParameterError("rows must be >= 1")
+    check_int("rows", rows, 1)
     n, s = solution.band.n_strips, solution.band.shift
     angles = dihedral_angles(solution)
 
@@ -243,10 +242,8 @@ class ModuleOptions:
 
     def __post_init__(self) -> None:
         _check_edge_mm(self.edge_mm)
-        for name in ("periods", "columns"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+        check_int("periods", self.periods, 1)
+        check_int("columns", self.columns, 1)
         if not 0 < self.slit_fraction < SQRT3_4:
             raise ParameterError(
                 f"slit_fraction must be in (0, sqrt(3)/4), got {self.slit_fraction}"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .band_combinatorics import OffsetTriple, face_vertices, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _interior_dihedrals, _normals, helix_points
-from .errors import ParameterError, WindowError
+from .errors import WindowError, check_int
 
 __all__ = [
     "MeshSegment",
@@ -90,8 +90,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     Orientation is outward: if the mean radial component of the face normals
     comes out negative, both families are flipped together.
     """
-    if periods < 1:
-        raise ParameterError("periods must be >= 1")
+    check_int("periods", periods, 1)
     off = solution.offsets
     a, b, c = off.a, off.b, off.c
     kmax = periods * c
@@ -217,10 +216,8 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
     makes the diagonals unit too. No caps: the object is a tube segment, so
     the first and last rings are boundary.
     """
-    if gon < 3:
-        raise ParameterError("gon must be >= 3")
-    if rings < 2:
-        raise ParameterError("rings must be >= 2")
+    check_int("gon", gon, 3)
+    check_int("rings", rings, 2)
     phi = math.pi / gon
     r = 1.0 / (2.0 * math.sin(phi))
     h = math.sqrt(1.0 - (1.0 - math.cos(phi)) / (2.0 * math.sin(phi) ** 2))

@@ -50,6 +50,8 @@ class TestBandSpec:
             BandSpec(5.0, 2)
         with pytest.raises(ParameterError):
             BandSpec(5, 2.5)
+        with pytest.raises(ParameterError, match="shift"):
+            BandSpec(5, True)
 
 
 class TestOffsetTriple:

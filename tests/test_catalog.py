@@ -151,6 +151,10 @@ class TestEnumerate:
             enumerate_catalog(2, 6)
         with pytest.raises(ParameterError):
             enumerate_catalog(7, 6)
+        with pytest.raises(ParameterError, match="n_min"):
+            enumerate_catalog(5.5, 6)
+        with pytest.raises(ParameterError, match="n_min"):
+            enumerate_catalog("5", 6)
 
     def test_star_flag_matches_definition(self, catalog_entries):
         for e in catalog_entries:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
 from helistar import (
     BandSpec,
@@ -130,6 +131,29 @@ class TestBranches:
         assert winding_estimate(b2.band, b2.params) == 2
 
 
+class TestBisection:
+    def test_matches_scipy_bisect_on_every_bracket(self):
+        # scipy's scalar bisect is the reference: every bracket of every band
+        # with 3..24 strips, compounds included, at the default grid
+        grid = np.linspace(cs.THETA_MIN, cs.THETA_MAX, SolverOptions().grid_points)
+        brackets = 0
+        for n in range(3, 25):
+            for s in range(1, n // 2 + 1):
+                off = offsets_from_band(BandSpec(n, s))
+                dval = closure_determinant(off, grid)
+                flips = np.flatnonzero(dval[:-1] * dval[1:] < 0.0)
+                ours = cs._bisect(off, grid[flips], grid[flips + 1] - grid[flips], dval[flips])
+                f = lambda t: closure_determinant(off, t)
+                ref = [bisect(f, grid[i], grid[i + 1], xtol=cs.BISECTION_TOL) for i in flips]
+                assert ours.tolist() == ref, (n, s)
+                brackets += len(ref)
+        assert brackets > 1000
+
+    def test_no_brackets(self):
+        empty = np.empty(0)
+        assert cs._bisect(OffsetTriple(2, 3, 5), empty, empty, empty).size == 0
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "kwargs",
@@ -149,6 +173,7 @@ class TestOptions:
         assert SolverOptions().grid_points == 200000
         assert (cs.THETA_MIN, cs.THETA_MAX) == (1e-3, math.pi - 1e-3)
         assert cs.BISECTION_TOL == 1e-13
+        assert cs.BISECTION_RTOL == 4.0 * np.finfo(float).eps
         assert cs.RESIDUAL_TOL == 1e-9
         assert cs.MIN_A == cs.MIN_B == 1e-9
         assert cs.COPLANAR_GAP == 1e-6

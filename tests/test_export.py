@@ -123,6 +123,8 @@ class TestNet:
     def test_needs_band_and_rows(self, band52):
         with pytest.raises(ParameterError):
             unfold_net(band52[0], rows=0)
+        with pytest.raises(ParameterError, match="rows"):
+            unfold_net(band52[0], rows=1.5)
 
 
 class TestRefold:

@@ -1,6 +1,10 @@
-"""Source hygiene a linter would check: unread imports, the package's __all__."""
+"""Source hygiene a linter would check: unread imports, the package's __all__,
+and imports that stay within the declared runtime dependencies."""
 
 import ast
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -50,3 +54,41 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(helistar.__all__) == sorted(public)
+
+
+def foreign_imports(tree: ast.Module, allowed: set[str]) -> list[str]:
+    """Absolute imports whose top-level package is not stdlib, helistar or allowed."""
+    allowed = allowed | set(sys.stdlib_module_names) | {"helistar"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+    return [f"line {line}: {name}" for line, name in names if name.partition(".")[0] not in allowed]
+
+
+def test_runtime_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    assert declared == {"numpy"}
+    for path in sorted((ROOT / "src/helistar").rglob("*.py")):
+        assert foreign_imports(ast.parse(path.read_text(), str(path)), declared) == [], path
+
+
+def test_foreign_import_is_caught():
+    tree = ast.parse("import os, numpy\nfrom scipy.optimize import bisect\nfrom . import cli\n")
+    assert foreign_imports(tree, {"numpy"}) == ["line 2: scipy.optimize"]
+
+
+def test_solving_never_loads_scipy():
+    package_root = str(Path(helistar.__file__).resolve().parent.parent)
+    code = (
+        f"import sys\nsys.path.insert(0, {package_root!r})\n"
+        "import helistar, helistar.cli\n"
+        "helistar.solve_band(helistar.BandSpec(5, 2))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

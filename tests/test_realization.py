@@ -90,6 +90,8 @@ class TestRealize:
     def test_rejects_bad_periods(self, tetrahelix):
         with pytest.raises(ParameterError):
             realize(tetrahelix, 0)
+        with pytest.raises(ParameterError, match="periods"):
+            realize(tetrahelix, 1.5)
 
 
 class TestDihedrals:
@@ -197,3 +199,5 @@ class TestAntiprismTower:
             antiprism_tower(2, 3)
         with pytest.raises(ParameterError):
             antiprism_tower(4, 1)
+        with pytest.raises(ParameterError, match="gon"):
+            antiprism_tower(3.5, 3)
