@@ -37,7 +37,7 @@ print("square tower uniform:", report.passed)
 # Unit edges, checked the blunt way.
 seg = antiprism_tower(4, rings=5)
 worst = 0.0
-for u, v, _tag in seg.edges:
+for u, v in seg.edges:
     worst = max(worst, abs(np.linalg.norm(seg.vertices[u] - seg.vertices[v]) - 1.0))
 print("worst edge deviation:", worst)
 

@@ -3,7 +3,7 @@ Meshes for rendering
 ====================
 
 Realize a window of an infinite object and write it out as Wavefront
-OBJ, once as solid faces and once as a wireframe of tagged edges.
+OBJ, once as solid faces and once as a wireframe of its edges.
 """
 
 import pathlib

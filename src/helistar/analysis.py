@@ -25,6 +25,7 @@ import numpy as np
 
 from .band_combinatorics import face_vertices, incident_faces, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _cross, _dot, _normals, _unit, helix_points
+from .errors import check_int
 
 __all__ = [
     "Classification",
@@ -198,6 +199,7 @@ def classify_face_intersection(
     U_k before D_k. The default base of 0 is exhaustive by screw symmetry;
     other bases exist so the invariance is checkable.
     """
+    check_int("base", base)
     off = solution.offsets
     c = off.c
     shape = np.array([face_vertices("U", 0, off), face_vertices("D", 0, off)])
@@ -250,6 +252,7 @@ def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, 
     face normals; when that sum degenerates (below 1e-9) the classification
     is reported indeterminate rather than guessed.
     """
+    check_int("base", base)
     off = solution.offsets
     params = solution.params
     cycle = vertex_neighbor_cycle(off)

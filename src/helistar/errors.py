@@ -25,11 +25,13 @@ class CatalogFormatError(HelistarError):
     """A catalog document failed to parse; the message names line and field."""
 
 
-def check_int(name: str, value, minimum: int) -> None:
+def check_int(name: str, value, minimum: int | None = None) -> None:
     """ParameterError naming the parameter unless value is an int >= minimum.
 
     Exactly int: a bool, a float (even 5.0) or a str is refused, never
     converted, so a count or index cannot be silently truncated or misread.
+    With minimum None any int passes, negative ones included.
     """
-    if type(value) is not int or value < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")

@@ -62,14 +62,11 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
     if len(segment.vertices) == 0:
         raise ParameterError("refusing to write an empty mesh")
     with _opened(sink) as fh:
-        for v in segment.vertices:
-            fh.write(f"v {_fmt(v[0], '.9f')} {_fmt(v[1], '.9f')} {_fmt(v[2], '.9f')}\n")
-        if frame:
-            for (u, w, _tag) in segment.edges:
-                fh.write(f"l {u + 1} {w + 1}\n")
-        else:
-            for (i, j, k) in segment.faces:
-                fh.write(f"f {i + 1} {j + 1} {k + 1}\n")
+        for x, y, z in segment.vertices.tolist():
+            fh.write(f"v {_fmt(x, '.9f')} {_fmt(y, '.9f')} {_fmt(z, '.9f')}\n")
+        line, rows = ("l {} {}\n", segment.edges) if frame else ("f {} {} {}\n", segment.faces)
+        for row in (rows + 1).tolist():
+            fh.write(line.format(*row))
 
 
 @dataclass(frozen=True)

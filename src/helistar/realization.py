@@ -10,12 +10,13 @@ different (closed-form) construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .band_combinatorics import OffsetTriple, face_vertices, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, _interior_dihedrals, _normals, helix_points
+from .closure_solver import BranchSolution, _dot, _interior_dihedrals, _normals, helix_points
 from .errors import WindowError, check_int
 
 __all__ = [
@@ -32,20 +33,27 @@ UNIFORM_TOL = 1e-9  # max deviation of edge length, face angle and constellation
 
 @dataclass
 class MeshSegment:
-    """Explicit finite mesh: points, oriented triangles, tagged edges.
+    """Explicit finite mesh: points, oriented triangles, edges, as arrays.
 
-    vertices[k] is the point of index k (row = index). edges are (u, v, tag)
-    with tag the edge class; for helix windows the classes are the offsets
-    a/b/c, for antiprism towers 'a' tags ring edges and 'b'/'c' the two
-    diagonal directions. boundary_marks are the vertex indices whose face ring
-    is incomplete in this window.
+    vertices is (V, 3), row k the point of index k. faces is an (F, 3) and
+    edges an (E, 2) integer array of vertex indices; each face row is in
+    orientation order. On a helix window an edge (u, v) has u < v and its
+    class is v - u, one of the offsets a/b/c; an antiprism tower lists its
+    ring edges first, then per ring gap and column the two diagonals.
+    boundary_marks are the vertex indices whose face ring is incomplete in
+    this window. The three arrays are converted on construction, so nested
+    sequences (even empty ones) are accepted.
     """
 
     vertices: np.ndarray
-    faces: list[tuple[int, int, int]]
-    edges: list[tuple[int, int, str]]
-    k_range: tuple[int, int]
+    faces: np.ndarray
+    edges: np.ndarray
     boundary_marks: set[int] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
+        self.faces = np.asarray(self.faces, dtype=np.intp).reshape(-1, 3)
+        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
 
 
 @dataclass
@@ -72,15 +80,15 @@ class UniformityReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _outward(verts: np.ndarray, faces: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+def _outward(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """faces, all flipped together if their summed radial normal component is negative.
 
     Flipping per face would break the opposite-traversal pairing on shared edges.
     """
-    p = verts[np.asarray(faces)]
+    p = verts[faces]
     n = _normals(p)
     radial = float(np.sum(n[:, :2] * p.mean(axis=1)[:, :2]))
-    return [(i, k, j) for (i, j, k) in faces] if radial < 0.0 else faces
+    return faces[:, [0, 2, 1]] if radial < 0.0 else faces
 
 
 def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
@@ -88,7 +96,8 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
 
     Faces U_k, D_k are emitted for every k whose three indices fit the window.
     Orientation is outward: if the mean radial component of the face normals
-    comes out negative, both families are flipped together.
+    comes out negative, both families are flipped together. Edges are listed
+    by class, a then b then c, each in ascending k.
     """
     check_int("periods", periods, 1)
     off = solution.offsets
@@ -96,24 +105,12 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     kmax = periods * c
     verts = helix_points(solution.params, np.arange(kmax + 1))
 
-    faces: list[tuple[int, int, int]] = []
-    for k in range(kmax - c + 1):
-        faces.append(face_vertices("U", k, off))
-        faces.append(face_vertices("D", k, off))
-    faces = _outward(verts, faces)
-
-    edges: list[tuple[int, int, str]] = []
-    for tag, d in (("a", a), ("b", b), ("c", c)):
-        edges.extend((k, k + d, tag) for k in range(kmax - d + 1))
+    shape = np.array([face_vertices("U", 0, off), face_vertices("D", 0, off)])
+    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + shape).reshape(-1, 3))
+    edges = np.concatenate([np.arange(kmax - d + 1)[:, None] + [0, d] for d in (a, b, c)])
 
     boundary = {m for m in range(kmax + 1) if m < c or m > kmax - c}
-    return MeshSegment(
-        vertices=verts,
-        faces=faces,
-        edges=edges,
-        k_range=(0, kmax),
-        boundary_marks=boundary,
-    )
+    return MeshSegment(vertices=verts, faces=faces, edges=edges, boundary_marks=boundary)
 
 
 def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
@@ -135,68 +132,52 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     2 faces. Each deviation must be at most UNIFORM_TOL. Needs at least one
     interior vertex.
 
-    offsets are required for the constellation check on helix windows (they
-    define the neighbor cycle); antiprism towers pass offsets=None and get
-    their constellations from edge adjacency instead.
+    The 1-ring of each interior vertex comes from the neighbor cycle of
+    offsets when they are given (helix windows); with offsets=None it comes
+    from edge adjacency, over the interior vertices with exactly 6 neighbors.
+    Both give the same report on a helix window, so offsets are optional
+    there; antiprism towers have no offsets and always use adjacency.
     """
-    verts = segment.vertices
-    interior = [k for k in range(len(verts)) if k not in segment.boundary_marks]
-    if not interior:
+    verts, faces, edges = segment.vertices, segment.faces, segment.edges
+    inner = ~np.isin(np.arange(len(verts)), list(segment.boundary_marks))
+    interior = np.flatnonzero(inner)
+    if not interior.size:
         raise WindowError("window has no interior vertex; enlarge periods")
 
-    ev = []
-    for (u, v, _tag) in segment.edges:
-        ev.append(np.linalg.norm(verts[u] - verts[v]) - 1.0)
-    edge_dev = float(np.max(np.abs(ev)))
+    d = verts[edges[:, 0]] - verts[edges[:, 1]]
+    edge_dev = float(np.max(np.abs(np.sqrt(_dot(d, d)) - 1.0), initial=0.0))
 
-    ang_dev = 0.0
-    for tri in segment.faces:
-        p = verts[list(tri)]
-        for i in range(3):
-            u = p[(i + 1) % 3] - p[i]
-            w = p[(i + 2) % 3] - p[i]
-            cosang = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-            ang = math.acos(float(np.clip(cosang, -1.0, 1.0)))
-            ang_dev = max(ang_dev, abs(ang - math.pi / 3.0))
+    p = verts[faces]
+    e1 = np.roll(p, -1, axis=1) - p  # corner i to corner i+1
+    e2 = np.roll(p, -2, axis=1) - p  # corner i to corner i+2
+    cosang = np.clip(_dot(e1, e2) / (np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))), -1.0, 1.0)
+    ang = np.array([math.acos(x) for x in cosang.ravel().tolist()])
+    ang_dev = float(np.max(np.abs(ang - math.pi / 3.0), initial=0.0))
 
     if offsets is not None:
-        cycle = vertex_neighbor_cycle(offsets)
-        rings = {k: [k + w for w in cycle] for k in interior}
+        rings = interior[:, None] + [0, *vertex_neighbor_cycle(offsets)]
     else:
-        nbrs: dict[int, set[int]] = {}
-        for (u, v, _tag) in segment.edges:
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-        rings = {k: sorted(nbrs[k]) for k in interior if len(nbrs.get(k, ())) == 6}
+        # (u, v) for both directions of every edge, sorted by u then v, distinct
+        pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
+        degree = np.bincount(pairs[:, 0], minlength=len(verts))
+        first = np.cumsum(degree) - degree  # row of each vertex's first neighbor
+        centers = interior[degree[interior] == 6]
+        rings = np.column_stack([centers, pairs[first[centers][:, None] + np.arange(6), 1]])
+    pts = verts[rings]
+    dist = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
+    iu, ju = np.triu_indices(rings.shape[1], k=1)
+    sig = np.sort(dist[:, iu, ju], axis=-1)
+    const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
 
-    const_dev = 0.0
-    ref = None
-    for k, ring in rings.items():
-        pts = verts[[k] + list(ring)]
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        sig = np.sort(d[np.triu_indices(len(pts), k=1)])
-        if ref is None:
-            ref = sig
-        else:
-            const_dev = max(const_dev, float(np.max(np.abs(sig - ref))))
-
-    face_count: dict[tuple[int, int], int] = {}
-    for tri in segment.faces:
-        for i in range(3):
-            e = tuple(sorted((tri[i], tri[(i + 1) % 3])))
-            face_count[e] = face_count.get(e, 0) + 1
-    interior_set = set(interior)
-    bad = sum(
-        1
-        for (u, v, _tag) in segment.edges
-        if u in interior_set and v in interior_set
-        and face_count.get((min(u, v), max(u, v)), 0) != 2
-    )
+    sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    faces_per_side = Counter(map(tuple, sides.tolist()))
+    inner_edges = np.sort(edges[inner[edges].all(axis=1)], axis=1)
+    bad = sum(faces_per_side[(u, v)] != 2 for u, v in inner_edges.tolist())
 
     return UniformityReport(
         vertex_count=len(verts),
         interior_count=len(interior),
-        face_count=len(segment.faces),
+        face_count=len(faces),
         edge_length_max_dev=edge_dev,
         face_angle_max_dev=ang_dev,
         constellation_max_dev=const_dev,
@@ -214,7 +195,8 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
     Ring j holds gon vertices at radius r = 1/(2 sin(pi/gon)), height j*h,
     rotated by j*pi/gon; h = sqrt(1 - (1 - cos(pi/gon)) / (2 sin^2(pi/gon)))
     makes the diagonals unit too. No caps: the object is a tube segment, so
-    the first and last rings are boundary.
+    the first and last rings are boundary. Vertex i of ring j has index
+    j*gon + i.
     """
     check_int("gon", gon, 3)
     check_int("rings", rings, 2)
@@ -222,37 +204,23 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
     r = 1.0 / (2.0 * math.sin(phi))
     h = math.sqrt(1.0 - (1.0 - math.cos(phi)) / (2.0 * math.sin(phi) ** 2))
 
-    def vid(j: int, i: int) -> int:
-        return j * gon + i % gon
-
     verts = np.zeros((gon * rings, 3))
     for j in range(rings):
         for i in range(gon):
             t = 2.0 * math.pi * i / gon + j * phi
-            verts[vid(j, i)] = (r * math.cos(t), r * math.sin(t), j * h)
+            verts[j * gon + i] = (r * math.cos(t), r * math.sin(t), j * h)
 
-    faces: list[tuple[int, int, int]] = []
-    for j in range(rings - 1):
-        for i in range(gon):
-            faces.append((vid(j, i), vid(j, i + 1), vid(j + 1, i)))
-            faces.append((vid(j + 1, i), vid(j, i + 1), vid(j + 1, i + 1)))
-    faces = _outward(verts, faces)
+    # lo/hi: vertex i on the lower/upper ring of each gap; *_next: vertex i + 1
+    ring = np.arange(rings)[:, None] * gon
+    col, nxt = np.arange(gon), (np.arange(gon) + 1) % gon
+    lo, lo_next, hi, hi_next = ring[:-1] + col, ring[:-1] + nxt, ring[1:] + col, ring[1:] + nxt
+    faces = np.stack([lo, lo_next, hi, hi, lo_next, hi_next], axis=-1).reshape(-1, 3)
+    edges = np.concatenate([
+        np.sort(np.stack([ring + col, ring + nxt], axis=-1), axis=-1).reshape(-1, 2),
+        np.stack([lo, hi, lo_next, hi], axis=-1).reshape(-1, 2),
+    ])
 
-    edges: list[tuple[int, int, str]] = []
-    for j in range(rings):
-        for i in range(gon):
-            u, v = vid(j, i), vid(j, i + 1)
-            edges.append((min(u, v), max(u, v), "a"))
-    for j in range(rings - 1):
-        for i in range(gon):
-            edges.append(tuple(sorted((vid(j, i), vid(j + 1, i)))) + ("b",))
-            edges.append(tuple(sorted((vid(j, i + 1), vid(j + 1, i)))) + ("c",))
-
-    boundary = {vid(0, i) for i in range(gon)} | {vid(rings - 1, i) for i in range(gon)}
+    boundary = set(range(gon)) | set(range((rings - 1) * gon, rings * gon))
     return MeshSegment(
-        vertices=verts,
-        faces=faces,
-        edges=edges,
-        k_range=(0, gon * rings - 1),
-        boundary_marks=boundary,
+        vertices=verts, faces=_outward(verts, faces), edges=edges, boundary_marks=boundary
     )

@@ -9,6 +9,7 @@ import pytest
 
 from helistar import (
     BandSpec,
+    ParameterError,
     classify,
     solve_band,
     triangles_properly_intersect,
@@ -143,3 +144,16 @@ class TestVertexFigure:
     def test_kind_is_base_invariant(self, band52):
         for sol in band52:
             assert vertex_figure(sol, base=5)[1] == vertex_figure(sol)[1]
+
+
+class TestBase:
+    @pytest.mark.parametrize("base", [1.5, True, "0", None])
+    def test_non_integer_base_is_refused(self, band52, base):
+        for check in (classify_face_intersection, vertex_figure):
+            with pytest.raises(ParameterError, match="base"):
+                check(band52[0], base=base)
+
+    def test_negative_base_is_accepted(self, band52):
+        sol = band52[0]
+        assert classify_face_intersection(sol, base=-7)[0] == classify_face_intersection(sol)[0]
+        assert vertex_figure(sol, base=-3)[1] == vertex_figure(sol)[1]

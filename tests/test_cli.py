@@ -50,6 +50,13 @@ class TestSolve:
         assert code == 3
         assert "no branches" in err
 
+    @pytest.mark.parametrize("command", ["generate", "verify", "net", "modules"])
+    def test_branch_commands_without_branches_are_no_result(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path / "x")] if command != "verify" else []
+        code, _, err = run(capsys, command, "--strips", "4", "--shift", "2", *out)
+        assert code == 3
+        assert "no branches for this band" in err
+
 
 class TestGenerate:
     def test_writes_mesh(self, capsys, tmp_path):
@@ -79,6 +86,14 @@ class TestGenerate:
         )
         assert code == 3
         assert "1..2" in err
+
+    def test_unwritable_out_is_invalid(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "generate", "--strips", "3", "--shift", "1",
+            "--out", str(tmp_path / "missing" / "x.obj"),
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestEnumerate:
@@ -131,6 +146,28 @@ class TestVerify:
         )
         assert code == 0
         assert "PASS" in out
+
+    def test_json_report(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--strips", "5", "--shift", "2", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == [
+            "vertex_count",
+            "interior_count",
+            "face_count",
+            "edge_length_max_dev",
+            "face_angle_max_dev",
+            "constellation_max_dev",
+            "bad_interior_edges",
+            "edge_length_ok",
+            "face_angle_ok",
+            "constellation_ok",
+            "edge_faces_ok",
+            "passed",
+        ]
+        assert doc["passed"] is True and doc["bad_interior_edges"] == 0
 
     def test_fail_exit_code(self, capsys, monkeypatch):
         import helistar.cli as climod

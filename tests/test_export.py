@@ -45,7 +45,7 @@ class TestObj:
         verts, faces, lines = parse_obj(buf.getvalue())
         assert verts.shape == (13, 3)
         assert len(faces) == 20 and not lines
-        assert faces == seg.faces
+        assert faces == [tuple(f) for f in seg.faces.tolist()]
         assert np.max(np.abs(verts - seg.vertices)) < 1e-9
 
     def test_frame_emits_edges(self, tetrahelix):
@@ -55,7 +55,7 @@ class TestObj:
         _, faces, lines = parse_obj(buf.getvalue())
         assert not faces
         assert len(lines) == 33
-        assert lines == [(u, w) for (u, w, _t) in seg.edges]
+        assert lines == [tuple(e) for e in seg.edges.tolist()]
 
     def test_deterministic(self, band52):
         seg = realize(band52[0], 3)
@@ -68,8 +68,7 @@ class TestObj:
         seg = MeshSegment(
             vertices=np.array([[-0.0, -1e-12, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             faces=[(0, 1, 2)],
-            edges=[(0, 1, "a")],
-            k_range=(0, 2),
+            edges=[(0, 1)],
         )
         buf = io.StringIO()
         export_obj(seg, buf)
@@ -77,7 +76,7 @@ class TestObj:
         assert first == "v 0.000000000 0.000000000 1.000000000"
 
     def test_refuses_empty_mesh(self):
-        empty = MeshSegment(vertices=np.zeros((0, 3)), faces=[], edges=[], k_range=(0, 0))
+        empty = MeshSegment(vertices=np.zeros((0, 3)), faces=[], edges=[])
         with pytest.raises(ParameterError):
             export_obj(empty, io.StringIO())
 

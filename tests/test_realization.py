@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from helistar import (
+    BandSpec,
+    MeshSegment,
     ParameterError,
     WindowError,
     antiprism_tower,
     dihedral_angles,
     realize,
+    solve_band,
     verify_uniform,
 )
 
@@ -38,7 +41,6 @@ class TestRealize:
         assert len(seg.vertices) == 13
         assert len(seg.faces) == 20
         assert len(seg.edges) == 33
-        assert seg.k_range == (0, 12)
 
     def test_vertices_sit_on_the_helix(self, tetrahelix):
         p = tetrahelix.params
@@ -79,13 +81,14 @@ class TestRealize:
                 u, w = sorted(e)
                 assert (u, w) in directed and (w, u) in directed
 
-    def test_edges_tagged_by_class(self, tetrahelix):
+    def test_edges_are_the_three_classes(self, tetrahelix):
         seg = realize(tetrahelix, 4)
-        tags = {t for (_, _, t) in seg.edges}
-        assert tags == {"a", "b", "c"}
-        for u, w, t in seg.edges:
-            d = abs(w - u)
-            assert d == {"a": 1, "b": 2, "c": 3}[t]
+        off = tetrahelix.offsets
+        kmax = 4 * off.c
+        classes = (seg.edges[:, 1] - seg.edges[:, 0]).tolist()
+        assert set(classes) == {off.a, off.b, off.c}
+        for d in (off.a, off.b, off.c):
+            assert classes.count(d) == kmax - d + 1
 
     def test_rejects_bad_periods(self, tetrahelix):
         with pytest.raises(ParameterError):
@@ -138,6 +141,35 @@ class TestVerifyUniform:
         rep = verify_uniform(bad, tetrahelix.offsets)
         assert not rep.passed
         assert rep.edge_length_max_dev > 1e-4
+
+    def test_edge_in_one_face_is_counted(self, tetrahelix):
+        seg = realize(tetrahelix, 4)
+        holed = replace(seg, faces=np.delete(seg.faces, 10, axis=0))
+        for rep in (verify_uniform(holed, tetrahelix.offsets), verify_uniform(holed)):
+            assert rep.bad_interior_edges == 3
+            assert not rep.edge_faces_ok
+            assert not rep.passed
+
+    def test_ring_paths_agree(self):
+        # the offsets cycle and edge adjacency must give the same report
+        for n in range(3, 13):
+            for s in range(1, n // 2 + 1):
+                for sol in solve_band(BandSpec(n, s)):
+                    for periods in (3, 6):
+                        seg = realize(sol, periods)
+                        assert verify_uniform(seg, sol.offsets) == verify_uniform(seg)
+
+    def test_hand_built_mesh_is_converted(self):
+        seg = MeshSegment(
+            vertices=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]],
+            faces=[(0, 1, 2)],
+            edges=[],
+            boundary_marks={0, 1},
+        )
+        assert seg.vertices.shape == (3, 3)
+        assert seg.faces.dtype == np.intp and seg.edges.shape == (0, 2)
+        rep = verify_uniform(seg)
+        assert rep.passed and rep.edge_length_max_dev == 0.0
 
     def test_window_too_small(self, tetrahelix):
         seg = realize(tetrahelix, 1)
