@@ -28,6 +28,19 @@ Cofactor expansion down the last column gives the form actually evaluated,
 
 which the tests pin against the literal 3x3 determinant. For a = b it cancels
 identically (those bands have no isolated roots).
+
+Roots are bracketed on the grid np.linspace(THETA_MIN, THETA_MAX, N): a
+bracket is a pair of adjacent grid points where the computed D changes sign,
+and a grid point where it is exactly 0 is a root. The scan finds exactly the
+brackets and zeros that evaluating D at all N points would find, without
+evaluating it at most of them. D is a sum of cosines, so
+L = sum |coef_k| * k bounds |D'|; if D has one sign at both ends of a cell
+and |D(lo)| + |D(hi)| exceeds L * (hi - lo) plus a margin for rounding, D
+keeps that sign on the whole cell, so no grid point inside it can be a zero
+or a sign change (the exclusion test of interval analysis: R. E. Moore,
+Interval Analysis, 1966; J. P. Boyd, Solving Transcendental Equations, SIAM
+2014). Such cells are skipped; the others are cut up until they are small
+enough to evaluate at every grid point.
 """
 
 from __future__ import annotations
@@ -62,6 +75,11 @@ MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
 DEGENERATE_AREA = 1e-12
+
+# Shape of the sparse scan (_scan): these set its cost, never its result.
+_COARSE = 2048
+_SPLIT = 8
+_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -240,12 +258,96 @@ def _bisect(offsets: OffsetTriple, lo: np.ndarray, width: np.ndarray, flo: np.nd
     return roots
 
 
+def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
+    """Points idx of np.linspace(THETA_MIN, THETA_MAX, points), bit for bit.
+
+    linspace computes point i as i * step + THETA_MIN and sets the last one
+    to THETA_MAX.
+    """
+    step = (THETA_MAX - THETA_MIN) / (points - 1)
+    return np.where(idx == points - 1, THETA_MAX, idx * step + THETA_MIN)
+
+
+def _keeps_sign(offsets: OffsetTriple, span: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
+    """Which cells provably hold no grid point where the computed D is 0 or changes sign.
+
+    A cell is width grid steps of size step, span = width * step in theta,
+    and flo, fhi are the computed D at its two ends. Write
+    D = sum coef_k cos(k theta) over k in (a, b, c), F for the computed D,
+    S = sum |coef_k| and L = sum |coef_k| k >= |D'|.
+
+    - E = eps * (pi L + 8 S) bounds |F - D| at any theta in (0, pi): rounding
+      k * theta moves cos(k theta) by at most k pi eps / 2; np.cos is taken to
+      be within 4 ulp; the products and the two sums round by at most 3 S eps / 2.
+    - The real gap between two grid points exceeds width * step by at most
+      2 pi eps (each point, and the step, is rounded once); the test's own
+      float arithmetic errs by a few eps relative to L * pi. L * 8 pi eps
+      covers both.
+
+    If flo and fhi have one sign s, then s D(lo) >= |flo| - E and
+    s D(hi) >= |fhi| - E, and |D'| <= L gives, for every theta in the cell,
+    2 s D(theta) >= |flo| + |fhi| - 2 E - L (hi - lo). So s F > 0 at every grid
+    point of the cell once |flo| + |fhi| > L (hi - lo) + 4 E: margin is
+    4 E + L * 8 pi eps.
+    """
+    a, b, c = offsets.a, offsets.b, offsets.c
+    coef = (abs(c * c - b * b), abs(a * a - c * c), abs(b * b - a * a))
+    lip = float(coef[0] * a + coef[1] * b + coef[2] * c)
+    eps = np.finfo(float).eps
+    err = eps * (math.pi * lip + 8.0 * sum(coef))
+    margin = 4.0 * err + 8.0 * math.pi * eps * lip
+    return (flo * fhi > 0.0) & (np.abs(flo) + np.abs(fhi) > lip * span + margin)
+
+
+def _scan(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flips, zeros) of D over the grid of points points, as grid indices.
+
+    flips are the i with F(i) * F(i + 1) < 0 and zeros the i with F(i) == 0,
+    F the computed D at grid point i: exactly what evaluating D on the whole
+    grid gives. D is evaluated at every _COARSE-th index and the last one;
+    each cell between evaluated indices that _keeps_sign cannot prove is cut
+    into _SPLIT cells, or evaluated at every index once at most _LEAF wide.
+    A skipped cell holds neither a flip nor a zero, and every other adjacent
+    pair ends up with both of its values computed, so the two index sets
+    equal the dense scan's.
+    """
+    step = (THETA_MAX - THETA_MIN) / (points - 1)
+    idx = np.append(np.arange(0, points - 1, _COARSE), points - 1)
+    val = closure_determinant(offsets, _grid_point(idx, points))
+    seen_idx, seen_val = [idx], [val]
+    lo, hi, flo, fhi = idx[:-1], idx[1:], val[:-1], val[1:]
+    while lo.size:
+        live = ~_keeps_sign(offsets, (hi - lo) * step, flo, fhi)
+        lo, hi, flo, fhi = lo[live], hi[live], flo[live], fhi[live]
+        leaf = hi - lo <= _LEAF
+        inner = lo[leaf, None] + np.arange(1, _LEAF)
+        inner = inner[inner < hi[leaf, None]]
+        lo, hi, flo, fhi = lo[~leaf], hi[~leaf], flo[~leaf], fhi[~leaf]
+        cuts = lo[:, None] + (hi - lo)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
+        new = np.concatenate([inner, cuts[:, 1:-1].ravel()])
+        newval = closure_determinant(offsets, _grid_point(new, points))
+        seen_idx.append(new)
+        seen_val.append(newval)
+        cutval = np.column_stack([flo, newval[inner.size :].reshape(-1, _SPLIT - 1), fhi])
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        flo, fhi = cutval[:, :-1].ravel(), cutval[:, 1:].ravel()
+    # cells only ever gain points strictly inside them, so no index repeats
+    order = np.argsort(np.concatenate(seen_idx))
+    idx, val = np.concatenate(seen_idx)[order], np.concatenate(seen_val)[order]
+    flip = (idx[1:] == idx[:-1] + 1) & (val[:-1] * val[1:] < 0.0)
+    return idx[:-1][flip], idx[val == 0.0]
+
+
 def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
     """All admissible roots of the band's D on [THETA_MIN, THETA_MAX], theta ascending.
 
-    Uniform grid scan; the brackets of all sign changes are then bisected
-    together, step for step as scipy.optimize.bisect bisects each one alone;
-    then (A, B) from the linear system with the third equation as a residual
+    Scan of the grid of opts.grid_points points (_scan): it returns exactly
+    the sign changes and zeros of D that evaluating every grid point would,
+    but evaluates D only in cells where the Lipschitz certificate cannot
+    prove one sign, a few thousand points per band. The brackets of all sign
+    changes are then bisected together, step for step as
+    scipy.optimize.bisect bisects each one alone; then (A, B) from the
+    linear system with the third equation as a residual
     check. Roots with A < MIN_A or B < MIN_B (flat or axis-collapsed
     degenerations), a zero-area face, any adjacent-face pair coplanar within
     COPLANAR_GAP, or residual above RESIDUAL_TOL are dropped. An empty result
@@ -258,12 +360,11 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
         # the band flexes through a continuum; there are no isolated branches
         return []
 
-    grid = np.linspace(THETA_MIN, THETA_MAX, opts.grid_points)
-    dval = closure_determinant(offsets, grid)
-
-    flips = np.flatnonzero((dval[:-1] * dval[1:]) < 0.0)
-    bisected = _bisect(offsets, grid[flips], grid[flips + 1] - grid[flips], dval[flips])
-    roots = np.sort(np.concatenate([grid[dval == 0.0], bisected])).tolist()
+    flips, zeros = _scan(offsets, opts.grid_points)
+    lo = _grid_point(flips, opts.grid_points)
+    width = _grid_point(flips + 1, opts.grid_points) - lo
+    bisected = _bisect(offsets, lo, width, closure_determinant(offsets, lo))
+    roots = np.sort(np.concatenate([_grid_point(zeros, opts.grid_points), bisected])).tolist()
     # merge duplicates from a grid point landing on (or next to) a root
     merged: list[float] = []
     for t in roots:

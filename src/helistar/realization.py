@@ -17,7 +17,7 @@ import numpy as np
 
 from .band_combinatorics import OffsetTriple, face_vertices, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _dot, _interior_dihedrals, _normals, helix_points
-from .errors import WindowError, check_int
+from .errors import ParameterError, WindowError, check_int
 
 __all__ = [
     "MeshSegment",
@@ -137,6 +137,8 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     from edge adjacency, over the interior vertices with exactly 6 neighbors.
     Both give the same report on a helix window, so offsets are optional
     there; antiprism towers have no offsets and always use adjacency.
+    Offsets whose cycle reaches past either end of the window raise
+    ParameterError.
     """
     verts, faces, edges = segment.vertices, segment.faces, segment.edges
     inner = ~np.isin(np.arange(len(verts)), list(segment.boundary_marks))
@@ -156,6 +158,9 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
 
     if offsets is not None:
         rings = interior[:, None] + [0, *vertex_neighbor_cycle(offsets)]
+        if rings.min() < 0 or rings.max() >= len(verts):
+            # a negative index would wrap around to the far end of the window
+            raise ParameterError(f"offsets {offsets} reach past the window's {len(verts)} vertices")
     else:
         # (u, v) for both directions of every edge, sorted by u then v, distinct
         pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
@@ -164,9 +169,8 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
         centers = interior[degree[interior] == 6]
         rings = np.column_stack([centers, pairs[first[centers][:, None] + np.arange(6), 1]])
     pts = verts[rings]
-    dist = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=-1)
     iu, ju = np.triu_indices(rings.shape[1], k=1)
-    sig = np.sort(dist[:, iu, ju], axis=-1)
+    sig = np.sort(np.linalg.norm(pts[:, iu] - pts[:, ju], axis=-1), axis=-1)
     const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
 
     sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)

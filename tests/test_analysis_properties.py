@@ -8,6 +8,9 @@ vertices on planes, coplanar pairs) that the continuous draws almost never
 hit. Runs are derandomized so the suite sees the same examples every time.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +19,7 @@ from scipy.spatial.transform import Rotation
 
 import helistar as hs
 from helistar import triangles_properly_intersect
-from helistar.analysis import _intersect, classify_face_intersection
+from helistar.analysis import _intersect, classify, classify_face_intersection
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -123,3 +126,14 @@ def test_face_verdict_is_base_invariant(branches_5_16, data):
     sol = data.draw(st.sampled_from(branches_5_16), label="branch")
     base = data.draw(st.integers(-40, 40), label="base")
     assert classify_face_intersection(sol, base)[0] == classify_face_intersection(sol)[0]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_mirror_image_has_the_same_verdict_and_figure(branches_5_16, data):
+    # theta -> 2 pi - theta reflects the mesh through the xz plane
+    sol = data.draw(st.sampled_from(branches_5_16), label="branch")
+    p = sol.params
+    mirror = replace(sol, params=hs.HelixParams(p.r, 2.0 * math.pi - p.theta, p.h))
+    ours, theirs = classify(sol), classify(mirror)
+    assert (theirs.intersecting, theirs.vertex_figure) == (ours.intersecting, ours.vertex_figure)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from helistar import (
@@ -152,6 +154,63 @@ class TestBisection:
     def test_no_brackets(self):
         empty = np.empty(0)
         assert cs._bisect(OffsetTriple(2, 3, 5), empty, empty, empty).size == 0
+
+
+def _dense_scan(off, points):
+    """Reference: the flips and exact zeros of D at every grid point."""
+    dval = closure_determinant(off, np.linspace(cs.THETA_MIN, cs.THETA_MAX, points))
+    return np.flatnonzero(dval[:-1] * dval[1:] < 0.0), np.flatnonzero(dval == 0.0)
+
+
+def _scanned_bands(n_max):
+    """Every band with 3..n_max strips, compounds included, whose D is not 0."""
+    bands = [BandSpec(n, s) for n in range(3, n_max + 1) for s in range(1, n // 2 + 1)]
+    return [b for b in bands if offsets_from_band(b).a != offsets_from_band(b).b]
+
+
+class TestScan:
+    @pytest.mark.parametrize("points", [1000, 4321, 200000])
+    def test_grid_point_is_linspace(self, points):
+        ours = cs._grid_point(np.arange(points), points)
+        assert ours.tobytes() == np.linspace(cs.THETA_MIN, cs.THETA_MAX, points).tobytes()
+
+    @pytest.mark.parametrize("points", [1000, 200000])
+    def test_matches_dense_scan(self, points):
+        for band in _scanned_bands(32):
+            off = offsets_from_band(band)
+            flips, zeros = cs._scan(off, points)
+            ref_flips, ref_zeros = _dense_scan(off, points)
+            assert flips.tolist() == ref_flips.tolist(), band
+            assert zeros.tolist() == ref_zeros.tolist(), band
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_skipped_cell_holds_no_flip_or_zero(self, data):
+        band = data.draw(st.sampled_from(_scanned_bands(40)), label="band")
+        off = offsets_from_band(band)
+        points = data.draw(st.sampled_from([1000, 4321, 200000, 400000]), label="points")
+        width = data.draw(st.integers(1, min(4 * cs._COARSE, points - 1)), label="width")
+        # half the cells start near a root, where the certificate is tightest
+        flips = cs._scan(off, points)[0].tolist()
+        anchor = data.draw(st.sampled_from(flips) | st.integers(0, points - 1), label="anchor")
+        shift = data.draw(st.integers(-2 * width, width), label="shift")
+        lo = min(max(anchor + shift, 0), points - 1 - width)
+        dval = closure_determinant(off, cs._grid_point(np.arange(lo, lo + width + 1), points))
+        span = np.array([width * ((cs.THETA_MAX - cs.THETA_MIN) / (points - 1))])
+        if cs._keeps_sign(off, span, dval[:1], dval[-1:])[0]:
+            assert np.all(np.sign(dval) == np.sign(dval[0])) and dval[0] != 0.0
+
+    def test_evaluates_a_small_share_of_the_grid(self, monkeypatch):
+        # guards against a return to evaluating D at every grid point
+        evaluated = []
+
+        def counting(off, theta):
+            evaluated.append(np.size(theta))
+            return closure_determinant(off, theta)
+
+        monkeypatch.setattr(cs, "closure_determinant", counting)
+        assert len(solve_band(BandSpec(24, 5))) > 0
+        assert sum(evaluated) < SolverOptions().grid_points // 10
 
 
 class TestOptions:

@@ -9,6 +9,7 @@ import pytest
 from helistar import (
     BandSpec,
     MeshSegment,
+    OffsetTriple,
     ParameterError,
     WindowError,
     antiprism_tower,
@@ -149,6 +150,17 @@ class TestVerifyUniform:
             assert rep.bad_interior_edges == 3
             assert not rep.edge_faces_ok
             assert not rep.passed
+
+    def test_offsets_outside_the_window_are_refused(self, band52, tetrahelix):
+        # (3, 4, 7) reaches past both ends of a (5, 2) window of 3 periods
+        with pytest.raises(ParameterError, match="offsets"):
+            verify_uniform(realize(band52[0], 3), OffsetTriple(3, 4, 7))
+        # only vertex 1 is interior: its ring reaches index -2 but stays below
+        # the top, so only the negative index can catch it
+        seg = realize(tetrahelix, 4)
+        lone = replace(seg, boundary_marks=set(range(len(seg.vertices))) - {1})
+        with pytest.raises(ParameterError, match="offsets"):
+            verify_uniform(lone, tetrahelix.offsets)
 
     def test_ring_paths_agree(self):
         # the offsets cycle and edge adjacency must give the same report
