@@ -14,10 +14,8 @@ from .analysis import Classification, classify, triangles_properly_intersect, ve
 from .band_combinatorics import (
     BandSpec,
     OffsetTriple,
-    edge_faces,
-    face_vertices,
-    incident_faces,
     offsets_from_band,
+    prototype_faces,
     split_compound,
     vertex_neighbor_cycle,
 )
@@ -93,16 +91,14 @@ __all__ = [
     "closure_determinant",
     "component_params",
     "dihedral_angles",
-    "edge_faces",
     "enumerate_catalog",
     "export_modules_svg",
     "export_net_svg",
     "export_obj",
-    "face_vertices",
     "format_report",
     "helix_points",
-    "incident_faces",
     "offsets_from_band",
+    "prototype_faces",
     "read_catalog",
     "realize",
     "solve_band",

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_combinatorics import face_vertices, incident_faces, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, _cross, _dot, _normals, _unit, helix_points
+from .band_combinatorics import prototype_faces, vertex_neighbor_cycle
+from .closure_solver import _FAN, BranchSolution, _cross, _dot, _normals, _unit, helix_points
 from .errors import check_int
 
 __all__ = [
@@ -39,6 +39,9 @@ MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
 
 FaceId = tuple[str, int]
+
+# hexagon sides (i, i+1) and (j, j+1), for the 9 pairs that share no corner
+_SIDE_PAIRS = np.array([(i, i + 1, j, (j + 1) % 6) for i in range(4) for j in range(i + 2, 6) if j - i != 5])
 
 
 @dataclass
@@ -202,7 +205,7 @@ def classify_face_intersection(
     check_int("base", base)
     off = solution.offsets
     c = off.c
-    shape = np.array([face_vertices("U", 0, off), face_vertices("D", 0, off)])
+    shape = prototype_faces(off)
     first = base - c  # lowest vertex index in the window
     protos = base + shape
     window = (np.arange(first, base + c + 1)[:, None, None] + shape).reshape(-1, 3)
@@ -221,51 +224,34 @@ def classify_face_intersection(
     return True, (("UD"[proto], base), ("UD"[kind], first + k))
 
 
-def _segments_cross_2d(p1, p2, q1, q2) -> bool:
-    c = lambda u, v: u[0] * v[1] - u[1] * v[0]
-    d1 = c(q2 - q1, p1 - q1)
-    d2 = c(q2 - q1, p2 - q1)
-    d3 = c(p2 - p1, q1 - p1)
-    d4 = c(p2 - p1, q2 - p1)
-    return d1 * d2 < 0.0 and d3 * d4 < 0.0
-
-
 def _figure_kind(polygon2d: np.ndarray) -> str:
     """simple or crossed, by proper crossing of non-adjacent hexagon sides."""
-    m = len(polygon2d)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue
-            if _segments_cross_2d(
-                polygon2d[i], polygon2d[(i + 1) % m],
-                polygon2d[j], polygon2d[(j + 1) % m],
-            ):
-                return "crossed"
-    return "simple"
+    p1, p2, q1, q2 = polygon2d[_SIDE_PAIRS].transpose(1, 0, 2)
+    cross = lambda u, v: u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    d1 = cross(q2 - q1, p1 - q1)
+    d2 = cross(q2 - q1, p2 - q1)
+    d3 = cross(p2 - p1, q1 - p1)
+    d4 = cross(p2 - p1, q2 - p1)
+    return "crossed" if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)) else "simple"
 
 
 def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, str]:
     """Hexagon of the 6 neighbors in cycle order, and its figure type.
 
-    Projection is along the vertex normal, the sum of the 6 incident unit
-    face normals; when that sum degenerates (below 1e-9) the classification
-    is reported indeterminate rather than guessed.
+    Projection is along the vertex normal, the sum of the unit normals of the
+    6 fan faces (base, base + w_i, base + w_(i+1)); when that sum degenerates
+    (below 1e-9) the classification is reported indeterminate rather than
+    guessed.
     """
     check_int("base", base)
-    off = solution.offsets
-    params = solution.params
-    cycle = vertex_neighbor_cycle(off)
-    polygon = helix_points(params, [base + w for w in cycle])
-
-    faces = np.array([face_vertices(kind, k, off) for kind, k in incident_faces(off, base)])
-    axis = _unit(_normals(helix_points(params, faces))).sum(axis=0)
+    pts = helix_points(solution.params, base + np.array([0, *vertex_neighbor_cycle(solution.offsets)]))
+    center, polygon = pts[0], pts[1:]
+    axis = _unit(_normals(pts[_FAN])).sum(axis=0)
     norm = float(np.linalg.norm(axis))
     if norm < 1e-9:
         return polygon, "indeterminate"
     axis /= norm
 
-    center = helix_points(params, [base])[0]
     seed = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(seed, axis)) > 0.9:
         seed = np.array([0.0, 1.0, 0.0])

@@ -17,14 +17,19 @@ per base index k:
     U_k = (k, k+a, k+c)        D_k = (k, k+c, k+b)
 
 with orientations chosen so every shared edge is traversed oppositely by its
-two faces. Every vertex lies in exactly 6 faces and every edge in exactly 2,
-so one integer index and one offset triple carry the entire combinatorics.
+two faces. Every vertex lies in exactly 6 faces and every edge in exactly 2:
+with w = [c, b, -a, -c, -b, a] the neighbour cycle, the faces at vertex k are
+the fan (k, k + w_i, k + w_(i+1)), i mod 6, in orientation order, and the
+class edge (0, w_j) lies in fan faces j-1 and j, opposite w_(j-1) and w_(j+1).
+So one integer index and one offset triple carry the entire combinatorics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NotACompoundError, ParameterError, check_int
 
@@ -33,9 +38,7 @@ __all__ = [
     "OffsetTriple",
     "offsets_from_band",
     "split_compound",
-    "face_vertices",
-    "incident_faces",
-    "edge_faces",
+    "prototype_faces",
     "vertex_neighbor_cycle",
 ]
 
@@ -78,8 +81,9 @@ class OffsetTriple:
     c: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b:
-            raise ParameterError(f"need 1 <= a <= b, got a={self.a} b={self.b}")
+        check_int("a", self.a, 1)
+        check_int("b", self.b, self.a)
+        check_int("c", self.c)
         if self.c != self.a + self.b:
             raise ParameterError(f"need c = a + b, got {self.c} != {self.a + self.b}")
 
@@ -102,47 +106,21 @@ def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
     return g, BandSpec(spec.n_strips // g, spec.shift // g)
 
 
-def face_vertices(kind: str, k: int, offsets: OffsetTriple) -> tuple[int, int, int]:
-    """Vertex indices of face U_k or D_k, in orientation order."""
-    a, b, c = offsets.a, offsets.b, offsets.c
-    if kind == "U":
-        return (k, k + a, k + c)
-    if kind == "D":
-        return (k, k + c, k + b)
-    raise ParameterError(f"face kind must be 'U' or 'D', got {kind!r}")
+def prototype_faces(offsets: OffsetTriple) -> np.ndarray:
+    """Rows U_0 = (0, a, c) and D_0 = (0, c, b), in orientation order.
 
-
-def incident_faces(offsets: OffsetTriple, k: int = 0) -> list[tuple[str, int]]:
-    """The 6 faces containing vertex k, as (kind, base) pairs."""
-    a, b, c = offsets.a, offsets.b, offsets.c
-    return [
-        ("U", k), ("U", k - a), ("U", k - c),
-        ("D", k), ("D", k - b), ("D", k - c),
-    ]
-
-
-def edge_faces(offsets: OffsetTriple, cls: str) -> list[tuple[str, int]]:
-    """The 2 faces sharing the class-a/b/c edge at vertex 0.
-
-    Class a is edge (0, a), class b is (0, b), class c is (0, c). By screw
-    symmetry these prototypes stand for every edge of their class.
+    A (2, 3) intp array; face U_k or D_k is its row plus k.
     """
-    a, b = offsets.a, offsets.b
-    if cls == "a":
-        return [("U", 0), ("D", -b)]
-    if cls == "b":
-        return [("U", -a), ("D", 0)]
-    if cls == "c":
-        return [("U", 0), ("D", 0)]
-    raise ParameterError(f"edge class must be 'a', 'b', or 'c', got {cls!r}")
+    a, b, c = offsets.a, offsets.b, offsets.c
+    return np.array([(0, a, c), (0, c, b)], dtype=np.intp)
 
 
 def vertex_neighbor_cycle(offsets: OffsetTriple) -> list[int]:
     """Neighbor offsets of vertex 0 in face-adjacency cyclic order.
 
     Walking the 6 incident faces so consecutive ones share an edge through the
-    vertex visits the neighbors as [c, b, -a, -c, -b, a]. The cycle is what the
-    vertex figure is built on.
+    vertex visits the neighbors as [c, b, -a, -c, -b, a]. The vertex figure,
+    the face fan and the faces at each class edge are read off the cycle.
     """
     a, b, c = offsets.a, offsets.b, offsets.c
     return [c, b, -a, -c, -b, a]

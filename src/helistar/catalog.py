@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import classify
 from .band_combinatorics import BandSpec, split_compound
 from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
-from .errors import CatalogFormatError, check_int
+from .errors import CatalogFormatError, ParameterError, check_int, check_real
 from .export import _fmt, _opened
 
 __all__ = [
@@ -277,15 +277,17 @@ def format_report(report: CatalogReport) -> str:
 
 
 def _typed(name: str, v):
-    """An entry field value as its CatalogEntry type; TypeError if it is not one.
+    """An entry field value as its CatalogEntry type; ParameterError if it is not one.
 
-    A bool is never taken for a number, an integer is a valid real, and
-    nothing else converts: "false" is not a bool and 5.7 is not an int.
+    A bool is never taken for a number, a real must be finite (check_real),
+    an integer is a valid real, and nothing else converts: "false" is not a
+    bool and 5.7 is not an int.
     """
     kind = _ENTRY_TYPES[name]
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-        raise TypeError(f"expected {kind.__name__}, got {v!r}")
+    if kind is float:
+        check_real(name, v)
+    elif not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        raise ParameterError(f"{name} must be {kind.__name__}, got {v!r}")
     return kind(v)
 
 
@@ -350,7 +352,7 @@ def read_catalog(source) -> list[CatalogEntry]:
                 raise CatalogFormatError(f"entry {i}: missing field {name!r}")
             try:
                 kwargs[name] = _typed(name, raw[name])
-            except (TypeError, ValueError) as exc:
+            except ParameterError as exc:
                 raise CatalogFormatError(f"entry {i}: field {name!r}: {exc}") from exc
         entries.append(CatalogEntry(**kwargs))
     return entries

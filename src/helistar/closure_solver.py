@@ -50,7 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_combinatorics import BandSpec, OffsetTriple, edge_faces, face_vertices, offsets_from_band
+from .band_combinatorics import (
+    BandSpec, OffsetTriple, offsets_from_band, prototype_faces, vertex_neighbor_cycle,
+)
 from .errors import check_int
 
 __all__ = [
@@ -75,6 +77,10 @@ MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
 DEGENERATE_AREA = 1e-12
+
+# Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
+# as rows of helix_points over [k, *(k + w)]
+_FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
 
 # Shape of the sparse scan (_scan): these set its cost, never its result.
 _COARSE = 2048
@@ -203,36 +209,32 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _interior_dihedrals(offsets: OffsetTriple, params: HelixParams) -> dict[str, float]:
     """Interior dihedral per edge class, measured through the solid, in (0, 2pi).
 
-    For each class the two incident prototype faces are taken from the
-    combinatorics; u1, u2 are their in-plane perpendiculars to the shared edge.
-    The angle between them is the dihedral; it is reflex when u2 pokes to the
-    outside of face 1 (positive against face 1's orientation normal). The
-    three classes are handled as one (3, 2) stack of face pairs.
+    The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
+    cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
+    w_(j+1). u1, u2 are those faces' in-plane perpendiculars to the edge. The
+    angle between them is the dihedral; it is reflex when u1 pokes to the
+    outside of face j (positive against its orientation normal). One
+    helix_points call serves all three classes.
     """
-    classes = ("a", "b", "c")
-    faces = np.array(
-        [[face_vertices(kind, k, offsets) for kind, k in edge_faces(offsets, cls)] for cls in classes]
-    )
-    on_edge = (faces[:, :, :, None] == faces[:, ::-1, None, :]).any(axis=-1)
-    edge = np.sort(faces[:, 0][on_edge[:, 0]].reshape(3, 2), axis=1)
-    apex = faces[~on_edge].reshape(3, 2)
-    p = helix_points(params, edge[:, 0])
-    e = _unit(helix_points(params, edge[:, 1]) - p)
-    w = helix_points(params, apex) - p[:, None]
+    pts = helix_points(params, [0, *vertex_neighbor_cycle(offsets)])
+    j = np.array([5, 1, 0])
+    before, after = _FAN[j - 1], _FAN[j]
+    e = _unit(pts[after[:, 1]] - pts[0])
+    w = pts[np.stack([before[:, 1], after[:, 2]], axis=1)] - pts[0]
     u = _unit(w - _dot(w, e[:, None])[..., None] * e[:, None])
-    n1 = _unit(_normals(helix_points(params, faces[:, 0])))
+    n2 = _unit(_normals(pts[after]))
     cosines = np.clip(_dot(u[:, 0], u[:, 1]), -1.0, 1.0).tolist()
-    outside = (_dot(u[:, 1], n1) > 0.0).tolist()
+    outside = (_dot(u[:, 0], n2) > 0.0).tolist()
     # math.acos, not np.arccos: the two differ in the last bit, and these
     # angles are printed in net and module sheets
     return {
         cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x)
-        for cls, x, out in zip(classes, cosines, outside)
+        for cls, x, out in zip("abc", cosines, outside)
     }
 
 
 def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
-    n = _normals(helix_points(params, face_vertices("U", 0, offsets)))
+    n = _normals(helix_points(params, prototype_faces(offsets)[0]))
     return 0.5 * float(np.sqrt(_dot(n, n)))
 
 

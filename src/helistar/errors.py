@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, and its integer and real checks.
 
 Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
 result exits 3 and a failed verification exits 1 without raising.
 """
+
+import sys
 
 
 class HelistarError(Exception):
@@ -35,3 +37,16 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
     if type(value) is not int or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_real(name: str, value, above: float | None = None, below: float | None = None) -> None:
+    """ParameterError naming the parameter unless value is a finite real in (above, below).
+
+    A real is an int or a float, never a bool or a str; NaN, the infinities
+    and ints too large for a float are refused. Either bound may be None, and
+    both are exclusive.
+    """
+    real = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if not real or (above is not None and value <= above) or (below is not None and value >= below):
+        bounds = " and".join(f" {op} {x}" for op, x in ((">", above), ("<", below)) if x is not None)
+        raise ParameterError(f"{name} must be a finite real{bounds}, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 from .realization import MeshSegment, dihedral_angles
 
 __all__ = [
@@ -155,11 +155,6 @@ def _mm(x: float) -> str:
     return _fmt(x, ".3f")
 
 
-def _check_edge_mm(edge_mm: float) -> None:
-    if not (math.isfinite(edge_mm) and edge_mm > 0):
-        raise ParameterError(f"edge_mm must be positive and finite, got {edge_mm}")
-
-
 def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     """Cut-and-fold sheet for a net: outline, fold lines, angles, seam marks.
 
@@ -167,7 +162,7 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     valleys dash-dot; each fold carries its dihedral in degrees. The seam rows
     are numbered so row j on the right column meets row j + s on the left.
     """
-    _check_edge_mm(edge_mm)
+    check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
     ymax = max(p[1] for p in net.points.values())
     xmax = max(p[0] for p in net.points.values())
@@ -238,13 +233,10 @@ class ModuleOptions:
     slit_fraction: float = 0.25
 
     def __post_init__(self) -> None:
-        _check_edge_mm(self.edge_mm)
+        check_real("edge_mm", self.edge_mm, above=0)
         check_int("periods", self.periods, 1)
         check_int("columns", self.columns, 1)
-        if not 0 < self.slit_fraction < SQRT3_4:
-            raise ParameterError(
-                f"slit_fraction must be in (0, sqrt(3)/4), got {self.slit_fraction}"
-            )
+        check_real("slit_fraction", self.slit_fraction, above=0, below=SQRT3_4)
 
 
 def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> int:

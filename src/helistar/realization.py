@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .band_combinatorics import OffsetTriple, face_vertices, vertex_neighbor_cycle
+from .band_combinatorics import OffsetTriple, prototype_faces, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _dot, _interior_dihedrals, _normals, helix_points
 from .errors import ParameterError, WindowError, check_int
 
@@ -42,7 +42,8 @@ class MeshSegment:
     ring edges first, then per ring gap and column the two diagonals.
     boundary_marks are the vertex indices whose face ring is incomplete in
     this window. The three arrays are converted on construction, so nested
-    sequences (even empty ones) are accepted.
+    sequences (even empty ones) are accepted; a face or edge entry that is not
+    an integer in [0, len(vertices)) raises ParameterError naming the field.
     """
 
     vertices: np.ndarray
@@ -52,8 +53,18 @@ class MeshSegment:
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.intp).reshape(-1, 3)
-        self.edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.faces = _vertex_indices("faces", self.faces, 3, len(self.vertices))
+        self.edges = _vertex_indices("edges", self.edges, 2, len(self.vertices))
+
+
+def _vertex_indices(name: str, rows, width: int, count: int) -> np.ndarray:
+    """rows as an (m, width) intp array; ParameterError unless each is an int in [0, count)."""
+    arr = np.asarray(rows)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ParameterError(f"{name} must hold integer vertex indices, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= count):
+        raise ParameterError(f"{name} must hold vertex indices in [0, {count}), got {arr.min()}..{arr.max()}")
+    return arr.astype(np.intp, copy=False).reshape(-1, width)
 
 
 @dataclass
@@ -105,8 +116,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     kmax = periods * c
     verts = helix_points(solution.params, np.arange(kmax + 1))
 
-    shape = np.array([face_vertices("U", 0, off), face_vertices("D", 0, off)])
-    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + shape).reshape(-1, 3))
+    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + prototype_faces(off)).reshape(-1, 3))
     edges = np.concatenate([np.arange(kmax - d + 1)[:, None] + [0, d] for d in (a, b, c)])
 
     boundary = {m for m in range(kmax + 1) if m < c or m > kmax - c}

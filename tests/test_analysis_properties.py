@@ -1,4 +1,5 @@
-"""Property tests for the triangle-triangle predicate and the face window.
+"""Property tests for the triangle-triangle predicate, the face window and the
+hexagon crossing test of the vertex figure.
 
 Triangles are well conditioned: no angle close to zero and no edge close to
 zero, so that rounding moves no vertex across the 1e-12 plane threshold and
@@ -19,7 +20,7 @@ from scipy.spatial.transform import Rotation
 
 import helistar as hs
 from helistar import triangles_properly_intersect
-from helistar.analysis import _intersect, classify, classify_face_intersection
+from helistar.analysis import _figure_kind, _intersect, classify, classify_face_intersection
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -137,3 +138,27 @@ def test_mirror_image_has_the_same_verdict_and_figure(branches_5_16, data):
     mirror = replace(sol, params=hs.HelixParams(p.r, 2.0 * math.pi - p.theta, p.h))
     ours, theirs = classify(sol), classify(mirror)
     assert (theirs.intersecting, theirs.vertex_figure) == (ours.intersecting, ours.vertex_figure)
+
+
+def _figure_kind_reference(poly):
+    """The pairwise loop over non-adjacent hexagon sides, one pair at a time."""
+    cross = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    for i in range(6):
+        for j in range(i + 2, 6):
+            if (i, j) == (0, 5):
+                continue  # sides 5 and 0 share vertex 0
+            p1, p2, q1, q2 = poly[i], poly[(i + 1) % 6], poly[j], poly[(j + 1) % 6]
+            if (
+                cross(q2 - q1, p1 - q1) * cross(q2 - q1, p2 - q1) < 0.0
+                and cross(p2 - p1, q1 - p1) * cross(p2 - p1, q2 - p1) < 0.0
+            ):
+                return "crossed"
+    return "simple"
+
+
+@PROPERTY
+@given(st.lists(st.tuples(*[st.one_of(grid_coord, free_coord)] * 2), min_size=6, max_size=6))
+def test_figure_kind_matches_the_pairwise_loop(rows):
+    # grid points make sides touch or overlap exactly, which is not a crossing
+    poly = np.array(rows, dtype=float)
+    assert _figure_kind(poly) == _figure_kind_reference(poly)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from helistar import (
@@ -9,10 +10,8 @@ from helistar import (
     NotACompoundError,
     OffsetTriple,
     ParameterError,
-    edge_faces,
-    face_vertices,
-    incident_faces,
     offsets_from_band,
+    prototype_faces,
     split_compound,
     vertex_neighbor_cycle,
 )
@@ -67,6 +66,14 @@ class TestOffsetTriple:
             OffsetTriple(1, 2, 4)  # c != a + b
         with pytest.raises(ParameterError):
             OffsetTriple(0, 1, 1)
+        with pytest.raises(ParameterError, match="a must be an integer"):
+            OffsetTriple(1.5, 2, 3.5)
+        with pytest.raises(ParameterError, match="a must be an integer"):
+            OffsetTriple(True, 2, 3)
+        with pytest.raises(ParameterError, match="a must be an integer"):
+            OffsetTriple("1", "2", "3")
+        with pytest.raises(ParameterError, match="c must be an integer"):
+            OffsetTriple(1, 2, 3.0)
 
     def test_components(self):
         assert BandSpec(12, 8).components == 4
@@ -94,23 +101,29 @@ class TestIndexMap:
 
 
 def window_faces(off, kmax):
-    faces = {}
-    for k in range(kmax):
-        faces[("U", k)] = face_vertices("U", k, off)
-        faces[("D", k)] = face_vertices("D", k, off)
-    return faces
+    """Faces U_k and D_k for k in [0, kmax), as (kmax, 2, 3) rows."""
+    return np.arange(kmax)[:, None, None] + prototype_faces(off)
+
+
+def fan(off, k):
+    """The faces (k, k + w_i, k + w_(i+1)) at vertex k, as (6, 3) rows."""
+    w = np.array(vertex_neighbor_cycle(off))
+    return np.column_stack([np.full(6, k), k + w, k + np.roll(w, -1)])
+
+
+def rotations(tri):
+    """The three rotations of an oriented triangle: the same face."""
+    u, v, w = (int(x) for x in tri)
+    return {(u, v, w), (v, w, u), (w, u, v)}
 
 
 class TestFaces:
     def test_prototype_vertices(self):
         off = OffsetTriple(2, 3, 5)
-        assert face_vertices("U", 0, off) == (0, 2, 5)
-        assert face_vertices("D", 0, off) == (0, 5, 3)
-        assert face_vertices("U", 7, off) == (7, 9, 12)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            face_vertices("X", 0, OffsetTriple(1, 2, 3))
+        proto = prototype_faces(off)
+        assert proto.dtype == np.intp and proto.shape == (2, 3)
+        assert proto.tolist() == [[0, 2, 5], [0, 5, 3]]
+        assert (proto + 7).tolist() == [[7, 9, 12], [7, 12, 10]]
 
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 2), (7, 3), (8, 3)])
     def test_interior_edge_in_exactly_two_faces(self, n, s):
@@ -118,7 +131,7 @@ class TestFaces:
         kmax = 40
         count = {}
         directed = set()
-        for tri in window_faces(off, kmax).values():
+        for tri in window_faces(off, kmax).reshape(-1, 3).tolist():
             for u in range(3):
                 e = (tri[u], tri[(u + 1) % 3])
                 assert e not in directed, "duplicate directed edge"
@@ -133,22 +146,27 @@ class TestFaces:
 
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 2), (9, 4)])
     def test_incident_faces_matches_brute_force(self, n, s):
+        # the fan is the set of faces at vertex k, each in its own orientation
         off = offsets_from_band(BandSpec(n, s))
         v = 20
-        listed = set(incident_faces(off, v))
-        brute = {
-            fid for fid, tri in window_faces(off, 40).items() if v in tri
-        }
-        assert listed == brute
+        brute = [tri for tri in window_faces(off, 40).reshape(-1, 3) if v in tri]
+        assert len(brute) == 6
+        listed = {min(rotations(tri)) for tri in fan(off, v)}
+        assert listed == {min(rotations(tri)) for tri in brute}
         assert len(listed) == 6
 
     def test_edge_faces_share_the_class_edge(self):
-        off = OffsetTriple(2, 3, 5)
-        for cls, d in (("a", off.a), ("b", off.b), ("c", off.c)):
-            f1, f2 = edge_faces(off, cls)
-            s1 = set(face_vertices(f1[0], f1[1], off))
-            s2 = set(face_vertices(f2[0], f2[1], off))
-            assert s1 & s2 == {0, d}
+        # edge (0, w_j) lies in fan faces j-1 and j, opposite w_(j-1) and w_(j+1)
+        for n, s in [(3, 1), (5, 2), (7, 3), (11, 4)]:
+            off = offsets_from_band(BandSpec(n, s))
+            w = vertex_neighbor_cycle(off)
+            faces = fan(off, 0)
+            for j in range(6):
+                assert set(faces[j - 1]) & set(faces[j]) == {0, w[j]}
+                assert set(faces[j - 1]) - {0, w[j]} == {w[j - 1]}
+                assert set(faces[j]) - {0, w[j]} == {w[(j + 1) % 6]}
+            # the a, b and c class edges are (0, w_5), (0, w_1) and (0, w_0)
+            assert (w[5], w[1], w[0]) == (off.a, off.b, off.c)
 
 
 def cyclic_equal(seq, ref):
@@ -168,15 +186,19 @@ class TestVertexCycle:
     def test_cycle_agrees_with_face_fan_walk(self, n, s):
         off = offsets_from_band(BandSpec(n, s))
         v = 0
-        # each incident face links the two neighbors it contains; the links
-        # close into one hexagon, which must be the published cycle
+        # each face at v (found by brute force) links the two neighbors it
+        # contains; the links close into one hexagon, which must be the
+        # published cycle
         links = {}
-        for kind, k in incident_faces(off, v):
-            others = [w for w in face_vertices(kind, k, off) if w != v]
+        for tri in window_faces(off, 40).reshape(-1, 3) - 20:
+            if v not in tri:
+                continue
+            others = [int(w) for w in tri if w != v]
             assert len(others) == 2
             p, q = others
             links.setdefault(p, []).append(q)
             links.setdefault(q, []).append(p)
+        assert len(links) == 6
         assert all(len(nb) == 2 for nb in links.values())
         start = next(iter(links))
         walk = [start]

@@ -3,7 +3,7 @@
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -249,16 +249,30 @@ class TestPersistence:
             (pinned_doc(theta="1.5"), "entry 1: field 'theta'"),
             (pinned_doc(r=True), "entry 1: field 'r'"),
             (pinned_doc(vertex_figure=1), "entry 1: field 'vertex_figure'"),
+            (pinned_doc(theta=math.nan), "entry 1: field 'theta'"),
+            (pinned_doc(r=math.inf), "entry 1: field 'r'"),
+            (pinned_doc(h=-math.inf), "entry 1: field 'h'"),
+            (pinned_doc(residual=10**400), "entry 1: field 'residual'"),
         ],
         ids=[
             "entries-not-a-list", "entry-not-an-object", "n_strips-abc", "n_strips-null",
             "intersecting-string", "intersecting-int", "n_strips-real", "components-bool",
-            "theta-string", "r-bool", "vertex_figure-int",
+            "theta-string", "r-bool", "vertex_figure-int", "theta-nan", "r-infinity",
+            "h-minus-infinity", "residual-huge-int",
         ],
     )
     def test_malformed_entries_name_index_and_field(self, doc, match):
         with pytest.raises(CatalogFormatError, match=match):
             read_catalog(io.StringIO(doc))
+
+    @pytest.mark.parametrize("field", ["theta", "r", "h", "residual"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.5"])
+    def test_write_refuses_a_real_field_that_is_not_a_finite_real(self, field, value):
+        # the bytes would not read back: NaN and Infinity are refused on read
+        bad = [PINNED_ENTRIES[0], replace(PINNED_ENTRIES[1], **{field: value})]
+        for write in (write_catalog, write_catalog_csv):
+            with pytest.raises(ParameterError, match=field):
+                write(bad, io.StringIO())
 
     def test_csv_header_and_rows(self, catalog_entries):
         buf = io.StringIO()

@@ -168,7 +168,7 @@ class TestNetSvg:
         export_net_svg(net, b)
         assert a.getvalue() == b.getvalue()
 
-    @pytest.mark.parametrize("edge_mm", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("edge_mm", [0.0, -5.0, math.nan, math.inf, True, "40"])
     def test_rejects_bad_edge_length(self, band52, edge_mm):
         net = unfold_net(band52[0], rows=2)
         with pytest.raises(ParameterError, match="edge_mm"):
@@ -219,6 +219,11 @@ class TestModulesSvg:
             {"periods": 1.5},
             {"columns": 2.5},
             {"columns": True},
+            {"edge_mm": "40"},
+            {"edge_mm": True},
+            {"edge_mm": math.inf},
+            {"slit_fraction": "0.2"},
+            {"slit_fraction": True},
         ],
     )
     def test_options_reject_bad_dimensions(self, kwargs):

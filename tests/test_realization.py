@@ -1,7 +1,9 @@
 """Mesh windows, uniformity checks, dihedrals, antiprism towers."""
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,19 @@ class TestDihedrals:
             for v in dihedral_angles(sol).values():
                 assert 0.0 < v < 2.0 * math.pi
 
+    def test_dihedrals_are_pinned(self, solutions_5_12):
+        # float.hex of the a, b, c dihedrals of every 5..12 branch, compounds
+        # included, recorded before the class edges were read off the cycle
+        rows = json.loads((Path(__file__).parent / "data" / "dihedrals_5_12.json").read_text())
+        assert len(rows) == 124
+        expected = {(n, s, branch): angles for n, s, branch, *angles in rows}
+        got = {
+            (n, s, sol.branch_index): [dihedral_angles(sol)[cls].hex() for cls in "abc"]
+            for (n, s), sols in solutions_5_12.items()
+            for sol in sols
+        }
+        assert got == expected
+
 
 class TestVerifyUniform:
     def test_tetrahelix_passes(self, tetrahelix):
@@ -182,6 +197,23 @@ class TestVerifyUniform:
         assert seg.faces.dtype == np.intp and seg.edges.shape == (0, 2)
         rep = verify_uniform(seg)
         assert rep.passed and rep.edge_length_max_dev == 0.0
+
+    @pytest.mark.parametrize(
+        "faces, edges, field",
+        [
+            ([[0, 1, 2.7]], [], "faces"),
+            ([[0, 1, 5]], [], "faces"),
+            ([[0, 1, -1]], [], "faces"),
+            ([[True, False, True]], [], "faces"),
+            ([["0", "1", "2"]], [], "faces"),
+            ([[0, 1, 2]], [[0, 3]], "edges"),
+            ([[0, 1, 2]], [[0.0, 1.0]], "edges"),
+        ],
+    )
+    def test_mesh_refuses_bad_vertex_indices(self, faces, edges, field):
+        verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
+        with pytest.raises(ParameterError, match=field):
+            MeshSegment(vertices=verts, faces=faces, edges=edges)
 
     def test_window_too_small(self, tetrahelix):
         seg = realize(tetrahelix, 1)
