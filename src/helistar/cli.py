@@ -41,10 +41,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _solver_options(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(args.grid_points)
-
-
 def _band(args: argparse.Namespace) -> BandSpec:
     if args.strips < 3:
         raise ParameterError(f"--strips must be >= 3, got {args.strips}")
@@ -72,7 +68,7 @@ def _branch_rows(band: BandSpec, opts: SolverOptions) -> list[dict]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     band = _band(args)
-    rows = _branch_rows(band, _solver_options(args))
+    rows = _branch_rows(band, SolverOptions(args.grid_points))
     if args.json:
         payload = {
             "n_strips": band.n_strips,
@@ -98,7 +94,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _pick_branch(args: argparse.Namespace):
     """The --branch branch of the --strips/--shift band, or None after a message."""
-    sols = solve_band(_band(args), _solver_options(args))
+    sols = solve_band(_band(args), SolverOptions(args.grid_points))
     if not sols:
         print("no branches for this band", file=sys.stderr)
         return None
@@ -127,7 +123,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    opts = _solver_options(args)
+    opts = SolverOptions(args.grid_points)
     entries = enumerate_catalog(args.min, args.max, opts, include_compounds=args.include_compounds)
     options_record = {
         "n_min": args.min,
@@ -284,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except HelistarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (HelistarError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

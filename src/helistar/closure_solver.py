@@ -50,9 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_combinatorics import (
-    BandSpec, OffsetTriple, offsets_from_band, prototype_faces, vertex_neighbor_cycle,
-)
+from .band_combinatorics import BandSpec, OffsetTriple, offsets_from_band, vertex_neighbor_cycle
 from .errors import check_int
 
 __all__ = [
@@ -76,7 +74,6 @@ RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
 MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
-DEGENERATE_AREA = 1e-12
 
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
@@ -159,20 +156,22 @@ def winding_estimate(band: BandSpec, params: HelixParams) -> int:
     return round(band.n_strips * band.shift * params.theta / (2.0 * math.pi))
 
 
-def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float]:
-    """(A, B) from the a/b chord equations, least squares if they degenerate."""
-    a, b, c = offsets.a, offsets.b, offsets.c
+def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float] | None:
+    """(A, B) from the a/b chord equations, or None where they are singular.
+
+    Singular means (1 - cos a*theta) : a^2 = (1 - cos b*theta) : b^2 to 1e-12.
+    With u, v the a and b equations' residuals, b^2 u - a^2 v = A det - (b^2 - a^2)
+    and b^2 - a^2 >= 3, so there both hold within RESIDUAL_TOL only for A near
+    (b^2 - a^2) / |det| >= 1.5e12 / b^2: no branch. It happens on compound
+    bands at theta = 2 pi k / g, g the component count.
+    """
+    a, b = offsets.a, offsets.b
     xa = 1.0 - math.cos(a * theta)
     xb = 1.0 - math.cos(b * theta)
     det = xa * b * b - xb * a * a
-    if abs(det) > 1e-12 * max(1.0, abs(xa) * b * b, abs(xb) * a * a):
-        return (b * b - a * a) / det, (xa - xb) / det
-    # cos a*theta = cos b*theta (or a near miss): the 2x2 system is rank
-    # deficient, so fit all three equations at once
-    xc = 1.0 - math.cos(c * theta)
-    m = np.array([[xa, a * a], [xb, b * b], [xc, c * c]])
-    sol, *_ = np.linalg.lstsq(m, np.ones(3), rcond=None)
-    return float(sol[0]), float(sol[1])
+    if abs(det) <= 1e-12 * max(1.0, abs(xa) * b * b, abs(xb) * a * a):
+        return None
+    return (b * b - a * a) / det, (xa - xb) / det
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,7 +201,7 @@ def _normals(tri: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """Rows of v scaled to unit length (the np.linalg.norm of each row)."""
+    """Rows of v scaled to unit length (the Euclidean norm of each row)."""
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
@@ -231,11 +230,6 @@ def _interior_dihedrals(offsets: OffsetTriple, params: HelixParams) -> dict[str,
         cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x)
         for cls, x, out in zip("abc", cosines, outside)
     }
-
-
-def _face_area(offsets: OffsetTriple, params: HelixParams) -> float:
-    n = _normals(helix_points(params, prototype_faces(offsets)[0]))
-    return 0.5 * float(np.sqrt(_dot(n, n)))
 
 
 def _bisect(offsets: OffsetTriple, lo: np.ndarray, width: np.ndarray, flo: np.ndarray) -> np.ndarray:
@@ -346,14 +340,14 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
     Scan of the grid of opts.grid_points points (_scan): it returns exactly
     the sign changes and zeros of D that evaluating every grid point would,
     but evaluates D only in cells where the Lipschitz certificate cannot
-    prove one sign, a few thousand points per band. The brackets of all sign
-    changes are then bisected together, step for step as
-    scipy.optimize.bisect bisects each one alone; then (A, B) from the
-    linear system with the third equation as a residual
-    check. Roots with A < MIN_A or B < MIN_B (flat or axis-collapsed
-    degenerations), a zero-area face, any adjacent-face pair coplanar within
-    COPLANAR_GAP, or residual above RESIDUAL_TOL are dropped. An empty result
-    is an answer, not an error.
+    prove one sign. The sign changes are bisected together, step for step as
+    scipy.optimize.bisect bisects each alone. No root needs merging: a zero
+    at grid point j excludes a flip at j-1 and j, and each bisected root lies
+    inside its own cell. A root is dropped when the a/b system of _solve_AB
+    is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
+    the c-chord residual exceeds RESIDUAL_TOL, or when a dihedral is within
+    COPLANAR_GAP of pi. A kept root's faces have sides within RESIDUAL_TOL
+    of 1, so none has zero area. An empty result is an answer, not an error.
     """
     opts = opts or SolverOptions()
     offsets = offsets_from_band(band)
@@ -367,22 +361,16 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
     width = _grid_point(flips + 1, opts.grid_points) - lo
     bisected = _bisect(offsets, lo, width, closure_determinant(offsets, lo))
     roots = np.sort(np.concatenate([_grid_point(zeros, opts.grid_points), bisected])).tolist()
-    # merge duplicates from a grid point landing on (or next to) a root
-    merged: list[float] = []
-    for t in roots:
-        if not merged or t - merged[-1] > 1e-10:
-            merged.append(t)
 
     branches: list[BranchSolution] = []
-    for theta in merged:
-        A, B = _solve_AB(offsets, theta)
-        if A < MIN_A or B < MIN_B:
+    for theta in roots:
+        AB = _solve_AB(offsets, theta)
+        if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
             continue
+        A, B = AB
         params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
         residual = max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
         if residual > RESIDUAL_TOL:
-            continue
-        if _face_area(offsets, params) < DEGENERATE_AREA:
             continue
         if min(abs(v - math.pi) for v in _interior_dihedrals(offsets, params).values()) <= COPLANAR_GAP:
             continue

@@ -42,8 +42,9 @@ class MeshSegment:
     ring edges first, then per ring gap and column the two diagonals.
     boundary_marks are the vertex indices whose face ring is incomplete in
     this window. The three arrays are converted on construction, so nested
-    sequences (even empty ones) are accepted; a face or edge entry that is not
-    an integer in [0, len(vertices)) raises ParameterError naming the field.
+    sequences (even empty ones) are accepted; an array of the wrong row width,
+    or a face or edge entry that is not an integer in [0, len(vertices)),
+    raises ParameterError naming the field.
     """
 
     vertices: np.ndarray
@@ -52,19 +53,30 @@ class MeshSegment:
     boundary_marks: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
+        self.vertices = _rows("vertices", self.vertices, 3, float)
         self.faces = _vertex_indices("faces", self.faces, 3, len(self.vertices))
         self.edges = _vertex_indices("edges", self.edges, 2, len(self.vertices))
 
 
+def _rows(name: str, rows, width: int, dtype=None) -> np.ndarray:
+    """rows as an (m, width) array, (0, width) if empty; ParameterError naming name otherwise."""
+    try:
+        arr = np.asarray(rows, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged rows, or entries that are not numbers
+        raise ParameterError(f"{name} must be an (m, {width}) array: {exc}") from None
+    if arr.size and arr.shape[1:] != (width,):
+        raise ParameterError(f"{name} must be an (m, {width}) array, got shape {arr.shape}")
+    return arr.reshape(-1, width)
+
+
 def _vertex_indices(name: str, rows, width: int, count: int) -> np.ndarray:
     """rows as an (m, width) intp array; ParameterError unless each is an int in [0, count)."""
-    arr = np.asarray(rows)
+    arr = _rows(name, rows, width)
     if arr.size and arr.dtype.kind not in "iu":
         raise ParameterError(f"{name} must hold integer vertex indices, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= count):
         raise ParameterError(f"{name} must hold vertex indices in [0, {count}), got {arr.min()}..{arr.max()}")
-    return arr.astype(np.intp, copy=False).reshape(-1, width)
+    return arr.astype(np.intp, copy=False)
 
 
 @dataclass

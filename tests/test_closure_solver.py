@@ -1,9 +1,11 @@
 """Closure solver against closed forms and an independent determinant."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
@@ -213,6 +215,104 @@ class TestScan:
         assert sum(evaluated) < SolverOptions().grid_points // 10
 
 
+def _connected_bands(n_max):
+    """Every connected band (gcd(n, s) = 1) with 3..n_max strips and a < b."""
+    return [b for b in _scanned_bands(n_max) if b.components == 1]
+
+
+def _raw_roots(off, points):
+    """Every root solve_band tests, before any acceptance check, theta ascending."""
+    flips, zeros = cs._scan(off, points)
+    lo = cs._grid_point(flips, points)
+    width = cs._grid_point(flips + 1, points) - lo
+    bisected = cs._bisect(off, lo, width, closure_determinant(off, lo))
+    return np.sort(np.concatenate([cs._grid_point(zeros, points), bisected]))
+
+
+def _least_squares_AB(off, theta):
+    """The fit of all three chord equations once used where the a/b system is singular."""
+    m = np.array([[1.0 - math.cos(d * theta), d * d] for d in (off.a, off.b, off.c)])
+    sol, *_ = np.linalg.lstsq(m, np.ones(3), rcond=None)
+    return float(sol[0]), float(sol[1])
+
+
+@pytest.fixture(scope="module")
+def solved_40():
+    """band -> solve_band(band) at the default grid, every band with 3..40 strips."""
+    return {
+        BandSpec(n, s): solve_band(BandSpec(n, s))
+        for n in range(3, 41)
+        for s in range(1, n // 2 + 1)
+    }
+
+
+class TestRootAccounting:
+    @pytest.mark.parametrize("points", [1000, 200000])
+    def test_scan_finds_b_minus_1_roots_of_every_connected_band(self, points):
+        # D / (x - 1)^2, x = cos theta, has exactly b - 1 = n - s - 1 roots in
+        # (-1, 1), all simple; the scan sees each as one flip or one zero
+        bands = _connected_bands(40)
+        assert len(bands) == 244
+        for band in bands:
+            flips, zeros = cs._scan(offsets_from_band(band), points)
+            assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
+
+    def test_exact_root_count_is_b_minus_1(self):
+        # D as a polynomial in x = cos theta: cos(k theta) is the Chebyshev T_k(x)
+        x = sympy.symbols("x")
+        for band in _connected_bands(20):
+            off = offsets_from_band(band)
+            a, b, c = off.a, off.b, off.c
+            d = sympy.Poly(
+                (c * c - b * b) * sympy.chebyshevt(a, x)
+                + (a * a - c * c) * sympy.chebyshevt(b, x)
+                + (b * b - a * a) * sympy.chebyshevt(c, x),
+                x,
+            )
+            q, rem = sympy.div(d, sympy.Poly((x - 1) ** 2, x))
+            assert rem.is_zero, band
+            # count_roots counts the closed interval [-1, 1]
+            inside = q.count_roots(-1, 1) - (q.eval(-1) == 0) - (q.eval(1) == 0)
+            assert inside == b - 1, band
+
+    def test_theta_is_strictly_increasing(self, solved_40):
+        for band, sols in solved_40.items():
+            thetas = [sol.params.theta for sol in sols]
+            assert all(t0 < t1 for t0, t1 in zip(thetas, thetas[1:])), band
+
+    def test_singular_roots_fail_the_least_squares_fit(self):
+        # the fit solve_band used where the a/b system is singular, kept as an
+        # oracle: no such root of a compound band would have been a branch
+        checked = 0
+        for band in _scanned_bands(40):
+            if band.components == 1:
+                continue
+            off = offsets_from_band(band)
+            for theta in _raw_roots(off, SolverOptions().grid_points).tolist():
+                if cs._solve_AB(off, theta) is not None:
+                    continue
+                A, B = _least_squares_AB(off, theta)
+                if A >= cs.MIN_A and B >= cs.MIN_B:
+                    params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
+                    residual = max(abs(chord(params, d) - 1.0) for d in (off.a, off.b, off.c))
+                    assert residual > cs.RESIDUAL_TOL, (band, theta)
+                checked += 1
+        assert checked >= 100
+
+    def test_solver_output_is_pinned(self, solved_40):
+        # every branch of n 3..32 at the default grid, floats by float.hex
+        lines = [
+            f"{band.n_strips} {band.shift} {sol.branch_index} {sol.winding_m} "
+            f"{sol.params.r.hex()} {sol.params.theta.hex()} {sol.params.h.hex()} {sol.residual.hex()}"
+            for band, sols in solved_40.items()
+            if band.n_strips <= 32
+            for sol in sols
+        ]
+        assert len(lines) == 2826
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2be2c0f427b8d8bdec7ef6e7ba06d19f96adce19d2f8233ca326d3b499584bc3"
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "kwargs",
@@ -236,7 +336,6 @@ class TestOptions:
         assert cs.RESIDUAL_TOL == 1e-9
         assert cs.MIN_A == cs.MIN_B == 1e-9
         assert cs.COPLANAR_GAP == 1e-6
-        assert cs.DEGENERATE_AREA == 1e-12
 
 
 class TestHelixPoints:

@@ -208,12 +208,23 @@ class TestVerifyUniform:
             ([["0", "1", "2"]], [], "faces"),
             ([[0, 1, 2]], [[0, 3]], "edges"),
             ([[0, 1, 2]], [[0.0, 1.0]], "edges"),
+            ([[0, 1]], [], "faces"),
+            ([[0, 1, 2], [0, 1]], [], "faces"),
+            ([0, 1, 2], [], "faces"),
+            ([[0, 1, 2]], [[0, 1, 2]], "edges"),
         ],
     )
     def test_mesh_refuses_bad_vertex_indices(self, faces, edges, field):
         verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
         with pytest.raises(ParameterError, match=field):
             MeshSegment(vertices=verts, faces=faces, edges=edges)
+
+    @pytest.mark.parametrize(
+        "verts", [np.zeros((3, 2)), np.zeros(9), [[0.0, 0.0, 0.0], [1.0, 0.0]], [["x", "y", "z"]]]
+    )
+    def test_mesh_refuses_vertices_that_are_not_v_by_3(self, verts):
+        with pytest.raises(ParameterError, match="vertices"):
+            MeshSegment(vertices=verts, faces=[], edges=[])
 
     def test_window_too_small(self, tetrahelix):
         seg = realize(tetrahelix, 1)
