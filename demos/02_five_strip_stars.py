@@ -15,8 +15,9 @@ for s in (1, 2):
     spec = BandSpec(5, s)
     off = offsets_from_band(spec)
     print(f"band n=5 s={s}   chord offsets a={off.a} b={off.b} c={off.c}")
-    for branch in solve_band(spec):
-        verdict = classify(branch)
+    # classify takes the whole band and tests all its branches in one pass
+    branches = solve_band(spec)
+    for branch, verdict in zip(branches, classify(branches)):
         tag = "star" if verdict.intersecting else "plain"
         if verdict.vertex_figure == "crossed":
             tag = "crossed"

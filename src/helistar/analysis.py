@@ -6,15 +6,21 @@ Two exact finite tests stand in for questions about an infinite surface:
   can only meet faces with base in [k-c, k+c]; faces exactly c apart meet the
   prototype's axial extremes in a single plane where both shrink to the shared
   vertex. Testing U_0 and D_0 against that window therefore decides the whole
-  surface, by screw symmetry. The window's 2*(4c+2) pairs go through the
-  triangle-triangle predicate as one stack in a single call; that batched
-  predicate is the only one, and triangles_properly_intersect is a batch of
-  one.
+  surface, by screw symmetry. All branches of a band share their offsets, so
+  they share the window's index tables: the 2*(4c+2) pairs of every branch
+  of the band go through the triangle-triangle predicate as one stack, one
+  call per band. That batched predicate is the only one, and
+  triangles_properly_intersect is a batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
   incident unit face normals), the hexagon either is a simple circuit or
-  crosses itself; that splits the branches into the two families.
+  crosses itself; that splits the branches into the two families. The
+  hexagons of a band's branches are projected and tested as one stack.
+
+classify takes the branches of one band, as solve_band returns them, and
+runs both tests once over the band. classify_face_intersection and
+vertex_figure are the same passes over a band of one branch.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_combinatorics import prototype_faces, vertex_neighbor_cycle
-from .closure_solver import _FAN, BranchSolution, _cross, _dot, _normals, _unit, helix_points
-from .errors import check_int
+from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_stack, _normals, _unit
+from .errors import ParameterError, check_int
 
 __all__ = [
     "Classification",
@@ -39,6 +45,7 @@ MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
 
 FaceId = tuple[str, int]
+Witness = tuple[FaceId, FaceId]
 
 # hexagon sides (i, i+1) and (j, j+1), for the 9 pairs that share no corner
 _SIDE_PAIRS = np.array([(i, i + 1, j, (j + 1) % 6) for i in range(4) for j in range(i + 2, 6) if j - i != 5])
@@ -49,7 +56,7 @@ class Classification:
     """intersecting + witness pair, and the vertex figure with its polygon."""
 
     intersecting: bool
-    witness: tuple[FaceId, FaceId] | None
+    witness: Witness | None
     vertex_figure: str  # 'simple' | 'crossed' | 'indeterminate'
     figure_polygon: np.ndarray  # (6, 3) neighbor positions in cycle order
 
@@ -147,12 +154,14 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
 def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
 
-    Moeller's interval test, one array pass over all m pairs: rows sharing an
-    edge, rows with a degenerate triangle and rows with one triangle strictly
-    on one side of the other's plane are rejected; coplanar rows go through
-    the 2D clip one by one; the rest intersect when the two triangles'
+    Moeller's interval test in two array passes. The first runs over all m
+    pairs and rejects rows sharing an edge, rows with a degenerate triangle
+    and rows with one triangle strictly on one side of the other's plane.
+    Coplanar survivors go through the 2D clip one by one. The second pass
+    runs on the other survivors only: they intersect when the two triangles'
     intervals on the planes' common line overlap by more than MEASURE_TOL.
     """
+    hit = np.zeros(len(T1), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
         n1 = _normals(T1)
         n2 = _normals(T2)
@@ -168,10 +177,11 @@ def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray) -> np.ndarray
             live &= ~(np.all(d > _PLANE_EPS, axis=1) | np.all(d < -_PLANE_EPS, axis=1))
         coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=1)
 
-        axis = _unit(_cross(n1, n2))
-        lo1, hi1 = _interval(T1, d1, axis)
-        lo2, hi2 = _interval(T2, d2, axis)
-        hit = live & ~coplanar & (np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL)
+        rows = np.flatnonzero(live & ~coplanar)
+        axis = _unit(_cross(n1[rows], n2[rows]))
+        lo1, hi1 = _interval(T1[rows], d1[rows], axis)
+        lo2, hi2 = _interval(T2[rows], d2[rows], axis)
+        hit[rows] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL
     for i in np.flatnonzero(coplanar):
         hit[i] = _coplanar_intersect(T1[i], T2[i], n1[i])
     return hit
@@ -190,49 +200,89 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     return bool(_intersect(T1, T2, np.array([shared]))[0])
 
 
-def classify_face_intersection(
-    solution: BranchSolution,
-    base: int = 0,
-) -> tuple[bool, tuple[FaceId, FaceId] | None]:
-    """Decide self-intersection; returns the first witness pair found.
+def _face_pass(solutions: list[BranchSolution], base: int) -> list[tuple[bool, Witness | None]]:
+    """Verdict and first witness pair of each branch of one band, one predicate call.
 
-    Prototypes U_base and D_base are tested against every face with base
-    index in [base-c, base+c], all pairs in one predicate call. The witness
-    is the first hit in scan order: prototype U then D, window k ascending,
-    U_k before D_k. The default base of 0 is exhaustive by screw symmetry;
-    other bases exist so the invariance is checkable.
+    Prototypes U_base and D_base of every branch are tested against every face
+    with base index in [base-c, base+c]. The index tables are the band's; the
+    points of all branches come from one _helix_stack call. A branch's
+    witness is the first hit in its row, in scan order: prototype U then D,
+    window k ascending, U_k before D_k.
     """
-    check_int("base", base)
-    off = solution.offsets
+    off = solutions[0].offsets
     c = off.c
     shape = prototype_faces(off)
     first = base - c  # lowest vertex index in the window
     protos = base + shape
     window = (np.arange(first, base + c + 1)[:, None, None] + shape).reshape(-1, 3)
-    pts = helix_points(solution.params, np.arange(first, base + 2 * c + 1))
+    pts = _helix_stack([sol.params for sol in solutions], np.arange(first, base + 2 * c + 1))
     shared = (protos[:, None, :, None] == window[None, :, None, :]).any(axis=-1).sum(axis=-1)
+    stack = (len(solutions), len(protos), len(window), 3, 3)
     hits = _intersect(
-        np.repeat(pts[protos - first], len(window), axis=0),
-        np.tile(pts[window - first], (2, 1, 1)),
-        shared.ravel(),
-    )
-    at = int(np.argmax(hits))
-    if not hits[at]:
-        return False, None
-    proto, other = divmod(at, len(window))
-    k, kind = divmod(other, 2)
-    return True, (("UD"[proto], base), ("UD"[kind], first + k))
+        np.broadcast_to(pts[:, protos - first][:, :, None], stack).reshape(-1, 3, 3),
+        np.broadcast_to(pts[:, None, window - first], stack).reshape(-1, 3, 3),
+        np.tile(shared.ravel(), len(solutions)),
+    ).reshape(len(solutions), -1)
+    out = []
+    for at, hit in zip(hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist()):
+        if not hit:
+            out.append((False, None))
+            continue
+        proto, other = divmod(at, len(window))
+        k, kind = divmod(other, 2)
+        out.append((True, (("UD"[proto], base), ("UD"[kind], first + k))))
+    return out
 
 
-def _figure_kind(polygon2d: np.ndarray) -> str:
-    """simple or crossed, by proper crossing of non-adjacent hexagon sides."""
-    p1, p2, q1, q2 = polygon2d[_SIDE_PAIRS].transpose(1, 0, 2)
-    cross = lambda u, v: u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+def classify_face_intersection(solution: BranchSolution, base: int = 0) -> tuple[bool, Witness | None]:
+    """Decide self-intersection; returns the first witness pair found.
+
+    The band pass of classify over this one branch. The default base of 0 is
+    exhaustive by screw symmetry; other bases exist so the invariance is
+    checkable.
+    """
+    check_int("base", base)
+    return _face_pass([solution], base)[0]
+
+
+def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
+    """simple or crossed for each hexagon of a (..., 6, 2) stack.
+
+    A hexagon is crossed when two of its non-adjacent sides properly cross.
+    """
+    p1, p2, q1, q2 = np.moveaxis(polygon2d[..., _SIDE_PAIRS, :], -2, 0)
+    cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     d1 = cross(q2 - q1, p1 - q1)
     d2 = cross(q2 - q1, p2 - q1)
     d3 = cross(p2 - p1, q1 - p1)
     d4 = cross(p2 - p1, q2 - p1)
-    return "crossed" if np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)) else "simple"
+    return np.where(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0), axis=-1), "crossed", "simple")
+
+
+def _figure_pass(solutions: list[BranchSolution], base: int) -> tuple[np.ndarray, list[str]]:
+    """Neighbor hexagons, (branches, 6, 3), and figure kinds of one band's branches.
+
+    Each hexagon is projected along its own vertex normal; a branch whose
+    normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
+    indeterminate and is left out of the projection rather than guessed.
+    """
+    cycle = base + np.array([0, *vertex_neighbor_cycle(solutions[0].offsets)])
+    pts = _helix_stack([sol.params for sol in solutions], cycle)
+    center, polygon = pts[:, :1], pts[:, 1:]
+    with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
+        axis = _unit(_normals(pts[:, _FAN])).sum(axis=1)
+    norm = np.sqrt(_dot(axis, axis))
+    kinds = np.full(len(solutions), "indeterminate")
+    ok = norm >= 1e-9
+    axis = axis[ok] / norm[ok, None]
+
+    seed = np.where(np.abs(axis[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    e1 = _unit(_cross(axis, seed))
+    e2 = _cross(axis, e1)
+    rel = (polygon - center)[ok]
+    flat = np.stack([(rel @ e1[..., None])[..., 0], (rel @ e2[..., None])[..., 0]], axis=-1)
+    kinds[ok] = _figure_kind(flat)
+    return polygon, kinds.tolist()
 
 
 def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, str]:
@@ -241,35 +291,31 @@ def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, 
     Projection is along the vertex normal, the sum of the unit normals of the
     6 fan faces (base, base + w_i, base + w_(i+1)); when that sum degenerates
     (below 1e-9) the classification is reported indeterminate rather than
-    guessed.
+    guessed. The band pass of classify over this one branch.
     """
     check_int("base", base)
-    pts = helix_points(solution.params, base + np.array([0, *vertex_neighbor_cycle(solution.offsets)]))
-    center, polygon = pts[0], pts[1:]
-    axis = _unit(_normals(pts[_FAN])).sum(axis=0)
-    norm = float(np.linalg.norm(axis))
-    if norm < 1e-9:
-        return polygon, "indeterminate"
-    axis /= norm
-
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(seed, axis)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = _cross(axis, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = _cross(axis, e1)
-    rel = polygon - center
-    flat = np.stack([rel @ e1, rel @ e2], axis=1)
-    return polygon, _figure_kind(flat)
+    polygons, kinds = _figure_pass([solution], base)
+    return polygons[0], kinds[0]
 
 
-def classify(solution: BranchSolution) -> Classification:
-    """Full classification of one branch."""
-    intersecting, witness = classify_face_intersection(solution)
-    polygon, kind = vertex_figure(solution)
-    return Classification(
-        intersecting=intersecting,
-        witness=witness,
-        vertex_figure=kind,
-        figure_polygon=polygon,
-    )
+def classify(solutions: list[BranchSolution]) -> list[Classification]:
+    """Full classification of each branch of one band, in order.
+
+    solutions is what solve_band returns, or any part of it: the face test
+    and the vertex figure each run once over the whole band. classify([]) is
+    []; branches of two different bands raise ParameterError.
+    """
+    if isinstance(solutions, BranchSolution):
+        raise ParameterError("classify takes a list of one band's branches; pass [solution]")
+    solutions = list(solutions)
+    if not solutions:
+        return []
+    bands = sorted({(sol.band.n_strips, sol.band.shift) for sol in solutions})
+    if len(bands) > 1:
+        raise ParameterError(f"classify takes the branches of one band, got bands {bands}")
+    faces = _face_pass(solutions, 0)
+    polygons, kinds = _figure_pass(solutions, 0)
+    return [
+        Classification(hit, witness, kind, polygon)
+        for (hit, witness), kind, polygon in zip(faces, kinds, polygons)
+    ]

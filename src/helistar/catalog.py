@@ -127,8 +127,8 @@ def enumerate_catalog(
             if band.components > 1 and not include_compounds:
                 continue
             group: list[CatalogEntry] = []
-            for sol in solve_band(band, opts):
-                cls = classify(sol)
+            sols = solve_band(band, opts)
+            for sol, cls in zip(sols, classify(sols)):
                 group.append(
                     CatalogEntry(
                         name=_entry_name(sol),
@@ -224,11 +224,7 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
                         f"convention (branch {e.branch_index}, named {e.name!r}); "
                         f"excluded from the star tally"
                     )
-        names = [e.name for e in group]
-        for nm in sorted(set(names)):
-            if names.count(nm) > 1:
-                collisions.append(f"({n},{s}): {names.count(nm)} branches named {nm}")
-        base = [nm.split(" [b")[0] for nm in names]
+        base = [e.name.split(" [b")[0] for e in group]
         for nm in sorted(set(base)):
             if base.count(nm) > 1:
                 collisions.append(
@@ -243,7 +239,7 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
         plain_total=plain_total,
         compound_entries=compound_entries,
         entry_total=len(entries),
-        collisions=sorted(set(collisions)),
+        collisions=sorted(collisions),
         compound_star_labels=compound_labels,
     )
 

@@ -11,6 +11,7 @@ the solver's acceptance thresholds are constants, not flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,8 +50,8 @@ def _band(args: argparse.Namespace) -> BandSpec:
 
 def _branch_rows(band: BandSpec, opts: SolverOptions) -> list[dict]:
     rows = []
-    for sol in solve_band(band, opts):
-        cls = classify(sol)
+    sols = solve_band(band, opts)
+    for sol, cls in zip(sols, classify(sols)):
         rows.append(
             {
                 "branch_index": sol.branch_index,
@@ -207,7 +208,9 @@ def _cmd_antiprism(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every main call."""
     top = argparse.ArgumentParser(
         prog="helistar",
         description="construct, enumerate, classify, and export helical (star) deltahedra",

@@ -125,9 +125,20 @@ class BranchSolution:
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
     """Vertex positions v_k for an array of integer indices, shape (len, 3)."""
+    return _helix_stack([params], ks)[0]
+
+
+def _helix_stack(params: list[HelixParams], ks) -> np.ndarray:
+    """Vertex positions of several realizations at the same indices, (len(params), len(ks), 3).
+
+    Every entry is one elementwise product, cosine or sine, so row i does not
+    depend on the other rows: a branch's points are the same bits in a band's
+    stack as alone.
+    """
+    r, theta, h = np.array([(p.r, p.theta, p.h) for p in params], dtype=float).T[..., None]
     ks = np.asarray(ks, dtype=float)
-    t = ks * params.theta
-    return np.stack([params.r * np.cos(t), params.r * np.sin(t), ks * params.h], axis=-1)
+    t = ks * theta
+    return np.stack([r * np.cos(t), r * np.sin(t), ks * h], axis=-1)
 
 
 def chord(params: HelixParams, d: int) -> float:

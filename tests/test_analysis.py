@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from helistar import (
     BandSpec,
+    HelixParams,
     ParameterError,
     classify,
     solve_band,
@@ -20,6 +22,15 @@ from helistar.analysis import classify_face_intersection
 from helpers import brute_force_intersecting
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+
+def pinned_witnesses():
+    """Rows of face_witnesses_5_12.json, and (n, s, branch) -> (verdict, witness)."""
+    rows = json.loads((Path(__file__).parent / "data" / "face_witnesses_5_12.json").read_text())
+    expected = {}
+    for n, s, branch, hit, witness in rows:
+        expected[(n, s, branch)] = (hit, None if witness is None else tuple(map(tuple, witness)))
+    return rows, expected
 
 
 class TestPredicateFixtures:
@@ -65,7 +76,7 @@ class TestPredicateFixtures:
 
 class TestClassifier:
     def test_tetrahelix_embeds(self, tetrahelix):
-        cls = classify(tetrahelix)
+        [cls] = classify([tetrahelix])
         assert not cls.intersecting
         assert cls.witness is None
         assert cls.vertex_figure == "simple"
@@ -83,16 +94,13 @@ class TestClassifier:
         # winding 6 but geometrically embedded; the radius is large
         b3 = solve_band(BandSpec(7, 2))[2]
         assert b3.winding_m == 6
-        assert not classify(b3).intersecting
+        assert not classify([b3])[0].intersecting
 
     def test_witnesses_are_pinned(self, solutions_5_12):
         # verdict and witness of every 5..12 branch, recorded from the scalar
         # pair-by-pair scan; pins the scan order the demos print
-        rows = json.loads((Path(__file__).parent / "data" / "face_witnesses_5_12.json").read_text())
+        rows, expected = pinned_witnesses()
         assert [5, 2, 1, True, [["U", 0], ["D", -2]]] in rows
-        expected = {}
-        for n, s, branch, hit, witness in rows:
-            expected[(n, s, branch)] = (hit, None if witness is None else tuple(map(tuple, witness)))
         got = {
             (n, s, sol.branch_index): classify_face_intersection(sol)
             for (n, s), sols in solutions_5_12.items()
@@ -110,8 +118,9 @@ class TestClassifier:
 
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 1), (5, 2), (6, 1)])
     def test_agrees_with_brute_force(self, n, s):
-        for sol in solve_band(BandSpec(n, s)):
-            assert classify(sol).intersecting == brute_force_intersecting(sol)
+        sols = solve_band(BandSpec(n, s))
+        for sol, cls in zip(sols, classify(sols), strict=True):
+            assert cls.intersecting == brute_force_intersecting(sol)
 
 
 class TestVertexFigure:
@@ -157,3 +166,69 @@ class TestBase:
         sol = band52[0]
         assert classify_face_intersection(sol, base=-7)[0] == classify_face_intersection(sol)[0]
         assert vertex_figure(sol, base=-3)[1] == vertex_figure(sol)[1]
+
+
+class TestBandPass:
+    def test_band_matches_batches_of_one(self):
+        # every band of 5..16, compounds included: the band pass, a batch of
+        # one and the per-branch functions give the same result exactly
+        checked = 0
+        for n in range(5, 17):
+            for s in range(1, n // 2 + 1):
+                sols = solve_band(BandSpec(n, s))
+                band = classify(sols)
+                assert len(band) == len(sols)
+                for sol, cls in zip(sols, band):
+                    [one] = classify([sol])
+                    polygon, kind = vertex_figure(sol)
+                    got = (cls.intersecting, cls.witness, cls.vertex_figure)
+                    assert got == (one.intersecting, one.witness, one.vertex_figure)
+                    assert got == (*classify_face_intersection(sol), kind)
+                    assert np.array_equal(cls.figure_polygon, one.figure_polygon)
+                    assert np.array_equal(cls.figure_polygon, polygon)
+                    checked += 1
+        assert checked > 300
+
+    def test_band_pass_reproduces_the_witness_pin(self, solutions_5_12):
+        _, expected = pinned_witnesses()
+        got = {
+            (n, s, sol.branch_index): (cls.intersecting, cls.witness)
+            for (n, s), sols in solutions_5_12.items()
+            for sol, cls in zip(sols, classify(sols), strict=True)
+        }
+        assert got == expected
+
+    def test_order_follows_the_input(self, solutions_5_12):
+        sols = solutions_5_12[(11, 2)]
+        forward = classify(sols)
+        backward = classify(sols[::-1])[::-1]
+        assert [(c.intersecting, c.witness, c.vertex_figure) for c in forward] == [
+            (c.intersecting, c.witness, c.vertex_figure) for c in backward
+        ]
+
+    def test_empty_band(self):
+        assert classify([]) == []
+
+    @pytest.mark.parametrize("other", [(5, 1), (10, 4)])
+    def test_branches_of_two_bands_are_refused(self, band52, other):
+        # (10, 4) is the 2-compound of (5, 2): same component, another band
+        mixed = [band52[0], solve_band(BandSpec(*other))[0], band52[1]]
+        with pytest.raises(ParameterError, match="one band"):
+            classify(mixed)
+
+    def test_a_single_branch_is_refused(self, band52):
+        with pytest.raises(ParameterError, match=r"\[solution\]"):
+            classify(band52[0])
+
+    def test_indeterminate_figure_stays_in_its_row(self, band52):
+        # r = 0 puts every vertex on the axis: the fan normals vanish and the
+        # figure is indeterminate, without a numpy warning, while the other
+        # branches of the stack keep their kinds
+        p = band52[0].params
+        flat = replace(band52[0], params=HelixParams(0.0, p.theta, p.h))
+        got = classify([band52[1], flat, band52[0]])
+        assert [c.vertex_figure for c in got] == [
+            vertex_figure(band52[1])[1], "indeterminate", vertex_figure(band52[0])[1]
+        ]
+        assert not got[1].intersecting
+        assert vertex_figure(flat)[1] == "indeterminate"

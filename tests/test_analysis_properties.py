@@ -136,7 +136,7 @@ def test_mirror_image_has_the_same_verdict_and_figure(branches_5_16, data):
     sol = data.draw(st.sampled_from(branches_5_16), label="branch")
     p = sol.params
     mirror = replace(sol, params=hs.HelixParams(p.r, 2.0 * math.pi - p.theta, p.h))
-    ours, theirs = classify(sol), classify(mirror)
+    ours, theirs = classify([sol, mirror])
     assert (theirs.intersecting, theirs.vertex_figure) == (ours.intersecting, ours.vertex_figure)
 
 

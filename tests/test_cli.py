@@ -259,3 +259,31 @@ class TestTopLevel:
         monkeypatch.setattr("sys.argv", ["helistar", "--help"])
         with pytest.raises(SystemExit):
             cli.main_entry()
+
+
+class TestParserReuse:
+    CALLS = [
+        ["solve", "--strips", "5", "--shift", "2", "--json"],
+        ["verify", "--strips", "7", "--shift", "2", "--branch", "2", "--periods", "4"],
+        ["solve", "--strips", "6", "--shift", "1"],
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", "--strips", "5", "--shift", "2", "--bogus"],
+        ["verify", "--strips", "7", "--shift", "2", "--json"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_in_one_process_match_single_calls(self, capsys):
+        # a fresh argument tree for each reference call, one shared tree for
+        # the sequence: no flag, default or help text may carry over
+        single = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            single.append(run(capsys, *argv))
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in self.CALLS]
+        assert shared == single
+        assert [code for code, _, _ in single] == [0, 0, 0, 0, 0, 2, 0]
+        assert "usage: helistar solve" in single[4][1]
