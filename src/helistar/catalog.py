@@ -120,39 +120,36 @@ def enumerate_catalog(
     check_int("n_min", n_min, 3)
     check_int("n_max", n_max, n_min)
     opts = opts or SolverOptions()
+    bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
+    bands = [band for band in bands if include_compounds or band.components == 1]
     entries: list[CatalogEntry] = []
-    for n in range(n_min, n_max + 1):
-        for s in range(1, n // 2 + 1):
-            band = BandSpec(n, s)
-            if band.components > 1 and not include_compounds:
-                continue
-            group: list[CatalogEntry] = []
-            sols = solve_band(band, opts)
-            for sol, cls in zip(sols, classify(sols)):
-                group.append(
-                    CatalogEntry(
-                        name=_entry_name(sol),
-                        n_strips=n,
-                        shift=s,
-                        branch_index=sol.branch_index,
-                        winding_m=sol.winding_m,
-                        theta=sol.params.theta,
-                        r=sol.params.r,
-                        h=sol.params.h,
-                        residual=sol.residual,
-                        intersecting=cls.intersecting,
-                        vertex_figure=cls.vertex_figure,
-                        components=band.components,
-                        chirality_note=CHIRALITY_NOTE,
-                    )
+    for band, sols in zip(bands, solve_band(bands, opts)):
+        group: list[CatalogEntry] = []
+        for sol, cls in zip(sols, classify(sols)):
+            group.append(
+                CatalogEntry(
+                    name=_entry_name(sol),
+                    n_strips=band.n_strips,
+                    shift=band.shift,
+                    branch_index=sol.branch_index,
+                    winding_m=sol.winding_m,
+                    theta=sol.params.theta,
+                    r=sol.params.r,
+                    h=sol.params.h,
+                    residual=sol.residual,
+                    intersecting=cls.intersecting,
+                    vertex_figure=cls.vertex_figure,
+                    components=band.components,
+                    chirality_note=CHIRALITY_NOTE,
                 )
-            seen: dict[str, int] = {}
-            for e in group:
-                seen[e.name] = seen.get(e.name, 0) + 1
-            for e in group:
-                if seen[e.name] > 1:
-                    e.name = f"{e.name} [b{e.branch_index}]"
-            entries.extend(group)
+            )
+        seen: dict[str, int] = {}
+        for e in group:
+            seen[e.name] = seen.get(e.name, 0) + 1
+        for e in group:
+            if seen[e.name] > 1:
+                e.name = f"{e.name} [b{e.branch_index}]"
+        entries.extend(group)
     return entries
 
 
@@ -227,9 +224,11 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
         base = [e.name.split(" [b")[0] for e in group]
         for nm in sorted(set(base)):
             if base.count(nm) > 1:
+                # a catalog read back from a hand-edited file may lack the suffix
+                bare = sum(e.name == nm for e in group)
                 collisions.append(
-                    f"({n},{s}): winding label {nm!r} shared by "
-                    f"{base.count(nm)} branches; branch suffix added"
+                    f"({n},{s}): winding label {nm!r} shared by {base.count(nm)} branches; "
+                    + (f"{bare} without a branch suffix" if bare else "branch suffix added")
                 )
 
     return CatalogReport(

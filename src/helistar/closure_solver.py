@@ -41,17 +41,25 @@ or a sign change (the exclusion test of interval analysis: R. E. Moore,
 Interval Analysis, 1966; J. P. Boyd, Solving Transcendental Equations, SIAM
 2014). Such cells are skipped; the others are cut up until they are small
 enough to evaluate at every grid point.
+
+solve_band takes one band or a list of them. Each band's grid is scanned on
+its own; then the brackets of all bands are bisected in one loop, each lane
+with its band's (a, b, c), and each band's surviving roots get their
+coplanarity dihedrals from one stack of helix points. Every step works lane
+by lane or row by row, so a band's branches are the same bits alone as in
+any batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .band_combinatorics import BandSpec, OffsetTriple, offsets_from_band, vertex_neighbor_cycle
-from .errors import check_int
+from .errors import ParameterError, check_int
 
 __all__ = [
     "HelixParams",
@@ -83,6 +91,9 @@ _FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
 _COARSE = 2048
 _SPLIT = 8
 _LEAF = 16
+
+# (flips, zeros) of a band whose D vanishes identically
+_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -149,7 +160,11 @@ def chord(params: HelixParams, d: int) -> float:
 
 def closure_determinant(offsets: OffsetTriple, theta):
     """D(theta); accepts a scalar or an array. Sign changes bracket roots."""
-    a, b, c = offsets.a, offsets.b, offsets.c
+    return _determinant(offsets.a, offsets.b, offsets.c, theta)
+
+
+def _determinant(a, b, c, theta):
+    """D(theta) for offsets a, b, c given as ints, or as arrays of one lane per theta."""
     theta = np.asarray(theta, dtype=float)
     out = (
         (c * c - b * b) * np.cos(a * theta)
@@ -216,36 +231,43 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
-def _interior_dihedrals(offsets: OffsetTriple, params: HelixParams) -> dict[str, float]:
-    """Interior dihedral per edge class, measured through the solid, in (0, 2pi).
+def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> list[dict[str, float]]:
+    """Interior dihedral per edge class of each realization, through the solid, in (0, 2pi).
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
     w_(j+1). u1, u2 are those faces' in-plane perpendiculars to the edge. The
     angle between them is the dihedral; it is reflex when u1 pokes to the
     outside of face j (positive against its orientation normal). One
-    helix_points call serves all three classes.
+    _helix_stack call serves every realization and class; its rows, and every
+    row-wise step after it, do not depend on the other rows, so a
+    realization's angles are the same bits in a stack as alone.
     """
-    pts = helix_points(params, [0, *vertex_neighbor_cycle(offsets)])
+    pts = _helix_stack(params, [0, *vertex_neighbor_cycle(offsets)])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
-    e = _unit(pts[after[:, 1]] - pts[0])
-    w = pts[np.stack([before[:, 1], after[:, 2]], axis=1)] - pts[0]
-    u = _unit(w - _dot(w, e[:, None])[..., None] * e[:, None])
-    n2 = _unit(_normals(pts[after]))
-    cosines = np.clip(_dot(u[:, 0], u[:, 1]), -1.0, 1.0).tolist()
-    outside = (_dot(u[:, 0], n2) > 0.0).tolist()
+    origin = pts[:, :1]
+    e = _unit(pts[:, after[:, 1]] - origin)
+    w = pts[:, np.stack([before[:, 1], after[:, 2]], axis=1)] - origin[:, None]
+    u = _unit(w - _dot(w, e[..., None, :])[..., None] * e[..., None, :])
+    n2 = _unit(_normals(pts[:, after]))
+    cosines = np.clip(_dot(u[..., 0, :], u[..., 1, :]), -1.0, 1.0).tolist()
+    outside = (_dot(u[..., 0, :], n2) > 0.0).tolist()
     # math.acos, not np.arccos: the two differ in the last bit, and these
     # angles are printed in net and module sheets
-    return {
-        cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x)
-        for cls, x, out in zip("abc", cosines, outside)
-    }
+    return [
+        {cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x) for cls, x, out in zip("abc", xs, outs)}
+        for xs, outs in zip(cosines, outside)
+    ]
 
 
-def _bisect(offsets: OffsetTriple, lo: np.ndarray, width: np.ndarray, flo: np.ndarray) -> np.ndarray:
-    """Bisect every bracket [lo, lo + width] of D at once, one lane per bracket.
+def _bisect(abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray) -> np.ndarray:
+    """Bisect every bracket [lo, lo + width] at once, one lane per bracket.
 
+    abc is a (3, lanes) array: column i holds the offsets a, b, c of the band
+    whose D lane i bisects, so brackets of many bands share one loop. Whole
+    numbers held as floats give D the same bits as ints, without a cast in
+    every step.
     flo is D(lo), nonzero and of opposite sign to D(lo + width). Each lane
     takes scipy.optimize.bisect's steps exactly: halve the width, evaluate D
     at mid = lo + width, move lo to mid when D(mid) * flo >= 0, and stop at
@@ -256,12 +278,13 @@ def _bisect(offsets: OffsetTriple, lo: np.ndarray, width: np.ndarray, flo: np.nd
     while lanes.size:
         width = width * 0.5
         mid = lo + width
-        fmid = closure_determinant(offsets, mid)
+        fmid = _determinant(*abc, mid)
         lo = np.where(fmid * flo >= 0.0, mid, lo)
         done = (fmid == 0.0) | (np.abs(width) < BISECTION_TOL + BISECTION_RTOL * np.abs(mid))
-        roots[lanes[done]] = mid[done]
-        live = ~done
-        lanes, lo, width, flo = lanes[live], lo[live], width[live], flo[live]
+        if done.any():
+            roots[lanes[done]] = mid[done]
+            live = ~done
+            lanes, lo, width, flo, abc = lanes[live], lo[live], width[live], flo[live], abc[:, live]
     return roots
 
 
@@ -345,35 +368,72 @@ def _scan(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:-1][flip], idx[val == 0.0]
 
 
-def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[BranchSolution]:
-    """All admissible roots of the band's D on [THETA_MIN, THETA_MAX], theta ascending.
+def solve_band(
+    bands: BandSpec | Sequence[BandSpec], opts: SolverOptions | None = None
+) -> list[BranchSolution] | list[list[BranchSolution]]:
+    """All admissible roots of a band's D on [THETA_MIN, THETA_MAX], theta ascending.
 
-    Scan of the grid of opts.grid_points points (_scan): it returns exactly
-    the sign changes and zeros of D that evaluating every grid point would,
-    but evaluates D only in cells where the Lipschitz certificate cannot
-    prove one sign. The sign changes are bisected together, step for step as
-    scipy.optimize.bisect bisects each alone. No root needs merging: a zero
-    at grid point j excludes a flip at j-1 and j, and each bisected root lies
+    bands is one BandSpec, which gives that band's branches, or a sequence of
+    them, which gives one list of branches per band in input order (solve_band([])
+    is []); an element that is not a BandSpec raises ParameterError. One band
+    is solved as a batch of one, so it gets the same branches, to the bit, as
+    in any batch.
+
+    Each band's grid of opts.grid_points points is scanned on its own
+    (_scan): the scan returns exactly the sign changes and zeros of D that
+    evaluating every grid point would, but evaluates D only in cells where
+    the Lipschitz certificate cannot prove one sign. The sign changes of all
+    bands are bisected together, each lane step for step as
+    scipy.optimize.bisect bisects it alone. No root needs merging: a zero at
+    grid point j excludes a flip at j-1 and j, and each bisected root lies
     inside its own cell. A root is dropped when the a/b system of _solve_AB
     is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
     the c-chord residual exceeds RESIDUAL_TOL, or when a dihedral is within
-    COPLANAR_GAP of pi. A kept root's faces have sides within RESIDUAL_TOL
-    of 1, so none has zero area. An empty result is an answer, not an error.
+    COPLANAR_GAP of pi; the dihedrals of a band's remaining roots come from
+    one stack. A kept root's faces have sides within RESIDUAL_TOL of 1, so
+    none has zero area. An empty result is an answer, not an error.
+
+    Measured on every band with n <= 40, not proven: a connected band keeps
+    floor((2n - s - 1)/3) branches, and a compound band g times as many as
+    its component (n/g, s/g).
     """
     opts = opts or SolverOptions()
-    offsets = offsets_from_band(band)
-    if offsets.a == offsets.b:
-        # the a- and b-chord equations coincide, so D vanishes identically and
-        # the band flexes through a continuum; there are no isolated branches
+    if isinstance(bands, BandSpec):
+        return _solve_bands([bands], opts)[0]
+    try:
+        bands = list(bands)
+    except TypeError:
+        raise ParameterError(f"solve_band takes a BandSpec or a sequence of them, got {bands!r}") from None
+    for band in bands:
+        if not isinstance(band, BandSpec):
+            raise ParameterError(f"solve_band takes BandSpec elements, got {band!r}")
+    return _solve_bands(bands, opts)
+
+
+def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
+    """The branches of each band: scans per band, one bisection, one dihedral stack per band."""
+    if not bands:
         return []
+    points = opts.grid_points
+    offsets = [offsets_from_band(band) for band in bands]
+    # a = b: the a- and b-chord equations coincide, so D vanishes identically
+    # and the band flexes through a continuum; there are no isolated branches
+    scans = [_scan(off, points) if off.a != off.b else _NO_ROOTS for off in offsets]
+    counts = [f.size for f, _ in scans]
+    flips = np.concatenate([f for f, _ in scans])
+    abc = np.repeat(np.array([(off.a, off.b, off.c) for off in offsets], dtype=float), counts, axis=0).T
+    lo = _grid_point(flips, points)
+    width = _grid_point(flips + 1, points) - lo
+    bisected = np.split(_bisect(abc, lo, width, _determinant(*abc, lo)), np.cumsum(counts)[:-1])
+    return [
+        _accept(band, off, np.sort(np.concatenate([_grid_point(zeros, points), roots])).tolist())
+        for band, off, (_, zeros), roots in zip(bands, offsets, scans, bisected)
+    ]
 
-    flips, zeros = _scan(offsets, opts.grid_points)
-    lo = _grid_point(flips, opts.grid_points)
-    width = _grid_point(flips + 1, opts.grid_points) - lo
-    bisected = _bisect(offsets, lo, width, closure_determinant(offsets, lo))
-    roots = np.sort(np.concatenate([_grid_point(zeros, opts.grid_points), bisected])).tolist()
 
-    branches: list[BranchSolution] = []
+def _accept(band: BandSpec, offsets: OffsetTriple, roots: list[float]) -> list[BranchSolution]:
+    """The branches among one band's roots, theta ascending, numbered from 1."""
+    candidates: list[tuple[HelixParams, float]] = []
     for theta in roots:
         AB = _solve_AB(offsets, theta)
         if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
@@ -381,9 +441,14 @@ def solve_band(band: BandSpec, opts: SolverOptions | None = None) -> list[Branch
         A, B = AB
         params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
         residual = max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
-        if residual > RESIDUAL_TOL:
-            continue
-        if min(abs(v - math.pi) for v in _interior_dihedrals(offsets, params).values()) <= COPLANAR_GAP:
+        if residual <= RESIDUAL_TOL:
+            candidates.append((params, residual))
+    if not candidates:
+        return []
+    angles = _interior_dihedrals(offsets, [params for params, _ in candidates])
+    branches: list[BranchSolution] = []
+    for (params, residual), dihedrals in zip(candidates, angles):
+        if min(abs(v - math.pi) for v in dihedrals.values()) <= COPLANAR_GAP:
             continue
         branches.append(
             BranchSolution(

@@ -141,8 +141,9 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     By screw symmetry one prototype edge per class speaks for all. Values
     above pi are reflex folds; star branches have them, and so does the
     tetrahelix on its class-a edges (three tetrahedra stack around each).
+    The stacked routine the solver runs over a band, on a batch of one.
     """
-    return _interior_dihedrals(solution.offsets, solution.params)
+    return _interior_dihedrals(solution.offsets, [solution.params])[0]
 
 
 def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) -> UniformityReport:

@@ -177,6 +177,27 @@ class TestReport:
         assert any("12-5(3)" in line for line in rep.compound_star_labels)
         assert all("excluded from the star tally" in line for line in rep.compound_star_labels)
 
+    def test_collision_line_of_a_generated_catalog(self, catalog_entries):
+        rep = build_report(catalog_entries)
+        assert "(9,1): winding label '9-4(1)' shared by 2 branches; branch suffix added" in rep.collisions
+        assert all(line.endswith("; branch suffix added") for line in rep.collisions)
+
+    def test_collision_line_without_a_suffix(self, catalog_entries):
+        # a hand-edited catalog: the second (5, 1) entry renamed to the first's name
+        five_one = [e for e in catalog_entries if (e.n_strips, e.shift) == (5, 1)]
+        assert len(five_one) == 2
+        buf = io.StringIO()
+        write_catalog([five_one[0], replace(five_one[1], name=five_one[0].name)], buf)
+        rep = build_report(read_catalog(io.StringIO(buf.getvalue())))
+        assert rep.collisions == [
+            "(5,1): winding label '5(1) helical deltahedron' shared by 2 branches; 2 without a branch suffix"
+        ]
+        # one entry suffixed and one not
+        mixed = [replace(five_one[0], name="5-2(1) [b1]"), five_one[1]]
+        assert build_report(mixed).collisions == [
+            "(5,1): winding label '5-2(1)' shared by 2 branches; 1 without a branch suffix"
+        ]
+
     def test_format_is_deterministic_text(self, catalog_entries):
         rep = build_report(catalog_entries)
         text = format_report(rep)

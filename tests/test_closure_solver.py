@@ -18,9 +18,11 @@ from helistar import (
     SolverOptions,
     chord,
     closure_determinant,
+    enumerate_catalog,
     helix_points,
     offsets_from_band,
     solve_band,
+    split_compound,
     winding_estimate,
 )
 from helistar import closure_solver as cs
@@ -138,24 +140,42 @@ class TestBranches:
 class TestBisection:
     def test_matches_scipy_bisect_on_every_bracket(self):
         # scipy's scalar bisect is the reference: every bracket of every band
-        # with 3..24 strips, compounds included, at the default grid
+        # with 3..24 strips, compounds included, at the default grid, all
+        # bisected in one call
         grid = np.linspace(cs.THETA_MIN, cs.THETA_MAX, SolverOptions().grid_points)
-        brackets = 0
+        bands, abc, lo, width, flo, ref = [], [], [], [], [], []
         for n in range(3, 25):
             for s in range(1, n // 2 + 1):
                 off = offsets_from_band(BandSpec(n, s))
                 dval = closure_determinant(off, grid)
                 flips = np.flatnonzero(dval[:-1] * dval[1:] < 0.0)
-                ours = cs._bisect(off, grid[flips], grid[flips + 1] - grid[flips], dval[flips])
-                f = lambda t: closure_determinant(off, t)
-                ref = [bisect(f, grid[i], grid[i + 1], xtol=cs.BISECTION_TOL) for i in flips]
-                assert ours.tolist() == ref, (n, s)
-                brackets += len(ref)
-        assert brackets > 1000
+                f = lambda t, off=off: closure_determinant(off, t)
+                ref += [bisect(f, grid[i], grid[i + 1], xtol=cs.BISECTION_TOL) for i in flips]
+                bands += [(n, s)] * flips.size
+                abc += [(off.a, off.b, off.c)] * flips.size
+                lo.append(grid[flips])
+                width.append(grid[flips + 1] - grid[flips])
+                flo.append(dval[flips])
+        ours = cs._bisect(np.array(abc, dtype=float).T, *map(np.concatenate, (lo, width, flo)))
+        assert len(ref) > 1000
+        assert [band for band, x, y in zip(bands, ours.tolist(), ref) if x != y] == []
 
     def test_no_brackets(self):
         empty = np.empty(0)
-        assert cs._bisect(OffsetTriple(2, 3, 5), empty, empty, empty).size == 0
+        assert cs._bisect(np.empty((3, 0)), empty, empty, empty).size == 0
+
+    def test_a_census_bisects_once(self, monkeypatch):
+        # guards against a return to one bisection loop per band
+        lanes = []
+        bisect_all = cs._bisect
+
+        def counting(abc, *args):
+            lanes.append(abc.shape[1])
+            return bisect_all(abc, *args)
+
+        monkeypatch.setattr(cs, "_bisect", counting)
+        assert len(enumerate_catalog(5, 12, include_compounds=True)) == 124
+        assert len(lanes) == 1 and lanes[0] > 124
 
 
 def _dense_scan(off, points):
@@ -225,7 +245,8 @@ def _raw_roots(off, points):
     flips, zeros = cs._scan(off, points)
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
-    bisected = cs._bisect(off, lo, width, closure_determinant(off, lo))
+    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
+    bisected = cs._bisect(abc, lo, width, closure_determinant(off, lo))
     return np.sort(np.concatenate([cs._grid_point(zeros, points), bisected]))
 
 
@@ -236,14 +257,20 @@ def _least_squares_AB(off, theta):
     return float(sol[0]), float(sol[1])
 
 
+def _floats(sol):
+    """A branch as text, its floats by float.hex."""
+    p = sol.params
+    return (
+        f"{sol.band} {sol.branch_index} {sol.winding_m} "
+        f"{p.r.hex()} {p.theta.hex()} {p.h.hex()} {sol.residual.hex()}"
+    )
+
+
 @pytest.fixture(scope="module")
 def solved_40():
-    """band -> solve_band(band) at the default grid, every band with 3..40 strips."""
-    return {
-        BandSpec(n, s): solve_band(BandSpec(n, s))
-        for n in range(3, 41)
-        for s in range(1, n // 2 + 1)
-    }
+    """band -> its branches at the default grid, every band with 3..40 strips, from one solve_band call."""
+    bands = [BandSpec(n, s) for n in range(3, 41) for s in range(1, n // 2 + 1)]
+    return dict(zip(bands, solve_band(bands)))
 
 
 class TestRootAccounting:
@@ -299,6 +326,20 @@ class TestRootAccounting:
                 checked += 1
         assert checked >= 100
 
+    def test_connected_bands_keep_floor_of_2n_minus_s_minus_1_over_3(self, solved_40):
+        bands = _connected_bands(40)
+        assert len(bands) == 244
+        for band in bands:
+            n, s = band.n_strips, band.shift
+            assert len(solved_40[band]) == (2 * n - s - 1) // 3, band
+
+    def test_compound_bands_keep_g_times_their_component(self, solved_40):
+        bands = [band for band in _scanned_bands(40) if band.components > 1]
+        assert len(bands) == 136
+        for band in bands:
+            g, component = split_compound(band)
+            assert len(solved_40[band]) == g * len(solved_40[component]), band
+
     def test_solver_output_is_pinned(self, solved_40):
         # every branch of n 3..32 at the default grid, floats by float.hex
         lines = [
@@ -311,6 +352,32 @@ class TestRootAccounting:
         assert len(lines) == 2826
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "2be2c0f427b8d8bdec7ef6e7ba06d19f96adce19d2f8233ca326d3b499584bc3"
+
+
+class TestBandList:
+    def test_list_equals_one_call_per_band(self, solved_40):
+        # every band of 3..40 strips; the a = b bands are those without branches
+        empty = [band for band, sols in solved_40.items() if not sols]
+        assert len(empty) == 19
+        assert all(offsets_from_band(band).a == offsets_from_band(band).b for band in empty)
+        for band, sols in solved_40.items():
+            assert [_floats(sol) for sol in sols] == [_floats(sol) for sol in solve_band(band)], band
+
+    def test_order_follows_the_input(self):
+        bands = [BandSpec(7, 3), BandSpec(4, 2), BandSpec(5, 2), BandSpec(7, 3)]
+        got = solve_band(bands)
+        assert [[_floats(sol) for sol in sols] for sols in got] == [
+            [_floats(sol) for sol in solve_band(band)] for band in bands
+        ]
+        assert [len(sols) for sols in got] == [3, 0, 2, 3]
+
+    def test_empty_list(self):
+        assert solve_band([]) == []
+
+    @pytest.mark.parametrize("bad", [[BandSpec(5, 2), (5, 2)], [OffsetTriple(2, 3, 5)], 5, None])
+    def test_non_band_is_refused(self, bad):
+        with pytest.raises(ParameterError, match="BandSpec"):
+            solve_band(bad)
 
 
 class TestOptions:

@@ -20,6 +20,7 @@ from helistar import (
     solve_band,
     verify_uniform,
 )
+from helistar.closure_solver import _interior_dihedrals
 
 
 def regular_tetrahedron_dihedral():
@@ -133,6 +134,22 @@ class TestDihedrals:
             for sol in sols
         }
         assert got == expected
+
+    def test_band_stack_rows_equal_single_branches(self):
+        # the solver's one stack per band against dihedral_angles, a batch of one
+        rows = 0
+        for n in range(3, 17):
+            for s in range(1, n // 2 + 1):
+                sols = solve_band(BandSpec(n, s))
+                if not sols:
+                    continue
+                stack = _interior_dihedrals(sols[0].offsets, [sol.params for sol in sols])
+                assert len(stack) == len(sols)
+                for row, sol in zip(stack, sols):
+                    single = dihedral_angles(sol)
+                    assert [row[cls].hex() for cls in "abc"] == [single[cls].hex() for cls in "abc"], (n, s)
+                    rows += 1
+        assert rows > 300
 
 
 class TestVerifyUniform:
