@@ -11,8 +11,9 @@ import math
 
 from helistar import BandSpec, dihedral_angles, realize, solve_band, verify_uniform
 
-# One band, one branch. The solver scans the twist angle for roots of the
-# closure determinant and polishes each with bisection.
+# One band, one branch. The solver finds the roots of the closure
+# determinant in the twist angle from a Chebyshev eigenvalue problem and
+# polishes each with bisection.
 branch = solve_band(BandSpec(3, 1))[0]
 
 params = branch.params

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .analysis import classify
@@ -168,16 +168,9 @@ class CatalogReport:
 
     def as_dict(self) -> dict:
         return {
-            "rows": self.rows,
-            "star_total": self.star_total,
+            **asdict(self),
             "reference_star_tally": REFERENCE_STAR_TALLY,
-            "crossed_total": self.crossed_total,
             "reference_crossed_tally": REFERENCE_CROSSED_TALLY,
-            "plain_total": self.plain_total,
-            "compound_entries": self.compound_entries,
-            "entry_total": self.entry_total,
-            "collisions": self.collisions,
-            "compound_star_labels": self.compound_star_labels,
         }
 
 

@@ -4,8 +4,8 @@ Subcommands: solve, generate, enumerate, verify, net, modules, antiprism.
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 no result.
 Every subcommand takes --json for machine-readable output; outputs carry no
 timestamps, so identical invocations produce identical bytes. Every
-subcommand that solves takes --grid-points, the resolution of the theta scan;
-the solver's acceptance thresholds are constants, not flags.
+subcommand that solves takes --grid-points, the theta grid that brackets each
+root; the solver's acceptance thresholds are constants, not flags.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ EXIT_NO_RESULT = 3
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--grid-points", type=int, default=SolverOptions.grid_points,
-        help="theta scan resolution (>= 1000)",
+        help="theta grid that brackets each root (>= 1000)",
     )
 
 

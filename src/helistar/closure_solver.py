@@ -31,20 +31,22 @@ identically (those bands have no isolated roots).
 
 Roots are bracketed on the grid np.linspace(THETA_MIN, THETA_MAX, N): a
 bracket is a pair of adjacent grid points where the computed D changes sign,
-and a grid point where it is exactly 0 is a root. The scan finds exactly the
-brackets and zeros that evaluating D at all N points would find, without
-evaluating it at most of them. D is a sum of cosines, so
-L = sum |coef_k| * k bounds |D'|; if D has one sign at both ends of a cell
-and |D(lo)| + |D(hi)| exceeds L * (hi - lo) plus a margin for rounding, D
-keeps that sign on the whole cell, so no grid point inside it can be a zero
-or a sign change (the exclusion test of interval analysis: R. E. Moore,
-Interval Analysis, 1966; J. P. Boyd, Solving Transcendental Equations, SIAM
-2014). Such cells are skipped; the others are cut up until they are small
-enough to evaluate at every grid point.
+and a grid point where it is exactly 0 is a root. The grid is never scanned.
+With x = cos theta, cos k*theta is the Chebyshev polynomial T_k(x), so D is
+an integer Chebyshev series of degree c with a double root at x = 1. For a
+band of g = gcd(a, b) components, (a, b, c) = g (a', b', c') and
+D(theta) = g^2 D'(g theta), D' the component's. The roots of D' / (x - 1)^2
+are the eigenvalues of its colleague matrix (I. J. Good, "The colleague
+matrix, a Chebyshev analogue of the companion matrix", Q. J. Math. 1961);
+exactly b' - 1 of them are real and inside (-1, 1), a count the solver
+checks. Each lifts to the g thetas in (0, pi) with cos(g theta) = x, and each
+theta picks out its bracket or zero among the grid points nearest it. The
+double root x = 1 is divided out, so the quadruple roots of a compound band
+at theta = 2 pi k / g are never bracketed.
 
-solve_band takes one band or a list of them. Each band's grid is scanned on
-its own; then the brackets of all bands are bisected in one loop, each lane
-with its band's (a, b, c), and each band's surviving roots get their
+solve_band takes one band or a list of them. Each band's brackets are found
+on their own; then the brackets of all bands are bisected in one loop, each
+lane with its band's (a, b, c), and each band's surviving roots get their
 coplanarity dihedrals from one stack of helix points. Every step works lane
 by lane or row by row, so a band's branches are the same bits alone as in
 any batch.
@@ -57,6 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebdiv, chebfromroots, chebroots
 
 from .band_combinatorics import BandSpec, OffsetTriple, offsets_from_band, vertex_neighbor_cycle
 from .errors import ParameterError, check_int
@@ -72,7 +75,7 @@ __all__ = [
     "winding_estimate",
 ]
 
-# Scan window and acceptance thresholds: part of the definition of a branch,
+# Theta window and acceptance thresholds: part of the definition of a branch,
 # not settings.
 THETA_MIN = 1e-3
 THETA_MAX = math.pi - 1e-3
@@ -86,11 +89,6 @@ COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
 _FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
-
-# Shape of the sparse scan (_scan): these set its cost, never its result.
-_COARSE = 2048
-_SPLIT = 8
-_LEAF = 16
 
 # (flips, zeros) of a band whose D vanishes identically
 _NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
@@ -107,7 +105,11 @@ class HelixParams:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Resolution of the theta scan: an int of at least 1000 grid points."""
+    """The theta grid whose cells bracket the roots: an int of at least 1000 points.
+
+    A root's bisection starts from its grid cell, so the grid sets a branch's
+    last bits; which roots are found does not depend on it.
+    """
 
     grid_points: int = 200_000
 
@@ -188,8 +190,9 @@ def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float] | None
     Singular means (1 - cos a*theta) : a^2 = (1 - cos b*theta) : b^2 to 1e-12.
     With u, v the a and b equations' residuals, b^2 u - a^2 v = A det - (b^2 - a^2)
     and b^2 - a^2 >= 3, so there both hold within RESIDUAL_TOL only for A near
-    (b^2 - a^2) / |det| >= 1.5e12 / b^2: no branch. It happens on compound
-    bands at theta = 2 pi k / g, g the component count.
+    (b^2 - a^2) / |det| >= 1.5e12 / b^2: no branch. The system is singular at
+    theta = 2 pi k / g, g the component count, which no root reaches: the
+    quadruple roots there are divided out before any root is bracketed.
     """
     a, b = offsets.a, offsets.b
     xa = 1.0 - math.cos(a * theta)
@@ -298,74 +301,38 @@ def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
     return np.where(idx == points - 1, THETA_MAX, idx * step + THETA_MIN)
 
 
-def _keeps_sign(offsets: OffsetTriple, span: np.ndarray, flo: np.ndarray, fhi: np.ndarray) -> np.ndarray:
-    """Which cells provably hold no grid point where the computed D is 0 or changes sign.
-
-    A cell is width grid steps of size step, span = width * step in theta,
-    and flo, fhi are the computed D at its two ends. Write
-    D = sum coef_k cos(k theta) over k in (a, b, c), F for the computed D,
-    S = sum |coef_k| and L = sum |coef_k| k >= |D'|.
-
-    - E = eps * (pi L + 8 S) bounds |F - D| at any theta in (0, pi): rounding
-      k * theta moves cos(k theta) by at most k pi eps / 2; np.cos is taken to
-      be within 4 ulp; the products and the two sums round by at most 3 S eps / 2.
-    - The real gap between two grid points exceeds width * step by at most
-      2 pi eps (each point, and the step, is rounded once); the test's own
-      float arithmetic errs by a few eps relative to L * pi. L * 8 pi eps
-      covers both.
-
-    If flo and fhi have one sign s, then s D(lo) >= |flo| - E and
-    s D(hi) >= |fhi| - E, and |D'| <= L gives, for every theta in the cell,
-    2 s D(theta) >= |flo| + |fhi| - 2 E - L (hi - lo). So s F > 0 at every grid
-    point of the cell once |flo| + |fhi| > L (hi - lo) + 4 E: margin is
-    4 E + L * 8 pi eps.
-    """
-    a, b, c = offsets.a, offsets.b, offsets.c
-    coef = (abs(c * c - b * b), abs(a * a - c * c), abs(b * b - a * a))
-    lip = float(coef[0] * a + coef[1] * b + coef[2] * c)
-    eps = np.finfo(float).eps
-    err = eps * (math.pi * lip + 8.0 * sum(coef))
-    margin = 4.0 * err + 8.0 * math.pi * eps * lip
-    return (flo * fhi > 0.0) & (np.abs(flo) + np.abs(fhi) > lip * span + margin)
-
-
-def _scan(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flips, zeros) of D over the grid of points points, as grid indices.
+def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flips, zeros) of D's roots on the grid of points points, as grid indices.
 
     flips are the i with F(i) * F(i + 1) < 0 and zeros the i with F(i) == 0,
-    F the computed D at grid point i: exactly what evaluating D on the whole
-    grid gives. D is evaluated at every _COARSE-th index and the last one;
-    each cell between evaluated indices that _keeps_sign cannot prove is cut
-    into _SPLIT cells, or evaluated at every index once at most _LEAF wide.
-    A skipped cell holds neither a flip nor a zero, and every other adjacent
-    pair ends up with both of its values computed, so the two index sets
-    equal the dense scan's.
+    F the computed D at grid point i, one per root. The roots come from the
+    colleague matrix of the component's D' / (x - 1)^2 (chebroots) and are
+    lifted to the band's g components; each is taken to its nearest grid
+    point j, and its flip or zero is the one among j - 1, j, j + 1. A count
+    of real roots in (-1, 1) other than b' - 1, or a root whose flip or zero
+    is not there, raises RuntimeError: a root is never dropped silently.
     """
+    g = math.gcd(offsets.a, offsets.b)
+    a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
+    coef = np.zeros(c + 1)
+    coef[[a, b, c]] = (c * c - b * b, a * a - c * c, b * b - a * a)
+    x = chebroots(chebdiv(coef, chebfromroots([1.0, 1.0]))[0])
+    x = x[(x.imag == 0.0) & (np.abs(x.real) < 1.0)].real
+    if x.size != b - 1:
+        raise RuntimeError(f"{offsets}: {x.size} roots in (-1, 1), expected {b - 1}")
+    # cos(g theta) = x at g theta = 2 pi ceil(k/2) + (-1)^k arccos(x), k = 0..g-1
+    k = np.arange(g)[:, None]
+    theta = np.sort(((k + 1) // 2 * 2.0 * math.pi + (-1) ** k * np.arccos(x)).ravel() / g)
+    theta = theta[(theta >= THETA_MIN) & (theta <= THETA_MAX)]
     step = (THETA_MAX - THETA_MIN) / (points - 1)
-    idx = np.append(np.arange(0, points - 1, _COARSE), points - 1)
-    val = closure_determinant(offsets, _grid_point(idx, points))
-    seen_idx, seen_val = [idx], [val]
-    lo, hi, flo, fhi = idx[:-1], idx[1:], val[:-1], val[1:]
-    while lo.size:
-        live = ~_keeps_sign(offsets, (hi - lo) * step, flo, fhi)
-        lo, hi, flo, fhi = lo[live], hi[live], flo[live], fhi[live]
-        leaf = hi - lo <= _LEAF
-        inner = lo[leaf, None] + np.arange(1, _LEAF)
-        inner = inner[inner < hi[leaf, None]]
-        lo, hi, flo, fhi = lo[~leaf], hi[~leaf], flo[~leaf], fhi[~leaf]
-        cuts = lo[:, None] + (hi - lo)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
-        new = np.concatenate([inner, cuts[:, 1:-1].ravel()])
-        newval = closure_determinant(offsets, _grid_point(new, points))
-        seen_idx.append(new)
-        seen_val.append(newval)
-        cutval = np.column_stack([flo, newval[inner.size :].reshape(-1, _SPLIT - 1), fhi])
-        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        flo, fhi = cutval[:, :-1].ravel(), cutval[:, 1:].ravel()
-    # cells only ever gain points strictly inside them, so no index repeats
-    order = np.argsort(np.concatenate(seen_idx))
-    idx, val = np.concatenate(seen_idx)[order], np.concatenate(seen_val)[order]
-    flip = (idx[1:] == idx[:-1] + 1) & (val[:-1] * val[1:] < 0.0)
-    return idx[:-1][flip], idx[val == 0.0]
+    j = np.clip(np.rint((theta - THETA_MIN) / step).astype(np.intp), 1, points - 2)
+    f = closure_determinant(offsets, _grid_point(j[:, None] + np.arange(-1, 2), points))
+    zero = f[:, 1] == 0.0
+    left = f[:, 0] * f[:, 1] < 0.0
+    right = f[:, 1] * f[:, 2] < 0.0
+    if not np.all(zero | left | right):
+        raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
+    return np.where(left, j - 1, j)[~zero], j[zero]
 
 
 def solve_band(
@@ -379,11 +346,11 @@ def solve_band(
     is solved as a batch of one, so it gets the same branches, to the bit, as
     in any batch.
 
-    Each band's grid of opts.grid_points points is scanned on its own
-    (_scan): the scan returns exactly the sign changes and zeros of D that
-    evaluating every grid point would, but evaluates D only in cells where
-    the Lipschitz certificate cannot prove one sign. The sign changes of all
-    bands are bisected together, each lane step for step as
+    Each band's roots are located from its component's colleague matrix and
+    snapped to the grid of opts.grid_points points (_brackets), so each root
+    is one sign change of the computed D between adjacent grid points, or
+    one grid point where it is exactly 0. The sign changes of all bands are
+    bisected together, each lane step for step as
     scipy.optimize.bisect bisects it alone. No root needs merging: a zero at
     grid point j excludes a flip at j-1 and j, and each bisected root lies
     inside its own cell. A root is dropped when the a/b system of _solve_AB
@@ -411,23 +378,23 @@ def solve_band(
 
 
 def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
-    """The branches of each band: scans per band, one bisection, one dihedral stack per band."""
+    """The branches of each band: brackets per band, one bisection, one dihedral stack per band."""
     if not bands:
         return []
     points = opts.grid_points
     offsets = [offsets_from_band(band) for band in bands]
     # a = b: the a- and b-chord equations coincide, so D vanishes identically
     # and the band flexes through a continuum; there are no isolated branches
-    scans = [_scan(off, points) if off.a != off.b else _NO_ROOTS for off in offsets]
-    counts = [f.size for f, _ in scans]
-    flips = np.concatenate([f for f, _ in scans])
+    brackets = [_brackets(off, points) if off.a != off.b else _NO_ROOTS for off in offsets]
+    counts = [f.size for f, _ in brackets]
+    flips = np.concatenate([f for f, _ in brackets])
     abc = np.repeat(np.array([(off.a, off.b, off.c) for off in offsets], dtype=float), counts, axis=0).T
     lo = _grid_point(flips, points)
     width = _grid_point(flips + 1, points) - lo
     bisected = np.split(_bisect(abc, lo, width, _determinant(*abc, lo)), np.cumsum(counts)[:-1])
     return [
         _accept(band, off, np.sort(np.concatenate([_grid_point(zeros, points), roots])).tolist())
-        for band, off, (_, zeros), roots in zip(bands, offsets, scans, bisected)
+        for band, off, (_, zeros), roots in zip(bands, offsets, brackets, bisected)
     ]
 
 

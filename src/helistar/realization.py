@@ -231,15 +231,12 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
     r = 1.0 / (2.0 * math.sin(phi))
     h = math.sqrt(1.0 - (1.0 - math.cos(phi)) / (2.0 * math.sin(phi) ** 2))
 
-    verts = np.zeros((gon * rings, 3))
-    for j in range(rings):
-        for i in range(gon):
-            t = 2.0 * math.pi * i / gon + j * phi
-            verts[j * gon + i] = (r * math.cos(t), r * math.sin(t), j * h)
+    j, col = np.arange(rings)[:, None], np.arange(gon)
+    t = 2.0 * math.pi * col / gon + j * phi
+    verts = np.stack([r * np.cos(t), r * np.sin(t), np.broadcast_to(j * h, t.shape)], axis=-1).reshape(-1, 3)
 
     # lo/hi: vertex i on the lower/upper ring of each gap; *_next: vertex i + 1
-    ring = np.arange(rings)[:, None] * gon
-    col, nxt = np.arange(gon), (np.arange(gon) + 1) % gon
+    ring, nxt = j * gon, (col + 1) % gon
     lo, lo_next, hi, hi_next = ring[:-1] + col, ring[:-1] + nxt, ring[1:] + col, ring[1:] + nxt
     faces = np.stack([lo, lo_next, hi, hi, lo_next, hi_next], axis=-1).reshape(-1, 3)
     edges = np.concatenate([

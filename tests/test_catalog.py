@@ -172,6 +172,17 @@ class TestReport:
         assert d["reference_star_tally"] == 64
         assert d["reference_crossed_tally"] == 12
 
+    def test_as_dict_keys(self, catalog_entries):
+        # the key set of enumerate --json; values are the report's own fields
+        rep = build_report(catalog_entries)
+        d = rep.as_dict()
+        assert sorted(d) == sorted([
+            "rows", "star_total", "reference_star_tally", "crossed_total",
+            "reference_crossed_tally", "plain_total", "compound_entries",
+            "entry_total", "collisions", "compound_star_labels",
+        ])
+        assert (d["rows"], d["star_total"], d["collisions"]) == (rep.rows, rep.star_total, rep.collisions)
+
     def test_compound_star_labels_note(self, catalog_entries):
         rep = build_report(catalog_entries)
         assert any("12-5(3)" in line for line in rep.compound_star_labels)

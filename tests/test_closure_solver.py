@@ -79,6 +79,28 @@ class TestDeterminant:
         off = OffsetTriple(1, 2, 3)
         assert closure_determinant(off, 2.0) * closure_determinant(off, 2.5) < 0.0
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        n=st.integers(3, 40),
+        s=st.integers(1, 39),
+        g=st.integers(2, 8),
+        theta=st.floats(cs.THETA_MIN, cs.THETA_MAX),
+    )
+    def test_compound_is_its_component_at_g_theta(self, n, s, g, theta):
+        # D_{g (a, b, c)}(theta) = g^2 D_{(a, b, c)}(g theta), to rounding: each
+        # cosine's argument is rounded once either way, then one product and
+        # two sums round
+        s = s % (n - 1) + 1
+        off = offsets_from_band(BandSpec(n, s))
+        big = offsets_from_band(BandSpec(g * n, g * s))
+        assert big == OffsetTriple(g * off.a, g * off.b, g * off.c)
+        coef = [abs(big.c**2 - big.b**2), abs(big.a**2 - big.c**2), abs(big.b**2 - big.a**2)]
+        bound = 4.0 * np.finfo(float).eps * sum(
+            cf * (k * theta + 2.0) for cf, k in zip(coef, (big.a, big.b, big.c))
+        )
+        diff = closure_determinant(big, theta) - g * g * closure_determinant(off, g * theta)
+        assert abs(diff) <= bound
+
     def test_vanishes_identically_when_a_equals_b(self):
         off = OffsetTriple(3, 3, 6)
         grid = np.linspace(0.1, 3.0, 100)
@@ -198,29 +220,26 @@ class TestScan:
 
     @pytest.mark.parametrize("points", [1000, 200000])
     def test_matches_dense_scan(self, points):
+        # connected bands: exactly the dense grid's flips and zeros; compound
+        # bands: a subset, missing only the rounding flips of the quadruple
+        # roots at theta = 2 pi k / g, which were never branches
         for band in _scanned_bands(32):
             off = offsets_from_band(band)
-            flips, zeros = cs._scan(off, points)
+            flips, zeros = cs._brackets(off, points)
             ref_flips, ref_zeros = _dense_scan(off, points)
-            assert flips.tolist() == ref_flips.tolist(), band
-            assert zeros.tolist() == ref_zeros.tolist(), band
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-    @given(data=st.data())
-    def test_skipped_cell_holds_no_flip_or_zero(self, data):
-        band = data.draw(st.sampled_from(_scanned_bands(40)), label="band")
-        off = offsets_from_band(band)
-        points = data.draw(st.sampled_from([1000, 4321, 200000, 400000]), label="points")
-        width = data.draw(st.integers(1, min(4 * cs._COARSE, points - 1)), label="width")
-        # half the cells start near a root, where the certificate is tightest
-        flips = cs._scan(off, points)[0].tolist()
-        anchor = data.draw(st.sampled_from(flips) | st.integers(0, points - 1), label="anchor")
-        shift = data.draw(st.integers(-2 * width, width), label="shift")
-        lo = min(max(anchor + shift, 0), points - 1 - width)
-        dval = closure_determinant(off, cs._grid_point(np.arange(lo, lo + width + 1), points))
-        span = np.array([width * ((cs.THETA_MAX - cs.THETA_MIN) / (points - 1))])
-        if cs._keeps_sign(off, span, dval[:1], dval[-1:])[0]:
-            assert np.all(np.sign(dval) == np.sign(dval[0])) and dval[0] != 0.0
+            if band.components == 1:
+                assert flips.tolist() == ref_flips.tolist(), band
+                assert zeros.tolist() == ref_zeros.tolist(), band
+                continue
+            g = band.components
+            assert set(flips.tolist()) <= set(ref_flips.tolist()), band
+            assert set(zeros.tolist()) <= set(ref_zeros.tolist()), band
+            omitted = np.concatenate(
+                [np.setdiff1d(ref_flips, flips), np.setdiff1d(ref_zeros, zeros)]
+            )
+            theta = cs._grid_point(omitted, points)
+            near = np.abs(theta - 2.0 * math.pi * np.rint(theta * g / (2.0 * math.pi)) / g)
+            assert np.all(near < 1e-4), band
 
     def test_evaluates_a_small_share_of_the_grid(self, monkeypatch):
         # guards against a return to evaluating D at every grid point
@@ -242,19 +261,12 @@ def _connected_bands(n_max):
 
 def _raw_roots(off, points):
     """Every root solve_band tests, before any acceptance check, theta ascending."""
-    flips, zeros = cs._scan(off, points)
+    flips, zeros = cs._brackets(off, points)
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
     abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
     bisected = cs._bisect(abc, lo, width, closure_determinant(off, lo))
     return np.sort(np.concatenate([cs._grid_point(zeros, points), bisected]))
-
-
-def _least_squares_AB(off, theta):
-    """The fit of all three chord equations once used where the a/b system is singular."""
-    m = np.array([[1.0 - math.cos(d * theta), d * d] for d in (off.a, off.b, off.c)])
-    sol, *_ = np.linalg.lstsq(m, np.ones(3), rcond=None)
-    return float(sol[0]), float(sol[1])
 
 
 def _floats(sol):
@@ -277,11 +289,11 @@ class TestRootAccounting:
     @pytest.mark.parametrize("points", [1000, 200000])
     def test_scan_finds_b_minus_1_roots_of_every_connected_band(self, points):
         # D / (x - 1)^2, x = cos theta, has exactly b - 1 = n - s - 1 roots in
-        # (-1, 1), all simple; the scan sees each as one flip or one zero
+        # (-1, 1), all simple; each is one flip or one zero on the grid
         bands = _connected_bands(40)
         assert len(bands) == 244
         for band in bands:
-            flips, zeros = cs._scan(offsets_from_band(band), points)
+            flips, zeros = cs._brackets(offsets_from_band(band), points)
             assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
 
     def test_exact_root_count_is_b_minus_1(self):
@@ -307,24 +319,30 @@ class TestRootAccounting:
             thetas = [sol.params.theta for sol in sols]
             assert all(t0 < t1 for t0, t1 in zip(thetas, thetas[1:])), band
 
-    def test_singular_roots_fail_the_least_squares_fit(self):
-        # the fit solve_band used where the a/b system is singular, kept as an
-        # oracle: no such root of a compound band would have been a branch
-        checked = 0
-        for band in _scanned_bands(40):
-            if band.components == 1:
-                continue
+    def test_b_minus_g_roots_of_every_band(self):
+        # the count certificate: g components of b / g - 1 roots each
+        for band in _scanned_bands(64):
             off = offsets_from_band(band)
-            for theta in _raw_roots(off, SolverOptions().grid_points).tolist():
-                if cs._solve_AB(off, theta) is not None:
-                    continue
-                A, B = _least_squares_AB(off, theta)
-                if A >= cs.MIN_A and B >= cs.MIN_B:
-                    params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
-                    residual = max(abs(chord(params, d) - 1.0) for d in (off.a, off.b, off.c))
-                    assert residual > cs.RESIDUAL_TOL, (band, theta)
-                checked += 1
-        assert checked >= 100
+            flips, zeros = cs._brackets(off, SolverOptions().grid_points)
+            assert flips.size + zeros.size == off.b - band.components, band
+
+    def test_no_raw_root_is_singular(self):
+        # the quadruple roots at theta = 2 pi k / g never reach _solve_AB
+        roots = [
+            (band, theta)
+            for band in _scanned_bands(40)
+            for theta in _raw_roots(offsets_from_band(band), SolverOptions().grid_points).tolist()
+        ]
+        assert len(roots) == 7062
+        assert [(band, t) for band, t in roots if cs._solve_AB(offsets_from_band(band), t) is None] == []
+
+    def test_a_lost_root_raises(self, monkeypatch):
+        # a root the colleague matrix misses is an error, not one branch fewer;
+        # the tetrahelix band's quotient has the one root x = -2/3
+        chebroots = cs.chebroots
+        monkeypatch.setattr(cs, "chebroots", lambda coef: chebroots(coef)[1:])
+        with pytest.raises(RuntimeError, match="0 roots in"):
+            solve_band(BandSpec(3, 1))
 
     def test_connected_bands_keep_floor_of_2n_minus_s_minus_1_over_3(self, solved_40):
         bands = _connected_bands(40)

@@ -294,6 +294,21 @@ class TestAntiprismTower:
         rep = verify_uniform(seg)
         assert rep.passed, rep.as_dict()
 
+    def test_vertices_match_a_per_vertex_loop(self):
+        # the placement law one vertex at a time with math.cos/math.sin, to the bit
+        for gon in range(3, 17):
+            phi = math.pi / gon
+            r = 1.0 / (2.0 * math.sin(phi))
+            h = math.sqrt(1.0 - (1.0 - math.cos(phi)) / (2.0 * math.sin(phi) ** 2))
+            for rings in range(2, 7):
+                ref = []
+                for j in range(rings):
+                    for i in range(gon):
+                        t = 2.0 * math.pi * i / gon + j * phi
+                        ref.append((r * math.cos(t), r * math.sin(t), j * h))
+                got = antiprism_tower(gon, rings).vertices
+                assert got.tobytes() == np.array(ref).tobytes(), (gon, rings)
+
     def test_boundary_is_first_and_last_ring(self):
         seg = antiprism_tower(5, 3)
         assert seg.boundary_marks == set(range(5)) | set(range(10, 15))
