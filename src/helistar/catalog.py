@@ -299,12 +299,16 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     """Serialize entries as the catalog JSON document, byte deterministic.
 
     Reals carry 15 significant digits; the field order is fixed. options is
-    recorded verbatim (sorted keys) so a catalog names the run that made it.
+    recorded verbatim (sorted keys) so a catalog names the run that made it;
+    a non-finite real option raises ParameterError before anything is written.
     """
     opt = options or {}
+    for k, v in opt.items():
+        if isinstance(v, float):
+            check_real(f"option {k!r}", v)
+    recorded = "{" + ", ".join(f"{json.dumps(str(k))}: {_scalar(opt[k])}" for k in sorted(opt)) + "}"
     with _opened(sink) as fh:
-        fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": ')
-        fh.write("{" + ", ".join(f'"{k}": {_scalar(opt[k])}' for k in sorted(opt)) + "},\n")
+        fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {recorded},\n')
         fh.write('  "entries": [')
         for i, e in enumerate(entries):
             fh.write("," if i else "")

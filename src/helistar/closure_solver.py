@@ -85,6 +85,9 @@ RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
 MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
+# Finer grid cells fall below the rounding noise of D: at 10**12 points some
+# root's cell shows no sign change on 12 bands with n <= 64, at 10**11 on none.
+MAX_GRID_POINTS = 10**11
 
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
@@ -105,16 +108,19 @@ class HelixParams:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The theta grid whose cells bracket the roots: an int of at least 1000 points.
+    """The theta grid whose cells bracket the roots: an int from 1000 to MAX_GRID_POINTS.
 
     A root's bisection starts from its grid cell, so the grid sets a branch's
-    last bits; which roots are found does not depend on it.
+    last bits; which roots are found does not depend on it, but the grid can
+    change which borderline roots, residual near RESIDUAL_TOL, are kept.
     """
 
     grid_points: int = 200_000
 
     def __post_init__(self) -> None:
         check_int("grid_points", self.grid_points, 1000)
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ParameterError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
 
 
 @dataclass(frozen=True)
@@ -362,7 +368,9 @@ def solve_band(
 
     Measured on every band with n <= 40, not proven: a connected band keeps
     floor((2n - s - 1)/3) branches, and a compound band g times as many as
-    its component (n/g, s/g).
+    its component (n/g, s/g). The grid can change which borderline roots are
+    kept (SolverOptions); at the default grid, (61,30), (63,31), (77,38) and
+    (79,39) each keep one branch fewer than the rule.
     """
     opts = opts or SolverOptions()
     if isinstance(bands, BandSpec):

@@ -155,6 +155,16 @@ def _mm(x: float) -> str:
     return _fmt(x, ".3f")
 
 
+def _svg_head(w: float, h: float) -> str:
+    """The <svg> tag and style of a w x h mm sheet; ParameterError unless both are finite."""
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise ParameterError(f"sheet size must be finite, got {w} x {h} mm")
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
+        f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n{_SVG_STYLE}'
+    )
+
+
 def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     """Cut-and-fold sheet for a net: outline, fold lines, angles, seam marks.
 
@@ -164,8 +174,8 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     """
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
-    ymax = max(p[1] for p in net.points.values())
-    xmax = max(p[0] for p in net.points.values())
+    ymax = max(float(p[1]) for p in net.points.values())
+    xmax = max(float(p[0]) for p in net.points.values())
 
     def at(label: Label) -> tuple[float, float]:
         p = net.points[label]
@@ -174,12 +184,9 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
 
     w = xmax * edge_mm + 2 * margin
     h = ymax * edge_mm + 2 * margin + 14.0
+    head = _svg_head(w, h)
     with _opened(sink) as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
-            f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n'
-        )
-        fh.write(_SVG_STYLE)
+        fh.write(head)
         n, s, rows = net.n_strips, net.shift, net.rows
         fh.write(
             f"<desc>net for band ({n},{s}), {rows} rows; mountain = dashed, "
@@ -251,6 +258,16 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     count = opts.periods * c - c + 1  # face pairs in the window = faces/2
     angles = dihedral_angles(solution)
     edge = opts.edge_mm
+    cols = opts.columns
+    pitch_x = edge + GAP_MM
+    pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
+    rows_n = (count + cols - 1) // cols
+    try:
+        w = cols * pitch_x + GAP_MM
+        h = rows_n * pitch_y + GAP_MM + 14.0
+    except OverflowError:  # a count too large for a float
+        w = h = math.inf
+    head = _svg_head(w, h)
 
     # rhombus in local mm coordinates: fold diagonal A-C horizontal
     A = np.array([0.0, SQRT3_2 * edge])
@@ -270,19 +287,8 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
 
     slits = [slit(A, B), slit(C, D)]
 
-    cols = opts.columns
-    pitch_x = edge + GAP_MM
-    pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
-    rows_n = (count + cols - 1) // cols
-    w = cols * pitch_x + GAP_MM
-    h = rows_n * pitch_y + GAP_MM + 14.0
-
     with _opened(sink) as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
-            f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n'
-        )
-        fh.write(_SVG_STYLE)
+        fh.write(head)
         fold_dir = _direction(angles["c"])
         fh.write(
             f"<desc>{count} slide-together modules; each is two unit triangles "

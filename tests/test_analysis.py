@@ -116,6 +116,22 @@ class TestClassifier:
                 == classify_face_intersection(sol)[0]
             )
 
+    def test_mirror_images_keep_every_verdict(self, solutions_5_12):
+        # theta -> 2 pi - theta reflects the mesh through the xz plane; every
+        # branch of 5..12, compound bands included
+        checked = 0
+        for sols in solutions_5_12.values():
+            mirrors = [
+                replace(sol, params=HelixParams(sol.params.r, 2.0 * math.pi - sol.params.theta, sol.params.h))
+                for sol in sols
+            ]
+            ours, theirs = classify(sols), classify(mirrors)
+            assert [(c.intersecting, c.vertex_figure) for c in theirs] == [
+                (c.intersecting, c.vertex_figure) for c in ours
+            ]
+            checked += len(sols)
+        assert checked == 124
+
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 1), (5, 2), (6, 1)])
     def test_agrees_with_brute_force(self, n, s):
         sols = solve_band(BandSpec(n, s))

@@ -306,6 +306,20 @@ class TestPersistence:
             with pytest.raises(ParameterError, match=field):
                 write(bad, io.StringIO())
 
+    def test_options_with_any_key_read_back(self):
+        opts = {'a"b': 1, "back\\slash": "x", "tab\tkey": 2.5}
+        buf = io.StringIO()
+        write_catalog(PINNED_ENTRIES, buf, opts)
+        assert len(read_catalog(io.StringIO(buf.getvalue()))) == 2
+        assert json.loads(buf.getvalue())["options"] == opts
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_refuses_a_non_finite_option_before_writing(self, tmp_path, value):
+        path = tmp_path / "cat.json"
+        with pytest.raises(ParameterError, match="option 'x'"):
+            write_catalog(PINNED_ENTRIES, str(path), {"x": value})
+        assert not path.exists()
+
     def test_csv_header_and_rows(self, catalog_entries):
         buf = io.StringIO()
         write_catalog_csv(catalog_entries, buf)

@@ -45,6 +45,13 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--strips", "5", "--shift", "2", "--residual-tol", "1")
         assert code == 2
 
+    def test_grid_points_above_the_maximum_is_invalid(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--strips", "5", "--shift", "2", "--grid-points", "10000000000000000"
+        )
+        assert (code, out) == (2, "")
+        assert "grid_points" in err
+
     def test_no_branches_is_no_result(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "4", "--shift", "2")
         assert code == 3
@@ -221,6 +228,10 @@ class TestSheets:
             ["modules", "--slit-fraction", "nan"],
             ["modules", "--slit-fraction", "-1"],
             ["modules", "--slit-fraction", "0.6"],
+            # a sheet whose size overflows a float
+            ["net", "--edge-mm", "1e308"],
+            ["modules", "--edge-mm", "1e308"],
+            ["modules", "--columns", "1" + "0" * 400],
         ],
     )
     def test_bad_sheet_dimensions_are_invalid(self, capsys, tmp_path, argv):
@@ -287,3 +298,178 @@ class TestParserReuse:
         assert shared == single
         assert [code for code, _, _ in single] == [0, 0, 0, 0, 0, 2, 0]
         assert "usage: helistar solve" in single[4][1]
+
+
+SOLVE_5_2_TEXT = """\
+band (5,2), 1 component(s)
+  b    m      theta          r          h     residual  intersecting  figure
+  1    2   1.387561   0.470098   0.190644    1.280e-13         true  simple
+  2    4   2.475644   0.743127   0.198041    1.373e-13        false  simple
+"""
+
+SOLVE_5_2_JSON = """\
+{
+  "n_strips": 5,
+  "shift": 2,
+  "components": 1,
+  "branches": [
+    {
+      "branch_index": 1,
+      "winding_m": 2,
+      "theta": 1.387561004337462,
+      "r": 0.47009770833397646,
+      "h": 0.190644477228796,
+      "residual": 1.2800871473928055e-13,
+      "intersecting": true,
+      "vertex_figure": "simple"
+    },
+    {
+      "branch_index": 2,
+      "winding_m": 4,
+      "theta": 2.4756444654461047,
+      "r": 0.7431268104104867,
+      "h": 0.1980412601552633,
+      "residual": 1.3733458814613186e-13,
+      "intersecting": false,
+      "vertex_figure": "simple"
+    }
+  ]
+}
+"""
+
+VERIFY_5_2_TEXT = """\
+vertex_count: 31
+interior_count: 21
+face_count: 52
+edge lengths:   max dev 1.287e-13  {edge}
+face angles:    max dev 1.485e-13  ok
+constellations: max dev 1.998e-15  ok
+interior edges in 2 faces: ok
+{verdict}
+"""
+
+ENUMERATE_5_5_TEXT = """\
+  n  s  comp  branches  plain  stars  crossed
+  5  1     1         2      1      1        0
+  5  2     1         2      0      1        0
+
+star entries (connected, intersecting, simple figure): 2 (published reference tally: 64)
+crossed-figure branches (second family): 0 (published reference tally: 12)
+plain helical deltahedra (winding 1): 1
+total entries: 4 (0 compound)
+catalog written to c.json
+"""
+
+
+class TestGoldenOutput:
+    """Exact stdout, stderr and exit code of one command of each kind."""
+
+    CASES = [
+        (["solve", "--strips", "5", "--shift", "2"], 0, SOLVE_5_2_TEXT, ""),
+        (["solve", "--strips", "5", "--shift", "2", "--json"], 0, SOLVE_5_2_JSON, ""),
+        (
+            ["solve", "--strips", "4", "--shift", "2"],
+            3,
+            "band (4,2), 2 component(s)\n"
+            "  b    m      theta          r          h     residual  intersecting  figure\n",
+            "no branches\n",
+        ),
+        (
+            ["solve", "--strips", "4", "--shift", "2", "--json"],
+            3,
+            '{\n  "n_strips": 4,\n  "shift": 2,\n  "components": 2,\n  "branches": []\n}\n',
+            "no branches\n",
+        ),
+        (
+            ["generate", "--strips", "3", "--shift", "1", "--out", "g.obj"],
+            0,
+            "wrote g.obj: 13 vertices, 20 faces\n",
+            "",
+        ),
+        (
+            ["generate", "--strips", "3", "--shift", "1", "--frame", "--out", "g.obj"],
+            0,
+            "wrote g.obj: 13 vertices, 33 lines\n",
+            "",
+        ),
+        (
+            ["generate", "--strips", "3", "--shift", "1", "--frame", "--json", "--out", "g.obj"],
+            0,
+            '{\n  "out": "g.obj",\n  "vertices": 13,\n  "faces": 0,\n  "lines": 33\n}\n',
+            "",
+        ),
+        (
+            ["verify", "--strips", "5", "--shift", "2"],
+            0,
+            VERIFY_5_2_TEXT.format(edge="ok", verdict="PASS"),
+            "",
+        ),
+        (
+            ["net", "--strips", "5", "--shift", "2", "--out", "n.svg"],
+            0,
+            "wrote n.svg: 23 fold lines\n",
+            "",
+        ),
+        (
+            ["net", "--strips", "5", "--shift", "2", "--json", "--out", "n.svg"],
+            0,
+            '{\n  "out": "n.svg",\n  "folds": 23\n}\n',
+            "",
+        ),
+        (
+            ["modules", "--strips", "5", "--shift", "2", "--out", "m.svg"],
+            0,
+            "wrote m.svg: 6 modules\n",
+            "",
+        ),
+        (
+            ["modules", "--strips", "5", "--shift", "2", "--json", "--out", "m.svg"],
+            0,
+            '{\n  "out": "m.svg",\n  "modules": 6\n}\n',
+            "",
+        ),
+        (
+            ["antiprism", "--gon", "4", "--rings", "3", "--out", "a.obj"],
+            0,
+            "wrote a.obj: 12 vertices, 16 faces, ring rise 0.840896415\n",
+            "",
+        ),
+        (
+            ["antiprism", "--gon", "4", "--rings", "3", "--json", "--out", "a.obj"],
+            0,
+            '{\n  "out": "a.obj",\n  "vertices": 12,\n  "faces": 16,\n  "ring_rise": 0.8408964152537145\n}\n',
+            "",
+        ),
+        (
+            ["enumerate", "--min", "5", "--max", "5", "--catalog", "c.json"],
+            0,
+            ENUMERATE_5_5_TEXT,
+            "",
+        ),
+        (
+            ["generate", "--strips", "5", "--shift", "2", "--branch", "9", "--out", "x.obj"],
+            3,
+            "",
+            "branch 9 not available; range is 1..2\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, code, out, err", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_exact_output(self, capsys, tmp_path, monkeypatch, argv, code, out, err):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (code, out, err)
+
+    def test_exact_verify_failure(self, capsys, monkeypatch):
+        real = cli.verify_uniform
+
+        def sabotage(seg, offsets=None):
+            rep = real(seg, offsets)
+            rep.edge_length_ok = False
+            return rep
+
+        monkeypatch.setattr(cli, "verify_uniform", sabotage)
+        assert run(capsys, "verify", "--strips", "5", "--shift", "2") == (
+            1,
+            VERIFY_5_2_TEXT.format(edge="FAIL", verdict="FAIL"),
+            "",
+        )
