@@ -124,32 +124,15 @@ def enumerate_catalog(
     bands = [band for band in bands if include_compounds or band.components == 1]
     entries: list[CatalogEntry] = []
     for band, sols in zip(bands, solve_band(bands, opts)):
-        group: list[CatalogEntry] = []
-        for sol, cls in zip(sols, classify(sols)):
-            group.append(
-                CatalogEntry(
-                    name=_entry_name(sol),
-                    n_strips=band.n_strips,
-                    shift=band.shift,
-                    branch_index=sol.branch_index,
-                    winding_m=sol.winding_m,
-                    theta=sol.params.theta,
-                    r=sol.params.r,
-                    h=sol.params.h,
-                    residual=sol.residual,
-                    intersecting=cls.intersecting,
-                    vertex_figure=cls.vertex_figure,
-                    components=band.components,
-                    chirality_note=CHIRALITY_NOTE,
-                )
-            )
-        seen: dict[str, int] = {}
-        for e in group:
-            seen[e.name] = seen.get(e.name, 0) + 1
-        for e in group:
-            if seen[e.name] > 1:
-                e.name = f"{e.name} [b{e.branch_index}]"
-        entries.extend(group)
+        names = [_entry_name(sol) for sol in sols]
+        for sol, cls, name in zip(sols, classify(sols), names):
+            entries.append(CatalogEntry(
+                name=name if names.count(name) == 1 else f"{name} [b{sol.branch_index}]",
+                n_strips=band.n_strips, shift=band.shift, branch_index=sol.branch_index,
+                winding_m=sol.winding_m, theta=sol.params.theta, r=sol.params.r, h=sol.params.h,
+                residual=sol.residual, intersecting=cls.intersecting, vertex_figure=cls.vertex_figure,
+                components=band.components, chirality_note=CHIRALITY_NOTE,
+            ))
     return entries
 
 
@@ -187,33 +170,25 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
         groups.setdefault((e.n_strips, e.shift), []).append(e)
 
     rows = []
-    star_total = crossed_total = plain_total = compound_entries = 0
     collisions: list[str] = []
     compound_labels: list[str] = []
     for (n, s) in sorted(groups):
         group = groups[(n, s)]
         g = group[0].components
-        stars = sum(1 for e in group if e.is_star)
-        crossed = sum(1 for e in group if e.components == 1 and e.vertex_figure == "crossed")
-        plain = sum(1 for e in group if e.components == 1 and e.winding_m <= 1)
-        rows.append(
-            {
-                "n": n, "s": s, "components": g, "branches": len(group),
-                "plain": plain, "stars": stars, "crossed": crossed,
-            }
-        )
-        star_total += stars
-        crossed_total += crossed
-        plain_total += plain
+        rows.append({
+            "n": n, "s": s, "components": g, "branches": len(group),
+            "plain": sum(1 for e in group if e.components == 1 and e.winding_m <= 1),
+            "stars": sum(1 for e in group if e.is_star),
+            "crossed": sum(1 for e in group if e.components == 1 and e.vertex_figure == "crossed"),
+        })
         if g > 1:
-            compound_entries += len(group)
-            for e in group:
-                if e.winding_m >= 2:
-                    compound_labels.append(
-                        f"{n}-{e.winding_m}({s}) is a {g}-compound under this seam "
-                        f"convention (branch {e.branch_index}, named {e.name!r}); "
-                        f"excluded from the star tally"
-                    )
+            compound_labels.extend(
+                f"{n}-{e.winding_m}({s}) is a {g}-compound under this seam "
+                f"convention (branch {e.branch_index}, named {e.name!r}); "
+                f"excluded from the star tally"
+                for e in group
+                if e.winding_m >= 2
+            )
         base = [e.name.split(" [b")[0] for e in group]
         for nm in sorted(set(base)):
             if base.count(nm) > 1:
@@ -226,10 +201,10 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
 
     return CatalogReport(
         rows=rows,
-        star_total=star_total,
-        crossed_total=crossed_total,
-        plain_total=plain_total,
-        compound_entries=compound_entries,
+        star_total=sum(r["stars"] for r in rows),
+        crossed_total=sum(r["crossed"] for r in rows),
+        plain_total=sum(r["plain"] for r in rows),
+        compound_entries=sum(r["branches"] for r in rows if r["components"] > 1),
         entry_total=len(entries),
         collisions=sorted(collisions),
         compound_star_labels=compound_labels,
@@ -299,22 +274,25 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     """Serialize entries as the catalog JSON document, byte deterministic.
 
     Reals carry 15 significant digits; the field order is fixed. options is
-    recorded verbatim (sorted keys) so a catalog names the run that made it;
-    a non-finite real option raises ParameterError before anything is written.
+    recorded verbatim (sorted keys) so a catalog names the run that made it.
+    A non-finite real option at any depth, an option json cannot encode, or a
+    bad entry field raises ParameterError before the sink opens: no partial file.
     """
     opt = options or {}
     for k, v in opt.items():
-        if isinstance(v, float):
-            check_real(f"option {k!r}", v)
+        try:
+            json.dumps(v, allow_nan=False)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"option {k!r} must be strict JSON, got {v!r}") from exc
     recorded = "{" + ", ".join(f"{json.dumps(str(k))}: {_scalar(opt[k])}" for k in sorted(opt)) + "}"
+    rows = [
+        ",\n".join(f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
+        for e in entries
+    ]
+    body = ",".join(f"\n    {{\n{row}\n    }}" for row in rows) + ("\n  " if rows else "")
     with _opened(sink) as fh:
         fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {recorded},\n')
-        fh.write('  "entries": [')
-        for i, e in enumerate(entries):
-            fh.write("," if i else "")
-            lines = (f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
-            fh.write("\n    {\n" + ",\n".join(lines) + "\n    }")
-        fh.write("\n  ]\n}\n" if entries else "]\n}\n")
+        fh.write(f'  "entries": [{body}]\n}}\n')
 
 
 def read_catalog(source) -> list[CatalogEntry]:
@@ -351,9 +329,9 @@ def read_catalog(source) -> list[CatalogEntry]:
 
 
 def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
-    """CSV export: mandatory header row, then one row per entry, same order."""
+    """CSV export: header row, then one row per entry, all checked before the sink opens."""
+    rows = [[v if isinstance(v, str) else _scalar(v) for v in _entry_values(e)] for e in entries]
     with _opened(sink, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_ENTRY_FIELDS)
-        for e in entries:
-            w.writerow(v if isinstance(v, str) else _scalar(v) for v in _entry_values(e))
+        w.writerows(rows)

@@ -5,7 +5,8 @@ triangle lattice of the band with every interior edge annotated by its fold
 (interior dihedral and mountain/valley direction); the seam columns carry the
 shift correspondence. Module sheets hold one rhombus per (U_k, D_k) face pair
 for slide-together assembly, with a slit convention chosen by this package
-and stated inside the emitted file.
+and stated inside the emitted file. Both sheets go through one writer,
+_write_sheet; the two exporters only compute geometry and yield elements.
 """
 
 from __future__ import annotations
@@ -155,14 +156,33 @@ def _mm(x: float) -> str:
     return _fmt(x, ".3f")
 
 
-def _svg_head(w: float, h: float) -> str:
-    """The <svg> tag and style of a w x h mm sheet; ParameterError unless both are finite."""
+def _line(cls: str, p, q) -> str:
+    return f'<line class="{cls}" x1="{_mm(p[0])}" y1="{_mm(p[1])}" x2="{_mm(q[0])}" y2="{_mm(q[1])}"/>\n'
+
+
+def _text(x: float, y: float, size: float, body) -> str:
+    return f'<text x="{_mm(x)}" y="{_mm(y)}" font-size="{size}">{body}</text>\n'
+
+
+def _write_sheet(sink, w: float, h: float, desc: str, body, footer_x: float, footer: str) -> None:
+    """Write a w x h mm sheet: the <svg> tag, style, desc, body elements and footer text.
+
+    ParameterError before the sink is opened unless w and h are both finite.
+    """
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ParameterError(f"sheet size must be finite, got {w} x {h} mm")
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
-        f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n{_SVG_STYLE}'
-    )
+    with _opened(sink) as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
+            f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n{_SVG_STYLE}<desc>{desc}</desc>\n'
+        )
+        fh.writelines(body)
+        fh.write(_text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n")
+
+
+def _cut(corners) -> str:
+    path = " L ".join(f"{_mm(x)} {_mm(y)}" for x, y in corners)
+    return f'<path class="cut" d="M {path} Z"/>\n'
 
 
 def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
@@ -174,52 +194,32 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     """
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
-    ymax = max(float(p[1]) for p in net.points.values())
-    xmax = max(float(p[0]) for p in net.points.values())
+    xmax, ymax = (max(float(p[k]) for p in net.points.values()) for k in (0, 1))
+    n, s, rows = net.n_strips, net.shift, net.rows
 
     def at(label: Label) -> tuple[float, float]:
         p = net.points[label]
         # flip y so row numbers grow upward on the page
         return margin + p[0] * edge_mm, margin + (ymax - p[1]) * edge_mm
 
-    w = xmax * edge_mm + 2 * margin
-    h = ymax * edge_mm + 2 * margin + 14.0
-    head = _svg_head(w, h)
-    with _opened(sink) as fh:
-        fh.write(head)
-        n, s, rows = net.n_strips, net.shift, net.rows
-        fh.write(
-            f"<desc>net for band ({n},{s}), {rows} rows; mountain = dashed, "
-            f"valley = dash-dot, angles are interior dihedrals in degrees; "
-            f"right seam row j glues to left seam row j+{s}</desc>\n"
-        )
-        corners = [(0, 0), (n, 0), (n, rows), (0, rows)]
-        path = " L ".join(f"{_mm(x)} {_mm(y)}" for x, y in (at(c) for c in corners))
-        fh.write(f'<path class="cut" d="M {path} Z"/>\n')
+    def body():
+        yield _cut(at(c) for c in [(0, 0), (n, 0), (n, rows), (0, rows)])
         for f in net.folds:
-            (x1, y1), (x2, y2) = at(f.edge[0]), at(f.edge[1])
-            fh.write(
-                f'<line class="{f.direction}" x1="{_mm(x1)}" y1="{_mm(y1)}" '
-                f'x2="{_mm(x2)}" y2="{_mm(y2)}"/>\n'
-            )
-            deg = math.degrees(f.angle)
-            fh.write(
-                f'<text x="{_mm((x1 + x2) / 2)}" y="{_mm((y1 + y2) / 2)}" '
-                f'font-size="2.6">{deg:.1f}</text>\n'
-            )
-        for idx, (right, left) in enumerate(net.seam_pairs):
-            for label, side in ((right, 1.0), (left, -1.0)):
-                x, y = at(label)
-                fh.write(
-                    f'<text x="{_mm(x + side * 0.08 * edge_mm)}" y="{_mm(y)}" '
-                    f'font-size="3.2">{idx}</text>\n'
-                )
-        fh.write(
-            f'<text x="{_mm(margin)}" y="{_mm(h - 5.0)}" font-size="3.5">'
-            f"band ({n},{s}): dashed = mountain fold, dash-dot = valley fold; "
-            f"matching seam numbers glue together</text>\n"
-        )
-        fh.write("</svg>\n")
+            p, q = at(f.edge[0]), at(f.edge[1])
+            yield _line(f.direction, p, q)
+            yield _text((p[0] + q[0]) / 2, (p[1] + q[1]) / 2, 2.6, f"{math.degrees(f.angle):.1f}")
+        for idx, pair in enumerate(net.seam_pairs):
+            for (x, y), side in zip(map(at, pair), (1.0, -1.0)):
+                yield _text(x + side * 0.08 * edge_mm, y, 3.2, idx)
+
+    _write_sheet(
+        sink, xmax * edge_mm + 2 * margin, ymax * edge_mm + 2 * margin + 14.0,
+        f"net for band ({n},{s}), {rows} rows; mountain = dashed, valley = dash-dot, "
+        f"angles are interior dihedrals in degrees; right seam row j glues to left seam row j+{s}",
+        body(), margin,
+        f"band ({n},{s}): dashed = mountain fold, dash-dot = valley fold; "
+        f"matching seam numbers glue together",
+    )
 
 
 @dataclass(frozen=True)
@@ -254,71 +254,47 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     pairs. Modules are identical, so the sheet is just a grid of them. Returns
     the module count.
     """
-    c = solution.offsets.c
-    count = opts.periods * c - c + 1  # face pairs in the window = faces/2
-    angles = dihedral_angles(solution)
+    count = (opts.periods - 1) * solution.offsets.c + 1  # face pairs in the window = faces/2
+    angle = dihedral_angles(solution)["c"]
+    fold_dir = _direction(angle)
     edge = opts.edge_mm
     cols = opts.columns
     pitch_x = edge + GAP_MM
     pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
-    rows_n = (count + cols - 1) // cols
     try:
         w = cols * pitch_x + GAP_MM
-        h = rows_n * pitch_y + GAP_MM + 14.0
+        h = (count + cols - 1) // cols * pitch_y + GAP_MM + 14.0
     except OverflowError:  # a count too large for a float
         w = h = math.inf
-    head = _svg_head(w, h)
 
-    # rhombus in local mm coordinates: fold diagonal A-C horizontal
-    A = np.array([0.0, SQRT3_2 * edge])
-    C = np.array([edge, SQRT3_2 * edge])
-    B = np.array([edge / 2.0, 2.0 * SQRT3_2 * edge])  # page y grows downward
-    D = np.array([edge / 2.0, 0.0])
+    # rhombus A, B, C, D in local mm coordinates, page y downward; the fold
+    # diagonal A-C is horizontal and the class-a edges are A-B and C-D
+    unit = ((0.0, SQRT3_2), (0.5, 2.0 * SQRT3_2), (1.0, SQRT3_2), (0.5, 0.0))
+    A, B, C, D = [(edge * x, edge * y) for x, y in unit]
+    # each slit runs from the quarter-point of its class-a edge perpendicular
+    # into the rhombus, along +-(sqrt(3)/2, -1/2): a direction free of edge_mm
+    dx, dy = opts.slit_fraction * edge * SQRT3_2, opts.slit_fraction * edge * -0.5
+    quarter = [(x0 + 0.25 * (x1 - x0), y0 + 0.25 * (y1 - y0)) for (x0, y0), (x1, y1) in ((A, B), (C, D))]
+    slits = [(q, (q[0] + sign * dx, q[1] + sign * dy)) for q, sign in zip(quarter, (1.0, -1.0))]
 
-    def slit(base: np.ndarray, tip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        e = tip - base
-        e = e / np.linalg.norm(e)
-        inward = np.array([-e[1], e[0]])
-        mid = (A + C) / 2.0
-        if float(np.dot(inward, mid - base)) < 0.0:
-            inward = -inward
-        start = base + 0.25 * (tip - base)
-        return start, start + opts.slit_fraction * edge * inward
-
-    slits = [slit(A, B), slit(C, D)]
-
-    with _opened(sink) as fh:
-        fh.write(head)
-        fold_dir = _direction(angles["c"])
-        fh.write(
-            f"<desc>{count} slide-together modules; each is two unit triangles "
-            f"joined along the class-c edge ({fold_dir} fold, "
-            f"{math.degrees(angles['c']):.1f} degrees). Slit convention chosen "
-            f"by this package: slits at the quarter-points of the two class-a "
-            f"edges, perpendicular, {opts.slit_fraction:g} edge long, "
-            f"180-degree rotationally symmetric.</desc>\n"
-        )
+    def body():
         for m in range(count):
             ox = GAP_MM + (m % cols) * pitch_x
             oy = GAP_MM + (m // cols) * pitch_y
+            a, b, c, d = [(ox + x, oy + y) for x, y in (A, B, C, D)]
+            yield _cut((a, b, c, d))
+            yield _line(fold_dir, a, c)
+            for (x0, y0), (x1, y1) in slits:
+                yield _line("slit", (ox + x0, oy + y0), (ox + x1, oy + y1))
 
-            def pt(p: np.ndarray) -> str:
-                return f"{_mm(ox + p[0])} {_mm(oy + p[1])}"
-
-            fh.write(f'<path class="cut" d="M {pt(A)} L {pt(B)} L {pt(C)} L {pt(D)} Z"/>\n')
-            fh.write(
-                f'<line class="{fold_dir}" x1="{_mm(ox + A[0])}" y1="{_mm(oy + A[1])}" '
-                f'x2="{_mm(ox + C[0])}" y2="{_mm(oy + C[1])}"/>\n'
-            )
-            for p0, p1 in slits:
-                fh.write(
-                    f'<line class="slit" x1="{_mm(ox + p0[0])}" y1="{_mm(oy + p0[1])}" '
-                    f'x2="{_mm(ox + p1[0])}" y2="{_mm(oy + p1[1])}"/>\n'
-                )
-        fh.write(
-            f'<text x="{_mm(GAP_MM)}" y="{_mm(h - 5.0)}" font-size="3.5">'
-            f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
-            f"{fold_dir} fold on the diagonal, short strokes = slits</text>\n"
-        )
-        fh.write("</svg>\n")
+    _write_sheet(
+        sink, w, h,
+        f"{count} slide-together modules; each is two unit triangles joined along the "
+        f"class-c edge ({fold_dir} fold, {math.degrees(angle):.1f} degrees). Slit convention "
+        f"chosen by this package: slits at the quarter-points of the two class-a edges, "
+        f"perpendicular, {opts.slit_fraction:g} edge long, 180-degree rotationally symmetric.",
+        body(), GAP_MM,
+        f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
+        f"{fold_dir} fold on the diagonal, short strokes = slits",
+    )
     return count

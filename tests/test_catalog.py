@@ -313,11 +313,30 @@ class TestPersistence:
         assert len(read_catalog(io.StringIO(buf.getvalue()))) == 2
         assert json.loads(buf.getvalue())["options"] == opts
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan, math.inf, -math.inf,
+            # NaN and Infinity are not JSON at any depth, and what json cannot encode has no text
+            pytest.param([math.nan], id="nan-in-list"),
+            pytest.param({"y": math.inf}, id="inf-in-dict"),
+            pytest.param([1, {"z": -math.inf}], id="nested-minus-inf"),
+            pytest.param(object(), id="object"),
+            pytest.param({("a",): 1}, id="tuple-key"),
+        ],
+    )
     def test_write_refuses_a_non_finite_option_before_writing(self, tmp_path, value):
         path = tmp_path / "cat.json"
         with pytest.raises(ParameterError, match="option 'x'"):
             write_catalog(PINNED_ENTRIES, str(path), {"x": value})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("write", [write_catalog, write_catalog_csv])
+    def test_failed_write_leaves_no_file(self, tmp_path, write):
+        path = tmp_path / "cat.out"
+        bad = [PINNED_ENTRIES[0], replace(PINNED_ENTRIES[1], theta=math.nan)]
+        with pytest.raises(ParameterError, match="theta"):
+            write(bad, str(path))
         assert not path.exists()
 
     def test_csv_header_and_rows(self, catalog_entries):

@@ -1,8 +1,10 @@
 """OBJ, net, and module-sheet emission plus the fold-forward round trip."""
 
+import hashlib
 import io
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -241,3 +243,45 @@ class TestModulesSvg:
         export_modules_svg(band52[0], ModuleOptions(periods=1, slit_fraction=fraction), buf)
         tips = re.findall(r'<line class="slit" .* x2="([^"]+)" y2="([^"]+)"', buf.getvalue())
         assert len(tips) == 2 and tips[0] == tips[1]
+
+    def test_huge_sheet_keeps_full_length_slits(self, band52):
+        # the slit direction comes from the unit rhombus, so no step overflows
+        opts = ModuleOptions(edge_mm=1e300, periods=1, columns=1)
+        buf = io.StringIO()
+        export_modules_svg(band52[0], opts, buf)
+        ends = re.findall(
+            r'<line class="slit" x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"', buf.getvalue()
+        )
+        assert len(ends) == 2
+        for x1, y1, x2, y2 in ends:
+            dx = (float(x2) - float(x1)) / opts.edge_mm
+            dy = (float(y2) - float(y1)) / opts.edge_mm
+            assert abs(math.hypot(dx, dy) - opts.slit_fraction) < 1e-12
+
+
+# net (rows, edge_mm) and module-sheet options covered by the byte pin below
+NET_CASES = [(2, 40.0), (1, 0.3), (3, 12.5), (5, 1e6)]
+MODULE_CASES = [ModuleOptions(), ModuleOptions(12.5, 3, 2, 0.4), ModuleOptions(0.3, 4, 7, 0.43)]
+SHEETS_SHA256 = "0fd2a192917db582fd9b963ecb70a49802d38e9033e8003a5ca614c023c6a166"
+
+
+class TestSheetBytes:
+    def test_every_sheet_of_3_to_12_parses_and_matches_its_pin(self):
+        bands = [BandSpec(n, s) for n in range(3, 13) for s in range(1, n // 2 + 1)]
+        digest = hashlib.sha256()
+        sheets = 0
+        for sols in solve_band(bands):
+            for sol in sols:
+                for rows, edge_mm in NET_CASES:
+                    buf = io.StringIO()
+                    export_net_svg(unfold_net(sol, rows=rows), buf, edge_mm=edge_mm)
+                    ET.fromstring(buf.getvalue())
+                    digest.update(buf.getvalue().encode())
+                for opts in MODULE_CASES:
+                    buf = io.StringIO()
+                    export_modules_svg(sol, opts, buf)
+                    ET.fromstring(buf.getvalue())
+                    digest.update(buf.getvalue().encode())
+                sheets += len(NET_CASES) + len(MODULE_CASES)
+        assert sheets > 500
+        assert digest.hexdigest() == SHEETS_SHA256
