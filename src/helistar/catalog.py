@@ -274,24 +274,28 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     """Serialize entries as the catalog JSON document, byte deterministic.
 
     Reals carry 15 significant digits; the field order is fixed. options is
-    recorded verbatim (sorted keys) so a catalog names the run that made it.
-    A non-finite real option at any depth, an option json cannot encode, or a
-    bad entry field raises ParameterError before the sink opens: no partial file.
+    recorded verbatim, each key as str(key), sorted by that text, so a catalog
+    names the run that made it. A non-finite real option at any depth, an
+    option json cannot encode, two keys with one text, or a bad entry field
+    raises ParameterError before the sink opens: no partial file.
     """
-    opt = options or {}
-    for k, v in opt.items():
+    opt = {}
+    for k, v in (options or {}).items():
         try:
             json.dumps(v, allow_nan=False)
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"option {k!r} must be strict JSON, got {v!r}") from exc
-    recorded = "{" + ", ".join(f"{json.dumps(str(k))}: {_scalar(opt[k])}" for k in sorted(opt)) + "}"
+        if str(k) in opt:
+            raise ParameterError(f"option keys {opt[str(k)][0]!r} and {k!r} both write as {str(k)!r}")
+        opt[str(k)] = (k, v)
+    recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, (_, v) in sorted(opt.items()))
     rows = [
         ",\n".join(f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
         for e in entries
     ]
     body = ",".join(f"\n    {{\n{row}\n    }}" for row in rows) + ("\n  " if rows else "")
     with _opened(sink) as fh:
-        fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {recorded},\n')
+        fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {{{recorded}}},\n')
         fh.write(f'  "entries": [{body}]\n}}\n')
 
 

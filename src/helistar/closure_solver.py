@@ -118,9 +118,7 @@ class SolverOptions:
     grid_points: int = 200_000
 
     def __post_init__(self) -> None:
-        check_int("grid_points", self.grid_points, 1000)
-        if self.grid_points > MAX_GRID_POINTS:
-            raise ParameterError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
+        check_int("grid_points", self.grid_points, 1000, MAX_GRID_POINTS)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,18 @@ class CatalogFormatError(HelistarError):
     """A catalog document failed to parse; the message names line and field."""
 
 
-def check_int(name: str, value, minimum: int | None = None) -> None:
-    """ParameterError naming the parameter unless value is an int >= minimum.
+def check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
+    """ParameterError naming the parameter unless value is an int in [minimum, maximum].
 
     Exactly int: a bool, a float (even 5.0) or a str is refused, never
     converted, so a count or index cannot be silently truncated or misread.
-    With minimum None any int passes, negative ones included.
+    Either bound may be None; with both None any int passes, negative ones included.
     """
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+    if type(value) is not int or not (
+        (minimum is None or value >= minimum) and (maximum is None or value <= maximum)
+    ):
+        bounds = " and".join(f" {op} {x}" for op, x in ((">=", minimum), ("<=", maximum)) if x is not None)
+        raise ParameterError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def check_real(name: str, value, above: float | None = None, below: float | None = None) -> None:

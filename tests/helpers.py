@@ -4,7 +4,8 @@ refold_max_error folds a net forward by its annotated dihedrals and compares
 against the helix coordinates; brute_force_intersecting checks a realized
 window by testing every face pair with the package predicate, and
 oracle_intersecting checks the same window with a segment-triangle test that
-shares no code with helistar.analysis. All are deliberately independent of
+shares no code with helistar.analysis. full_scan_witnesses repeats the face
+test's scan with no symmetry reduction. All are deliberately independent of
 the implementation paths they check.
 """
 
@@ -22,6 +23,7 @@ from helistar import (
     triangles_properly_intersect,
     unfold_net,
 )
+from helistar.analysis import _intersect
 
 # Rotation sign for folding an attached triangle out of its parent's plane,
 # about the parent-directed shared edge, by (pi - dihedral). Calibrated on the
@@ -166,3 +168,30 @@ def oracle_intersecting(solution: BranchSolution, periods: int = 3) -> bool:
         & (t < 1.0 - ORACLE_EPS)
     )
     return bool(inside.any())
+
+
+def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[tuple[bool, tuple | None]]:
+    """Verdict and first witness of each branch, from the unreduced face scan.
+
+    Both prototypes U_base = (base, base+a, base+c) and D_base = (base,
+    base+c, base+b) against every face U_k, D_k with k in [base-c, base+c],
+    edge-sharing pairs included. The witness is the first hit in the order
+    prototype U then D, k ascending, U_k before D_k. Each pair goes through the
+    package predicate in its batched form, one call per branch; no symmetry
+    of the helix is used. solutions are the branches of one band, at least one.
+    """
+    a, b, c = solutions[0].offsets.a, solutions[0].offsets.b, solutions[0].offsets.c
+    face = {"U": lambda k: (k, k + a, k + c), "D": lambda k: (k, k + c, k + b)}
+    window = [(kind, k) for k in range(base - c, base + c + 1) for kind in "UD"]
+    pairs = [((proto, base), other) for proto in "UD" for other in window]
+    corners = [(face[p[0]](p[1]), face[q[0]](q[1])) for p, q in pairs]
+    first = np.array([f for f, _ in corners]) - (base - c)  # rows of the window's points
+    second = np.array([g for _, g in corners]) - (base - c)
+    shared = np.array([len(set(f) & set(g)) for f, g in corners])
+    out = []
+    for sol in solutions:
+        pts = helix_points(sol.params, range(base - c, base + 2 * c + 1))
+        hits = _intersect(pts[first], pts[second], shared)
+        at = next((i for i, hit in enumerate(hits) if hit), None)
+        out.append((False, None) if at is None else (True, pairs[at]))
+    return out

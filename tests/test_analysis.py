@@ -17,9 +17,10 @@ from helistar import (
     triangles_properly_intersect,
     vertex_figure,
 )
+from helistar import analysis
 from helistar.analysis import classify_face_intersection
 
-from helpers import brute_force_intersecting
+from helpers import brute_force_intersecting, full_scan_witnesses
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -182,6 +183,46 @@ class TestBase:
         sol = band52[0]
         assert classify_face_intersection(sol, base=-7)[0] == classify_face_intersection(sol)[0]
         assert vertex_figure(sol, base=-3)[1] == vertex_figure(sol)[1]
+
+    # at 2**62 the angle base*theta has lost every bit and (5,2) branch 1 reads
+    # non-intersecting; beyond int64 numpy overflows
+    @pytest.mark.parametrize("base", [10**12 + 1, -(10**12) - 1, 2**62, 2**63, -(2**63) - 1])
+    def test_base_beyond_the_bound_is_refused(self, band52, base):
+        for check in (classify_face_intersection, vertex_figure):
+            with pytest.raises(ParameterError, match="base"):
+                check(band52[0], base=base)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_base_at_the_bound_keeps_every_result(self, solutions_5_12, sign):
+        base = sign * analysis.MAX_BASE
+        for sols in solutions_5_12.values():
+            for sol in sols:
+                assert classify_face_intersection(sol, base)[0] == classify_face_intersection(sol)[0]
+                assert vertex_figure(sol, base)[1] == vertex_figure(sol)[1]
+
+
+class TestFullScan:
+    """The reduced face pass against the unreduced scan of both prototypes."""
+
+    @pytest.fixture(scope="class")
+    def bands_5_24(self):
+        bands = [BandSpec(n, s) for n in range(5, 25) for s in range(1, n // 2 + 1)]
+        return [sols for sols in solve_band(bands) if sols]
+
+    def test_classify_matches_the_full_scan(self, bands_5_24):
+        # every branch of 5..24, compound bands included, at base 0
+        checked = hits = 0
+        for sols in bands_5_24:
+            expected = full_scan_witnesses(sols)
+            assert [(cls.intersecting, cls.witness) for cls in classify(sols)] == expected
+            checked += len(sols)
+            hits += sum(hit for hit, _ in expected)
+        assert checked == 1149 and hits > 500
+
+    @pytest.mark.parametrize("base", [-7, 3])
+    def test_one_branch_matches_the_full_scan_at_other_bases(self, bands_5_24, base):
+        for sols in bands_5_24:
+            assert [classify_face_intersection(sol, base) for sol in sols] == full_scan_witnesses(sols, base)
 
 
 class TestBandPass:

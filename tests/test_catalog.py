@@ -313,6 +313,19 @@ class TestPersistence:
         assert len(read_catalog(io.StringIO(buf.getvalue()))) == 2
         assert json.loads(buf.getvalue())["options"] == opts
 
+    def test_option_keys_of_mixed_types_are_written_and_sorted_as_text(self):
+        buf = io.StringIO()
+        write_catalog(PINNED_ENTRIES, buf, {1: 2, "a": 3, 10: 4})
+        assert '"options": {"1": 2, "10": 4, "a": 3}' in buf.getvalue()
+        assert len(read_catalog(io.StringIO(buf.getvalue()))) == 2
+
+    @pytest.mark.parametrize("opts", [{1: 2, "1": 3}, {True: 1, "True": 2}])
+    def test_write_refuses_two_option_keys_with_one_text(self, tmp_path, opts):
+        path = tmp_path / "cat.json"
+        with pytest.raises(ParameterError, match="both write as"):
+            write_catalog(PINNED_ENTRIES, str(path), opts)
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "value",
         [
