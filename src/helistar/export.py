@@ -1,11 +1,12 @@
 """Mesh, frame, net, and module-sheet emission. All outputs byte deterministic.
 
-OBJ files carry v/f/l records only, 9 fixed decimals. Nets are the flat
-triangle lattice of the band with every interior edge annotated by its fold
-(interior dihedral and mountain/valley direction); the seam columns carry the
-shift correspondence. Module sheets hold one rhombus per (U_k, D_k) face pair
-for slide-together assembly, with a slit convention chosen by this package
-and stated inside the emitted file. Both sheets go through one writer,
+OBJ files carry v/f/l records only, 9 fixed decimals, one write per block.
+Negative zero prints as 0, per block in OBJ and per number (_fmt) in SVG. Nets
+are the flat triangle lattice of the band with every interior edge annotated by
+its fold (interior dihedral and mountain/valley direction); the seam columns
+carry the shift correspondence. Module sheets hold one rhombus per (U_k, D_k)
+face pair for slide-together assembly, with a slit convention chosen by this
+package and stated inside the emitted file. Both sheets go through one writer,
 _write_sheet; the two exporters only compute geometry and yield elements.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .closure_solver import BranchSolution
 from .errors import ParameterError, check_int, check_real
-from .realization import MeshSegment, dihedral_angles
+from .realization import MAX_WINDOW, MeshSegment, dihedral_angles
 
 __all__ = [
     "NetLayout",
@@ -39,7 +40,7 @@ GAP_MM = 8.0  # module sheet margin and spacing between modules
 
 
 def _fmt(x: float, spec: str) -> str:
-    """format(x, spec), with a negative zero written as zero."""
+    """format(x, spec), a negative zero written as zero (export_obj does this per block)."""
     s = format(float(x), spec)
     return s.lstrip("-") if float(s) == 0.0 else s
 
@@ -57,17 +58,16 @@ def _opened(target, mode: str = "w", newline: str | None = "\n"):
 def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
     """Write v + f records, or v + l edge records when frame is set.
 
-    Face and line indices are 1-based per the format. Vertex order is index
-    order, so re-parsing reproduces the mesh.
+    Indices are 1-based and vertices in index order, so re-parsing reproduces
+    the mesh. One write per block; " -0.000000000" can only be a whole -0.0.
     """
     if len(segment.vertices) == 0:
         raise ParameterError("refusing to write an empty mesh")
+    line, rows = ("l %d %d\n", segment.edges) if frame else ("f %d %d %d\n", segment.faces)
     with _opened(sink) as fh:
-        for x, y, z in segment.vertices.tolist():
-            fh.write(f"v {_fmt(x, '.9f')} {_fmt(y, '.9f')} {_fmt(z, '.9f')}\n")
-        line, rows = ("l {} {}\n", segment.edges) if frame else ("f {} {} {}\n", segment.faces)
-        for row in (rows + 1).tolist():
-            fh.write(line.format(*row))
+        block = "v %.9f %.9f %.9f\n" * len(segment.vertices) % tuple(segment.vertices.ravel().tolist())
+        fh.write(block.replace(" -0.000000000", " 0.000000000"))
+        fh.write(line * len(rows) % tuple((rows + 1).ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,9 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     The window covers strip-boundary lines i in [0, n] and rows j in [0, rows].
     Interior lattice edges become folds carrying the edge class's interior
     dihedral; the two boundary columns are the seam and carry the shift
-    correspondence instead of a fold.
+    correspondence instead of a fold. rows is at most MAX_WINDOW.
     """
-    check_int("rows", rows, 1)
+    check_int("rows", rows, 1, MAX_WINDOW)
     n, s = solution.band.n_strips, solution.band.shift
     angles = dihedral_angles(solution)
 
@@ -231,7 +231,8 @@ class ModuleOptions:
     long; the two slits are images of each other under the rhombus's
     180-degree rotation. They lie on one line through the rhombus centre, at
     sqrt(3)/4 of an edge from each quarter-point, so slit_fraction must stay
-    below sqrt(3)/4 or the slits meet and cut the module in two.
+    below sqrt(3)/4 or the slits meet and cut the module in two. periods and
+    columns are each at most MAX_WINDOW, so every sheet size is a float.
     """
 
     edge_mm: float = 40.0
@@ -241,8 +242,8 @@ class ModuleOptions:
 
     def __post_init__(self) -> None:
         check_real("edge_mm", self.edge_mm, above=0)
-        check_int("periods", self.periods, 1)
-        check_int("columns", self.columns, 1)
+        check_int("periods", self.periods, 1, MAX_WINDOW)
+        check_int("columns", self.columns, 1, MAX_WINDOW)
         check_real("slit_fraction", self.slit_fraction, above=0, below=SQRT3_4)
 
 
@@ -261,11 +262,8 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     cols = opts.columns
     pitch_x = edge + GAP_MM
     pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
-    try:
-        w = cols * pitch_x + GAP_MM
-        h = (count + cols - 1) // cols * pitch_y + GAP_MM + 14.0
-    except OverflowError:  # a count too large for a float
-        w = h = math.inf
+    w = cols * pitch_x + GAP_MM
+    h = (count + cols - 1) // cols * pitch_y + GAP_MM + 14.0
 
     # rhombus A, B, C, D in local mm coordinates, page y downward; the fold
     # diagonal A-C is horizontal and the class-a edges are A-B and C-D

@@ -10,7 +10,6 @@ different (closed-form) construction.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ __all__ = [
 ]
 
 UNIFORM_TOL = 1e-9  # max deviation of edge length, face angle and constellation
+MAX_WINDOW = 1000  # largest periods, net rows, sheet columns, tower rings or gon
 
 
 @dataclass
@@ -122,7 +122,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     comes out negative, both families are flipped together. Edges are listed
     by class, a then b then c, each in ascending k.
     """
-    check_int("periods", periods, 1)
+    check_int("periods", periods, 1, MAX_WINDOW)
     off = solution.offsets
     a, b, c = off.a, off.b, off.c
     kmax = periods * c
@@ -196,10 +196,14 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     sig = np.sort(np.linalg.norm(pts[:, iu] - pts[:, ju], axis=-1), axis=-1)
     const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
 
-    sides = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    faces_per_side = Counter(map(tuple, sides.tolist()))
-    inner_edges = np.sort(edges[inner[edges].all(axis=1)], axis=1)
-    bad = sum(faces_per_side[(u, v)] != 2 for u, v in inner_edges.tolist())
+    def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*V + max
+        return np.minimum(u, v) * len(verts) + np.maximum(u, v)
+
+    sides = np.sort(keys(faces, faces[:, [1, 2, 0]]), axis=None)
+    inner_edges = keys(*edges[inner[edges].all(axis=1)].T)
+    # faces per inner edge: how often its key occurs among the sorted side keys
+    per_edge = np.searchsorted(sides, inner_edges, "right") - np.searchsorted(sides, inner_edges)
+    bad = int(np.count_nonzero(per_edge != 2))
 
     return UniformityReport(
         vertex_count=len(verts),
@@ -223,10 +227,10 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
     rotated by j*pi/gon; h = sqrt(1 - (1 - cos(pi/gon)) / (2 sin^2(pi/gon)))
     makes the diagonals unit too. No caps: the object is a tube segment, so
     the first and last rings are boundary. Vertex i of ring j has index
-    j*gon + i.
+    j*gon + i. gon and rings are each at most MAX_WINDOW.
     """
-    check_int("gon", gon, 3)
-    check_int("rings", rings, 2)
+    check_int("gon", gon, 3, MAX_WINDOW)
+    check_int("rings", rings, 2, MAX_WINDOW)
     phi = math.pi / gon
     r = 1.0 / (2.0 * math.sin(phi))
     h = math.sqrt(1.0 - (1.0 - math.cos(phi)) / (2.0 * math.sin(phi) ** 2))

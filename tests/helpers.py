@@ -6,20 +6,27 @@ window by testing every face pair with the package predicate, and
 oracle_intersecting checks the same window with a segment-triangle test that
 shares no code with helistar.analysis. full_scan_witnesses repeats the face
 test's scan with no symmetry reduction. All are deliberately independent of
-the implementation paths they check.
+the implementation paths they check. pinned_meshes is the mesh set behind the
+OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
+interior edges with a Counter over side tuples.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from helistar import (
+    BandSpec,
     BranchSolution,
+    MeshSegment,
+    antiprism_tower,
     helix_points,
     realize,
+    solve_band,
     triangles_properly_intersect,
     unfold_net,
 )
@@ -195,3 +202,27 @@ def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[
         at = next((i for i, hit in enumerate(hits) if hit), None)
         out.append((False, None) if at is None else (True, pairs[at]))
     return out
+
+
+def pinned_meshes():
+    """(mesh, offsets) for every branch of n 3..12 (all shifts) at periods 1, 2
+    and 24, then (tower, None) for gon 3..12 at rings 2, 3 and 6."""
+    bands = [BandSpec(n, s) for n in range(3, 13) for s in range(1, n)]
+    for sols in solve_band(bands):
+        for sol in sols:
+            for periods in (1, 2, 24):
+                yield realize(sol, periods), sol.offsets
+    for gon in range(3, 13):
+        for rings in (2, 3, 6):
+            yield antiprism_tower(gon, rings), None
+
+
+def faces_per_side_bad(segment: MeshSegment) -> int:
+    """Interior edges (both ends off boundary_marks) not in exactly 2 faces, one per edge row."""
+    faces_per_side = Counter()
+    for f in segment.faces.tolist():
+        for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            faces_per_side[min(u, v), max(u, v)] += 1
+    marks = segment.boundary_marks
+    inner = [(min(u, v), max(u, v)) for u, v in segment.edges.tolist() if u not in marks and v not in marks]
+    return sum(faces_per_side[e] != 2 for e in inner)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helistar import cli
+from helistar.realization import MAX_WINDOW
 
 
 def run(capsys, *argv):
@@ -241,6 +242,28 @@ class TestSheets:
         )
         assert code == 2 and "must be" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("size", [str(MAX_WINDOW + 1), "1000000000000000"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--strips", "5", "--shift", "2", "--periods"],
+            ["generate", "--strips", "5", "--shift", "2", "--frame", "--periods"],
+            ["verify", "--strips", "5", "--shift", "2", "--periods"],
+            ["net", "--strips", "5", "--shift", "2", "--rows"],
+            ["modules", "--strips", "5", "--shift", "2", "--periods"],
+            ["modules", "--strips", "5", "--shift", "2", "--columns"],
+            ["antiprism", "--rings", "3", "--gon"],
+            ["antiprism", "--gon", "4", "--rings"],
+        ],
+    )
+    def test_window_beyond_the_bound_is_invalid(self, capsys, tmp_path, argv, size):
+        out = tmp_path / "window.out"
+        extra = [] if argv[0] == "verify" else ["--out", str(out)]
+        code, text, err = run(capsys, *argv, size, *extra)
+        assert code == 2 and not text
+        assert err.startswith("error:") and f"<= {MAX_WINDOW}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_antiprism(self, capsys, tmp_path):
         out = tmp_path / "ap.obj"

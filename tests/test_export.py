@@ -22,8 +22,9 @@ from helistar import (
     solve_band,
     unfold_net,
 )
+from helistar.realization import MAX_WINDOW
 
-from helpers import refold_max_error
+from helpers import pinned_meshes, refold_max_error
 
 
 def parse_obj(text):
@@ -87,6 +88,41 @@ class TestObj:
         export_obj(realize(tetrahelix, 2), str(out))
         assert out.read_text().startswith("v ")
 
+    @pytest.mark.parametrize("periods", [1, 24])
+    def test_one_write_per_block(self, band52, periods):
+        # the vertex block and the face or line block are each one write
+        class CountingSink(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        seg = realize(band52[0], periods)
+        for frame in (False, True):
+            sink = CountingSink()
+            export_obj(seg, sink, frame=frame)
+            assert sink.writes <= 2, (periods, frame)
+            assert sink.getvalue().count("\n") == len(seg.vertices) + len(seg.edges if frame else seg.faces)
+
+
+# faces then frame of every mesh of helpers.pinned_meshes
+OBJ_SHA256 = "493433ba99f38459f9f407b63edee0972daa125cb317e081033c9473e96ef058"
+
+
+class TestObjBytes:
+    def test_every_face_and_frame_file_matches_its_pin(self):
+        digest = hashlib.sha256()
+        files = 0
+        for seg, _ in pinned_meshes():
+            for frame in (False, True):
+                buf = io.StringIO()
+                export_obj(seg, buf, frame=frame)
+                digest.update(buf.getvalue().encode())
+                files += 1
+        assert files == 2 * (254 * 3 + 30)
+        assert digest.hexdigest() == OBJ_SHA256
+
 
 class TestNet:
     def test_lattice_counts(self, band52):
@@ -120,6 +156,11 @@ class TestNet:
         assert net.seam_pairs == [((5, 0), (0, 2)), ((5, 1), (0, 3))]
         # window shorter than the shift leaves no complete pair
         assert unfold_net(band52[0], rows=1).seam_pairs == []
+
+    def test_rows_bound(self, tetrahelix):
+        assert len(unfold_net(tetrahelix, rows=MAX_WINDOW).points) == 4 * (MAX_WINDOW + 1)
+        with pytest.raises(ParameterError, match=f"rows must be .*<= {MAX_WINDOW}"):
+            unfold_net(tetrahelix, rows=MAX_WINDOW + 1)
 
     def test_needs_band_and_rows(self, band52):
         with pytest.raises(ParameterError):
@@ -231,6 +272,12 @@ class TestModulesSvg:
     def test_options_reject_bad_dimensions(self, kwargs):
         with pytest.raises(ParameterError):
             ModuleOptions(**kwargs)
+
+    @pytest.mark.parametrize("name", ["periods", "columns"])
+    def test_options_bound_the_periods_and_columns(self, name):
+        assert getattr(ModuleOptions(**{name: MAX_WINDOW}), name) == MAX_WINDOW
+        with pytest.raises(ParameterError, match=f"{name} must be .*<= {MAX_WINDOW}"):
+            ModuleOptions(**{name: MAX_WINDOW + 1})
 
     def test_options_accept_the_open_slit_range(self):
         ModuleOptions(slit_fraction=1e-9)

@@ -1,5 +1,6 @@
 """Mesh windows, uniformity checks, dihedrals, antiprism towers."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -21,6 +22,9 @@ from helistar import (
     verify_uniform,
 )
 from helistar.closure_solver import _interior_dihedrals
+from helistar.realization import MAX_WINDOW
+
+from helpers import faces_per_side_bad, pinned_meshes
 
 
 def regular_tetrahedron_dihedral():
@@ -93,6 +97,11 @@ class TestRealize:
         assert set(classes) == {off.a, off.b, off.c}
         for d in (off.a, off.b, off.c):
             assert classes.count(d) == kmax - d + 1
+
+    def test_periods_bound(self, tetrahelix):
+        assert len(realize(tetrahelix, MAX_WINDOW).vertices) == 3 * MAX_WINDOW + 1
+        with pytest.raises(ParameterError, match=f"periods must be .*<= {MAX_WINDOW}"):
+            realize(tetrahelix, MAX_WINDOW + 1)
 
     def test_rejects_bad_periods(self, tetrahelix):
         with pytest.raises(ParameterError):
@@ -266,6 +275,57 @@ class TestVerifyUniform:
         ]
 
 
+def _with_faces(seg, faces):
+    return replace(seg, faces=np.asarray(faces, dtype=np.intp).reshape(-1, 3))
+
+
+class TestSideCounts:
+    """bad_interior_edges against a Counter over side tuples, on both ring paths."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda seg: _with_faces(seg, np.delete(seg.faces, 10, axis=0)),
+            lambda seg: _with_faces(seg, np.concatenate([seg.faces, seg.faces[7:8]])),
+            lambda seg: _with_faces(seg, []),
+            # (4, 8) is interior but of no edge class, so no face has it as a side
+            lambda seg: replace(seg, edges=np.concatenate([seg.edges, [[4, 8]]])),
+        ],
+        ids=["face-removed", "face-twice", "no-faces", "edge-in-no-face"],
+    )
+    def test_matches_the_counter_oracle(self, tetrahelix, edit):
+        seg = edit(realize(tetrahelix, 4))
+        want = faces_per_side_bad(seg)
+        assert want > 0
+        for rep in (verify_uniform(seg, tetrahelix.offsets), verify_uniform(seg)):
+            assert rep.bad_interior_edges == want
+            assert rep.edge_faces_ok is False and not rep.passed
+            assert rep.face_count == len(seg.faces)
+
+
+# float.hex of every report field over helpers.pinned_meshes, both ring paths
+# for helix windows; a window with no interior vertex contributes its error name
+REPORTS_SHA256 = "fb0336e2486e74421479cef512fc3bfae9163ec68b0c7caa5f2352f9e768c424"
+
+
+class TestReportBytes:
+    def test_every_report_matches_its_pin_and_the_side_oracle(self):
+        digest = hashlib.sha256()
+        reports = 0
+        for seg, offsets in pinned_meshes():
+            for ring_offsets in (offsets, None) if offsets else (None,):
+                try:
+                    rep = verify_uniform(seg, ring_offsets)
+                except WindowError:
+                    digest.update(b"WindowError\n")
+                    continue
+                assert rep.bad_interior_edges == faces_per_side_bad(seg)
+                digest.update((" ".join(float(v).hex() for v in rep.as_dict().values()) + "\n").encode())
+                reports += 1
+        assert reports == 2 * 254 * 2 + 10 * 2
+        assert digest.hexdigest() == REPORTS_SHA256
+
+
 class TestAntiprismTower:
     def test_square_tower_closed_form(self):
         # rings of squares: r from the unit in-ring edge, h from the unit
@@ -312,6 +372,13 @@ class TestAntiprismTower:
     def test_boundary_is_first_and_last_ring(self):
         seg = antiprism_tower(5, 3)
         assert seg.boundary_marks == set(range(5)) | set(range(10, 15))
+
+    def test_size_bound(self):
+        assert len(antiprism_tower(3, MAX_WINDOW).vertices) == 3 * MAX_WINDOW
+        assert len(antiprism_tower(MAX_WINDOW, 2).vertices) == 2 * MAX_WINDOW
+        for gon, rings, name in ((MAX_WINDOW + 1, 2, "gon"), (3, MAX_WINDOW + 1, "rings")):
+            with pytest.raises(ParameterError, match=f"{name} must be .*<= {MAX_WINDOW}"):
+                antiprism_tower(gon, rings)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ParameterError):
