@@ -25,7 +25,7 @@ from .analysis import classify
 from .band_combinatorics import BandSpec, split_compound
 from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
 from .errors import CatalogFormatError, ParameterError, check_int, check_real
-from .export import _fmt, _opened
+from .export import _opened
 
 __all__ = [
     "CatalogEntry",
@@ -260,7 +260,7 @@ def _scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt(v, ".15g")
+        return format(v + 0.0, ".15g")  # -0.0 + 0.0 is 0.0
     if isinstance(v, int):
         return str(v)
     return json.dumps(v)

@@ -114,7 +114,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Record:
 
 def _cmd_verify(args: argparse.Namespace) -> _Record:
     sol = _pick_branch(args)
-    report = verify_uniform(realize(sol, args.periods), sol.offsets)
+    report = verify_uniform(realize(sol, args.periods))
     payload = report.as_dict()
     verdict = {True: "ok", False: "FAIL"}
     text = [f"{key}: {payload[key]}" for key in ("vertex_count", "interior_count", "face_count")] + [

@@ -1,9 +1,9 @@
 """Mesh, frame, net, and module-sheet emission. All outputs byte deterministic.
 
 OBJ files carry v/f/l records only, 9 fixed decimals, one write per block.
-Negative zero prints as 0, per block in OBJ and per number (_fmt) in SVG. Nets
-are the flat triangle lattice of the band with every interior edge annotated by
-its fold (interior dihedral and mountain/valley direction); the seam columns
+Negative zero prints as 0 (_unsigned_zeros, per OBJ vertex block and SVG sheet).
+Nets are the flat triangle lattice of the band with every interior edge annotated
+by its fold (interior dihedral and mountain/valley direction); the seam columns
 carry the shift correspondence. Module sheets hold one rhombus per (U_k, D_k)
 face pair for slide-together assembly, with a slit convention chosen by this
 package and stated inside the emitted file. Both sheets go through one writer,
@@ -39,10 +39,9 @@ SQRT3_4 = SQRT3_2 / 2.0  # quarter-point to rhombus centre, in edges
 GAP_MM = 8.0  # module sheet margin and spacing between modules
 
 
-def _fmt(x: float, spec: str) -> str:
-    """format(x, spec), a negative zero written as zero (export_obj does this per block)."""
-    s = format(float(x), spec)
-    return s.lstrip("-") if float(s) == 0.0 else s
+def _unsigned_zeros(text: str, zero: str) -> str:
+    """text with each "-" + zero as zero; exact when every number has zero's fixed decimals."""
+    return text.replace("-" + zero, zero)
 
 
 @contextmanager
@@ -59,14 +58,14 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
     """Write v + f records, or v + l edge records when frame is set.
 
     Indices are 1-based and vertices in index order, so re-parsing reproduces
-    the mesh. One write per block; " -0.000000000" can only be a whole -0.0.
+    the mesh. One write per block.
     """
     if len(segment.vertices) == 0:
         raise ParameterError("refusing to write an empty mesh")
     line, rows = ("l %d %d\n", segment.edges) if frame else ("f %d %d %d\n", segment.faces)
     with _opened(sink) as fh:
         block = "v %.9f %.9f %.9f\n" * len(segment.vertices) % tuple(segment.vertices.ravel().tolist())
-        fh.write(block.replace(" -0.000000000", " 0.000000000"))
+        fh.write(_unsigned_zeros(block, "0.000000000"))
         fh.write(line * len(rows) % tuple((rows + 1).ravel().tolist()))
 
 
@@ -152,36 +151,32 @@ _SVG_STYLE = (
 )
 
 
-def _mm(x: float) -> str:
-    return _fmt(x, ".3f")
-
-
 def _line(cls: str, p, q) -> str:
-    return f'<line class="{cls}" x1="{_mm(p[0])}" y1="{_mm(p[1])}" x2="{_mm(q[0])}" y2="{_mm(q[1])}"/>\n'
+    return f'<line class="{cls}" x1="{p[0]:.3f}" y1="{p[1]:.3f}" x2="{q[0]:.3f}" y2="{q[1]:.3f}"/>\n'
 
 
 def _text(x: float, y: float, size: float, body) -> str:
-    return f'<text x="{_mm(x)}" y="{_mm(y)}" font-size="{size}">{body}</text>\n'
+    return f'<text x="{x:.3f}" y="{y:.3f}" font-size="{size}">{body}</text>\n'
 
 
 def _write_sheet(sink, w: float, h: float, desc: str, body, footer_x: float, footer: str) -> None:
     """Write a w x h mm sheet: the <svg> tag, style, desc, body elements and footer text.
 
-    ParameterError before the sink is opened unless w and h are both finite.
+    Coordinates have 3 decimals, and one pass over the sheet writes -0.000 as
+    0.000. ParameterError before the sink is opened unless w and h are both finite.
     """
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ParameterError(f"sheet size must be finite, got {w} x {h} mm")
+    sheet = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.3f}mm" height="{h:.3f}mm" '
+        f'viewBox="0 0 {w:.3f} {h:.3f}">\n{_SVG_STYLE}<desc>{desc}</desc>\n{"".join(body)}'
+    )
     with _opened(sink) as fh:
-        fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_mm(w)}mm" '
-            f'height="{_mm(h)}mm" viewBox="0 0 {_mm(w)} {_mm(h)}">\n{_SVG_STYLE}<desc>{desc}</desc>\n'
-        )
-        fh.writelines(body)
-        fh.write(_text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n")
+        fh.write(_unsigned_zeros(sheet + _text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n", "0.000"))
 
 
 def _cut(corners) -> str:
-    path = " L ".join(f"{_mm(x)} {_mm(y)}" for x, y in corners)
+    path = " L ".join(f"{x:.3f} {y:.3f}" for x, y in corners)
     return f'<path class="cut" d="M {path} Z"/>\n'
 
 

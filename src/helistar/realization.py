@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .band_combinatorics import OffsetTriple, prototype_faces, vertex_neighbor_cycle
+from .band_combinatorics import OffsetTriple, prototype_faces
 from .closure_solver import BranchSolution, _dot, _interior_dihedrals, _normals, helix_points
 from .errors import ParameterError, WindowError, check_int
 
@@ -131,7 +131,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + prototype_faces(off)).reshape(-1, 3))
     edges = np.concatenate([np.arange(kmax - d + 1)[:, None] + [0, d] for d in (a, b, c)])
 
-    boundary = {m for m in range(kmax + 1) if m < c or m > kmax - c}
+    boundary = set(range(c)) | set(range(kmax - c + 1, kmax + 1))
     return MeshSegment(vertices=verts, faces=faces, edges=edges, boundary_marks=boundary)
 
 
@@ -152,19 +152,17 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     Checks: every edge has length 1; every face angle is pi/3; all interior
     vertices carry congruent neighbor constellations (sorted pairwise-distance
     multisets of the closed 1-ring agree); every interior edge lies in exactly
-    2 faces. Each deviation must be at most UNIFORM_TOL. Needs at least one
-    interior vertex.
+    2 faces, and every face side with both ends interior is a listed edge.
+    Each deviation must be at most UNIFORM_TOL. Needs at least one interior
+    vertex.
 
-    The 1-ring of each interior vertex comes from the neighbor cycle of
-    offsets when they are given (helix windows); with offsets=None it comes
-    from edge adjacency, over the interior vertices with exactly 6 neighbors.
-    Both give the same report on a helix window, so offsets are optional
-    there; antiprism towers have no offsets and always use adjacency.
-    Offsets whose cycle reaches past either end of the window raise
-    ParameterError.
+    The 1-rings are read off edge adjacency, for every interior vertex with
+    exactly 6 neighbors, on any mesh. offsets is ignored: it stays in the
+    signature only so that positional callers keep working.
     """
     verts, faces, edges = segment.vertices, segment.faces, segment.edges
-    inner = ~np.isin(np.arange(len(verts)), list(segment.boundary_marks))
+    n = len(verts)
+    inner = ~np.isin(np.arange(n), list(segment.boundary_marks))
     interior = np.flatnonzero(inner)
     if not interior.size:
         raise WindowError("window has no interior vertex; enlarge periods")
@@ -176,37 +174,34 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     e1 = np.roll(p, -1, axis=1) - p  # corner i to corner i+1
     e2 = np.roll(p, -2, axis=1) - p  # corner i to corner i+2
     cosang = np.clip(_dot(e1, e2) / (np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))), -1.0, 1.0)
-    ang = np.array([math.acos(x) for x in cosang.ravel().tolist()])
-    ang_dev = float(np.max(np.abs(ang - math.pi / 3.0), initial=0.0))
+    # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine
+    ends = (cosang.min(), cosang.max()) if cosang.size else ()
+    ang_dev = max((abs(math.acos(x) - math.pi / 3.0) for x in ends), default=0.0)
 
-    if offsets is not None:
-        rings = interior[:, None] + [0, *vertex_neighbor_cycle(offsets)]
-        if rings.min() < 0 or rings.max() >= len(verts):
-            # a negative index would wrap around to the far end of the window
-            raise ParameterError(f"offsets {offsets} reach past the window's {len(verts)} vertices")
-    else:
-        # (u, v) for both directions of every edge, sorted by u then v, distinct
-        pairs = np.unique(np.concatenate([edges, edges[:, ::-1]]), axis=0)
-        degree = np.bincount(pairs[:, 0], minlength=len(verts))
-        first = np.cumsum(degree) - degree  # row of each vertex's first neighbor
-        centers = interior[degree[interior] == 6]
-        rings = np.column_stack([centers, pairs[first[centers][:, None] + np.arange(6), 1]])
-    pts = verts[rings]
-    iu, ju = np.triu_indices(rings.shape[1], k=1)
-    sig = np.sort(np.linalg.norm(pts[:, iu] - pts[:, ju], axis=-1), axis=-1)
+    # u*n + v for both directions of every edge, sorted and distinct
+    adj = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
+    adj = adj[np.diff(adj, prepend=-1) != 0]
+    centers = interior[np.bincount(adj // n, minlength=n)[interior] == 6]
+    first = np.searchsorted(adj, centers * n)  # row of each center's first neighbor
+    rings = np.column_stack([centers, adj[first[:, None] + np.arange(6)] % n])
+    iu, ju = np.triu_indices(7, k=1)
+    sig = np.sort(np.linalg.norm(verts[rings[:, iu]] - verts[rings[:, ju]], axis=-1), axis=-1)
     const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
 
-    def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*V + max
-        return np.minimum(u, v) * len(verts) + np.maximum(u, v)
+    def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*n + max
+        return np.minimum(u, v) * n + np.maximum(u, v)
 
     sides = np.sort(keys(faces, faces[:, [1, 2, 0]]), axis=None)
     inner_edges = keys(*edges[inner[edges].all(axis=1)].T)
     # faces per inner edge: how often its key occurs among the sorted side keys
     per_edge = np.searchsorted(sides, inner_edges, "right") - np.searchsorted(sides, inner_edges)
-    bad = int(np.count_nonzero(per_edge != 2))
+    # and the distinct sides with both ends interior that no edge row lists
+    listed = np.searchsorted(adj, sides, "right") > np.searchsorted(adj, sides)
+    unlisted = sides[inner[sides // n] & inner[sides % n] & ~listed]
+    bad = int(np.count_nonzero(per_edge != 2)) + int(np.count_nonzero(np.diff(unlisted, prepend=-1)))
 
     return UniformityReport(
-        vertex_count=len(verts),
+        vertex_count=n,
         interior_count=len(interior),
         face_count=len(faces),
         edge_length_max_dev=edge_dev,

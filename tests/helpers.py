@@ -8,7 +8,10 @@ shares no code with helistar.analysis. full_scan_witnesses repeats the face
 test's scan with no symmetry reduction. All are deliberately independent of
 the implementation paths they check. pinned_meshes is the mesh set behind the
 OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
-interior edges with a Counter over side tuples.
+interior edges with a Counter over side tuples. cycle_constellation_dev reads
+each interior 1-ring off the neighbor cycle of the offsets, and
+face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
+must agree with both bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from helistar import (
     solve_band,
     triangles_properly_intersect,
     unfold_net,
+    vertex_neighbor_cycle,
 )
 from helistar.analysis import _intersect
 
@@ -218,11 +222,37 @@ def pinned_meshes():
 
 
 def faces_per_side_bad(segment: MeshSegment) -> int:
-    """Interior edges (both ends off boundary_marks) not in exactly 2 faces, one per edge row."""
+    """Interior edges (both ends off boundary_marks) not in exactly 2 faces, one per edge row,
+    plus each distinct face side with both ends interior that no edge row lists."""
     faces_per_side = Counter()
     for f in segment.faces.tolist():
         for u, v in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
             faces_per_side[min(u, v), max(u, v)] += 1
     marks = segment.boundary_marks
-    inner = [(min(u, v), max(u, v)) for u, v in segment.edges.tolist() if u not in marks and v not in marks]
-    return sum(faces_per_side[e] != 2 for e in inner)
+    listed = [(min(u, v), max(u, v)) for u, v in segment.edges.tolist()]
+    inner = [e for e in listed if e[0] not in marks and e[1] not in marks]
+    unlisted = [(u, v) for u, v in set(faces_per_side) - set(listed) if u not in marks and v not in marks]
+    return sum(faces_per_side[e] != 2 for e in inner) + len(unlisted)
+
+
+def cycle_constellation_dev(segment: MeshSegment, offsets) -> float:
+    """constellation_max_dev with the ring of each interior vertex k taken as
+    k + [0, *vertex_neighbor_cycle(offsets)], on a helix window."""
+    interior = np.array(sorted(set(range(len(segment.vertices))) - segment.boundary_marks))
+    pts = segment.vertices[interior[:, None] + [0, *vertex_neighbor_cycle(offsets)]]
+    iu, ju = np.triu_indices(7, k=1)
+    sig = np.sort(np.linalg.norm(pts[:, iu] - pts[:, ju], axis=-1), axis=-1)
+    return float(np.max(np.abs(sig - sig[:1])))
+
+
+def face_angle_dev_per_corner(segment: MeshSegment) -> float:
+    """max |angle - pi/3| over every corner of every face, one math.acos per
+    corner; 0.0 with no faces. Meant for faces with three distinct corners."""
+    dev = 0.0
+    for face in segment.faces.tolist():
+        p = segment.vertices[face]
+        for i in range(3):
+            e1, e2 = p[(i + 1) % 3] - p[i], p[(i + 2) % 3] - p[i]
+            cos = np.dot(e1, e2) / (np.sqrt(np.dot(e1, e1)) * np.sqrt(np.dot(e2, e2)))
+            dev = max(dev, abs(math.acos(min(max(cos, -1.0), 1.0)) - math.pi / 3.0))
+    return dev

@@ -2,6 +2,7 @@
 and imports that stay within the declared runtime dependencies."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -54,6 +55,27 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(helistar.__all__) == sorted(public)
+
+
+def imports_outside_all(tree: ast.Module, package: str) -> list[str]:
+    """Names the package's __init__ imports from a submodule with an __all__ that omits them."""
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = getattr(importlib.import_module(f"{package}.{node.module}"), "__all__", None)
+            if exported is not None:
+                missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    return missing
+
+
+def test_package_imports_are_in_each_submodule_all():
+    tree = ast.parse(Path(helistar.__file__).read_text())
+    assert imports_outside_all(tree, "helistar") == []
+
+
+def test_import_outside_all_is_caught():
+    tree = ast.parse("from .realization import MAX_WINDOW, realize\nfrom . import cli\n")
+    assert imports_outside_all(tree, "helistar") == ["realization.MAX_WINDOW"]
 
 
 def foreign_imports(tree: ast.Module, allowed: set[str]) -> list[str]:

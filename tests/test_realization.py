@@ -12,7 +12,6 @@ import pytest
 from helistar import (
     BandSpec,
     MeshSegment,
-    OffsetTriple,
     ParameterError,
     WindowError,
     antiprism_tower,
@@ -24,7 +23,7 @@ from helistar import (
 from helistar.closure_solver import _interior_dihedrals
 from helistar.realization import MAX_WINDOW
 
-from helpers import faces_per_side_bad, pinned_meshes
+from helpers import cycle_constellation_dev, face_angle_dev_per_corner, faces_per_side_bad, pinned_meshes
 
 
 def regular_tetrahedron_dihedral():
@@ -187,30 +186,43 @@ class TestVerifyUniform:
     def test_edge_in_one_face_is_counted(self, tetrahelix):
         seg = realize(tetrahelix, 4)
         holed = replace(seg, faces=np.delete(seg.faces, 10, axis=0))
-        for rep in (verify_uniform(holed, tetrahelix.offsets), verify_uniform(holed)):
-            assert rep.bad_interior_edges == 3
-            assert not rep.edge_faces_ok
-            assert not rep.passed
-
-    def test_offsets_outside_the_window_are_refused(self, band52, tetrahelix):
-        # (3, 4, 7) reaches past both ends of a (5, 2) window of 3 periods
-        with pytest.raises(ParameterError, match="offsets"):
-            verify_uniform(realize(band52[0], 3), OffsetTriple(3, 4, 7))
-        # only vertex 1 is interior: its ring reaches index -2 but stays below
-        # the top, so only the negative index can catch it
-        seg = realize(tetrahelix, 4)
-        lone = replace(seg, boundary_marks=set(range(len(seg.vertices))) - {1})
-        with pytest.raises(ParameterError, match="offsets"):
-            verify_uniform(lone, tetrahelix.offsets)
+        rep = verify_uniform(holed)
+        assert rep.bad_interior_edges == 3
+        assert not rep.edge_faces_ok
+        assert not rep.passed
 
     def test_ring_paths_agree(self):
-        # the offsets cycle and edge adjacency must give the same report
+        # rings from edge adjacency must match those of the offsets' neighbor cycle
         for n in range(3, 13):
             for s in range(1, n // 2 + 1):
                 for sol in solve_band(BandSpec(n, s)):
                     for periods in (3, 6):
                         seg = realize(sol, periods)
-                        assert verify_uniform(seg, sol.offsets) == verify_uniform(seg)
+                        rep = verify_uniform(seg)
+                        assert rep.constellation_max_dev.hex() == cycle_constellation_dev(seg, sol.offsets).hex()
+
+    @pytest.mark.parametrize("magnitude", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1])
+    def test_face_angles_match_one_acos_per_corner(self, band52, magnitude):
+        rng = np.random.default_rng(18)
+        seg = realize(band52[0], 4)
+        for vertex in rng.choice(len(seg.vertices), size=5, replace=False):
+            bad = replace(seg, vertices=seg.vertices.copy())
+            bad.vertices[vertex] += magnitude * rng.standard_normal(3)
+            got = verify_uniform(bad).face_angle_max_dev
+            assert got.hex() == face_angle_dev_per_corner(bad).hex()
+
+    def test_no_faces_reads_exactly_zero(self, tetrahelix):
+        rep = verify_uniform(_with_faces(realize(tetrahelix, 4), []))
+        assert rep.face_angle_max_dev == 0.0 and rep.face_angle_ok
+        assert math.copysign(1.0, rep.face_angle_max_dev) == 1.0
+
+    def test_face_with_a_repeated_vertex_fails_the_angle_check(self, tetrahelix):
+        seg = realize(tetrahelix, 4)
+        degenerate = _with_faces(seg, np.concatenate([seg.faces, [[5, 5, 6]]]))
+        with np.errstate(invalid="ignore"):  # its zero-length side makes a 0/0 cosine
+            rep = verify_uniform(degenerate)
+        assert math.isnan(rep.face_angle_max_dev)
+        assert not rep.face_angle_ok and not rep.passed
 
     def test_hand_built_mesh_is_converted(self):
         seg = MeshSegment(
@@ -280,7 +292,7 @@ def _with_faces(seg, faces):
 
 
 class TestSideCounts:
-    """bad_interior_edges against a Counter over side tuples, on both ring paths."""
+    """bad_interior_edges against a Counter over side tuples."""
 
     @pytest.mark.parametrize(
         "edit",
@@ -290,17 +302,19 @@ class TestSideCounts:
             lambda seg: _with_faces(seg, []),
             # (4, 8) is interior but of no edge class, so no face has it as a side
             lambda seg: replace(seg, edges=np.concatenate([seg.edges, [[4, 8]]])),
+            # row 5 is the class-a edge (5, 6), interior and a side of two faces
+            lambda seg: replace(seg, edges=np.delete(seg.edges, 5, axis=0)),
         ],
-        ids=["face-removed", "face-twice", "no-faces", "edge-in-no-face"],
+        ids=["face-removed", "face-twice", "no-faces", "edge-in-no-face", "side-not-an-edge"],
     )
     def test_matches_the_counter_oracle(self, tetrahelix, edit):
         seg = edit(realize(tetrahelix, 4))
         want = faces_per_side_bad(seg)
         assert want > 0
-        for rep in (verify_uniform(seg, tetrahelix.offsets), verify_uniform(seg)):
-            assert rep.bad_interior_edges == want
-            assert rep.edge_faces_ok is False and not rep.passed
-            assert rep.face_count == len(seg.faces)
+        rep = verify_uniform(seg)
+        assert rep.bad_interior_edges == want
+        assert rep.edge_faces_ok is False and not rep.passed
+        assert rep.face_count == len(seg.faces)
 
 
 # float.hex of every report field over helpers.pinned_meshes, both ring paths
