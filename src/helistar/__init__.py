@@ -7,6 +7,8 @@ and vertex figures, enumerates catalogs over strip ranges, and exports OBJ
 meshes, unfolding nets, and slide-together module sheets.
 """
 
+from types import ModuleType as _ModuleType
+
 # set before the submodule imports: catalog reads it while the package loads
 __version__ = "0.1.0"
 
@@ -65,50 +67,6 @@ from .realization import (
     verify_uniform,
 )
 
-__all__ = [
-    "BandSpec",
-    "BranchSolution",
-    "CatalogEntry",
-    "CatalogFormatError",
-    "CatalogReport",
-    "Classification",
-    "Fold",
-    "HelistarError",
-    "HelixParams",
-    "MeshSegment",
-    "ModuleOptions",
-    "NetLayout",
-    "NotACompoundError",
-    "OffsetTriple",
-    "ParameterError",
-    "SolverOptions",
-    "UniformityReport",
-    "WindowError",
-    "antiprism_tower",
-    "build_report",
-    "chord",
-    "classify",
-    "closure_determinant",
-    "component_params",
-    "dihedral_angles",
-    "enumerate_catalog",
-    "export_modules_svg",
-    "export_net_svg",
-    "export_obj",
-    "format_report",
-    "helix_points",
-    "offsets_from_band",
-    "prototype_faces",
-    "read_catalog",
-    "realize",
-    "solve_band",
-    "split_compound",
-    "triangles_properly_intersect",
-    "unfold_net",
-    "verify_uniform",
-    "vertex_figure",
-    "vertex_neighbor_cycle",
-    "winding_estimate",
-    "write_catalog",
-    "write_catalog_csv",
-]
+# every public name bound above, the submodules themselves aside
+__all__ = [name for name, value in list(vars().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

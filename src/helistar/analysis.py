@@ -36,7 +36,7 @@ import numpy as np
 
 from .band_combinatorics import prototype_faces, vertex_neighbor_cycle
 from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_stack, _normals, _unit
-from .errors import ParameterError, check_int
+from .errors import ParameterError
 
 __all__ = [
     "Classification",
@@ -48,10 +48,6 @@ __all__ = [
 
 MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
-# Largest |base| accepted. The angle base*theta loses bits as base grows: over
-# 5..12 every verdict and figure matches base 0 up to 10**14, a figure differs
-# at 10**15 and verdicts at 10**16.
-MAX_BASE = 10**12
 
 FaceId = tuple[str, int]
 Witness = tuple[FaceId, FaceId]
@@ -99,12 +95,6 @@ def _shoelace(poly: list[np.ndarray]) -> float:
     return s
 
 
-def _poly_area(poly: list[np.ndarray]) -> float:
-    if len(poly) < 3:
-        return 0.0
-    return abs(_shoelace(poly)) / 2.0
-
-
 def _clip_area(sub: list[np.ndarray], clip: list[np.ndarray]) -> float:
     """Area of sub clipped to convex polygon clip (both 2D, clip CCW)."""
     poly = list(sub)
@@ -123,7 +113,7 @@ def _clip_area(sub: list[np.ndarray], clip: list[np.ndarray]) -> float:
         poly = out
         if not poly:
             return 0.0
-    return _poly_area(poly)
+    return abs(_shoelace(poly)) / 2.0  # exactly 0 for fewer than 3 points
 
 
 def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
@@ -209,22 +199,20 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     return bool(_intersect(T1, T2, np.array([shared]))[0])
 
 
-def _face_pass(solutions: list[BranchSolution], base: int) -> list[tuple[bool, Witness | None]]:
+def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | None]]:
     """Verdict and first witness pair of each branch of one band, one predicate call.
 
-    The scan order is prototype U_base then D_base, each against the window
-    of faces with base index in [base-c, base+c], k ascending, U_k before D_k;
-    a branch's witness is its first hit in that order. Only U_base's row is
-    tested, and only the part of it that can hold the first hit:
+    The scan order is prototype U_0 then D_0, each against the window of
+    faces with base index in [-c, c], k ascending, U_k before D_k; a branch's
+    witness is its first hit in that order. Only U_0's row is tested, and
+    only the part of it that can hold the first hit:
 
-    * D_base's row goes: the half-turn about v_base maps D_base onto
-      U_(base-c), so by screw symmetry each (D_base, F) is congruent to some
-      (U_base, F') in the window, and U_base's row, read first, hits whenever
-      D_base's does.
-    * U_k with k >= base goes: (U_base, U_k) is a screw image of
-      (U_base, U_(2*base-k)), which comes earlier in the row (k = base is
-      U_base itself).
-    * Faces sharing an edge with U_base go: the predicate never lets them hit.
+    * D_0's row goes: the half-turn about v_0 maps D_0 onto U_-c, so by
+      screw symmetry each (D_0, F) is congruent to some (U_0, F') in the
+      window, and U_0's row, read first, hits whenever D_0's does.
+    * U_k with k >= 0 goes: (U_0, U_k) is a screw image of (U_0, U_-k),
+      which comes earlier in the row (k = 0 is U_0 itself).
+    * Faces sharing an edge with U_0 go: the predicate never lets them hit.
 
     The index tables are the band's; the points of all branches come from
     one _helix_stack call.
@@ -232,13 +220,13 @@ def _face_pass(solutions: list[BranchSolution], base: int) -> list[tuple[bool, W
     off = solutions[0].offsets
     c = off.c
     shape = prototype_faces(off)
-    first = base - c  # lowest vertex index in the window
-    proto = base + shape[0]
-    window = (np.arange(first, base + c + 1)[:, None, None] + shape).reshape(-1, 3)
+    first = -c  # lowest vertex index in the window
+    proto = shape[0]
+    window = (np.arange(first, c + 1)[:, None, None] + shape).reshape(-1, 3)
     shared = (proto[None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
     row = np.arange(len(window))  # U_k at 2*(k-first), D_k after it
     keep = np.flatnonzero((shared < 2) & ((row < 2 * c) | (row % 2 == 1)))
-    pts = _helix_stack([sol.params for sol in solutions], np.arange(first, base + 2 * c + 1))
+    pts = _helix_stack([sol.params for sol in solutions], np.arange(first, 2 * c + 1))
     stack = (len(solutions), len(keep), 3, 3)
     hits = _intersect(
         np.broadcast_to(pts[:, None, proto - first], stack).reshape(-1, 3, 3),
@@ -248,19 +236,17 @@ def _face_pass(solutions: list[BranchSolution], base: int) -> list[tuple[bool, W
     out = []
     for at, hit in zip(keep[hits.argmax(axis=1)].tolist(), hits.any(axis=1).tolist()):
         k, kind = divmod(at, 2)
-        out.append((True, (("U", base), ("UD"[kind], first + k))) if hit else (False, None))
+        out.append((True, (("U", 0), ("UD"[kind], first + k))) if hit else (False, None))
     return out
 
 
-def classify_face_intersection(solution: BranchSolution, base: int = 0) -> tuple[bool, Witness | None]:
+def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness | None]:
     """Decide self-intersection; returns the first witness pair found.
 
-    The band pass of classify over this one branch. The default base of 0 is
-    exhaustive by screw symmetry; other bases, |base| <= MAX_BASE, exist so
-    the invariance is checkable.
+    The band pass of classify over this one branch; U_0 is exhaustive by
+    screw symmetry.
     """
-    check_int("base", base, -MAX_BASE, MAX_BASE)
-    return _face_pass([solution], base)[0]
+    return _face_pass([solution])[0]
 
 
 def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
@@ -277,14 +263,14 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     return np.where(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0), axis=-1), "crossed", "simple")
 
 
-def _figure_pass(solutions: list[BranchSolution], base: int) -> tuple[np.ndarray, list[str]]:
+def _figure_pass(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[str]]:
     """Neighbor hexagons, (branches, 6, 3), and figure kinds of one band's branches.
 
     Each hexagon is projected along its own vertex normal; a branch whose
     normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
     indeterminate and is left out of the projection rather than guessed.
     """
-    cycle = base + np.array([0, *vertex_neighbor_cycle(solutions[0].offsets)])
+    cycle = np.array([0, *vertex_neighbor_cycle(solutions[0].offsets)])
     pts = _helix_stack([sol.params for sol in solutions], cycle)
     center, polygon = pts[:, :1], pts[:, 1:]
     with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
@@ -303,16 +289,16 @@ def _figure_pass(solutions: list[BranchSolution], base: int) -> tuple[np.ndarray
     return polygon, kinds.tolist()
 
 
-def vertex_figure(solution: BranchSolution, base: int = 0) -> tuple[np.ndarray, str]:
-    """Hexagon of the 6 neighbors in cycle order, and its figure type.
+def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
+    """Hexagon of v_0's 6 neighbors in cycle order, and its figure type.
 
-    Projection is along the vertex normal, the sum of the unit normals of the
-    6 fan faces (base, base + w_i, base + w_(i+1)); when that sum degenerates
-    (below 1e-9) the classification is reported indeterminate rather than
-    guessed. The band pass of classify over this one branch; |base| <= MAX_BASE.
+    Projection is along the vertex normal at v_0, the sum of the unit normals
+    of the 6 fan faces (0, w_i, w_(i+1)); by screw symmetry every vertex has
+    the same figure. When that sum degenerates (below 1e-9) the
+    classification is reported indeterminate rather than guessed. The band
+    pass of classify over this one branch.
     """
-    check_int("base", base, -MAX_BASE, MAX_BASE)
-    polygons, kinds = _figure_pass([solution], base)
+    polygons, kinds = _figure_pass([solution])
     return polygons[0], kinds[0]
 
 
@@ -331,8 +317,8 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
     bands = sorted({(sol.band.n_strips, sol.band.shift) for sol in solutions})
     if len(bands) > 1:
         raise ParameterError(f"classify takes the branches of one band, got bands {bands}")
-    faces = _face_pass(solutions, 0)
-    polygons, kinds = _figure_pass(solutions, 0)
+    faces = _face_pass(solutions)
+    polygons, kinds = _figure_pass(solutions)
     return [
         Classification(hit, witness, kind, polygon)
         for (hit, witness), kind, polygon in zip(faces, kinds, polygons)

@@ -42,6 +42,10 @@ __all__ = [
     "vertex_neighbor_cycle",
 ]
 
+# Largest n accepted. The solver's colleague matrix grows as n**2: on 2 CPUs
+# (1000, 499) solves in about 2 s, and n = 100000 would need about 75 GiB.
+MAX_STRIPS = 1000
+
 
 @dataclass(frozen=True)
 class BandSpec:
@@ -52,7 +56,7 @@ class BandSpec:
     image: OffsetTriple(a, b, a + b) is offsets_from_band(BandSpec(a + b, a)).
     n = 2 is accepted only so that compound components such as
     (6,3) -> 3 x (2,1) are representable; it is degenerate (a = b) and has no
-    geometric branches.
+    geometric branches. n is at most MAX_STRIPS.
     """
 
     n_strips: int
@@ -60,7 +64,7 @@ class BandSpec:
 
     def __post_init__(self) -> None:
         n, s = self.n_strips, self.shift
-        check_int("n_strips", n, 2)
+        check_int("n_strips", n, 2, MAX_STRIPS)
         check_int("shift", s, 1)
         if s > n - 1:
             raise ParameterError(f"shift must be in [1, {n - 1}], got {s}")

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .analysis import classify
-from .band_combinatorics import BandSpec, split_compound
+from .band_combinatorics import MAX_STRIPS, BandSpec, split_compound
 from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
 from .errors import CatalogFormatError, ParameterError, check_int, check_real
 from .export import _opened
@@ -115,10 +115,11 @@ def enumerate_catalog(
 
     Shifts run over [1, floor(n/2)] (the mirror half); compound bands are
     skipped unless include_compounds. Order is (n, s, branch_index). Bands
-    whose determinant never crosses zero simply contribute nothing.
+    whose determinant never crosses zero simply contribute nothing. Both ends
+    of the range are at most MAX_STRIPS.
     """
-    check_int("n_min", n_min, 3)
-    check_int("n_max", n_max, n_min)
+    check_int("n_min", n_min, 3, MAX_STRIPS)
+    check_int("n_max", n_max, n_min, MAX_STRIPS)
     opts = opts or SolverOptions()
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .analysis import classify
-from .band_combinatorics import BandSpec
+from .band_combinatorics import MAX_STRIPS, BandSpec
 from .catalog import (
     build_report,
     enumerate_catalog,
@@ -26,7 +26,7 @@ from .catalog import (
     write_catalog_csv,
 )
 from .closure_solver import SolverOptions, solve_band
-from .errors import HelistarError, ParameterError
+from .errors import HelistarError, check_int
 from .export import ModuleOptions, export_modules_svg, export_net_svg, export_obj, unfold_net
 from .realization import antiprism_tower, realize, verify_uniform
 
@@ -44,8 +44,7 @@ class _NoResult(Exception):
 
 
 def _band(args: argparse.Namespace) -> BandSpec:
-    if args.strips < 3:
-        raise ParameterError(f"--strips must be >= 3, got {args.strips}")
+    check_int("--strips", args.strips, 3, MAX_STRIPS)
     return BandSpec(args.strips, args.shift)
 
 
@@ -164,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         p.set_defaults(fn=fn)
         if band:
-            p.add_argument("--strips", type=int, required=True, help="number of strips n (>= 3)")
+            p.add_argument("--strips", type=int, required=True, help=f"number of strips n (3 to {MAX_STRIPS})")
             p.add_argument("--shift", type=int, required=True, help="seam shift s in [1, n-1]")
         if branch:
             p.add_argument("--branch", type=int, default=1, help="branch index, 1-based")

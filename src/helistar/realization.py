@@ -173,7 +173,8 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     p = verts[faces]
     e1 = np.roll(p, -1, axis=1) - p  # corner i to corner i+1
     e2 = np.roll(p, -2, axis=1) - p  # corner i to corner i+2
-    cosang = np.clip(_dot(e1, e2) / (np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))), -1.0, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero-length side gives a NaN, which fails below
+        cosang = np.clip(_dot(e1, e2) / (np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))), -1.0, 1.0)
     # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine
     ends = (cosang.min(), cosang.max()) if cosang.size else ()
     ang_dev = max((abs(math.acos(x) - math.pi / 3.0) for x in ends), default=0.0)

@@ -5,8 +5,11 @@ against the helix coordinates; brute_force_intersecting checks a realized
 window by testing every face pair with the package predicate, and
 oracle_intersecting checks the same window with a segment-triangle test that
 shares no code with helistar.analysis. full_scan_witnesses repeats the face
-test's scan with no symmetry reduction. All are deliberately independent of
-the implementation paths they check. pinned_meshes is the mesh set behind the
+test's scan with no symmetry reduction, at any base vertex, and
+shifted_witness moves a base-0 result there; figure_oracle decides the vertex
+figure at any vertex with its own projection and crossing test, sharing no
+code with helistar.analysis. All are deliberately independent of the
+implementation paths they check. pinned_meshes is the mesh set behind the
 OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
 interior edges with a Counter over side tuples. cycle_constellation_dev reads
 each interior 1-ring off the neighbor cycle of the offsets, and
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -206,6 +210,43 @@ def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[
         at = next((i for i, hit in enumerate(hits) if hit), None)
         out.append((False, None) if at is None else (True, pairs[at]))
     return out
+
+
+def shifted_witness(result: tuple[bool, tuple | None], base: int) -> tuple[bool, tuple | None]:
+    """A (verdict, witness) found at base 0, with both faces moved up by base."""
+    hit, witness = result
+    return hit, None if witness is None else tuple((kind, k + base) for kind, k in witness)
+
+
+def figure_oracle(solution: BranchSolution, base: int) -> str:
+    """'crossed' or 'simple': the vertex figure at v_base.
+
+    The neighbours v_(base + w_i), w = [c, b, -a, -c, -b, a], are taken
+    relative to v_base and expressed in an orthonormal basis whose first
+    axis is the vertex normal, the sum of the unit normals of the fan faces
+    (base, base + w_i, base + w_(i+1)); dropping that axis gives the hexagon.
+    It is crossed when two sides that share no corner meet at parameters
+    strictly inside both, solved as a 2x2 linear system per pair.
+    """
+    o = solution.offsets
+    w = [o.c, o.b, -o.a, -o.c, -o.b, o.a]
+    pts = helix_points(solution.params, [base] + [base + x for x in w])
+    ring = pts[1:] - pts[0]
+    normal = np.zeros(3)
+    for i in range(6):
+        f = np.cross(ring[i], ring[(i + 1) % 6])
+        normal += f / np.linalg.norm(f)
+    basis, _ = np.linalg.qr(np.column_stack([normal, np.eye(3)]))  # column 0 is +-normal
+    hexagon = ring @ basis[:, 1:]
+    sides = [(hexagon[i], hexagon[(i + 1) % 6] - hexagon[i]) for i in range(6)]
+    for i, j in combinations(range(6), 2):
+        (p, r), (q, d) = sides[i], sides[j]
+        m = np.column_stack([r, -d])
+        if 1 < j - i < 5 and np.linalg.det(m) != 0.0:  # no shared corner, not parallel
+            t, u = np.linalg.solve(m, q - p)
+            if 0.0 < t < 1.0 and 0.0 < u < 1.0:
+                return "crossed"
+    return "simple"
 
 
 def pinned_meshes():

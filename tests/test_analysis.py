@@ -17,10 +17,9 @@ from helistar import (
     triangles_properly_intersect,
     vertex_figure,
 )
-from helistar import analysis
 from helistar.analysis import classify_face_intersection
 
-from helpers import brute_force_intersecting, full_scan_witnesses
+from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, shifted_witness
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -111,11 +110,9 @@ class TestClassifier:
 
     @pytest.mark.parametrize("base", [3, 7, 11])
     def test_screw_invariance(self, band52, base):
-        for sol in band52:
-            assert (
-                classify_face_intersection(sol, base=base)[0]
-                == classify_face_intersection(sol)[0]
-            )
+        # the unreduced scan at v_base finds classify's witness, moved up by base
+        expected = [shifted_witness((cls.intersecting, cls.witness), base) for cls in classify(band52)]
+        assert full_scan_witnesses(band52, base) == expected
 
     def test_mirror_images_keep_every_verdict(self, solutions_5_12):
         # theta -> 2 pi - theta reflects the mesh through the xz plane; every
@@ -167,38 +164,14 @@ class TestVertexFigure:
         _, kind = vertex_figure(b3)
         assert kind == "crossed"
 
-    def test_kind_is_base_invariant(self, band52):
-        for sol in band52:
-            assert vertex_figure(sol, base=5)[1] == vertex_figure(sol)[1]
-
-
-class TestBase:
-    @pytest.mark.parametrize("base", [1.5, True, "0", None])
-    def test_non_integer_base_is_refused(self, band52, base):
-        for check in (classify_face_intersection, vertex_figure):
-            with pytest.raises(ParameterError, match="base"):
-                check(band52[0], base=base)
-
-    def test_negative_base_is_accepted(self, band52):
-        sol = band52[0]
-        assert classify_face_intersection(sol, base=-7)[0] == classify_face_intersection(sol)[0]
-        assert vertex_figure(sol, base=-3)[1] == vertex_figure(sol)[1]
-
-    # at 2**62 the angle base*theta has lost every bit and (5,2) branch 1 reads
-    # non-intersecting; beyond int64 numpy overflows
-    @pytest.mark.parametrize("base", [10**12 + 1, -(10**12) - 1, 2**62, 2**63, -(2**63) - 1])
-    def test_base_beyond_the_bound_is_refused(self, band52, base):
-        for check in (classify_face_intersection, vertex_figure):
-            with pytest.raises(ParameterError, match="base"):
-                check(band52[0], base=base)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_base_at_the_bound_keeps_every_result(self, solutions_5_12, sign):
-        base = sign * analysis.MAX_BASE
-        for sols in solutions_5_12.values():
-            for sol in sols:
-                assert classify_face_intersection(sol, base)[0] == classify_face_intersection(sol)[0]
-                assert vertex_figure(sol, base)[1] == vertex_figure(sol)[1]
+    def test_kind_is_base_invariant(self, solutions_5_12):
+        # classify's figure at v_0 against an oracle with its own projection
+        # and crossing test, placed at v_0 and v_5; every branch of 5..12,
+        # compound bands included
+        ours = [cls.vertex_figure for sols in solutions_5_12.values() for cls in classify(sols)]
+        assert len(ours) == 124 and set(ours) == {"simple", "crossed"}
+        for base in (0, 5):
+            assert [figure_oracle(sol, base) for sols in solutions_5_12.values() for sol in sols] == ours
 
 
 class TestFullScan:
@@ -221,8 +194,10 @@ class TestFullScan:
 
     @pytest.mark.parametrize("base", [-7, 3])
     def test_one_branch_matches_the_full_scan_at_other_bases(self, bands_5_24, base):
+        # the unreduced scan at v_base finds each branch's base-0 witness, moved up by base
         for sols in bands_5_24:
-            assert [classify_face_intersection(sol, base) for sol in sols] == full_scan_witnesses(sols, base)
+            expected = [shifted_witness(classify_face_intersection(sol), base) for sol in sols]
+            assert full_scan_witnesses(sols, base) == expected
 
 
 class TestBandPass:

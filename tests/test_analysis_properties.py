@@ -22,6 +22,8 @@ import helistar as hs
 from helistar import triangles_properly_intersect
 from helistar.analysis import _figure_kind, _intersect, classify, classify_face_intersection
 
+from helpers import full_scan_witnesses, shifted_witness
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 grid_coord = st.integers(-6, 6).map(lambda v: v / 2.0)
@@ -124,9 +126,10 @@ def branches_5_16():
 @settings(PROPERTY, max_examples=60)
 @given(data=st.data())
 def test_face_verdict_is_base_invariant(branches_5_16, data):
+    # the unreduced scan at v_base finds the base-0 witness, moved up by base
     sol = data.draw(st.sampled_from(branches_5_16), label="branch")
     base = data.draw(st.integers(-40, 40), label="base")
-    assert classify_face_intersection(sol, base)[0] == classify_face_intersection(sol)[0]
+    assert full_scan_witnesses([sol], base) == [shifted_witness(classify_face_intersection(sol), base)]
 
 
 @settings(PROPERTY, max_examples=60)

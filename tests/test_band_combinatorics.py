@@ -15,6 +15,7 @@ from helistar import (
     split_compound,
     vertex_neighbor_cycle,
 )
+from helistar.band_combinatorics import MAX_STRIPS
 
 
 def phi(i, j, n, s):
@@ -43,6 +44,11 @@ class TestBandSpec:
     def test_rejects_bad_ranges(self, n, s):
         with pytest.raises(ParameterError):
             BandSpec(n, s)
+
+    def test_strips_are_bounded(self):
+        assert BandSpec(MAX_STRIPS, 1).n_strips == MAX_STRIPS == 1000
+        with pytest.raises(ParameterError, match="n_strips must be an integer >= 2 and <= 1000"):
+            BandSpec(MAX_STRIPS + 1, 1)
 
     def test_rejects_non_integers(self):
         with pytest.raises(ParameterError):

@@ -155,6 +155,10 @@ class TestEnumerate:
             enumerate_catalog(5.5, 6)
         with pytest.raises(ParameterError, match="n_min"):
             enumerate_catalog("5", 6)
+        with pytest.raises(ParameterError, match="n_max must be an integer >= 5 and <= 1000"):
+            enumerate_catalog(5, 1001)
+        with pytest.raises(ParameterError, match="n_min must be an integer >= 3 and <= 1000"):
+            enumerate_catalog(1001, 1002)
 
     def test_star_flag_matches_definition(self, catalog_entries):
         for e in catalog_entries:

@@ -38,6 +38,13 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--strips", "2", "--shift", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("strips", ["1001", "100000"])
+    def test_strips_beyond_the_bound_is_invalid(self, capsys, strips):
+        # refused before any work: at 100000 the colleague matrix alone needs about 75 GiB
+        code, out, err = run(capsys, "solve", "--strips", strips, "--shift", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --strips must be an integer >= 3 and <= 1000, got {strips}\n"
+
     def test_non_finite_solver_flag_is_invalid(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2", "--grid-points", "500")
         assert code == 2
@@ -136,6 +143,13 @@ class TestEnumerate:
             "--catalog", str(tmp_path / "c.json"),
         )
         assert code == 2
+
+    def test_max_beyond_the_bound_is_invalid(self, capsys, tmp_path):
+        catalog = tmp_path / "c.json"
+        code, out, err = run(capsys, "enumerate", "--min", "5", "--max", "1001", "--catalog", str(catalog))
+        assert (code, out) == (2, "")
+        assert err == "error: n_max must be an integer >= 5 and <= 1000, got 1001\n"
+        assert not catalog.exists()
 
     def test_grid_points_flag_is_recorded(self, capsys, tmp_path):
         code, _, _ = run(

@@ -219,8 +219,7 @@ class TestVerifyUniform:
     def test_face_with_a_repeated_vertex_fails_the_angle_check(self, tetrahelix):
         seg = realize(tetrahelix, 4)
         degenerate = _with_faces(seg, np.concatenate([seg.faces, [[5, 5, 6]]]))
-        with np.errstate(invalid="ignore"):  # its zero-length side makes a 0/0 cosine
-            rep = verify_uniform(degenerate)
+        rep = verify_uniform(degenerate)  # its 0/0 cosine raises no warning
         assert math.isnan(rep.face_angle_max_dev)
         assert not rep.face_angle_ok and not rep.passed
 
