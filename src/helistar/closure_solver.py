@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebdiv, chebfromroots, chebroots
@@ -126,6 +126,8 @@ class BranchSolution:
     """One root of the closure equations of a band, with its labels.
 
     The band is the branch's identity; its edge offsets are derived from it.
+    dihedrals are the interior a, b, c dihedrals of params from the solver's
+    stack; equality and hashing ignore them, and dataclasses.replace keeps them.
     """
 
     band: BandSpec
@@ -133,6 +135,7 @@ class BranchSolution:
     branch_index: int
     winding_m: int
     residual: float
+    dihedrals: tuple[float, float, float] = field(compare=False)
 
     @property
     def offsets(self) -> OffsetTriple:
@@ -238,8 +241,8 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
-def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> list[dict[str, float]]:
-    """Interior dihedral per edge class of each realization, through the solid, in (0, 2pi).
+def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> list[tuple[float, float, float]]:
+    """Interior a, b, c dihedrals of each realization, through the solid, in (0, 2pi).
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
@@ -263,7 +266,7 @@ def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> lis
     # math.acos, not np.arccos: the two differ in the last bit, and these
     # angles are printed in net and module sheets
     return [
-        {cls: 2.0 * math.pi - math.acos(x) if out else math.acos(x) for cls, x, out in zip("abc", xs, outs)}
+        tuple(2.0 * math.pi - math.acos(x) if out else math.acos(x) for x, out in zip(xs, outs))
         for xs, outs in zip(cosines, outside)
     ]
 
@@ -424,15 +427,10 @@ def _accept(band: BandSpec, offsets: OffsetTriple, roots: list[float]) -> list[B
     angles = _interior_dihedrals(offsets, [params for params, _ in candidates])
     branches: list[BranchSolution] = []
     for (params, residual), dihedrals in zip(candidates, angles):
-        if min(abs(v - math.pi) for v in dihedrals.values()) <= COPLANAR_GAP:
+        if min(abs(v - math.pi) for v in dihedrals) <= COPLANAR_GAP:
             continue
-        branches.append(
-            BranchSolution(
-                band=band,
-                params=params,
-                branch_index=len(branches) + 1,
-                winding_m=winding_estimate(band, params),
-                residual=residual,
-            )
-        )
+        branches.append(BranchSolution(
+            band=band, params=params, branch_index=len(branches) + 1,
+            winding_m=winding_estimate(band, params), residual=residual, dihedrals=dihedrals,
+        ))
     return branches

@@ -7,7 +7,7 @@ by its fold (interior dihedral and mountain/valley direction); the seam columns
 carry the shift correspondence. Module sheets hold one rhombus per (U_k, D_k)
 face pair for slide-together assembly, with a slit convention chosen by this
 package and stated inside the emitted file. Both sheets go through one writer,
-_write_sheet; the two exporters only compute geometry and yield elements.
+_write_sheet, each element kind one %-template filled from coordinate arrays.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
         raise ParameterError("refusing to write an empty mesh")
     line, rows = ("l %d %d\n", segment.edges) if frame else ("f %d %d %d\n", segment.faces)
     with _opened(sink) as fh:
-        block = "v %.9f %.9f %.9f\n" * len(segment.vertices) % tuple(segment.vertices.ravel().tolist())
-        fh.write(_unsigned_zeros(block, "0.000000000"))
-        fh.write(line * len(rows) % tuple((rows + 1).ravel().tolist()))
+        fh.write(_unsigned_zeros(_fill("v %.9f %.9f %.9f\n", segment.vertices), "0.000000000"))
+        fh.write(_fill(line, rows + 1))
 
 
 @dataclass(frozen=True)
@@ -112,17 +111,11 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     n, s = solution.band.n_strips, solution.band.shift
     angles = dihedral_angles(solution)
 
-    points = {
-        (i, j): np.array([i * SQRT3_2, j + i / 2.0])
-        for i in range(n + 1)
-        for j in range(rows + 1)
-    }
+    ii, jj = np.divmod(np.arange((n + 1) * (rows + 1)), rows + 1)  # every label, i outer
+    points = dict(zip(zip(ii.tolist(), jj.tolist()), np.column_stack([ii * SQRT3_2, jj + ii / 2.0])))
 
-    triangles: list[tuple[Label, Label, Label]] = []
-    for i in range(n):
-        for j in range(rows):
-            triangles.append(((i, j), (i + 1, j), (i, j + 1)))
-            triangles.append(((i + 1, j), (i + 1, j + 1), (i, j + 1)))
+    triangles = [tri for i in range(n) for j in range(rows)
+                 for tri in (((i, j), (i + 1, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1), (i, j + 1)))]
 
     folds: list[Fold] = []
     for cls, mk in (
@@ -131,7 +124,7 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
         ("c", [(((i, j), (i, j + 1))) for j in range(rows) for i in range(1, n)]),
     ):
         ang = angles[cls]
-        folds.extend(Fold(edge=e, cls=cls, angle=ang, direction=_direction(ang)) for e in mk)
+        folds += [Fold(e, cls, ang, _direction(ang)) for e in mk]
 
     seam = [((n, j), (0, j + s)) for j in range(rows - s + 1)] if rows >= s else []
     return NetLayout(
@@ -151,33 +144,39 @@ _SVG_STYLE = (
 )
 
 
-def _line(cls: str, p, q) -> str:
-    return f'<line class="{cls}" x1="{p[0]:.3f}" y1="{p[1]:.3f}" x2="{q[0]:.3f}" y2="{q[1]:.3f}"/>\n'
+# element templates: each coordinate is a %.3f slot, filled for a whole sheet at once
+_CUT = '<path class="cut" d="M %.3f %.3f L %.3f %.3f L %.3f %.3f L %.3f %.3f Z"/>\n'
 
 
-def _text(x: float, y: float, size: float, body) -> str:
-    return f'<text x="{x:.3f}" y="{y:.3f}" font-size="{size}">{body}</text>\n'
+def _line(cls: str) -> str:
+    return f'<line class="{cls}" x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f"/>\n'
+
+
+def _text(size: float, body: str = "%s") -> str:
+    return f'<text x="%.3f" y="%.3f" font-size="{size}">{body}</text>\n'
+
+
+def _fill(template: str, *columns) -> str:
+    """template once per row of the columns side by side, each row filling its slots in order."""
+    rows = np.column_stack(columns)
+    return template * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _write_sheet(sink, w: float, h: float, desc: str, body, footer_x: float, footer: str) -> None:
-    """Write a w x h mm sheet: the <svg> tag, style, desc, body elements and footer text.
+    """Write a w x h mm sheet: the <svg> tag, style, desc, body() and footer text.
 
     Coordinates have 3 decimals, and one pass over the sheet writes -0.000 as
-    0.000. ParameterError before the sink is opened unless w and h are both finite.
+    0.000. ParameterError unless w and h are both finite, before body() or the sink.
     """
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ParameterError(f"sheet size must be finite, got {w} x {h} mm")
     sheet = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.3f}mm" height="{h:.3f}mm" '
-        f'viewBox="0 0 {w:.3f} {h:.3f}">\n{_SVG_STYLE}<desc>{desc}</desc>\n{"".join(body)}'
+        f'viewBox="0 0 {w:.3f} {h:.3f}">\n{_SVG_STYLE}<desc>{desc}</desc>\n{body()}'
+        f'{_text(3.5) % (footer_x, h - 5.0, footer)}</svg>\n'
     )
     with _opened(sink) as fh:
-        fh.write(_unsigned_zeros(sheet + _text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n", "0.000"))
-
-
-def _cut(corners) -> str:
-    path = " L ".join(f"{x:.3f} {y:.3f}" for x, y in corners)
-    return f'<path class="cut" d="M {path} Z"/>\n'
+        fh.write(_unsigned_zeros(sheet, "0.000"))
 
 
 def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
@@ -189,29 +188,31 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     """
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
-    xmax, ymax = (max(float(p[k]) for p in net.points.values()) for k in (0, 1))
+    row_of = {label: k for k, label in enumerate(net.points)}
+    points = np.array(list(net.points.values()), dtype=float).reshape(-1, 2)
+    xmax, ymax = points.max(axis=0).tolist()
     n, s, rows = net.n_strips, net.shift, net.rows
 
-    def at(label: Label) -> tuple[float, float]:
-        p = net.points[label]
+    def body() -> str:
         # flip y so row numbers grow upward on the page
-        return margin + p[0] * edge_mm, margin + (ymax - p[1]) * edge_mm
-
-    def body():
-        yield _cut(at(c) for c in [(0, 0), (n, 0), (n, rows), (0, rows)])
-        for f in net.folds:
-            p, q = at(f.edge[0]), at(f.edge[1])
-            yield _line(f.direction, p, q)
-            yield _text((p[0] + q[0]) / 2, (p[1] + q[1]) / 2, 2.6, f"{math.degrees(f.angle):.1f}")
-        for idx, pair in enumerate(net.seam_pairs):
-            for (x, y), side in zip(map(at, pair), (1.0, -1.0)):
-                yield _text(x + side * 0.08 * edge_mm, y, 3.2, idx)
+        page = np.column_stack([margin + points[:, 0] * edge_mm, margin + (ymax - points[:, 1]) * edge_mm])
+        corners = page[[row_of[c] for c in [(0, 0), (n, 0), (n, rows), (0, rows)]]]
+        ends = page[[row_of[label] for f in net.folds for label in f.edge]].reshape(-1, 4)
+        marks = page[[row_of[label] for pair in net.seam_pairs for label in pair]].reshape(-1, 2, 2)
+        directions = np.array([f.direction for f in net.folds], dtype=object)
+        degrees = [math.degrees(f.angle) for f in net.folds]
+        beside = marks[..., 0] + np.array([1.0, -1.0]) * 0.08 * edge_mm  # x of a seam number, per end
+        return (
+            _CUT % tuple(corners.ravel().tolist())
+            + _fill(_line("%s") + _text(2.6, "%.1f"), directions, ends, (ends[:, :2] + ends[:, 2:]) / 2, degrees)
+            + _fill(_text(3.2, "%d"), beside.ravel(), marks[..., 1].ravel(), np.arange(beside.size) // 2)
+        )
 
     _write_sheet(
         sink, xmax * edge_mm + 2 * margin, ymax * edge_mm + 2 * margin + 14.0,
         f"net for band ({n},{s}), {rows} rows; mountain = dashed, valley = dash-dot, "
         f"angles are interior dihedrals in degrees; right seam row j glues to left seam row j+{s}",
-        body(), margin,
+        body, margin,
         f"band ({n},{s}): dashed = mountain fold, dash-dot = valley fold; "
         f"matching seam numbers glue together",
     )
@@ -253,32 +254,24 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     count = (opts.periods - 1) * solution.offsets.c + 1  # face pairs in the window = faces/2
     angle = dihedral_angles(solution)["c"]
     fold_dir = _direction(angle)
-    edge = opts.edge_mm
-    cols = opts.columns
-    pitch_x = edge + GAP_MM
-    pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
+    edge, cols = opts.edge_mm, opts.columns
+    pitch_x, pitch_y = edge + GAP_MM, 2.0 * SQRT3_2 * edge + GAP_MM
     w = cols * pitch_x + GAP_MM
     h = (count + cols - 1) // cols * pitch_y + GAP_MM + 14.0
 
-    # rhombus A, B, C, D in local mm coordinates, page y downward; the fold
-    # diagonal A-C is horizontal and the class-a edges are A-B and C-D
-    unit = ((0.0, SQRT3_2), (0.5, 2.0 * SQRT3_2), (1.0, SQRT3_2), (0.5, 0.0))
-    A, B, C, D = [(edge * x, edge * y) for x, y in unit]
-    # each slit runs from the quarter-point of its class-a edge perpendicular
-    # into the rhombus, along +-(sqrt(3)/2, -1/2): a direction free of edge_mm
-    dx, dy = opts.slit_fraction * edge * SQRT3_2, opts.slit_fraction * edge * -0.5
-    quarter = [(x0 + 0.25 * (x1 - x0), y0 + 0.25 * (y1 - y0)) for (x0, y0), (x1, y1) in ((A, B), (C, D))]
-    slits = [(q, (q[0] + sign * dx, q[1] + sign * dy)) for q, sign in zip(quarter, (1.0, -1.0))]
-
-    def body():
-        for m in range(count):
-            ox = GAP_MM + (m % cols) * pitch_x
-            oy = GAP_MM + (m // cols) * pitch_y
-            a, b, c, d = [(ox + x, oy + y) for x, y in (A, B, C, D)]
-            yield _cut((a, b, c, d))
-            yield _line(fold_dir, a, c)
-            for (x0, y0), (x1, y1) in slits:
-                yield _line("slit", (ox + x0, oy + y0), (ox + x1, oy + y1))
+    def body() -> str:
+        # rhombus A, B, C, D in local mm coordinates, page y downward; the fold
+        # diagonal A-C is horizontal and the class-a edges are A-B and C-D
+        A, B, C, D = edge * np.array([(0.0, SQRT3_2), (0.5, 2.0 * SQRT3_2), (1.0, SQRT3_2), (0.5, 0.0)])
+        # each slit runs from the quarter-point of its class-a edge perpendicular
+        # into the rhombus, along +-(sqrt(3)/2, -1/2): a direction free of edge_mm
+        step = opts.slit_fraction * edge * np.array([SQRT3_2, -0.5])
+        q0, q1 = A + 0.25 * (B - A), C + 0.25 * (D - C)
+        m = np.arange(count)
+        origin = np.column_stack([GAP_MM + (m % cols) * pitch_x, GAP_MM + (m // cols) * pitch_y])
+        # each module's points in template order: outline, fold diagonal, both slits
+        local = np.array([A, B, C, D, A, C, q0, q0 + step, q1, q1 - step])
+        return _fill(_CUT + _line(fold_dir) + _line("slit") * 2, (origin[:, None] + local).reshape(count, -1))
 
     _write_sheet(
         sink, w, h,
@@ -286,7 +279,7 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
         f"class-c edge ({fold_dir} fold, {math.degrees(angle):.1f} degrees). Slit convention "
         f"chosen by this package: slits at the quarter-points of the two class-a edges, "
         f"perpendicular, {opts.slit_fraction:g} edge long, 180-degree rotationally symmetric.",
-        body(), GAP_MM,
+        body, GAP_MM,
         f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
         f"{fold_dir} fold on the diagonal, short strokes = slits",
     )

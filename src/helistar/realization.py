@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band_combinatorics import OffsetTriple, prototype_faces
-from .closure_solver import BranchSolution, _dot, _interior_dihedrals, _normals, helix_points
+from .closure_solver import BranchSolution, _dot, _normals, helix_points
 from .errors import ParameterError, WindowError, check_int
 
 __all__ = [
@@ -43,8 +43,8 @@ class MeshSegment:
     boundary_marks are the vertex indices whose face ring is incomplete in
     this window. The three arrays are converted on construction, so nested
     sequences (even empty ones) are accepted; an array of the wrong row width,
-    or a face or edge entry that is not an integer in [0, len(vertices)),
-    raises ParameterError naming the field.
+    or a face, edge or boundary mark that is not an integer (a bool is not)
+    in [0, len(vertices)), raises ParameterError naming the field.
     """
 
     vertices: np.ndarray
@@ -56,6 +56,10 @@ class MeshSegment:
         self.vertices = _rows("vertices", self.vertices, 3, float)
         self.faces = _vertex_indices("faces", self.faces, 3, len(self.vertices))
         self.edges = _vertex_indices("edges", self.edges, 2, len(self.vertices))
+        count = len(self.vertices)
+        for m in self.boundary_marks:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m < count:
+                raise ParameterError(f"boundary_marks must hold vertex indices in [0, {count}), got {m!r}")
 
 
 def _rows(name: str, rows, width: int, dtype=None) -> np.ndarray:
@@ -141,9 +145,9 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     By screw symmetry one prototype edge per class speaks for all. Values
     above pi are reflex folds; star branches have them, and so does the
     tetrahelix on its class-a edges (three tetrahedra stack around each).
-    The stacked routine the solver runs over a band, on a batch of one.
+    The values are the solver's own, BranchSolution.dihedrals, by class.
     """
-    return _interior_dihedrals(solution.offsets, [solution.params])[0]
+    return dict(zip("abc", solution.dihedrals))
 
 
 def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) -> UniformityReport:
@@ -162,7 +166,8 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     """
     verts, faces, edges = segment.vertices, segment.faces, segment.edges
     n = len(verts)
-    inner = ~np.isin(np.arange(n), list(segment.boundary_marks))
+    inner = np.ones(n, dtype=bool)
+    inner[list(segment.boundary_marks)] = False
     interior = np.flatnonzero(inner)
     if not interior.size:
         raise WindowError("window has no interior vertex; enlarge periods")
@@ -186,7 +191,8 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
     first = np.searchsorted(adj, centers * n)  # row of each center's first neighbor
     rings = np.column_stack([centers, adj[first[:, None] + np.arange(6)] % n])
     iu, ju = np.triu_indices(7, k=1)
-    sig = np.sort(np.linalg.norm(verts[rings[:, iu]] - verts[rings[:, ju]], axis=-1), axis=-1)
+    dx, dy, dz = (x.take(rings[:, iu]) - x.take(rings[:, ju]) for x in verts.T)
+    sig = np.sort(np.sqrt(dx * dx + dy * dy + dz * dz), axis=-1)  # np.linalg.norm's sum order, so its bits
     const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
 
     def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*n + max

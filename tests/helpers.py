@@ -14,7 +14,9 @@ OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
 interior edges with a Counter over side tuples. cycle_constellation_dev reads
 each interior 1-ring off the neighbor cycle of the offsets, and
 face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
-must agree with both bit for bit.
+must agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
+each sheet one element per Python call, each coordinate formatted on its own;
+the exporters' one-pass templates must write the same bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from helistar import (
     BandSpec,
     BranchSolution,
     MeshSegment,
+    ModuleOptions,
+    NetLayout,
     antiprism_tower,
+    dihedral_angles,
     helix_points,
     realize,
     solve_band,
@@ -39,6 +44,7 @@ from helistar import (
     vertex_neighbor_cycle,
 )
 from helistar.analysis import _intersect
+from helistar.export import _SVG_STYLE, GAP_MM, SQRT3_2
 
 # Rotation sign for folding an attached triangle out of its parent's plane,
 # about the parent-directed shared edge, by (pi - dihedral). Calibrated on the
@@ -297,3 +303,93 @@ def face_angle_dev_per_corner(segment: MeshSegment) -> float:
             cos = np.dot(e1, e2) / (np.sqrt(np.dot(e1, e1)) * np.sqrt(np.dot(e2, e2)))
             dev = max(dev, abs(math.acos(min(max(cos, -1.0), 1.0)) - math.pi / 3.0))
     return dev
+
+
+# Per-element sheet writers: one Python call per element, coordinates formatted
+# one at a time. export_net_svg and export_modules_svg must write the same bytes.
+
+def _sheet_line(cls: str, p, q) -> str:
+    return f'<line class="{cls}" x1="{p[0]:.3f}" y1="{p[1]:.3f}" x2="{q[0]:.3f}" y2="{q[1]:.3f}"/>\n'
+
+
+def _sheet_text(x: float, y: float, size: float, body) -> str:
+    return f'<text x="{x:.3f}" y="{y:.3f}" font-size="{size}">{body}</text>\n'
+
+
+def _sheet_cut(corners) -> str:
+    path = " L ".join(f"{x:.3f} {y:.3f}" for x, y in corners)
+    return f'<path class="cut" d="M {path} Z"/>\n'
+
+
+def _sheet(w: float, h: float, desc: str, body, footer_x: float, footer: str) -> str:
+    sheet = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.3f}mm" height="{h:.3f}mm" '
+        f'viewBox="0 0 {w:.3f} {h:.3f}">\n{_SVG_STYLE}<desc>{desc}</desc>\n{"".join(body)}'
+    )
+    return (sheet + _sheet_text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n").replace("-0.000", "0.000")
+
+
+def net_svg_oracle(net: NetLayout, edge_mm: float = 40.0) -> str:
+    """export_net_svg's sheet, element by element."""
+    margin = 0.35 * edge_mm
+    xmax, ymax = (max(float(p[k]) for p in net.points.values()) for k in (0, 1))
+    n, s, rows = net.n_strips, net.shift, net.rows
+
+    def at(label):
+        p = net.points[label]
+        return margin + p[0] * edge_mm, margin + (ymax - p[1]) * edge_mm
+
+    def body():
+        yield _sheet_cut(at(c) for c in [(0, 0), (n, 0), (n, rows), (0, rows)])
+        for f in net.folds:
+            p, q = at(f.edge[0]), at(f.edge[1])
+            yield _sheet_line(f.direction, p, q)
+            yield _sheet_text((p[0] + q[0]) / 2, (p[1] + q[1]) / 2, 2.6, f"{math.degrees(f.angle):.1f}")
+        for idx, pair in enumerate(net.seam_pairs):
+            for (x, y), side in zip(map(at, pair), (1.0, -1.0)):
+                yield _sheet_text(x + side * 0.08 * edge_mm, y, 3.2, idx)
+
+    return _sheet(
+        xmax * edge_mm + 2 * margin, ymax * edge_mm + 2 * margin + 14.0,
+        f"net for band ({n},{s}), {rows} rows; mountain = dashed, valley = dash-dot, "
+        f"angles are interior dihedrals in degrees; right seam row j glues to left seam row j+{s}",
+        body(), margin,
+        f"band ({n},{s}): dashed = mountain fold, dash-dot = valley fold; "
+        f"matching seam numbers glue together",
+    )
+
+
+def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
+    """export_modules_svg's sheet, module by module."""
+    count = (opts.periods - 1) * solution.offsets.c + 1
+    angle = dihedral_angles(solution)["c"]
+    fold_dir = "mountain" if angle < math.pi else "valley"
+    edge, cols = opts.edge_mm, opts.columns
+    pitch_x = edge + GAP_MM
+    pitch_y = 2.0 * SQRT3_2 * edge + GAP_MM
+    unit = ((0.0, SQRT3_2), (0.5, 2.0 * SQRT3_2), (1.0, SQRT3_2), (0.5, 0.0))
+    A, B, C, D = [(edge * x, edge * y) for x, y in unit]
+    dx, dy = opts.slit_fraction * edge * SQRT3_2, opts.slit_fraction * edge * -0.5
+    quarter = [(x0 + 0.25 * (x1 - x0), y0 + 0.25 * (y1 - y0)) for (x0, y0), (x1, y1) in ((A, B), (C, D))]
+    slits = [(q, (q[0] + sign * dx, q[1] + sign * dy)) for q, sign in zip(quarter, (1.0, -1.0))]
+
+    def body():
+        for m in range(count):
+            ox = GAP_MM + (m % cols) * pitch_x
+            oy = GAP_MM + (m // cols) * pitch_y
+            a, b, c, d = [(ox + x, oy + y) for x, y in (A, B, C, D)]
+            yield _sheet_cut((a, b, c, d))
+            yield _sheet_line(fold_dir, a, c)
+            for (x0, y0), (x1, y1) in slits:
+                yield _sheet_line("slit", (ox + x0, oy + y0), (ox + x1, oy + y1))
+
+    return _sheet(
+        cols * pitch_x + GAP_MM, (count + cols - 1) // cols * pitch_y + GAP_MM + 14.0,
+        f"{count} slide-together modules; each is two unit triangles joined along the "
+        f"class-c edge ({fold_dir} fold, {math.degrees(angle):.1f} degrees). Slit convention "
+        f"chosen by this package: slits at the quarter-points of the two class-a edges, "
+        f"perpendicular, {opts.slit_fraction:g} edge long, 180-degree rotationally symmetric.",
+        body(), GAP_MM,
+        f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
+        f"{fold_dir} fold on the diagonal, short strokes = slits",
+    )

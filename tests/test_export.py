@@ -11,6 +11,7 @@ import pytest
 
 from helistar import (
     BandSpec,
+    Fold,
     MeshSegment,
     ModuleOptions,
     ParameterError,
@@ -24,7 +25,7 @@ from helistar import (
 )
 from helistar.realization import MAX_WINDOW
 
-from helpers import pinned_meshes, refold_max_error
+from helpers import modules_svg_oracle, net_svg_oracle, pinned_meshes, refold_max_error
 
 
 def parse_obj(text):
@@ -332,3 +333,62 @@ class TestSheetBytes:
                 sheets += len(NET_CASES) + len(MODULE_CASES)
         assert sheets > 500
         assert digest.hexdigest() == SHEETS_SHA256
+
+
+def _move_point(net):
+    # past the old right edge and below row 0, so the sheet size and signs change
+    net.points[(1, 1)] = net.points[(1, 1)] + np.array([9.25, -1.5])
+
+
+def _move_point_onto_the_margin(net):
+    # a page x a hair below zero, which the sheet writes as 0.000
+    net.points[(0, 1)] = np.array([-0.35 - 1e-9, net.points[(0, 1)][1]])
+
+
+def _flip_a_fold(net):
+    f = net.folds[3]
+    flipped = "valley" if f.direction == "mountain" else "mountain"
+    net.folds[3] = Fold(f.edge, f.cls, 2.0 * math.pi - f.angle, flipped)
+
+
+def _drop_folds(net):
+    net.folds = []
+
+
+def _drop_seam_pairs(net):
+    net.seam_pairs = []
+
+
+class TestSheetOracle:
+    """The one-pass sheet writers against helpers' per-element writers, on
+    inputs the byte pin never reaches."""
+
+    @pytest.mark.parametrize(
+        "edit", [_move_point, _move_point_onto_the_margin, _flip_a_fold, _drop_folds, _drop_seam_pairs]
+    )
+    @pytest.mark.parametrize("n,s,rows", [(5, 2, 3), (7, 3, 4)])
+    def test_edited_net(self, n, s, rows, edit):
+        net = unfold_net(solve_band(BandSpec(n, s))[0], rows=rows)
+        edit(net)
+        for edge_mm in (40.0, 0.3):
+            buf = io.StringIO()
+            export_net_svg(net, buf, edge_mm=edge_mm)
+            assert buf.getvalue() == net_svg_oracle(net, edge_mm)
+
+    def test_no_folds_and_no_seam_pairs_leave_the_outline(self, band52):
+        net = unfold_net(band52[0], rows=1)
+        _drop_folds(net)
+        assert net.seam_pairs == []
+        buf = io.StringIO()
+        export_net_svg(net, buf)
+        assert buf.getvalue() == net_svg_oracle(net)
+        assert "<line" not in buf.getvalue() and buf.getvalue().count("<text") == 1
+
+    @pytest.mark.parametrize("periods,columns", [(1, 5), (2, 7), (2, 1000)])
+    def test_fewer_modules_than_columns(self, band52, tetrahelix, periods, columns):
+        for sol in (tetrahelix, *band52):
+            opts = ModuleOptions(12.5, periods, columns, 0.2)
+            buf = io.StringIO()
+            count = export_modules_svg(sol, opts, buf)
+            assert count < columns
+            assert buf.getvalue() == modules_svg_oracle(sol, opts)

@@ -91,6 +91,53 @@ def test_all_lists_every_public_name():
     ]
 
 
+def unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions, classes and constants of each named tree
+    that no tree reads, imports or names as an attribute outside their own definition."""
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id, node) for t in targets if isinstance(t, ast.Name)]
+    private = [(m, name, node) for m, name, node in defined if name.startswith("_") and not name.startswith("__")]
+    dead = []
+    for module, name, definition in private:
+        own = {id(n) for n in ast.walk(definition)}
+        uses = (
+            n
+            for tree in trees.values()
+            for n in ast.walk(tree)
+            if id(n) not in own
+            and (
+                (isinstance(n, ast.Name) and n.id == name)
+                or (isinstance(n, ast.Attribute) and n.attr == name)
+                or (isinstance(n, ast.alias) and n.name == name)
+            )
+        )
+        if next(uses, None) is None:
+            dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_every_private_name_in_the_package_is_used():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in (ROOT / "src/helistar").rglob("*.py")}
+    assert unreferenced_private_names(trees) == []
+
+
+def test_unreferenced_private_name_is_caught():
+    trees = {
+        "a": ast.parse(
+            "_USED = 1\n_DEAD: int = 2\n\ndef _helper():\n    return _helper() + _USED\n\n"
+            "class _Shown:\n    pass\n\ndef __getattr__(name):\n    raise AttributeError(name)\n"
+        ),
+        "b": ast.parse("from .a import _Shown\n"),
+    }
+    assert unreferenced_private_names(trees) == ["a._DEAD", "a._helper"]
+
+
 def imports_outside_all(tree: ast.Module, package: str) -> list[str]:
     """Names the package's __init__ imports from a submodule with an __all__ that omits them."""
     missing = []

@@ -144,20 +144,24 @@ class TestDihedrals:
         assert got == expected
 
     def test_band_stack_rows_equal_single_branches(self):
-        # the solver's one stack per band against dihedral_angles, a batch of one
+        # the dihedrals the solver hands each branch, from its one stack per
+        # band, against a fresh batch of one
         rows = 0
         for n in range(3, 17):
             for s in range(1, n // 2 + 1):
-                sols = solve_band(BandSpec(n, s))
-                if not sols:
-                    continue
-                stack = _interior_dihedrals(sols[0].offsets, [sol.params for sol in sols])
-                assert len(stack) == len(sols)
-                for row, sol in zip(stack, sols):
-                    single = dihedral_angles(sol)
-                    assert [row[cls].hex() for cls in "abc"] == [single[cls].hex() for cls in "abc"], (n, s)
+                for sol in solve_band(BandSpec(n, s)):
+                    (single,) = _interior_dihedrals(sol.offsets, [sol.params])
+                    assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in single], (n, s)
+                    assert dihedral_angles(sol) == dict(zip("abc", single))
                     rows += 1
         assert rows > 300
+
+    def test_equality_and_hash_ignore_the_dihedrals(self, band52):
+        sol = band52[0]
+        other = replace(sol, dihedrals=(1.0, 2.0, 3.0))
+        assert other == sol and hash(other) == hash(sol)
+        assert {sol: 1}[other] == 1
+        assert replace(sol, residual=sol.residual + 1.0) != sol
 
 
 class TestVerifyUniform:
@@ -255,6 +259,18 @@ class TestVerifyUniform:
         verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
         with pytest.raises(ParameterError, match=field):
             MeshSegment(vertices=verts, faces=faces, edges=edges)
+
+    @pytest.mark.parametrize("mark", [-1, 3, 1.5, "x", True, np.bool_(True)], ids=repr)
+    def test_mesh_refuses_bad_boundary_marks(self, mark):
+        # a bool is not a vertex index, and -1 would mark the last vertex
+        verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
+        with pytest.raises(ParameterError, match="boundary_marks"):
+            MeshSegment(vertices=verts, faces=[(0, 1, 2)], edges=[], boundary_marks={0, mark})
+
+    def test_mesh_accepts_numpy_integer_marks(self):
+        verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
+        seg = MeshSegment(vertices=verts, faces=[(0, 1, 2)], edges=[], boundary_marks={np.int64(0), 1})
+        assert verify_uniform(seg).interior_count == 1
 
     @pytest.mark.parametrize(
         "verts", [np.zeros((3, 2)), np.zeros(9), [[0.0, 0.0, 0.0], [1.0, 0.0]], [["x", "y", "z"]]]
