@@ -12,8 +12,9 @@ Two exact finite tests stand in for questions about an infinite surface:
   three faces sharing an edge with U_0 never intersect it, which leaves
   3c-2 pairs per branch of the window's 2*(4c+2) (_face_pass). All
   branches of a band share their offsets, so they share the window's index
-  tables: the pairs of every branch of the band go through the
-  triangle-triangle predicate as one stack, one call per band. That batched
+  tables. The rows of many branches, of any bands, go through the
+  triangle-triangle predicate together, scanned in stages so that a branch
+  leaves at its first hit, in calls of at most ROW_BUDGET rows. That batched
   predicate is the only one, and triangles_properly_intersect is a batch of
   one.
 
@@ -21,11 +22,11 @@ Two exact finite tests stand in for questions about an infinite surface:
   form a closed hexagon. Projected along the vertex normal (the sum of the six
   incident unit face normals), the hexagon either is a simple circuit or
   crosses itself; that splits the branches into the two families. The
-  hexagons of a band's branches are projected and tested as one stack.
+  hexagons of many branches are projected and tested as one stack.
 
-classify takes the branches of one band, as solve_band returns them, and
-runs both tests once over the band. classify_face_intersection and
-vertex_figure are the same passes over a band of one branch.
+classify takes branches of any bands, such as every branch of a catalog, and
+runs both tests over them in a few blocks. classify_face_intersection and
+vertex_figure are the same passes over a list of one branch.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_combinatorics import prototype_faces, vertex_neighbor_cycle
-from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_stack, _normals, _unit
+from .band_combinatorics import OffsetTriple, offsets_from_band, prototype_faces, vertex_neighbor_cycle
+from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit
 from .errors import ParameterError
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
 
 MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
+ROW_BUDGET = 1024    # most rows per predicate call; bounds the face pass's working set
 
 FaceId = tuple[str, int]
 Witness = tuple[FaceId, FaceId]
@@ -199,13 +201,34 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     return bool(_intersect(T1, T2, np.array([shared]))[0])
 
 
+def _per_band(solutions: list[BranchSolution], table) -> tuple[list, np.ndarray]:
+    """table(offsets) of each band among the branches, and each branch's index into that list."""
+    seen: dict = {}
+    band = np.array([seen.setdefault(sol.band, len(seen)) for sol in solutions], dtype=np.intp)
+    return [table(offsets_from_band(b)) for b in seen], band
+
+
+def _kept_row(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FaceId]]:
+    """U_0's kept row in one band: U_0's corners, and each kept face's corners, shared count and name.
+
+    Corners are vertex indices; the kept faces are in scan order.
+    """
+    c = offsets.c
+    shape = prototype_faces(offsets)
+    window = (np.arange(-c, c + 1)[:, None, None] + shape).reshape(-1, 3)
+    shared = (shape[0][None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
+    slot = np.arange(len(window))  # U_k at 2*(k+c), D_k after it
+    keep = np.flatnonzero((shared < 2) & ((slot < 2 * c) | (slot % 2 == 1)))
+    return shape[0], window[keep], shared[keep], [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]
+
+
 def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | None]]:
-    """Verdict and first witness pair of each branch of one band, one predicate call.
+    """Verdict and first witness pair of each branch, of any bands, in staged predicate calls.
 
     The scan order is prototype U_0 then D_0, each against the window of
     faces with base index in [-c, c], k ascending, U_k before D_k; a branch's
     witness is its first hit in that order. Only U_0's row is tested, and
-    only the part of it that can hold the first hit:
+    only the part of it that can hold the first hit (_kept_row):
 
     * D_0's row goes: the half-turn about v_0 maps D_0 onto U_-c, so by
       screw symmetry each (D_0, F) is congruent to some (U_0, F') in the
@@ -214,36 +237,56 @@ def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | No
       which comes earlier in the row (k = 0 is U_0 itself).
     * Faces sharing an edge with U_0 go: the predicate never lets them hit.
 
-    The index tables are the band's; the points of all branches come from
-    one _helix_stack call.
+    Most branches hit early in their row, so the rows are scanned in stages,
+    up to 10%, 20%, 40% and 100% of each row's length, and a branch leaves
+    the scan at its first hit. Each stage runs across all branches, in
+    predicate calls of at most ROW_BUDGET rows; once the rows left fit in
+    one call, that stage scans them to their ends, so a small band is one
+    call. Each call computes the corners of its own rows. A witness is the
+    first hit in scan order whatever the stages, and every step works row by
+    row, so a branch's result is the same bits in any batch.
     """
-    off = solutions[0].offsets
-    c = off.c
-    shape = prototype_faces(off)
-    first = -c  # lowest vertex index in the window
-    proto = shape[0]
-    window = (np.arange(first, c + 1)[:, None, None] + shape).reshape(-1, 3)
-    shared = (proto[None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
-    row = np.arange(len(window))  # U_k at 2*(k-first), D_k after it
-    keep = np.flatnonzero((shared < 2) & ((row < 2 * c) | (row % 2 == 1)))
-    pts = _helix_stack([sol.params for sol in solutions], np.arange(first, 2 * c + 1))
-    stack = (len(solutions), len(keep), 3, 3)
-    hits = _intersect(
-        np.broadcast_to(pts[:, None, proto - first], stack).reshape(-1, 3, 3),
-        pts[:, window[keep] - first].reshape(-1, 3, 3),
-        np.tile(shared[keep], len(solutions)),
-    ).reshape(len(solutions), -1)
-    out = []
-    for at, hit in zip(keep[hits.argmax(axis=1)].tolist(), hits.any(axis=1).tolist()):
-        k, kind = divmod(at, 2)
-        out.append((True, (("U", 0), ("UD"[kind], first + k))) if hit else (False, None))
-    return out
+    tables, band = _per_band(solutions, _kept_row)
+    sizes = np.array([len(names) for *_, names in tables])
+    length = sizes[band]
+    start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
+    corners, shared = (np.concatenate([table[i] for table in tables]) for i in (1, 2))
+    names = [name for *_, table_names in tables for name in table_names]
+    helix = _helix_rows([sol.params for sol in solutions])
+    proto = _helix_stack(helix, np.array([table[0] for table in tables])[band])
+
+    first_hit = np.full(len(solutions), -1)  # kept-row position of each branch's witness
+    done = np.zeros(len(solutions), dtype=np.intp)  # positions scanned so far
+    live = np.arange(len(solutions))
+    for tenths in (1, 2, 4, 10):
+        end = length[live]
+        if (end - done[live]).sum() > ROW_BUDGET:
+            end = -(-end * tenths // 10)  # rounded up
+        count = end - done[live]
+        owner = np.repeat(live, count)
+        pos = np.arange(count.sum()) + np.repeat(done[live] - (np.cumsum(count) - count), count)
+        at = start[owner] + pos
+        hits = np.zeros(len(at), dtype=bool)
+        for i in range(0, len(at), ROW_BUDGET):
+            o, r = owner[i:i + ROW_BUDGET], at[i:i + ROW_BUDGET]
+            hits[i:i + ROW_BUDGET] = _intersect(proto[o], _helix_stack(helix[o], corners[r]), shared[r])
+        hit_rows = np.flatnonzero(hits)
+        found, first = np.unique(owner[hit_rows], return_index=True)
+        first_hit[found] = pos[hit_rows[first]]
+        done[live] = end
+        live = live[(first_hit[live] < 0) & (end < length[live])]
+        if not live.size:
+            break
+    return [
+        (False, None) if hit < 0 else (True, (("U", 0), names[row + hit]))
+        for row, hit in zip(start.tolist(), first_hit.tolist())
+    ]
 
 
 def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness | None]:
     """Decide self-intersection; returns the first witness pair found.
 
-    The band pass of classify over this one branch; U_0 is exhaustive by
+    The face pass of classify over this one branch; U_0 is exhaustive by
     screw symmetry.
     """
     return _face_pass([solution])[0]
@@ -264,14 +307,16 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
 
 
 def _figure_pass(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[str]]:
-    """Neighbor hexagons, (branches, 6, 3), and figure kinds of one band's branches.
+    """Neighbor hexagons, (branches, 6, 3), and figure kinds of branches of any bands.
 
     Each hexagon is projected along its own vertex normal; a branch whose
     normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
     indeterminate and is left out of the projection rather than guessed.
+    One _helix_stack call gives every branch's points, each at its own
+    band's neighbour cycle, and every step after it works row by row.
     """
-    cycle = np.array([0, *vertex_neighbor_cycle(solutions[0].offsets)])
-    pts = _helix_stack([sol.params for sol in solutions], cycle)
+    cycles, band = _per_band(solutions, lambda off: [0, *vertex_neighbor_cycle(off)])
+    pts = _helix_stack(_helix_rows([sol.params for sol in solutions]), np.array(cycles)[band])
     center, polygon = pts[:, :1], pts[:, 1:]
     with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
         axis = _unit(_normals(pts[:, _FAN])).sum(axis=1)
@@ -295,7 +340,7 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
     Projection is along the vertex normal at v_0, the sum of the unit normals
     of the 6 fan faces (0, w_i, w_(i+1)); by screw symmetry every vertex has
     the same figure. When that sum degenerates (below 1e-9) the
-    classification is reported indeterminate rather than guessed. The band
+    classification is reported indeterminate rather than guessed. The figure
     pass of classify over this one branch.
     """
     polygons, kinds = _figure_pass([solution])
@@ -303,23 +348,33 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
 
 
 def classify(solutions: list[BranchSolution]) -> list[Classification]:
-    """Full classification of each branch of one band, in order.
+    """Full classification of each branch, in input order; the branches may be of any bands.
 
-    solutions is what solve_band returns, or any part of it: the face test
-    and the vertex figure each run once over the whole band. classify([]) is
-    []; branches of two different bands raise ParameterError.
+    The branches are grouped by band and taken in blocks of ROW_BUDGET // 8,
+    which bounds the working set; the face pass and the figure pass each run
+    once over a block. On the paper's range, kept rows of at most 70 faces,
+    the first stage of a block, a tenth of each row, is about one predicate
+    call. A branch gets the same result, to the bit, in any batch.
+    classify([]) is []; anything but a list of BranchSolution raises
+    ParameterError.
     """
     if isinstance(solutions, BranchSolution):
-        raise ParameterError("classify takes a list of one band's branches; pass [solution]")
-    solutions = list(solutions)
-    if not solutions:
-        return []
-    bands = sorted({(sol.band.n_strips, sol.band.shift) for sol in solutions})
-    if len(bands) > 1:
-        raise ParameterError(f"classify takes the branches of one band, got bands {bands}")
-    faces = _face_pass(solutions)
-    polygons, kinds = _figure_pass(solutions)
-    return [
-        Classification(hit, witness, kind, polygon)
-        for (hit, witness), kind, polygon in zip(faces, kinds, polygons)
-    ]
+        raise ParameterError("classify takes a list of branches; pass [solution]")
+    try:
+        solutions = list(solutions)
+    except TypeError:
+        raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
+    for sol in solutions:
+        if not isinstance(sol, BranchSolution):
+            raise ParameterError(f"classify takes BranchSolution elements, got {sol!r}")
+    group: dict = {}
+    order = sorted(range(len(solutions)), key=lambda i: group.setdefault(solutions[i].band, len(group)))
+    out: list[Classification] = [None] * len(solutions)
+    block = ROW_BUDGET // 8
+    for lo in range(0, len(order), block):
+        at = order[lo:lo + block]
+        sols = [solutions[i] for i in at]
+        polygons, kinds = _figure_pass(sols)
+        for i, (hit, witness), kind, polygon in zip(at, _face_pass(sols), kinds, polygons):
+            out[i] = Classification(hit, witness, kind, polygon)
+    return out

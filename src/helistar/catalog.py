@@ -123,10 +123,13 @@ def enumerate_catalog(
     opts = opts or SolverOptions()
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]
+    per_band = solve_band(bands, opts)
+    verdicts = iter(classify([sol for sols in per_band for sol in sols]))
     entries: list[CatalogEntry] = []
-    for band, sols in zip(bands, solve_band(bands, opts)):
+    for band, sols in zip(bands, per_band):
         names = [_entry_name(sol) for sol in sols]
-        for sol, cls, name in zip(sols, classify(sols), names):
+        for sol, name in zip(sols, names):
+            cls = next(verdicts)
             entries.append(CatalogEntry(
                 name=name if names.count(name) == 1 else f"{name} [b{sol.branch_index}]",
                 n_strips=band.n_strips, shift=band.shift, branch_index=sol.branch_index,

@@ -46,10 +46,10 @@ at theta = 2 pi k / g are never bracketed.
 
 solve_band takes one band or a list of them. Each band's brackets are found
 on their own; then the brackets of all bands are bisected in one loop, each
-lane with its band's (a, b, c), and each band's surviving roots get their
-coplanarity dihedrals from one stack of helix points. Every step works lane
-by lane or row by row, so a band's branches are the same bits alone as in
-any batch.
+lane with its band's (a, b, c), and the surviving roots of all bands get
+their coplanarity dihedrals from one stack of helix points. Every step works
+lane by lane or row by row, so a band's branches are the same bits alone as
+in any batch.
 """
 
 from __future__ import annotations
@@ -145,17 +145,23 @@ class BranchSolution:
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
     """Vertex positions v_k for an array of integer indices, shape (len, 3)."""
-    return _helix_stack([params], ks)[0]
+    return _helix_stack(_helix_rows([params]), ks)[0]
 
 
-def _helix_stack(params: list[HelixParams], ks) -> np.ndarray:
-    """Vertex positions of several realizations at the same indices, (len(params), len(ks), 3).
+def _helix_rows(params: list[HelixParams]) -> np.ndarray:
+    """(r, theta, h) of each realization, shape (len(params), 3)."""
+    return np.array([(p.r, p.theta, p.h) for p in params], dtype=float)
 
-    Every entry is one elementwise product, cosine or sine, so row i does not
-    depend on the other rows: a branch's points are the same bits in a band's
-    stack as alone.
+
+def _helix_stack(helix: np.ndarray, ks) -> np.ndarray:
+    """Vertex positions of the realizations in the rows of helix (_helix_rows), (rows, len, 3).
+
+    ks holds the indices, one set shared by all rows, shape (len,), or one set
+    per row, shape (rows, len). Every entry is one elementwise product, cosine
+    or sine, so row i does not depend on the other rows: a branch's points
+    are the same bits in any stack as alone.
     """
-    r, theta, h = np.array([(p.r, p.theta, p.h) for p in params], dtype=float).T[..., None]
+    r, theta, h = helix.T[..., None]
     ks = np.asarray(ks, dtype=float)
     t = ks * theta
     return np.stack([r * np.cos(t), r * np.sin(t), ks * h], axis=-1)
@@ -241,8 +247,13 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
-def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> list[tuple[float, float, float]]:
+def _interior_dihedrals(
+    offsets: OffsetTriple | list[OffsetTriple], params: list[HelixParams]
+) -> list[tuple[float, float, float]]:
     """Interior a, b, c dihedrals of each realization, through the solid, in (0, 2pi).
+
+    offsets are the band's, shared by every realization, or one per
+    realization, so realizations of many bands share one stack.
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
@@ -253,7 +264,9 @@ def _interior_dihedrals(offsets: OffsetTriple, params: list[HelixParams]) -> lis
     row-wise step after it, do not depend on the other rows, so a
     realization's angles are the same bits in a stack as alone.
     """
-    pts = _helix_stack(params, [0, *vertex_neighbor_cycle(offsets)])
+    if isinstance(offsets, OffsetTriple):
+        offsets = [offsets] * len(params)
+    pts = _helix_stack(_helix_rows(params), [[0, *vertex_neighbor_cycle(off)] for off in offsets])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
     origin = pts[:, :1]
@@ -363,9 +376,9 @@ def solve_band(
     inside its own cell. A root is dropped when the a/b system of _solve_AB
     is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
     the c-chord residual exceeds RESIDUAL_TOL, or when a dihedral is within
-    COPLANAR_GAP of pi; the dihedrals of a band's remaining roots come from
-    one stack. A kept root's faces have sides within RESIDUAL_TOL of 1, so
-    none has zero area. An empty result is an answer, not an error.
+    COPLANAR_GAP of pi; the dihedrals of the remaining roots of all bands
+    come from one stack. A kept root's faces have sides within RESIDUAL_TOL
+    of 1, so none has zero area. An empty result is an answer, not an error.
 
     Measured on every band with n <= 40, not proven: a connected band keeps
     floor((2n - s - 1)/3) branches, and a compound band g times as many as
@@ -390,7 +403,7 @@ def solve_band(
 
 
 def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
-    """The branches of each band: brackets per band, one bisection, one dihedral stack per band."""
+    """The branches of each band: brackets per band, then one bisection and one dihedral stack for all."""
     if not bands:
         return []
     points = opts.grid_points
@@ -404,14 +417,20 @@ def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     lo = _grid_point(flips, points)
     width = _grid_point(flips + 1, points) - lo
     bisected = np.split(_bisect(abc, lo, width, _determinant(*abc, lo)), np.cumsum(counts)[:-1])
+    candidates = [
+        _candidates(off, np.sort(np.concatenate([_grid_point(zeros, points), roots])).tolist())
+        for off, (_, zeros), roots in zip(offsets, brackets, bisected)
+    ]
+    stack = [(off, params) for off, found in zip(offsets, candidates) for params, _ in found]
+    angles = iter(_interior_dihedrals([off for off, _ in stack], [params for _, params in stack]) if stack else [])
     return [
-        _accept(band, off, np.sort(np.concatenate([_grid_point(zeros, points), roots])).tolist())
-        for band, off, (_, zeros), roots in zip(bands, offsets, brackets, bisected)
+        _accept(band, [(params, residual, next(angles)) for params, residual in found])
+        for band, found in zip(bands, candidates)
     ]
 
 
-def _accept(band: BandSpec, offsets: OffsetTriple, roots: list[float]) -> list[BranchSolution]:
-    """The branches among one band's roots, theta ascending, numbered from 1."""
+def _candidates(offsets: OffsetTriple, roots: list[float]) -> list[tuple[HelixParams, float]]:
+    """(params, residual) of each of one band's roots that passes every test but coplanarity."""
     candidates: list[tuple[HelixParams, float]] = []
     for theta in roots:
         AB = _solve_AB(offsets, theta)
@@ -422,11 +441,13 @@ def _accept(band: BandSpec, offsets: OffsetTriple, roots: list[float]) -> list[B
         residual = max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
         if residual <= RESIDUAL_TOL:
             candidates.append((params, residual))
-    if not candidates:
-        return []
-    angles = _interior_dihedrals(offsets, [params for params, _ in candidates])
+    return candidates
+
+
+def _accept(band: BandSpec, candidates: list[tuple[HelixParams, float, tuple]]) -> list[BranchSolution]:
+    """The branches among one band's (params, residual, dihedrals), theta ascending, numbered from 1."""
     branches: list[BranchSolution] = []
-    for (params, residual), dihedrals in zip(candidates, angles):
+    for params, residual, dihedrals in candidates:
         if min(abs(v - math.pi) for v in dihedrals) <= COPLANAR_GAP:
             continue
         branches.append(BranchSolution(

@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from helistar import (
     triangles_properly_intersect,
     vertex_figure,
 )
-from helistar.analysis import classify_face_intersection
+from helistar import analysis, helix_points
+from helistar.analysis import ROW_BUDGET, classify_face_intersection
 
 from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, shifted_witness
 
@@ -241,12 +244,36 @@ class TestBandPass:
     def test_empty_band(self):
         assert classify([]) == []
 
-    @pytest.mark.parametrize("other", [(5, 1), (10, 4)])
-    def test_branches_of_two_bands_are_refused(self, band52, other):
-        # (10, 4) is the 2-compound of (5, 2): same component, another band
-        mixed = [band52[0], solve_band(BandSpec(*other))[0], band52[1]]
-        with pytest.raises(ParameterError, match="one band"):
-            classify(mixed)
+    @pytest.mark.parametrize(
+        "bands,count",
+        [
+            ([BandSpec(n, s) for n in range(5, 25) for s in range(1, n // 2 + 1)], 1149),
+            # (10, 4) is the 2-compound of (5, 2): same component, another band
+            ([BandSpec(5, 2), BandSpec(10, 4)], 6),
+        ],
+        ids=["5_to_24", "5_2_with_10_4"],
+    )
+    def test_shuffled_bands_match_the_band_passes(self, bands, count):
+        # branches of many bands in one shuffled call, compounds included
+        per_band = [sols for sols in solve_band(bands) if sols]
+        branches = [sol for sols in per_band for sol in sols]
+        expected = [cls for sols in per_band for cls in classify(sols)]
+        oracle = [witness for sols in per_band for witness in full_scan_witnesses(sols)]
+        order = random.Random(21).sample(range(len(branches)), len(branches))
+        got = classify([branches[i] for i in order])
+        assert len(got) == len(branches)
+        for i, cls in zip(order, got):
+            assert (cls.intersecting, cls.witness) == (expected[i].intersecting, expected[i].witness) == oracle[i]
+            assert cls.vertex_figure == expected[i].vertex_figure
+            assert cls.figure_polygon.tobytes() == expected[i].figure_polygon.tobytes()
+        assert len(branches) == count
+
+    @pytest.mark.parametrize("bad", [1, None, "ab"])
+    def test_non_branch_is_refused(self, band52, bad):
+        # as an element, after a good branch, and as the argument itself
+        for solutions in ([bad], [band52[0], bad], bad):
+            with pytest.raises(ParameterError, match="classify takes"):
+                classify(solutions)
 
     def test_a_single_branch_is_refused(self, band52):
         with pytest.raises(ParameterError, match=r"\[solution\]"):
@@ -264,3 +291,58 @@ class TestBandPass:
         ]
         assert not got[1].intersecting
         assert vertex_figure(flat)[1] == "indeterminate"
+
+
+class TestStagedScan:
+    """The face pass's predicate calls, recorded at _intersect."""
+
+    @pytest.fixture(scope="class")
+    def branches_5_24(self):
+        bands = [BandSpec(n, s) for n in range(5, 25) for s in range(1, n // 2 + 1)]
+        return [sol for sols in solve_band(bands) for sol in sols]
+
+    @staticmethod
+    def recorder(monkeypatch):
+        calls = []
+        real = analysis._intersect
+        monkeypatch.setattr(analysis, "_intersect", lambda T1, T2, s: (calls.append(T1), real(T1, T2, s))[1])
+        return calls
+
+    def test_calls_fit_the_budget_and_skip_most_rows(self, branches_5_24, monkeypatch):
+        calls = self.recorder(monkeypatch)
+        classify(branches_5_24)
+        full = sum(3 * sol.offsets.c - 2 for sol in branches_5_24)  # every kept row, to its end
+        assert full == 62_295
+        assert max(len(T1) for T1 in calls) <= ROW_BUDGET
+        assert sum(len(T1) for T1 in calls) <= 0.4 * full
+
+    def test_long_stages_are_split_at_the_budget(self, monkeypatch):
+        # at n = 48 a block's first stage alone needs more than one call
+        calls = self.recorder(monkeypatch)
+        classify([sol for sols in solve_band([BandSpec(48, s) for s in range(1, 25)]) for sol in sols])
+        assert max(len(T1) for T1 in calls) == ROW_BUDGET
+
+    def test_free_branches_are_scanned_to_the_end(self, branches_5_24, monkeypatch):
+        # a branch's rows carry its own U_0 as first triangle; a branch without
+        # a hit must have had every face of its kept row tested
+        calls = self.recorder(monkeypatch)
+        verdicts = classify(branches_5_24)
+        scanned = Counter(tri.tobytes() for T1 in calls for tri in T1)
+        free = 0
+        for sol, cls in zip(branches_5_24, verdicts):
+            off = sol.offsets
+            rows = scanned[helix_points(sol.params, [0, off.a, off.c]).tobytes()]
+            if not cls.intersecting:
+                assert rows == 3 * off.c - 2, sol.band
+                free += 1
+            else:
+                assert 0 < rows <= 3 * off.c - 2
+        assert free == 87
+
+    def test_a_small_band_is_one_call(self, solutions_5_12, monkeypatch):
+        calls = self.recorder(monkeypatch)
+        for sols in solutions_5_12.values():
+            if sols:
+                calls.clear()
+                classify(sols)
+                assert len(calls) == 1
