@@ -45,11 +45,16 @@ double root x = 1 is divided out, so the quadruple roots of a compound band
 at theta = 2 pi k / g are never bracketed.
 
 solve_band takes one band or a list of them. Each band's brackets are found
-on their own; then the brackets of all bands are bisected in one loop, each
+on their own; then the brackets of all bands are bisected together, each
 lane with its band's (a, b, c), and the surviving roots of all bands get
-their coplanarity dihedrals from one stack of helix points. Every step works
-lane by lane or row by row, so a band's branches are the same bits alone as
-in any batch.
+their coplanarity dihedrals from one stack of helix points. The colleague
+roots are accurate to about 5e-14, so they predict nearly every step of the
+bisection: a call of at most GUIDED_LANES lanes evaluates D once, at every
+midpoint of the predicted paths, and only a lane whose computed sign
+disagrees with its prediction goes on step by step. Either way every
+midpoint and every decision is the one of the step-by-step loop, so the
+route sets the time, not the bits. Every step works lane by lane or row by
+row, so a band's branches are the same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -93,8 +98,16 @@ MAX_GRID_POINTS = 10**11
 # as rows of helix_points over [k, *(k + w)]
 _FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
 
-# (flips, zeros) of a band whose D vanishes identically
-_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+# (flips, zeros, guesses) of a band whose D vanishes identically
+_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+
+# (x - 1)^2 as a Chebyshev series: the double root of every D at theta = 0
+_DOUBLE_ROOT_AT_1 = chebfromroots([1.0, 1.0])
+
+# Most lanes a bisection checks against its guesses. With more, the loop's
+# per-step cost is shared by so many lanes that predicting every path, and
+# resuming the loop for the few that miss, takes longer than the loop itself.
+GUIDED_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,10 @@ class BranchSolution:
     """One root of the closure equations of a band, with its labels.
 
     The band is the branch's identity; its edge offsets are derived from it.
-    dihedrals are the interior a, b, c dihedrals of params from the solver's
-    stack; equality and hashing ignore them, and dataclasses.replace keeps them.
+    dihedrals are the interior a, b, c dihedrals of params, and cannot be set
+    apart from them: the solver fills them from its stack, and a branch made
+    any other way, directly or by dataclasses.replace, computes them from its
+    own params when they are first read. Equality and hashing ignore them.
     """
 
     band: BandSpec
@@ -135,12 +150,20 @@ class BranchSolution:
     branch_index: int
     winding_m: int
     residual: float
-    dihedrals: tuple[float, float, float] = field(compare=False)
+    dihedrals: tuple[float, float, float] = field(init=False, compare=False)
 
     @property
     def offsets(self) -> OffsetTriple:
         """The band's image on the index line, offsets_from_band(band)."""
         return offsets_from_band(self.band)
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute not set: dihedrals of a branch the solver did not make
+        if name != "dihedrals":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        (angles,) = _interior_dihedrals(self.offsets, [self.params])
+        object.__setattr__(self, "dihedrals", angles)
+        return angles
 
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
@@ -295,6 +318,8 @@ def _bisect(abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray)
     takes scipy.optimize.bisect's steps exactly: halve the width, evaluate D
     at mid = lo + width, move lo to mid when D(mid) * flo >= 0, and stop at
     mid once D(mid) == 0 or |width| < BISECTION_TOL + BISECTION_RTOL * |mid|.
+    This loop is the reference for _guided_bisect, which takes the same
+    steps, and it serves the lanes whose guess _guided_bisect finds wrong.
     """
     roots = np.empty_like(lo)
     lanes = np.arange(lo.size)
@@ -311,6 +336,48 @@ def _bisect(abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray)
     return roots
 
 
+def _guided_bisect(
+    abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray, guess: np.ndarray
+) -> np.ndarray:
+    """_bisect's roots, bit for bit, from one evaluation of D on the paths the guesses predict.
+
+    guess holds a close estimate of each lane's root. Predict: from lo, step
+    K times with _bisect's widths, width * 0.5**k, exact, moving lo to
+    mid = lo + width unless mid > guess; K = ceil(log2(max width /
+    BISECTION_TOL)) + 1 covers the stopping step of every lane, and widths
+    are positive, so |width| in the stopping test is the width itself.
+    Verify: evaluate D at all K predicted mids at once. Up to a lane's
+    first step where the decision D(mid) * flo >= 0 differs from the
+    prediction, its mids are the ones _bisect computes, so it stops at the
+    first of them where _bisect stops. A lane whose decision differs first
+    resumes _bisect from the lo and width that decision leaves. Each root is
+    thus the same float as _bisect's; the guesses only decide how many lanes
+    resume. More than GUIDED_LANES lanes go to _bisect directly.
+    """
+    if not 0 < lo.size <= GUIDED_LANES:
+        return _bisect(abc, lo, width, flo)
+    steps = math.ceil(math.log2(width.max() / BISECTION_TOL)) + 1
+    half = width * 0.5 ** np.arange(1, steps + 1)[:, None]
+    los = np.empty_like(half)  # lo before each step, on the predicted path
+    los[0] = lo
+    for w, before, after in zip(half, los, los[1:]):
+        np.add(before, w, out=after)
+        np.copyto(after, before, where=after > guess)
+    mids = los + half
+    fmid = _determinant(*abc, mids)
+    done = (fmid == 0.0) | (half < BISECTION_TOL + BISECTION_RTOL * np.abs(mids))
+    moved = fmid * flo >= 0.0
+    stop = done | (moved == (mids > guess))
+    stop[-1] = True  # a lane still going after K steps resumes from there
+    at = (stop.argmax(axis=0), np.arange(lo.size))
+    roots = mids[at]
+    resume = ~done[at]
+    if resume.any():
+        resumed_lo = np.where(moved[at], mids[at], los[at])[resume]
+        roots[resume] = _bisect(abc[:, resume], resumed_lo, half[at][resume], flo[resume])
+    return roots
+
+
 def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
     """Points idx of np.linspace(THETA_MIN, THETA_MAX, points), bit for bit.
 
@@ -321,11 +388,12 @@ def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
     return np.where(idx == points - 1, THETA_MAX, idx * step + THETA_MIN)
 
 
-def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flips, zeros) of D's roots on the grid of points points, as grid indices.
+def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flips, zeros, guesses) of D's roots on the grid of points points.
 
-    flips are the i with F(i) * F(i + 1) < 0 and zeros the i with F(i) == 0,
-    F the computed D at grid point i, one per root. The roots come from the
+    flips are the grid indices i with F(i) * F(i + 1) < 0 and zeros the i
+    with F(i) == 0, F the computed D at grid point i, one per root; guesses
+    are the colleague-matrix thetas of the flips' roots. The roots come from the
     colleague matrix of the component's D' / (x - 1)^2 (chebroots) and are
     lifted to the band's g components; each is taken to its nearest grid
     point j, and its flip or zero is the one among j - 1, j, j + 1. A count
@@ -336,7 +404,7 @@ def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarra
     a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
     coef = np.zeros(c + 1)
     coef[[a, b, c]] = (c * c - b * b, a * a - c * c, b * b - a * a)
-    x = chebroots(chebdiv(coef, chebfromroots([1.0, 1.0]))[0])
+    x = chebroots(chebdiv(coef, _DOUBLE_ROOT_AT_1)[0])
     x = x[(x.imag == 0.0) & (np.abs(x.real) < 1.0)].real
     if x.size != b - 1:
         raise RuntimeError(f"{offsets}: {x.size} roots in (-1, 1), expected {b - 1}")
@@ -352,7 +420,7 @@ def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarra
     right = f[:, 1] * f[:, 2] < 0.0
     if not np.all(zero | left | right):
         raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
-    return np.where(left, j - 1, j)[~zero], j[zero]
+    return np.where(left, j - 1, j)[~zero], j[zero], theta[~zero]
 
 
 def solve_band(
@@ -370,8 +438,12 @@ def solve_band(
     snapped to the grid of opts.grid_points points (_brackets), so each root
     is one sign change of the computed D between adjacent grid points, or
     one grid point where it is exactly 0. The sign changes of all bands are
-    bisected together, each lane step for step as
-    scipy.optimize.bisect bisects it alone. No root needs merging: a zero at
+    bisected together, each lane step for step as scipy.optimize.bisect
+    bisects it alone. A call of at most GUIDED_LANES lanes checks the path
+    that each colleague root predicts in one evaluation of D, and resumes
+    the step-by-step loop only where a sign disagrees (_guided_bisect); its
+    midpoints and decisions are the loop's, so its roots are too. No root
+    needs merging: a zero at
     grid point j excludes a flip at j-1 and j, and each bisected root lies
     inside its own cell. A root is dropped when the a/b system of _solve_AB
     is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
@@ -411,15 +483,16 @@ def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     # a = b: the a- and b-chord equations coincide, so D vanishes identically
     # and the band flexes through a continuum; there are no isolated branches
     brackets = [_brackets(off, points) if off.a != off.b else _NO_ROOTS for off in offsets]
-    counts = [f.size for f, _ in brackets]
-    flips = np.concatenate([f for f, _ in brackets])
+    flips, zeros, guesses = zip(*brackets)
+    counts = [f.size for f in flips]
+    flips = np.concatenate(flips)
     abc = np.repeat(np.array([(off.a, off.b, off.c) for off in offsets], dtype=float), counts, axis=0).T
     lo = _grid_point(flips, points)
     width = _grid_point(flips + 1, points) - lo
-    bisected = np.split(_bisect(abc, lo, width, _determinant(*abc, lo)), np.cumsum(counts)[:-1])
+    bisected = _guided_bisect(abc, lo, width, _determinant(*abc, lo), np.concatenate(guesses))
     candidates = [
-        _candidates(off, np.sort(np.concatenate([_grid_point(zeros, points), roots])).tolist())
-        for off, (_, zeros), roots in zip(offsets, brackets, bisected)
+        _candidates(off, np.sort(np.concatenate([_grid_point(zero, points), roots])).tolist())
+        for off, zero, roots in zip(offsets, zeros, np.split(bisected, np.cumsum(counts)[:-1]))
     ]
     stack = [(off, params) for off, found in zip(offsets, candidates) for params, _ in found]
     angles = iter(_interior_dihedrals([off for off, _ in stack], [params for _, params in stack]) if stack else [])
@@ -450,8 +523,11 @@ def _accept(band: BandSpec, candidates: list[tuple[HelixParams, float, tuple]]) 
     for params, residual, dihedrals in candidates:
         if min(abs(v - math.pi) for v in dihedrals) <= COPLANAR_GAP:
             continue
-        branches.append(BranchSolution(
+        branch = BranchSolution(
             band=band, params=params, branch_index=len(branches) + 1,
-            winding_m=winding_estimate(band, params), residual=residual, dihedrals=dihedrals,
-        ))
+            winding_m=winding_estimate(band, params), residual=residual,
+        )
+        # the stack's rows are the same bits as a branch computes alone
+        object.__setattr__(branch, "dihedrals", dihedrals)
+        branches.append(branch)
     return branches

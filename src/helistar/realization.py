@@ -145,7 +145,8 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     By screw symmetry one prototype edge per class speaks for all. Values
     above pi are reflex folds; star branches have them, and so does the
     tetrahelix on its class-a edges (three tetrahedra stack around each).
-    The values are the solver's own, BranchSolution.dihedrals, by class.
+    The values are BranchSolution.dihedrals, by class: the solver's own for
+    a solved branch, computed from its params for a branch made otherwise.
     """
     return dict(zip("abc", solution.dihedrals))
 

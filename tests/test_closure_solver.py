@@ -189,15 +189,91 @@ class TestBisection:
     def test_a_census_bisects_once(self, monkeypatch):
         # guards against a return to one bisection loop per band
         lanes = []
-        bisect_all = cs._bisect
+        bisect_all = cs._guided_bisect
 
         def counting(abc, *args):
             lanes.append(abc.shape[1])
             return bisect_all(abc, *args)
 
-        monkeypatch.setattr(cs, "_bisect", counting)
+        monkeypatch.setattr(cs, "_guided_bisect", counting)
         assert len(enumerate_catalog(5, 12, include_compounds=True)) == 124
         assert len(lanes) == 1 and lanes[0] > 124
+
+    def test_small_bands_alone_never_resume_the_loop(self, monkeypatch):
+        # guards the guesses: on every band of 5..12 solved alone, each
+        # colleague-matrix guess predicts its lane's whole bisection path
+        resumed = []
+        bisect_all = cs._bisect
+        monkeypatch.setattr(cs, "_bisect", lambda abc, *args: (resumed.append(abc.shape[1]), bisect_all(abc, *args))[1])
+        for n in range(5, 13):
+            for s in range(1, n // 2 + 1):
+                solve_band(BandSpec(n, s))
+        assert sum(resumed) == 0
+
+
+def _lanes(band, points=200000):
+    """(abc, lo, width, flo, guess) of one band's flips, as _solve_bands bisects them."""
+    off = offsets_from_band(band)
+    flips, _, guess = cs._brackets(off, points)
+    lo = cs._grid_point(flips, points)
+    width = cs._grid_point(flips + 1, points) - lo
+    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
+    return abc, lo, width, closure_determinant(off, lo), guess
+
+
+class TestGuidedBisection:
+    def test_every_guess_gives_the_loop_roots(self, monkeypatch):
+        # every flip of every band of 3..24, one band per call; guesses near
+        # the root on either side, mirrored across it, at the cell's ends,
+        # outside it and NaN send lanes back to the loop early, midway and
+        # at the last steps, and every root stays the loop's float
+        resumed = []
+        bisect_all = cs._bisect
+
+        def recording(abc, lo, width, flo):
+            resumed.extend(width.tolist())
+            return bisect_all(abc, lo, width, flo)
+
+        lanes = 0
+        for band in _scanned_bands(24):
+            abc, lo, width, flo, colleague = _lanes(band)
+            ref = bisect_all(abc, lo, width, flo)
+            guesses = [colleague, 2.0 * ref - colleague, lo, lo + width, lo - width, lo + 2.0 * width]
+            guesses += [ref + d for d in (1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6)]
+            guesses.append(np.full_like(lo, np.nan))
+            monkeypatch.setattr(cs, "_bisect", recording)
+            for guess in guesses:
+                got = cs._guided_bisect(abc, lo, width, flo, guess)
+                assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.tolist()], band
+            monkeypatch.setattr(cs, "_bisect", bisect_all)
+            lanes += lo.size
+        assert lanes > 1000
+        # resumed widths are width0 / 2**k after the k-th step, width0 ~ pi / 200000
+        steps = np.rint(np.log2(math.pi / 200000 / np.array(resumed))).astype(int)
+        assert steps.min() == 1 and steps.max() >= 27
+        assert np.any((steps > 8) & (steps < 20))
+
+    def test_a_zero_on_the_predicted_path_stops_the_lane(self, monkeypatch):
+        # D(mid) == 0 ends a lane at that mid, in the loop and in the check
+        abc, lo, width, flo, guess = _lanes(BandSpec(7, 3))
+        mids = []
+        determinant = cs._determinant
+        monkeypatch.setattr(cs, "_determinant", lambda a, b, c, t: (mids.append(t.copy()), determinant(a, b, c, t))[1])
+        ref = cs._bisect(abc, lo, width, flo)
+        target = mids[9][0]  # lane 0's tenth mid
+        monkeypatch.setattr(cs, "_determinant", lambda a, b, c, t: np.where(t == target, 0.0, determinant(a, b, c, t)))
+        stopped = cs._bisect(abc, lo, width, flo)
+        assert stopped[0] == target and stopped[1:].tolist() == ref[1:].tolist()
+        assert cs._guided_bisect(abc, lo, width, flo, guess).tolist() == stopped.tolist()
+
+    def test_more_lanes_than_guided_lanes_take_the_loop(self, monkeypatch):
+        calls = []
+        bisect_all = cs._bisect
+        monkeypatch.setattr(cs, "_bisect", lambda abc, *args: (calls.append(abc.shape[1]), bisect_all(abc, *args))[1])
+        abc, lo, width, flo, guess = (np.tile(x, 37) for x in _lanes(BandSpec(17, 8)))
+        assert lo.size == 37 * 8 > cs.GUIDED_LANES
+        assert cs._guided_bisect(abc, lo, width, flo, guess).tolist() == bisect_all(abc, lo, width, flo).tolist()
+        assert calls == [lo.size]
 
 
 def _dense_scan(off, points):
@@ -225,7 +301,7 @@ class TestScan:
         # roots at theta = 2 pi k / g, which were never branches
         for band in _scanned_bands(32):
             off = offsets_from_band(band)
-            flips, zeros = cs._brackets(off, points)
+            flips, zeros, _ = cs._brackets(off, points)
             ref_flips, ref_zeros = _dense_scan(off, points)
             if band.components == 1:
                 assert flips.tolist() == ref_flips.tolist(), band
@@ -261,7 +337,7 @@ def _connected_bands(n_max):
 
 def _raw_roots(off, points):
     """Every root solve_band tests, before any acceptance check, theta ascending."""
-    flips, zeros = cs._brackets(off, points)
+    flips, zeros, _ = cs._brackets(off, points)
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
     abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
@@ -279,9 +355,9 @@ def _floats(sol):
 
 
 @pytest.fixture(scope="module")
-def solved_40():
-    """band -> its branches at the default grid, every band with 3..40 strips, from one solve_band call."""
-    bands = [BandSpec(n, s) for n in range(3, 41) for s in range(1, n // 2 + 1)]
+def solved_64():
+    """band -> its branches at the default grid, every band with 3..64 strips, from one solve_band call."""
+    bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
     return dict(zip(bands, solve_band(bands)))
 
 
@@ -293,7 +369,7 @@ class TestRootAccounting:
         bands = _connected_bands(40)
         assert len(bands) == 244
         for band in bands:
-            flips, zeros = cs._brackets(offsets_from_band(band), points)
+            flips, zeros, _ = cs._brackets(offsets_from_band(band), points)
             assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
 
     def test_exact_root_count_is_b_minus_1(self):
@@ -314,8 +390,8 @@ class TestRootAccounting:
             inside = q.count_roots(-1, 1) - (q.eval(-1) == 0) - (q.eval(1) == 0)
             assert inside == b - 1, band
 
-    def test_theta_is_strictly_increasing(self, solved_40):
-        for band, sols in solved_40.items():
+    def test_theta_is_strictly_increasing(self, solved_64):
+        for band, sols in solved_64.items():
             thetas = [sol.params.theta for sol in sols]
             assert all(t0 < t1 for t0, t1 in zip(thetas, thetas[1:])), band
 
@@ -323,7 +399,7 @@ class TestRootAccounting:
         # the count certificate: g components of b / g - 1 roots each
         for band in _scanned_bands(64):
             off = offsets_from_band(band)
-            flips, zeros = cs._brackets(off, SolverOptions().grid_points)
+            flips, zeros, _ = cs._brackets(off, SolverOptions().grid_points)
             assert flips.size + zeros.size == off.b - band.components, band
 
     def test_no_raw_root_is_singular(self):
@@ -344,12 +420,12 @@ class TestRootAccounting:
         with pytest.raises(RuntimeError, match="0 roots in"):
             solve_band(BandSpec(3, 1))
 
-    def test_connected_bands_keep_floor_of_2n_minus_s_minus_1_over_3(self, solved_40):
+    def test_connected_bands_keep_floor_of_2n_minus_s_minus_1_over_3(self, solved_64):
         bands = _connected_bands(40)
         assert len(bands) == 244
         for band in bands:
             n, s = band.n_strips, band.shift
-            assert len(solved_40[band]) == (2 * n - s - 1) // 3, band
+            assert len(solved_64[band]) == (2 * n - s - 1) // 3, band
 
     @pytest.mark.xfail(
         strict=True,
@@ -360,19 +436,19 @@ class TestRootAccounting:
     def test_kept_count_rule_beyond_n_40(self, n, s):
         assert len(solve_band(BandSpec(n, s))) == (2 * n - s - 1) // 3
 
-    def test_compound_bands_keep_g_times_their_component(self, solved_40):
+    def test_compound_bands_keep_g_times_their_component(self, solved_64):
         bands = [band for band in _scanned_bands(40) if band.components > 1]
         assert len(bands) == 136
         for band in bands:
             g, component = split_compound(band)
-            assert len(solved_40[band]) == g * len(solved_40[component]), band
+            assert len(solved_64[band]) == g * len(solved_64[component]), band
 
-    def test_solver_output_is_pinned(self, solved_40):
+    def test_solver_output_is_pinned(self, solved_64):
         # every branch of n 3..32 at the default grid, floats by float.hex
         lines = [
             f"{band.n_strips} {band.shift} {sol.branch_index} {sol.winding_m} "
             f"{sol.params.r.hex()} {sol.params.theta.hex()} {sol.params.h.hex()} {sol.residual.hex()}"
-            for band, sols in solved_40.items()
+            for band, sols in solved_64.items()
             if band.n_strips <= 32
             for sol in sols
         ]
@@ -382,12 +458,14 @@ class TestRootAccounting:
 
 
 class TestBandList:
-    def test_list_equals_one_call_per_band(self, solved_40):
-        # every band of 3..40 strips; the a = b bands are those without branches
-        empty = [band for band, sols in solved_40.items() if not sols]
-        assert len(empty) == 19
+    def test_list_equals_one_call_per_band(self, solved_64):
+        # every band of 3..64 strips; the a = b bands are those without branches.
+        # A band alone checks its guesses (_guided_bisect), while the batch's
+        # thousands of lanes take the plain loop
+        empty = [band for band, sols in solved_64.items() if not sols]
+        assert len(empty) == 31
         assert all(offsets_from_band(band).a == offsets_from_band(band).b for band in empty)
-        for band, sols in solved_40.items():
+        for band, sols in solved_64.items():
             assert [_floats(sol) for sol in sols] == [_floats(sol) for sol in solve_band(band)], band
 
     def test_order_follows_the_input(self):

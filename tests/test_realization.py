@@ -1,6 +1,7 @@
 """Mesh windows, uniformity checks, dihedrals, antiprism towers."""
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -12,12 +13,15 @@ import pytest
 from helistar import (
     BandSpec,
     MeshSegment,
+    ModuleOptions,
     ParameterError,
     WindowError,
     antiprism_tower,
     dihedral_angles,
+    export_modules_svg,
     realize,
     solve_band,
+    unfold_net,
     verify_uniform,
 )
 from helistar.closure_solver import _interior_dihedrals
@@ -158,10 +162,25 @@ class TestDihedrals:
 
     def test_equality_and_hash_ignore_the_dihedrals(self, band52):
         sol = band52[0]
-        other = replace(sol, dihedrals=(1.0, 2.0, 3.0))
+        other = replace(sol)
+        object.__setattr__(other, "dihedrals", (1.0, 2.0, 3.0))
         assert other == sol and hash(other) == hash(sol)
         assert {sol: 1}[other] == 1
         assert replace(sol, residual=sol.residual + 1.0) != sol
+        with pytest.raises(ValueError, match="dihedrals"):
+            replace(sol, dihedrals=(1.0, 2.0, 3.0))
+
+    def test_replaced_params_bring_their_own_dihedrals(self, band52):
+        # replace used to copy the first branch's dihedrals beside the second's params
+        first, second = band52
+        moved = replace(first, params=second.params)
+        assert [v.hex() for v in moved.dihedrals] == [v.hex() for v in second.dihedrals]
+        assert dihedral_angles(moved) == dihedral_angles(second) != dihedral_angles(first)
+        assert unfold_net(moved).folds == unfold_net(second).folds
+        sheets = [io.StringIO(), io.StringIO()]
+        for sol, sheet in zip((moved, second), sheets):
+            export_modules_svg(sol, ModuleOptions(), sheet)
+        assert sheets[0].getvalue() == sheets[1].getvalue()
 
 
 class TestVerifyUniform:
