@@ -211,15 +211,20 @@ def _per_band(solutions: list[BranchSolution], table) -> tuple[list, np.ndarray]
 def _kept_row(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FaceId]]:
     """U_0's kept row in one band: U_0's corners, and each kept face's corners, shared count and name.
 
-    Corners are vertex indices; the kept faces are in scan order.
+    Corners are vertex indices. The kept faces are U_k for -c <= k <= -1 and
+    D_k for -c <= k <= c, except D_0, D_-b and D_a, the three faces that
+    share an edge with U_0 = (0, a, c); they are in scan order, U_k before
+    D_k, k ascending. A kept face's shared count is how many of its corners
+    are 0, a or c.
     """
-    c = offsets.c
+    a, b, c = offsets.a, offsets.b, offsets.c
+    slot = np.arange(4 * c + 2)  # U_k at 2*(k+c), D_k after it
+    k, is_d = slot // 2 - c, slot % 2
+    keep = np.flatnonzero(np.where(is_d, (k != 0) & (k != -b) & (k != a), k < 0))
     shape = prototype_faces(offsets)
-    window = (np.arange(-c, c + 1)[:, None, None] + shape).reshape(-1, 3)
-    shared = (shape[0][None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
-    slot = np.arange(len(window))  # U_k at 2*(k+c), D_k after it
-    keep = np.flatnonzero((shared < 2) & ((slot < 2 * c) | (slot % 2 == 1)))
-    return shape[0], window[keep], shared[keep], [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]
+    corners = shape[is_d[keep]] + k[keep, None]
+    shared = ((corners == 0) | (corners == a) | (corners == c)).sum(axis=-1)
+    return shape[0], corners, shared, [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]
 
 
 def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | None]]:

@@ -42,8 +42,9 @@ __all__ = [
     "vertex_neighbor_cycle",
 ]
 
-# Largest n accepted. The solver's colleague matrix grows as n**2: on 2 CPUs
-# (1000, 499) solves in about 2 s, and n = 100000 would need about 75 GiB.
+# Largest n accepted. It marks the reach of double precision (ROADMAP item 3):
+# near n = 1000 some genuine roots already fail the residual check, since half
+# an ulp of theta, amplified by the radius, is of order 1e-9.
 MAX_STRIPS = 1000
 
 

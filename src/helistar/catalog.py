@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
@@ -74,6 +75,9 @@ class CatalogEntry:
 _TYPES = {t.__name__: t for t in (str, int, float, bool)}
 _ENTRY_TYPES = {f.name: _TYPES[f.type] for f in fields(CatalogEntry)}
 _ENTRY_FIELDS = list(_ENTRY_TYPES)
+_FIELD_VALUES = operator.attrgetter(*_ENTRY_FIELDS)
+# one JSON entry, each field's text in a %s
+_ENTRY_TEMPLATE = "\n    {\n" + ",\n".join(f'      "{name}": %s' for name in _ENTRY_FIELDS) + "\n    }"
 
 
 def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixParams]:
@@ -259,7 +263,7 @@ def _typed(name: str, v):
 
 
 def _scalar(v) -> str:
-    """Catalog text of one value: reals to 15 significant digits with no "-0",
+    """Catalog text of one option value: reals to 15 significant digits with no "-0",
     ints plain, bools as true/false, anything else as JSON."""
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -270,8 +274,43 @@ def _scalar(v) -> str:
     return json.dumps(v)
 
 
-def _entry_values(e: CatalogEntry) -> list:
-    return [_typed(name, getattr(e, name)) for name in _ENTRY_FIELDS]
+def _exact(kind: type, values) -> bool:
+    """True when every value is exactly of type kind, and finite if kind is float."""
+    return set(map(type, values)) <= {kind} and (kind is not float or all(map(math.isfinite, values)))
+
+
+def _columns(entries: list[CatalogEntry]) -> list[list]:
+    """Each entry field as a column of its CatalogEntry type, every value checked.
+
+    A value exactly of its field's type, and finite for a real, is taken as
+    it is. Any other goes through _typed one at a time, in entry order and
+    then field order, so a bad entry raises on the same value, with the same
+    message, as a check entry by entry would.
+    """
+    columns = [list(column) for column in zip(*map(_FIELD_VALUES, entries))] or [[] for _ in _ENTRY_FIELDS]
+    odd = sorted(
+        (i, f)
+        for f, (kind, column) in enumerate(zip(_ENTRY_TYPES.values(), columns))
+        if not _exact(kind, column)
+        for i, v in enumerate(column)
+        if not _exact(kind, [v])
+    )
+    for i, f in odd:
+        columns[f][i] = _typed(_ENTRY_FIELDS[f], columns[f][i])
+    return columns
+
+
+def _texts(column: list, kind: type, quote) -> list[str]:
+    """Catalog text of one checked column: reals as %.15g of v + 0.0 (no "-0"),
+    ints plain, bools as true/false, and strings as quote(v), once per distinct string."""
+    if kind is float:
+        return ["%.15g" % (v + 0.0) for v in column]
+    if kind is int:
+        return list(map(str, column))
+    if kind is bool:
+        return ["true" if v else "false" for v in column]
+    quoted = {v: quote(v) for v in set(column)}
+    return [quoted[v] for v in column]
 
 
 def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None) -> None:
@@ -293,11 +332,8 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
             raise ParameterError(f"option keys {opt[str(k)][0]!r} and {k!r} both write as {str(k)!r}")
         opt[str(k)] = (k, v)
     recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, (_, v) in sorted(opt.items()))
-    rows = [
-        ",\n".join(f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
-        for e in entries
-    ]
-    body = ",".join(f"\n    {{\n{row}\n    }}" for row in rows) + ("\n  " if rows else "")
+    texts = [_texts(column, kind, json.dumps) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
+    body = ",".join(_ENTRY_TEMPLATE % row for row in zip(*texts)) + ("\n  " if entries else "")
     with _opened(sink) as fh:
         fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {{{recorded}}},\n')
         fh.write(f'  "entries": [{body}]\n}}\n')
@@ -338,8 +374,8 @@ def read_catalog(source) -> list[CatalogEntry]:
 
 def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
     """CSV export: header row, then one row per entry, all checked before the sink opens."""
-    rows = [[v if isinstance(v, str) else _scalar(v) for v in _entry_values(e)] for e in entries]
+    texts = [_texts(column, kind, str) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
     with _opened(sink, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_ENTRY_FIELDS)
-        w.writerows(rows)
+        w.writerows(zip(*texts))

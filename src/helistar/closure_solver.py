@@ -29,42 +29,50 @@ Cofactor expansion down the last column gives the form actually evaluated,
 which the tests pin against the literal 3x3 determinant. For a = b it cancels
 identically (those bands have no isolated roots).
 
-Roots are bracketed on the grid np.linspace(THETA_MIN, THETA_MAX, N): a
-bracket is a pair of adjacent grid points where the computed D changes sign,
-and a grid point where it is exactly 0 is a root. The grid is never scanned.
-With x = cos theta, cos k*theta is the Chebyshev polynomial T_k(x), so D is
-an integer Chebyshev series of degree c with a double root at x = 1. For a
-band of g = gcd(a, b) components, (a, b, c) = g (a', b', c') and
-D(theta) = g^2 D'(g theta), D' the component's. The roots of D' / (x - 1)^2
-are the eigenvalues of its colleague matrix (I. J. Good, "The colleague
-matrix, a Chebyshev analogue of the companion matrix", Q. J. Math. 1961);
-exactly b' - 1 of them are real and inside (-1, 1), a count the solver
-checks. Each lifts to the g thetas in (0, pi) with cos(g theta) = x, and each
-theta picks out its bracket or zero among the grid points nearest it. The
-double root x = 1 is divided out, so the quadruple roots of a compound band
-at theta = 2 pi k / g are never bracketed.
+For a band of g = gcd(a, b) components, (a, b, c) = g (a', b', c') and
+D(theta) = g^2 D'(g theta), D' the component's, whose a' < b' are coprime
+(a = b gives a' = b' = 1). D' changes sign at every theta_k = pi k/b'. There
+cos b'theta = (-1)^k and cos c'theta = (-1)^k cos a'theta, so the three terms
+collapse: for even k, D'(theta_k) = (c'^2 - a'^2)(cos(pi a'k/b') - 1) < 0
+when 0 < k < b', since b' does not divide a'k; for odd k, D'(theta_k) =
+(c'^2 + a'^2 - 2b'^2) cos a'theta_k + (c'^2 - a'^2) >= 2 min(b'^2 - a'^2,
+c'^2 - b'^2) > 0; and D'(pi) has the sign opposite to D'(theta_(b'-1)). So
+each bracket (pi k/b', pi (k+1)/b'), k = 1..b'-1, holds a root (J. P. Boyd,
+"Solving Transcendental Equations", SIAM 2014, on bracketing trigonometric
+polynomials). That there is exactly one in each, and none in (0, pi/b'), is
+measured, not proved: the colleague matrix of D' as a Chebyshev series in
+cos theta (I. J. Good, Q. J. Math. 1961) counts b' - 1 roots in (0, pi) for
+every band the tests try, and a bracket whose samples show any other count of
+sign changes raises RuntimeError. The end values are far from rounding, |D'|
+>= 2c' at odd k, so their float signs are certain. Each component root lifts
+to g roots of D; the quadruple roots of a compound band at theta = 2 pi k/g
+lift from theta' = 0, which no bracket holds, so they are never bracketed.
 
-solve_band takes one band or a list of them. Each band's brackets are found
-on their own; then the brackets of all bands are bisected together, each
-lane with its band's (a, b, c), and the surviving roots of all bands get
-their coplanarity dihedrals from one stack of helix points. The colleague
-roots are accurate to about 5e-14, so they predict nearly every step of the
-bisection: a call of at most GUIDED_LANES lanes evaluates D once, at every
-midpoint of the predicted paths, and only a lane whose computed sign
-disagrees with its prediction goes on step by step. Either way every
-midpoint and every decision is the one of the step-by-step loop, so the
-route sets the time, not the bits. Every step works lane by lane or row by
-row, so a band's branches are the same bits alone as in any batch.
+Each root is then snapped to the grid np.linspace(THETA_MIN, THETA_MAX, N):
+its cell is the pair of adjacent grid points, next to it, where the computed
+D changes sign, or the grid point where it is exactly 0. The grid is never
+scanned. solve_band takes one band or a list of them. The brackets of all
+bands are sampled, polished and snapped in one array pass; then the cells of
+all bands are bisected together, each lane with its band's (a, b, c), and
+the surviving roots of all bands get their coplanarity dihedrals from one
+stack of helix points. The polished roots are accurate to a few 1e-14, so
+they predict nearly every step of the bisection: a call of at most
+GUIDED_LANES lanes evaluates D once, at every midpoint of the predicted
+paths, and only a lane whose computed sign disagrees with its prediction
+goes on step by step. Either way every midpoint and every decision is the
+one of the step-by-step loop, so the route sets the time, not the bits.
+Every step works lane by lane or row by row, so a band's branches are the
+same bits alone as in any batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebdiv, chebfromroots, chebroots
 
 from .band_combinatorics import BandSpec, OffsetTriple, offsets_from_band, vertex_neighbor_cycle
 from .errors import ParameterError, check_int
@@ -90,19 +98,27 @@ RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
 MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
-# Finer grid cells fall below the rounding noise of D: at 10**12 points some
-# root's cell shows no sign change on 12 bands with n <= 64, at 10**11 on none.
+# Largest grid accepted, an input bound: every band with n <= 64 snaps its
+# roots to cells up to 10**14 points; at 10**15 some cells fall below the
+# rounding noise of D and 7 of those bands find no sign change next to a root.
 MAX_GRID_POINTS = 10**11
 
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
 _FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
 
-# (flips, zeros, guesses) of a band whose D vanishes identically
-_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+# Points at which D is sampled in each analytic bracket, ends included, and
+# Newton steps from the sub-cell that holds the sign change: algorithm
+# constants, not settings
+SUBGRID = 65
+NEWTON_STEPS = 2
+_SUBCELLS = np.linspace(0.0, 1.0, SUBGRID)
+# Most brackets sampled at once: bounds the working set, about 10 MB
+BRACKET_BUDGET = 2048
+_NEIGHBOURS = np.arange(-1, 2)
 
-# (x - 1)^2 as a Chebyshev series: the double root of every D at theta = 0
-_DOUBLE_ROOT_AT_1 = chebfromroots([1.0, 1.0])
+# (band, cell, zero, guess) of a call whose bands have no brackets
+_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool), np.empty(0))
 
 # Most lanes a bisection checks against its guesses. With more, the loop's
 # per-step cost is shared by so many lanes that predicting every path, and
@@ -204,11 +220,8 @@ def closure_determinant(offsets: OffsetTriple, theta):
 def _determinant(a, b, c, theta):
     """D(theta) for offsets a, b, c given as ints, or as arrays of one lane per theta."""
     theta = np.asarray(theta, dtype=float)
-    out = (
-        (c * c - b * b) * np.cos(a * theta)
-        + (a * a - c * c) * np.cos(b * theta)
-        + (b * b - a * a) * np.cos(c * theta)
-    )
+    aa, bb, cc = a * a, b * b, c * c
+    out = (cc - bb) * np.cos(a * theta) + (aa - cc) * np.cos(b * theta) + (bb - aa) * np.cos(c * theta)
     return out if out.ndim else float(out)
 
 
@@ -227,8 +240,8 @@ def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float] | None
     With u, v the a and b equations' residuals, b^2 u - a^2 v = A det - (b^2 - a^2)
     and b^2 - a^2 >= 3, so there both hold within RESIDUAL_TOL only for A near
     (b^2 - a^2) / |det| >= 1.5e12 / b^2: no branch. The system is singular at
-    theta = 2 pi k / g, g the component count, which no root reaches: the
-    quadruple roots there are divided out before any root is bracketed.
+    theta = 2 pi k / g, g the component count, which no root reaches: no
+    bracket holds the quadruple roots there.
     """
     a, b = offsets.a, offsets.b
     xa = 1.0 - math.cos(a * theta)
@@ -388,39 +401,96 @@ def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
     return np.where(idx == points - 1, THETA_MAX, idx * step + THETA_MIN)
 
 
-def _brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flips, zeros, guesses) of D's roots on the grid of points points.
+def _component_roots(offsets: list[OffsetTriple], lane: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The root theta' of D' in each lane's bracket (pi k/b', pi (k+1)/b'), as _brackets finds it.
 
-    flips are the grid indices i with F(i) * F(i + 1) < 0 and zeros the i
-    with F(i) == 0, F the computed D at grid point i, one per root; guesses
-    are the colleague-matrix thetas of the flips' roots. The roots come from the
-    colleague matrix of the component's D' / (x - 1)^2 (chebroots) and are
-    lifted to the band's g components; each is taken to its nearest grid
-    point j, and its flip or zero is the one among j - 1, j, j + 1. A count
-    of real roots in (-1, 1) other than b' - 1, or a root whose flip or zero
-    is not there, raises RuntimeError: a root is never dropped silently.
+    lane indexes offsets. terms is (6, lanes): each lane's a', b', c', then
+    the weights of D' = sum of weight * cos((a', b', c') theta).
     """
-    g = math.gcd(offsets.a, offsets.b)
-    a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
-    coef = np.zeros(c + 1)
-    coef[[a, b, c]] = (c * c - b * b, a * a - c * c, b * b - a * a)
-    x = chebroots(chebdiv(coef, _DOUBLE_ROOT_AT_1)[0])
-    x = x[(x.imag == 0.0) & (np.abs(x.real) < 1.0)].real
-    if x.size != b - 1:
-        raise RuntimeError(f"{offsets}: {x.size} roots in (-1, 1), expected {b - 1}")
-    # cos(g theta) = x at g theta = 2 pi ceil(k/2) + (-1)^k arccos(x), k = 0..g-1
-    k = np.arange(g)[:, None]
-    theta = np.sort(((k + 1) // 2 * 2.0 * math.pi + (-1) ** k * np.arccos(x)).ravel() / g)
-    theta = theta[(theta >= THETA_MIN) & (theta <= THETA_MAX)]
+    comp, weight = terms[:3], terms[3:]
+    a, b, c = comp[..., None]
+    sub = (k[:, None] + _SUBCELLS) * (math.pi / b)
+    f = _determinant(a, b, c, sub)
+    positive = f > 0.0
+    change = positive[:, 1:] != positive[:, :-1]
+    changes = change.sum(axis=1)
+    wrong = changes != 1
+    if wrong.any():
+        i = wrong.argmax()
+        raise RuntimeError(
+            f"{offsets[lane[i]]}: {changes[i]} sign changes of its component's D "
+            f"in (pi {k[i]}/{b[i, 0]:.0f}, pi {k[i] + 1}/{b[i, 0]:.0f}), expected 1"
+        )
+    cell = change.argmax(axis=1) + np.arange(0, f.size, SUBGRID)
+    sub, f = sub.ravel(), f.ravel()
+    lo, hi, flo, fhi = sub[cell], sub[cell + 1], f[cell], f[cell + 1]
+    theta = lo + (hi - lo) * (flo / (flo - fhi))
+    slope = weight * comp
+    for _ in range(NEWTON_STEPS):
+        at = comp * theta
+        theta = theta + (weight * np.cos(at)).sum(axis=0) / (slope * np.sin(at)).sum(axis=0)
+    lost = ~((lo <= theta) & (theta <= hi))
+    if lost.any():
+        i = lost.argmax()
+        raise RuntimeError(f"{offsets[lane[i]]}: Newton left the sub-cell [{lo[i]!r}, {hi[i]!r}] for {theta[i]!r}")
+    return theta
+
+
+def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(band, cell, zero, guess) of every root of every band's D, by band, then theta.
+
+    band indexes offsets; cell is the grid index of the root's flip, or of
+    its grid point where zero is set; guess is the polished root, the
+    bisection's guess for a flip. Each band's component (a', b', c') = (a, b, c) / g
+    has one root in each bracket (pi k/b', pi (k+1)/b'), k = 1..b'-1 (module
+    docstring). All brackets of all bands are sampled at once, at SUBGRID
+    points each; the one sub-cell where D' changes sign starts NEWTON_STEPS
+    Newton steps, from the chord between its ends, to the guess theta'. A
+    bracket with any other count of sign changes, or a guess outside its
+    sub-cell, raises RuntimeError: a root is never dropped silently. Each
+    theta' lifts to the g thetas of the band with g theta = 2 pi ceil(j/2) +
+    (-1)^j theta', j = 0..g-1, kept in [THETA_MIN, THETA_MAX]. Each is taken
+    to its nearest grid point j, and its cell is the grid index i among j - 1
+    and j with F(i) * F(i + 1) < 0, or, where zero is set, the grid point j
+    with F(j) == 0, F the computed D at a grid point; where neither is
+    there, RuntimeError. A band with a = b has b' = 1 and no brackets: its
+    D vanishes identically, and it flexes through a continuum.
+    """
+    table, count = [], []  # per band: a', b', c', the weights of D', g, a, b, c; its bracket count
+    for off in offsets:
+        g = math.gcd(off.a, off.b)
+        a, b, c = off.a // g, off.b // g, off.c // g
+        table.append((a, b, c, c * c - b * b, a * a - c * c, b * b - a * a, g, off.a, off.b, off.c))
+        count.append(b - 1)
+    if not any(count):
+        return _NO_ROOTS
+    table = np.array(table, dtype=float)
+    lane = np.repeat(np.arange(len(offsets)), count)
+    k = np.arange(1, lane.size + 1) - np.repeat(np.cumsum(count) - count, count)
+    per_lane = table[lane].T
+    blocks = [slice(i, i + BRACKET_BUDGET) for i in range(0, lane.size, BRACKET_BUDGET)]
+    theta = np.concatenate([_component_roots(offsets, lane[at], k[at], per_lane[:6, at]) for at in blocks])
+    g = per_lane[6]
+    if g.max() > 1.0:  # only compound bands lift: g theta = 2 pi ceil(j/2) + (-1)^j theta', j = 0..g-1
+        lifts = g.astype(np.intp)
+        j = np.arange(lifts.sum()) - np.repeat(np.cumsum(lifts) - lifts, lifts)
+        lane, theta, g = np.repeat(lane, lifts), np.repeat(theta, lifts), np.repeat(g, lifts)
+        theta = ((j + 1) // 2 * (2.0 * math.pi) + (-1.0) ** j * theta) / g
+        order = np.lexsort((theta, lane))
+        lane, theta = lane[order], theta[order]
+    inside = (theta >= THETA_MIN) & (theta <= THETA_MAX)
+    band, theta = lane[inside], theta[inside]
     step = (THETA_MAX - THETA_MIN) / (points - 1)
-    j = np.clip(np.rint((theta - THETA_MIN) / step).astype(np.intp), 1, points - 2)
-    f = closure_determinant(offsets, _grid_point(j[:, None] + np.arange(-1, 2), points))
+    j = np.minimum(np.maximum(np.rint((theta - THETA_MIN) / step).astype(np.intp), 1), points - 2)
+    a, b, c = table[band, 7:].T[..., None]
+    f = _determinant(a, b, c, _grid_point(j[:, None] + _NEIGHBOURS, points))
     zero = f[:, 1] == 0.0
-    left = f[:, 0] * f[:, 1] < 0.0
-    right = f[:, 1] * f[:, 2] < 0.0
-    if not np.all(zero | left | right):
-        raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
-    return np.where(left, j - 1, j)[~zero], j[zero], theta[~zero]
+    flip = f[:, :2] * f[:, 1:] < 0.0  # left and right of j
+    missed = ~(zero | flip[:, 0] | flip[:, 1])
+    if missed.any():
+        i = band[missed.argmax()]
+        raise RuntimeError(f"{offsets[i]}: no sign change next to the roots {theta[missed & (band == i)]}")
+    return band, j - flip[:, 0], zero, theta
 
 
 def solve_band(
@@ -434,13 +504,14 @@ def solve_band(
     is solved as a batch of one, so it gets the same branches, to the bit, as
     in any batch.
 
-    Each band's roots are located from its component's colleague matrix and
-    snapped to the grid of opts.grid_points points (_brackets), so each root
-    is one sign change of the computed D between adjacent grid points, or
-    one grid point where it is exactly 0. The sign changes of all bands are
+    Each band's roots are located in its component's analytic brackets,
+    polished by Newton's method and snapped to the grid of opts.grid_points
+    points, all bands in one pass (_brackets), so each root is one sign
+    change of the computed D between adjacent grid points, or one grid
+    point where it is exactly 0. The sign changes of all bands are
     bisected together, each lane step for step as scipy.optimize.bisect
     bisects it alone. A call of at most GUIDED_LANES lanes checks the path
-    that each colleague root predicts in one evaluation of D, and resumes
+    that each polished root predicts in one evaluation of D, and resumes
     the step-by-step loop only where a sign disagrees (_guided_bisect); its
     midpoints and decisions are the loop's, so its roots are too. No root
     needs merging: a zero at
@@ -475,25 +546,22 @@ def solve_band(
 
 
 def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
-    """The branches of each band: brackets per band, then one bisection and one dihedral stack for all."""
+    """The branches of each band: one bracket pass, one bisection and one dihedral stack for all."""
     if not bands:
         return []
     points = opts.grid_points
     offsets = [offsets_from_band(band) for band in bands]
-    # a = b: the a- and b-chord equations coincide, so D vanishes identically
-    # and the band flexes through a continuum; there are no isolated branches
-    brackets = [_brackets(off, points) if off.a != off.b else _NO_ROOTS for off in offsets]
-    flips, zeros, guesses = zip(*brackets)
-    counts = [f.size for f in flips]
-    flips = np.concatenate(flips)
-    abc = np.repeat(np.array([(off.a, off.b, off.c) for off in offsets], dtype=float), counts, axis=0).T
-    lo = _grid_point(flips, points)
-    width = _grid_point(flips + 1, points) - lo
-    bisected = _guided_bisect(abc, lo, width, _determinant(*abc, lo), np.concatenate(guesses))
-    candidates = [
-        _candidates(off, np.sort(np.concatenate([_grid_point(zero, points), roots])).tolist())
-        for off, zero, roots in zip(offsets, zeros, np.split(bisected, np.cumsum(counts)[:-1]))
-    ]
+    owner, cell, zero, guess = _brackets(offsets, points)
+    abc = np.array([(off.a, off.b, off.c) for off in offsets], dtype=float)[owner].T
+    roots = _grid_point(cell, points)
+    flip = ~zero
+    abc, lo = abc[:, flip], roots[flip]
+    width = _grid_point(cell[flip] + 1, points) - lo
+    roots[flip] = _guided_bisect(abc, lo, width, _determinant(*abc, lo), guess[flip])
+    counts = np.bincount(owner, minlength=len(bands)).tolist()
+    roots = roots[np.lexsort((roots, owner))].tolist()
+    starts = itertools.accumulate(counts, initial=0)
+    candidates = [_candidates(off, roots[i:i + n]) for off, i, n in zip(offsets, starts, counts)]
     stack = [(off, params) for off, found in zip(offsets, candidates) for params, _ in found]
     angles = iter(_interior_dihedrals([off for off, _ in stack], [params for _, params in stack]) if stack else [])
     return [

@@ -16,34 +16,50 @@ each interior 1-ring off the neighbor cycle of the offsets, and
 face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
 must agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
 each sheet one element per Python call, each coordinate formatted on its own;
-the exporters' one-pass templates must write the same bytes.
+the exporters' one-pass templates must write the same bytes. colleague_brackets
+locates each band's roots from the eigenvalues of its component's colleague
+matrix and snaps them to the grid; the solver's analytic bracket pass must find
+the same flips and zeros. catalog_json_oracle and catalog_csv_oracle write a
+catalog one value per Python call; the column writers must write the same bytes.
+kept_row_oracle builds U_0's kept row by comparing every window face with U_0.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebdiv, chebfromroots, chebroots
 from scipy.spatial.transform import Rotation
 
 from helistar import (
     BandSpec,
     BranchSolution,
+    CatalogEntry,
     MeshSegment,
     ModuleOptions,
     NetLayout,
+    OffsetTriple,
     antiprism_tower,
+    closure_determinant,
     dihedral_angles,
     helix_points,
+    prototype_faces,
     realize,
     solve_band,
     triangles_properly_intersect,
     unfold_net,
     vertex_neighbor_cycle,
 )
+from helistar import __version__
 from helistar.analysis import _intersect
+from helistar.catalog import _ENTRY_FIELDS, _scalar, _typed
+from helistar.closure_solver import THETA_MAX, THETA_MIN, _grid_point
 from helistar.export import _SVG_STYLE, GAP_MM, SQRT3_2
 
 # Rotation sign for folding an attached triangle out of its parent's plane,
@@ -393,3 +409,89 @@ def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
         f"{count} modules, edge {opts.edge_mm:g} mm; solid = cut, "
         f"{fold_dir} fold on the diagonal, short strokes = slits",
     )
+
+
+# (x - 1)^2 as a Chebyshev series: the double root of every D at theta = 0
+_DOUBLE_ROOT_AT_1 = chebfromroots([1.0, 1.0])
+
+
+def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flips, zeros, guesses) of D's roots on the grid of points points.
+
+    flips are the grid indices i with F(i) * F(i + 1) < 0 and zeros the i
+    with F(i) == 0, F the computed D at grid point i, one per root; guesses
+    are the colleague-matrix thetas of the flips' roots. The roots come from the
+    colleague matrix of the component's D' / (x - 1)^2 (chebroots) and are
+    lifted to the band's g components; each is taken to its nearest grid
+    point j, and its flip or zero is the one among j - 1, j, j + 1. A count
+    of real roots in (-1, 1) other than b' - 1, or a root whose flip or zero
+    is not there, raises RuntimeError: a root is never dropped silently.
+    """
+    g = math.gcd(offsets.a, offsets.b)
+    a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
+    coef = np.zeros(c + 1)
+    coef[[a, b, c]] = (c * c - b * b, a * a - c * c, b * b - a * a)
+    x = chebroots(chebdiv(coef, _DOUBLE_ROOT_AT_1)[0])
+    x = x[(x.imag == 0.0) & (np.abs(x.real) < 1.0)].real
+    if x.size != b - 1:
+        raise RuntimeError(f"{offsets}: {x.size} roots in (-1, 1), expected {b - 1}")
+    # cos(g theta) = x at g theta = 2 pi ceil(k/2) + (-1)^k arccos(x), k = 0..g-1
+    k = np.arange(g)[:, None]
+    theta = np.sort(((k + 1) // 2 * 2.0 * math.pi + (-1) ** k * np.arccos(x)).ravel() / g)
+    theta = theta[(theta >= THETA_MIN) & (theta <= THETA_MAX)]
+    step = (THETA_MAX - THETA_MIN) / (points - 1)
+    j = np.clip(np.rint((theta - THETA_MIN) / step).astype(np.intp), 1, points - 2)
+    f = closure_determinant(offsets, _grid_point(j[:, None] + np.arange(-1, 2), points))
+    zero = f[:, 1] == 0.0
+    left = f[:, 0] * f[:, 1] < 0.0
+    right = f[:, 1] * f[:, 2] < 0.0
+    if not np.all(zero | left | right):
+        raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
+    return np.where(left, j - 1, j)[~zero], j[zero], theta[~zero]
+
+
+# Per-value catalog writers: each field of each entry checked and formatted on
+# its own. write_catalog and write_catalog_csv must write the same bytes.
+
+def _entry_values(e: CatalogEntry) -> list:
+    return [_typed(name, getattr(e, name)) for name in _ENTRY_FIELDS]
+
+
+def catalog_json_oracle(entries: list[CatalogEntry], options: dict | None = None) -> str:
+    """write_catalog's document, value by value (options as in write_catalog, assumed valid)."""
+    opt = {str(k): v for k, v in (options or {}).items()}
+    recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, v in sorted(opt.items()))
+    rows = [
+        ",\n".join(f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
+        for e in entries
+    ]
+    body = ",".join(f"\n    {{\n{row}\n    }}" for row in rows) + ("\n  " if rows else "")
+    return (
+        f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {{{recorded}}},\n'
+        f'  "entries": [{body}]\n}}\n'
+    )
+
+
+def catalog_csv_oracle(entries: list[CatalogEntry]) -> str:
+    """write_catalog_csv's text, value by value."""
+    rows = [[v if isinstance(v, str) else _scalar(v) for v in _entry_values(e)] for e in entries]
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(_ENTRY_FIELDS)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def kept_row_oracle(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """U_0's kept row, as analysis._kept_row returns it, by comparing every window face with U_0.
+
+    Every face U_k, D_k with k in [-c, c] is compared corner by corner with
+    U_0; the faces sharing two corners (an edge) go, and so do U_k for k >= 0.
+    """
+    c = offsets.c
+    shape = prototype_faces(offsets)
+    window = (np.arange(-c, c + 1)[:, None, None] + shape).reshape(-1, 3)
+    shared = (shape[0][None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
+    slot = np.arange(len(window))  # U_k at 2*(k+c), D_k after it
+    keep = np.flatnonzero((shared < 2) & ((slot < 2 * c) | (slot % 2 == 1)))
+    return shape[0], window[keep], shared[keep], [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]

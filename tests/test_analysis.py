@@ -15,6 +15,7 @@ from helistar import (
     HelixParams,
     ParameterError,
     classify,
+    offsets_from_band,
     solve_band,
     triangles_properly_intersect,
     vertex_figure,
@@ -22,7 +23,7 @@ from helistar import (
 from helistar import analysis, helix_points
 from helistar.analysis import ROW_BUDGET, classify_face_intersection
 
-from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, shifted_witness
+from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, shifted_witness
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -201,6 +202,25 @@ class TestFullScan:
         for sols in bands_5_24:
             expected = [shifted_witness(classify_face_intersection(sol), base) for sol in sols]
             assert full_scan_witnesses(sols, base) == expected
+
+
+class TestKeptRow:
+    def test_closed_form_matches_the_window_compare(self):
+        # every band of 3..64 with a < b (an a = b band has no branches to classify):
+        # the same corners, shared counts and names, in the same order
+        checked = 0
+        for n in range(3, 65):
+            for s in range(1, n // 2 + 1):
+                off = offsets_from_band(BandSpec(n, s))
+                if off.a == off.b:
+                    continue
+                got, ref = analysis._kept_row(off), kept_row_oracle(off)
+                for x, y in zip(got[:3], ref[:3]):
+                    assert x.dtype == y.dtype and x.tolist() == y.tolist(), (n, s)
+                assert got[3] == ref[3], (n, s)
+                assert len(got[3]) == 3 * off.c - 2
+                checked += 1
+        assert checked == 992
 
 
 class TestBandPass:

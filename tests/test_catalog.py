@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from helistar import (
@@ -23,6 +24,7 @@ from helistar import (
     write_catalog_csv,
 )
 from helistar.catalog import _ENTRY_FIELDS
+from helpers import catalog_csv_oracle, catalog_json_oracle
 
 TET_THETA = math.acos(-2.0 / 3.0)
 TET_R = 3.0 * math.sqrt(3.0) / 10.0
@@ -368,3 +370,44 @@ class TestPersistence:
         path = tmp_path / "cat.json"
         write_catalog(catalog_entries[:3], str(path), {"note": "t"})
         assert len(read_catalog(str(path))) == 3
+
+
+# Entries whose fields are admissible but not of the exact field type, or
+# awkward to quote: the column writers take them through the per-value checks
+MIXED_ENTRIES = [
+    replace(PINNED_ENTRIES[1], theta=2, r=np.float64(0.25), residual=-0.0),
+    replace(PINNED_ENTRIES[0], name='quote " comma , and \u00e9t\u00e9', h=np.float64(-0.0), n_strips=11),
+    replace(PINNED_ENTRIES[1], name='quote " comma , and \u00e9t\u00e9', winding_m=7, r=3),
+]
+
+
+class TestColumnWriters:
+    @pytest.fixture(scope="class")
+    def census_5_24(self):
+        return enumerate_catalog(5, 24, include_compounds=True)
+
+    def test_census_bytes_match_the_per_value_writers(self, census_5_24):
+        opts = {"n_min": 5, "n_max": 24, "include_compounds": True, "grid_points": 200000}
+        assert len(census_5_24) == 1149
+        json_buf, csv_buf = io.StringIO(), io.StringIO()
+        write_catalog(census_5_24, json_buf, opts)
+        write_catalog_csv(census_5_24, csv_buf)
+        assert json_buf.getvalue() == catalog_json_oracle(census_5_24, opts)
+        assert csv_buf.getvalue() == catalog_csv_oracle(census_5_24)
+
+    @pytest.mark.parametrize("entries", [MIXED_ENTRIES, MIXED_ENTRIES[::-1], MIXED_ENTRIES + PINNED_ENTRIES])
+    def test_mixed_types_match_the_per_value_writers(self, entries):
+        json_buf, csv_buf = io.StringIO(), io.StringIO()
+        write_catalog(entries, json_buf, PINNED_OPTIONS)
+        write_catalog_csv(entries, csv_buf)
+        assert json_buf.getvalue() == catalog_json_oracle(entries, PINNED_OPTIONS)
+        assert csv_buf.getvalue() == catalog_csv_oracle(entries)
+        assert '"r": 0.25' in json_buf.getvalue() and '"theta": 2,' in json_buf.getvalue()
+        assert "-0" not in csv_buf.getvalue()
+
+    def test_the_first_bad_value_in_entry_order_is_named(self):
+        # entry 0's r comes after entry 1's n_strips in field order, but first in entry order
+        bad = [replace(PINNED_ENTRIES[0], r=math.inf), replace(PINNED_ENTRIES[1], n_strips=5.0)]
+        for write in (write_catalog, write_catalog_csv):
+            with pytest.raises(ParameterError, match="^r must be a finite real"):
+                write(bad, io.StringIO())

@@ -26,6 +26,7 @@ from helistar import (
     winding_estimate,
 )
 from helistar import closure_solver as cs
+from helpers import colleague_brackets
 
 # Boerdijk-Coxeter helix of regular tetrahedra: the classical closed form.
 TET_THETA = math.acos(-2.0 / 3.0)
@@ -211,10 +212,20 @@ class TestBisection:
         assert sum(resumed) == 0
 
 
+def _bracket_pass(offsets, points):
+    """(flips, zeros, guesses) of each offset triple's D from one call of the solver's bracket pass."""
+    band, cell, zero, guess = cs._brackets(offsets, points)
+    return [
+        (cell[(band == i) & ~zero], cell[(band == i) & zero], guess[(band == i) & ~zero])
+        for i in range(len(offsets))
+    ]
+
+
 def _lanes(band, points=200000):
     """(abc, lo, width, flo, guess) of one band's flips, as _solve_bands bisects them."""
     off = offsets_from_band(band)
-    flips, _, guess = cs._brackets(off, points)
+    ((flips, _, guess),) = _bracket_pass([off], points)
+    assert flips.tolist() == colleague_brackets(off, points)[0].tolist()
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
     abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
@@ -299,9 +310,9 @@ class TestScan:
         # connected bands: exactly the dense grid's flips and zeros; compound
         # bands: a subset, missing only the rounding flips of the quadruple
         # roots at theta = 2 pi k / g, which were never branches
-        for band in _scanned_bands(32):
+        bands = _scanned_bands(32)
+        for band, (flips, zeros, _) in zip(bands, _bracket_pass([offsets_from_band(b) for b in bands], points)):
             off = offsets_from_band(band)
-            flips, zeros, _ = cs._brackets(off, points)
             ref_flips, ref_zeros = _dense_scan(off, points)
             if band.components == 1:
                 assert flips.tolist() == ref_flips.tolist(), band
@@ -320,12 +331,13 @@ class TestScan:
     def test_evaluates_a_small_share_of_the_grid(self, monkeypatch):
         # guards against a return to evaluating D at every grid point
         evaluated = []
+        determinant = cs._determinant
 
-        def counting(off, theta):
+        def counting(a, b, c, theta):
             evaluated.append(np.size(theta))
-            return closure_determinant(off, theta)
+            return determinant(a, b, c, theta)
 
-        monkeypatch.setattr(cs, "closure_determinant", counting)
+        monkeypatch.setattr(cs, "_determinant", counting)
         assert len(solve_band(BandSpec(24, 5))) > 0
         assert sum(evaluated) < SolverOptions().grid_points // 10
 
@@ -337,7 +349,9 @@ def _connected_bands(n_max):
 
 def _raw_roots(off, points):
     """Every root solve_band tests, before any acceptance check, theta ascending."""
-    flips, zeros, _ = cs._brackets(off, points)
+    ((flips, zeros, _),) = _bracket_pass([off], points)
+    oracle = colleague_brackets(off, points)
+    assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist())
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
     abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
@@ -365,12 +379,15 @@ class TestRootAccounting:
     @pytest.mark.parametrize("points", [1000, 200000])
     def test_scan_finds_b_minus_1_roots_of_every_connected_band(self, points):
         # D / (x - 1)^2, x = cos theta, has exactly b - 1 = n - s - 1 roots in
-        # (-1, 1), all simple; each is one flip or one zero on the grid
+        # (-1, 1), all simple, as the colleague matrix counts them; each is one
+        # flip or one zero on the grid, the ones the colleague roots snap to
         bands = _connected_bands(40)
         assert len(bands) == 244
-        for band in bands:
-            flips, zeros, _ = cs._brackets(offsets_from_band(band), points)
+        offsets = [offsets_from_band(band) for band in bands]
+        for band, off, (flips, zeros, _) in zip(bands, offsets, _bracket_pass(offsets, points)):
             assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
+            oracle = colleague_brackets(off, points)
+            assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
 
     def test_exact_root_count_is_b_minus_1(self):
         # D as a polynomial in x = cos theta: cos(k theta) is the Chebyshev T_k(x)
@@ -396,11 +413,28 @@ class TestRootAccounting:
             assert all(t0 < t1 for t0, t1 in zip(thetas, thetas[1:])), band
 
     def test_b_minus_g_roots_of_every_band(self):
-        # the count certificate: g components of b / g - 1 roots each
-        for band in _scanned_bands(64):
-            off = offsets_from_band(band)
-            flips, zeros, _ = cs._brackets(off, SolverOptions().grid_points)
+        # the count certificate: g components of b / g - 1 roots each, the
+        # colleague matrix's count, and the same flips and zeros
+        points = SolverOptions().grid_points
+        bands = _scanned_bands(64)
+        offsets = [offsets_from_band(band) for band in bands]
+        for band, off, (flips, zeros, _) in zip(bands, offsets, _bracket_pass(offsets, points)):
             assert flips.size + zeros.size == off.b - band.components, band
+            oracle = colleague_brackets(off, points)
+            assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
+
+    @pytest.mark.parametrize("points", [1000, 200000, cs.MAX_GRID_POINTS])
+    def test_bracket_pass_matches_the_colleague_oracle(self, points):
+        # every band of 3..64, in one call and one band per call: the flips
+        # and zeros that the colleague-matrix roots snap to
+        bands = _scanned_bands(64)
+        offsets = [offsets_from_band(band) for band in bands]
+        oracle = [colleague_brackets(off, points) for off in offsets]
+        alone = [_bracket_pass([off], points)[0] for off in offsets]
+        for band, ref, one, batched in zip(bands, oracle, alone, _bracket_pass(offsets, points)):
+            for got in (one, batched):
+                assert (got[0].tolist(), got[1].tolist()) == (ref[0].tolist(), ref[1].tolist()), band
+        assert sum(ref[0].size + ref[1].size for ref in oracle) == 30130
 
     def test_no_raw_root_is_singular(self):
         # the quadruple roots at theta = 2 pi k / g never reach _solve_AB
@@ -412,12 +446,36 @@ class TestRootAccounting:
         assert len(roots) == 7062
         assert [(band, t) for band, t in roots if cs._solve_AB(offsets_from_band(band), t) is None] == []
 
-    def test_a_lost_root_raises(self, monkeypatch):
-        # a root the colleague matrix misses is an error, not one branch fewer;
-        # the tetrahelix band's quotient has the one root x = -2/3
-        chebroots = cs.chebroots
-        monkeypatch.setattr(cs, "chebroots", lambda coef: chebroots(coef)[1:])
-        with pytest.raises(RuntimeError, match="0 roots in"):
+    @staticmethod
+    def _spoil_the_brackets(monkeypatch, spoil):
+        """Make _determinant hand spoil(f) for the bracket samples, shape (brackets, SUBGRID)."""
+        determinant = cs._determinant
+
+        def spoiled(a, b, c, theta):
+            f = determinant(a, b, c, theta)
+            return spoil(f.copy()) if np.shape(theta)[-1:] == (cs.SUBGRID,) else f
+
+        monkeypatch.setattr(cs, "_determinant", spoiled)
+
+    def test_a_bracket_whose_end_signs_agree_raises(self, monkeypatch):
+        # a bracket's end signs are proved to differ; if they agree, its
+        # root is an error, not one branch fewer. The tetrahelix band has
+        # the one bracket (pi/2, pi)
+        def agree(f):
+            f[:, -1] = f[:, 0]
+            return f
+
+        self._spoil_the_brackets(monkeypatch, agree)
+        with pytest.raises(RuntimeError, match=r"2 sign changes .* in \(pi 1/2, pi 2/2\), expected 1"):
+            solve_band(BandSpec(3, 1))
+
+    def test_a_bracket_with_three_sign_changes_raises(self, monkeypatch):
+        def three(f):
+            f[:, 5:8] = -f[:, 5:8]
+            return f
+
+        self._spoil_the_brackets(monkeypatch, three)
+        with pytest.raises(RuntimeError, match="3 sign changes"):
             solve_band(BandSpec(3, 1))
 
     def test_connected_bands_keep_floor_of_2n_minus_s_minus_1_over_3(self, solved_64):
@@ -514,12 +572,12 @@ class TestOptions:
         with pytest.raises(ParameterError, match="grid_points"):
             SolverOptions(**kwargs)
 
-    def test_maximum_grid_is_the_largest_power_of_ten_that_solves_to_n_64(self):
+    def test_every_band_to_n_64_solves_at_the_maximum_grid(self):
         bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
         assert len(solve_band(bands, SolverOptions(cs.MAX_GRID_POINTS))) == len(bands)
-        # ten times finer, the cells fall below D's rounding noise
+        # ten thousand times finer, some cells fall below D's rounding noise
         with pytest.raises(RuntimeError, match="no sign change"):
-            cs._brackets(offsets_from_band(BandSpec(53, 7)), 10 * cs.MAX_GRID_POINTS)
+            cs._brackets([offsets_from_band(BandSpec(56, 15))], 10**4 * cs.MAX_GRID_POINTS)
 
     def test_defaults(self):
         assert SolverOptions().grid_points == 200000

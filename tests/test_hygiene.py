@@ -195,3 +195,17 @@ def test_solving_never_loads_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_solving_never_loads_numpy_polynomial():
+    # guards against a return of the run-time eigen-solve: the solver brackets
+    # every root analytically, and the colleague matrix is a test oracle only
+    package_root = str(Path(helistar.__file__).resolve().parent.parent)
+    code = (
+        f"import sys\nsys.path.insert(0, {package_root!r})\n"
+        "import helistar, helistar.cli\n"
+        "helistar.solve_band(helistar.BandSpec(5, 2))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
