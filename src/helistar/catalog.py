@@ -124,7 +124,6 @@ def enumerate_catalog(
     """
     check_int("n_min", n_min, 3, MAX_STRIPS)
     check_int("n_max", n_max, n_min, MAX_STRIPS)
-    opts = opts or SolverOptions()
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]
     per_band = solve_band(bands, opts)

@@ -63,6 +63,12 @@ goes on step by step. Either way every midpoint and every decision is the
 one of the step-by-step loop, so the route sets the time, not the bits.
 Every step works lane by lane or row by row, so a band's branches are the
 same bits alone as in any batch.
+
+That makes a band's branches a function of (band, options) alone, and every
+object they are made of is frozen, so solve_band remembers them: a call
+solves only the bands it does not find held, in one pass as above, and a
+repeated solve is a lookup. The least recently used bands are dropped once
+more than SOLVED_BRANCHES branches are held.
 """
 
 from __future__ import annotations
@@ -124,6 +130,12 @@ _NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0,
 # per-step cost is shared by so many lanes that predicting every path, and
 # resuming the loop for the few that miss, takes longer than the loop itself.
 GUIDED_LANES = 256
+
+# Most branches remembered, a band without branches counting as one: bounds
+# the memo at about 3.9 MB (470 B a branch), well above a 5..24 census (1149)
+SOLVED_BRANCHES = 8192
+# (band, options) -> the band's branches, least recently used first
+_SOLVED: dict[tuple[BandSpec, SolverOptions], tuple[BranchSolution, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -500,9 +512,16 @@ def solve_band(
 
     bands is one BandSpec, which gives that band's branches, or a sequence of
     them, which gives one list of branches per band in input order (solve_band([])
-    is []); an element that is not a BandSpec raises ParameterError. One band
-    is solved as a batch of one, so it gets the same branches, to the bit, as
-    in any batch.
+    is []); an element that is not a BandSpec, or opts other than None or a
+    SolverOptions, raises ParameterError. One band is solved as a batch of
+    one, so it gets the same branches, to the bit, as in any batch.
+
+    The branches of each (band, opts) are remembered, so a repeated solve is
+    a lookup: a call solves only the bands not held, each once even if the
+    call repeats it, and returns a new list per band of the shared frozen
+    branches, which the caller may change freely. The least recently used
+    bands are dropped once more than SOLVED_BRANCHES branches are held (a
+    band without branches counts as one); a call that raises stores nothing.
 
     Each band's roots are located in its component's analytic brackets,
     polished by Newton's method and snapped to the grid of opts.grid_points
@@ -532,7 +551,10 @@ def solve_band(
     keeps 116 of 500: the bisected theta's error, amplified in the c-chord
     residual, drops them (ROADMAP item 1).
     """
-    opts = opts or SolverOptions()
+    if opts is None:
+        opts = SolverOptions()
+    elif not isinstance(opts, SolverOptions):
+        raise ParameterError(f"solve_band takes None or a SolverOptions, got {opts!r}")
     if isinstance(bands, BandSpec):
         return _solve_bands([bands], opts)[0]
     try:
@@ -546,6 +568,30 @@ def solve_band(
 
 
 def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
+    """A new list of each band's branches: the ones held, and one fresh pass over the rest.
+
+    Every band solved or found here becomes the most recently used, and the
+    least recently used are dropped until at most SOLVED_BRANCHES are held;
+    a call that raises stores nothing. Eviction tolerates a key gone
+    already, so concurrent callers can at worst solve a band twice.
+    """
+    found = {band: _SOLVED.get((band, opts)) for band in dict.fromkeys(bands)}
+    fresh = [band for band, branches in found.items() if branches is None]
+    found.update(zip(fresh, map(tuple, _solve_fresh(fresh, opts))))
+    for band, branches in found.items():
+        _SOLVED.pop((band, opts), None)
+        _SOLVED[band, opts] = branches
+    weights = [(key, len(branches) or 1) for key, branches in list(_SOLVED.items())]
+    excess = sum(weight for _, weight in weights) - SOLVED_BRANCHES
+    for key, weight in weights:
+        if excess <= 0:
+            break
+        _SOLVED.pop(key, None)
+        excess -= weight
+    return [list(found[band]) for band in bands]
+
+
+def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
     """The branches of each band: one bracket pass, one bisection and one dihedral stack for all."""
     if not bands:
         return []

@@ -1,6 +1,16 @@
 import pytest
 
 import helistar as hs
+from helistar import closure_solver
+
+
+@pytest.fixture(autouse=True)
+def nothing_remembered():
+    """Each test starts with no band remembered, so a test of the solver's work sees fresh solves.
+
+    Session and module fixtures are set up before this one and keep what they solved.
+    """
+    closure_solver._SOLVED.clear()
 
 
 @pytest.fixture(scope="session")

@@ -133,7 +133,7 @@ class TestBranches:
 
     def test_deterministic(self):
         s1 = solve_band(BandSpec(7, 3))
-        s2 = solve_band(BandSpec(7, 3))
+        s2 = _solved_alone(BandSpec(7, 3))
         assert len(s1) == len(s2)
         for x, y in zip(s1, s2):
             assert x.params.theta == y.params.theta
@@ -222,7 +222,7 @@ def _bracket_pass(offsets, points):
 
 
 def _lanes(band, points=200000):
-    """(abc, lo, width, flo, guess) of one band's flips, as _solve_bands bisects them."""
+    """(abc, lo, width, flo, guess) of one band's flips, as _solve_fresh bisects them."""
     off = offsets_from_band(band)
     ((flips, _, guess),) = _bracket_pass([off], points)
     assert flips.tolist() == colleague_brackets(off, points)[0].tolist()
@@ -368,11 +368,22 @@ def _floats(sol):
     )
 
 
+def _solved_alone(band, opts=None):
+    """band's branches from a call made with no band remembered."""
+    cs._SOLVED.clear()
+    return solve_band(band, opts)
+
+
+def _bands_64():
+    """Every band with 3..64 strips, compounds and a = b included."""
+    return [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
+
+
 @pytest.fixture(scope="module")
 def solved_64():
     """band -> its branches at the default grid, every band with 3..64 strips, from one solve_band call."""
-    bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
-    return dict(zip(bands, solve_band(bands)))
+    bands = _bands_64()
+    return dict(zip(bands, _solved_alone(bands)))
 
 
 class TestRootAccounting:
@@ -523,6 +534,7 @@ class TestBandList:
         empty = [band for band, sols in solved_64.items() if not sols]
         assert len(empty) == 31
         assert all(offsets_from_band(band).a == offsets_from_band(band).b for band in empty)
+        assert cs._SOLVED == {}  # so each band below is solved, not looked up
         for band, sols in solved_64.items():
             assert [_floats(sol) for sol in sols] == [_floats(sol) for sol in solve_band(band)], band
 
@@ -530,7 +542,7 @@ class TestBandList:
         bands = [BandSpec(7, 3), BandSpec(4, 2), BandSpec(5, 2), BandSpec(7, 3)]
         got = solve_band(bands)
         assert [[_floats(sol) for sol in sols] for sols in got] == [
-            [_floats(sol) for sol in solve_band(band)] for band in bands
+            [_floats(sol) for sol in _solved_alone(band)] for band in bands
         ]
         assert [len(sols) for sols in got] == [3, 0, 2, 3]
 
@@ -555,6 +567,110 @@ class TestBandList:
         with pytest.raises(ParameterError, match="BandSpec"):
             solve_band(bad)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda opts: solve_band(BandSpec(5, 2), opts),
+            lambda opts: solve_band([BandSpec(5, 2)], opts),
+            lambda opts: enumerate_catalog(5, 6, opts),
+        ],
+        ids=["band", "list", "catalog"],
+    )
+    @pytest.mark.parametrize("opts", [1000, {"grid_points": 1000}, [1000], 0, SolverOptions])
+    def test_options_that_are_not_solver_options_are_refused(self, call, opts):
+        # before any lookup, so an unhashable opts is refused the same way
+        with pytest.raises(ParameterError, match="SolverOptions"):
+            call(opts)
+        assert cs._SOLVED == {}
+
+
+class TestRemembered:
+    def test_a_repeat_does_no_solver_work(self, monkeypatch):
+        band = BandSpec(7, 3)
+        first = [_floats(sol) for sol in solve_band(band)]
+
+        def unreachable(*args):
+            raise AssertionError("a remembered band was solved again")
+
+        monkeypatch.setattr(cs, "_brackets", unreachable)
+        assert [_floats(sol) for sol in solve_band(band)] == first
+        assert [[_floats(sol) for sol in sols] for sols in solve_band([band, band])] == [first, first]
+
+    def test_each_call_returns_a_new_list(self):
+        band = BandSpec(7, 3)
+        whole = [_floats(sol) for sol in solve_band(band)]
+        solve_band(band).clear()
+        solve_band(band).append(None)
+        twice = solve_band([band, band])
+        twice[0].clear()
+        assert [_floats(sol) for sol in twice[1]] == whole
+        assert [_floats(sol) for sol in solve_band(band)] == whole
+
+    def test_a_mixed_call_equals_one_made_with_nothing_remembered(self, monkeypatch):
+        # held bands, new bands and one new band twice: the fresh pass sees
+        # each new band once, and every band gets the bits of an empty memo
+        bands = [BandSpec(9, 2), BandSpec(7, 3), BandSpec(11, 5), BandSpec(5, 1), BandSpec(9, 2), BandSpec(12, 4)]
+        ref = [[_floats(sol) for sol in sols] for sols in _solved_alone(bands)]
+        cs._SOLVED.clear()
+        solve_band([BandSpec(12, 4), BandSpec(7, 3), BandSpec(5, 1)])
+        passes = []
+        fresh = cs._solve_fresh
+        monkeypatch.setattr(cs, "_solve_fresh", lambda bs, opts: (passes.append(bs), fresh(bs, opts))[1])
+        got = solve_band(bands)
+        assert passes == [[BandSpec(9, 2), BandSpec(11, 5)]]
+        assert [[_floats(sol) for sol in sols] for sols in got] == ref
+        assert got[0] is not got[4]
+
+    def test_each_grid_has_its_own_entry(self):
+        # the two grids bisect (5, 1) from different cells, to different bits
+        band, coarse, default = BandSpec(5, 1), SolverOptions(1000), SolverOptions()
+        ref = {opts: [_floats(sol) for sol in _solved_alone(band, opts)] for opts in (coarse, default)}
+        assert ref[coarse] != ref[default]
+        for order in ((coarse, default), (default, coarse)):
+            cs._SOLVED.clear()
+            for opts in order * 2:  # solved, then both held
+                assert [_floats(sol) for sol in solve_band(band, opts)] == ref[opts]
+            assert len(cs._SOLVED) == 2
+
+    def test_a_call_that_raises_stores_nothing(self, monkeypatch):
+        def three(f):
+            f[:, 5:8] = -f[:, 5:8]
+            return f
+
+        held = (BandSpec(7, 3), SolverOptions())
+        solve_band(held[0])
+        TestRootAccounting._spoil_the_brackets(monkeypatch, three)
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="3 sign changes"):
+                solve_band([BandSpec(7, 3), BandSpec(3, 1)])
+            assert list(cs._SOLVED) == [held]
+
+    def test_a_hit_is_the_most_recently_used(self, monkeypatch):
+        # at a bound of 5 branches: (7, 3) holds 3 and (5, 2) and (5, 1) 2 each
+        monkeypatch.setattr(cs, "SOLVED_BRANCHES", 5)
+        for band in (BandSpec(7, 3), BandSpec(5, 2), BandSpec(7, 3), BandSpec(5, 1)):
+            solve_band(band)
+        assert list(cs._SOLVED) == [(BandSpec(7, 3), SolverOptions()), (BandSpec(5, 1), SolverOptions())]
+
+    def test_the_held_branches_stay_within_the_bound(self, solved_64, monkeypatch):
+        # 3..64 in one call holds far more branches than the bound: every band
+        # comes back, the most recent bands stay, and an evicted one solves
+        # again to the same bits
+        bands = _bands_64()
+        got = solve_band(bands)
+        assert sum(map(len, got)) > 2 * cs.SOLVED_BRANCHES
+        assert [[_floats(sol) for sol in sols] for sols in got] == [
+            [_floats(sol) for sol in solved_64[band]] for band in bands
+        ]
+        held = list(cs._SOLVED)
+        assert sum(len(sols) or 1 for sols in cs._SOLVED.values()) <= cs.SOLVED_BRANCHES
+        assert held == [(band, SolverOptions()) for band in bands[-len(held):]]
+        passes = []
+        fresh = cs._solve_fresh
+        monkeypatch.setattr(cs, "_solve_fresh", lambda bs, opts: (passes.append(bs), fresh(bs, opts))[1])
+        assert [_floats(sol) for sol in solve_band(bands[0])] == [_floats(sol) for sol in got[0]]
+        assert passes == [[bands[0]]]
+
 
 class TestOptions:
     @pytest.mark.parametrize(
@@ -573,7 +689,7 @@ class TestOptions:
             SolverOptions(**kwargs)
 
     def test_every_band_to_n_64_solves_at_the_maximum_grid(self):
-        bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
+        bands = _bands_64()
         assert len(solve_band(bands, SolverOptions(cs.MAX_GRID_POINTS))) == len(bands)
         # ten thousand times finer, some cells fall below D's rounding noise
         with pytest.raises(RuntimeError, match="no sign change"):
