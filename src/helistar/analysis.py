@@ -12,11 +12,13 @@ Two exact finite tests stand in for questions about an infinite surface:
   three faces sharing an edge with U_0 never intersect it, which leaves
   3c-2 pairs per branch of the window's 2*(4c+2) (_face_pass). All
   branches of a band share their offsets, so they share the window's index
-  tables. The rows of many branches, of any bands, go through the
-  triangle-triangle predicate together, scanned in stages so that a branch
-  leaves at its first hit, in calls of at most ROW_BUDGET rows. That batched
-  predicate is the only one, and triangles_properly_intersect is a batch of
-  one.
+  tables, and the tables of all the bands in a pass are built in one array
+  pass. Every row of a branch has U_0 as its first triangle, so U_0's unit
+  normal is computed once per branch, not once per row. The rows of many
+  branches, of any bands, go through the triangle-triangle predicate
+  together, scanned in stages so that a branch leaves at its first hit, in
+  calls of at most ROW_BUDGET rows. That batched predicate is the only one,
+  and triangles_properly_intersect is a batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -25,7 +27,8 @@ Two exact finite tests stand in for questions about an infinite surface:
   hexagons of many branches are projected and tested as one stack.
 
 classify takes branches of any bands, such as every branch of a catalog, and
-runs both tests over them in a few blocks. classify_face_intersection and
+runs both tests over them in blocks of ROW_BUDGET branches, two for the 1149
+branches of 5..24 strips with compounds. classify_face_intersection and
 vertex_figure are the same passes over a list of one branch.
 """
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .band_combinatorics import OffsetTriple, offsets_from_band, prototype_faces, vertex_neighbor_cycle
 from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_real
 
 __all__ = [
     "Classification",
@@ -49,7 +52,7 @@ __all__ = [
 
 MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
-ROW_BUDGET = 1024    # most rows per predicate call; bounds the face pass's working set
+ROW_BUDGET = 1024    # most rows per predicate call and most branches per classify block; bounds the working set
 
 FaceId = tuple[str, int]
 Witness = tuple[FaceId, FaceId]
@@ -152,7 +155,18 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
     return False
 
 
-def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray) -> np.ndarray:
+def _plane(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal length and unit normal of each triangle of a (m, 3, 3) stack.
+
+    A degenerate triangle has length 0 and a NaN unit normal; callers mask it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = _normals(T)
+        length = np.sqrt(_dot(n, n))
+        return length, n / length[:, None]
+
+
+def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray, plane1=None) -> np.ndarray:
     """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
 
     Moeller's interval test in two array passes. The first runs over all m
@@ -161,17 +175,15 @@ def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray) -> np.ndarray
     Coplanar survivors go through the 2D clip one by one. The second pass
     runs on the other survivors only: they intersect when the two triangles'
     intervals on the planes' common line overlap by more than MEASURE_TOL.
+    plane1 is _plane(T1), given by a caller that has it already (the face
+    pass computes U_0's once per branch); every step is row by row, so it is
+    the same bits either way.
     """
     hit = np.zeros(len(T1), dtype=bool)
+    n1n, n1 = _plane(T1) if plane1 is None else plane1
+    n2n, n2 = _plane(T2)
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
-        n1 = _normals(T1)
-        n2 = _normals(T2)
-        n1n = np.sqrt(_dot(n1, n1))
-        n2n = np.sqrt(_dot(n2, n2))
         live = (shared < 2) & (n1n != 0.0) & (n2n != 0.0)
-        n1 = n1 / n1n[:, None]
-        n2 = n2 / n2n[:, None]
-
         d2 = _dot(n1[:, None], T2 - T1[:, :1])
         d1 = _dot(n2[:, None], T1 - T2[:, :1])
         for d in (d2, d1):
@@ -195,45 +207,81 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     sharing an edge meet exactly in that edge and never properly intersect;
     faces sharing one vertex count only when the overlap extends beyond it.
     Contacts of measure below MEASURE_TOL are touching, not intersecting.
+    Each triangle must be 3 x 3 finite reals (check_real) and shared an int
+    in [0, 3]; anything else raises ParameterError.
     """
-    T1 = np.asarray(t1, dtype=float)[None]
-    T2 = np.asarray(t2, dtype=float)[None]
+    T1, T2 = _triangle("t1", t1), _triangle("t2", t2)
+    check_int("shared", shared, 0, 3)
     return bool(_intersect(T1, T2, np.array([shared]))[0])
 
 
-def _per_band(solutions: list[BranchSolution], table) -> tuple[list, np.ndarray]:
-    """table(offsets) of each band among the branches, and each branch's index into that list."""
+def _triangle(name: str, t) -> np.ndarray:
+    """t as a (1, 3, 3) float stack; ParameterError naming it unless it is 3 x 3 finite reals."""
+    try:
+        rows = np.asarray(t, dtype=object)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (3, 3):
+        raise ParameterError(f"{name} must be a triangle, 3 x 3 finite reals, got {t!r}")
+    for i, row in enumerate(rows.tolist()):
+        for j, v in enumerate(row):
+            check_real(f"{name}[{i}][{j}]", v.item() if isinstance(v, np.generic) else v)
+    return rows.astype(float)[None]
+
+
+def _check_branch(func: str, solution) -> None:
+    """ParameterError naming func unless solution is a BranchSolution."""
+    if not isinstance(solution, BranchSolution):
+        raise ParameterError(f"{func} takes BranchSolution branches, got {solution!r}")
+
+
+def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[OffsetTriple], np.ndarray]:
+    """What the passes read of branches of any bands: each branch's
+    (r, theta, h) row (_helix_rows), the offsets of each band among them, in
+    order of first appearance, and each branch's index into that list."""
     seen: dict = {}
     band = np.array([seen.setdefault(sol.band, len(seen)) for sol in solutions], dtype=np.intp)
-    return [table(offsets_from_band(b)) for b in seen], band
+    return _helix_rows([sol.params for sol in solutions]), [offsets_from_band(b) for b in seen], band
 
 
-def _kept_row(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[FaceId]]:
-    """U_0's kept row in one band: U_0's corners, and each kept face's corners, shared count and name.
+def _kept_rows(offsets: list[OffsetTriple]) -> tuple[np.ndarray, ...]:
+    """U_0's kept row in each band, in one array pass: U_0's corners per band,
+    then each kept face's corners, shared count and code, stacked band after
+    band, and each band's row length.
 
     Corners are vertex indices. The kept faces are U_k for -c <= k <= -1 and
     D_k for -c <= k <= c, except D_0, D_-b and D_a, the three faces that
     share an edge with U_0 = (0, a, c); they are in scan order, U_k before
-    D_k, k ascending. A kept face's shared count is how many of its corners
-    are 0, a or c.
+    D_k, k ascending, 3c - 2 of them. A kept face's shared count is how many
+    of its corners are 0, a or c, and its code is 2k for U_k and 2k + 1 for
+    D_k (_face_id).
     """
-    a, b, c = offsets.a, offsets.b, offsets.c
-    slot = np.arange(4 * c + 2)  # U_k at 2*(k+c), D_k after it
-    k, is_d = slot // 2 - c, slot % 2
-    keep = np.flatnonzero(np.where(is_d, (k != 0) & (k != -b) & (k != a), k < 0))
-    shape = prototype_faces(offsets)
-    corners = shape[is_d[keep]] + k[keep, None]
-    shared = ((corners == 0) | (corners == a) | (corners == c)).sum(axis=-1)
-    return shape[0], corners, shared, [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]
+    shape = np.array([prototype_faces(off) for off in offsets])
+    a, b, c = shape[:, 0, 1], shape[:, 1, 2], shape[:, 0, 2]
+    width = 4 * c + 2  # the window's faces, codes -2c to 2c + 1
+    band = np.repeat(np.arange(len(offsets)), width)
+    code = np.arange(len(band)) - np.repeat(np.cumsum(width) - width + 2 * c, width)
+    k, is_d = code // 2, code % 2
+    keep = np.flatnonzero(np.where(is_d, (k != 0) & (k != -b[band]) & (k != a[band]), k < 0))
+    band, k, is_d = band[keep], k[keep], is_d[keep]
+    corners = shape[band, is_d] + k[:, None]
+    shared = ((corners == 0) | (corners == a[band, None]) | (corners == c[band, None])).sum(axis=-1)
+    return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(offsets))
 
 
-def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | None]]:
+def _face_id(code: int) -> FaceId:
+    """The name of a face's code: 2k is U_k, 2k + 1 is D_k."""
+    return "UD"[code % 2], code // 2
+
+
+def _face_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarray) -> list[tuple[bool, Witness | None]]:
     """Verdict and first witness pair of each branch, of any bands, in staged predicate calls.
 
-    The scan order is prototype U_0 then D_0, each against the window of
-    faces with base index in [-c, c], k ascending, U_k before D_k; a branch's
-    witness is its first hit in that order. Only U_0's row is tested, and
-    only the part of it that can hold the first hit (_kept_row):
+    The branches come as _batch gives them. The scan order is prototype U_0
+    then D_0, each against the window of faces with base index in [-c, c],
+    k ascending, U_k before D_k; a branch's witness is its first hit in that
+    order. Only U_0's row is tested, and only the part of it that can hold
+    the first hit (_kept_rows):
 
     * D_0's row goes: the half-turn about v_0 maps D_0 onto U_-c, so by
       screw symmetry each (D_0, F) is congruent to some (U_0, F') in the
@@ -247,22 +295,21 @@ def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | No
     the scan at its first hit. Each stage runs across all branches, in
     predicate calls of at most ROW_BUDGET rows; once the rows left fit in
     one call, that stage scans them to their ends, so a small band is one
-    call. Each call computes the corners of its own rows. A witness is the
-    first hit in scan order whatever the stages, and every step works row by
-    row, so a branch's result is the same bits in any batch.
+    call. Each call computes the corners of its own rows; U_0's unit
+    normal and its length are computed once per branch and gathered for
+    each row. A witness is the first hit in scan order whatever the stages,
+    and every step works row by row, so a branch's result is the same bits
+    in any batch.
     """
-    tables, band = _per_band(solutions, _kept_row)
-    sizes = np.array([len(names) for *_, names in tables])
+    u0, corners, shared, codes, sizes = _kept_rows(offsets)
     length = sizes[band]
     start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
-    corners, shared = (np.concatenate([table[i] for table in tables]) for i in (1, 2))
-    names = [name for *_, table_names in tables for name in table_names]
-    helix = _helix_rows([sol.params for sol in solutions])
-    proto = _helix_stack(helix, np.array([table[0] for table in tables])[band])
+    proto = _helix_stack(helix, u0[band])
+    length1, unit1 = _plane(proto)  # U_0's normal, once per branch
 
-    first_hit = np.full(len(solutions), -1)  # kept-row position of each branch's witness
-    done = np.zeros(len(solutions), dtype=np.intp)  # positions scanned so far
-    live = np.arange(len(solutions))
+    first_hit = np.full(len(helix), -1)  # kept-row position of each branch's witness
+    done = np.zeros(len(helix), dtype=np.intp)  # positions scanned so far
+    live = np.arange(len(helix))
     for tenths in (1, 2, 4, 10):
         end = length[live]
         if (end - done[live]).sum() > ROW_BUDGET:
@@ -274,17 +321,21 @@ def _face_pass(solutions: list[BranchSolution]) -> list[tuple[bool, Witness | No
         hits = np.zeros(len(at), dtype=bool)
         for i in range(0, len(at), ROW_BUDGET):
             o, r = owner[i:i + ROW_BUDGET], at[i:i + ROW_BUDGET]
-            hits[i:i + ROW_BUDGET] = _intersect(proto[o], _helix_stack(helix[o], corners[r]), shared[r])
+            T2 = _helix_stack(helix[o], corners[r])
+            hits[i:i + ROW_BUDGET] = _intersect(proto[o], T2, shared[r], (length1[o], unit1[o]))
         hit_rows = np.flatnonzero(hits)
-        found, first = np.unique(owner[hit_rows], return_index=True)
-        first_hit[found] = pos[hit_rows[first]]
+        hit_owner = owner[hit_rows]  # each branch's rows are together, in scan order
+        first = np.ones(len(hit_owner), dtype=bool)
+        first[1:] = hit_owner[1:] != hit_owner[:-1]
+        first_hit[hit_owner[first]] = pos[hit_rows[first]]
         done[live] = end
         live = live[(first_hit[live] < 0) & (end < length[live])]
         if not live.size:
             break
+    witness = codes[start + first_hit].tolist()  # read only where first_hit >= 0
     return [
-        (False, None) if hit < 0 else (True, (("U", 0), names[row + hit]))
-        for row, hit in zip(start.tolist(), first_hit.tolist())
+        (False, None) if hit < 0 else (True, (("U", 0), _face_id(code)))
+        for code, hit in zip(witness, first_hit.tolist())
     ]
 
 
@@ -292,9 +343,10 @@ def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness 
     """Decide self-intersection; returns the first witness pair found.
 
     The face pass of classify over this one branch; U_0 is exhaustive by
-    screw symmetry.
+    screw symmetry. Anything but a BranchSolution raises ParameterError.
     """
-    return _face_pass([solution])[0]
+    _check_branch("classify_face_intersection", solution)
+    return _face_pass(*_batch([solution]))[0]
 
 
 def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
@@ -311,22 +363,22 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     return np.where(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0), axis=-1), "crossed", "simple")
 
 
-def _figure_pass(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[str]]:
+def _figure_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Neighbor hexagons, (branches, 6, 3), and figure kinds of branches of any bands.
 
-    Each hexagon is projected along its own vertex normal; a branch whose
+    The branches come as _batch gives them. Each hexagon is projected along its own vertex normal; a branch whose
     normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
     indeterminate and is left out of the projection rather than guessed.
     One _helix_stack call gives every branch's points, each at its own
     band's neighbour cycle, and every step after it works row by row.
     """
-    cycles, band = _per_band(solutions, lambda off: [0, *vertex_neighbor_cycle(off)])
-    pts = _helix_stack(_helix_rows([sol.params for sol in solutions]), np.array(cycles)[band])
+    cycles = [[0, *vertex_neighbor_cycle(off)] for off in offsets]
+    pts = _helix_stack(helix, np.array(cycles)[band])
     center, polygon = pts[:, :1], pts[:, 1:]
     with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
         axis = _unit(_normals(pts[:, _FAN])).sum(axis=1)
     norm = np.sqrt(_dot(axis, axis))
-    kinds = np.full(len(solutions), "indeterminate")
+    kinds = np.full(len(helix), "indeterminate")
     ok = norm >= 1e-9
     axis = axis[ok] / norm[ok, None]
 
@@ -346,20 +398,23 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
     of the 6 fan faces (0, w_i, w_(i+1)); by screw symmetry every vertex has
     the same figure. When that sum degenerates (below 1e-9) the
     classification is reported indeterminate rather than guessed. The figure
-    pass of classify over this one branch.
+    pass of classify over this one branch. Anything but a BranchSolution
+    raises ParameterError.
     """
-    polygons, kinds = _figure_pass([solution])
+    _check_branch("vertex_figure", solution)
+    polygons, kinds = _figure_pass(*_batch([solution]))
     return polygons[0], kinds[0]
 
 
 def classify(solutions: list[BranchSolution]) -> list[Classification]:
     """Full classification of each branch, in input order; the branches may be of any bands.
 
-    The branches are grouped by band and taken in blocks of ROW_BUDGET // 8,
-    which bounds the working set; the face pass and the figure pass each run
-    once over a block. On the paper's range, kept rows of at most 70 faces,
-    the first stage of a block, a tenth of each row, is about one predicate
-    call. A branch gets the same result, to the bit, in any batch.
+    The branches are grouped by band once (_batch) and taken in blocks of
+    ROW_BUDGET branches, which bounds the working set (a stage's row indices
+    grow with the block); the face pass and the figure pass each run once
+    over a block. On the paper's range, kept rows of at most 70 faces, each
+    stage of a block is a handful of predicate calls: 25 calls and 23,210
+    rows for the 1149 branches of 5..24 with compounds. A branch gets the same result, to the bit, in any batch.
     classify([]) is []; anything but a list of BranchSolution raises
     ParameterError.
     """
@@ -370,16 +425,15 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
     except TypeError:
         raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
     for sol in solutions:
-        if not isinstance(sol, BranchSolution):
-            raise ParameterError(f"classify takes BranchSolution elements, got {sol!r}")
-    group: dict = {}
-    order = sorted(range(len(solutions)), key=lambda i: group.setdefault(solutions[i].band, len(group)))
+        _check_branch("classify", sol)
+    helix, offsets, band = _batch(solutions)
+    order = np.argsort(band, kind="stable")
     out: list[Classification] = [None] * len(solutions)
-    block = ROW_BUDGET // 8
-    for lo in range(0, len(order), block):
-        at = order[lo:lo + block]
-        sols = [solutions[i] for i in at]
-        polygons, kinds = _figure_pass(sols)
-        for i, (hit, witness), kind, polygon in zip(at, _face_pass(sols), kinds, polygons):
+    for lo in range(0, len(order), ROW_BUDGET):
+        at = order[lo:lo + ROW_BUDGET]
+        first, last = band[at[[0, -1]]]  # sorted by band, so the block holds every band in between
+        block = helix[at], offsets[first:last + 1], band[at] - first
+        polygons, kinds = _figure_pass(*block)
+        for i, (hit, witness), kind, polygon in zip(at.tolist(), _face_pass(*block), kinds, polygons):
             out[i] = Classification(hit, witness, kind, polygon)
     return out

@@ -15,7 +15,6 @@ strips, 12 crossed-figure members) as soft notes, never hard assertions.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -371,10 +370,25 @@ def read_catalog(source) -> list[CatalogEntry]:
     return entries
 
 
+def _csv_quote(text: str) -> str:
+    """A CSV field: text as it is, or in double quotes, each quote doubled,
+    when it holds a comma, a quote, a line feed or a carriage return."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
-    """CSV export: header row, then one row per entry, all checked before the sink opens."""
-    texts = [_texts(column, kind, str) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
+    """CSV export: header row, then one row per entry, all checked before the sink opens.
+
+    Fields are the catalog texts of write_catalog, joined by commas, and each
+    row ends in a line feed. A string is quoted by csv.QUOTE_MINIMAL's rule as
+    Python 3.13's csv.writer applies it (_csv_quote): only when it holds a
+    comma, a double quote, a line feed or a carriage return, with its quotes
+    doubled, so every row reads back through csv.reader. Numbers and
+    booleans never need quotes.
+    """
+    texts = [_texts(column, kind, _csv_quote) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
+    rows = [",".join(_ENTRY_FIELDS), *map(",".join, zip(*texts)), ""]
     with _opened(sink, newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_ENTRY_FIELDS)
-        w.writerows(zip(*texts))
+        fh.write("\n".join(rows))

@@ -473,17 +473,27 @@ def catalog_json_oracle(entries: list[CatalogEntry], options: dict | None = None
 
 
 def catalog_csv_oracle(entries: list[CatalogEntry]) -> str:
-    """write_catalog_csv's text, value by value."""
+    """write_catalog_csv's text, value by value, row by row through csv.writer.
+
+    csv.writer quotes a field that holds a character of its line terminator.
+    Each row is written with "\r\n" and cut back to "\n", so a field holding
+    a lone "\r" is quoted, as Python 3.13's writer quotes it with "\n" alone
+    (3.11 and 3.12 leave it bare, and the text would not read back).
+    """
     rows = [[v if isinstance(v, str) else _scalar(v) for v in _entry_values(e)] for e in entries]
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(_ENTRY_FIELDS)
-    w.writerows(rows)
-    return out.getvalue()
+    lines = []
+    for row in [_ENTRY_FIELDS, *rows]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def kept_row_oracle(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """U_0's kept row, as analysis._kept_row returns it, by comparing every window face with U_0.
+    """U_0's kept row of one band by comparing every window face with U_0.
+
+    It is analysis._kept_rows's row for that band, with each face's name,
+    ("U", k) or ("D", k), in place of its code.
 
     Every face U_k, D_k with k in [-c, c] is compared corner by corner with
     U_0; the faces sharing two corners (an edge) go, and so do U_k for k >= 0.

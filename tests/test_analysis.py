@@ -78,6 +78,53 @@ class TestPredicateFixtures:
         assert not triangles_properly_intersect(T_BASE, t2)
 
 
+class TestPredicateInput:
+    """triangles_properly_intersect refuses what is not two triangles and a shared count."""
+
+    @pytest.mark.parametrize(
+        "t2,message",
+        [
+            (T_BASE[:2], r"t2 must be a triangle, 3 x 3 finite reals"),
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0]], r"t2 must be a triangle"),
+            (None, r"t2 must be a triangle"),
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, "x"], [0.0, 1.0, 1.0]], r"t2\[1\]\[2\] must be a finite real, got 'x'"),
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, math.nan, 1.0]], r"t2\[2\]\[1\] must be a finite real, got nan"),
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, math.inf], [0.0, 1.0, 1.0]], r"t2\[1\]\[2\] must be a finite real"),
+            ([[0.0, 0.0, True], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], r"t2\[0\]\[2\] must be a finite real, got True"),
+        ],
+        ids=["two_rows", "ragged", "none", "text", "nan", "inf", "bool"],
+    )
+    def test_a_malformed_triangle_is_refused(self, t2, message):
+        with pytest.raises(ParameterError, match=message):
+            triangles_properly_intersect(T_BASE, t2)
+        with pytest.raises(ParameterError, match=message.replace("t2", "t1", 1)):
+            triangles_properly_intersect(t2, T_BASE)
+
+    @pytest.mark.parametrize("shared", [5, -1, True, 1.0, np.int64(1)], ids=["five", "negative", "bool", "float", "numpy"])
+    def test_a_bad_shared_count_is_refused(self, shared):
+        with pytest.raises(ParameterError, match=r"shared must be an integer >= 0 and <= 3"):
+            triangles_properly_intersect(T_BASE, T_BASE + 1.0, shared)
+
+    def test_numbers_of_any_real_kind_are_taken(self):
+        # ints, numpy scalars and float32 arrays are reals; a list gives the array's verdict
+        t2 = np.array([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0], [2.0, 2.0, 1.0]])
+        assert triangles_properly_intersect(T_BASE.astype(int), t2.astype(np.float32), 0)
+        assert triangles_properly_intersect([[np.int64(0), 0, 0], [2, 0, 0], [0, 2, 0]], t2.tolist(), shared=3) is False
+
+
+class TestBranchInput:
+    @pytest.mark.parametrize("func", [classify_face_intersection, vertex_figure])
+    @pytest.mark.parametrize("bad", [None, 3, "ab", []], ids=["none", "int", "str", "list"])
+    def test_a_non_branch_is_refused(self, func, bad):
+        with pytest.raises(ParameterError, match=f"^{func.__name__} takes BranchSolution branches, got"):
+            func(bad)
+
+    @pytest.mark.parametrize("func", [classify_face_intersection, vertex_figure])
+    def test_a_list_of_one_branch_is_refused(self, band52, func):
+        with pytest.raises(ParameterError, match=f"^{func.__name__} takes"):
+            func(band52[:1])
+
+
 class TestClassifier:
     def test_tetrahelix_embeds(self, tetrahelix):
         [cls] = classify([tetrahelix])
@@ -206,21 +253,24 @@ class TestFullScan:
 
 class TestKeptRow:
     def test_closed_form_matches_the_window_compare(self):
-        # every band of 3..64 with a < b (an a = b band has no branches to classify):
-        # the same corners, shared counts and names, in the same order
-        checked = 0
-        for n in range(3, 65):
-            for s in range(1, n // 2 + 1):
-                off = offsets_from_band(BandSpec(n, s))
-                if off.a == off.b:
-                    continue
-                got, ref = analysis._kept_row(off), kept_row_oracle(off)
-                for x, y in zip(got[:3], ref[:3]):
-                    assert x.dtype == y.dtype and x.tolist() == y.tolist(), (n, s)
-                assert got[3] == ref[3], (n, s)
-                assert len(got[3]) == 3 * off.c - 2
-                checked += 1
-        assert checked == 992
+        # every band of 3..64 with a < b (an a = b band has no branches to classify),
+        # all in one pass and each alone: the same corners, shared counts and
+        # names, in the same order; the codes are decoded by the rule the face
+        # pass names its witness with
+        offsets = [offsets_from_band(BandSpec(n, s)) for n in range(3, 65) for s in range(1, n // 2 + 1)]
+        offsets = [off for off in offsets if off.a < off.b]
+        u0, *rows, sizes = analysis._kept_rows(offsets)
+        assert len(offsets) == 992 and rows[2].dtype.kind == "i"
+        ends = np.cumsum(sizes)
+        for i, off in enumerate(offsets):
+            ref = kept_row_oracle(off)
+            got = [u0[i], *(row[ends[i] - sizes[i]:ends[i]] for row in rows)]
+            alone = analysis._kept_rows([off])
+            for x, y, z in zip(got[:3], ref[:3], [alone[0][0], *alone[1:3]]):
+                assert x.dtype == y.dtype and x.tolist() == y.tolist() == z.tolist(), off
+            assert list(map(analysis._face_id, got[3].tolist())) == ref[3], off
+            assert got[3].tolist() == alone[3].tolist() and alone[4].tolist() == [sizes[i]]
+            assert sizes[i] == 3 * off.c - 2
 
 
 class TestBandPass:
@@ -325,8 +375,31 @@ class TestStagedScan:
     def recorder(monkeypatch):
         calls = []
         real = analysis._intersect
-        monkeypatch.setattr(analysis, "_intersect", lambda T1, T2, s: (calls.append(T1), real(T1, T2, s))[1])
+        monkeypatch.setattr(
+            analysis, "_intersect", lambda T1, T2, s, plane1=None: (calls.append(T1), real(T1, T2, s, plane1))[1]
+        )
         return calls
+
+    def test_a_census_is_few_calls_of_few_rows(self, branches_5_24, monkeypatch):
+        # 5..24 is two blocks of branches; the rows are the staged scan's,
+        # close to the 17,820 that first-hit order needs
+        calls = self.recorder(monkeypatch)
+        classify(branches_5_24)
+        assert sum(len(T1) for T1 in calls) == 23_210
+        assert len(calls) <= 25
+
+    def test_no_pass_gets_more_than_a_block(self, branches_5_24, monkeypatch):
+        # both passes of every block see at most ROW_BUDGET branches, and every branch once
+        seen = {"_face_pass": [], "_figure_pass": []}
+
+        def record(real, sizes):
+            return lambda helix, *rest: (sizes.append(len(helix)), real(helix, *rest))[1]
+
+        for name, sizes in seen.items():
+            monkeypatch.setattr(analysis, name, record(getattr(analysis, name), sizes))
+        classify(branches_5_24)
+        for sizes in seen.values():
+            assert max(sizes) <= ROW_BUDGET and sum(sizes) == len(branches_5_24) == 1149
 
     def test_calls_fit_the_budget_and_skip_most_rows(self, branches_5_24, monkeypatch):
         calls = self.recorder(monkeypatch)

@@ -1,5 +1,6 @@
 """Naming, enumeration, report building, and catalog persistence."""
 
+import csv
 import io
 import json
 import math
@@ -411,3 +412,44 @@ class TestColumnWriters:
         for write in (write_catalog, write_catalog_csv):
             with pytest.raises(ParameterError, match="^r must be a finite real"):
                 write(bad, io.StringIO())
+
+
+AWKWARD_TEXTS = ["a\nb", "a\rb", "a\r\nb", "\n", "\r", "\r\n", 'say "hi"', '"', "x,y", ",", " lead", "trail ", " ", ""]
+
+
+class TestCsvQuoting:
+    """write_catalog_csv's joined rows against csv.writer, on strings that need quotes or seem to."""
+
+    @staticmethod
+    def entries(texts: list[str]) -> list[CatalogEntry]:
+        return [replace(PINNED_ENTRIES[1], name=t, chirality_note=t[::-1], branch_index=i) for i, t in enumerate(texts)]
+
+    @pytest.mark.parametrize("text", AWKWARD_TEXTS)
+    def test_one_awkward_string_matches_csv_writer_and_reads_back(self, text):
+        buf = io.StringIO()
+        write_catalog_csv(self.entries([text, "plain"]), buf)
+        assert buf.getvalue() == catalog_csv_oracle(self.entries([text, "plain"]))
+        header, *rows = csv.reader(io.StringIO(buf.getvalue(), newline=""))
+        assert header == _ENTRY_FIELDS
+        assert [(row[0], row[-1], len(row)) for row in rows] == [(text, text[::-1], 13), ("plain", "nialp", 13)]
+
+    def test_every_awkward_string_in_one_catalog(self):
+        # each string twice, so the per-string quote is shared by its rows
+        entries = self.entries(AWKWARD_TEXTS * 2)
+        buf = io.StringIO()
+        write_catalog_csv(entries, buf)
+        assert buf.getvalue() == catalog_csv_oracle(entries)
+        _, *rows = csv.reader(io.StringIO(buf.getvalue(), newline=""))
+        assert [row[0] for row in rows] == [e.name for e in entries]
+        assert [row[3] for row in rows] == [str(e.branch_index) for e in entries]
+
+    def test_the_quoting_rule(self):
+        # quoted only for a comma, a double quote, a line feed or a carriage return; spaces stay bare
+        buf = io.StringIO()
+        write_catalog_csv(self.entries(["a\rb", 'q"', " x ", "a,b"]), buf)
+        assert [line.split(",")[0] for line in buf.getvalue().split("\n")[1:-1]] == ['"a\rb"', '"q"""', " x ", '"a']
+
+    def test_an_empty_catalog_is_the_header_line(self):
+        buf = io.StringIO()
+        write_catalog_csv([], buf)
+        assert buf.getvalue() == catalog_csv_oracle([]) == ",".join(_ENTRY_FIELDS) + "\n"
