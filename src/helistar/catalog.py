@@ -340,16 +340,19 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
 def read_catalog(source) -> list[CatalogEntry]:
     """Parse a catalog document back into entries.
 
-    Raises CatalogFormatError with line/field diagnostics on malformed input.
+    Raises CatalogFormatError with line/field diagnostics on malformed input,
+    including bytes that are not UTF-8, an integer longer than Python will
+    convert, and nesting deeper than the JSON decoder allows.
     """
-    with _opened(source, "r", newline=None) as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with _opened(source, "r", newline=None) as fh:
+            doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise CatalogFormatError(
             f"catalog parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise CatalogFormatError(f"catalog cannot be decoded: {exc}") from exc
     if not isinstance(doc, dict) or "entries" not in doc:
         raise CatalogFormatError("catalog document must be an object with an 'entries' field")
     if not isinstance(doc["entries"], list):

@@ -55,14 +55,8 @@ scanned. solve_band takes one band or a list of them. The brackets of all
 bands are sampled, polished and snapped in one array pass; then the cells of
 all bands are bisected together, each lane with its band's (a, b, c), and
 the surviving roots of all bands get their coplanarity dihedrals from one
-stack of helix points. The polished roots are accurate to a few 1e-14, so
-they predict nearly every step of the bisection: a call of at most
-GUIDED_LANES lanes evaluates D once, at every midpoint of the predicted
-paths, and only a lane whose computed sign disagrees with its prediction
-goes on step by step. Either way every midpoint and every decision is the
-one of the step-by-step loop, so the route sets the time, not the bits.
-Every step works lane by lane or row by row, so a band's branches are the
-same bits alone as in any batch.
+stack of helix points. Every step works lane by lane or row by row, so a
+band's branches are the same bits alone as in any batch.
 
 That makes a band's branches a function of (band, options) alone, and every
 object they are made of is frozen, so solve_band remembers them: a call
@@ -123,13 +117,8 @@ _SUBCELLS = np.linspace(0.0, 1.0, SUBGRID)
 BRACKET_BUDGET = 2048
 _NEIGHBOURS = np.arange(-1, 2)
 
-# (band, cell, zero, guess) of a call whose bands have no brackets
-_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool), np.empty(0))
-
-# Most lanes a bisection checks against its guesses. With more, the loop's
-# per-step cost is shared by so many lanes that predicting every path, and
-# resuming the loop for the few that miss, takes longer than the loop itself.
-GUIDED_LANES = 256
+# (band, cell, zero) of a call whose bands have no brackets
+_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
 
 # Most branches remembered, a band without branches counting as one: bounds
 # the memo at about 3.9 MB (470 B a branch), well above a 5..24 census (1149)
@@ -189,7 +178,7 @@ class BranchSolution:
         # Python calls this only for an attribute not set: dihedrals of a branch the solver did not make
         if name != "dihedrals":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        (angles,) = _interior_dihedrals(self.offsets, [self.params])
+        (angles,) = _interior_dihedrals([self.offsets], [self.params])
         object.__setattr__(self, "dihedrals", angles)
         return angles
 
@@ -295,13 +284,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
-def _interior_dihedrals(
-    offsets: OffsetTriple | list[OffsetTriple], params: list[HelixParams]
-) -> list[tuple[float, float, float]]:
+def _interior_dihedrals(offsets: list[OffsetTriple], params: list[HelixParams]) -> list[tuple[float, float, float]]:
     """Interior a, b, c dihedrals of each realization, through the solid, in (0, 2pi).
 
-    offsets are the band's, shared by every realization, or one per
-    realization, so realizations of many bands share one stack.
+    offsets holds each realization's band offsets, so realizations of many
+    bands share one stack.
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
@@ -312,8 +299,6 @@ def _interior_dihedrals(
     row-wise step after it, do not depend on the other rows, so a
     realization's angles are the same bits in a stack as alone.
     """
-    if isinstance(offsets, OffsetTriple):
-        offsets = [offsets] * len(params)
     pts = _helix_stack(_helix_rows(params), [[0, *vertex_neighbor_cycle(off)] for off in offsets])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
@@ -343,8 +328,6 @@ def _bisect(abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray)
     takes scipy.optimize.bisect's steps exactly: halve the width, evaluate D
     at mid = lo + width, move lo to mid when D(mid) * flo >= 0, and stop at
     mid once D(mid) == 0 or |width| < BISECTION_TOL + BISECTION_RTOL * |mid|.
-    This loop is the reference for _guided_bisect, which takes the same
-    steps, and it serves the lanes whose guess _guided_bisect finds wrong.
     """
     roots = np.empty_like(lo)
     lanes = np.arange(lo.size)
@@ -358,48 +341,6 @@ def _bisect(abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray)
             roots[lanes[done]] = mid[done]
             live = ~done
             lanes, lo, width, flo, abc = lanes[live], lo[live], width[live], flo[live], abc[:, live]
-    return roots
-
-
-def _guided_bisect(
-    abc: np.ndarray, lo: np.ndarray, width: np.ndarray, flo: np.ndarray, guess: np.ndarray
-) -> np.ndarray:
-    """_bisect's roots, bit for bit, from one evaluation of D on the paths the guesses predict.
-
-    guess holds a close estimate of each lane's root. Predict: from lo, step
-    K times with _bisect's widths, width * 0.5**k, exact, moving lo to
-    mid = lo + width unless mid > guess; K = ceil(log2(max width /
-    BISECTION_TOL)) + 1 covers the stopping step of every lane, and widths
-    are positive, so |width| in the stopping test is the width itself.
-    Verify: evaluate D at all K predicted mids at once. Up to a lane's
-    first step where the decision D(mid) * flo >= 0 differs from the
-    prediction, its mids are the ones _bisect computes, so it stops at the
-    first of them where _bisect stops. A lane whose decision differs first
-    resumes _bisect from the lo and width that decision leaves. Each root is
-    thus the same float as _bisect's; the guesses only decide how many lanes
-    resume. More than GUIDED_LANES lanes go to _bisect directly.
-    """
-    if not 0 < lo.size <= GUIDED_LANES:
-        return _bisect(abc, lo, width, flo)
-    steps = math.ceil(math.log2(width.max() / BISECTION_TOL)) + 1
-    half = width * 0.5 ** np.arange(1, steps + 1)[:, None]
-    los = np.empty_like(half)  # lo before each step, on the predicted path
-    los[0] = lo
-    for w, before, after in zip(half, los, los[1:]):
-        np.add(before, w, out=after)
-        np.copyto(after, before, where=after > guess)
-    mids = los + half
-    fmid = _determinant(*abc, mids)
-    done = (fmid == 0.0) | (half < BISECTION_TOL + BISECTION_RTOL * np.abs(mids))
-    moved = fmid * flo >= 0.0
-    stop = done | (moved == (mids > guess))
-    stop[-1] = True  # a lane still going after K steps resumes from there
-    at = (stop.argmax(axis=0), np.arange(lo.size))
-    roots = mids[at]
-    resume = ~done[at]
-    if resume.any():
-        resumed_lo = np.where(moved[at], mids[at], los[at])[resume]
-        roots[resume] = _bisect(abc[:, resume], resumed_lo, half[at][resume], flo[resume])
     return roots
 
 
@@ -448,25 +389,25 @@ def _component_roots(offsets: list[OffsetTriple], lane: np.ndarray, k: np.ndarra
     return theta
 
 
-def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(band, cell, zero, guess) of every root of every band's D, by band, then theta.
+def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(band, cell, zero) of every root of every band's D, by band, then theta.
 
     band indexes offsets; cell is the grid index of the root's flip, or of
-    its grid point where zero is set; guess is the polished root, the
-    bisection's guess for a flip. Each band's component (a', b', c') = (a, b, c) / g
-    has one root in each bracket (pi k/b', pi (k+1)/b'), k = 1..b'-1 (module
-    docstring). All brackets of all bands are sampled at once, at SUBGRID
-    points each; the one sub-cell where D' changes sign starts NEWTON_STEPS
-    Newton steps, from the chord between its ends, to the guess theta'. A
-    bracket with any other count of sign changes, or a guess outside its
-    sub-cell, raises RuntimeError: a root is never dropped silently. Each
-    theta' lifts to the g thetas of the band with g theta = 2 pi ceil(j/2) +
-    (-1)^j theta', j = 0..g-1, kept in [THETA_MIN, THETA_MAX]. Each is taken
-    to its nearest grid point j, and its cell is the grid index i among j - 1
-    and j with F(i) * F(i + 1) < 0, or, where zero is set, the grid point j
-    with F(j) == 0, F the computed D at a grid point; where neither is
-    there, RuntimeError. A band with a = b has b' = 1 and no brackets: its
-    D vanishes identically, and it flexes through a continuum.
+    its grid point where zero is set. Each band's component (a', b', c') =
+    (a, b, c) / g has one root in each bracket (pi k/b', pi (k+1)/b'),
+    k = 1..b'-1 (module docstring). All brackets of all bands are sampled at
+    once, at SUBGRID points each; the one sub-cell where D' changes sign
+    starts NEWTON_STEPS Newton steps, from the chord between its ends, to the
+    polished root theta'. A bracket with any other count of sign changes, or
+    a polished root outside its sub-cell, raises RuntimeError: a root is
+    never dropped silently. Each theta' lifts to the g thetas of the band
+    with g theta = 2 pi ceil(j/2) + (-1)^j theta', j = 0..g-1, kept in
+    [THETA_MIN, THETA_MAX]. Each is taken to its nearest grid point j, and
+    its cell is the grid index i among j - 1 and j with F(i) * F(i + 1) < 0,
+    or, where zero is set, the grid point j with F(j) == 0, F the computed D
+    at a grid point; where neither is there, RuntimeError. A band with a = b
+    has b' = 1 and no brackets: its D vanishes identically, and it flexes
+    through a continuum.
     """
     table, count = [], []  # per band: a', b', c', the weights of D', g, a, b, c; its bracket count
     for off in offsets:
@@ -502,7 +443,7 @@ def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.
     if missed.any():
         i = band[missed.argmax()]
         raise RuntimeError(f"{offsets[i]}: no sign change next to the roots {theta[missed & (band == i)]}")
-    return band, j - flip[:, 0], zero, theta
+    return band, j - flip[:, 0], zero
 
 
 def solve_band(
@@ -528,12 +469,8 @@ def solve_band(
     points, all bands in one pass (_brackets), so each root is one sign
     change of the computed D between adjacent grid points, or one grid
     point where it is exactly 0. The sign changes of all bands are
-    bisected together, each lane step for step as scipy.optimize.bisect
-    bisects it alone. A call of at most GUIDED_LANES lanes checks the path
-    that each polished root predicts in one evaluation of D, and resumes
-    the step-by-step loop only where a sign disagrees (_guided_bisect); its
-    midpoints and decisions are the loop's, so its roots are too. No root
-    needs merging: a zero at
+    bisected together in one loop (_bisect), each lane step for step as
+    scipy.optimize.bisect bisects it alone. No root needs merging: a zero at
     grid point j excludes a flip at j-1 and j, and each bisected root lies
     inside its own cell. A root is dropped when the a/b system of _solve_AB
     is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
@@ -597,13 +534,13 @@ def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
         return []
     points = opts.grid_points
     offsets = [offsets_from_band(band) for band in bands]
-    owner, cell, zero, guess = _brackets(offsets, points)
+    owner, cell, zero = _brackets(offsets, points)
     abc = np.array([(off.a, off.b, off.c) for off in offsets], dtype=float)[owner].T
     roots = _grid_point(cell, points)
     flip = ~zero
     abc, lo = abc[:, flip], roots[flip]
     width = _grid_point(cell[flip] + 1, points) - lo
-    roots[flip] = _guided_bisect(abc, lo, width, _determinant(*abc, lo), guess[flip])
+    roots[flip] = _bisect(abc, lo, width, _determinant(*abc, lo))
     counts = np.bincount(owner, minlength=len(bands)).tolist()
     roots = roots[np.lexsort((roots, owner))].tolist()
     starts = itertools.accumulate(counts, initial=0)

@@ -415,17 +415,17 @@ def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
 _DOUBLE_ROOT_AT_1 = chebfromroots([1.0, 1.0])
 
 
-def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flips, zeros, guesses) of D's roots on the grid of points points.
+def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flips, zeros) of D's roots on the grid of points points.
 
     flips are the grid indices i with F(i) * F(i + 1) < 0 and zeros the i
-    with F(i) == 0, F the computed D at grid point i, one per root; guesses
-    are the colleague-matrix thetas of the flips' roots. The roots come from the
-    colleague matrix of the component's D' / (x - 1)^2 (chebroots) and are
-    lifted to the band's g components; each is taken to its nearest grid
-    point j, and its flip or zero is the one among j - 1, j, j + 1. A count
-    of real roots in (-1, 1) other than b' - 1, or a root whose flip or zero
-    is not there, raises RuntimeError: a root is never dropped silently.
+    with F(i) == 0, F the computed D at grid point i, one per root. The roots
+    come from the colleague matrix of the component's D' / (x - 1)^2
+    (chebroots) and are lifted to the band's g components; each is taken to
+    its nearest grid point j, and its flip or zero is the one among j - 1, j,
+    j + 1. A count of real roots in (-1, 1) other than b' - 1, or a root
+    whose flip or zero is not there, raises RuntimeError: a root is never
+    dropped silently.
     """
     g = math.gcd(offsets.a, offsets.b)
     a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
@@ -447,7 +447,7 @@ def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, 
     right = f[:, 1] * f[:, 2] < 0.0
     if not np.all(zero | left | right):
         raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
-    return np.where(left, j - 1, j)[~zero], j[zero], theta[~zero]
+    return np.where(left, j - 1, j)[~zero], j[zero]
 
 
 # Per-value catalog writers: each field of each entry checked and formatted on

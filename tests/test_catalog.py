@@ -304,6 +304,26 @@ class TestPersistence:
         with pytest.raises(CatalogFormatError, match=match):
             read_catalog(io.StringIO(doc))
 
+    def test_a_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_bytes(b'{"entries": [\xff]}')
+        for source in (str(path), io.BytesIO(path.read_bytes())):
+            with pytest.raises(CatalogFormatError, match="decode byte 0xff in position 13"):
+                read_catalog(source)
+
+    def test_nesting_deeper_than_the_decoder_is_a_format_error(self, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_text("[" * 100000)
+        for source in (str(path), io.StringIO("[" * 100000)):
+            with pytest.raises(CatalogFormatError, match="recursion depth"):
+                read_catalog(source)
+
+    def test_an_integer_too_long_to_convert_is_a_format_error(self):
+        # past sys.get_int_max_str_digits the decoder raises a bare ValueError;
+        # a Python without that limit reads the int and finds the entry incomplete
+        with pytest.raises(CatalogFormatError):
+            read_catalog(io.StringIO('{"entries": [{"n_strips": ' + "1" * 5000 + "}]}"))
+
     @pytest.mark.parametrize("field", ["theta", "r", "h", "residual"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.5"])
     def test_write_refuses_a_real_field_that_is_not_a_finite_real(self, field, value):

@@ -188,85 +188,27 @@ class TestBisection:
         assert cs._bisect(np.empty((3, 0)), empty, empty, empty).size == 0
 
     def test_a_census_bisects_once(self, monkeypatch):
-        # guards against a return to one bisection loop per band
+        # guards against a return to one bisection loop per band, or to a
+        # second bisection path: a census is one _bisect call of all its
+        # lanes, and one small band alone is one call too
         lanes = []
-        bisect_all = cs._guided_bisect
+        bisect_all = cs._bisect
 
         def counting(abc, *args):
             lanes.append(abc.shape[1])
             return bisect_all(abc, *args)
 
-        monkeypatch.setattr(cs, "_guided_bisect", counting)
+        monkeypatch.setattr(cs, "_bisect", counting)
         assert len(enumerate_catalog(5, 12, include_compounds=True)) == 124
         assert len(lanes) == 1 and lanes[0] > 124
+        lanes.clear()
+        cs._SOLVED.clear()
+        assert len(solve_band(BandSpec(7, 3))) == 3
+        assert lanes == [3]
 
-    def test_small_bands_alone_never_resume_the_loop(self, monkeypatch):
-        # guards the guesses: on every band of 5..12 solved alone, each
-        # colleague-matrix guess predicts its lane's whole bisection path
-        resumed = []
-        bisect_all = cs._bisect
-        monkeypatch.setattr(cs, "_bisect", lambda abc, *args: (resumed.append(abc.shape[1]), bisect_all(abc, *args))[1])
-        for n in range(5, 13):
-            for s in range(1, n // 2 + 1):
-                solve_band(BandSpec(n, s))
-        assert sum(resumed) == 0
-
-
-def _bracket_pass(offsets, points):
-    """(flips, zeros, guesses) of each offset triple's D from one call of the solver's bracket pass."""
-    band, cell, zero, guess = cs._brackets(offsets, points)
-    return [
-        (cell[(band == i) & ~zero], cell[(band == i) & zero], guess[(band == i) & ~zero])
-        for i in range(len(offsets))
-    ]
-
-
-def _lanes(band, points=200000):
-    """(abc, lo, width, flo, guess) of one band's flips, as _solve_fresh bisects them."""
-    off = offsets_from_band(band)
-    ((flips, _, guess),) = _bracket_pass([off], points)
-    assert flips.tolist() == colleague_brackets(off, points)[0].tolist()
-    lo = cs._grid_point(flips, points)
-    width = cs._grid_point(flips + 1, points) - lo
-    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
-    return abc, lo, width, closure_determinant(off, lo), guess
-
-
-class TestGuidedBisection:
-    def test_every_guess_gives_the_loop_roots(self, monkeypatch):
-        # every flip of every band of 3..24, one band per call; guesses near
-        # the root on either side, mirrored across it, at the cell's ends,
-        # outside it and NaN send lanes back to the loop early, midway and
-        # at the last steps, and every root stays the loop's float
-        resumed = []
-        bisect_all = cs._bisect
-
-        def recording(abc, lo, width, flo):
-            resumed.extend(width.tolist())
-            return bisect_all(abc, lo, width, flo)
-
-        lanes = 0
-        for band in _scanned_bands(24):
-            abc, lo, width, flo, colleague = _lanes(band)
-            ref = bisect_all(abc, lo, width, flo)
-            guesses = [colleague, 2.0 * ref - colleague, lo, lo + width, lo - width, lo + 2.0 * width]
-            guesses += [ref + d for d in (1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6)]
-            guesses.append(np.full_like(lo, np.nan))
-            monkeypatch.setattr(cs, "_bisect", recording)
-            for guess in guesses:
-                got = cs._guided_bisect(abc, lo, width, flo, guess)
-                assert [x.hex() for x in got.tolist()] == [x.hex() for x in ref.tolist()], band
-            monkeypatch.setattr(cs, "_bisect", bisect_all)
-            lanes += lo.size
-        assert lanes > 1000
-        # resumed widths are width0 / 2**k after the k-th step, width0 ~ pi / 200000
-        steps = np.rint(np.log2(math.pi / 200000 / np.array(resumed))).astype(int)
-        assert steps.min() == 1 and steps.max() >= 27
-        assert np.any((steps > 8) & (steps < 20))
-
-    def test_a_zero_on_the_predicted_path_stops_the_lane(self, monkeypatch):
-        # D(mid) == 0 ends a lane at that mid, in the loop and in the check
-        abc, lo, width, flo, guess = _lanes(BandSpec(7, 3))
+    def test_a_zero_at_a_midpoint_stops_the_lane(self, monkeypatch):
+        # D(mid) == 0 ends a lane at that mid, and leaves the other lanes alone
+        abc, lo, width, flo = _lanes(BandSpec(7, 3))
         mids = []
         determinant = cs._determinant
         monkeypatch.setattr(cs, "_determinant", lambda a, b, c, t: (mids.append(t.copy()), determinant(a, b, c, t))[1])
@@ -275,16 +217,23 @@ class TestGuidedBisection:
         monkeypatch.setattr(cs, "_determinant", lambda a, b, c, t: np.where(t == target, 0.0, determinant(a, b, c, t)))
         stopped = cs._bisect(abc, lo, width, flo)
         assert stopped[0] == target and stopped[1:].tolist() == ref[1:].tolist()
-        assert cs._guided_bisect(abc, lo, width, flo, guess).tolist() == stopped.tolist()
 
-    def test_more_lanes_than_guided_lanes_take_the_loop(self, monkeypatch):
-        calls = []
-        bisect_all = cs._bisect
-        monkeypatch.setattr(cs, "_bisect", lambda abc, *args: (calls.append(abc.shape[1]), bisect_all(abc, *args))[1])
-        abc, lo, width, flo, guess = (np.tile(x, 37) for x in _lanes(BandSpec(17, 8)))
-        assert lo.size == 37 * 8 > cs.GUIDED_LANES
-        assert cs._guided_bisect(abc, lo, width, flo, guess).tolist() == bisect_all(abc, lo, width, flo).tolist()
-        assert calls == [lo.size]
+
+def _bracket_pass(offsets, points):
+    """(flips, zeros) of each offset triple's D from one call of the solver's bracket pass."""
+    band, cell, zero = cs._brackets(offsets, points)
+    return [(cell[(band == i) & ~zero], cell[(band == i) & zero]) for i in range(len(offsets))]
+
+
+def _lanes(band, points=200000):
+    """(abc, lo, width, flo) of one band's flips, as _solve_fresh bisects them."""
+    off = offsets_from_band(band)
+    ((flips, _),) = _bracket_pass([off], points)
+    assert flips.tolist() == colleague_brackets(off, points)[0].tolist()
+    lo = cs._grid_point(flips, points)
+    width = cs._grid_point(flips + 1, points) - lo
+    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
+    return abc, lo, width, closure_determinant(off, lo)
 
 
 def _dense_scan(off, points):
@@ -311,7 +260,7 @@ class TestScan:
         # bands: a subset, missing only the rounding flips of the quadruple
         # roots at theta = 2 pi k / g, which were never branches
         bands = _scanned_bands(32)
-        for band, (flips, zeros, _) in zip(bands, _bracket_pass([offsets_from_band(b) for b in bands], points)):
+        for band, (flips, zeros) in zip(bands, _bracket_pass([offsets_from_band(b) for b in bands], points)):
             off = offsets_from_band(band)
             ref_flips, ref_zeros = _dense_scan(off, points)
             if band.components == 1:
@@ -349,7 +298,7 @@ def _connected_bands(n_max):
 
 def _raw_roots(off, points):
     """Every root solve_band tests, before any acceptance check, theta ascending."""
-    ((flips, zeros, _),) = _bracket_pass([off], points)
+    ((flips, zeros),) = _bracket_pass([off], points)
     oracle = colleague_brackets(off, points)
     assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist())
     lo = cs._grid_point(flips, points)
@@ -395,7 +344,7 @@ class TestRootAccounting:
         bands = _connected_bands(40)
         assert len(bands) == 244
         offsets = [offsets_from_band(band) for band in bands]
-        for band, off, (flips, zeros, _) in zip(bands, offsets, _bracket_pass(offsets, points)):
+        for band, off, (flips, zeros) in zip(bands, offsets, _bracket_pass(offsets, points)):
             assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
             oracle = colleague_brackets(off, points)
             assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
@@ -429,7 +378,7 @@ class TestRootAccounting:
         points = SolverOptions().grid_points
         bands = _scanned_bands(64)
         offsets = [offsets_from_band(band) for band in bands]
-        for band, off, (flips, zeros, _) in zip(bands, offsets, _bracket_pass(offsets, points)):
+        for band, off, (flips, zeros) in zip(bands, offsets, _bracket_pass(offsets, points)):
             assert flips.size + zeros.size == off.b - band.components, band
             oracle = colleague_brackets(off, points)
             assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
@@ -529,8 +478,8 @@ class TestRootAccounting:
 class TestBandList:
     def test_list_equals_one_call_per_band(self, solved_64):
         # every band of 3..64 strips; the a = b bands are those without branches.
-        # A band alone checks its guesses (_guided_bisect), while the batch's
-        # thousands of lanes take the plain loop
+        # A band alone bisects its few lanes in one loop, and the batch its
+        # thousands of lanes in another
         empty = [band for band, sols in solved_64.items() if not sols]
         assert len(empty) == 31
         assert all(offsets_from_band(band).a == offsets_from_band(band).b for band in empty)
@@ -559,7 +508,7 @@ class TestBandList:
         solved = [sol for sols in solve_band(bands) for sol in sols]
         assert len(stacks) == 1 and stacks[0] >= len(solved) > 300
         for sol in solved:
-            (single,) = real(sol.offsets, [sol.params])
+            (single,) = real([sol.offsets], [sol.params])
             assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in single], sol.band
 
     @pytest.mark.parametrize("bad", [[BandSpec(5, 2), (5, 2)], [OffsetTriple(2, 3, 5)], 5, None])

@@ -91,9 +91,18 @@ def test_all_lists_every_public_name():
     ]
 
 
-def unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level private functions, classes and constants of each named tree
-    that no tree reads, imports or names as an attribute outside their own definition."""
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _constant(name: str) -> bool:
+    return re.fullmatch(r"[A-Z][A-Z0-9_]*", name) is not None
+
+
+def unreferenced_names(trees: dict[str, ast.Module], wanted) -> list[str]:
+    """Module-level functions, classes and constants of each named tree whose
+    name wanted accepts, and that no tree reads, imports or names as an
+    attribute outside their own definition."""
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -102,9 +111,10 @@ def unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [(module, t.id, node) for t in targets if isinstance(t, ast.Name)]
-    private = [(m, name, node) for m, name, node in defined if name.startswith("_") and not name.startswith("__")]
     dead = []
-    for module, name, definition in private:
+    for module, name, definition in defined:
+        if not wanted(name):
+            continue
         own = {id(n) for n in ast.walk(definition)}
         uses = (
             n
@@ -122,9 +132,12 @@ def unreferenced_private_names(trees: dict[str, ast.Module]) -> list[str]:
     return dead
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in (ROOT / "src/helistar").rglob("*.py")}
+
+
 def test_every_private_name_in_the_package_is_used():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in (ROOT / "src/helistar").rglob("*.py")}
-    assert unreferenced_private_names(trees) == []
+    assert unreferenced_names(package_trees(), _private) == []
 
 
 def test_unreferenced_private_name_is_caught():
@@ -135,7 +148,24 @@ def test_unreferenced_private_name_is_caught():
         ),
         "b": ast.parse("from .a import _Shown\n"),
     }
-    assert unreferenced_private_names(trees) == ["a._DEAD", "a._helper"]
+    assert unreferenced_names(trees, _private) == ["a._DEAD", "a._helper"]
+
+
+def test_every_constant_in_the_package_is_read():
+    # a constant that only tests or the bench read is a setting no code obeys
+    assert unreferenced_names(package_trees(), _constant) == []
+
+
+def test_unread_constant_is_caught():
+    trees = {
+        "a": ast.parse(
+            "USED = 1\nLEFT_OVER: int = 256\nSELF_NAMED = SELF_NAMED if 0 else 2\nlower = 3\n\n"
+            "def f(x):\n    return x + USED + b.SHOWN\n"
+        ),
+        "b": ast.parse("from .a import f\nSHOWN = 4\nFROM_B = 5\n"),
+        "c": ast.parse("from .b import FROM_B\n"),
+    }
+    assert unreferenced_names(trees, _constant) == ["a.LEFT_OVER", "a.SELF_NAMED"]
 
 
 def imports_outside_all(tree: ast.Module, package: str) -> list[str]:

@@ -154,7 +154,7 @@ class TestDihedrals:
         for n in range(3, 17):
             for s in range(1, n // 2 + 1):
                 for sol in solve_band(BandSpec(n, s)):
-                    (single,) = _interior_dihedrals(sol.offsets, [sol.params])
+                    (single,) = _interior_dihedrals([sol.offsets], [sol.params])
                     assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in single], (n, s)
                     assert dihedral_angles(sol) == dict(zip("abc", single))
                     rows += 1
