@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import reprlib
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
@@ -324,8 +325,9 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     for k, v in (options or {}).items():
         try:
             json.dumps(v, allow_nan=False)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"option {k!r} must be strict JSON, got {v!r}") from exc
+        except (TypeError, ValueError, RecursionError) as exc:
+            # reprlib bounds the text: repr recurses as deep as the option
+            raise ParameterError(f"option {k!r} must be strict JSON, got {reprlib.repr(v)}") from exc
         if str(k) in opt:
             raise ParameterError(f"option keys {opt[str(k)][0]!r} and {k!r} both write as {str(k)!r}")
         opt[str(k)] = (k, v)

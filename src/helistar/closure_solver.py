@@ -54,9 +54,11 @@ D changes sign, or the grid point where it is exactly 0. The grid is never
 scanned. solve_band takes one band or a list of them. The brackets of all
 bands are sampled, polished and snapped in one array pass; then the cells of
 all bands are bisected together, each lane with its band's (a, b, c), and
-the surviving roots of all bands get their coplanarity dihedrals from one
-stack of helix points. Every step works lane by lane or row by row, so a
-band's branches are the same bits alone as in any batch.
+one acceptance pass over every root drops, in this order, a root whose a/b
+system is singular, whose A or B is too small, whose residual is too large,
+or, from one stack of helix points for all survivors, whose dihedral is too
+near pi. Every step works lane by lane or row by row, so a band's branches
+are the same bits alone as in any batch.
 
 That makes a band's branches a function of (band, options) alone, and every
 object they are made of is frozen, so solve_band remembers them: a call
@@ -67,7 +69,6 @@ more than SOLVED_BRANCHES branches are held.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -466,18 +467,18 @@ def solve_band(
 
     Each band's roots are located in its component's analytic brackets,
     polished by Newton's method and snapped to the grid of opts.grid_points
-    points, all bands in one pass (_brackets), so each root is one sign
-    change of the computed D between adjacent grid points, or one grid
-    point where it is exactly 0. The sign changes of all bands are
-    bisected together in one loop (_bisect), each lane step for step as
-    scipy.optimize.bisect bisects it alone. No root needs merging: a zero at
-    grid point j excludes a flip at j-1 and j, and each bisected root lies
-    inside its own cell. A root is dropped when the a/b system of _solve_AB
-    is singular, when A < MIN_A or B < MIN_B (flat or axis-collapsed), when
-    the c-chord residual exceeds RESIDUAL_TOL, or when a dihedral is within
-    COPLANAR_GAP of pi; the dihedrals of the remaining roots of all bands
-    come from one stack. A kept root's faces have sides within RESIDUAL_TOL
-    of 1, so none has zero area. An empty result is an answer, not an error.
+    points, all bands in one pass (_brackets), so each root is one sign change
+    of the computed D between adjacent grid points, or one grid point where it
+    is exactly 0. The sign changes of all bands are bisected together in one
+    loop (_bisect), each lane step for step as scipy.optimize.bisect bisects
+    it alone. No root needs merging: a zero at grid point j excludes a flip at
+    j-1 and j, and each bisected root lies inside its own cell. One acceptance
+    pass over the roots of all bands (_solve_fresh) drops a root, tested in
+    this order, when the a/b system of _solve_AB is singular, when A < MIN_A
+    or B < MIN_B (flat or axis-collapsed), when the c-chord residual exceeds
+    RESIDUAL_TOL, or when a dihedral, all from one stack, is within
+    COPLANAR_GAP of pi. A kept root's faces have sides within RESIDUAL_TOL of
+    1, so none has zero area. An empty result is an answer, not an error.
 
     Measured on every band with n <= 40, not proven: a connected band keeps
     floor((2n - s - 1)/3) branches, and a compound band g times as many as
@@ -529,7 +530,11 @@ def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
 
 
 def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
-    """The branches of each band: one bracket pass, one bisection and one dihedral stack for all."""
+    """The branches of each band: one bracket pass, one bisection and one acceptance pass for all.
+
+    It takes the roots by band, then theta (_brackets' order), tests singular,
+    A, B, residual, then coplanar (solve_band), and numbers kept roots from 1.
+    """
     if not bands:
         return []
     points = opts.grid_points
@@ -541,44 +546,24 @@ def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     abc, lo = abc[:, flip], roots[flip]
     width = _grid_point(cell[flip] + 1, points) - lo
     roots[flip] = _bisect(abc, lo, width, _determinant(*abc, lo))
-    counts = np.bincount(owner, minlength=len(bands)).tolist()
-    roots = roots[np.lexsort((roots, owner))].tolist()
-    starts = itertools.accumulate(counts, initial=0)
-    candidates = [_candidates(off, roots[i:i + n]) for off, i, n in zip(offsets, starts, counts)]
-    stack = [(off, params) for off, found in zip(offsets, candidates) for params, _ in found]
-    angles = iter(_interior_dihedrals([off for off, _ in stack], [params for _, params in stack]) if stack else [])
-    return [
-        _accept(band, [(params, residual, next(angles)) for params, residual in found])
-        for band, found in zip(bands, candidates)
-    ]
-
-
-def _candidates(offsets: OffsetTriple, roots: list[float]) -> list[tuple[HelixParams, float]]:
-    """(params, residual) of each of one band's roots that passes every test but coplanarity."""
-    candidates: list[tuple[HelixParams, float]] = []
-    for theta in roots:
-        AB = _solve_AB(offsets, theta)
+    found: list[tuple[int, HelixParams, float]] = []  # (band index, params, residual) of each survivor
+    for i, theta in zip(owner.tolist(), roots.tolist()):
+        off = offsets[i]
+        AB = _solve_AB(off, theta)
         if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
             continue
-        A, B = AB
-        params = HelixParams(r=math.sqrt(A / 2.0), theta=theta, h=math.sqrt(B))
-        residual = max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
+        params = HelixParams(r=math.sqrt(AB[0] / 2.0), theta=theta, h=math.sqrt(AB[1]))
+        residual = max(abs(chord(params, d) - 1.0) for d in (off.a, off.b, off.c))
         if residual <= RESIDUAL_TOL:
-            candidates.append((params, residual))
-    return candidates
-
-
-def _accept(band: BandSpec, candidates: list[tuple[HelixParams, float, tuple]]) -> list[BranchSolution]:
-    """The branches among one band's (params, residual, dihedrals), theta ascending, numbered from 1."""
-    branches: list[BranchSolution] = []
-    for params, residual, dihedrals in candidates:
+            found.append((i, params, residual))
+    angles = _interior_dihedrals([offsets[i] for i, _, _ in found], [p for _, p, _ in found]) if found else []
+    branches: list[list[BranchSolution]] = [[] for _ in bands]
+    for (i, params, residual), dihedrals in zip(found, angles):
         if min(abs(v - math.pi) for v in dihedrals) <= COPLANAR_GAP:
             continue
-        branch = BranchSolution(
-            band=band, params=params, branch_index=len(branches) + 1,
-            winding_m=winding_estimate(band, params), residual=residual,
-        )
+        branch = BranchSolution(band=bands[i], params=params, branch_index=len(branches[i]) + 1,
+                                winding_m=winding_estimate(bands[i], params), residual=residual)
         # the stack's rows are the same bits as a branch computes alone
         object.__setattr__(branch, "dihedrals", dihedrals)
-        branches.append(branch)
+        branches[i].append(branch)
     return branches

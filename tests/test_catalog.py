@@ -371,6 +371,16 @@ class TestPersistence:
             write_catalog(PINNED_ENTRIES, str(path), {"x": value})
         assert not path.exists()
 
+    @pytest.mark.parametrize("nest", [lambda x: [x], lambda x: {"y": x}], ids=["list", "dict"])
+    def test_write_refuses_an_option_too_deep_to_encode(self, tmp_path, nest):
+        value = 1
+        for _ in range(5000):
+            value = nest(value)
+        path = tmp_path / "cat.json"
+        with pytest.raises(ParameterError, match="option 'x'"):
+            write_catalog(PINNED_ENTRIES, str(path), {"x": value})
+        assert not path.exists()
+
     @pytest.mark.parametrize("write", [write_catalog, write_catalog_csv])
     def test_failed_write_leaves_no_file(self, tmp_path, write):
         path = tmp_path / "cat.out"

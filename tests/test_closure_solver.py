@@ -495,6 +495,22 @@ class TestBandList:
         ]
         assert [len(sols) for sols in got] == [3, 0, 2, 3]
 
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            pytest.param([band for band in _bands_64() if band.n_strips >= 5], id="5..64"),
+            pytest.param([BandSpec(24, 7), BandSpec(5, 2), BandSpec(12, 5)], id="out-of-order"),
+        ],
+    )
+    def test_each_band_is_theta_ascending_and_numbered_from_1(self, bands):
+        # the acceptance pass numbers the roots in the order the bracket pass
+        # and the bisection leave them, by band, then theta, and sorts nothing
+        for band, sols in zip(bands, _solved_alone(bands)):
+            thetas = [sol.params.theta for sol in sols]
+            assert all(t0 < t1 for t0, t1 in zip(thetas, thetas[1:])), band
+            assert [sol.branch_index for sol in sols] == list(range(1, len(sols) + 1)), band
+            assert {sol.band for sol in sols} <= {band}
+
     def test_empty_list(self):
         assert solve_band([]) == []
 

@@ -6,6 +6,7 @@ import importlib
 import re
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
@@ -166,6 +167,79 @@ def test_unread_constant_is_caught():
         "c": ast.parse("from .b import FROM_B\n"),
     }
     assert unreferenced_names(trees, _constant) == ["a.LEFT_OVER", "a.SELF_NAMED"]
+
+
+SUBMODULES = {path.stem for path in (ROOT / "src/helistar").glob("*.py")} - {"__init__"}
+
+
+def stale_references(readme: str, sources: dict[str, str]) -> list[str]:
+    """Names the prose mentions that the package lacks.
+
+    A backticked module.NAME in readme whose module is a helistar submodule
+    must be an attribute of the imported submodule. A _private name in readme
+    backticks, or in a docstring or comment of sources (module -> source),
+    must be defined somewhere in sources: as a function, class, argument,
+    assignment target or import; a pattern such as _cmd_* must be the prefix
+    of one. A name preceded by a word character or * (U_0, *_next) is not a
+    name.
+    """
+    private = re.compile(r"(?<![\w*])_[A-Za-z]\w*\*?")
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.alias):
+                defined.add(node.asname or node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+
+    def unknown(names: list[str]) -> list[str]:
+        return [n for n in names if not any(d == n or n[-1] == "*" and d.startswith(n[:-1]) for d in defined)]
+
+    stale = []
+    for quoted in re.findall(r"`([^`\n]+)`", readme):
+        for module, name in re.findall(r"(?<![\w.])(?:helistar\.)?(\w+)\.(\w+)", quoted):
+            if module in SUBMODULES and not hasattr(importlib.import_module(f"helistar.{module}"), name):
+                stale.append(f"README.md: {module}.{name}")
+        stale += [f"README.md: {name}" for name in unknown(private.findall(quoted))]
+    for module, text in sources.items():
+        docs = [
+            ast.get_docstring(node) or ""
+            for node in ast.walk(trees[module])
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        comments = [
+            tok.string for tok in tokenize.generate_tokens(iter(text.splitlines(True)).__next__)
+            if tok.type == tokenize.COMMENT
+        ]
+        stale += [f"{module}: {name}" for name in unknown(private.findall("\n".join(docs + comments)))]
+    return stale
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in (ROOT / "src/helistar").rglob("*.py")}
+
+
+def test_prose_names_only_what_the_package_has():
+    assert stale_references((ROOT / "README.md").read_text(), package_sources()) == []
+
+
+def test_stale_reference_is_caught():
+    sources = {
+        "planted": '"""Runs _candidates, then _bisect and _cmd_*; U_0 and *_next are not names."""\n\n'
+        "def _bisect(_x):\n    return _x  # then _accept\n\n\ndef _cmd_solve():\n    pass\n"
+    }
+    readme = "See `closure_solver.GUIDED_LANES`, `closure_solver.MIN_A`, `_bisect`, `_guided_*` and `_guided_bisect`.\n"
+    assert stale_references(readme, sources) == [
+        "README.md: closure_solver.GUIDED_LANES", "README.md: _guided_*", "README.md: _guided_bisect",
+        "planted: _candidates", "planted: _accept",
+    ]
 
 
 def imports_outside_all(tree: ast.Module, package: str) -> list[str]:
