@@ -317,10 +317,13 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
 
     Reals carry 15 significant digits; the field order is fixed. options is
     recorded verbatim, each key as str(key), sorted by that text, so a catalog
-    names the run that made it. A non-finite real option at any depth, an
-    option json cannot encode, two keys with one text, or a bad entry field
-    raises ParameterError before the sink opens: no partial file.
+    names the run that made it. options other than a dict or None, a
+    non-finite real option at any depth, an option json cannot encode, two
+    keys with one text, or a bad entry field raises ParameterError before the
+    sink opens: no partial file.
     """
+    if not isinstance(options, (dict, type(None))):
+        raise ParameterError(f"options must be a dict or None, got {reprlib.repr(options)}")
     opt = {}
     for k, v in (options or {}).items():
         try:

@@ -58,10 +58,11 @@ one acceptance pass over every root drops, in this order, a root whose a/b
 system is singular, whose A or B is too small, whose residual is too large,
 or, from one stack of helix points for all survivors, whose dihedral is too
 near pi. Every step works lane by lane or row by row, so a band's branches
-are the same bits alone as in any batch.
+are the same bits alone as in any batch. A branch holds its band, params
+and number; the rest is derived from them (BranchSolution).
 
 That makes a band's branches a function of (band, options) alone, and every
-object they are made of is frozen, so solve_band remembers them: a call
+field they are made of is frozen, so solve_band remembers them: a call
 solves only the bands it does not find held, in one pass as above, and a
 repeated solve is a lookup. The least recently used bands are dropped once
 more than SOLVED_BRANCHES branches are held.
@@ -71,7 +72,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,9 +120,6 @@ _SUBCELLS = np.linspace(0.0, 1.0, SUBGRID)
 BRACKET_BUDGET = 2048
 _NEIGHBOURS = np.arange(-1, 2)
 
-# (band, cell, zero) of a call whose bands have no brackets
-_NO_ROOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
-
 # Most branches remembered, a band without branches counting as one: bounds
 # the memo at about 3.9 MB (470 B a branch), well above a 5..24 census (1149)
 SOLVED_BRANCHES = 8192
@@ -154,33 +153,35 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class BranchSolution:
-    """One root of the closure equations of a band, with its labels.
+    """One root of the closure equations of a band: the band, the root's params and its number.
 
-    The band is the branch's identity; its edge offsets are derived from it.
-    dihedrals are the interior a, b, c dihedrals of params, and cannot be set
-    apart from them: the solver fills them from its stack, and a branch made
-    any other way, directly or by dataclasses.replace, computes them from its
-    own params when they are first read. Equality and hashing ignore them.
+    Those are the only fields, so equality, hashing and dataclasses.replace
+    see only them, and no branch disagrees with its root: offsets, winding_m
+    (winding_estimate), residual (_residual) and dihedrals (_interior_dihedrals)
+    are derived from band and params, the last three once, on first read.
     """
 
     band: BandSpec
     params: HelixParams
     branch_index: int
-    winding_m: int
-    residual: float
-    dihedrals: tuple[float, float, float] = field(init=False, compare=False)
 
     @property
     def offsets(self) -> OffsetTriple:
         """The band's image on the index line, offsets_from_band(band)."""
         return offsets_from_band(self.band)
 
-    def __getattr__(self, name: str):
-        # Python calls this only for an attribute not set: dihedrals of a branch the solver did not make
-        if name != "dihedrals":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def winding_m(self) -> int:
+        return winding_estimate(self.band, self.params)
+
+    @cached_property
+    def residual(self) -> float:
+        return _residual(self.offsets, self.params)
+
+    @cached_property
+    def dihedrals(self) -> tuple[float, float, float]:
+        """Interior a, b, c dihedrals of params (_interior_dihedrals)."""
         (angles,) = _interior_dihedrals([self.offsets], [self.params])
-        object.__setattr__(self, "dihedrals", angles)
         return angles
 
 
@@ -212,6 +213,11 @@ def chord(params: HelixParams, d: int) -> float:
     """Distance |v_{k+d} - v_k|; independent of k and of the sign of d."""
     x = 2.0 * params.r * params.r * (1.0 - math.cos(d * params.theta))
     return math.sqrt(x + d * d * params.h * params.h)
+
+
+def _residual(offsets: OffsetTriple, params: HelixParams) -> float:
+    """max |chord(d) - 1| over d = a, b, c: at most RESIDUAL_TOL for a kept root."""
+    return max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
 
 
 def closure_determinant(offsets: OffsetTriple, theta):
@@ -416,22 +422,20 @@ def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.
         a, b, c = off.a // g, off.b // g, off.c // g
         table.append((a, b, c, c * c - b * b, a * a - c * c, b * b - a * a, g, off.a, off.b, off.c))
         count.append(b - 1)
-    if not any(count):
-        return _NO_ROOTS
     table = np.array(table, dtype=float)
     lane = np.repeat(np.arange(len(offsets)), count)
     k = np.arange(1, lane.size + 1) - np.repeat(np.cumsum(count) - count, count)
     per_lane = table[lane].T
     blocks = [slice(i, i + BRACKET_BUDGET) for i in range(0, lane.size, BRACKET_BUDGET)]
-    theta = np.concatenate([_component_roots(offsets, lane[at], k[at], per_lane[:6, at]) for at in blocks])
-    g = per_lane[6]
-    if g.max() > 1.0:  # only compound bands lift: g theta = 2 pi ceil(j/2) + (-1)^j theta', j = 0..g-1
-        lifts = g.astype(np.intp)
-        j = np.arange(lifts.sum()) - np.repeat(np.cumsum(lifts) - lifts, lifts)
-        lane, theta, g = np.repeat(lane, lifts), np.repeat(theta, lifts), np.repeat(g, lifts)
-        theta = ((j + 1) // 2 * (2.0 * math.pi) + (-1.0) ** j * theta) / g
-        order = np.lexsort((theta, lane))
-        lane, theta = lane[order], theta[order]
+    roots = [_component_roots(offsets, lane[at], k[at], per_lane[:6, at]) for at in blocks]
+    theta = np.concatenate([np.empty(0), *roots])  # the empty block serves bands without brackets
+    g = per_lane[6]  # g theta = 2 pi ceil(j/2) + (-1)^j theta', j = 0..g-1; theta = theta' where g = 1
+    lifts = g.astype(np.intp)
+    j = np.arange(lifts.sum()) - np.repeat(np.cumsum(lifts) - lifts, lifts)
+    lane, theta, g = np.repeat(lane, lifts), np.repeat(theta, lifts), np.repeat(g, lifts)
+    theta = ((j + 1) // 2 * (2.0 * math.pi) + (-1.0) ** j * theta) / g
+    order = np.lexsort((theta, lane))
+    lane, theta = lane[order], theta[order]
     inside = (theta >= THETA_MIN) & (theta <= THETA_MAX)
     band, theta = lane[inside], theta[inside]
     step = (THETA_MAX - THETA_MIN) / (points - 1)
@@ -475,10 +479,12 @@ def solve_band(
     j-1 and j, and each bisected root lies inside its own cell. One acceptance
     pass over the roots of all bands (_solve_fresh) drops a root, tested in
     this order, when the a/b system of _solve_AB is singular, when A < MIN_A
-    or B < MIN_B (flat or axis-collapsed), when the c-chord residual exceeds
-    RESIDUAL_TOL, or when a dihedral, all from one stack, is within
-    COPLANAR_GAP of pi. A kept root's faces have sides within RESIDUAL_TOL of
-    1, so none has zero area. An empty result is an answer, not an error.
+    or B < MIN_B (flat or axis-collapsed), when _residual exceeds
+    RESIDUAL_TOL, or when a dihedral, from one stack for this test only, is
+    within COPLANAR_GAP of pi; a kept branch computes its own residual and
+    dihedrals, to the same bits, when they are first read. A kept root's faces
+    have sides within RESIDUAL_TOL of 1, so none has zero area. An empty
+    result is an answer, not an error.
 
     Measured on every band with n <= 40, not proven: a connected band keeps
     floor((2n - s - 1)/3) branches, and a compound band g times as many as
@@ -546,24 +552,17 @@ def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     abc, lo = abc[:, flip], roots[flip]
     width = _grid_point(cell[flip] + 1, points) - lo
     roots[flip] = _bisect(abc, lo, width, _determinant(*abc, lo))
-    found: list[tuple[int, HelixParams, float]] = []  # (band index, params, residual) of each survivor
+    found: list[tuple[int, HelixParams]] = []  # (band index, params) of each survivor
     for i, theta in zip(owner.tolist(), roots.tolist()):
-        off = offsets[i]
-        AB = _solve_AB(off, theta)
+        AB = _solve_AB(offsets[i], theta)
         if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
             continue
         params = HelixParams(r=math.sqrt(AB[0] / 2.0), theta=theta, h=math.sqrt(AB[1]))
-        residual = max(abs(chord(params, d) - 1.0) for d in (off.a, off.b, off.c))
-        if residual <= RESIDUAL_TOL:
-            found.append((i, params, residual))
-    angles = _interior_dihedrals([offsets[i] for i, _, _ in found], [p for _, p, _ in found]) if found else []
+        if _residual(offsets[i], params) <= RESIDUAL_TOL:
+            found.append((i, params))
+    angles = _interior_dihedrals([offsets[i] for i, _ in found], [p for _, p in found]) if found else []
     branches: list[list[BranchSolution]] = [[] for _ in bands]
-    for (i, params, residual), dihedrals in zip(found, angles):
-        if min(abs(v - math.pi) for v in dihedrals) <= COPLANAR_GAP:
-            continue
-        branch = BranchSolution(band=bands[i], params=params, branch_index=len(branches[i]) + 1,
-                                winding_m=winding_estimate(bands[i], params), residual=residual)
-        # the stack's rows are the same bits as a branch computes alone
-        object.__setattr__(branch, "dihedrals", dihedrals)
-        branches[i].append(branch)
+    for (i, params), dihedrals in zip(found, angles):
+        if min(abs(v - math.pi) for v in dihedrals) > COPLANAR_GAP:
+            branches[i].append(BranchSolution(band=bands[i], params=params, branch_index=len(branches[i]) + 1))
     return branches

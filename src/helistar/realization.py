@@ -56,10 +56,8 @@ class MeshSegment:
         self.vertices = _rows("vertices", self.vertices, 3, float)
         self.faces = _vertex_indices("faces", self.faces, 3, len(self.vertices))
         self.edges = _vertex_indices("edges", self.edges, 2, len(self.vertices))
-        count = len(self.vertices)
         for m in self.boundary_marks:
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m < count:
-                raise ParameterError(f"boundary_marks must hold vertex indices in [0, {count}), got {m!r}")
+            check_int("boundary_marks", m.item() if isinstance(m, np.integer) else m, 0, len(self.vertices) - 1)
 
 
 def _rows(name: str, rows, width: int, dtype=None) -> np.ndarray:
@@ -145,8 +143,8 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     By screw symmetry one prototype edge per class speaks for all. Values
     above pi are reflex folds; star branches have them, and so does the
     tetrahelix on its class-a edges (three tetrahedra stack around each).
-    The values are BranchSolution.dihedrals, by class: the solver's own for
-    a solved branch, computed from its params for a branch made otherwise.
+    The values are BranchSolution.dihedrals, by class, computed from the
+    branch's params when first read.
     """
     return dict(zip("abc", solution.dihedrals))
 
@@ -154,16 +152,15 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
 def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) -> UniformityReport:
     """Check the window against the uniformity contract.
 
-    Checks: every edge has length 1; every face angle is pi/3; all interior
-    vertices carry congruent neighbor constellations (sorted pairwise-distance
-    multisets of the closed 1-ring agree); every interior edge lies in exactly
-    2 faces, and every face side with both ends interior is a listed edge.
-    Each deviation must be at most UNIFORM_TOL. Needs at least one interior
-    vertex.
+    Checks: every edge has length 1; every face angle is pi/3; every interior
+    vertex has exactly 6 neighbors, and all carry congruent neighbor
+    constellations (sorted pairwise-distance multisets of the closed 1-ring
+    agree); every interior edge lies in exactly 2 faces, and every face side
+    with both ends interior is a listed edge. Each deviation must be at most
+    UNIFORM_TOL. Needs at least one interior vertex.
 
-    The 1-rings are read off edge adjacency, for every interior vertex with
-    exactly 6 neighbors, on any mesh. offsets is ignored: it stays in the
-    signature only so that positional callers keep working.
+    The 1-rings are read off edge adjacency, on any mesh. offsets is ignored:
+    it stays in the signature only so that positional callers keep working.
     """
     verts, faces, edges = segment.vertices, segment.faces, segment.edges
     n = len(verts)
@@ -218,7 +215,7 @@ def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) ->
         bad_interior_edges=bad,
         edge_length_ok=edge_dev <= UNIFORM_TOL,
         face_angle_ok=ang_dev <= UNIFORM_TOL,
-        constellation_ok=const_dev <= UNIFORM_TOL,
+        constellation_ok=const_dev <= UNIFORM_TOL and len(centers) == len(interior),
         edge_faces_ok=bad == 0,
     )
 

@@ -371,6 +371,13 @@ class TestPersistence:
             write_catalog(PINNED_ENTRIES, str(path), {"x": value})
         assert not path.exists()
 
+    @pytest.mark.parametrize("options", [[("x", 1)], "x"], ids=["list", "str"])
+    def test_write_refuses_options_that_are_not_a_dict(self, tmp_path, options):
+        path = tmp_path / "cat.json"
+        with pytest.raises(ParameterError, match="options must be a dict"):
+            write_catalog(PINNED_ENTRIES, str(path), options)
+        assert not path.exists()
+
     @pytest.mark.parametrize("nest", [lambda x: [x], lambda x: {"y": x}], ids=["list", "dict"])
     def test_write_refuses_an_option_too_deep_to_encode(self, tmp_path, nest):
         value = 1

@@ -515,17 +515,24 @@ class TestBandList:
         assert solve_band([]) == []
 
     def test_one_dihedral_stack_per_call(self, monkeypatch):
-        # every band of 3..16 in one call: one stack for all bands, and each
-        # branch's dihedrals the same bits as a batch of one
+        # every band of 3..16 in one call: one stack for all bands, whose row
+        # for each kept branch is the same bits as the dihedrals it computes alone
         stacks = []
         real = cs._interior_dihedrals
-        monkeypatch.setattr(cs, "_interior_dihedrals", lambda off, ps: (stacks.append(len(ps)), real(off, ps))[1])
+
+        def stack(offsets, params):
+            rows = real(offsets, params)
+            stacks.append(dict(zip(zip(offsets, params), rows)))
+            return rows
+
+        monkeypatch.setattr(cs, "_interior_dihedrals", stack)
         bands = [BandSpec(n, s) for n in range(3, 17) for s in range(1, n // 2 + 1)]
         solved = [sol for sols in solve_band(bands) for sol in sols]
-        assert len(stacks) == 1 and stacks[0] >= len(solved) > 300
+        monkeypatch.undo()
+        assert len(stacks) == 1 and len(stacks[0]) >= len(solved) > 300
         for sol in solved:
-            (single,) = real([sol.offsets], [sol.params])
-            assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in single], sol.band
+            row = stacks[0][sol.offsets, sol.params]
+            assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in row], sol.band
 
     @pytest.mark.parametrize("bad", [[BandSpec(5, 2), (5, 2)], [OffsetTriple(2, 3, 5)], 5, None])
     def test_non_band_is_refused(self, bad):

@@ -1,5 +1,6 @@
 """Source hygiene a linter would check: unread imports, the package's __all__,
-and imports that stay within the declared runtime dependencies."""
+imports that stay within the declared runtime dependencies, and frozen
+objects written only by their own class."""
 
 import ast
 import importlib
@@ -240,6 +241,31 @@ def test_stale_reference_is_caught():
         "README.md: closure_solver.GUIDED_LANES", "README.md: _guided_*", "README.md: _guided_bisect",
         "planted: _candidates", "planted: _accept",
     ]
+
+
+def foreign_frozen_writes(tree: ast.Module) -> list[str]:
+    """Calls object.__setattr__(x, ...) whose x is not self: a frozen object
+    written from outside its own class."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node.args[0]) if node.args else ''}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__setattr__"
+        and not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/helistar").rglob("*.py")), ids=lambda p: p.name)
+def test_frozen_objects_are_written_only_by_their_own_class(path):
+    assert foreign_frozen_writes(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_foreign_frozen_write_is_caught():
+    tree = ast.parse(
+        "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n\n"
+        "def solve(branch):\n    object.__setattr__(branch, 'dihedrals', ())\n    object.__setattr__(branch.params, 'r', 1.0)\n"
+    )
+    assert foreign_frozen_writes(tree) == ["line 6: branch", "line 7: branch.params"]
 
 
 def imports_outside_all(tree: ast.Module, package: str) -> list[str]:

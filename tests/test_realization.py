@@ -4,7 +4,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from helistar import (
     unfold_net,
     verify_uniform,
 )
-from helistar.closure_solver import _interior_dihedrals
+from helistar import closure_solver as cs
 from helistar.realization import MAX_WINDOW
 
 from helpers import cycle_constellation_dev, face_angle_dev_per_corner, faces_per_side_bad, pinned_meshes
@@ -147,18 +147,25 @@ class TestDihedrals:
         }
         assert got == expected
 
-    def test_band_stack_rows_equal_single_branches(self):
-        # the dihedrals the solver hands each branch, from its one stack per
-        # band, against a fresh batch of one
-        rows = 0
-        for n in range(3, 17):
-            for s in range(1, n // 2 + 1):
-                for sol in solve_band(BandSpec(n, s)):
-                    (single,) = _interior_dihedrals([sol.offsets], [sol.params])
-                    assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in single], (n, s)
-                    assert dihedral_angles(sol) == dict(zip("abc", single))
-                    rows += 1
-        assert rows > 300
+    def test_band_stack_rows_equal_single_branches(self, monkeypatch):
+        # the rows of the solver's one stack per band, which its coplanarity
+        # test reads, against the dihedrals each kept branch computes alone
+        stacked = {}
+        real = cs._interior_dihedrals
+
+        def stack(offsets, params):
+            rows = real(offsets, params)
+            stacked.update(zip(zip(offsets, params), rows))
+            return rows
+
+        monkeypatch.setattr(cs, "_interior_dihedrals", stack)
+        solved = [sol for n in range(3, 17) for s in range(1, n // 2 + 1) for sol in solve_band(BandSpec(n, s))]
+        monkeypatch.undo()
+        assert len(stacked) >= len(solved) > 300
+        for sol in solved:
+            row = stacked[sol.offsets, sol.params]
+            assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in row], sol.band
+            assert dihedral_angles(sol) == dict(zip("abc", row))
 
     def test_equality_and_hash_ignore_the_dihedrals(self, band52):
         sol = band52[0]
@@ -166,15 +173,20 @@ class TestDihedrals:
         object.__setattr__(other, "dihedrals", (1.0, 2.0, 3.0))
         assert other == sol and hash(other) == hash(sol)
         assert {sol: 1}[other] == 1
-        assert replace(sol, residual=sol.residual + 1.0) != sol
-        with pytest.raises(ValueError, match="dihedrals"):
-            replace(sol, dihedrals=(1.0, 2.0, 3.0))
+        # the derived values are not fields, so replace cannot set them
+        assert [f.name for f in fields(sol)] == ["band", "params", "branch_index"]
+        for name, value in [("residual", sol.residual + 1.0), ("winding_m", 7), ("dihedrals", (1.0, 2.0, 3.0))]:
+            with pytest.raises(TypeError, match=name):
+                replace(sol, **{name: value})
 
     def test_replaced_params_bring_their_own_dihedrals(self, band52):
-        # replace used to copy the first branch's dihedrals beside the second's params
+        # replace used to copy the first branch's dihedrals, winding and
+        # residual beside the second's params
         first, second = band52
         moved = replace(first, params=second.params)
         assert [v.hex() for v in moved.dihedrals] == [v.hex() for v in second.dihedrals]
+        assert (moved.winding_m, moved.residual.hex()) == (second.winding_m, second.residual.hex())
+        assert (second.winding_m, second.residual) != (first.winding_m, first.residual)
         assert dihedral_angles(moved) == dihedral_angles(second) != dihedral_angles(first)
         assert unfold_net(moved).folds == unfold_net(second).folds
         sheets = [io.StringIO(), io.StringIO()]
@@ -256,7 +268,21 @@ class TestVerifyUniform:
         assert seg.vertices.shape == (3, 3)
         assert seg.faces.dtype == np.intp and seg.edges.shape == (0, 2)
         rep = verify_uniform(seg)
-        assert rep.passed and rep.edge_length_max_dev == 0.0
+        # its one interior vertex has no neighbors, so no uniform ring
+        assert not rep.constellation_ok and rep.edge_length_max_dev == 0.0
+
+    def test_bipyramid_vertices_without_six_neighbors_fail(self):
+        # a unit-edge triangular bipyramid: unit edges, equilateral faces, each
+        # edge in 2 faces, but vertex degrees 3 and 4
+        z = math.sqrt(2.0 / 3.0)
+        c = math.sqrt(3.0) / 6.0
+        verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0], [0.5, c, z], [0.5, c, -z]]
+        faces = [(0, 1, 3), (1, 2, 3), (2, 0, 3), (1, 0, 4), (2, 1, 4), (0, 2, 4)]
+        edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)]
+        rep = verify_uniform(MeshSegment(vertices=verts, faces=faces, edges=edges))
+        assert rep.edge_length_max_dev < 1e-15 and rep.face_angle_max_dev < 1e-15
+        assert rep.edge_length_ok and rep.face_angle_ok and rep.edge_faces_ok
+        assert not rep.constellation_ok and not rep.passed
 
     @pytest.mark.parametrize(
         "faces, edges, field",
