@@ -7,14 +7,14 @@ the four branches self-intersect while keeping a simple vertex figure:
 the first two helical star deltahedra.
 """
 
-from helistar import BandSpec, classify, offsets_from_band, solve_band
+from helistar import BandSpec, classify, solve_band
 
 # Walk both shifts. shift and n - shift give mirror twists of the same
 # object, so only shift <= n // 2 is worth scanning.
 for s in (1, 2):
     spec = BandSpec(5, s)
-    off = offsets_from_band(spec)
-    print(f"band n=5 s={s}   chord offsets a={off.a} b={off.b} c={off.c}")
+    a, b, c = spec.offsets
+    print(f"band n=5 s={s}   chord offsets a={a} b={b} c={c}")
     # classify takes the whole band and tests all its branches in one pass
     branches = solve_band(spec)
     for branch, verdict in zip(branches, classify(branches)):

@@ -15,8 +15,6 @@ __version__ = "0.1.0"
 from .analysis import Classification, classify, triangles_properly_intersect, vertex_figure
 from .band_combinatorics import (
     BandSpec,
-    OffsetTriple,
-    offsets_from_band,
     prototype_faces,
     split_compound,
     vertex_neighbor_cycle,

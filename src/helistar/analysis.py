@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band_combinatorics import OffsetTriple, offsets_from_band, prototype_faces, vertex_neighbor_cycle
+from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
 from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit
 from .errors import ParameterError, check_int, check_real
 
@@ -235,16 +235,16 @@ def _check_branch(func: str, solution) -> None:
         raise ParameterError(f"{func} takes BranchSolution branches, got {solution!r}")
 
 
-def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[OffsetTriple], np.ndarray]:
+def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[BandSpec], np.ndarray]:
     """What the passes read of branches of any bands: each branch's
-    (r, theta, h) row (_helix_rows), the offsets of each band among them, in
-    order of first appearance, and each branch's index into that list."""
+    (r, theta, h) row (_helix_rows), the bands among them, in order of first
+    appearance, and each branch's index into that list."""
     seen: dict = {}
     band = np.array([seen.setdefault(sol.band, len(seen)) for sol in solutions], dtype=np.intp)
-    return _helix_rows([sol.params for sol in solutions]), [offsets_from_band(b) for b in seen], band
+    return _helix_rows([sol.params for sol in solutions]), list(seen), band
 
 
-def _kept_rows(offsets: list[OffsetTriple]) -> tuple[np.ndarray, ...]:
+def _kept_rows(bands: list[BandSpec]) -> tuple[np.ndarray, ...]:
     """U_0's kept row in each band, in one array pass: U_0's corners per band,
     then each kept face's corners, shared count and code, stacked band after
     band, and each band's row length.
@@ -256,17 +256,17 @@ def _kept_rows(offsets: list[OffsetTriple]) -> tuple[np.ndarray, ...]:
     of its corners are 0, a or c, and its code is 2k for U_k and 2k + 1 for
     D_k (_face_id).
     """
-    shape = np.array([prototype_faces(off) for off in offsets])
+    shape = np.array([prototype_faces(band) for band in bands])
     a, b, c = shape[:, 0, 1], shape[:, 1, 2], shape[:, 0, 2]
     width = 4 * c + 2  # the window's faces, codes -2c to 2c + 1
-    band = np.repeat(np.arange(len(offsets)), width)
+    band = np.repeat(np.arange(len(bands)), width)
     code = np.arange(len(band)) - np.repeat(np.cumsum(width) - width + 2 * c, width)
     k, is_d = code // 2, code % 2
     keep = np.flatnonzero(np.where(is_d, (k != 0) & (k != -b[band]) & (k != a[band]), k < 0))
     band, k, is_d = band[keep], k[keep], is_d[keep]
     corners = shape[band, is_d] + k[:, None]
     shared = ((corners == 0) | (corners == a[band, None]) | (corners == c[band, None])).sum(axis=-1)
-    return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(offsets))
+    return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(bands))
 
 
 def _face_id(code: int) -> FaceId:
@@ -274,7 +274,7 @@ def _face_id(code: int) -> FaceId:
     return "UD"[code % 2], code // 2
 
 
-def _face_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarray) -> list[tuple[bool, Witness | None]]:
+def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> list[tuple[bool, Witness | None]]:
     """Verdict and first witness pair of each branch, of any bands, in staged predicate calls.
 
     The branches come as _batch gives them. The scan order is prototype U_0
@@ -301,7 +301,7 @@ def _face_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarray)
     and every step works row by row, so a branch's result is the same bits
     in any batch.
     """
-    u0, corners, shared, codes, sizes = _kept_rows(offsets)
+    u0, corners, shared, codes, sizes = _kept_rows(bands)
     length = sizes[band]
     start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
     proto = _helix_stack(helix, u0[band])
@@ -363,7 +363,7 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     return np.where(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0), axis=-1), "crossed", "simple")
 
 
-def _figure_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Neighbor hexagons, (branches, 6, 3), and figure kinds of branches of any bands.
 
     The branches come as _batch gives them. Each hexagon is projected along its own vertex normal; a branch whose
@@ -372,7 +372,7 @@ def _figure_pass(helix: np.ndarray, offsets: list[OffsetTriple], band: np.ndarra
     One _helix_stack call gives every branch's points, each at its own
     band's neighbour cycle, and every step after it works row by row.
     """
-    cycles = [[0, *vertex_neighbor_cycle(off)] for off in offsets]
+    cycles = [[0, *vertex_neighbor_cycle(b)] for b in bands]
     pts = _helix_stack(helix, np.array(cycles)[band])
     center, polygon = pts[:, :1], pts[:, 1:]
     with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
@@ -409,14 +409,14 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
 def classify(solutions: list[BranchSolution]) -> list[Classification]:
     """Full classification of each branch, in input order; the branches may be of any bands.
 
-    The branches are grouped by band once (_batch) and taken in blocks of
-    ROW_BUDGET branches, which bounds the working set (a stage's row indices
-    grow with the block); the face pass and the figure pass each run once
-    over a block. On the paper's range, kept rows of at most 70 faces, each
-    stage of a block is a handful of predicate calls: 25 calls and 23,210
-    rows for the 1149 branches of 5..24 with compounds. A branch gets the same result, to the bit, in any batch.
-    classify([]) is []; anything but a list of BranchSolution raises
-    ParameterError.
+    The branches are taken in input order, in blocks of ROW_BUDGET, which
+    bounds the working set (a stage's row indices grow with the block); each
+    block is grouped by band (_batch), and the face pass and the figure pass
+    each run once over it. A branch gets the same result, to the bit, in any
+    block. On the paper's range, kept rows of at most 70 faces, each stage of
+    a block is a handful of predicate calls: 25 calls and 23,210 rows for the
+    1149 branches of 5..24 with compounds, in two blocks. classify([]) is [];
+    anything but a list of BranchSolution raises ParameterError.
     """
     if isinstance(solutions, BranchSolution):
         raise ParameterError("classify takes a list of branches; pass [solution]")
@@ -426,14 +426,9 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
         raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
     for sol in solutions:
         _check_branch("classify", sol)
-    helix, offsets, band = _batch(solutions)
-    order = np.argsort(band, kind="stable")
-    out: list[Classification] = [None] * len(solutions)
-    for lo in range(0, len(order), ROW_BUDGET):
-        at = order[lo:lo + ROW_BUDGET]
-        first, last = band[at[[0, -1]]]  # sorted by band, so the block holds every band in between
-        block = helix[at], offsets[first:last + 1], band[at] - first
+    out: list[Classification] = []
+    for lo in range(0, len(solutions), ROW_BUDGET):
+        block = _batch(solutions[lo:lo + ROW_BUDGET])
         polygons, kinds = _figure_pass(*block)
-        for i, (hit, witness), kind, polygon in zip(at.tolist(), _face_pass(*block), kinds, polygons):
-            out[i] = Classification(hit, witness, kind, polygon)
+        out += map(Classification, *zip(*_face_pass(*block)), kinds, polygons)
     return out

@@ -21,7 +21,7 @@ two faces. Every vertex lies in exactly 6 faces and every edge in exactly 2:
 with w = [c, b, -a, -c, -b, a] the neighbour cycle, the faces at vertex k are
 the fan (k, k + w_i, k + w_(i+1)), i mod 6, in orientation order, and the
 class edge (0, w_j) lies in fan faces j-1 and j, opposite w_(j-1) and w_(j+1).
-So one integer index and one offset triple carry the entire combinatorics.
+So one integer index and BandSpec.offsets carry the entire combinatorics.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .errors import NotACompoundError, ParameterError, check_int
 
 __all__ = [
     "BandSpec",
-    "OffsetTriple",
-    "offsets_from_band",
     "split_compound",
     "prototype_faces",
     "vertex_neighbor_cycle",
@@ -53,8 +51,8 @@ class BandSpec:
     """n side-by-side strips glued with a shift of s steps: a branch's identity.
 
     Stored in canonical form with shift <= floor(n/2); a shift of n - s is the
-    mirror image of s and is normalized away. Every offset triple is a band's
-    image: OffsetTriple(a, b, a + b) is offsets_from_band(BandSpec(a + b, a)).
+    mirror image of s and is normalized away, so the offsets (a, b, c) =
+    (s, n - s, n) have a <= b; BandSpec(a + b, a) is the band of (a, b, a + b).
     n = 2 is accepted only so that compound components such as
     (6,3) -> 3 x (2,1) are representable; it is degenerate (a = b) and has no
     geometric branches. n is at most MAX_STRIPS.
@@ -76,27 +74,10 @@ class BandSpec:
     def components(self) -> int:
         return math.gcd(self.n_strips, self.shift)
 
-
-@dataclass(frozen=True)
-class OffsetTriple:
-    """Index-line image of the band: edge offsets a <= b and c = a + b."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        check_int("a", self.a, 1)
-        check_int("b", self.b, self.a)
-        check_int("c", self.c)
-        if self.c != self.a + self.b:
-            raise ParameterError(f"need c = a + b, got {self.c} != {self.a + self.b}")
-
-
-def offsets_from_band(spec: BandSpec) -> OffsetTriple:
-    """Edge offsets (min(s, n-s), max(s, n-s), n) of a band."""
-    n, s = spec.n_strips, spec.shift
-    return OffsetTriple(min(s, n - s), max(s, n - s), n)
+    @property
+    def offsets(self) -> tuple[int, int, int]:
+        """The band's image on the index line: edge offsets a <= b and c = a + b."""
+        return self.shift, self.n_strips - self.shift, self.n_strips
 
 
 def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
@@ -111,21 +92,21 @@ def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
     return g, BandSpec(spec.n_strips // g, spec.shift // g)
 
 
-def prototype_faces(offsets: OffsetTriple) -> np.ndarray:
+def prototype_faces(band: BandSpec) -> np.ndarray:
     """Rows U_0 = (0, a, c) and D_0 = (0, c, b), in orientation order.
 
     A (2, 3) intp array; face U_k or D_k is its row plus k.
     """
-    a, b, c = offsets.a, offsets.b, offsets.c
+    a, b, c = band.offsets
     return np.array([(0, a, c), (0, c, b)], dtype=np.intp)
 
 
-def vertex_neighbor_cycle(offsets: OffsetTriple) -> list[int]:
+def vertex_neighbor_cycle(band: BandSpec) -> list[int]:
     """Neighbor offsets of vertex 0 in face-adjacency cyclic order.
 
     Walking the 6 incident faces so consecutive ones share an edge through the
     vertex visits the neighbors as [c, b, -a, -c, -b, a]. The vertex figure,
     the face fan and the faces at each class edge are read off the cycle.
     """
-    a, b, c = offsets.a, offsets.b, offsets.c
+    a, b, c = band.offsets
     return [c, b, -a, -c, -b, a]

@@ -319,8 +319,8 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     recorded verbatim, each key as str(key), sorted by that text, so a catalog
     names the run that made it. options other than a dict or None, a
     non-finite real option at any depth, an option json cannot encode, two
-    keys with one text, or a bad entry field raises ParameterError before the
-    sink opens: no partial file.
+    keys with one text, a bad entry field, or a sink neither a file object nor
+    a path (_opened) raises ParameterError before the sink opens: no partial file.
     """
     if not isinstance(options, (dict, type(None))):
         raise ParameterError(f"options must be a dict or None, got {reprlib.repr(options)}")
@@ -347,7 +347,8 @@ def read_catalog(source) -> list[CatalogEntry]:
 
     Raises CatalogFormatError with line/field diagnostics on malformed input,
     including bytes that are not UTF-8, an integer longer than Python will
-    convert, and nesting deeper than the JSON decoder allows.
+    convert, and nesting deeper than the JSON decoder allows. A source neither
+    a file object nor a path (_opened) raises ParameterError, unopened.
     """
     try:
         with _opened(source, "r", newline=None) as fh:
@@ -394,7 +395,8 @@ def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
     Python 3.13's csv.writer applies it (_csv_quote): only when it holds a
     comma, a double quote, a line feed or a carriage return, with its quotes
     doubled, so every row reads back through csv.reader. Numbers and
-    booleans never need quotes.
+    booleans never need quotes. A sink neither a file object nor a path
+    (_opened) raises ParameterError.
     """
     texts = [_texts(column, kind, _csv_quote) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
     rows = [",".join(_ENTRY_FIELDS), *map(",".join, zip(*texts)), ""]

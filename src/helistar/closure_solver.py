@@ -77,7 +77,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .band_combinatorics import BandSpec, OffsetTriple, offsets_from_band, vertex_neighbor_cycle
+from .band_combinatorics import BandSpec, vertex_neighbor_cycle
 from .errors import ParameterError, check_int
 
 __all__ = [
@@ -166,9 +166,8 @@ class BranchSolution:
     branch_index: int
 
     @property
-    def offsets(self) -> OffsetTriple:
-        """The band's image on the index line, offsets_from_band(band)."""
-        return offsets_from_band(self.band)
+    def offsets(self) -> tuple[int, int, int]:
+        return self.band.offsets
 
     @cached_property
     def winding_m(self) -> int:
@@ -176,12 +175,12 @@ class BranchSolution:
 
     @cached_property
     def residual(self) -> float:
-        return _residual(self.offsets, self.params)
+        return _residual(self.band, self.params)
 
     @cached_property
     def dihedrals(self) -> tuple[float, float, float]:
         """Interior a, b, c dihedrals of params (_interior_dihedrals)."""
-        (angles,) = _interior_dihedrals([self.offsets], [self.params])
+        (angles,) = _interior_dihedrals([self.band], [self.params])
         return angles
 
 
@@ -215,14 +214,14 @@ def chord(params: HelixParams, d: int) -> float:
     return math.sqrt(x + d * d * params.h * params.h)
 
 
-def _residual(offsets: OffsetTriple, params: HelixParams) -> float:
-    """max |chord(d) - 1| over d = a, b, c: at most RESIDUAL_TOL for a kept root."""
-    return max(abs(chord(params, d) - 1.0) for d in (offsets.a, offsets.b, offsets.c))
+def _residual(band: BandSpec, params: HelixParams) -> float:
+    """max |chord(d) - 1| over the band's offsets d = a, b, c: at most RESIDUAL_TOL for a kept root."""
+    return max(abs(chord(params, d) - 1.0) for d in band.offsets)
 
 
-def closure_determinant(offsets: OffsetTriple, theta):
-    """D(theta); accepts a scalar or an array. Sign changes bracket roots."""
-    return _determinant(offsets.a, offsets.b, offsets.c, theta)
+def closure_determinant(band: BandSpec, theta):
+    """D(theta) of a band; accepts a scalar or an array. Sign changes bracket roots."""
+    return _determinant(*band.offsets, theta)
 
 
 def _determinant(a, b, c, theta):
@@ -241,7 +240,7 @@ def winding_estimate(band: BandSpec, params: HelixParams) -> int:
     return round(band.n_strips * band.shift * params.theta / (2.0 * math.pi))
 
 
-def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float] | None:
+def _solve_AB(band: BandSpec, theta: float) -> tuple[float, float] | None:
     """(A, B) from the a/b chord equations, or None where they are singular.
 
     Singular means (1 - cos a*theta) : a^2 = (1 - cos b*theta) : b^2 to 1e-12.
@@ -251,7 +250,7 @@ def _solve_AB(offsets: OffsetTriple, theta: float) -> tuple[float, float] | None
     theta = 2 pi k / g, g the component count, which no root reaches: no
     bracket holds the quadruple roots there.
     """
-    a, b = offsets.a, offsets.b
+    a, b, _ = band.offsets
     xa = 1.0 - math.cos(a * theta)
     xb = 1.0 - math.cos(b * theta)
     det = xa * b * b - xb * a * a
@@ -291,11 +290,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
-def _interior_dihedrals(offsets: list[OffsetTriple], params: list[HelixParams]) -> list[tuple[float, float, float]]:
+def _interior_dihedrals(bands: list[BandSpec], params: list[HelixParams]) -> list[tuple[float, float, float]]:
     """Interior a, b, c dihedrals of each realization, through the solid, in (0, 2pi).
 
-    offsets holds each realization's band offsets, so realizations of many
-    bands share one stack.
+    bands holds each realization's band, so realizations of many bands share
+    one stack.
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
@@ -306,7 +305,7 @@ def _interior_dihedrals(offsets: list[OffsetTriple], params: list[HelixParams]) 
     row-wise step after it, do not depend on the other rows, so a
     realization's angles are the same bits in a stack as alone.
     """
-    pts = _helix_stack(_helix_rows(params), [[0, *vertex_neighbor_cycle(off)] for off in offsets])
+    pts = _helix_stack(_helix_rows(params), [[0, *vertex_neighbor_cycle(band)] for band in bands])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
     origin = pts[:, :1]
@@ -361,10 +360,10 @@ def _grid_point(idx: np.ndarray, points: int) -> np.ndarray:
     return np.where(idx == points - 1, THETA_MAX, idx * step + THETA_MIN)
 
 
-def _component_roots(offsets: list[OffsetTriple], lane: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _component_roots(bands: list[BandSpec], lane: np.ndarray, k: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """The root theta' of D' in each lane's bracket (pi k/b', pi (k+1)/b'), as _brackets finds it.
 
-    lane indexes offsets. terms is (6, lanes): each lane's a', b', c', then
+    lane indexes bands. terms is (6, lanes): each lane's a', b', c', then
     the weights of D' = sum of weight * cos((a', b', c') theta).
     """
     comp, weight = terms[:3], terms[3:]
@@ -378,7 +377,7 @@ def _component_roots(offsets: list[OffsetTriple], lane: np.ndarray, k: np.ndarra
     if wrong.any():
         i = wrong.argmax()
         raise RuntimeError(
-            f"{offsets[lane[i]]}: {changes[i]} sign changes of its component's D "
+            f"{bands[lane[i]]}: {changes[i]} sign changes of its component's D "
             f"in (pi {k[i]}/{b[i, 0]:.0f}, pi {k[i] + 1}/{b[i, 0]:.0f}), expected 1"
         )
     cell = change.argmax(axis=1) + np.arange(0, f.size, SUBGRID)
@@ -392,16 +391,16 @@ def _component_roots(offsets: list[OffsetTriple], lane: np.ndarray, k: np.ndarra
     lost = ~((lo <= theta) & (theta <= hi))
     if lost.any():
         i = lost.argmax()
-        raise RuntimeError(f"{offsets[lane[i]]}: Newton left the sub-cell [{lo[i]!r}, {hi[i]!r}] for {theta[i]!r}")
+        raise RuntimeError(f"{bands[lane[i]]}: Newton left the sub-cell [{lo[i]!r}, {hi[i]!r}] for {theta[i]!r}")
     return theta
 
 
-def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _brackets(bands: list[BandSpec], points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(band, cell, zero) of every root of every band's D, by band, then theta.
 
-    band indexes offsets; cell is the grid index of the root's flip, or of
+    band indexes bands; cell is the grid index of the root's flip, or of
     its grid point where zero is set. Each band's component (a', b', c') =
-    (a, b, c) / g has one root in each bracket (pi k/b', pi (k+1)/b'),
+    (a, b, c) / g, g = band.components, has one root in each bracket (pi k/b', pi (k+1)/b'),
     k = 1..b'-1 (module docstring). All brackets of all bands are sampled at
     once, at SUBGRID points each; the one sub-cell where D' changes sign
     starts NEWTON_STEPS Newton steps, from the chord between its ends, to the
@@ -417,17 +416,17 @@ def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.
     through a continuum.
     """
     table, count = [], []  # per band: a', b', c', the weights of D', g, a, b, c; its bracket count
-    for off in offsets:
-        g = math.gcd(off.a, off.b)
-        a, b, c = off.a // g, off.b // g, off.c // g
-        table.append((a, b, c, c * c - b * b, a * a - c * c, b * b - a * a, g, off.a, off.b, off.c))
+    for band in bands:
+        g = band.components
+        a, b, c = (d // g for d in band.offsets)
+        table.append((a, b, c, c * c - b * b, a * a - c * c, b * b - a * a, g, *band.offsets))
         count.append(b - 1)
     table = np.array(table, dtype=float)
-    lane = np.repeat(np.arange(len(offsets)), count)
+    lane = np.repeat(np.arange(len(bands)), count)
     k = np.arange(1, lane.size + 1) - np.repeat(np.cumsum(count) - count, count)
     per_lane = table[lane].T
     blocks = [slice(i, i + BRACKET_BUDGET) for i in range(0, lane.size, BRACKET_BUDGET)]
-    roots = [_component_roots(offsets, lane[at], k[at], per_lane[:6, at]) for at in blocks]
+    roots = [_component_roots(bands, lane[at], k[at], per_lane[:6, at]) for at in blocks]
     theta = np.concatenate([np.empty(0), *roots])  # the empty block serves bands without brackets
     g = per_lane[6]  # g theta = 2 pi ceil(j/2) + (-1)^j theta', j = 0..g-1; theta = theta' where g = 1
     lifts = g.astype(np.intp)
@@ -447,7 +446,7 @@ def _brackets(offsets: list[OffsetTriple], points: int) -> tuple[np.ndarray, np.
     missed = ~(zero | flip[:, 0] | flip[:, 1])
     if missed.any():
         i = band[missed.argmax()]
-        raise RuntimeError(f"{offsets[i]}: no sign change next to the roots {theta[missed & (band == i)]}")
+        raise RuntimeError(f"{bands[i]}: no sign change next to the roots {theta[missed & (band == i)]}")
     return band, j - flip[:, 0], zero
 
 
@@ -544,9 +543,8 @@ def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     if not bands:
         return []
     points = opts.grid_points
-    offsets = [offsets_from_band(band) for band in bands]
-    owner, cell, zero = _brackets(offsets, points)
-    abc = np.array([(off.a, off.b, off.c) for off in offsets], dtype=float)[owner].T
+    owner, cell, zero = _brackets(bands, points)
+    abc = np.array([band.offsets for band in bands], dtype=float)[owner].T
     roots = _grid_point(cell, points)
     flip = ~zero
     abc, lo = abc[:, flip], roots[flip]
@@ -554,13 +552,13 @@ def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     roots[flip] = _bisect(abc, lo, width, _determinant(*abc, lo))
     found: list[tuple[int, HelixParams]] = []  # (band index, params) of each survivor
     for i, theta in zip(owner.tolist(), roots.tolist()):
-        AB = _solve_AB(offsets[i], theta)
+        AB = _solve_AB(bands[i], theta)
         if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
             continue
         params = HelixParams(r=math.sqrt(AB[0] / 2.0), theta=theta, h=math.sqrt(AB[1]))
-        if _residual(offsets[i], params) <= RESIDUAL_TOL:
+        if _residual(bands[i], params) <= RESIDUAL_TOL:
             found.append((i, params))
-    angles = _interior_dihedrals([offsets[i] for i, _ in found], [p for _, p in found]) if found else []
+    angles = _interior_dihedrals([bands[i] for i, _ in found], [p for _, p in found]) if found else []
     branches: list[list[BranchSolution]] = [[] for _ in bands]
     for (i, params), dihedrals in zip(found, angles):
         if min(abs(v - math.pi) for v in dihedrals) > COPLANAR_GAP:

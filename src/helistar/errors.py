@@ -12,7 +12,7 @@ class HelistarError(Exception):
 
 
 class ParameterError(HelistarError):
-    """A band, offset triple, or option value violates its invariants."""
+    """A band or an option value violates its invariants."""
 
 
 class NotACompoundError(HelistarError):

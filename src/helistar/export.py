@@ -8,11 +8,13 @@ carry the shift correspondence. Module sheets hold one rhombus per (U_k, D_k)
 face pair for slide-together assembly, with a slit convention chosen by this
 package and stated inside the emitted file. Both sheets go through one writer,
 _write_sheet, each element kind one %-template filled from coordinate arrays.
+A sink that is not a file object or a path raises ParameterError (_opened).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -49,9 +51,11 @@ def _opened(target, mode: str = "w", newline: str | None = "\n"):
     """target itself if it is a file object, else the path opened and closed after."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
-    else:
+    elif isinstance(target, (str, bytes, os.PathLike)):
         with open(target, mode, encoding="utf-8", newline=newline) as fh:
             yield fh
+    else:
+        raise ParameterError(f"expected a file object or a path, got {target!r}")
 
 
 def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
@@ -251,7 +255,7 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     pairs. Modules are identical, so the sheet is just a grid of them. Returns
     the module count.
     """
-    count = (opts.periods - 1) * solution.offsets.c + 1  # face pairs in the window = faces/2
+    count = (opts.periods - 1) * solution.band.n_strips + 1  # face pairs in the window = faces/2, c = n
     angle = dihedral_angles(solution)["c"]
     fold_dir = _direction(angle)
     edge, cols = opts.edge_mm, opts.columns

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .band_combinatorics import OffsetTriple, prototype_faces
+from .band_combinatorics import prototype_faces
 from .closure_solver import BranchSolution, _dot, _normals, helix_points
 from .errors import ParameterError, WindowError, check_int
 
@@ -125,12 +125,11 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     by class, a then b then c, each in ascending k.
     """
     check_int("periods", periods, 1, MAX_WINDOW)
-    off = solution.offsets
-    a, b, c = off.a, off.b, off.c
+    a, b, c = solution.band.offsets
     kmax = periods * c
     verts = helix_points(solution.params, np.arange(kmax + 1))
 
-    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + prototype_faces(off)).reshape(-1, 3))
+    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + prototype_faces(solution.band)).reshape(-1, 3))
     edges = np.concatenate([np.arange(kmax - d + 1)[:, None] + [0, d] for d in (a, b, c)])
 
     boundary = set(range(c)) | set(range(kmax - c + 1, kmax + 1))
@@ -149,7 +148,7 @@ def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
     return dict(zip("abc", solution.dihedrals))
 
 
-def verify_uniform(segment: MeshSegment, offsets: OffsetTriple | None = None) -> UniformityReport:
+def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = None) -> UniformityReport:
     """Check the window against the uniformity contract.
 
     Checks: every edge has length 1; every face angle is pi/3; every interior

@@ -12,7 +12,7 @@ code with helistar.analysis. All are deliberately independent of the
 implementation paths they check. pinned_meshes is the mesh set behind the
 OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
 interior edges with a Counter over side tuples. cycle_constellation_dev reads
-each interior 1-ring off the neighbor cycle of the offsets, and
+each interior 1-ring off the neighbor cycle of the band, and
 face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
 must agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
 each sheet one element per Python call, each coordinate formatted on its own;
@@ -44,7 +44,6 @@ from helistar import (
     MeshSegment,
     ModuleOptions,
     NetLayout,
-    OffsetTriple,
     antiprism_tower,
     closure_determinant,
     dihedral_angles,
@@ -217,7 +216,7 @@ def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[
     package predicate in its batched form, one call per branch; no symmetry
     of the helix is used. solutions are the branches of one band, at least one.
     """
-    a, b, c = solutions[0].offsets.a, solutions[0].offsets.b, solutions[0].offsets.c
+    a, b, c = solutions[0].offsets
     face = {"U": lambda k: (k, k + a, k + c), "D": lambda k: (k, k + c, k + b)}
     window = [(kind, k) for k in range(base - c, base + c + 1) for kind in "UD"]
     pairs = [((proto, base), other) for proto in "UD" for other in window]
@@ -250,8 +249,8 @@ def figure_oracle(solution: BranchSolution, base: int) -> str:
     It is crossed when two sides that share no corner meet at parameters
     strictly inside both, solved as a 2x2 linear system per pair.
     """
-    o = solution.offsets
-    w = [o.c, o.b, -o.a, -o.c, -o.b, o.a]
+    a, b, c = solution.offsets
+    w = [c, b, -a, -c, -b, a]
     pts = helix_points(solution.params, [base] + [base + x for x in w])
     ring = pts[1:] - pts[0]
     normal = np.zeros(3)
@@ -298,11 +297,11 @@ def faces_per_side_bad(segment: MeshSegment) -> int:
     return sum(faces_per_side[e] != 2 for e in inner) + len(unlisted)
 
 
-def cycle_constellation_dev(segment: MeshSegment, offsets) -> float:
+def cycle_constellation_dev(segment: MeshSegment, band: BandSpec) -> float:
     """constellation_max_dev with the ring of each interior vertex k taken as
-    k + [0, *vertex_neighbor_cycle(offsets)], on a helix window."""
+    k + [0, *vertex_neighbor_cycle(band)], on a helix window of the band."""
     interior = np.array(sorted(set(range(len(segment.vertices))) - segment.boundary_marks))
-    pts = segment.vertices[interior[:, None] + [0, *vertex_neighbor_cycle(offsets)]]
+    pts = segment.vertices[interior[:, None] + [0, *vertex_neighbor_cycle(band)]]
     iu, ju = np.triu_indices(7, k=1)
     sig = np.sort(np.linalg.norm(pts[:, iu] - pts[:, ju], axis=-1), axis=-1)
     return float(np.max(np.abs(sig - sig[:1])))
@@ -377,7 +376,7 @@ def net_svg_oracle(net: NetLayout, edge_mm: float = 40.0) -> str:
 
 def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
     """export_modules_svg's sheet, module by module."""
-    count = (opts.periods - 1) * solution.offsets.c + 1
+    count = (opts.periods - 1) * solution.offsets[2] + 1
     angle = dihedral_angles(solution)["c"]
     fold_dir = "mountain" if angle < math.pi else "valley"
     edge, cols = opts.edge_mm, opts.columns
@@ -415,7 +414,7 @@ def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
 _DOUBLE_ROOT_AT_1 = chebfromroots([1.0, 1.0])
 
 
-def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, np.ndarray]:
+def colleague_brackets(band: BandSpec, points: int) -> tuple[np.ndarray, np.ndarray]:
     """(flips, zeros) of D's roots on the grid of points points.
 
     flips are the grid indices i with F(i) * F(i + 1) < 0 and zeros the i
@@ -427,26 +426,26 @@ def colleague_brackets(offsets: OffsetTriple, points: int) -> tuple[np.ndarray, 
     whose flip or zero is not there, raises RuntimeError: a root is never
     dropped silently.
     """
-    g = math.gcd(offsets.a, offsets.b)
-    a, b, c = offsets.a // g, offsets.b // g, offsets.c // g
+    g = math.gcd(*band.offsets[:2])
+    a, b, c = (d // g for d in band.offsets)
     coef = np.zeros(c + 1)
     coef[[a, b, c]] = (c * c - b * b, a * a - c * c, b * b - a * a)
     x = chebroots(chebdiv(coef, _DOUBLE_ROOT_AT_1)[0])
     x = x[(x.imag == 0.0) & (np.abs(x.real) < 1.0)].real
     if x.size != b - 1:
-        raise RuntimeError(f"{offsets}: {x.size} roots in (-1, 1), expected {b - 1}")
+        raise RuntimeError(f"{band}: {x.size} roots in (-1, 1), expected {b - 1}")
     # cos(g theta) = x at g theta = 2 pi ceil(k/2) + (-1)^k arccos(x), k = 0..g-1
     k = np.arange(g)[:, None]
     theta = np.sort(((k + 1) // 2 * 2.0 * math.pi + (-1) ** k * np.arccos(x)).ravel() / g)
     theta = theta[(theta >= THETA_MIN) & (theta <= THETA_MAX)]
     step = (THETA_MAX - THETA_MIN) / (points - 1)
     j = np.clip(np.rint((theta - THETA_MIN) / step).astype(np.intp), 1, points - 2)
-    f = closure_determinant(offsets, _grid_point(j[:, None] + np.arange(-1, 2), points))
+    f = closure_determinant(band, _grid_point(j[:, None] + np.arange(-1, 2), points))
     zero = f[:, 1] == 0.0
     left = f[:, 0] * f[:, 1] < 0.0
     right = f[:, 1] * f[:, 2] < 0.0
     if not np.all(zero | left | right):
-        raise RuntimeError(f"{offsets}: no sign change next to the roots {theta[~(zero | left | right)]}")
+        raise RuntimeError(f"{band}: no sign change next to the roots {theta[~(zero | left | right)]}")
     return np.where(left, j - 1, j)[~zero], j[zero]
 
 
@@ -489,7 +488,7 @@ def catalog_csv_oracle(entries: list[CatalogEntry]) -> str:
     return "".join(lines)
 
 
-def kept_row_oracle(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+def kept_row_oracle(band: BandSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """U_0's kept row of one band by comparing every window face with U_0.
 
     It is analysis._kept_rows's row for that band, with each face's name,
@@ -498,8 +497,8 @@ def kept_row_oracle(offsets: OffsetTriple) -> tuple[np.ndarray, np.ndarray, np.n
     Every face U_k, D_k with k in [-c, c] is compared corner by corner with
     U_0; the faces sharing two corners (an edge) go, and so do U_k for k >= 0.
     """
-    c = offsets.c
-    shape = prototype_faces(offsets)
+    c = band.offsets[2]
+    shape = prototype_faces(band)
     window = (np.arange(-c, c + 1)[:, None, None] + shape).reshape(-1, 3)
     shared = (shape[0][None, :, None] == window[:, None, :]).any(axis=-1).sum(axis=-1)
     slot = np.arange(len(window))  # U_k at 2*(k+c), D_k after it

@@ -15,7 +15,6 @@ from helistar import (
     HelixParams,
     ParameterError,
     classify,
-    offsets_from_band,
     solve_band,
     triangles_properly_intersect,
     vertex_figure,
@@ -257,20 +256,20 @@ class TestKeptRow:
         # all in one pass and each alone: the same corners, shared counts and
         # names, in the same order; the codes are decoded by the rule the face
         # pass names its witness with
-        offsets = [offsets_from_band(BandSpec(n, s)) for n in range(3, 65) for s in range(1, n // 2 + 1)]
-        offsets = [off for off in offsets if off.a < off.b]
-        u0, *rows, sizes = analysis._kept_rows(offsets)
-        assert len(offsets) == 992 and rows[2].dtype.kind == "i"
+        bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
+        bands = [band for band in bands if band.offsets[0] < band.offsets[1]]
+        u0, *rows, sizes = analysis._kept_rows(bands)
+        assert len(bands) == 992 and rows[2].dtype.kind == "i"
         ends = np.cumsum(sizes)
-        for i, off in enumerate(offsets):
-            ref = kept_row_oracle(off)
+        for i, band in enumerate(bands):
+            ref = kept_row_oracle(band)
             got = [u0[i], *(row[ends[i] - sizes[i]:ends[i]] for row in rows)]
-            alone = analysis._kept_rows([off])
+            alone = analysis._kept_rows([band])
             for x, y, z in zip(got[:3], ref[:3], [alone[0][0], *alone[1:3]]):
-                assert x.dtype == y.dtype and x.tolist() == y.tolist() == z.tolist(), off
-            assert list(map(analysis._face_id, got[3].tolist())) == ref[3], off
+                assert x.dtype == y.dtype and x.tolist() == y.tolist() == z.tolist(), band
+            assert list(map(analysis._face_id, got[3].tolist())) == ref[3], band
             assert got[3].tolist() == alone[3].tolist() and alone[4].tolist() == [sizes[i]]
-            assert sizes[i] == 3 * off.c - 2
+            assert sizes[i] == 3 * band.offsets[2] - 2
 
 
 class TestBandPass:
@@ -404,7 +403,7 @@ class TestStagedScan:
     def test_calls_fit_the_budget_and_skip_most_rows(self, branches_5_24, monkeypatch):
         calls = self.recorder(monkeypatch)
         classify(branches_5_24)
-        full = sum(3 * sol.offsets.c - 2 for sol in branches_5_24)  # every kept row, to its end
+        full = sum(3 * sol.offsets[2] - 2 for sol in branches_5_24)  # every kept row, to its end
         assert full == 62_295
         assert max(len(T1) for T1 in calls) <= ROW_BUDGET
         assert sum(len(T1) for T1 in calls) <= 0.4 * full
@@ -423,13 +422,13 @@ class TestStagedScan:
         scanned = Counter(tri.tobytes() for T1 in calls for tri in T1)
         free = 0
         for sol, cls in zip(branches_5_24, verdicts):
-            off = sol.offsets
-            rows = scanned[helix_points(sol.params, [0, off.a, off.c]).tobytes()]
+            a, _, c = sol.offsets
+            rows = scanned[helix_points(sol.params, [0, a, c]).tobytes()]
             if not cls.intersecting:
-                assert rows == 3 * off.c - 2, sol.band
+                assert rows == 3 * c - 2, sol.band
                 free += 1
             else:
-                assert 0 < rows <= 3 * off.c - 2
+                assert 0 < rows <= 3 * c - 2
         assert free == 87
 
     def test_a_small_band_is_one_call(self, solutions_5_12, monkeypatch):

@@ -8,9 +8,7 @@ import pytest
 from helistar import (
     BandSpec,
     NotACompoundError,
-    OffsetTriple,
     ParameterError,
-    offsets_from_band,
     prototype_faces,
     split_compound,
     vertex_neighbor_cycle,
@@ -59,27 +57,14 @@ class TestBandSpec:
             BandSpec(5, True)
 
 
-class TestOffsetTriple:
+class TestOffsets:
     def test_from_band(self):
-        assert offsets_from_band(BandSpec(5, 2)) == OffsetTriple(2, 3, 5)
-        assert offsets_from_band(BandSpec(5, 3)) == OffsetTriple(2, 3, 5)
-        assert offsets_from_band(BandSpec(3, 1)) == OffsetTriple(1, 2, 3)
-
-    def test_invariants(self):
-        with pytest.raises(ParameterError):
-            OffsetTriple(2, 1, 3)  # a > b
-        with pytest.raises(ParameterError):
-            OffsetTriple(1, 2, 4)  # c != a + b
-        with pytest.raises(ParameterError):
-            OffsetTriple(0, 1, 1)
-        with pytest.raises(ParameterError, match="a must be an integer"):
-            OffsetTriple(1.5, 2, 3.5)
-        with pytest.raises(ParameterError, match="a must be an integer"):
-            OffsetTriple(True, 2, 3)
-        with pytest.raises(ParameterError, match="a must be an integer"):
-            OffsetTriple("1", "2", "3")
-        with pytest.raises(ParameterError, match="c must be an integer"):
-            OffsetTriple(1, 2, 3.0)
+        assert BandSpec(5, 2).offsets == BandSpec(5, 3).offsets == (2, 3, 5)
+        assert BandSpec(3, 1).offsets == (1, 2, 3)
+        # every shift, mirrored ones included
+        for n in range(2, 65):
+            for s in range(1, n):
+                assert BandSpec(n, s).offsets == (min(s, n - s), max(s, n - s), n)
 
     def test_components(self):
         assert BandSpec(12, 8).components == 4
@@ -87,7 +72,7 @@ class TestOffsetTriple:
     def test_every_triple_is_a_band(self):
         for a in range(1, 21):
             for b in range(a, 21):
-                assert offsets_from_band(BandSpec(a + b, a)) == OffsetTriple(a, b, a + b)
+                assert BandSpec(a + b, a).offsets == (a, b, a + b)
 
 
 class TestIndexMap:
@@ -106,14 +91,14 @@ class TestIndexMap:
         assert all(v % g == 0 for v in vals)
 
 
-def window_faces(off, kmax):
+def window_faces(band, kmax):
     """Faces U_k and D_k for k in [0, kmax), as (kmax, 2, 3) rows."""
-    return np.arange(kmax)[:, None, None] + prototype_faces(off)
+    return np.arange(kmax)[:, None, None] + prototype_faces(band)
 
 
-def fan(off, k):
+def fan(band, k):
     """The faces (k, k + w_i, k + w_(i+1)) at vertex k, as (6, 3) rows."""
-    w = np.array(vertex_neighbor_cycle(off))
+    w = np.array(vertex_neighbor_cycle(band))
     return np.column_stack([np.full(6, k), k + w, k + np.roll(w, -1)])
 
 
@@ -125,26 +110,27 @@ def rotations(tri):
 
 class TestFaces:
     def test_prototype_vertices(self):
-        off = OffsetTriple(2, 3, 5)
-        proto = prototype_faces(off)
+        band = BandSpec(5, 2)
+        proto = prototype_faces(band)
         assert proto.dtype == np.intp and proto.shape == (2, 3)
         assert proto.tolist() == [[0, 2, 5], [0, 5, 3]]
         assert (proto + 7).tolist() == [[7, 9, 12], [7, 12, 10]]
 
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 2), (7, 3), (8, 3)])
     def test_interior_edge_in_exactly_two_faces(self, n, s):
-        off = offsets_from_band(BandSpec(n, s))
+        band = BandSpec(n, s)
+        c = band.offsets[2]
         kmax = 40
         count = {}
         directed = set()
-        for tri in window_faces(off, kmax).reshape(-1, 3).tolist():
+        for tri in window_faces(band, kmax).reshape(-1, 3).tolist():
             for u in range(3):
                 e = (tri[u], tri[(u + 1) % 3])
                 assert e not in directed, "duplicate directed edge"
                 directed.add(e)
                 count[frozenset(e)] = count.get(frozenset(e), 0) + 1
         for e, cnt in count.items():
-            if min(e) >= off.c and max(e) <= kmax - off.c:
+            if min(e) >= c and max(e) <= kmax - c:
                 assert cnt == 2, f"interior edge {sorted(e)} in {cnt} faces"
                 u, w = sorted(e)
                 # orientation consistency: traversed once each way
@@ -153,26 +139,26 @@ class TestFaces:
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 2), (9, 4)])
     def test_incident_faces_matches_brute_force(self, n, s):
         # the fan is the set of faces at vertex k, each in its own orientation
-        off = offsets_from_band(BandSpec(n, s))
+        band = BandSpec(n, s)
         v = 20
-        brute = [tri for tri in window_faces(off, 40).reshape(-1, 3) if v in tri]
+        brute = [tri for tri in window_faces(band, 40).reshape(-1, 3) if v in tri]
         assert len(brute) == 6
-        listed = {min(rotations(tri)) for tri in fan(off, v)}
+        listed = {min(rotations(tri)) for tri in fan(band, v)}
         assert listed == {min(rotations(tri)) for tri in brute}
         assert len(listed) == 6
 
     def test_edge_faces_share_the_class_edge(self):
         # edge (0, w_j) lies in fan faces j-1 and j, opposite w_(j-1) and w_(j+1)
         for n, s in [(3, 1), (5, 2), (7, 3), (11, 4)]:
-            off = offsets_from_band(BandSpec(n, s))
-            w = vertex_neighbor_cycle(off)
-            faces = fan(off, 0)
+            band = BandSpec(n, s)
+            w = vertex_neighbor_cycle(band)
+            faces = fan(band, 0)
             for j in range(6):
                 assert set(faces[j - 1]) & set(faces[j]) == {0, w[j]}
                 assert set(faces[j - 1]) - {0, w[j]} == {w[j - 1]}
                 assert set(faces[j]) - {0, w[j]} == {w[(j + 1) % 6]}
             # the a, b and c class edges are (0, w_5), (0, w_1) and (0, w_0)
-            assert (w[5], w[1], w[0]) == (off.a, off.b, off.c)
+            assert (w[5], w[1], w[0]) == band.offsets
 
 
 def cyclic_equal(seq, ref):
@@ -190,13 +176,13 @@ def cyclic_equal(seq, ref):
 class TestVertexCycle:
     @pytest.mark.parametrize("n,s", [(3, 1), (5, 2), (7, 3), (11, 4)])
     def test_cycle_agrees_with_face_fan_walk(self, n, s):
-        off = offsets_from_band(BandSpec(n, s))
+        band = BandSpec(n, s)
         v = 0
         # each face at v (found by brute force) links the two neighbors it
         # contains; the links close into one hexagon, which must be the
         # published cycle
         links = {}
-        for tri in window_faces(off, 40).reshape(-1, 3) - 20:
+        for tri in window_faces(band, 40).reshape(-1, 3) - 20:
             if v not in tri:
                 continue
             others = [int(w) for w in tri if w != v]
@@ -216,11 +202,10 @@ class TestVertexCycle:
             if walk[-1] == start:
                 break
         hexagon = walk[:-1]
-        assert cyclic_equal(hexagon, vertex_neighbor_cycle(off))
+        assert cyclic_equal(hexagon, vertex_neighbor_cycle(band))
 
     def test_cycle_offsets(self):
-        off = OffsetTriple(2, 3, 5)
-        assert vertex_neighbor_cycle(off) == [5, 3, -2, -5, -3, 2]
+        assert vertex_neighbor_cycle(BandSpec(5, 2)) == [5, 3, -2, -5, -3, 2]
 
 
 class TestCompounds:

@@ -13,14 +13,12 @@ from scipy.optimize import bisect
 from helistar import (
     BandSpec,
     HelixParams,
-    OffsetTriple,
     ParameterError,
     SolverOptions,
     chord,
     closure_determinant,
     enumerate_catalog,
     helix_points,
-    offsets_from_band,
     solve_band,
     split_compound,
     winding_estimate,
@@ -57,7 +55,7 @@ class TestDeterminant:
     @pytest.mark.parametrize("abc", [(1, 2, 3), (2, 3, 5), (3, 5, 8), (1, 6, 7)])
     def test_matches_matrix_determinant(self, abc):
         a, b, c = abc
-        off = OffsetTriple(a, b, c)
+        band = BandSpec(c, a)
         rng = np.random.default_rng(7)
         for th in rng.uniform(0.05, 3.1, 50):
             m = np.array(
@@ -67,18 +65,18 @@ class TestDeterminant:
                     [1.0 - math.cos(c * th), c * c, 1.0],
                 ]
             )
-            assert abs(closure_determinant(off, float(th)) - np.linalg.det(m)) < 1e-9
+            assert abs(closure_determinant(band, float(th)) - np.linalg.det(m)) < 1e-9
 
     def test_vectorized_matches_scalar(self):
-        off = OffsetTriple(2, 3, 5)
+        band = BandSpec(5, 2)
         grid = np.linspace(0.1, 3.0, 11)
-        vec = closure_determinant(off, grid)
+        vec = closure_determinant(band, grid)
         for t, v in zip(grid, vec):
-            assert v == closure_determinant(off, float(t))
+            assert v == closure_determinant(band, float(t))
 
     def test_sign_change_brackets_tetrahelix_root(self):
-        off = OffsetTriple(1, 2, 3)
-        assert closure_determinant(off, 2.0) * closure_determinant(off, 2.5) < 0.0
+        band = BandSpec(3, 1)
+        assert closure_determinant(band, 2.0) * closure_determinant(band, 2.5) < 0.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(
@@ -92,20 +90,20 @@ class TestDeterminant:
         # cosine's argument is rounded once either way, then one product and
         # two sums round
         s = s % (n - 1) + 1
-        off = offsets_from_band(BandSpec(n, s))
-        big = offsets_from_band(BandSpec(g * n, g * s))
-        assert big == OffsetTriple(g * off.a, g * off.b, g * off.c)
-        coef = [abs(big.c**2 - big.b**2), abs(big.a**2 - big.c**2), abs(big.b**2 - big.a**2)]
+        band, big = BandSpec(n, s), BandSpec(g * n, g * s)
+        a, b, c = big.offsets
+        assert (a, b, c) == tuple(g * d for d in band.offsets)
+        coef = [abs(c**2 - b**2), abs(a**2 - c**2), abs(b**2 - a**2)]
         bound = 4.0 * np.finfo(float).eps * sum(
-            cf * (k * theta + 2.0) for cf, k in zip(coef, (big.a, big.b, big.c))
+            cf * (k * theta + 2.0) for cf, k in zip(coef, (a, b, c))
         )
-        diff = closure_determinant(big, theta) - g * g * closure_determinant(off, g * theta)
+        diff = closure_determinant(big, theta) - g * g * closure_determinant(band, g * theta)
         assert abs(diff) <= bound
 
     def test_vanishes_identically_when_a_equals_b(self):
-        off = OffsetTriple(3, 3, 6)
+        band = BandSpec(6, 3)
         grid = np.linspace(0.1, 3.0, 100)
-        assert np.all(closure_determinant(off, grid) == 0.0)
+        assert np.all(closure_determinant(band, grid) == 0.0)
 
 
 class TestBranches:
@@ -123,7 +121,7 @@ class TestBranches:
         for s in band52:
             p = s.params
             q = HelixParams(r=p.r, theta=2.0 * math.pi - p.theta, h=p.h)
-            for d in (s.offsets.a, s.offsets.b, s.offsets.c):
+            for d in s.offsets:
                 assert abs(chord(q, d) - 1.0) < 1e-9
 
     def test_a_equals_b_bands_have_no_branches(self):
@@ -152,7 +150,7 @@ class TestBranches:
         for n in range(3, 13):
             for s in range(1, n // 2 + 1):
                 for sol in solve_band(BandSpec(n, s)):
-                    assert sol.offsets == offsets_from_band(sol.band)
+                    assert sol.offsets == sol.band.offsets
 
     def test_winding_estimate(self, tetrahelix):
         assert winding_estimate(tetrahelix.band, tetrahelix.params) == 1
@@ -169,13 +167,13 @@ class TestBisection:
         bands, abc, lo, width, flo, ref = [], [], [], [], [], []
         for n in range(3, 25):
             for s in range(1, n // 2 + 1):
-                off = offsets_from_band(BandSpec(n, s))
-                dval = closure_determinant(off, grid)
+                band = BandSpec(n, s)
+                dval = closure_determinant(band, grid)
                 flips = np.flatnonzero(dval[:-1] * dval[1:] < 0.0)
-                f = lambda t, off=off: closure_determinant(off, t)
+                f = lambda t, band=band: closure_determinant(band, t)
                 ref += [bisect(f, grid[i], grid[i + 1], xtol=cs.BISECTION_TOL) for i in flips]
                 bands += [(n, s)] * flips.size
-                abc += [(off.a, off.b, off.c)] * flips.size
+                abc += [band.offsets] * flips.size
                 lo.append(grid[flips])
                 width.append(grid[flips + 1] - grid[flips])
                 flo.append(dval[flips])
@@ -219,33 +217,32 @@ class TestBisection:
         assert stopped[0] == target and stopped[1:].tolist() == ref[1:].tolist()
 
 
-def _bracket_pass(offsets, points):
-    """(flips, zeros) of each offset triple's D from one call of the solver's bracket pass."""
-    band, cell, zero = cs._brackets(offsets, points)
-    return [(cell[(band == i) & ~zero], cell[(band == i) & zero]) for i in range(len(offsets))]
+def _bracket_pass(bands, points):
+    """(flips, zeros) of each band's D from one call of the solver's bracket pass."""
+    band, cell, zero = cs._brackets(bands, points)
+    return [(cell[(band == i) & ~zero], cell[(band == i) & zero]) for i in range(len(bands))]
 
 
 def _lanes(band, points=200000):
     """(abc, lo, width, flo) of one band's flips, as _solve_fresh bisects them."""
-    off = offsets_from_band(band)
-    ((flips, _),) = _bracket_pass([off], points)
-    assert flips.tolist() == colleague_brackets(off, points)[0].tolist()
+    ((flips, _),) = _bracket_pass([band], points)
+    assert flips.tolist() == colleague_brackets(band, points)[0].tolist()
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
-    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
-    return abc, lo, width, closure_determinant(off, lo)
+    abc = np.repeat(np.array(band.offsets, dtype=float)[:, None], flips.size, axis=1)
+    return abc, lo, width, closure_determinant(band, lo)
 
 
-def _dense_scan(off, points):
+def _dense_scan(band, points):
     """Reference: the flips and exact zeros of D at every grid point."""
-    dval = closure_determinant(off, np.linspace(cs.THETA_MIN, cs.THETA_MAX, points))
+    dval = closure_determinant(band, np.linspace(cs.THETA_MIN, cs.THETA_MAX, points))
     return np.flatnonzero(dval[:-1] * dval[1:] < 0.0), np.flatnonzero(dval == 0.0)
 
 
 def _scanned_bands(n_max):
     """Every band with 3..n_max strips, compounds included, whose D is not 0."""
     bands = [BandSpec(n, s) for n in range(3, n_max + 1) for s in range(1, n // 2 + 1)]
-    return [b for b in bands if offsets_from_band(b).a != offsets_from_band(b).b]
+    return [b for b in bands if b.offsets[0] != b.offsets[1]]
 
 
 class TestScan:
@@ -260,9 +257,8 @@ class TestScan:
         # bands: a subset, missing only the rounding flips of the quadruple
         # roots at theta = 2 pi k / g, which were never branches
         bands = _scanned_bands(32)
-        for band, (flips, zeros) in zip(bands, _bracket_pass([offsets_from_band(b) for b in bands], points)):
-            off = offsets_from_band(band)
-            ref_flips, ref_zeros = _dense_scan(off, points)
+        for band, (flips, zeros) in zip(bands, _bracket_pass(bands, points)):
+            ref_flips, ref_zeros = _dense_scan(band, points)
             if band.components == 1:
                 assert flips.tolist() == ref_flips.tolist(), band
                 assert zeros.tolist() == ref_zeros.tolist(), band
@@ -296,15 +292,15 @@ def _connected_bands(n_max):
     return [b for b in _scanned_bands(n_max) if b.components == 1]
 
 
-def _raw_roots(off, points):
+def _raw_roots(band, points):
     """Every root solve_band tests, before any acceptance check, theta ascending."""
-    ((flips, zeros),) = _bracket_pass([off], points)
-    oracle = colleague_brackets(off, points)
+    ((flips, zeros),) = _bracket_pass([band], points)
+    oracle = colleague_brackets(band, points)
     assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist())
     lo = cs._grid_point(flips, points)
     width = cs._grid_point(flips + 1, points) - lo
-    abc = np.repeat(np.array([[off.a], [off.b], [off.c]], dtype=float), flips.size, axis=1)
-    bisected = cs._bisect(abc, lo, width, closure_determinant(off, lo))
+    abc = np.repeat(np.array(band.offsets, dtype=float)[:, None], flips.size, axis=1)
+    bisected = cs._bisect(abc, lo, width, closure_determinant(band, lo))
     return np.sort(np.concatenate([cs._grid_point(zeros, points), bisected]))
 
 
@@ -343,18 +339,16 @@ class TestRootAccounting:
         # flip or one zero on the grid, the ones the colleague roots snap to
         bands = _connected_bands(40)
         assert len(bands) == 244
-        offsets = [offsets_from_band(band) for band in bands]
-        for band, off, (flips, zeros) in zip(bands, offsets, _bracket_pass(offsets, points)):
+        for band, (flips, zeros) in zip(bands, _bracket_pass(bands, points)):
             assert flips.size + zeros.size == band.n_strips - band.shift - 1, band
-            oracle = colleague_brackets(off, points)
+            oracle = colleague_brackets(band, points)
             assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
 
     def test_exact_root_count_is_b_minus_1(self):
         # D as a polynomial in x = cos theta: cos(k theta) is the Chebyshev T_k(x)
         x = sympy.symbols("x")
         for band in _connected_bands(20):
-            off = offsets_from_band(band)
-            a, b, c = off.a, off.b, off.c
+            a, b, c = band.offsets
             d = sympy.Poly(
                 (c * c - b * b) * sympy.chebyshevt(a, x)
                 + (a * a - c * c) * sympy.chebyshevt(b, x)
@@ -377,10 +371,9 @@ class TestRootAccounting:
         # colleague matrix's count, and the same flips and zeros
         points = SolverOptions().grid_points
         bands = _scanned_bands(64)
-        offsets = [offsets_from_band(band) for band in bands]
-        for band, off, (flips, zeros) in zip(bands, offsets, _bracket_pass(offsets, points)):
-            assert flips.size + zeros.size == off.b - band.components, band
-            oracle = colleague_brackets(off, points)
+        for band, (flips, zeros) in zip(bands, _bracket_pass(bands, points)):
+            assert flips.size + zeros.size == band.offsets[1] - band.components, band
+            oracle = colleague_brackets(band, points)
             assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
 
     @pytest.mark.parametrize("points", [1000, 200000, cs.MAX_GRID_POINTS])
@@ -388,10 +381,9 @@ class TestRootAccounting:
         # every band of 3..64, in one call and one band per call: the flips
         # and zeros that the colleague-matrix roots snap to
         bands = _scanned_bands(64)
-        offsets = [offsets_from_band(band) for band in bands]
-        oracle = [colleague_brackets(off, points) for off in offsets]
-        alone = [_bracket_pass([off], points)[0] for off in offsets]
-        for band, ref, one, batched in zip(bands, oracle, alone, _bracket_pass(offsets, points)):
+        oracle = [colleague_brackets(band, points) for band in bands]
+        alone = [_bracket_pass([band], points)[0] for band in bands]
+        for band, ref, one, batched in zip(bands, oracle, alone, _bracket_pass(bands, points)):
             for got in (one, batched):
                 assert (got[0].tolist(), got[1].tolist()) == (ref[0].tolist(), ref[1].tolist()), band
         assert sum(ref[0].size + ref[1].size for ref in oracle) == 30130
@@ -401,10 +393,10 @@ class TestRootAccounting:
         roots = [
             (band, theta)
             for band in _scanned_bands(40)
-            for theta in _raw_roots(offsets_from_band(band), SolverOptions().grid_points).tolist()
+            for theta in _raw_roots(band, SolverOptions().grid_points).tolist()
         ]
         assert len(roots) == 7062
-        assert [(band, t) for band, t in roots if cs._solve_AB(offsets_from_band(band), t) is None] == []
+        assert [(band, t) for band, t in roots if cs._solve_AB(band, t) is None] == []
 
     @staticmethod
     def _spoil_the_brackets(monkeypatch, spoil):
@@ -482,7 +474,7 @@ class TestBandList:
         # thousands of lanes in another
         empty = [band for band, sols in solved_64.items() if not sols]
         assert len(empty) == 31
-        assert all(offsets_from_band(band).a == offsets_from_band(band).b for band in empty)
+        assert all(band.offsets[0] == band.offsets[1] for band in empty)
         assert cs._SOLVED == {}  # so each band below is solved, not looked up
         for band, sols in solved_64.items():
             assert [_floats(sol) for sol in sols] == [_floats(sol) for sol in solve_band(band)], band
@@ -520,9 +512,9 @@ class TestBandList:
         stacks = []
         real = cs._interior_dihedrals
 
-        def stack(offsets, params):
-            rows = real(offsets, params)
-            stacks.append(dict(zip(zip(offsets, params), rows)))
+        def stack(bands, params):
+            rows = real(bands, params)
+            stacks.append(dict(zip(zip(bands, params), rows)))
             return rows
 
         monkeypatch.setattr(cs, "_interior_dihedrals", stack)
@@ -531,10 +523,10 @@ class TestBandList:
         monkeypatch.undo()
         assert len(stacks) == 1 and len(stacks[0]) >= len(solved) > 300
         for sol in solved:
-            row = stacks[0][sol.offsets, sol.params]
+            row = stacks[0][sol.band, sol.params]
             assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in row], sol.band
 
-    @pytest.mark.parametrize("bad", [[BandSpec(5, 2), (5, 2)], [OffsetTriple(2, 3, 5)], 5, None])
+    @pytest.mark.parametrize("bad", [[BandSpec(5, 2), (5, 2)], [(2, 3, 5)], 5, None])
     def test_non_band_is_refused(self, bad):
         with pytest.raises(ParameterError, match="BandSpec"):
             solve_band(bad)
@@ -665,7 +657,7 @@ class TestOptions:
         assert len(solve_band(bands, SolverOptions(cs.MAX_GRID_POINTS))) == len(bands)
         # ten thousand times finer, some cells fall below D's rounding noise
         with pytest.raises(RuntimeError, match="no sign change"):
-            cs._brackets([offsets_from_band(BandSpec(56, 15))], 10**4 * cs.MAX_GRID_POINTS)
+            cs._brackets([BandSpec(56, 15)], 10**4 * cs.MAX_GRID_POINTS)
 
     def test_defaults(self):
         assert SolverOptions().grid_points == 200000

@@ -3,12 +3,17 @@
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helistar
 from helistar import (
     BandSpec,
     Fold,
@@ -19,9 +24,12 @@ from helistar import (
     export_modules_svg,
     export_net_svg,
     export_obj,
+    read_catalog,
     realize,
     solve_band,
     unfold_net,
+    write_catalog,
+    write_catalog_csv,
 )
 from helistar.realization import MAX_WINDOW
 
@@ -226,7 +234,7 @@ class TestModulesSvg:
         buf = io.StringIO()
         export_modules_svg(sol, opts, buf)
         svg = buf.getvalue()
-        count = 2 * sol.offsets.c - sol.offsets.c + 1
+        count = 2 * sol.offsets[2] - sol.offsets[2] + 1
         seg = realize(sol, 2)
         assert count == len(seg.faces) // 2
         assert svg.count('class="cut"') == count
@@ -392,3 +400,48 @@ class TestSheetOracle:
             count = export_modules_svg(sol, opts, buf)
             assert count < columns
             assert buf.getvalue() == modules_svg_oracle(sol, opts)
+
+
+# Each writer with a small output, well inside a pipe's buffer, so that a
+# writer that does write to the descriptor cannot block
+WRITERS = {
+    "write_catalog": lambda sol, sink: write_catalog([], sink),
+    "write_catalog_csv": lambda sol, sink: write_catalog_csv([], sink),
+    "export_obj": lambda sol, sink: export_obj(realize(sol, 1), sink),
+    "export_net_svg": lambda sol, sink: export_net_svg(unfold_net(sol, rows=1), sink),
+    "export_modules_svg": lambda sol, sink: export_modules_svg(sol, ModuleOptions(periods=1), sink),
+}
+
+
+class TestSinks:
+    # open() takes an int, or a bool, as a file descriptor, writes to it and
+    # closes it; a sink or source must be a file object or a path. Only pipe
+    # descriptors are passed here: the session's own stdio must stay open.
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_a_writer_refuses_a_file_descriptor(self, tetrahelix, name):
+        r, w = os.pipe()
+        try:
+            with pytest.raises(ParameterError, match="file object or a path"):
+                WRITERS[name](tetrahelix, w)
+            os.close(w)  # OSError if the writer closed it
+            assert os.read(r, 1) == b""
+        finally:
+            os.close(r)
+
+    def test_read_catalog_refuses_a_file_descriptor(self):
+        r, w = os.pipe()
+        os.close(w)  # an empty pipe at its end: reading cannot block
+        with pytest.raises(ParameterError, match="file object or a path"):
+            read_catalog(r)
+        os.close(r)  # OSError if read_catalog closed it
+
+    def test_a_bool_sink_is_refused_in_a_child_process(self):
+        # True is fd 1: the child's stdout must stay open and hold only its own line
+        package_root = str(Path(helistar.__file__).resolve().parent.parent)
+        code = (
+            f"import sys\nsys.path.insert(0, {package_root!r})\nimport helistar\n"
+            "try:\n    helistar.write_catalog([], True)\n"
+            "except helistar.ParameterError as exc:\n    print(exc)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "expected a file object or a path, got True\n"

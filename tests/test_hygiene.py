@@ -3,6 +3,7 @@ imports that stay within the declared runtime dependencies, and frozen
 objects written only by their own class."""
 
 import ast
+import builtins
 import importlib
 import re
 import subprocess
@@ -82,11 +83,11 @@ def test_all_lists_every_public_name():
     assert sorted(helistar.__all__) == [
         "BandSpec", "BranchSolution", "CatalogEntry", "CatalogFormatError", "CatalogReport",
         "Classification", "Fold", "HelistarError", "HelixParams", "MeshSegment", "ModuleOptions",
-        "NetLayout", "NotACompoundError", "OffsetTriple", "ParameterError", "SolverOptions",
+        "NetLayout", "NotACompoundError", "ParameterError", "SolverOptions",
         "UniformityReport", "WindowError", "antiprism_tower", "build_report", "chord", "classify",
         "closure_determinant", "component_params", "dihedral_angles", "enumerate_catalog",
         "export_modules_svg", "export_net_svg", "export_obj", "format_report", "helix_points",
-        "offsets_from_band", "prototype_faces", "read_catalog", "realize", "solve_band",
+        "prototype_faces", "read_catalog", "realize", "solve_band",
         "split_compound", "triangles_properly_intersect", "unfold_net", "verify_uniform",
         "vertex_figure", "vertex_neighbor_cycle", "winding_estimate", "write_catalog",
         "write_catalog_csv",
@@ -182,9 +183,12 @@ def stale_references(readme: str, sources: dict[str, str]) -> list[str]:
     must be defined somewhere in sources: as a function, class, argument,
     assignment target or import; a pattern such as _cmd_* must be the prefix
     of one. A name preceded by a word character or * (U_0, *_next) is not a
-    name.
+    name. A CamelCase name (BandSpec, not NaN) anywhere in readme, or in a
+    docstring or comment of sources, must be defined there too, or be a
+    builtin.
     """
     private = re.compile(r"(?<![\w*])_[A-Za-z]\w*\*?")
+    camel = re.compile(r"\b[A-Z][a-z0-9]+[A-Z][a-z]\w*")
     trees = {module: ast.parse(text) for module, text in sources.items()}
     defined = set()
     for tree in trees.values():
@@ -203,12 +207,16 @@ def stale_references(readme: str, sources: dict[str, str]) -> list[str]:
     def unknown(names: list[str]) -> list[str]:
         return [n for n in names if not any(d == n or n[-1] == "*" and d.startswith(n[:-1]) for d in defined)]
 
+    def unknown_camel(text: str) -> list[str]:
+        return [n for n in camel.findall(text) if n not in defined and not hasattr(builtins, n)]
+
     stale = []
     for quoted in re.findall(r"`([^`\n]+)`", readme):
         for module, name in re.findall(r"(?<![\w.])(?:helistar\.)?(\w+)\.(\w+)", quoted):
             if module in SUBMODULES and not hasattr(importlib.import_module(f"helistar.{module}"), name):
                 stale.append(f"README.md: {module}.{name}")
         stale += [f"README.md: {name}" for name in unknown(private.findall(quoted))]
+    stale += [f"README.md: {name}" for name in unknown_camel(readme)]
     for module, text in sources.items():
         docs = [
             ast.get_docstring(node) or ""
@@ -219,7 +227,8 @@ def stale_references(readme: str, sources: dict[str, str]) -> list[str]:
             tok.string for tok in tokenize.generate_tokens(iter(text.splitlines(True)).__next__)
             if tok.type == tokenize.COMMENT
         ]
-        stale += [f"{module}: {name}" for name in unknown(private.findall("\n".join(docs + comments)))]
+        prose = "\n".join(docs + comments)
+        stale += [f"{module}: {name}" for name in unknown(private.findall(prose)) + unknown_camel(prose)]
     return stale
 
 
@@ -240,6 +249,17 @@ def test_stale_reference_is_caught():
     assert stale_references(readme, sources) == [
         "README.md: closure_solver.GUIDED_LANES", "README.md: _guided_*", "README.md: _guided_bisect",
         "planted: _candidates", "planted: _accept",
+    ]
+
+
+def test_stale_camel_case_name_is_caught():
+    sources = {
+        "planted": '"""Reads an OffsetTriple from a BandSpec; NaN and ValueError are not stale."""\n\n'
+        "class BandSpec:\n    pass  # not a SolverOptions\n"
+    }
+    readme = "A `BandSpec` is a band; OffsetTriple and RuntimeError are named in prose.\n"
+    assert stale_references(readme, sources) == [
+        "README.md: OffsetTriple", "planted: OffsetTriple", "planted: SolverOptions",
     ]
 
 

@@ -94,11 +94,11 @@ class TestRealize:
 
     def test_edges_are_the_three_classes(self, tetrahelix):
         seg = realize(tetrahelix, 4)
-        off = tetrahelix.offsets
-        kmax = 4 * off.c
+        a, b, c = tetrahelix.offsets
+        kmax = 4 * c
         classes = (seg.edges[:, 1] - seg.edges[:, 0]).tolist()
-        assert set(classes) == {off.a, off.b, off.c}
-        for d in (off.a, off.b, off.c):
+        assert set(classes) == {a, b, c}
+        for d in (a, b, c):
             assert classes.count(d) == kmax - d + 1
 
     def test_periods_bound(self, tetrahelix):
@@ -153,9 +153,9 @@ class TestDihedrals:
         stacked = {}
         real = cs._interior_dihedrals
 
-        def stack(offsets, params):
-            rows = real(offsets, params)
-            stacked.update(zip(zip(offsets, params), rows))
+        def stack(bands, params):
+            rows = real(bands, params)
+            stacked.update(zip(zip(bands, params), rows))
             return rows
 
         monkeypatch.setattr(cs, "_interior_dihedrals", stack)
@@ -163,7 +163,7 @@ class TestDihedrals:
         monkeypatch.undo()
         assert len(stacked) >= len(solved) > 300
         for sol in solved:
-            row = stacked[sol.offsets, sol.params]
+            row = stacked[sol.band, sol.params]
             assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in row], sol.band
             assert dihedral_angles(sol) == dict(zip("abc", row))
 
@@ -227,14 +227,14 @@ class TestVerifyUniform:
         assert not rep.passed
 
     def test_ring_paths_agree(self):
-        # rings from edge adjacency must match those of the offsets' neighbor cycle
+        # rings from edge adjacency must match those of the band's neighbor cycle
         for n in range(3, 13):
             for s in range(1, n // 2 + 1):
                 for sol in solve_band(BandSpec(n, s)):
                     for periods in (3, 6):
                         seg = realize(sol, periods)
                         rep = verify_uniform(seg)
-                        assert rep.constellation_max_dev.hex() == cycle_constellation_dev(seg, sol.offsets).hex()
+                        assert rep.constellation_max_dev.hex() == cycle_constellation_dev(seg, sol.band).hex()
 
     @pytest.mark.parametrize("magnitude", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1])
     def test_face_angles_match_one_acos_per_corner(self, band52, magnitude):
