@@ -9,7 +9,7 @@ it numerically and compare against the exact values.
 
 import math
 
-from helistar import BandSpec, dihedral_angles, realize, solve_band, verify_uniform
+from helistar import BandSpec, realize, solve_band, verify_uniform
 
 # One band, one branch. The solver finds the roots of the closure
 # determinant in the twist angle from a Chebyshev eigenvalue problem and
@@ -33,7 +33,7 @@ print("  rise  ", abs(params.h - 1.0 / math.sqrt(10.0)))
 # dihedral, a nice sanity check that the strips really wrap a stack of
 # tetrahedra.
 t = math.acos(1.0 / 3.0)
-for cls, angle in sorted(dihedral_angles(branch).items()):
+for cls, angle in zip("abc", branch.dihedrals):
     print(f"dihedral {cls}: {angle:.9f}  ({angle / t:.6f} x tetra)")
 
 # Finally realize a window of the infinite object and check uniformity:

@@ -8,7 +8,7 @@ OBJ, once as solid faces and once as a wireframe of its edges.
 
 import pathlib
 
-from helistar import BandSpec, component_params, export_obj, realize, solve_band, split_compound
+from helistar import BandSpec, component_params, export_obj, realize, solve_band
 
 out = pathlib.Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -23,11 +23,9 @@ print(f"8-3 star: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces,"
 
 # A band with gcd(n, s) > 1 is a compound: congruent copies of a
 # smaller band's object, interleaved. (6,2) is two tetrahelices.
-compound = solve_band(BandSpec(6, 2))[0]
-g, sub = split_compound(compound.band)
-print(f"compound (6,2): {g} copies of band n={sub.n_strips} s={sub.shift}")
-
 # Each copy lives on every g-th vertex, so its twist and rise are g
 # times the compound's. Here that recovers the tetrahelix exactly.
-_, _, sub_params = component_params(compound)
+compound = solve_band(BandSpec(6, 2))[0]
+g, sub, sub_params = component_params(compound)
+print(f"compound (6,2): {g} copies of band n={sub.n_strips} s={sub.shift}")
 print(f"component twist {sub_params.theta:.9f} rise {sub_params.h:.9f}")

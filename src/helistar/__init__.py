@@ -12,11 +12,10 @@ from types import ModuleType as _ModuleType
 # set before the submodule imports: catalog reads it while the package loads
 __version__ = "0.1.0"
 
-from .analysis import Classification, classify, triangles_properly_intersect, vertex_figure
+from .analysis import Classification, classify, triangles_properly_intersect
 from .band_combinatorics import (
     BandSpec,
     prototype_faces,
-    split_compound,
     vertex_neighbor_cycle,
 )
 from .catalog import (
@@ -43,7 +42,6 @@ from .closure_solver import (
 from .errors import (
     CatalogFormatError,
     HelistarError,
-    NotACompoundError,
     ParameterError,
     WindowError,
 )
@@ -60,7 +58,6 @@ from .realization import (
     MeshSegment,
     UniformityReport,
     antiprism_tower,
-    dihedral_angles,
     realize,
     verify_uniform,
 )

@@ -28,8 +28,9 @@ Two exact finite tests stand in for questions about an infinite surface:
 
 classify takes branches of any bands, such as every branch of a catalog, and
 runs both tests over them in blocks of ROW_BUDGET branches, two for the 1149
-branches of 5..24 strips with compounds. classify_face_intersection and
-vertex_figure are the same passes over a list of one branch.
+branches of 5..24 strips with compounds; classify([branch])[0] is the public
+entry for one branch. classify_face_intersection and vertex_figure, the same
+passes over a list of one branch, are this module's names only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
-from .closure_solver import _FAN, BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit
+from .closure_solver import BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit, _vertex_star
 from .errors import ParameterError, check_int, check_real
 
 __all__ = [
@@ -366,17 +367,17 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
 def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Neighbor hexagons, (branches, 6, 3), and figure kinds of branches of any bands.
 
-    The branches come as _batch gives them. Each hexagon is projected along its own vertex normal; a branch whose
+    The branches come as _batch gives them. Each hexagon is projected along
+    its own vertex normal, the sum of its fan (_vertex_star); a branch whose
     normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
     indeterminate and is left out of the projection rather than guessed.
-    One _helix_stack call gives every branch's points, each at its own
-    band's neighbour cycle, and every step after it works row by row.
+    One _vertex_star call gives every branch's star, each at its own band's
+    neighbour cycle, and every step after it works row by row.
     """
-    cycles = [[0, *vertex_neighbor_cycle(b)] for b in bands]
-    pts = _helix_stack(helix, np.array(cycles)[band])
-    center, polygon = pts[:, :1], pts[:, 1:]
     with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
-        axis = _unit(_normals(pts[:, _FAN])).sum(axis=1)
+        pts, fan = _vertex_star(helix, np.array([[0, *vertex_neighbor_cycle(b)] for b in bands])[band])
+    center, polygon = pts[:, :1], pts[:, 1:]
+    axis = fan.sum(axis=1)
     norm = np.sqrt(_dot(axis, axis))
     kinds = np.full(len(helix), "indeterminate")
     ok = norm >= 1e-9

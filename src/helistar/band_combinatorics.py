@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotACompoundError, ParameterError, check_int
+from .errors import ParameterError, check_int
 
 __all__ = [
     "BandSpec",
-    "split_compound",
     "prototype_faces",
     "vertex_neighbor_cycle",
 ]
@@ -72,24 +71,18 @@ class BandSpec:
 
     @property
     def components(self) -> int:
+        """g = gcd(n, s): the band is g interleaved copies of its component (n/g, s/g).
+
+        The component's index line embeds in the parent's as every g-th index:
+        g * phi_component(i, j) = phi_parent(i, j) on the shared labels. g = 1
+        is a connected band, its own component.
+        """
         return math.gcd(self.n_strips, self.shift)
 
     @property
     def offsets(self) -> tuple[int, int, int]:
         """The band's image on the index line: edge offsets a <= b and c = a + b."""
         return self.shift, self.n_strips - self.shift, self.n_strips
-
-
-def split_compound(spec: BandSpec) -> tuple[int, BandSpec]:
-    """Split a compound band into (g, component band (n/g, s/g)).
-
-    The component's index line embeds in the parent's as every g-th index:
-    g * phi_component(i, j) = phi_parent(i, j) on the shared labels.
-    """
-    g = spec.components
-    if g == 1:
-        raise NotACompoundError(f"band ({spec.n_strips},{spec.shift}) is connected")
-    return g, BandSpec(spec.n_strips // g, spec.shift // g)
 
 
 def prototype_faces(band: BandSpec) -> np.ndarray:

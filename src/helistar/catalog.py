@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .analysis import classify
-from .band_combinatorics import MAX_STRIPS, BandSpec, split_compound
+from .band_combinatorics import MAX_STRIPS, BandSpec
 from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
 from .errors import CatalogFormatError, ParameterError, check_int, check_real
 from .export import _opened
@@ -81,17 +81,19 @@ _ENTRY_TEMPLATE = "\n    {\n" + ",\n".join(f'      "{name}": %s' for name in _EN
 
 
 def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixParams]:
-    """Component band and screw parameters of a compound branch.
+    """(g, component band, component params) of a branch, g = band.components.
 
-    The component occupies every g-th index, so its twist is g*theta folded
-    back into (0, pi) (the fold picks the stored enantiomorph) and its rise is
-    g*h; the radius is shared.
+    The component (n/g, s/g) occupies every g-th index, so its twist is
+    g*theta folded back into (0, pi) (the fold picks the stored enantiomorph)
+    and its rise is g*h; the radius is shared. A connected branch is its own
+    component: (1, band, params).
     """
-    g, comp = split_compound(solution.band)
-    theta_c = math.fmod(g * solution.params.theta, 2.0 * math.pi)
+    band, p = solution.band, solution.params
+    g = band.components
+    theta_c = math.fmod(g * p.theta, 2.0 * math.pi)
     if theta_c > math.pi:
         theta_c = 2.0 * math.pi - theta_c
-    return g, comp, HelixParams(r=solution.params.r, theta=theta_c, h=g * solution.params.h)
+    return g, BandSpec(band.n_strips // g, band.shift // g), HelixParams(r=p.r, theta=theta_c, h=g * p.h)
 
 
 def _base_name(n: int, s: int, m: int) -> str:
@@ -262,15 +264,9 @@ def _typed(name: str, v):
 
 
 def _scalar(v) -> str:
-    """Catalog text of one option value: reals to 15 significant digits with no "-0",
-    ints plain, bools as true/false, anything else as JSON."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v + 0.0, ".15g")  # -0.0 + 0.0 is 0.0
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(v)
+    """Catalog text of one option value: a real as in an entry column (_texts),
+    anything else, ints and bools too, as JSON."""
+    return _texts([v], float, json.dumps)[0] if isinstance(v, float) else json.dumps(v)
 
 
 def _exact(kind: type, values) -> bool:

@@ -179,7 +179,9 @@ class BranchSolution:
 
     @cached_property
     def dihedrals(self) -> tuple[float, float, float]:
-        """Interior a, b, c dihedrals of params (_interior_dihedrals)."""
+        """Interior a, b, c dihedrals, in (0, 2pi); one edge per class speaks for all by screw
+        symmetry. Above pi is a reflex fold, as on star branches and on the tetrahelix's
+        class-a edges (three tetrahedra stack around each)."""
         (angles,) = _interior_dihedrals([self.band], [self.params])
         return angles
 
@@ -290,31 +292,36 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_dot(v, v))[..., None]
 
 
+def _vertex_star(helix: np.ndarray, stars) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex 0's star in each row of helix (_helix_rows), stars holding each row's [0, *w],
+    w its neighbour cycle: v_0 and v_(w_i) in cycle order, (rows, 7, 3), and the unit normals
+    of the fan faces (0, w_i, w_(i+1)), (rows, 6, 3). A zero-area fan face gives a NaN
+    normal, and numpy's warning unless the caller silences it. Rows are independent."""
+    star = _helix_stack(helix, stars)
+    return star, _unit(_normals(star[:, _FAN]))
+
+
 def _interior_dihedrals(bands: list[BandSpec], params: list[HelixParams]) -> list[tuple[float, float, float]]:
     """Interior a, b, c dihedrals of each realization, through the solid, in (0, 2pi).
-
-    bands holds each realization's band, so realizations of many bands share
-    one stack.
 
     The class-a, -b and -c edges are (0, w_j) for j = 5, 1, 0, w the neighbour
     cycle; each lies in fan faces j-1 and j, with third vertices w_(j-1) and
     w_(j+1). u1, u2 are those faces' in-plane perpendiculars to the edge. The
     angle between them is the dihedral; it is reflex when u1 pokes to the
-    outside of face j (positive against its orientation normal). One
-    _helix_stack call serves every realization and class; its rows, and every
-    row-wise step after it, do not depend on the other rows, so a
+    outside of face j (positive against its fan normal). bands holds each
+    realization's band; one _vertex_star call serves every realization, of
+    any bands, and every class, and each step works row by row, so a
     realization's angles are the same bits in a stack as alone.
     """
-    pts = _helix_stack(_helix_rows(params), [[0, *vertex_neighbor_cycle(band)] for band in bands])
+    pts, fan = _vertex_star(_helix_rows(params), [[0, *vertex_neighbor_cycle(band)] for band in bands])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
     origin = pts[:, :1]
     e = _unit(pts[:, after[:, 1]] - origin)
     w = pts[:, np.stack([before[:, 1], after[:, 2]], axis=1)] - origin[:, None]
     u = _unit(w - _dot(w, e[..., None, :])[..., None] * e[..., None, :])
-    n2 = _unit(_normals(pts[:, after]))
     cosines = np.clip(_dot(u[..., 0, :], u[..., 1, :]), -1.0, 1.0).tolist()
-    outside = (_dot(u[..., 0, :], n2) > 0.0).tolist()
+    outside = (_dot(u[..., 0, :], fan[:, j]) > 0.0).tolist()
     # math.acos, not np.arccos: the two differ in the last bit, and these
     # angles are printed in net and module sheets
     return [

@@ -15,10 +15,6 @@ class ParameterError(HelistarError):
     """A band or an option value violates its invariants."""
 
 
-class NotACompoundError(HelistarError):
-    """split_compound was called on a band with gcd(n, s) = 1."""
-
-
 class WindowError(HelistarError):
     """A mesh window is too small for the requested check."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .closure_solver import BranchSolution
 from .errors import ParameterError, check_int, check_real
-from .realization import MAX_WINDOW, MeshSegment, dihedral_angles
+from .realization import MAX_WINDOW, MeshSegment
 
 __all__ = [
     "NetLayout",
@@ -77,7 +77,10 @@ class Fold:
     edge: tuple[Label, Label]
     cls: str            # 'a' | 'b' | 'c'
     angle: float        # interior dihedral, radians, in (0, 2pi)
-    direction: str      # 'mountain' (< pi) | 'valley' (> pi)
+
+    @property
+    def direction(self) -> str:  # 'mountain' (< pi) | 'valley' (> pi), read off the angle
+        return _direction(self.angle)
 
 
 @dataclass
@@ -113,7 +116,6 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     """
     check_int("rows", rows, 1, MAX_WINDOW)
     n, s = solution.band.n_strips, solution.band.shift
-    angles = dihedral_angles(solution)
 
     ii, jj = np.divmod(np.arange((n + 1) * (rows + 1)), rows + 1)  # every label, i outer
     points = dict(zip(zip(ii.tolist(), jj.tolist()), np.column_stack([ii * SQRT3_2, jj + ii / 2.0])))
@@ -122,13 +124,12 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
                  for tri in (((i, j), (i + 1, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1), (i, j + 1)))]
 
     folds: list[Fold] = []
-    for cls, mk in (
-        ("a", [(((i, j), (i + 1, j))) for j in range(1, rows) for i in range(n)]),
-        ("b", [(((i + 1, j), (i, j + 1))) for j in range(rows) for i in range(n)]),
-        ("c", [(((i, j), (i, j + 1))) for j in range(rows) for i in range(1, n)]),
-    ):
-        ang = angles[cls]
-        folds += [Fold(e, cls, ang, _direction(ang)) for e in mk]
+    for cls, angle, mk in zip("abc", solution.dihedrals, (
+        [((i, j), (i + 1, j)) for j in range(1, rows) for i in range(n)],
+        [((i + 1, j), (i, j + 1)) for j in range(rows) for i in range(n)],
+        [((i, j), (i, j + 1)) for j in range(rows) for i in range(1, n)],
+    )):
+        folds += [Fold(e, cls, angle) for e in mk]
 
     seam = [((n, j), (0, j + s)) for j in range(rows - s + 1)] if rows >= s else []
     return NetLayout(
@@ -256,7 +257,7 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     the module count.
     """
     count = (opts.periods - 1) * solution.band.n_strips + 1  # face pairs in the window = faces/2, c = n
-    angle = dihedral_angles(solution)["c"]
+    angle = solution.dihedrals[2]
     fold_dir = _direction(angle)
     edge, cols = opts.edge_mm, opts.columns
     pitch_x, pitch_y = edge + GAP_MM, 2.0 * SQRT3_2 * edge + GAP_MM

@@ -21,7 +21,6 @@ from .errors import ParameterError, WindowError, check_int
 __all__ = [
     "MeshSegment",
     "realize",
-    "dihedral_angles",
     "verify_uniform",
     "UniformityReport",
     "antiprism_tower",
@@ -134,18 +133,6 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
 
     boundary = set(range(c)) | set(range(kmax - c + 1, kmax + 1))
     return MeshSegment(vertices=verts, faces=faces, edges=edges, boundary_marks=boundary)
-
-
-def dihedral_angles(solution: BranchSolution) -> dict[str, float]:
-    """Interior dihedral per edge class, through the solid, in (0, 2pi).
-
-    By screw symmetry one prototype edge per class speaks for all. Values
-    above pi are reflex folds; star branches have them, and so does the
-    tetrahelix on its class-a edges (three tetrahedra stack around each).
-    The values are BranchSolution.dihedrals, by class, computed from the
-    branch's params when first read.
-    """
-    return dict(zip("abc", solution.dihedrals))
 
 
 def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = None) -> UniformityReport:

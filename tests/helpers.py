@@ -46,7 +46,6 @@ from helistar import (
     NetLayout,
     antiprism_tower,
     closure_determinant,
-    dihedral_angles,
     helix_points,
     prototype_faces,
     realize,
@@ -57,7 +56,7 @@ from helistar import (
 )
 from helistar import __version__
 from helistar.analysis import _intersect
-from helistar.catalog import _ENTRY_FIELDS, _scalar, _typed
+from helistar.catalog import _ENTRY_FIELDS, _typed
 from helistar.closure_solver import THETA_MAX, THETA_MIN, _grid_point
 from helistar.export import _SVG_STYLE, GAP_MM, SQRT3_2
 
@@ -377,7 +376,7 @@ def net_svg_oracle(net: NetLayout, edge_mm: float = 40.0) -> str:
 def modules_svg_oracle(solution: BranchSolution, opts: ModuleOptions) -> str:
     """export_modules_svg's sheet, module by module."""
     count = (opts.periods - 1) * solution.offsets[2] + 1
-    angle = dihedral_angles(solution)["c"]
+    angle = solution.dihedrals[2]
     fold_dir = "mountain" if angle < math.pi else "valley"
     edge, cols = opts.edge_mm, opts.columns
     pitch_x = edge + GAP_MM
@@ -456,12 +455,24 @@ def _entry_values(e: CatalogEntry) -> list:
     return [_typed(name, getattr(e, name)) for name in _ENTRY_FIELDS]
 
 
+def _value_text(v) -> str:
+    """One value's catalog text: reals to 15 significant digits with no "-0",
+    ints plain, bools as true/false, anything else as JSON."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v + 0.0, ".15g")  # -0.0 + 0.0 is 0.0
+    if isinstance(v, int):
+        return str(v)
+    return json.dumps(v)
+
+
 def catalog_json_oracle(entries: list[CatalogEntry], options: dict | None = None) -> str:
     """write_catalog's document, value by value (options as in write_catalog, assumed valid)."""
     opt = {str(k): v for k, v in (options or {}).items()}
-    recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, v in sorted(opt.items()))
+    recorded = ", ".join(f"{json.dumps(text)}: {_value_text(v)}" for text, v in sorted(opt.items()))
     rows = [
-        ",\n".join(f'      "{k}": {_scalar(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
+        ",\n".join(f'      "{k}": {_value_text(v)}' for k, v in zip(_ENTRY_FIELDS, _entry_values(e)))
         for e in entries
     ]
     body = ",".join(f"\n    {{\n{row}\n    }}" for row in rows) + ("\n  " if rows else "")
@@ -479,7 +490,7 @@ def catalog_csv_oracle(entries: list[CatalogEntry]) -> str:
     a lone "\r" is quoted, as Python 3.13's writer quotes it with "\n" alone
     (3.11 and 3.12 leave it bare, and the text would not read back).
     """
-    rows = [[v if isinstance(v, str) else _scalar(v) for v in _entry_values(e)] for e in entries]
+    rows = [[v if isinstance(v, str) else _value_text(v) for v in _entry_values(e)] for e in entries]
     lines = []
     for row in [_ENTRY_FIELDS, *rows]:
         out = io.StringIO()

@@ -17,10 +17,9 @@ from helistar import (
     classify,
     solve_band,
     triangles_properly_intersect,
-    vertex_figure,
 )
 from helistar import analysis, helix_points
-from helistar.analysis import ROW_BUDGET, classify_face_intersection
+from helistar.analysis import ROW_BUDGET, classify_face_intersection, vertex_figure
 
 from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, shifted_witness
 

@@ -7,10 +7,8 @@ import pytest
 
 from helistar import (
     BandSpec,
-    NotACompoundError,
     ParameterError,
     prototype_faces,
-    split_compound,
     vertex_neighbor_cycle,
 )
 from helistar.band_combinatorics import MAX_STRIPS
@@ -209,19 +207,21 @@ class TestVertexCycle:
 
 
 class TestCompounds:
-    def test_split(self):
-        assert split_compound(BandSpec(6, 2)) == (2, BandSpec(3, 1))
-        assert split_compound(BandSpec(6, 3)) == (3, BandSpec(2, 1))
-        assert split_compound(BandSpec(12, 4)) == (4, BandSpec(3, 1))
+    def test_components(self):
+        # g copies of the component (n/g, s/g)
+        for (n, s), g, comp in [((6, 2), 2, (3, 1)), ((6, 3), 3, (2, 1)), ((12, 4), 4, (3, 1))]:
+            assert BandSpec(n, s).components == g
+            assert BandSpec(n // g, s // g) == BandSpec(*comp)
 
-    def test_split_rejects_connected(self):
-        with pytest.raises(NotACompoundError):
-            split_compound(BandSpec(5, 2))
+    def test_connected_band_is_its_own_component(self):
+        assert BandSpec(5, 2).components == 1
+        assert BandSpec(12, 7).components == 1  # canonical shift 5
 
     @pytest.mark.parametrize("n,s", [(6, 2), (9, 3), (12, 4)])
     def test_component_map_scales_back(self, n, s):
         # g * phi_component(i, j) == phi_parent(i, j) on the component's strips
-        g, comp = split_compound(BandSpec(n, s))
+        g = BandSpec(n, s).components
+        comp = BandSpec(n // g, s // g)
         for i in range(comp.n_strips):
             for j in range(-3, 4):
                 assert g * phi(i, j, comp.n_strips, comp.shift) == phi(i, j, n, s)

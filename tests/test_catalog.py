@@ -13,7 +13,6 @@ from helistar import (
     BandSpec,
     CatalogEntry,
     CatalogFormatError,
-    NotACompoundError,
     ParameterError,
     build_report,
     component_params,
@@ -134,9 +133,11 @@ class TestComponentParams:
             assert abs(cp.r - TET_R) < 1e-9
             assert abs(cp.h - TET_H) < 1e-9
 
-    def test_connected_band_is_not_a_compound(self, band52):
-        with pytest.raises(NotACompoundError):
-            component_params(band52[0])
+    def test_connected_branch_is_its_own_component(self, solutions_5_12):
+        connected = [sol for (n, s), sols in solutions_5_12.items() if math.gcd(n, s) == 1 for sol in sols]
+        assert len(connected) == 91
+        for sol in connected:
+            assert component_params(sol) == (1, sol.band, sol.params)
 
 class TestEnumerate:
     def test_orders_and_skips_compounds_by_default(self):

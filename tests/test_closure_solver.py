@@ -20,7 +20,6 @@ from helistar import (
     enumerate_catalog,
     helix_points,
     solve_band,
-    split_compound,
     winding_estimate,
 )
 from helistar import closure_solver as cs
@@ -450,8 +449,8 @@ class TestRootAccounting:
         bands = [band for band in _scanned_bands(40) if band.components > 1]
         assert len(bands) == 136
         for band in bands:
-            g, component = split_compound(band)
-            assert len(solved_64[band]) == g * len(solved_64[component]), band
+            g = band.components
+            assert len(solved_64[band]) == g * len(solved_64[BandSpec(band.n_strips // g, band.shift // g)]), band
 
     def test_solver_output_is_pinned(self, solved_64):
         # every branch of n 3..32 at the default grid, floats by float.hex

@@ -20,7 +20,6 @@ from helistar import (
     MeshSegment,
     ModuleOptions,
     ParameterError,
-    dihedral_angles,
     export_modules_svg,
     export_net_svg,
     export_obj,
@@ -155,7 +154,7 @@ class TestNet:
     def test_fold_angles_match_dihedrals(self, band52):
         sol = band52[0]
         net = unfold_net(sol, rows=2)
-        angles = dihedral_angles(sol)
+        angles = dict(zip("abc", sol.dihedrals))
         for f in net.folds:
             assert f.angle == angles[f.cls]
             assert f.direction == ("mountain" if f.angle < math.pi else "valley")
@@ -355,8 +354,7 @@ def _move_point_onto_the_margin(net):
 
 def _flip_a_fold(net):
     f = net.folds[3]
-    flipped = "valley" if f.direction == "mountain" else "mountain"
-    net.folds[3] = Fold(f.edge, f.cls, 2.0 * math.pi - f.angle, flipped)
+    net.folds[3] = Fold(f.edge, f.cls, 2.0 * math.pi - f.angle)
 
 
 def _drop_folds(net):

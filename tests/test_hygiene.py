@@ -83,13 +83,13 @@ def test_all_lists_every_public_name():
     assert sorted(helistar.__all__) == [
         "BandSpec", "BranchSolution", "CatalogEntry", "CatalogFormatError", "CatalogReport",
         "Classification", "Fold", "HelistarError", "HelixParams", "MeshSegment", "ModuleOptions",
-        "NetLayout", "NotACompoundError", "ParameterError", "SolverOptions",
+        "NetLayout", "ParameterError", "SolverOptions",
         "UniformityReport", "WindowError", "antiprism_tower", "build_report", "chord", "classify",
-        "closure_determinant", "component_params", "dihedral_angles", "enumerate_catalog",
+        "closure_determinant", "component_params", "enumerate_catalog",
         "export_modules_svg", "export_net_svg", "export_obj", "format_report", "helix_points",
         "prototype_faces", "read_catalog", "realize", "solve_band",
-        "split_compound", "triangles_properly_intersect", "unfold_net", "verify_uniform",
-        "vertex_figure", "vertex_neighbor_cycle", "winding_estimate", "write_catalog",
+        "triangles_properly_intersect", "unfold_net", "verify_uniform",
+        "vertex_neighbor_cycle", "winding_estimate", "write_catalog",
         "write_catalog_csv",
     ]
 
@@ -172,6 +172,22 @@ def test_unread_constant_is_caught():
 
 
 SUBMODULES = {path.stem for path in (ROOT / "src/helistar").glob("*.py")} - {"__init__"}
+
+
+def unbound_exports(module: types.ModuleType) -> list[str]:
+    """Names the module's __all__ lists that the module does not bind."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("name", sorted(SUBMODULES))
+def test_every_name_in_all_is_bound(name):
+    assert unbound_exports(importlib.import_module(f"helistar.{name}")) == []
+
+
+def test_unbound_export_is_caught():
+    module = types.ModuleType("planted")
+    exec("__all__ = ['kept', 'deleted', 'LIMIT']\nLIMIT = 3\n\ndef kept():\n    pass\n", module.__dict__)
+    assert unbound_exports(module) == ["deleted"]
 
 
 def stale_references(readme: str, sources: dict[str, str]) -> list[str]:

@@ -17,7 +17,6 @@ from helistar import (
     ParameterError,
     WindowError,
     antiprism_tower,
-    dihedral_angles,
     export_modules_svg,
     realize,
     solve_band,
@@ -117,7 +116,7 @@ class TestDihedrals:
     def test_tetrahelix_stacks_of_tetrahedra(self, tetrahelix):
         # c, b, a edges are shared by 1, 2, 3 tetrahedra of the stack
         t = regular_tetrahedron_dihedral()
-        angles = dihedral_angles(tetrahelix)
+        angles = dict(zip("abc", tetrahelix.dihedrals))
         assert abs(angles["c"] - t) < 1e-9
         assert abs(angles["b"] - 2.0 * t) < 1e-9
         assert abs(angles["a"] - 3.0 * t) < 1e-9
@@ -127,11 +126,11 @@ class TestDihedrals:
 
     def test_star_branch_has_a_reflex_class(self, band52):
         star = band52[0]
-        assert any(v > math.pi for v in dihedral_angles(star).values())
+        assert any(v > math.pi for v in star.dihedrals)
 
     def test_all_angles_inside_zero_two_pi(self, band52):
         for sol in band52:
-            for v in dihedral_angles(sol).values():
+            for v in sol.dihedrals:
                 assert 0.0 < v < 2.0 * math.pi
 
     def test_dihedrals_are_pinned(self, solutions_5_12):
@@ -141,7 +140,7 @@ class TestDihedrals:
         assert len(rows) == 124
         expected = {(n, s, branch): angles for n, s, branch, *angles in rows}
         got = {
-            (n, s, sol.branch_index): [dihedral_angles(sol)[cls].hex() for cls in "abc"]
+            (n, s, sol.branch_index): [v.hex() for v in sol.dihedrals]
             for (n, s), sols in solutions_5_12.items()
             for sol in sols
         }
@@ -165,7 +164,6 @@ class TestDihedrals:
         for sol in solved:
             row = stacked[sol.band, sol.params]
             assert [v.hex() for v in sol.dihedrals] == [v.hex() for v in row], sol.band
-            assert dihedral_angles(sol) == dict(zip("abc", row))
 
     def test_equality_and_hash_ignore_the_dihedrals(self, band52):
         sol = band52[0]
@@ -187,7 +185,7 @@ class TestDihedrals:
         assert [v.hex() for v in moved.dihedrals] == [v.hex() for v in second.dihedrals]
         assert (moved.winding_m, moved.residual.hex()) == (second.winding_m, second.residual.hex())
         assert (second.winding_m, second.residual) != (first.winding_m, first.residual)
-        assert dihedral_angles(moved) == dihedral_angles(second) != dihedral_angles(first)
+        assert moved.dihedrals == second.dihedrals != first.dihedrals
         assert unfold_net(moved).folds == unfold_net(second).folds
         sheets = [io.StringIO(), io.StringIO()]
         for sol, sheet in zip((moved, second), sheets):
