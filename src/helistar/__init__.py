@@ -32,7 +32,6 @@ from .catalog import (
 from .closure_solver import (
     BranchSolution,
     HelixParams,
-    SolverOptions,
     chord,
     closure_determinant,
     helix_points,

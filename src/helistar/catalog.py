@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields
 from . import __version__
 from .analysis import classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
-from .closure_solver import BranchSolution, HelixParams, SolverOptions, solve_band, winding_estimate
+from .closure_solver import BranchSolution, HelixParams, solve_band, winding_estimate
 from .errors import CatalogFormatError, ParameterError, check_int, check_real
 from .export import _opened
 
@@ -111,24 +111,22 @@ def _entry_name(solution: BranchSolution) -> str:
     return f"compound {g} x {_base_name(comp.n_strips, comp.shift, winding_estimate(comp, cp))}"
 
 
-def enumerate_catalog(
-    n_min: int,
-    n_max: int,
-    opts: SolverOptions | None = None,
-    include_compounds: bool = False,
-) -> list[CatalogEntry]:
+def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False) -> list[CatalogEntry]:
     """One entry per surviving branch of every band in the range.
 
     Shifts run over [1, floor(n/2)] (the mirror half); compound bands are
-    skipped unless include_compounds. Order is (n, s, branch_index). Bands
-    whose determinant never crosses zero simply contribute nothing. Both ends
-    of the range are at most MAX_STRIPS.
+    skipped unless include_compounds, which must be True or False, not just
+    truthy. Order is (n, s, branch_index). Bands whose determinant never
+    crosses zero simply contribute nothing. Both ends of the range are at
+    most MAX_STRIPS.
     """
     check_int("n_min", n_min, 3, MAX_STRIPS)
     check_int("n_max", n_max, n_min, MAX_STRIPS)
+    if type(include_compounds) is not bool:
+        raise ParameterError(f"include_compounds must be True or False, got {include_compounds!r}")
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]
-    per_band = solve_band(bands, opts)
+    per_band = solve_band(bands)
     verdicts = iter(classify([sol for sols in per_band for sol in sols]))
     entries: list[CatalogEntry] = []
     for band, sols in zip(bands, per_band):

@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 no result.
 Each subcommand returns one record, a dict and a text layout of the same
 values; main prints the dict as JSON under --json, else the text. Records
 carry no timestamps, so identical invocations produce identical bytes.
---grid-points (1000 to MAX_GRID_POINTS) sets the theta grid that brackets
-each root; the solver's acceptance thresholds are constants, not flags.
+The solver's theta grid and acceptance thresholds are constants, not flags.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .catalog import (
     write_catalog,
     write_catalog_csv,
 )
-from .closure_solver import SolverOptions, solve_band
+from .closure_solver import solve_band
 from .errors import HelistarError, check_int
 from .export import ModuleOptions, export_modules_svg, export_net_svg, export_obj, unfold_net
 from .realization import antiprism_tower, realize, verify_uniform
@@ -50,7 +49,7 @@ def _band(args: argparse.Namespace) -> BandSpec:
 
 def _pick_branch(args: argparse.Namespace):
     """The --branch branch of the --strips/--shift band; _NoResult if there is none."""
-    sols = solve_band(_band(args), SolverOptions(args.grid_points))
+    sols = solve_band(_band(args))
     if not sols:
         raise _NoResult("no branches for this band")
     if not 1 <= args.branch <= len(sols):
@@ -60,7 +59,7 @@ def _pick_branch(args: argparse.Namespace):
 
 def _cmd_solve(args: argparse.Namespace) -> _Record:
     band = _band(args)
-    sols = solve_band(band, SolverOptions(args.grid_points))
+    sols = solve_band(band)
     rows = [
         {
             "branch_index": sol.branch_index,
@@ -99,12 +98,10 @@ def _cmd_generate(args: argparse.Namespace) -> _Record:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Record:
-    opts = SolverOptions(args.grid_points)
-    entries = enumerate_catalog(args.min, args.max, opts, include_compounds=args.include_compounds)
-    options = {"n_min": args.min, "n_max": args.max, "include_compounds": args.include_compounds,
-               "grid_points": opts.grid_points}
+    entries = enumerate_catalog(args.min, args.max, include_compounds=args.include_compounds)
+    options = {"n_min": args.min, "n_max": args.max, "include_compounds": args.include_compounds}
     write_catalog(entries, args.catalog, options)
-    if args.csv:
+    if args.csv is not None:
         write_catalog_csv(entries, args.csv)
     report = build_report(entries)
     payload = report.as_dict() | {"catalog": args.catalog}
@@ -158,7 +155,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, about, band=True, branch=False, periods=None, solves=True):
+    def command(name, fn, about, band=True, branch=False, periods=None):
         """A subcommand with the shared flags its options ask for."""
         p = sub.add_parser(name, help=about)
         p.set_defaults(fn=fn)
@@ -170,11 +167,6 @@ def _parser() -> argparse.ArgumentParser:
         if periods is not None:
             p.add_argument("--periods", type=int, default=periods, help="window length in periods")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if solves:
-            p.add_argument(
-                "--grid-points", type=int, default=SolverOptions.grid_points,
-                help="theta grid that brackets each root (>= 1000)",
-            )
         return p
 
     command("solve", _cmd_solve, "list all branches of a band")
@@ -203,8 +195,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--slit-fraction", type=float, default=0.25)
     p.add_argument("--out", required=True, help="output SVG path")
 
-    p = command("antiprism", _cmd_antiprism, "write an antiprismatic ring tower as OBJ",
-                band=False, solves=False)
+    p = command("antiprism", _cmd_antiprism, "write an antiprismatic ring tower as OBJ", band=False)
     p.add_argument("--gon", type=int, required=True)
     p.add_argument("--rings", type=int, required=True)
     p.add_argument("--out", required=True, help="output OBJ path")

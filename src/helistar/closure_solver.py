@@ -48,22 +48,22 @@ sign changes raises RuntimeError. The end values are far from rounding, |D'|
 to g roots of D; the quadruple roots of a compound band at theta = 2 pi k/g
 lift from theta' = 0, which no bracket holds, so they are never bracketed.
 
-Each root is then snapped to the grid np.linspace(THETA_MIN, THETA_MAX, N):
-its cell is the pair of adjacent grid points, next to it, where the computed
-D changes sign, or the grid point where it is exactly 0. The grid is never
-scanned. solve_band takes one band or a list of them. The brackets of all
-bands are sampled, polished and snapped in one array pass; then the cells of
-all bands are bisected together, each lane with its band's (a, b, c), and
-one acceptance pass over every root drops, in this order, a root whose a/b
-system is singular, whose A or B is too small, whose residual is too large,
-or, from one stack of helix points for all survivors, whose dihedral is too
-near pi. Every step works lane by lane or row by row, so a band's branches
-are the same bits alone as in any batch. A branch holds its band, params
-and number; the rest is derived from them (BranchSolution).
+Each root is then snapped to the grid np.linspace(THETA_MIN, THETA_MAX,
+GRID_POINTS), a constant: its cell is the pair of adjacent grid points, next
+to it, where the computed D changes sign, or the grid point where it is
+exactly 0. The grid is never scanned. solve_band takes one band or a list of
+them. The brackets of all bands are sampled, polished and snapped in one array
+pass; then the cells of all bands are bisected together, each lane with its
+band's (a, b, c), and one acceptance pass over every root drops, in this
+order, a root whose a/b system is singular, whose A or B is too small, whose
+residual is too large, or, from one stack of helix points for all survivors,
+whose dihedral is too near pi. Every step works lane by lane or row by row, so
+a band's branches are the same bits alone as in any batch. A branch holds its
+band, params and number; the rest is derived from them (BranchSolution).
 
-That makes a band's branches a function of (band, options) alone, and every
-field they are made of is frozen, so solve_band remembers them: a call
-solves only the bands it does not find held, in one pass as above, and a
+That makes a band's branches a function of the band alone, and every field
+they are made of is frozen, so solve_band remembers them, keyed by the band: a
+call solves only the bands it does not find held, in one pass as above, and a
 repeated solve is a lookup. The least recently used bands are dropped once
 more than SOLVED_BRANCHES branches are held.
 """
@@ -78,12 +78,11 @@ from functools import cached_property
 import numpy as np
 
 from .band_combinatorics import BandSpec, vertex_neighbor_cycle
-from .errors import ParameterError, check_int
+from .errors import ParameterError
 
 __all__ = [
     "HelixParams",
     "BranchSolution",
-    "SolverOptions",
     "chord",
     "helix_points",
     "closure_determinant",
@@ -101,10 +100,9 @@ RESIDUAL_TOL = 1e-9     # max |chord - 1| over the three edge classes
 MIN_A = 1e-9            # A = 2 r^2; smaller is a flat degeneration
 MIN_B = 1e-9            # B = h^2; smaller is an axis-collapsed degeneration
 COPLANAR_GAP = 1e-6     # min |dihedral - pi| per edge class, radians
-# Largest grid accepted, an input bound: every band with n <= 64 snaps its
-# roots to cells up to 10**14 points; at 10**15 some cells fall below the
-# rounding noise of D and 7 of those bands find no sign change next to a root.
-MAX_GRID_POINTS = 10**11
+# Points of the theta grid np.linspace(THETA_MIN, THETA_MAX, GRID_POINTS) whose
+# cells start each root's bisection, so it sets a branch's last bits
+GRID_POINTS = 200_000
 
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
@@ -123,8 +121,8 @@ _NEIGHBOURS = np.arange(-1, 2)
 # Most branches remembered, a band without branches counting as one: bounds
 # the memo at about 3.9 MB (470 B a branch), well above a 5..24 census (1149)
 SOLVED_BRANCHES = 8192
-# (band, options) -> the band's branches, least recently used first
-_SOLVED: dict[tuple[BandSpec, SolverOptions], tuple[BranchSolution, ...]] = {}
+# band -> its branches, least recently used first
+_SOLVED: dict[BandSpec, tuple[BranchSolution, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -134,21 +132,6 @@ class HelixParams:
     r: float
     theta: float
     h: float
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """The theta grid whose cells bracket the roots: an int from 1000 to MAX_GRID_POINTS.
-
-    A root's bisection starts from its grid cell, so the grid sets a branch's
-    last bits; which roots are found does not depend on it, but the grid can
-    change which borderline roots, residual near RESIDUAL_TOL, are kept.
-    """
-
-    grid_points: int = 200_000
-
-    def __post_init__(self) -> None:
-        check_int("grid_points", self.grid_points, 1000, MAX_GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -421,6 +404,10 @@ def _brackets(bands: list[BandSpec], points: int) -> tuple[np.ndarray, np.ndarra
     at a grid point; where neither is there, RuntimeError. A band with a = b
     has b' = 1 and no brackets: its D vanishes identically, and it flexes
     through a continuum.
+
+    points is GRID_POINTS but in tests. Every band with n <= 64 snaps its
+    roots to cells up to 10**14 points; at 10**15 some cells fall below D's
+    rounding noise, and 7 of those bands find no sign change next to a root.
     """
     table, count = [], []  # per band: a', b', c', the weights of D', g, a, b, c; its bracket count
     for band in bands:
@@ -457,18 +444,16 @@ def _brackets(bands: list[BandSpec], points: int) -> tuple[np.ndarray, np.ndarra
     return band, j - flip[:, 0], zero
 
 
-def solve_band(
-    bands: BandSpec | Sequence[BandSpec], opts: SolverOptions | None = None
-) -> list[BranchSolution] | list[list[BranchSolution]]:
+def solve_band(bands: BandSpec | Sequence[BandSpec]) -> list[BranchSolution] | list[list[BranchSolution]]:
     """All admissible roots of a band's D on [THETA_MIN, THETA_MAX], theta ascending.
 
     bands is one BandSpec, which gives that band's branches, or a sequence of
     them, which gives one list of branches per band in input order (solve_band([])
-    is []); an element that is not a BandSpec, or opts other than None or a
-    SolverOptions, raises ParameterError. One band is solved as a batch of
-    one, so it gets the same branches, to the bit, as in any batch.
+    is []); an element that is not a BandSpec raises ParameterError. One band
+    is solved as a batch of one, so it gets the same branches, to the bit,
+    as in any batch.
 
-    The branches of each (band, opts) are remembered, so a repeated solve is
+    The branches of each band are remembered, so a repeated solve is
     a lookup: a call solves only the bands not held, each once even if the
     call repeats it, and returns a new list per band of the shared frozen
     branches, which the caller may change freely. The least recently used
@@ -476,7 +461,7 @@ def solve_band(
     band without branches counts as one); a call that raises stores nothing.
 
     Each band's roots are located in its component's analytic brackets,
-    polished by Newton's method and snapped to the grid of opts.grid_points
+    polished by Newton's method and snapped to the grid of GRID_POINTS
     points, all bands in one pass (_brackets), so each root is one sign change
     of the computed D between adjacent grid points, or one grid point where it
     is exactly 0. The sign changes of all bands are bisected together in one
@@ -493,20 +478,16 @@ def solve_band(
     result is an answer, not an error.
 
     Measured on every band with n <= 40, not proven: a connected band keeps
-    floor((2n - s - 1)/3) branches, and a compound band g times as many as
-    its component (n/g, s/g). The grid can change which borderline roots are
-    kept (SolverOptions); at the default grid, (61,30), (63,31), (77,38) and
-    (79,39) each keep one branch fewer than the rule. No band raises, but 362
-    of the 5133 connected bands with 81 <= n <= 200 keep fewer, and (1000, 499)
-    keeps 116 of 500: the bisected theta's error, amplified in the c-chord
-    residual, drops them (ROADMAP item 1).
+    floor((2n - s - 1)/3) branches, and a compound band g times as many as its
+    component (n/g, s/g). The grid can change which borderline roots are kept;
+    at GRID_POINTS, (61,30), (63,31), (77,38) and (79,39) each keep one branch
+    fewer than the rule. No band raises, but 362 of the 5133 connected bands
+    with 81 <= n <= 200 keep fewer, and (1000, 499) keeps 116 of 500: the
+    bisected theta's error, amplified in the c-chord residual, drops them
+    (ROADMAP item 1).
     """
-    if opts is None:
-        opts = SolverOptions()
-    elif not isinstance(opts, SolverOptions):
-        raise ParameterError(f"solve_band takes None or a SolverOptions, got {opts!r}")
     if isinstance(bands, BandSpec):
-        return _solve_bands([bands], opts)[0]
+        return _solve_bands([bands])[0]
     try:
         bands = list(bands)
     except TypeError:
@@ -514,10 +495,10 @@ def solve_band(
     for band in bands:
         if not isinstance(band, BandSpec):
             raise ParameterError(f"solve_band takes BandSpec elements, got {band!r}")
-    return _solve_bands(bands, opts)
+    return _solve_bands(bands)
 
 
-def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
+def _solve_bands(bands: list[BandSpec]) -> list[list[BranchSolution]]:
     """A new list of each band's branches: the ones held, and one fresh pass over the rest.
 
     Every band solved or found here becomes the most recently used, and the
@@ -525,31 +506,31 @@ def _solve_bands(bands: list[BandSpec], opts: SolverOptions) -> list[list[Branch
     a call that raises stores nothing. Eviction tolerates a key gone
     already, so concurrent callers can at worst solve a band twice.
     """
-    found = {band: _SOLVED.get((band, opts)) for band in dict.fromkeys(bands)}
+    found = {band: _SOLVED.get(band) for band in dict.fromkeys(bands)}
     fresh = [band for band, branches in found.items() if branches is None]
-    found.update(zip(fresh, map(tuple, _solve_fresh(fresh, opts))))
+    found.update(zip(fresh, map(tuple, _solve_fresh(fresh))))
     for band, branches in found.items():
-        _SOLVED.pop((band, opts), None)
-        _SOLVED[band, opts] = branches
-    weights = [(key, len(branches) or 1) for key, branches in list(_SOLVED.items())]
+        _SOLVED.pop(band, None)
+        _SOLVED[band] = branches
+    weights = [(band, len(branches) or 1) for band, branches in list(_SOLVED.items())]
     excess = sum(weight for _, weight in weights) - SOLVED_BRANCHES
-    for key, weight in weights:
+    for band, weight in weights:
         if excess <= 0:
             break
-        _SOLVED.pop(key, None)
+        _SOLVED.pop(band, None)
         excess -= weight
     return [list(found[band]) for band in bands]
 
 
-def _solve_fresh(bands: list[BandSpec], opts: SolverOptions) -> list[list[BranchSolution]]:
+def _solve_fresh(bands: list[BandSpec], points: int = GRID_POINTS) -> list[list[BranchSolution]]:
     """The branches of each band: one bracket pass, one bisection and one acceptance pass for all.
 
     It takes the roots by band, then theta (_brackets' order), tests singular,
     A, B, residual, then coplanar (solve_band), and numbers kept roots from 1.
+    points is the grid, GRID_POINTS but in tests.
     """
     if not bands:
         return []
-    points = opts.grid_points
     owner, cell, zero = _brackets(bands, points)
     abc = np.array([band.offsets for band in bands], dtype=float)[owner].T
     roots = _grid_point(cell, points)

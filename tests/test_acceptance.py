@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import helistar as hs
+from helistar import closure_solver
 from helpers import brute_force_intersecting, oracle_intersecting, refold_max_error
 
 # named star objects: (n, s) -> winding m, all expected connected,
@@ -57,12 +58,13 @@ def test_c02_uniformity_sweep(entry_solutions):
 
 
 def test_c03_branch_count_stable_under_grid_doubling():
-    fine = hs.SolverOptions(grid_points=400000)
+    # the grid is a solver constant; its private fresh pass still takes another
+    assert closure_solver.GRID_POINTS == 200000
     for n in range(3, 17):
         for s in range(1, n // 2 + 1):
             band = hs.BandSpec(n, s)
             base_sols = hs.solve_band(band)
-            fine_sols = hs.solve_band(band, fine)
+            (fine_sols,) = closure_solver._solve_fresh([band], 400000)
             assert len(base_sols) == len(fine_sols), f"band ({n},{s})"
             for x, y in zip(base_sols, fine_sols):
                 assert abs(x.params.theta - y.params.theta) < 1e-8

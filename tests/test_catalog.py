@@ -150,6 +150,17 @@ class TestEnumerate:
         entries = enumerate_catalog(5, 6, include_compounds=True)
         assert any(e.components == 2 for e in entries)
 
+    @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, np.True_])
+    def test_include_compounds_must_be_a_bool(self, flag):
+        # a truthy value such as "no" is not read as True
+        with pytest.raises(ParameterError, match="include_compounds must be True or False"):
+            enumerate_catalog(5, 8, include_compounds=flag)
+
+    def test_include_compounds_is_keyword_only(self):
+        # a third positional argument, such as a stale options object, is refused, not read as the flag
+        with pytest.raises(TypeError, match="positional"):
+            enumerate_catalog(5, 8, True)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ParameterError):
             enumerate_catalog(2, 6)
@@ -340,6 +351,16 @@ class TestPersistence:
         write_catalog(PINNED_ENTRIES, buf, opts)
         assert len(read_catalog(io.StringIO(buf.getvalue()))) == 2
         assert json.loads(buf.getvalue())["options"] == opts
+
+    def test_a_catalog_recording_the_old_grid_option_reads_back(self):
+        # catalogs written while the solver grid was a CLI flag record it among their options
+        opts = {"grid_points": 200000, "include_compounds": False, "n_max": 12, "n_min": 5}
+        buf = io.StringIO()
+        write_catalog(PINNED_ENTRIES, buf, opts)
+        assert '"options": {"grid_points": 200000, "include_compounds": false, ' in buf.getvalue()
+        again = io.StringIO()
+        write_catalog(read_catalog(io.StringIO(buf.getvalue())), again, opts)
+        assert again.getvalue() == buf.getvalue()
 
     def test_option_keys_of_mixed_types_are_written_and_sorted_as_text(self):
         buf = io.StringIO()

@@ -45,21 +45,6 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == f"error: --strips must be an integer >= 3 and <= 1000, got {strips}\n"
 
-    def test_non_finite_solver_flag_is_invalid(self, capsys):
-        code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "2", "--grid-points", "500")
-        assert code == 2
-        assert "grid_points" in err
-        # the acceptance thresholds are constants, not flags
-        code, _, _ = run(capsys, "solve", "--strips", "5", "--shift", "2", "--residual-tol", "1")
-        assert code == 2
-
-    def test_grid_points_above_the_maximum_is_invalid(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--strips", "5", "--shift", "2", "--grid-points", "10000000000000000"
-        )
-        assert (code, out) == (2, "")
-        assert "grid_points" in err
-
     def test_no_branches_is_no_result(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "4", "--shift", "2")
         assert code == 3
@@ -125,7 +110,7 @@ class TestEnumerate:
         doc = json.loads(cat.read_text())
         assert doc["generated_by"] == "helistar 0.1.0"
         assert doc["options"]["n_min"] == 5
-        assert sorted(doc["options"]) == ["grid_points", "include_compounds", "n_max", "n_min"]
+        assert sorted(doc["options"]) == ["include_compounds", "n_max", "n_min"]
 
     def test_json_report(self, capsys, tmp_path):
         code, out, _ = run(
@@ -151,14 +136,14 @@ class TestEnumerate:
         assert err == "error: n_max must be an integer >= 5 and <= 1000, got 1001\n"
         assert not catalog.exists()
 
-    def test_grid_points_flag_is_recorded(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "enumerate", "--min", "5", "--max", "5",
-            "--grid-points", "80000", "--catalog", str(tmp_path / "c.json"),
-        )
-        assert code == 0
-        doc = json.loads((tmp_path / "c.json").read_text())
-        assert doc["options"]["grid_points"] == 80000
+    @pytest.mark.parametrize("empty", ["--catalog", "--csv"])
+    def test_an_empty_path_is_invalid(self, capsys, tmp_path, empty):
+        # an empty --csv fails as an empty --catalog does, not by writing no CSV
+        paths = {"--catalog": str(tmp_path / "c.json"), "--csv": str(tmp_path / "c.csv")} | {empty: ""}
+        argv = [word for flag_path in paths.items() for word in flag_path]
+        code, out, err = run(capsys, "enumerate", "--min", "5", "--max", "5", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "''" in err
 
 
 class TestVerify:

@@ -14,7 +14,6 @@ from helistar import (
     BandSpec,
     HelixParams,
     ParameterError,
-    SolverOptions,
     chord,
     closure_determinant,
     enumerate_catalog,
@@ -140,7 +139,7 @@ class TestBranches:
 
     def test_grid_doubling_stable(self):
         base = solve_band(BandSpec(7, 3))
-        fine = solve_band(BandSpec(7, 3), SolverOptions(grid_points=400000))
+        (fine,) = cs._solve_fresh([BandSpec(7, 3)], 400000)
         assert len(base) == len(fine)
         for x, y in zip(base, fine):
             assert abs(x.params.theta - y.params.theta) < 1e-8
@@ -162,7 +161,7 @@ class TestBisection:
         # scipy's scalar bisect is the reference: every bracket of every band
         # with 3..24 strips, compounds included, at the default grid, all
         # bisected in one call
-        grid = np.linspace(cs.THETA_MIN, cs.THETA_MAX, SolverOptions().grid_points)
+        grid = np.linspace(cs.THETA_MIN, cs.THETA_MAX, cs.GRID_POINTS)
         bands, abc, lo, width, flo, ref = [], [], [], [], [], []
         for n in range(3, 25):
             for s in range(1, n // 2 + 1):
@@ -283,7 +282,7 @@ class TestScan:
 
         monkeypatch.setattr(cs, "_determinant", counting)
         assert len(solve_band(BandSpec(24, 5))) > 0
-        assert sum(evaluated) < SolverOptions().grid_points // 10
+        assert sum(evaluated) < cs.GRID_POINTS // 10
 
 
 def _connected_bands(n_max):
@@ -312,10 +311,10 @@ def _floats(sol):
     )
 
 
-def _solved_alone(band, opts=None):
+def _solved_alone(band):
     """band's branches from a call made with no band remembered."""
     cs._SOLVED.clear()
-    return solve_band(band, opts)
+    return solve_band(band)
 
 
 def _bands_64():
@@ -368,14 +367,14 @@ class TestRootAccounting:
     def test_b_minus_g_roots_of_every_band(self):
         # the count certificate: g components of b / g - 1 roots each, the
         # colleague matrix's count, and the same flips and zeros
-        points = SolverOptions().grid_points
+        points = cs.GRID_POINTS
         bands = _scanned_bands(64)
         for band, (flips, zeros) in zip(bands, _bracket_pass(bands, points)):
             assert flips.size + zeros.size == band.offsets[1] - band.components, band
             oracle = colleague_brackets(band, points)
             assert (flips.tolist(), zeros.tolist()) == (oracle[0].tolist(), oracle[1].tolist()), band
 
-    @pytest.mark.parametrize("points", [1000, 200000, cs.MAX_GRID_POINTS])
+    @pytest.mark.parametrize("points", [1000, 200000, 10**11])
     def test_bracket_pass_matches_the_colleague_oracle(self, points):
         # every band of 3..64, in one call and one band per call: the flips
         # and zeros that the colleague-matrix roots snap to
@@ -392,7 +391,7 @@ class TestRootAccounting:
         roots = [
             (band, theta)
             for band in _scanned_bands(40)
-            for theta in _raw_roots(band, SolverOptions().grid_points).tolist()
+            for theta in _raw_roots(band, cs.GRID_POINTS).tolist()
         ]
         assert len(roots) == 7062
         assert [(band, t) for band, t in roots if cs._solve_AB(band, t) is None] == []
@@ -530,22 +529,6 @@ class TestBandList:
         with pytest.raises(ParameterError, match="BandSpec"):
             solve_band(bad)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda opts: solve_band(BandSpec(5, 2), opts),
-            lambda opts: solve_band([BandSpec(5, 2)], opts),
-            lambda opts: enumerate_catalog(5, 6, opts),
-        ],
-        ids=["band", "list", "catalog"],
-    )
-    @pytest.mark.parametrize("opts", [1000, {"grid_points": 1000}, [1000], 0, SolverOptions])
-    def test_options_that_are_not_solver_options_are_refused(self, call, opts):
-        # before any lookup, so an unhashable opts is refused the same way
-        with pytest.raises(ParameterError, match="SolverOptions"):
-            call(opts)
-        assert cs._SOLVED == {}
-
 
 class TestRemembered:
     def test_a_repeat_does_no_solver_work(self, monkeypatch):
@@ -578,30 +561,19 @@ class TestRemembered:
         solve_band([BandSpec(12, 4), BandSpec(7, 3), BandSpec(5, 1)])
         passes = []
         fresh = cs._solve_fresh
-        monkeypatch.setattr(cs, "_solve_fresh", lambda bs, opts: (passes.append(bs), fresh(bs, opts))[1])
+        monkeypatch.setattr(cs, "_solve_fresh", lambda bs: (passes.append(bs), fresh(bs))[1])
         got = solve_band(bands)
         assert passes == [[BandSpec(9, 2), BandSpec(11, 5)]]
         assert [[_floats(sol) for sol in sols] for sols in got] == ref
         assert got[0] is not got[4]
-
-    def test_each_grid_has_its_own_entry(self):
-        # the two grids bisect (5, 1) from different cells, to different bits
-        band, coarse, default = BandSpec(5, 1), SolverOptions(1000), SolverOptions()
-        ref = {opts: [_floats(sol) for sol in _solved_alone(band, opts)] for opts in (coarse, default)}
-        assert ref[coarse] != ref[default]
-        for order in ((coarse, default), (default, coarse)):
-            cs._SOLVED.clear()
-            for opts in order * 2:  # solved, then both held
-                assert [_floats(sol) for sol in solve_band(band, opts)] == ref[opts]
-            assert len(cs._SOLVED) == 2
 
     def test_a_call_that_raises_stores_nothing(self, monkeypatch):
         def three(f):
             f[:, 5:8] = -f[:, 5:8]
             return f
 
-        held = (BandSpec(7, 3), SolverOptions())
-        solve_band(held[0])
+        held = BandSpec(7, 3)
+        solve_band(held)
         TestRootAccounting._spoil_the_brackets(monkeypatch, three)
         for _ in range(2):
             with pytest.raises(RuntimeError, match="3 sign changes"):
@@ -613,7 +585,7 @@ class TestRemembered:
         monkeypatch.setattr(cs, "SOLVED_BRANCHES", 5)
         for band in (BandSpec(7, 3), BandSpec(5, 2), BandSpec(7, 3), BandSpec(5, 1)):
             solve_band(band)
-        assert list(cs._SOLVED) == [(BandSpec(7, 3), SolverOptions()), (BandSpec(5, 1), SolverOptions())]
+        assert list(cs._SOLVED) == [BandSpec(7, 3), BandSpec(5, 1)]
 
     def test_the_held_branches_stay_within_the_bound(self, solved_64, monkeypatch):
         # 3..64 in one call holds far more branches than the bound: every band
@@ -627,39 +599,22 @@ class TestRemembered:
         ]
         held = list(cs._SOLVED)
         assert sum(len(sols) or 1 for sols in cs._SOLVED.values()) <= cs.SOLVED_BRANCHES
-        assert held == [(band, SolverOptions()) for band in bands[-len(held):]]
+        assert held == bands[-len(held):]
         passes = []
         fresh = cs._solve_fresh
-        monkeypatch.setattr(cs, "_solve_fresh", lambda bs, opts: (passes.append(bs), fresh(bs, opts))[1])
+        monkeypatch.setattr(cs, "_solve_fresh", lambda bs: (passes.append(bs), fresh(bs))[1])
         assert [_floats(sol) for sol in solve_band(bands[0])] == [_floats(sol) for sol in got[0]]
         assert passes == [[bands[0]]]
 
 
 class TestOptions:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"grid_points": 500},
-            {"grid_points": 999},
-            {"grid_points": 250000.0},
-            {"grid_points": True},
-            {"grid_points": "200000"},
-            {"grid_points": cs.MAX_GRID_POINTS + 1},
-        ],
-    )
-    def test_rejects_bad_options(self, kwargs):
-        with pytest.raises(ParameterError, match="grid_points"):
-            SolverOptions(**kwargs)
-
     def test_every_band_to_n_64_solves_at_the_maximum_grid(self):
-        bands = _bands_64()
-        assert len(solve_band(bands, SolverOptions(cs.MAX_GRID_POINTS))) == len(bands)
-        # ten thousand times finer, some cells fall below D's rounding noise
+        # at 10**15 points some cells fall below D's rounding noise
         with pytest.raises(RuntimeError, match="no sign change"):
-            cs._brackets([BandSpec(56, 15)], 10**4 * cs.MAX_GRID_POINTS)
+            cs._brackets([BandSpec(56, 15)], 10**15)
 
     def test_defaults(self):
-        assert SolverOptions().grid_points == 200000
+        assert cs.GRID_POINTS == 200000
         assert (cs.THETA_MIN, cs.THETA_MAX) == (1e-3, math.pi - 1e-3)
         assert cs.BISECTION_TOL == 1e-13
         assert cs.BISECTION_RTOL == 4.0 * np.finfo(float).eps

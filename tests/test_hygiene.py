@@ -1,7 +1,9 @@
 """Source hygiene a linter would check: unread imports, the package's __all__,
-imports that stay within the declared runtime dependencies, and frozen
-objects written only by their own class."""
+imports that stay within the declared runtime dependencies, frozen objects
+written only by their own class, and README naming only names and CLI flags
+that exist."""
 
+import argparse
 import ast
 import builtins
 import importlib
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import helistar
+from helistar import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -83,7 +86,7 @@ def test_all_lists_every_public_name():
     assert sorted(helistar.__all__) == [
         "BandSpec", "BranchSolution", "CatalogEntry", "CatalogFormatError", "CatalogReport",
         "Classification", "Fold", "HelistarError", "HelixParams", "MeshSegment", "ModuleOptions",
-        "NetLayout", "ParameterError", "SolverOptions",
+        "NetLayout", "ParameterError",
         "UniformityReport", "WindowError", "antiprism_tower", "build_report", "chord", "classify",
         "closure_determinant", "component_params", "enumerate_catalog",
         "export_modules_svg", "export_net_svg", "export_obj", "format_report", "helix_points",
@@ -277,6 +280,47 @@ def test_stale_camel_case_name_is_caught():
     assert stale_references(readme, sources) == [
         "README.md: OffsetTriple", "planted: OffsetTriple", "planted: SolverOptions",
     ]
+
+
+# flags the CLI once had: README may name them only as removed, and main refuses them
+REMOVED_FLAGS = ("--grid-points", "--residual-tol")
+
+
+def cli_flags() -> set[str]:
+    """Every option string of every subcommand of the CLI's parser."""
+    (subcommands,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for parser in subcommands.choices.values() for a in parser._actions for flag in a.option_strings}
+
+
+def unknown_flags(readme: str, flags: set[str]) -> list[str]:
+    """--flags in readme's code spans and fenced blocks that are neither in flags nor in REMOVED_FLAGS.
+
+    A line of code that runs pip names pip's flags, not the CLI's, and is skipped.
+    """
+    quoted = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    lines = [line for text in quoted for line in text.strip("`").splitlines() if not line.startswith("pip ")]
+    named = {flag for line in lines for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
+    return sorted(named - flags - set(REMOVED_FLAGS))
+
+
+def test_readme_names_only_flags_the_cli_has():
+    assert unknown_flags((ROOT / "README.md").read_text(), cli_flags()) == []
+
+
+@pytest.mark.parametrize("flag", REMOVED_FLAGS)
+def test_a_removed_flag_is_refused(flag, capsys):
+    assert flag not in cli_flags()
+    assert cli.main(["solve", "--strips", "5", "--shift", "2", flag, "1000"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unknown_flag_is_caught():
+    readme = (
+        "Use `--json`, `--grid-points N` and `--edge-mm 1e308`, not `--stale-flag`.\n"
+        "```\nhelistar solve --strips 5 --planted\npip install . --no-deps\n```\n"
+        "But --prose-only is not code, and `pip install --user` is pip's.\n"
+    )
+    assert unknown_flags(readme, {"--json", "--strips", "--edge-mm"}) == ["--planted", "--stale-flag"]
 
 
 def foreign_frozen_writes(tree: ast.Module) -> list[str]:
