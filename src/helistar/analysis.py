@@ -17,8 +17,10 @@ Two exact finite tests stand in for questions about an infinite surface:
   normal is computed once per branch, not once per row. The rows of many
   branches, of any bands, go through the triangle-triangle predicate
   together, scanned in stages so that a branch leaves at its first hit, in
-  calls of at most ROW_BUDGET rows. That batched predicate is the only one,
-  and triangles_properly_intersect is a batch of one.
+  calls of at most ROW_BUDGET rows; in each call the side test against
+  U_0's plane runs first, and the other face's plane only for the rows it
+  leaves. That batched predicate is the only one, and
+  triangles_properly_intersect is a batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -27,10 +29,11 @@ Two exact finite tests stand in for questions about an infinite surface:
   hexagons of many branches are projected and tested as one stack.
 
 classify takes branches of any bands, such as every branch of a catalog, and
-runs both tests over them in blocks of ROW_BUDGET branches, two for the 1149
-branches of 5..24 strips with compounds; classify([branch])[0] is the public
-entry for one branch. classify_face_intersection and vertex_figure, the same
-passes over a list of one branch, are this module's names only.
+runs both tests over them in blocks of at most BLOCK_ROWS kept rows: the
+1149 branches of 5..24 strips with compounds are one block, 20,438 rows in
+23 predicate calls. classify([branch])[0] is the public entry for one
+branch; classify_face_intersection and vertex_figure, the same passes over
+a list of one branch, are this module's names only.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ __all__ = [
 
 MEASURE_TOL = 1e-9   # intersections thinner than this count as touching
 _PLANE_EPS = 1e-12   # vertex-on-plane threshold, coordinates are O(1)
-ROW_BUDGET = 1024    # most rows per predicate call and most branches per classify block; bounds the working set
+ROW_BUDGET = 1024    # most rows per predicate call
+BLOCK_ROWS = 64 * ROW_BUDGET  # most kept rows (3c - 2 per branch) per classify block; bounds the working set
 
 FaceId = tuple[str, int]
 Witness = tuple[FaceId, FaceId]
@@ -167,37 +171,46 @@ def _plane(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return length, n / length[:, None]
 
 
+def _straddles(dist: np.ndarray) -> np.ndarray:
+    """True for each row of signed vertex distances (m, 3) whose triangle is not strictly on one side of the plane."""
+    return ~(np.all(dist > _PLANE_EPS, axis=1) | np.all(dist < -_PLANE_EPS, axis=1))
+
+
 def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray, plane1=None) -> np.ndarray:
     """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
 
-    Moeller's interval test in two array passes. The first runs over all m
-    pairs and rejects rows sharing an edge, rows with a degenerate triangle
-    and rows with one triangle strictly on one side of the other's plane.
-    Coplanar survivors go through the 2D clip one by one. The second pass
-    runs on the other survivors only: they intersect when the two triangles'
-    intervals on the planes' common line overlap by more than MEASURE_TOL.
-    plane1 is _plane(T1), given by a caller that has it already (the face
-    pass computes U_0's once per branch); every step is row by row, so it is
-    the same bits either way.
+    Moeller's interval test in array passes over ever fewer rows. The first
+    runs over all m pairs and rejects rows sharing an edge, rows with a
+    degenerate T1 and rows with T2 strictly on one side of T1's plane (about
+    half of a census's rows). T2's plane, and T1's distances to it, are
+    computed for the survivors only, which rejects a degenerate T2 and T1
+    strictly on one side of T2's plane. Coplanar survivors go through the 2D
+    clip one by one. The others intersect when the two triangles' intervals
+    on the planes' common line overlap by more than MEASURE_TOL; one
+    _interval call takes both triangles of every such row. plane1 is
+    _plane(T1), given by a caller that has it already (the face pass
+    computes U_0's once per branch). Every step is row by row, so a row's
+    verdict is the same bits in any stack, and whichever rows a pass drops.
     """
     hit = np.zeros(len(T1), dtype=bool)
     n1n, n1 = _plane(T1) if plane1 is None else plane1
-    n2n, n2 = _plane(T2)
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
-        live = (shared < 2) & (n1n != 0.0) & (n2n != 0.0)
         d2 = _dot(n1[:, None], T2 - T1[:, :1])
+        rows = np.flatnonzero((shared < 2) & (n1n != 0.0) & _straddles(d2))
+        T1, T2, n1, d2 = T1[rows], T2[rows], n1[rows], d2[rows]
+        n2n, n2 = _plane(T2)
         d1 = _dot(n2[:, None], T1 - T2[:, :1])
-        for d in (d2, d1):
-            live &= ~(np.all(d > _PLANE_EPS, axis=1) | np.all(d < -_PLANE_EPS, axis=1))
+        live = (n2n != 0.0) & _straddles(d1)
         coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=1)
 
-        rows = np.flatnonzero(live & ~coplanar)
-        axis = _unit(_cross(n1[rows], n2[rows]))
-        lo1, hi1 = _interval(T1[rows], d1[rows], axis)
-        lo2, hi2 = _interval(T2[rows], d2[rows], axis)
-        hit[rows] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL
+        cut = np.flatnonzero(live & ~coplanar)
+        axis = _unit(_cross(n1[cut], n2[cut]))
+        tri = np.concatenate([T1[cut], T2[cut]])  # T1's rows, then T2's, in one _interval call
+        lo, hi = _interval(tri, np.concatenate([d1[cut], d2[cut]]), np.tile(axis, (2, 1)))
+        lo1, lo2, hi1, hi2 = *np.split(lo, 2), *np.split(hi, 2)
+        hit[rows[cut]] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL
     for i in np.flatnonzero(coplanar):
-        hit[i] = _coplanar_intersect(T1[i], T2[i], n1[i])
+        hit[rows[i]] = _coplanar_intersect(T1[i], T2[i], n1[i])
     return hit
 
 
@@ -292,8 +305,8 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     * Faces sharing an edge with U_0 go: the predicate never lets them hit.
 
     Most branches hit early in their row, so the rows are scanned in stages,
-    up to 10%, 20%, 40% and 100% of each row's length, and a branch leaves
-    the scan at its first hit. Each stage runs across all branches, in
+    up to 10%, 20%, 30%, 40%, 60% and 100% of each row's length, and a
+    branch leaves the scan at its first hit. Each stage runs across all branches, in
     predicate calls of at most ROW_BUDGET rows; once the rows left fit in
     one call, that stage scans them to their ends, so a small band is one
     call. Each call computes the corners of its own rows; U_0's unit
@@ -311,7 +324,7 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     first_hit = np.full(len(helix), -1)  # kept-row position of each branch's witness
     done = np.zeros(len(helix), dtype=np.intp)  # positions scanned so far
     live = np.arange(len(helix))
-    for tenths in (1, 2, 4, 10):
+    for tenths in (1, 2, 3, 4, 6, 10):
         end = length[live]
         if (end - done[live]).sum() > ROW_BUDGET:
             end = -(-end * tenths // 10)  # rounded up
@@ -410,13 +423,15 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
 def classify(solutions: list[BranchSolution]) -> list[Classification]:
     """Full classification of each branch, in input order; the branches may be of any bands.
 
-    The branches are taken in input order, in blocks of ROW_BUDGET, which
-    bounds the working set (a stage's row indices grow with the block); each
-    block is grouped by band (_batch), and the face pass and the figure pass
-    each run once over it. A branch gets the same result, to the bit, in any
-    block. On the paper's range, kept rows of at most 70 faces, each stage of
-    a block is a handful of predicate calls: 25 calls and 23,210 rows for the
-    1149 branches of 5..24 with compounds, in two blocks. classify([]) is [];
+    The branches are taken in input order, in blocks of at most BLOCK_ROWS
+    kept rows (3c - 2 a branch; a branch with more is a block of its own),
+    which bounds the working set (a stage's row indices grow with the block);
+    each block is grouped by band (_batch), and the face pass and the figure
+    pass each run once over it. A branch gets the same result, to the bit, in
+    any block. On the paper's range, kept rows of at most 70 faces, each
+    stage of a block is a handful of predicate calls: 23 calls and 20,438
+    rows for the 1149 branches of 5..24 with compounds (62,295 kept rows),
+    in one block; 5..64 is split. classify([]) is [];
     anything but a list of BranchSolution raises ParameterError.
     """
     if isinstance(solutions, BranchSolution):
@@ -427,9 +442,12 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
         raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
     for sol in solutions:
         _check_branch("classify", sol)
+    rows = np.cumsum([0] + [3 * sol.offsets[2] - 2 for sol in solutions])  # kept rows before each branch
     out: list[Classification] = []
-    for lo in range(0, len(solutions), ROW_BUDGET):
-        block = _batch(solutions[lo:lo + ROW_BUDGET])
+    while len(out) < len(solutions):
+        lo = len(out)
+        hi = max(lo + 1, int(np.searchsorted(rows, rows[lo] + BLOCK_ROWS, "right")) - 1)
+        block = _batch(solutions[lo:hi])
         polygons, kinds = _figure_pass(*block)
         out += map(Classification, *zip(*_face_pass(*block)), kinds, polygons)
     return out

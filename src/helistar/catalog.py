@@ -20,6 +20,7 @@ import math
 import operator
 import reprlib
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import classify
@@ -172,39 +173,43 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
     exists in the naming scheme but the object is a compound, so it is kept
     out of the star tally and flagged instead.
     """
-    groups: dict[tuple[int, int], list[CatalogEntry]] = {}
+    # per (n, s): its row, its compound labels, and per base name its branches and bare names
+    groups: dict[tuple[int, int], tuple[dict, list[str], dict[str, list[int]]]] = {}
     for e in entries:
-        groups.setdefault((e.n_strips, e.shift), []).append(e)
-
-    rows = []
-    collisions: list[str] = []
-    compound_labels: list[str] = []
-    for (n, s) in sorted(groups):
-        group = groups[(n, s)]
-        g = group[0].components
-        rows.append({
-            "n": n, "s": s, "components": g, "branches": len(group),
-            "plain": sum(1 for e in group if e.components == 1 and e.winding_m <= 1),
-            "stars": sum(1 for e in group if e.is_star),
-            "crossed": sum(1 for e in group if e.components == 1 and e.vertex_figure == "crossed"),
-        })
-        if g > 1:
-            compound_labels.extend(
+        key = n, s = e.n_strips, e.shift
+        if key not in groups:
+            row = {"n": n, "s": s, "components": e.components, "branches": 0, "plain": 0, "stars": 0, "crossed": 0}
+            groups[key] = row, [], {}
+        row, labels, names = groups[key]
+        row["branches"] += 1
+        if e.components == 1:
+            row["plain"] += e.winding_m <= 1
+            row["stars"] += e.is_star
+            row["crossed"] += e.vertex_figure == "crossed"
+        g = row["components"]
+        if g > 1 and e.winding_m >= 2:
+            labels.append(
                 f"{n}-{e.winding_m}({s}) is a {g}-compound under this seam "
                 f"convention (branch {e.branch_index}, named {e.name!r}); "
                 f"excluded from the star tally"
-                for e in group
-                if e.winding_m >= 2
             )
-        base = [e.name.split(" [b")[0] for e in group]
-        for nm in sorted(set(base)):
-            if base.count(nm) > 1:
-                # a catalog read back from a hand-edited file may lack the suffix
-                bare = sum(e.name == nm for e in group)
-                collisions.append(
-                    f"({n},{s}): winding label {nm!r} shared by {base.count(nm)} branches; "
-                    + (f"{bare} without a branch suffix" if bare else "branch suffix added")
-                )
+        base = e.name.split(" [b")[0]
+        count = names.setdefault(base, [0, 0])
+        count[0] += 1
+        count[1] += e.name == base  # a catalog read back from a hand-edited file may lack the suffix
+
+    rows: list[dict] = []
+    collisions: list[str] = []
+    compound_labels: list[str] = []
+    for (n, s), (row, labels, names) in sorted(groups.items()):
+        rows.append(row)
+        compound_labels += labels
+        collisions += [
+            f"({n},{s}): winding label {nm!r} shared by {total} branches; "
+            + (f"{bare} without a branch suffix" if bare else "branch suffix added")
+            for nm, (total, bare) in names.items()
+            if total > 1
+        ]
 
     return CatalogReport(
         rows=rows,
@@ -295,15 +300,15 @@ def _columns(entries: list[CatalogEntry]) -> list[list]:
 
 def _texts(column: list, kind: type, quote) -> list[str]:
     """Catalog text of one checked column: reals as %.15g of v + 0.0 (no "-0"),
-    ints plain, bools as true/false, and strings as quote(v), once per distinct string."""
+    filled into one template per column, bools as true/false, and ints plain
+    and strings as quote(v), each distinct value formatted once."""
     if kind is float:
-        return ["%.15g" % (v + 0.0) for v in column]
-    if kind is int:
-        return list(map(str, column))
+        filled = "\n".join(["%.15g"] * len(column)) % tuple([v + 0.0 for v in column])
+        return filled.split("\n") if column else []
     if kind is bool:
         return ["true" if v else "false" for v in column]
-    quoted = {v: quote(v) for v in set(column)}
-    return [quoted[v] for v in column]
+    text = {v: str(v) if kind is int else quote(v) for v in set(column)}
+    return list(map(text.__getitem__, column))
 
 
 def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None) -> None:
@@ -329,7 +334,7 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
             raise ParameterError(f"option keys {opt[str(k)][0]!r} and {k!r} both write as {str(k)!r}")
         opt[str(k)] = (k, v)
     recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, (_, v) in sorted(opt.items()))
-    texts = [_texts(column, kind, json.dumps) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
+    texts = [_texts(column, kind, encode_basestring_ascii) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
     body = ",".join(_ENTRY_TEMPLATE % row for row in zip(*texts)) + ("\n  " if entries else "")
     with _opened(sink) as fh:
         fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {{{recorded}}},\n')

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .analysis import classify
@@ -97,7 +98,18 @@ def _cmd_generate(args: argparse.Namespace) -> _Record:
     return EXIT_OK, payload, f"wrote {args.out}: {payload['vertices']} vertices, {payload[kind]} {kind}"
 
 
+def _writable(path: str) -> None:
+    """OSError unless path opens for writing; a file that the check creates is removed again."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> _Record:
+    for path in (args.catalog, args.csv):  # both outputs, before the enumeration and either write
+        if path is not None:
+            _writable(path)
     entries = enumerate_catalog(args.min, args.max, include_compounds=args.include_compounds)
     options = {"n_min": args.min, "n_max": args.max, "include_compounds": args.include_compounds}
     write_catalog(entries, args.catalog, options)

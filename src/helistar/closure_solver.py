@@ -259,10 +259,14 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise dot product of broadcastable (..., 3) stacks.
 
-    Goes through matmul, which sums each row exactly as np.dot does on one
-    pair of 3-vectors, so stacked and single-vector results agree bit for bit.
+    np.vecdot runs numpy's dot loop once per row, the loop np.dot runs on
+    one pair of 3-vectors and a matmul of a (1, 3) by a (3, 1) row runs too,
+    so stacked and single-vector results agree bit for bit, also for rows
+    gathered or reversed and for components at a stride. An elementwise product summed along the row,
+    or einsum, adds in another order and differs in the last bit in about a
+    third of rows. vecdot needs numpy 2.0.
     """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 def _normals(tri: np.ndarray) -> np.ndarray:

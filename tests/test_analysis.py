@@ -19,7 +19,7 @@ from helistar import (
     triangles_properly_intersect,
 )
 from helistar import analysis, helix_points
-from helistar.analysis import ROW_BUDGET, classify_face_intersection, vertex_figure
+from helistar.analysis import BLOCK_ROWS, ROW_BUDGET, classify_face_intersection, vertex_figure
 
 from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, shifted_witness
 
@@ -379,25 +379,38 @@ class TestStagedScan:
         return calls
 
     def test_a_census_is_few_calls_of_few_rows(self, branches_5_24, monkeypatch):
-        # 5..24 is two blocks of branches; the rows are the staged scan's,
+        # 5..24 is one block; the rows are the staged scan's,
         # close to the 17,820 that first-hit order needs
         calls = self.recorder(monkeypatch)
         classify(branches_5_24)
-        assert sum(len(T1) for T1 in calls) == 23_210
-        assert len(calls) <= 25
+        assert sum(len(T1) for T1 in calls) == 20_438
+        assert len(calls) <= 23
 
     def test_no_pass_gets_more_than_a_block(self, branches_5_24, monkeypatch):
-        # both passes of every block see at most ROW_BUDGET branches, and every branch once
+        # a block holds at most BLOCK_ROWS kept rows (3c - 2 a branch): 5..24 is one
+        # block, 5..64 is split, and both passes see every branch once
         seen = {"_face_pass": [], "_figure_pass": []}
 
-        def record(real, sizes):
-            return lambda helix, *rest: (sizes.append(len(helix)), real(helix, *rest))[1]
+        def record(name, blocks):
+            def stand_in(helix, bands, band):  # the block's branches and kept rows; no verdicts needed here
+                blocks.append((len(helix), sum(3 * bands[i].offsets[2] - 2 for i in band)))
+                if name == "_face_pass":
+                    return [(False, None)] * len(helix)
+                return np.zeros((len(helix), 6, 3)), ["simple"] * len(helix)
+            return stand_in
 
-        for name, sizes in seen.items():
-            monkeypatch.setattr(analysis, name, record(getattr(analysis, name), sizes))
+        for name, blocks in seen.items():
+            monkeypatch.setattr(analysis, name, record(name, blocks))
         classify(branches_5_24)
-        for sizes in seen.values():
-            assert max(sizes) <= ROW_BUDGET and sum(sizes) == len(branches_5_24) == 1149
+        assert seen == {name: [(1149, 62_295)] for name in seen}
+        branches_5_64 = [sol for sols in solve_band([BandSpec(n, s) for n in range(5, 65) for s in range(1, n // 2 + 1)])
+                         for sol in sols]
+        for blocks in seen.values():
+            blocks.clear()
+        classify(branches_5_64)
+        for blocks in seen.values():
+            assert len(blocks) > 1 and max(rows for _, rows in blocks) <= BLOCK_ROWS
+            assert sum(size for size, _ in blocks) == len(branches_5_64) == 23_793
 
     def test_calls_fit_the_budget_and_skip_most_rows(self, branches_5_24, monkeypatch):
         calls = self.recorder(monkeypatch)

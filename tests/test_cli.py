@@ -1,4 +1,4 @@
-"""CLI surface: subcommands, exit codes, json output, the grid flag."""
+"""CLI surface: subcommands, exit codes, json output, outputs checked before they are written."""
 
 import json
 
@@ -144,6 +144,30 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--min", "5", "--max", "5", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "''" in err
+
+    @pytest.mark.parametrize("csv", ["", "missing/c.csv"])
+    def test_an_unopenable_csv_leaves_no_catalog(self, capsys, tmp_path, csv):
+        # both outputs are checked before either is written, so no catalog is left behind
+        code, out, err = run(
+            capsys, "enumerate", "--min", "5", "--max", "5",
+            "--catalog", str(tmp_path / "c.json"), "--csv", csv and str(tmp_path / csv),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_csv_keeps_an_existing_catalog(self, capsys, tmp_path):
+        catalog = tmp_path / "c.json"
+        catalog.write_text("an older catalog\n")
+        code, _, _ = run(capsys, "enumerate", "--catalog", str(catalog), "--csv", str(tmp_path / "missing" / "c.csv"))
+        assert code == 2
+        assert catalog.read_text() == "an older catalog\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_an_unopenable_catalog_is_found_before_the_enumeration(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_catalog", lambda *a, **k: pytest.fail("enumerated"))
+        code, _, err = run(capsys, "enumerate", "--catalog", str(tmp_path / "missing" / "c.json"))
+        assert code == 2 and "missing" in err
 
 
 class TestVerify:

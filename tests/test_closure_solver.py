@@ -644,3 +644,44 @@ class TestHelixPoints:
         for d in (1, 2, 5):
             pts = helix_points(p, [0, d])
             assert abs(chord(p, d) - float(np.linalg.norm(pts[1] - pts[0]))) < 1e-12
+
+
+class TestRowDot:
+    """_dot sums each row as np.dot does on that pair of 3-vectors, bit for bit.
+
+    Every stacked geometry step (normals, planes, dihedrals, face angles)
+    relies on this: a dot that adds in another order, such as an elementwise
+    product summed along the row or einsum, changes last bits of pinned output.
+    """
+
+    rng = np.random.default_rng(2013)
+    # components of very different sizes, so that the order of the sum shows in the last bit
+    U = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(3000, 3))
+    V = rng.normal(size=(3000, 3)) * 10.0 ** rng.uniform(-4, 4, size=(3000, 3))
+    T = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.uniform(-4, 4, size=(3000, 3, 3))
+
+    @staticmethod
+    def same_bits(got, want) -> bool:
+        return got.shape == np.shape(want) and got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_stacks_of_rows(self):
+        assert self.same_bits(cs._dot(self.U, self.V), [np.dot(u, v) for u, v in zip(self.U, self.V)])
+
+    def test_one_row_against_three(self):
+        got = cs._dot(self.U[:, None], self.T)
+        assert self.same_bits(got, [[np.dot(u, t) for t in tri] for u, tri in zip(self.U, self.T)])
+
+    @pytest.mark.parametrize("view", ["fancy", "reversed", "strided"])
+    def test_views_that_are_not_contiguous(self, view):
+        # rows gathered, rows in reverse, and components at a stride of two; a
+        # negative stride along the components is left out, since there numpy's
+        # dot loop, in _dot and np.dot alike, can take another path than on a copy
+        order = self.rng.permutation(len(self.U))
+        wide = np.concatenate([self.U, self.V], axis=1)
+        u, v, T = {
+            "fancy": (self.U[order], self.V[order[::-1]], self.T[order]),
+            "reversed": (self.U[::-1], self.V, self.T[::-1]),
+            "strided": (wide[:, ::2], wide[:, 1::2], np.concatenate([self.T, self.T], axis=2)[..., 1::2]),
+        }[view]
+        assert self.same_bits(cs._dot(u, v), [np.dot(a, b) for a, b in zip(u, v)])
+        assert self.same_bits(cs._dot(u[:, None], T), [[np.dot(a, t) for t in tri] for a, tri in zip(u, T)])

@@ -1,7 +1,7 @@
 """Source hygiene a linter would check: unread imports, the package's __all__,
 imports that stay within the declared runtime dependencies, frozen objects
-written only by their own class, and README naming only names and CLI flags
-that exist."""
+written only by their own class, README naming only names and CLI flags
+that exist, and README stating pyproject's numpy floor."""
 
 import argparse
 import ast
@@ -393,6 +393,26 @@ def test_runtime_imports_are_declared_dependencies():
 def test_foreign_import_is_caught():
     tree = ast.parse("import os, numpy\nfrom scipy.optimize import bisect\nfrom . import cli\n")
     assert foreign_imports(tree, {"numpy"}) == ["line 2: scipy.optimize"]
+
+
+def numpy_floors(readme: str, dependencies: list[str]) -> tuple[str | None, str | None]:
+    """The numpy version floor that readme states (as "numpy >= X") and the one a dependency list requires."""
+    stated = re.search(r"numpy\s*(?:>=|≥)\s*(\d+(?:\.\d+)*)", readme)
+    required = [m[1] for dep in dependencies if (m := re.fullmatch(r"numpy\s*>=\s*(\d+(?:\.\d+)*)", dep))]
+    return stated and stated[1], required[0] if required else None
+
+
+def test_readme_states_the_numpy_floor_of_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    dependencies = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    stated, required = numpy_floors((ROOT / "README.md").read_text(), dependencies)
+    assert stated is not None and stated == required
+
+
+def test_numpy_floor_drift_is_caught():
+    assert numpy_floors("Needs Python 3.10+ and numpy >= 2.0.", ["numpy>=1.24"]) == ("2.0", "1.24")
+    assert numpy_floors("Needs numpy ≥ 2.0.", ["numpy >= 2.0"]) == ("2.0", "2.0")
+    assert numpy_floors("Needs Python 3.10+ and numpy.", ["numpy"]) == (None, None)
 
 
 def test_solving_never_loads_scipy():
