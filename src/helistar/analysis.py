@@ -13,14 +13,15 @@ Two exact finite tests stand in for questions about an infinite surface:
   3c-2 pairs per branch of the window's 2*(4c+2) (_face_pass). All
   branches of a band share their offsets, so they share the window's index
   tables, and the tables of all the bands in a pass are built in one array
-  pass. Every row of a branch has U_0 as its first triangle, so U_0's unit
-  normal is computed once per branch, not once per row. The rows of many
+  pass. Every row of a branch has U_0 as its first triangle, so U_0's
+  corners and unit normal are computed once per branch. The rows of many
   branches, of any bands, go through the triangle-triangle predicate
   together, scanned in stages so that a branch leaves at its first hit, in
   calls of at most ROW_BUDGET rows; in each call the side test against
   U_0's plane runs first, and the other face's plane only for the rows it
-  leaves. That batched predicate is the only one, and
-  triangles_properly_intersect is a batch of one.
+  leaves. That batched predicate, on x, y and z coordinate lanes with no
+  dot call per row, is the only one, and triangles_properly_intersect is a
+  batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, _cross, _dot, _helix_rows, _helix_stack, _normals, _unit, _vertex_star
+from .closure_solver import BranchSolution, _cross, _dot, _helix_rows, _unit, _vertex_star
 from .errors import ParameterError, check_int, check_real
 
 __all__ = [
@@ -74,25 +75,6 @@ class Classification:
     witness: Witness | None
     vertex_figure: str  # 'simple' | 'crossed' | 'indeterminate'
     figure_polygon: np.ndarray  # (6, 3) neighbor positions in cycle order
-
-
-def _interval(tri: np.ndarray, dist: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter interval where each triangle meets the other one's plane.
-
-    tri is (m, 3, 3); dist holds each triangle's signed vertex distances to
-    that plane; axis is the direction of the plane-intersection line. On-plane
-    vertices and strict edge crossings both contribute a parameter. A row with
-    neither (the triangle lies strictly on one side) gets the empty interval
-    (inf, -inf).
-    """
-    nxt = [1, 2, 0]  # edge i runs from vertex i to vertex nxt[i]
-    on = np.abs(dist) <= _PLANE_EPS
-    crosses = (dist * dist[:, nxt] < 0.0) & ~on & ~on[:, nxt]
-    s = dist / (dist - dist[:, nxt])  # masked off where the edge does not cross
-    hits = tri + s[..., None] * (tri[:, nxt] - tri)
-    t = np.concatenate([_dot(axis[:, None], tri), _dot(axis[:, None], hits)], axis=1)
-    ok = np.concatenate([on, crosses], axis=1)
-    return np.where(ok, t, np.inf).min(axis=1), np.where(ok, t, -np.inf).max(axis=1)
 
 
 def _shoelace(poly: list[np.ndarray]) -> float:
@@ -160,57 +142,78 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
     return False
 
 
-def _plane(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal length and unit normal of each triangle of a (m, 3, 3) stack.
+def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(x*x' + y*y') + z*z' of broadcastable (3, ...) coordinate lanes, entry by entry; it can
+    differ in the last bit from _dot, whose one BLAS dot per row may fuse its sums."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    A degenerate triangle has length 0 and a NaN unit normal; callers mask it.
-    """
+
+def _unit_cross(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Length (m,) and direction (3, m) of the cross product of (3, m) coordinate lanes, component
+    by component as _cross; a zero product has a NaN direction, which callers mask."""
+    i, j = [1, 2, 0], [2, 0, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = _normals(T)
-        length = np.sqrt(_dot(n, n))
-        return length, n / length[:, None]
+        n = u[i] * v[j] - u[j] * v[i]
+        length = np.sqrt(_lane_dot(n, n))
+        return length, n / length
+
+
+def _plane(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal length and unit normal of the triangles of (3, 3, m) lanes; the normal is _normals's bits."""
+    return _unit_cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
 
 
 def _straddles(dist: np.ndarray) -> np.ndarray:
-    """True for each row of signed vertex distances (m, 3) whose triangle is not strictly on one side of the plane."""
-    return ~(np.all(dist > _PLANE_EPS, axis=1) | np.all(dist < -_PLANE_EPS, axis=1))
+    """True for each lane of signed corner distances (3, m) whose triangle is not strictly on one side of the plane."""
+    return ~((dist.min(axis=0) > _PLANE_EPS) | (dist.max(axis=0) < -_PLANE_EPS))
 
 
 def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray, plane1=None) -> np.ndarray:
     """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
 
-    Moeller's interval test in array passes over ever fewer rows. The first
-    runs over all m pairs and rejects rows sharing an edge, rows with a
-    degenerate T1 and rows with T2 strictly on one side of T1's plane (about
-    half of a census's rows). T2's plane, and T1's distances to it, are
-    computed for the survivors only, which rejects a degenerate T2 and T1
+    Moeller's interval test in array passes over ever fewer rows, on
+    coordinate lanes: T.T, T's axes reversed, is (3 coordinates, 3 corners,
+    m), free for the face pass's stacks (views of such lanes) and strided for
+    a row-first one. Every distance, normal, cut axis and interval end is
+    computed per coordinate over whole lanes, with no dot call per row. The
+    first pass runs over all m pairs and rejects rows sharing an edge, rows
+    with a degenerate T1 and rows with T2 strictly on one side of T1's plane
+    (about half of a census's rows). T2's plane, and T1's distances to it,
+    are computed for the survivors only, which rejects a degenerate T2 and T1
     strictly on one side of T2's plane. Coplanar survivors go through the 2D
     clip one by one. The others intersect when the two triangles' intervals
-    on the planes' common line overlap by more than MEASURE_TOL; one
-    _interval call takes both triangles of every such row. plane1 is
-    _plane(T1), given by a caller that has it already (the face pass
-    computes U_0's once per branch). Every step is row by row, so a row's
-    verdict is the same bits in any stack, and whichever rows a pass drops.
+    on the planes' common line, computed side by side, overlap by more than
+    MEASURE_TOL. plane1 is _plane(T1.T), given by a caller that has it
+    (the face pass computes U_0's once per branch). Every step works lane by
+    lane, a lane being one row, so a row's verdict is the same bits in any
+    stack, and whichever rows a pass drops.
     """
     hit = np.zeros(len(T1), dtype=bool)
-    n1n, n1 = _plane(T1) if plane1 is None else plane1
+    P, Q = T1.T, T2.T
+    n1n, n1 = _plane(P) if plane1 is None else plane1
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
-        d2 = _dot(n1[:, None], T2 - T1[:, :1])
+        d2 = _lane_dot(n1[:, None], Q - P[:, :1])
         rows = np.flatnonzero((shared < 2) & (n1n != 0.0) & _straddles(d2))
-        T1, T2, n1, d2 = T1[rows], T2[rows], n1[rows], d2[rows]
-        n2n, n2 = _plane(T2)
-        d1 = _dot(n2[:, None], T1 - T2[:, :1])
+        P, Q, n1, d2 = (x.take(rows, axis=-1) for x in (P, Q, n1, d2))  # take keeps lanes contiguous
+        n2n, n2 = _plane(Q)
+        d1 = _lane_dot(n2[:, None], P - Q[:, :1])
         live = (n2n != 0.0) & _straddles(d1)
-        coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=1)
+        coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=0)
 
         cut = np.flatnonzero(live & ~coplanar)
-        axis = _unit(_cross(n1[cut], n2[cut]))
-        tri = np.concatenate([T1[cut], T2[cut]])  # T1's rows, then T2's, in one _interval call
-        lo, hi = _interval(tri, np.concatenate([d1[cut], d2[cut]]), np.tile(axis, (2, 1)))
-        lo1, lo2, hi1, hi2 = *np.split(lo, 2), *np.split(hi, 2)
-        hit[rows[cut]] = np.minimum(hi1, hi2) - np.maximum(lo1, lo2) > MEASURE_TOL
+        _, axis = _unit_cross(n1.take(cut, axis=-1), n2.take(cut, axis=-1))
+        # the parameter interval along axis where each triangle meets the other's plane, T1's
+        # lanes beside T2's, (3, 3, 2, rows): from on-plane corners and strict edge crossings
+        tri, dist = (np.stack([x.take(cut, axis=-1), y.take(cut, axis=-1)], axis=-2) for x, y in ((P, Q), (d1, d2)))
+        nxt = [1, 2, 0]  # edge i runs from corner i to corner nxt[i]
+        on = np.abs(dist) <= _PLANE_EPS
+        ok = np.concatenate([on, (dist * dist[nxt] < 0.0) & ~on & ~on[nxt]])
+        s = dist / (dist - dist[nxt])  # masked off where the edge does not cross
+        t = _lane_dot(axis[:, None, None], np.concatenate([tri, tri + s * (tri.take(nxt, axis=1) - tri)], axis=1))
+        lo, hi = np.where(ok, t, np.inf).min(axis=0), np.where(ok, t, -np.inf).max(axis=0)  # (2, rows)
+        hit[rows[cut]] = hi.min(axis=0) - lo.max(axis=0) > MEASURE_TOL
     for i in np.flatnonzero(coplanar):
-        hit[rows[i]] = _coplanar_intersect(T1[i], T2[i], n1[i])
+        hit[rows[i]] = _coplanar_intersect(P[..., i].T, Q[..., i].T, n1[:, i])
     return hit
 
 
@@ -283,6 +286,14 @@ def _kept_rows(bands: list[BandSpec]) -> tuple[np.ndarray, ...]:
     return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(bands))
 
 
+def _corner_lanes(lanes: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Corners ks (3, rows) of the helices with r, theta, h lanes (3, rows), as (3, 3, rows)
+    coordinate lanes, by _helix_stack's elementwise steps, so with helix_points's bits."""
+    r, theta, h = lanes
+    t = ks * theta
+    return np.stack([r * np.cos(t), r * np.sin(t), ks * h])
+
+
 def _face_id(code: int) -> FaceId:
     """The name of a face's code: 2k is U_k, 2k + 1 is D_k."""
     return "UD"[code % 2], code // 2
@@ -309,17 +320,18 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     branch leaves the scan at its first hit. Each stage runs across all branches, in
     predicate calls of at most ROW_BUDGET rows; once the rows left fit in
     one call, that stage scans them to their ends, so a small band is one
-    call. Each call computes the corners of its own rows; U_0's unit
-    normal and its length are computed once per branch and gathered for
-    each row. A witness is the first hit in scan order whatever the stages,
-    and every step works row by row, so a branch's result is the same bits
-    in any batch.
+    call. Each call computes the corners of its own rows as coordinate
+    lanes, which the predicate reads without a copy; U_0's corners and plane
+    are computed once per branch and gathered for each row. A witness is the
+    first hit in scan order whatever the stages, and every step works lane by
+    lane, a lane being one row, so a branch's result is the same bits in any batch.
     """
     u0, corners, shared, codes, sizes = _kept_rows(bands)
     length = sizes[band]
     start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
-    proto = _helix_stack(helix, u0[band])
-    length1, unit1 = _plane(proto)  # U_0's normal, once per branch
+    lanes, ks = np.ascontiguousarray(helix.T), np.ascontiguousarray(corners.T)  # take copies a strided source whole
+    proto = _corner_lanes(lanes, u0[band].T)  # U_0, once per branch
+    length1, unit1 = _plane(proto)
 
     first_hit = np.full(len(helix), -1)  # kept-row position of each branch's witness
     done = np.zeros(len(helix), dtype=np.intp)  # positions scanned so far
@@ -335,8 +347,8 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
         hits = np.zeros(len(at), dtype=bool)
         for i in range(0, len(at), ROW_BUDGET):
             o, r = owner[i:i + ROW_BUDGET], at[i:i + ROW_BUDGET]
-            T2 = _helix_stack(helix[o], corners[r])
-            hits[i:i + ROW_BUDGET] = _intersect(proto[o], T2, shared[r], (length1[o], unit1[o]))
+            T1, T2 = proto.take(o, axis=-1).T, _corner_lanes(lanes.take(o, axis=-1), ks.take(r, axis=-1)).T
+            hits[i:i + ROW_BUDGET] = _intersect(T1, T2, shared[r], (length1[o], unit1.take(o, axis=-1)))
         hit_rows = np.flatnonzero(hits)
         hit_owner = owner[hit_rows]  # each branch's rows are together, in scan order
         first = np.ones(len(hit_owner), dtype=bool)

@@ -1,8 +1,10 @@
 """Intersection predicate fixtures, classifier verdicts, vertex figures."""
 
+import hashlib
 import json
 import math
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -74,6 +76,26 @@ class TestPredicateFixtures:
         t2 = np.array([[0.5, 0.5, 0.0], [1.0, 0.5, 1.0], [0.5, 1.0, 1.0]])
         # tilted triangle meeting the base plane in a single boundary point
         assert not triangles_properly_intersect(T_BASE, t2)
+
+    def test_one_batch_mixes_every_kind_of_row(self):
+        # each row leaves the predicate at another mask; the rejected ones
+        # divide by zero, which must stay silent
+        rows = [
+            ([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0], [0.5, 0.5, 0.0]], 0, False),  # zero-area T2 across T1's plane
+            ([[0.2, 0.2, 0.0], [1.2, 0.2, 0.0], [0.2, 1.2, 0.0]], 0, True),  # coplanar overlap
+            ([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 2, False),  # shares an edge, even overlapping
+            ([[0.0, 0.0, 0.0], [-1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]], 1, False),  # touches at one vertex
+            ([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0], [2.0, 2.0, 1.0]], 0, True),  # crossing
+            ([[0.5, 0.5, 0.0], [1.0, 0.25, 0.0], [0.5, 0.5, 1.0]], 0, True),  # an edge inside T1, 0/0 in the interval step
+        ]
+        T1 = np.repeat(T_BASE[None], len(rows), axis=0)
+        T2 = np.array([t2 for t2, _, _ in rows])
+        shared = np.array([sh for _, sh, _ in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analysis._intersect(T1, T2, shared)
+        assert got.tolist() == [hit for _, _, hit in rows]
+        assert got.tolist() == [triangles_properly_intersect(T_BASE, t2, sh) for t2, sh, _ in rows]
 
 
 class TestPredicateInput:
@@ -240,6 +262,18 @@ class TestFullScan:
             checked += len(sols)
             hits += sum(hit for hit, _ in expected)
         assert checked == 1149 and hits > 500
+
+    def test_census_verdicts_are_pinned(self, bands_5_24):
+        # verdict, witness and figure of every branch of 5..24 with compounds,
+        # classified as a census does, in one call
+        branches = [sol for sols in bands_5_24 for sol in sols]
+        lines = [
+            f"{sol.band.n_strips} {sol.band.shift} {sol.branch_index} {cls.intersecting} {cls.witness} {cls.vertex_figure}"
+            for sol, cls in zip(branches, classify(branches), strict=True)
+        ]
+        assert len(lines) == 1149
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "d8c754220121ffdc45146d3c1a43c8e87b5e20646f2f5727b2f4a7ed26a18a00"
 
     @pytest.mark.parametrize("base", [-7, 3])
     def test_one_branch_matches_the_full_scan_at_other_bases(self, bands_5_24, base):

@@ -20,7 +20,7 @@ from scipy.spatial.transform import Rotation
 
 import helistar as hs
 from helistar import triangles_properly_intersect
-from helistar.analysis import _figure_kind, _intersect, classify, classify_face_intersection
+from helistar.analysis import _figure_kind, _intersect, _plane, classify, classify_face_intersection
 
 from helpers import full_scan_witnesses, shifted_witness
 
@@ -111,6 +111,23 @@ def test_batch_rows_match_batch_of_one(rows):
     assert batched.dtype == bool and batched.shape == (len(rows),)
     for i in range(len(rows)):
         assert batched[i] == triangles_properly_intersect(T1[i], T2[i], int(shared[i]))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(st.tuples(pairs(), st.integers(0, 3)), min_size=1, max_size=8))
+def test_verdicts_do_not_depend_on_the_layout(rows):
+    # a row-first stack, the same rows as coordinate lanes viewed as (m, 3, 3)
+    # (the face pass's layout, with T1's plane given as the face pass gives
+    # it), and a gather of the rows in reverse order
+    T1 = np.array([t1 for (t1, _, _), _ in rows])
+    T2 = np.array([t2 for (_, t2, _), _ in rows])
+    shared = np.array([sh if extra < 2 else extra for (_, _, sh), extra in rows])
+    row_first = _intersect(T1, T2, shared)
+    P, Q = (np.ascontiguousarray(T.transpose(2, 1, 0)) for T in (T1, T2))
+    lanes = _intersect(P.transpose(2, 1, 0), Q.transpose(2, 1, 0), shared, _plane(P))
+    back = np.arange(len(rows))[::-1]
+    reversed_rows = _intersect(T1[back], T2[back], shared[back])[back]
+    assert row_first.tolist() == lanes.tolist() == reversed_rows.tolist()
 
 
 @pytest.fixture(scope="module")
