@@ -19,9 +19,9 @@ Two exact finite tests stand in for questions about an infinite surface:
   together, scanned in stages so that a branch leaves at its first hit, in
   calls of at most ROW_BUDGET rows; in each call the side test against
   U_0's plane runs first, and the other face's plane only for the rows it
-  leaves. That batched predicate, on x, y and z coordinate lanes with no
-  dot call per row, is the only one, and triangles_properly_intersect is a
-  batch of one.
+  leaves. That batched predicate, on the x, y and z coordinate lanes that
+  closure_solver._helix_lanes gives every corner (helix_points's bits),
+  is the only one, and triangles_properly_intersect is a batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, _cross, _dot, _helix_rows, _unit, _vertex_star
+from .closure_solver import BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
 from .errors import ParameterError, check_int, check_real
 
 __all__ = [
@@ -168,29 +168,23 @@ def _straddles(dist: np.ndarray) -> np.ndarray:
     return ~((dist.min(axis=0) > _PLANE_EPS) | (dist.max(axis=0) < -_PLANE_EPS))
 
 
-def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray, plane1=None) -> np.ndarray:
-    """Proper intersection of each triangle pair in two (m, 3, 3) stacks.
+def _intersect(P: np.ndarray, Q: np.ndarray, shared: np.ndarray, plane1) -> np.ndarray:
+    """Proper intersection of each triangle pair of two (3 coordinates, 3 corners, m) lane stacks.
 
-    Moeller's interval test in array passes over ever fewer rows, on
-    coordinate lanes: T.T, T's axes reversed, is (3 coordinates, 3 corners,
-    m), free for the face pass's stacks (views of such lanes) and strided for
-    a row-first one. Every distance, normal, cut axis and interval end is
-    computed per coordinate over whole lanes, with no dot call per row. The
-    first pass runs over all m pairs and rejects rows sharing an edge, rows
-    with a degenerate T1 and rows with T2 strictly on one side of T1's plane
-    (about half of a census's rows). T2's plane, and T1's distances to it,
-    are computed for the survivors only, which rejects a degenerate T2 and T1
-    strictly on one side of T2's plane. Coplanar survivors go through the 2D
-    clip one by one. The others intersect when the two triangles' intervals
-    on the planes' common line, computed side by side, overlap by more than
-    MEASURE_TOL. plane1 is _plane(T1.T), given by a caller that has it
-    (the face pass computes U_0's once per branch). Every step works lane by
-    lane, a lane being one row, so a row's verdict is the same bits in any
-    stack, and whichever rows a pass drops.
+    Moeller's interval test in array passes over ever fewer lanes, a lane
+    being one row; every distance, normal, cut axis and interval end is a
+    sum over whole coordinate lanes. plane1 is _plane(P). The first pass
+    rejects rows sharing an edge, with a degenerate P, or with Q strictly on
+    one side of P's plane (about half of a census's rows); only the
+    survivors get Q's plane, which rejects a degenerate Q and P strictly on
+    one side of it. Coplanar survivors go through the 2D clip one by one;
+    the others intersect when the two triangles' intervals on the planes'
+    common line overlap by more than MEASURE_TOL. Every step works lane by
+    lane, so a row's verdict is the same bits in any stack, and whichever
+    rows a pass drops.
     """
-    hit = np.zeros(len(T1), dtype=bool)
-    P, Q = T1.T, T2.T
-    n1n, n1 = _plane(P) if plane1 is None else plane1
+    hit = np.zeros(P.shape[-1], dtype=bool)
+    n1n, n1 = plane1
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
         d2 = _lane_dot(n1[:, None], Q - P[:, :1])
         rows = np.flatnonzero((shared < 2) & (n1n != 0.0) & _straddles(d2))
@@ -202,8 +196,8 @@ def _intersect(T1: np.ndarray, T2: np.ndarray, shared: np.ndarray, plane1=None) 
 
         cut = np.flatnonzero(live & ~coplanar)
         _, axis = _unit_cross(n1.take(cut, axis=-1), n2.take(cut, axis=-1))
-        # the parameter interval along axis where each triangle meets the other's plane, T1's
-        # lanes beside T2's, (3, 3, 2, rows): from on-plane corners and strict edge crossings
+        # the parameter interval along axis where each triangle meets the other's plane, P's
+        # lanes beside Q's, (3, 3, 2, rows): from on-plane corners and strict edge crossings
         tri, dist = (np.stack([x.take(cut, axis=-1), y.take(cut, axis=-1)], axis=-2) for x, y in ((P, Q), (d1, d2)))
         nxt = [1, 2, 0]  # edge i runs from corner i to corner nxt[i]
         on = np.abs(dist) <= _PLANE_EPS
@@ -227,13 +221,13 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     Each triangle must be 3 x 3 finite reals (check_real) and shared an int
     in [0, 3]; anything else raises ParameterError.
     """
-    T1, T2 = _triangle("t1", t1), _triangle("t2", t2)
+    P, Q = _triangle("t1", t1), _triangle("t2", t2)
     check_int("shared", shared, 0, 3)
-    return bool(_intersect(T1, T2, np.array([shared]))[0])
+    return bool(_intersect(P, Q, np.array([shared]), _plane(P))[0])
 
 
 def _triangle(name: str, t) -> np.ndarray:
-    """t as a (1, 3, 3) float stack; ParameterError naming it unless it is 3 x 3 finite reals."""
+    """t as (3, 3, 1) float lanes; ParameterError naming it unless it is 3 x 3 finite reals."""
     try:
         rows = np.asarray(t, dtype=object)
     except ValueError:
@@ -243,7 +237,7 @@ def _triangle(name: str, t) -> np.ndarray:
     for i, row in enumerate(rows.tolist()):
         for j, v in enumerate(row):
             check_real(f"{name}[{i}][{j}]", v.item() if isinstance(v, np.generic) else v)
-    return rows.astype(float)[None]
+    return rows.T.astype(float)[..., None]
 
 
 def _check_branch(func: str, solution) -> None:
@@ -286,14 +280,6 @@ def _kept_rows(bands: list[BandSpec]) -> tuple[np.ndarray, ...]:
     return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(bands))
 
 
-def _corner_lanes(lanes: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Corners ks (3, rows) of the helices with r, theta, h lanes (3, rows), as (3, 3, rows)
-    coordinate lanes, by _helix_stack's elementwise steps, so with helix_points's bits."""
-    r, theta, h = lanes
-    t = ks * theta
-    return np.stack([r * np.cos(t), r * np.sin(t), ks * h])
-
-
 def _face_id(code: int) -> FaceId:
     """The name of a face's code: 2k is U_k, 2k + 1 is D_k."""
     return "UD"[code % 2], code // 2
@@ -320,9 +306,9 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     branch leaves the scan at its first hit. Each stage runs across all branches, in
     predicate calls of at most ROW_BUDGET rows; once the rows left fit in
     one call, that stage scans them to their ends, so a small band is one
-    call. Each call computes the corners of its own rows as coordinate
-    lanes, which the predicate reads without a copy; U_0's corners and plane
-    are computed once per branch and gathered for each row. A witness is the
+    call. Each call computes the corners of its own rows with _helix_lanes,
+    as the lanes the predicate takes; U_0's corners and plane are computed
+    once per branch and gathered for each row. A witness is the
     first hit in scan order whatever the stages, and every step works lane by
     lane, a lane being one row, so a branch's result is the same bits in any batch.
     """
@@ -330,7 +316,7 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     length = sizes[band]
     start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
     lanes, ks = np.ascontiguousarray(helix.T), np.ascontiguousarray(corners.T)  # take copies a strided source whole
-    proto = _corner_lanes(lanes, u0[band].T)  # U_0, once per branch
+    proto = _helix_lanes(lanes, u0[band].T)  # U_0, once per branch
     length1, unit1 = _plane(proto)
 
     first_hit = np.full(len(helix), -1)  # kept-row position of each branch's witness
@@ -347,8 +333,8 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
         hits = np.zeros(len(at), dtype=bool)
         for i in range(0, len(at), ROW_BUDGET):
             o, r = owner[i:i + ROW_BUDGET], at[i:i + ROW_BUDGET]
-            T1, T2 = proto.take(o, axis=-1).T, _corner_lanes(lanes.take(o, axis=-1), ks.take(r, axis=-1)).T
-            hits[i:i + ROW_BUDGET] = _intersect(T1, T2, shared[r], (length1[o], unit1.take(o, axis=-1)))
+            P, Q = proto.take(o, axis=-1), _helix_lanes(lanes.take(o, axis=-1), ks.take(r, axis=-1))
+            hits[i:i + ROW_BUDGET] = _intersect(P, Q, shared[r], (length1[o], unit1.take(o, axis=-1)))
         hit_rows = np.flatnonzero(hits)
         hit_owner = owner[hit_rows]  # each branch's rows are together, in scan order
         first = np.ones(len(hit_owner), dtype=bool)
@@ -454,7 +440,7 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
         raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
     for sol in solutions:
         _check_branch("classify", sol)
-    rows = np.cumsum([0] + [3 * sol.offsets[2] - 2 for sol in solutions])  # kept rows before each branch
+    rows = np.cumsum([0] + [3 * sol.band.offsets[2] - 2 for sol in solutions])  # kept rows before each branch
     out: list[Classification] = []
     while len(out) < len(solutions):
         lo = len(out)

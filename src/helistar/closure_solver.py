@@ -56,10 +56,12 @@ them. The brackets of all bands are sampled, polished and snapped in one array
 pass; then the cells of all bands are bisected together, each lane with its
 band's (a, b, c), and one acceptance pass over every root drops, in this
 order, a root whose a/b system is singular, whose A or B is too small, whose
-residual is too large, or, from one stack of helix points for all survivors,
-whose dihedral is too near pi. Every step works lane by lane or row by row, so
+residual is too large, or, from one vertex star of all survivors, whose
+dihedral is too near pi. Every step works lane by lane or row by row, so
 a band's branches are the same bits alone as in any batch. A branch holds its
-band, params and number; the rest is derived from them (BranchSolution).
+band, params and number; the rest is derived from them (BranchSolution). One
+routine, _helix_lanes, computes every helix vertex as x, y and z lanes, for
+helix_points ((len, 3) rows), the vertex star and analysis's face predicate.
 
 That makes a band's branches a function of the band alone, and every field
 they are made of is frozen, so solve_band remembers them, keyed by the band: a
@@ -170,8 +172,12 @@ class BranchSolution:
 
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
-    """Vertex positions v_k for an array of integer indices, shape (len, 3)."""
-    return _helix_stack(_helix_rows([params]), ks)[0]
+    """Vertex positions v_k for an int or a 1-D sequence of integer indices, a C-contiguous
+    (len, 3) array, (1, 3) for an int; indices of more dimensions raise ParameterError."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim > 1:
+        raise ParameterError(f"helix_points takes an index or a 1-D sequence of them, got shape {ks.shape}")
+    return np.ascontiguousarray(_helix_lanes((params.r, params.theta, params.h), ks.reshape(-1)).T)
 
 
 def _helix_rows(params: list[HelixParams]) -> np.ndarray:
@@ -179,18 +185,13 @@ def _helix_rows(params: list[HelixParams]) -> np.ndarray:
     return np.array([(p.r, p.theta, p.h) for p in params], dtype=float)
 
 
-def _helix_stack(helix: np.ndarray, ks) -> np.ndarray:
-    """Vertex positions of the realizations in the rows of helix (_helix_rows), (rows, len, 3).
-
-    ks holds the indices, one set shared by all rows, shape (len,), or one set
-    per row, shape (rows, len). Every entry is one elementwise product, cosine
-    or sine, so row i does not depend on the other rows: a branch's points
-    are the same bits in any stack as alone.
-    """
-    r, theta, h = helix.T[..., None]
-    ks = np.asarray(ks, dtype=float)
+def _helix_lanes(helix, ks: np.ndarray) -> np.ndarray:
+    """x, y and z lanes, (3, *ks.shape), of vertices ks of the realizations helix = (r, theta, h),
+    each broadcast against ks. Every entry is one elementwise product, cosine or sine, so a
+    vertex is the same bits in any stack and any layout."""
+    r, theta, h = helix
     t = ks * theta
-    return np.stack([r * np.cos(t), r * np.sin(t), ks * h], axis=-1)
+    return np.stack([r * np.cos(t), r * np.sin(t), ks * h])
 
 
 def chord(params: HelixParams, d: int) -> float:
@@ -284,7 +285,7 @@ def _vertex_star(helix: np.ndarray, stars) -> tuple[np.ndarray, np.ndarray]:
     w its neighbour cycle: v_0 and v_(w_i) in cycle order, (rows, 7, 3), and the unit normals
     of the fan faces (0, w_i, w_(i+1)), (rows, 6, 3). A zero-area fan face gives a NaN
     normal, and numpy's warning unless the caller silences it. Rows are independent."""
-    star = _helix_stack(helix, stars)
+    star = np.moveaxis(_helix_lanes(helix.T[..., None], stars), 0, -1)
     return star, _unit(_normals(star[:, _FAN]))
 
 

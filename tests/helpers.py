@@ -55,7 +55,7 @@ from helistar import (
     vertex_neighbor_cycle,
 )
 from helistar import __version__
-from helistar.analysis import _intersect
+from helistar.analysis import _intersect, _plane
 from helistar.catalog import _ENTRY_FIELDS, _typed
 from helistar.closure_solver import THETA_MAX, THETA_MIN, _grid_point
 from helistar.export import _SVG_STYLE, GAP_MM, SQRT3_2
@@ -205,6 +205,12 @@ def oracle_intersecting(solution: BranchSolution, periods: int = 3) -> bool:
     return bool(inside.any())
 
 
+def lanes(triangles) -> np.ndarray:
+    """Row-first triangles, (m, 3 corners, 3 coordinates), as the predicate's contiguous
+    (3 coordinates, 3 corners, m) lanes."""
+    return np.ascontiguousarray(np.asarray(triangles, dtype=float).transpose(2, 1, 0))
+
+
 def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[tuple[bool, tuple | None]]:
     """Verdict and first witness of each branch, from the unreduced face scan.
 
@@ -226,7 +232,8 @@ def full_scan_witnesses(solutions: list[BranchSolution], base: int = 0) -> list[
     out = []
     for sol in solutions:
         pts = helix_points(sol.params, range(base - c, base + 2 * c + 1))
-        hits = _intersect(pts[first], pts[second], shared)
+        P, Q = lanes(pts[first]), lanes(pts[second])
+        hits = _intersect(P, Q, shared, _plane(P))
         at = next((i for i, hit in enumerate(hits) if hit), None)
         out.append((False, None) if at is None else (True, pairs[at]))
     return out

@@ -23,7 +23,7 @@ from helistar import (
 from helistar import analysis, helix_points
 from helistar.analysis import BLOCK_ROWS, ROW_BUDGET, classify_face_intersection, vertex_figure
 
-from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, shifted_witness
+from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, lanes, shifted_witness
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
@@ -88,12 +88,12 @@ class TestPredicateFixtures:
             ([[0.5, 0.5, -1.0], [0.5, 0.5, 1.0], [2.0, 2.0, 1.0]], 0, True),  # crossing
             ([[0.5, 0.5, 0.0], [1.0, 0.25, 0.0], [0.5, 0.5, 1.0]], 0, True),  # an edge inside T1, 0/0 in the interval step
         ]
-        T1 = np.repeat(T_BASE[None], len(rows), axis=0)
-        T2 = np.array([t2 for t2, _, _ in rows])
+        P = lanes([T_BASE] * len(rows))
+        Q = lanes([t2 for t2, _, _ in rows])
         shared = np.array([sh for _, sh, _ in rows])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = analysis._intersect(T1, T2, shared)
+            got = analysis._intersect(P, Q, shared, analysis._plane(P))
         assert got.tolist() == [hit for _, _, hit in rows]
         assert got.tolist() == [triangles_properly_intersect(T_BASE, t2, sh) for t2, sh, _ in rows]
 
@@ -405,11 +405,15 @@ class TestStagedScan:
 
     @staticmethod
     def recorder(monkeypatch):
+        """Each predicate call's two triangle stacks, as row-first (m, 3, 3) views of its lanes."""
         calls = []
         real = analysis._intersect
-        monkeypatch.setattr(
-            analysis, "_intersect", lambda T1, T2, s, plane1=None: (calls.append(T1), real(T1, T2, s, plane1))[1]
-        )
+
+        def record(P, Q, shared, plane1):
+            calls.append((P.T, Q.T))
+            return real(P, Q, shared, plane1)
+
+        monkeypatch.setattr(analysis, "_intersect", record)
         return calls
 
     def test_a_census_is_few_calls_of_few_rows(self, branches_5_24, monkeypatch):
@@ -417,7 +421,7 @@ class TestStagedScan:
         # close to the 17,820 that first-hit order needs
         calls = self.recorder(monkeypatch)
         classify(branches_5_24)
-        assert sum(len(T1) for T1 in calls) == 20_438
+        assert sum(len(T1) for T1, _ in calls) == 20_438
         assert len(calls) <= 23
 
     def test_no_pass_gets_more_than_a_block(self, branches_5_24, monkeypatch):
@@ -451,21 +455,21 @@ class TestStagedScan:
         classify(branches_5_24)
         full = sum(3 * sol.offsets[2] - 2 for sol in branches_5_24)  # every kept row, to its end
         assert full == 62_295
-        assert max(len(T1) for T1 in calls) <= ROW_BUDGET
-        assert sum(len(T1) for T1 in calls) <= 0.4 * full
+        assert max(len(T1) for T1, _ in calls) <= ROW_BUDGET
+        assert sum(len(T1) for T1, _ in calls) <= 0.4 * full
 
     def test_long_stages_are_split_at_the_budget(self, monkeypatch):
         # at n = 48 a block's first stage alone needs more than one call
         calls = self.recorder(monkeypatch)
         classify([sol for sols in solve_band([BandSpec(48, s) for s in range(1, 25)]) for sol in sols])
-        assert max(len(T1) for T1 in calls) == ROW_BUDGET
+        assert max(len(T1) for T1, _ in calls) == ROW_BUDGET
 
     def test_free_branches_are_scanned_to_the_end(self, branches_5_24, monkeypatch):
         # a branch's rows carry its own U_0 as first triangle; a branch without
         # a hit must have had every face of its kept row tested
         calls = self.recorder(monkeypatch)
         verdicts = classify(branches_5_24)
-        scanned = Counter(tri.tobytes() for T1 in calls for tri in T1)
+        scanned = Counter(tri.tobytes() for T1, _ in calls for tri in T1)
         free = 0
         for sol, cls in zip(branches_5_24, verdicts):
             a, _, c = sol.offsets
@@ -476,6 +480,23 @@ class TestStagedScan:
             else:
                 assert 0 < rows <= 3 * c - 2
         assert free == 87
+
+    def test_every_row_is_a_kept_face_of_its_branch(self, solutions_5_12, monkeypatch):
+        # both triangles of every row have helix_points's bits: the first is its
+        # branch's U_0 = (0, a, c), the second one of that branch's kept faces,
+        # U_k for -c <= k <= -1 and D_k for -c <= k <= c but D_0, D_-b and D_a
+        branches = [sol for sols in solutions_5_12.values() for sol in sols]
+        kept = {}
+        for sol in branches:
+            a, b, c = sol.band.offsets
+            faces = [(k, k + a, k + c) for k in range(-c, 0)]
+            faces += [(k, k + c, k + b) for k in range(-c, c + 1) if k not in (0, -b, a)]
+            kept[helix_points(sol.params, [0, a, c]).tobytes()] = {helix_points(sol.params, f).tobytes() for f in faces}
+        assert len(kept) == len(branches) == 124
+        calls = self.recorder(monkeypatch)
+        classify(branches)
+        rows = [(u0.tobytes(), face.tobytes()) for T1, T2 in calls for u0, face in zip(T1, T2, strict=True)]
+        assert rows and all(face in kept[u0] for u0, face in rows)
 
     def test_a_small_band_is_one_call(self, solutions_5_12, monkeypatch):
         calls = self.recorder(monkeypatch)

@@ -22,7 +22,7 @@ import helistar as hs
 from helistar import triangles_properly_intersect
 from helistar.analysis import _figure_kind, _intersect, _plane, classify, classify_face_intersection
 
-from helpers import full_scan_witnesses, shifted_witness
+from helpers import full_scan_witnesses, lanes, shifted_witness
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -104,10 +104,11 @@ def test_invariant_under_cyclic_relabelling(pair, r1, r2):
 def test_batch_rows_match_batch_of_one(rows):
     # the drawn shared count overrides the pair's own on some rows, so that
     # shared-edge rejections sit between live rows
-    T1 = np.array([t1 for (t1, _, _), _ in rows])
-    T2 = np.array([t2 for (_, t2, _), _ in rows])
+    T1 = [t1 for (t1, _, _), _ in rows]
+    T2 = [t2 for (_, t2, _), _ in rows]
     shared = np.array([sh if extra < 2 else extra for (_, _, sh), extra in rows])
-    batched = _intersect(T1, T2, shared)
+    P = lanes(T1)
+    batched = _intersect(P, lanes(T2), shared, _plane(P))
     assert batched.dtype == bool and batched.shape == (len(rows),)
     for i in range(len(rows)):
         assert batched[i] == triangles_properly_intersect(T1[i], T2[i], int(shared[i]))
@@ -116,18 +117,15 @@ def test_batch_rows_match_batch_of_one(rows):
 @settings(PROPERTY, max_examples=60)
 @given(st.lists(st.tuples(pairs(), st.integers(0, 3)), min_size=1, max_size=8))
 def test_verdicts_do_not_depend_on_the_layout(rows):
-    # a row-first stack, the same rows as coordinate lanes viewed as (m, 3, 3)
-    # (the face pass's layout, with T1's plane given as the face pass gives
-    # it), and a gather of the rows in reverse order
-    T1 = np.array([t1 for (t1, _, _), _ in rows])
-    T2 = np.array([t2 for (_, t2, _), _ in rows])
+    # contiguous coordinate lanes (the face pass's layout) and a gather of
+    # the same lanes in reverse row order, each with its own P's plane
+    P = lanes([t1 for (t1, _, _), _ in rows])
+    Q = lanes([t2 for (_, t2, _), _ in rows])
     shared = np.array([sh if extra < 2 else extra for (_, _, sh), extra in rows])
-    row_first = _intersect(T1, T2, shared)
-    P, Q = (np.ascontiguousarray(T.transpose(2, 1, 0)) for T in (T1, T2))
-    lanes = _intersect(P.transpose(2, 1, 0), Q.transpose(2, 1, 0), shared, _plane(P))
+    forward = _intersect(P, Q, shared, _plane(P))
     back = np.arange(len(rows))[::-1]
-    reversed_rows = _intersect(T1[back], T2[back], shared[back])[back]
-    assert row_first.tolist() == lanes.tolist() == reversed_rows.tolist()
+    reversed_rows = _intersect(P[..., back], Q[..., back], shared[back], _plane(P[..., back]))[back]
+    assert forward.tolist() == reversed_rows.tolist()
 
 
 @pytest.fixture(scope="module")

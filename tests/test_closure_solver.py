@@ -1,6 +1,7 @@
 """Closure solver against closed forms and an independent determinant."""
 
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -13,14 +14,23 @@ from scipy.optimize import bisect
 from helistar import (
     BandSpec,
     HelixParams,
+    ModuleOptions,
     ParameterError,
     chord,
+    classify,
     closure_determinant,
     enumerate_catalog,
+    export_modules_svg,
+    export_net_svg,
+    export_obj,
     helix_points,
+    realize,
     solve_band,
+    unfold_net,
+    verify_uniform,
     winding_estimate,
 )
+from helistar import cli
 from helistar import closure_solver as cs
 from helpers import colleague_brackets
 
@@ -149,6 +159,25 @@ class TestBranches:
             for s in range(1, n // 2 + 1):
                 for sol in solve_band(BandSpec(n, s)):
                     assert sol.offsets == sol.band.offsets
+
+    def test_the_package_never_reads_offsets(self, monkeypatch, capsys):
+        # BranchSolution.offsets is kept for outside callers: enumeration,
+        # classification, realization and verification, every export and
+        # the CLI all read band.offsets instead
+        def refuse(branch):
+            raise AssertionError(f"BranchSolution.offsets read on {branch}")
+
+        monkeypatch.setattr(cs.BranchSolution, "offsets", property(refuse))
+        assert len(enumerate_catalog(5, 8, include_compounds=True)) > 0
+        branches = [sol for sols in solve_band([BandSpec(7, 3), BandSpec(8, 2)]) for sol in sols]
+        assert [c.vertex_figure for c in classify(branches)]
+        for sol in branches:
+            assert verify_uniform(realize(sol, 4)).passed
+        export_obj(realize(branches[0], 2), io.StringIO(), frame=True)
+        export_net_svg(unfold_net(branches[0]), io.StringIO())
+        export_modules_svg(branches[0], ModuleOptions(), io.StringIO())
+        assert cli.main(["solve", "--strips", "7", "--shift", "3", "--json"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_winding_estimate(self, tetrahelix):
         assert winding_estimate(tetrahelix.band, tetrahelix.params) == 1
@@ -638,6 +667,23 @@ class TestHelixPoints:
         p = HelixParams(r=0.7, theta=1.1, h=0.3)
         for d in (1, 2, 5):
             assert math.isclose(chord(p, d), chord(p, -d), rel_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "ks,count",
+        [(3, 1), ([0, 2, 5], 3), (range(-2, 3), 5), (np.arange(4), 4), ([], 0)],
+        ids=["int", "list", "range", "array", "empty"],
+    )
+    def test_shape_and_layout(self, ks, count):
+        p = HelixParams(r=0.7, theta=1.1, h=0.3)
+        pts = helix_points(p, ks)
+        assert pts.shape == (count, 3) and pts.dtype == float and pts.flags.c_contiguous
+        assert pts.tobytes() == b"".join(helix_points(p, [k]).tobytes() for k in np.atleast_1d(ks).tolist())
+
+    @pytest.mark.parametrize("ks", [[[0, 1], [2, 3]], np.zeros((2, 1, 1)), [[]]], ids=["2x2", "3-d", "nested_empty"])
+    def test_index_arrays_of_more_dimensions_are_refused(self, ks):
+        # a (2, 2) index array used to give v_0 and v_1 only
+        with pytest.raises(ParameterError, match="1-D"):
+            helix_points(HelixParams(r=0.7, theta=1.1, h=0.3), ks)
 
     def test_chord_matches_point_distance(self):
         p = HelixParams(r=0.7, theta=1.1, h=0.3)  # not a closure, chords != 1

@@ -322,6 +322,34 @@ class TestVerifyUniform:
         with pytest.raises(ParameterError, match="vertices"):
             MeshSegment(vertices=verts, faces=[], edges=[])
 
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            [[0.0, math.nan, 0.0]],
+            [[math.inf, 0.0, 0.0]],
+            [[0.0, 0.0, -math.inf]],
+            [["1", "0", "0"]],
+            [[True, False, True]],
+            np.ones((1, 3), dtype=complex),
+            [[1, 2, None]],
+        ],
+        ids=["nan", "inf", "minus_inf", "numeric_text", "bool", "complex", "none"],
+    )
+    def test_mesh_refuses_vertices_that_are_not_finite_reals(self, verts):
+        # such a point would reach export_obj as a "v nan ..." line, which is not OBJ
+        with pytest.raises(ParameterError, match="vertices must hold finite reals"):
+            MeshSegment(vertices=verts, faces=[], edges=[])
+
+    def test_mesh_takes_int_and_float32_vertices_as_floats(self):
+        for verts in ([[0, 1, 2]], np.ones((1, 3), dtype=np.float32)):
+            seg = MeshSegment(vertices=verts, faces=[], edges=[])
+            assert seg.vertices.dtype == float and seg.vertices.tolist() == np.asarray(verts, dtype=float).tolist()
+
+    @pytest.mark.parametrize("marks", [None, 5, 1.5], ids=repr)
+    def test_mesh_refuses_boundary_marks_that_are_not_iterable(self, marks):
+        with pytest.raises(ParameterError, match="boundary_marks must be an iterable"):
+            MeshSegment(vertices=np.zeros((3, 3)), faces=[], edges=[], boundary_marks=marks)
+
     def test_window_too_small(self, tetrahelix):
         seg = realize(tetrahelix, 1)
         with pytest.raises(WindowError):
