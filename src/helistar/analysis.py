@@ -45,7 +45,7 @@ import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_array, check_int
 
 __all__ = [
     "Classification",
@@ -218,26 +218,12 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     sharing an edge meet exactly in that edge and never properly intersect;
     faces sharing one vertex count only when the overlap extends beyond it.
     Contacts of measure below MEASURE_TOL are touching, not intersecting.
-    Each triangle must be 3 x 3 finite reals (check_real) and shared an int
-    in [0, 3]; anything else raises ParameterError.
+    Each triangle must be 3 x 3 finite reals, a row per corner (check_array),
+    and shared an int in [0, 3]; anything else raises ParameterError.
     """
-    P, Q = _triangle("t1", t1), _triangle("t2", t2)
+    P, Q = (check_array(name, t, "iuf", (3, 3)).T.astype(float)[..., None] for name, t in (("t1", t1), ("t2", t2)))
     check_int("shared", shared, 0, 3)
     return bool(_intersect(P, Q, np.array([shared]), _plane(P))[0])
-
-
-def _triangle(name: str, t) -> np.ndarray:
-    """t as (3, 3, 1) float lanes; ParameterError naming it unless it is 3 x 3 finite reals."""
-    try:
-        rows = np.asarray(t, dtype=object)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape != (3, 3):
-        raise ParameterError(f"{name} must be a triangle, 3 x 3 finite reals, got {t!r}")
-    for i, row in enumerate(rows.tolist()):
-        for j, v in enumerate(row):
-            check_real(f"{name}[{i}][{j}]", v.item() if isinstance(v, np.generic) else v)
-    return rows.T.astype(float)[..., None]
 
 
 def _check_branch(func: str, solution) -> None:

@@ -80,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .band_combinatorics import BandSpec, vertex_neighbor_cycle
-from .errors import ParameterError
+from .errors import ParameterError, check_array, check_real
 
 __all__ = [
     "HelixParams",
@@ -129,11 +129,15 @@ _SOLVED: dict[BandSpec, tuple[BranchSolution, ...]] = {}
 
 @dataclass(frozen=True)
 class HelixParams:
-    """One screw realization: radius r, twist theta in (0, pi), rise h."""
+    """One screw realization: radius r, twist theta, rise h; each a finite real of any sign (check_real)."""
 
     r: float
     theta: float
     h: float
+
+    def __post_init__(self) -> None:
+        for name in ("r", "theta", "h"):
+            check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -172,12 +176,10 @@ class BranchSolution:
 
 
 def helix_points(params: HelixParams, ks) -> np.ndarray:
-    """Vertex positions v_k for an int or a 1-D sequence of integer indices, a C-contiguous
-    (len, 3) array, (1, 3) for an int; indices of more dimensions raise ParameterError."""
-    ks = np.asarray(ks, dtype=float)
-    if ks.ndim > 1:
-        raise ParameterError(f"helix_points takes an index or a 1-D sequence of them, got shape {ks.shape}")
-    return np.ascontiguousarray(_helix_lanes((params.r, params.theta, params.h), ks.reshape(-1)).T)
+    """Vertex positions v_k, a C-contiguous (len, 3) array, for an int k or a 1-D sequence of ints
+    (check_array: True, 2.0, "2" or a 2-D array raises ParameterError)."""
+    ks = check_array("ks", [ks] if isinstance(ks, (int, np.integer)) else ks, "iu", (None,))
+    return np.ascontiguousarray(_helix_lanes((params.r, params.theta, params.h), ks.astype(float)).T)
 
 
 def _helix_rows(params: list[HelixParams]) -> np.ndarray:
@@ -206,8 +208,8 @@ def _residual(band: BandSpec, params: HelixParams) -> float:
 
 
 def closure_determinant(band: BandSpec, theta):
-    """D(theta) of a band; accepts a scalar or an array. Sign changes bracket roots."""
-    return _determinant(*band.offsets, theta)
+    """D(theta) of a band, a float or an array as theta is, each entry a finite real (check_array)."""
+    return _determinant(*band.offsets, check_array("theta", theta, "iuf"))
 
 
 def _determinant(a, b, c, theta):

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and its integer and real checks.
+"""Exception types shared across the package, and its integer, real and array checks.
 
 Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
 result exits 3 and a failed verification exits 1 without raising.
 """
 
 import sys
+
+import numpy as np
 
 
 class HelistarError(Exception):
@@ -48,3 +50,34 @@ def check_real(name: str, value, above: float | None = None, below: float | None
     if not real or (above is not None and value <= above) or (below is not None and value >= below):
         bounds = " and".join(f" {op} {x}" for op, x in ((">", above), ("<", below)) if x is not None)
         raise ParameterError(f"{name} must be a finite real{bounds}, got {value!r}")
+
+
+def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | None = None) -> np.ndarray:
+    """value as an array of integers (kinds "iu") or finite reals ("iuf"); ParameterError otherwise.
+
+    shape gives each axis's length, None for any (shape None: any shape); an empty 1-D
+    sequence is zero rows. A numeric ndarray of a kind in kinds, finite if real, is returned
+    whole. Anything else is checked entry by entry (name[i][j]) with check_int or check_real,
+    since np.asarray turns [0.5, True] into floats, and comes back as int64 or float.
+    """
+    want = "an array" if shape is None else f"a {len(shape)}-D array of shape {tuple(shape)}".replace("None", "m")
+    try:
+        arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    except (TypeError, ValueError) as exc:  # rows that do not stack
+        raise ParameterError(f"{name} must be {want}: {exc}") from None
+    arr = arr.reshape(0, *shape[1:]) if arr.shape == (0,) and shape and shape[0] is None else arr  # [] is zero rows
+    if shape is not None and (arr.ndim != len(shape) or any(w not in (None, d) for w, d in zip(shape, arr.shape))):
+        raise ParameterError(f"{name} must be {want}, got {repr(value) if arr.ndim == 0 else f'shape {arr.shape}'}")
+    if arr.dtype.kind in kinds and (arr.dtype.kind != "f" or np.isfinite(arr).all()):
+        return arr
+    check = check_real if "f" in kinds else check_int
+    for i, v in enumerate(arr.ravel().tolist()):
+        v = v.item() if isinstance(v, np.generic) else v
+        try:
+            check(name, v)
+        except ParameterError:  # raised again, naming the entry: built only on failure
+            check(name + "".join(f"[{j}]" for j in np.unravel_index(i, arr.shape)), v)
+    try:
+        return arr.astype(float if "f" in kinds else np.int64)
+    except OverflowError:  # an int beyond 64 bits
+        raise ParameterError(f"{name} must hold integers of at most 64 bits") from None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .band_combinatorics import prototype_faces
 from .closure_solver import BranchSolution, _dot, _normals, helix_points
-from .errors import ParameterError, WindowError, check_int
+from .errors import ParameterError, WindowError, check_array, check_int
 
 __all__ = [
     "MeshSegment",
@@ -40,12 +40,8 @@ class MeshSegment:
     class is v - u, one of the offsets a/b/c; an antiprism tower lists its
     ring edges first, then per ring gap and column the two diagonals.
     boundary_marks are the vertex indices whose face ring is incomplete in
-    this window. The three arrays are converted on construction, so nested
-    sequences (even empty ones) are accepted; an array of the wrong row width,
-    a vertex coordinate that is not a finite int or float (a bool or a numeric
-    string is not), boundary_marks that cannot be iterated, or a face, edge or
-    boundary mark that is not an integer (a bool is not) in [0, len(vertices)),
-    raises ParameterError naming the field.
+    this window. Each field goes through check_array: vertices finite reals, and
+    faces, edges and boundary_marks (any iterable, kept as a set) ints in [0, len(vertices)).
     """
 
     vertices: np.ndarray
@@ -54,34 +50,17 @@ class MeshSegment:
     boundary_marks: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        self.vertices = _rows("vertices", self.vertices, 3, "iuf", "finite reals").astype(float, copy=False)
-        if not np.isfinite(self.vertices).all():
-            raise ParameterError("vertices must hold finite reals, got a NaN or an infinity")
-        self.faces = _vertex_indices("faces", self.faces, 3, len(self.vertices))
-        self.edges = _vertex_indices("edges", self.edges, 2, len(self.vertices))
-        if not hasattr(self.boundary_marks, "__iter__"):
-            raise ParameterError(f"boundary_marks must be an iterable of vertex indices, got {self.boundary_marks!r}")
-        for m in self.boundary_marks:
-            check_int("boundary_marks", m.item() if isinstance(m, np.integer) else m, 0, len(self.vertices) - 1)
+        self.vertices = check_array("vertices", self.vertices, "iuf", (None, 3)).astype(float, copy=False)
+        count, marks = len(self.vertices), self.boundary_marks
+        self.faces = _vertex_indices("faces", self.faces, (None, 3), count)
+        self.edges = _vertex_indices("edges", self.edges, (None, 2), count)
+        marks = _vertex_indices("boundary_marks", list(marks) if hasattr(marks, "__iter__") else marks, (None,), count)
+        self.boundary_marks = set(marks.tolist())
 
 
-def _rows(name: str, rows, width: int, kinds: str, what: str) -> np.ndarray:
-    """rows, unconverted, as an (m, width) array of a dtype kind in kinds, (0, width) if empty;
-    ParameterError naming name and saying what it must hold otherwise."""
-    try:
-        arr = np.asarray(rows)
-    except (TypeError, ValueError) as exc:  # ragged rows
-        raise ParameterError(f"{name} must be an (m, {width}) array: {exc}") from None
-    if arr.size and arr.shape[1:] != (width,):
-        raise ParameterError(f"{name} must be an (m, {width}) array, got shape {arr.shape}")
-    if arr.size and arr.dtype.kind not in kinds:
-        raise ParameterError(f"{name} must hold {what}, got dtype {arr.dtype}")
-    return arr.reshape(-1, width)
-
-
-def _vertex_indices(name: str, rows, width: int, count: int) -> np.ndarray:
-    """rows as an (m, width) intp array; ParameterError unless each is an int in [0, count)."""
-    arr = _rows(name, rows, width, "iu", "integer vertex indices")
+def _vertex_indices(name: str, value, shape: tuple, count: int) -> np.ndarray:
+    """value as an intp array of the shape; ParameterError unless each is an int in [0, count)."""
+    arr = check_array(name, value, "iu", shape)
     if arr.size and (arr.min() < 0 or arr.max() >= count):
         raise ParameterError(f"{name} must hold vertex indices in [0, {count}), got {arr.min()}..{arr.max()}")
     return arr.astype(np.intp, copy=False)

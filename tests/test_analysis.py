@@ -104,9 +104,9 @@ class TestPredicateInput:
     @pytest.mark.parametrize(
         "t2,message",
         [
-            (T_BASE[:2], r"t2 must be a triangle, 3 x 3 finite reals"),
-            ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0]], r"t2 must be a triangle"),
-            (None, r"t2 must be a triangle"),
+            (T_BASE[:2], r"t2 must be a 2-D array of shape \(3, 3\), got shape \(2, 3\)"),
+            ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0]], r"t2 must be a 2-D array of shape \(3, 3\), got shape \(3,\)"),
+            (None, r"t2 must be a 2-D array of shape \(3, 3\), got None"),
             ([[0.0, 0.0, 1.0], [1.0, 0.0, "x"], [0.0, 1.0, 1.0]], r"t2\[1\]\[2\] must be a finite real, got 'x'"),
             ([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, math.nan, 1.0]], r"t2\[2\]\[1\] must be a finite real, got nan"),
             ([[0.0, 0.0, 1.0], [1.0, 0.0, math.inf], [0.0, 1.0, 1.0]], r"t2\[1\]\[2\] must be a finite real"),

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -650,6 +651,25 @@ class TestOptions:
         assert cs.RESIDUAL_TOL == 1e-9
         assert cs.MIN_A == cs.MIN_B == 1e-9
         assert cs.COPLANAR_GAP == 1e-6
+
+
+class TestHelixParams:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("r", "1"), ("theta", math.nan), ("h", math.inf), ("theta", True), ("r", None), ("h", 1j), ("theta", 10**400)],
+        ids=["text_r", "nan_theta", "inf_h", "bool_theta", "none_r", "complex_h", "huge_theta"],
+    )
+    def test_a_field_that_is_not_a_finite_real_is_refused(self, field, value):
+        # HelixParams(r="1", ...) used to be built and fail later in chord with a TypeError
+        fields = {"r": 0.7, "theta": 1.1, "h": 0.3, field: value}
+        with pytest.raises(ParameterError, match=rf"^{field} must be a finite real, got {re.escape(repr(value))}"):
+            HelixParams(**fields)
+
+    def test_any_finite_real_is_taken(self):
+        # no range: a flat helix (r = 0) and a mirror image (theta > pi) are built by tests and analysis
+        for r, theta, h in [(0, 2.0 * math.pi - 1.1, -0.3), (np.float64(0.7), 7, 0.0)]:
+            p = HelixParams(r=r, theta=theta, h=h)
+            assert (p.r, p.theta, p.h) == (r, theta, h)
 
 
 class TestHelixPoints:

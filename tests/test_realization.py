@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -310,6 +311,13 @@ class TestVerifyUniform:
         with pytest.raises(ParameterError, match="boundary_marks"):
             MeshSegment(vertices=verts, faces=[(0, 1, 2)], edges=[], boundary_marks={0, mark})
 
+    def test_mesh_keeps_boundary_marks_given_as_an_iterator(self, tetrahelix):
+        # the check used to consume them, and verify_uniform then took every vertex as interior
+        seg = realize(tetrahelix, 4)
+        again = MeshSegment(seg.vertices, seg.faces, seg.edges, boundary_marks=iter(sorted(seg.boundary_marks)))
+        assert again.boundary_marks == seg.boundary_marks
+        assert verify_uniform(again).as_dict() == verify_uniform(seg).as_dict()
+
     def test_mesh_accepts_numpy_integer_marks(self):
         verts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0]]
         seg = MeshSegment(vertices=verts, faces=[(0, 1, 2)], edges=[], boundary_marks={np.int64(0), 1})
@@ -323,21 +331,21 @@ class TestVerifyUniform:
             MeshSegment(vertices=verts, faces=[], edges=[])
 
     @pytest.mark.parametrize(
-        "verts",
+        "verts,message",
         [
-            [[0.0, math.nan, 0.0]],
-            [[math.inf, 0.0, 0.0]],
-            [[0.0, 0.0, -math.inf]],
-            [["1", "0", "0"]],
-            [[True, False, True]],
-            np.ones((1, 3), dtype=complex),
-            [[1, 2, None]],
+            ([[0.0, math.nan, 0.0]], r"vertices\[0\]\[1\] must be a finite real, got nan"),
+            ([[math.inf, 0.0, 0.0]], r"vertices\[0\]\[0\] must be a finite real, got inf"),
+            ([[0.0, 0.0, -math.inf]], r"vertices\[0\]\[2\] must be a finite real, got -inf"),
+            ([["1", "0", "0"]], r"vertices\[0\]\[0\] must be a finite real, got '1'"),
+            ([[True, False, True]], r"vertices\[0\]\[0\] must be a finite real, got True"),
+            (np.ones((1, 3), dtype=complex), r"vertices\[0\]\[0\] must be a finite real, got \(1\+0j\)"),
+            ([[1, 2, None]], r"vertices\[0\]\[2\] must be a finite real, got None"),
         ],
         ids=["nan", "inf", "minus_inf", "numeric_text", "bool", "complex", "none"],
     )
-    def test_mesh_refuses_vertices_that_are_not_finite_reals(self, verts):
+    def test_mesh_refuses_vertices_that_are_not_finite_reals(self, verts, message):
         # such a point would reach export_obj as a "v nan ..." line, which is not OBJ
-        with pytest.raises(ParameterError, match="vertices must hold finite reals"):
+        with pytest.raises(ParameterError, match=message):
             MeshSegment(vertices=verts, faces=[], edges=[])
 
     def test_mesh_takes_int_and_float32_vertices_as_floats(self):
@@ -347,7 +355,7 @@ class TestVerifyUniform:
 
     @pytest.mark.parametrize("marks", [None, 5, 1.5], ids=repr)
     def test_mesh_refuses_boundary_marks_that_are_not_iterable(self, marks):
-        with pytest.raises(ParameterError, match="boundary_marks must be an iterable"):
+        with pytest.raises(ParameterError, match=re.escape(f"boundary_marks must be a 1-D array of shape (m,), got {marks!r}")):
             MeshSegment(vertices=np.zeros((3, 3)), faces=[], edges=[], boundary_marks=marks)
 
     def test_window_too_small(self, tetrahelix):
