@@ -45,7 +45,7 @@ import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
 from .closure_solver import BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
-from .errors import ParameterError, check_array, check_int
+from .errors import check_array, check_int, check_items, check_type
 
 __all__ = [
     "Classification",
@@ -226,12 +226,6 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     return bool(_intersect(P, Q, np.array([shared]), _plane(P))[0])
 
 
-def _check_branch(func: str, solution) -> None:
-    """ParameterError naming func unless solution is a BranchSolution."""
-    if not isinstance(solution, BranchSolution):
-        raise ParameterError(f"{func} takes BranchSolution branches, got {solution!r}")
-
-
 def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[BandSpec], np.ndarray]:
     """What the passes read of branches of any bands: each branch's
     (r, theta, h) row (_helix_rows), the bands among them, in order of first
@@ -343,7 +337,7 @@ def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness 
     The face pass of classify over this one branch; U_0 is exhaustive by
     screw symmetry. Anything but a BranchSolution raises ParameterError.
     """
-    _check_branch("classify_face_intersection", solution)
+    check_type("solution", solution, BranchSolution)
     return _face_pass(*_batch([solution]))[0]
 
 
@@ -399,7 +393,7 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
     pass of classify over this one branch. Anything but a BranchSolution
     raises ParameterError.
     """
-    _check_branch("vertex_figure", solution)
+    check_type("solution", solution, BranchSolution)
     polygons, kinds = _figure_pass(*_batch([solution]))
     return polygons[0], kinds[0]
 
@@ -418,14 +412,7 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
     in one block; 5..64 is split. classify([]) is [];
     anything but a list of BranchSolution raises ParameterError.
     """
-    if isinstance(solutions, BranchSolution):
-        raise ParameterError("classify takes a list of branches; pass [solution]")
-    try:
-        solutions = list(solutions)
-    except TypeError:
-        raise ParameterError(f"classify takes a list of branches, got {solutions!r}") from None
-    for sol in solutions:
-        _check_branch("classify", sol)
+    solutions = check_items("solutions", solutions, BranchSolution)
     rows = np.cumsum([0] + [3 * sol.band.offsets[2] - 2 for sol in solutions])  # kept rows before each branch
     out: list[Classification] = []
     while len(out) < len(solutions):

@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
 from .closure_solver import BranchSolution, HelixParams, solve_band, winding_estimate
-from .errors import CatalogFormatError, ParameterError, check_int, check_real
+from .errors import CatalogFormatError, ParameterError, check_int, check_items, check_real, check_type
 from .export import _opened
 
 __all__ = [
@@ -89,6 +89,7 @@ def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixPara
     and its rise is g*h; the radius is shared. A connected branch is its own
     component: (1, band, params).
     """
+    check_type("solution", solution, BranchSolution)
     band, p = solution.band, solution.params
     g = band.components
     theta_c = math.fmod(g * p.theta, 2.0 * math.pi)
@@ -123,8 +124,7 @@ def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False
     """
     check_int("n_min", n_min, 3, MAX_STRIPS)
     check_int("n_max", n_max, n_min, MAX_STRIPS)
-    if type(include_compounds) is not bool:
-        raise ParameterError(f"include_compounds must be True or False, got {include_compounds!r}")
+    check_type("include_compounds", include_compounds, bool)
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]
     per_band = solve_band(bands)
@@ -173,6 +173,7 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
     exists in the naming scheme but the object is a compound, so it is kept
     out of the star tally and flagged instead.
     """
+    entries = check_items("entries", entries, CatalogEntry)
     # per (n, s): its row, its compound labels, and per base name its branches and bare names
     groups: dict[tuple[int, int], tuple[dict, list[str], dict[str, list[int]]]] = {}
     for e in entries:
@@ -225,6 +226,7 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
 
 def format_report(report: CatalogReport) -> str:
     """Fixed-width text rendering of the breakdown, for the CLI and demos."""
+    check_type("report", report, CatalogReport)
     out = ["  n  s  comp  branches  plain  stars  crossed"]
     for r in report.rows:
         out.append(
@@ -280,22 +282,16 @@ def _exact(kind: type, values) -> bool:
 def _columns(entries: list[CatalogEntry]) -> list[list]:
     """Each entry field as a column of its CatalogEntry type, every value checked.
 
-    A value exactly of its field's type, and finite for a real, is taken as
-    it is. Any other goes through _typed one at a time, in entry order and
-    then field order, so a bad entry raises on the same value, with the same
-    message, as a check entry by entry would.
+    When every column is exactly its field's type, and finite for a real, the
+    values are taken as they are. Otherwise every value goes through _typed,
+    entry by entry and field by field, so the first bad value raises and each
+    other converts as read_catalog would.
     """
     columns = [list(column) for column in zip(*map(_FIELD_VALUES, entries))] or [[] for _ in _ENTRY_FIELDS]
-    odd = sorted(
-        (i, f)
-        for f, (kind, column) in enumerate(zip(_ENTRY_TYPES.values(), columns))
-        if not _exact(kind, column)
-        for i, v in enumerate(column)
-        if not _exact(kind, [v])
-    )
-    for i, f in odd:
-        columns[f][i] = _typed(_ENTRY_FIELDS[f], columns[f][i])
-    return columns
+    if all(map(_exact, _ENTRY_TYPES.values(), columns)):
+        return columns
+    rows = [list(map(_typed, _ENTRY_FIELDS, _FIELD_VALUES(entry))) for entry in entries]
+    return [list(column) for column in zip(*rows)]
 
 
 def _texts(column: list, kind: type, quote) -> list[str]:
@@ -321,8 +317,8 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
     keys with one text, a bad entry field, or a sink neither a file object nor
     a path (_opened) raises ParameterError before the sink opens: no partial file.
     """
-    if not isinstance(options, (dict, type(None))):
-        raise ParameterError(f"options must be a dict or None, got {reprlib.repr(options)}")
+    check_type("options", options, (dict, type(None)))
+    entries = check_items("entries", entries, CatalogEntry)
     opt = {}
     for k, v in (options or {}).items():
         try:
@@ -397,6 +393,7 @@ def write_catalog_csv(entries: list[CatalogEntry], sink) -> None:
     booleans never need quotes. A sink neither a file object nor a path
     (_opened) raises ParameterError.
     """
+    entries = check_items("entries", entries, CatalogEntry)
     texts = [_texts(column, kind, _csv_quote) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
     rows = [",".join(_ENTRY_FIELDS), *map(",".join, zip(*texts)), ""]
     with _opened(sink, newline="") as fh:

@@ -80,7 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from .band_combinatorics import BandSpec, vertex_neighbor_cycle
-from .errors import ParameterError, check_array, check_real
+from .errors import check_array, check_items, check_real
 
 __all__ = [
     "HelixParams",
@@ -495,14 +495,7 @@ def solve_band(bands: BandSpec | Sequence[BandSpec]) -> list[BranchSolution] | l
     """
     if isinstance(bands, BandSpec):
         return _solve_bands([bands])[0]
-    try:
-        bands = list(bands)
-    except TypeError:
-        raise ParameterError(f"solve_band takes a BandSpec or a sequence of them, got {bands!r}") from None
-    for band in bands:
-        if not isinstance(band, BandSpec):
-            raise ParameterError(f"solve_band takes BandSpec elements, got {band!r}")
-    return _solve_bands(bands)
+    return _solve_bands(check_items("bands", bands, BandSpec))
 
 
 def _solve_bands(bands: list[BandSpec]) -> list[list[BranchSolution]]:

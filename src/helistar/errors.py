@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and its integer, real and array checks.
+"""Exception types shared across the package, and its five argument checks.
+
+check_int, check_real and check_array take numbers, check_type a package object
+and check_items a list of them; each raises ParameterError naming the argument.
 
 Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
 result exits 3 and a failed verification exits 1 without raising.
 """
 
+import reprlib
 import sys
 
 import numpy as np
@@ -81,3 +85,26 @@ def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | No
         return arr.astype(float if "f" in kinds else np.int64)
     except OverflowError:  # an int beyond 64 bits
         raise ParameterError(f"{name} must hold integers of at most 64 bits") from None
+
+
+def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:
+    """ParameterError naming the parameter unless value is an instance of kind, a class or a tuple of classes."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        want = " or ".join("None" if k is type(None) else f"a {k.__name__}" for k in kinds)
+        raise ParameterError(f"{name} must be {want}, got {reprlib.repr(value)}")
+
+
+def check_items(name: str, values, kind: type) -> list:
+    """values as a new list; ParameterError unless it is iterable and each item, name[i], passes check_type.
+
+    Items all exactly of the class kind pass on one set of their types, with no loop over them.
+    """
+    try:
+        items = list(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be a list of {kind.__name__}, got {reprlib.repr(values)}") from None
+    if not set(map(type, items)) <= {kind}:
+        for i, item in enumerate(items):
+            check_type(f"{name}[{i}]", item, kind)
+    return items

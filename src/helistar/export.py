@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_int, check_real, check_type
 from .realization import MAX_WINDOW, MeshSegment
 
 __all__ = [
@@ -64,6 +64,8 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
     Indices are 1-based and vertices in index order, so re-parsing reproduces
     the mesh. One write per block.
     """
+    check_type("segment", segment, MeshSegment)
+    check_type("frame", frame, bool)
     if len(segment.vertices) == 0:
         raise ParameterError("refusing to write an empty mesh")
     line, rows = ("l %d %d\n", segment.edges) if frame else ("f %d %d %d\n", segment.faces)
@@ -114,6 +116,7 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     dihedral; the two boundary columns are the seam and carry the shift
     correspondence instead of a fold. rows is at most MAX_WINDOW.
     """
+    check_type("solution", solution, BranchSolution)
     check_int("rows", rows, 1, MAX_WINDOW)
     n, s = solution.band.n_strips, solution.band.shift
 
@@ -191,6 +194,7 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     valleys dash-dot; each fold carries its dihedral in degrees. The seam rows
     are numbered so row j on the right column meets row j + s on the left.
     """
+    check_type("net", net, NetLayout)
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
     row_of = {label: k for k, label in enumerate(net.points)}
@@ -256,6 +260,8 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     pairs. Modules are identical, so the sheet is just a grid of them. Returns
     the module count.
     """
+    check_type("solution", solution, BranchSolution)
+    check_type("opts", opts, ModuleOptions)
     count = (opts.periods - 1) * solution.band.n_strips + 1  # face pairs in the window = faces/2, c = n
     angle = solution.dihedrals[2]
     fold_dir = _direction(angle)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .band_combinatorics import prototype_faces
 from .closure_solver import BranchSolution, _dot, _normals, helix_points
-from .errors import ParameterError, WindowError, check_array, check_int
+from .errors import ParameterError, WindowError, check_array, check_int, check_type
 
 __all__ = [
     "MeshSegment",
@@ -109,6 +109,7 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     comes out negative, both families are flipped together. Edges are listed
     by class, a then b then c, each in ascending k.
     """
+    check_type("solution", solution, BranchSolution)
     check_int("periods", periods, 1, MAX_WINDOW)
     a, b, c = solution.band.offsets
     kmax = periods * c
@@ -134,6 +135,7 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     The 1-rings are read off edge adjacency, on any mesh. offsets is ignored:
     it stays in the signature only so that positional callers keep working.
     """
+    check_type("segment", segment, MeshSegment)
     verts, faces, edges = segment.vertices, segment.faces, segment.edges
     n = len(verts)
     inner = np.ones(n, dtype=bool)

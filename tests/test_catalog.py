@@ -153,7 +153,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("flag", ["no", "", 0, 1, None, np.True_])
     def test_include_compounds_must_be_a_bool(self, flag):
         # a truthy value such as "no" is not read as True
-        with pytest.raises(ParameterError, match="include_compounds must be True or False"):
+        with pytest.raises(ParameterError, match="^include_compounds must be a bool, got"):
             enumerate_catalog(5, 8, include_compounds=flag)
 
     def test_include_compounds_is_keyword_only(self):
@@ -228,6 +228,10 @@ class TestReport:
             "(5,1): winding label '5-2(1)' shared by 2 branches; 1 without a branch suffix"
         ]
 
+    def test_a_one_shot_iterator_reports_as_its_list(self, catalog_entries):
+        # the report counts its entries after one pass over them
+        assert build_report(iter(catalog_entries)) == build_report(catalog_entries)
+
     def test_format_is_deterministic_text(self, catalog_entries):
         rep = build_report(catalog_entries)
         text = format_report(rep)
@@ -272,6 +276,16 @@ class TestPersistence:
         buf = io.StringIO()
         write_catalog([], buf, {})
         assert read_catalog(io.StringIO(buf.getvalue())) == []
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_a_one_shot_iterator_writes_as_its_list(self, catalog_entries, count):
+        # an empty iterator is truthy, so testing it for entries once wrote "entries": [\n  ]
+        entries = catalog_entries[:count]
+        for write in (write_catalog, write_catalog_csv):
+            from_list, from_iter = io.StringIO(), io.StringIO()
+            write(entries, from_list)
+            write(iter(entries), from_iter)
+            assert from_iter.getvalue() == from_list.getvalue()
 
     def test_parse_error_carries_position(self):
         with pytest.raises(CatalogFormatError, match="line"):

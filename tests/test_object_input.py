@@ -1,0 +1,117 @@
+"""Object arguments: one refusal table over every public operation that takes a
+package object or a list of them, checked by errors.check_type and errors.check_items.
+
+A refusal raises ParameterError whose message starts with the argument's name,
+or with the bad item's, name[i], before anything is written to the sink.
+"""
+
+import io
+import re
+from collections import Counter
+
+import pytest
+
+from helistar import (
+    CatalogEntry,
+    ModuleOptions,
+    ParameterError,
+    build_report,
+    component_params,
+    enumerate_catalog,
+    export_modules_svg,
+    export_net_svg,
+    export_obj,
+    format_report,
+    realize,
+    unfold_net,
+    verify_uniform,
+    write_catalog,
+    write_catalog_csv,
+)
+from helistar import errors
+
+
+@pytest.fixture(scope="module")
+def good(tetrahelix):
+    """A valid value of every argument kind in the tables."""
+    entries = enumerate_catalog(5, 6)
+    return {
+        "solution": tetrahelix,
+        "segment": realize(tetrahelix),
+        "net": unfold_net(tetrahelix),
+        "entries": entries,
+        "report": build_report(entries),
+    }
+
+
+# target -> (argument name in messages, the kind it must be, call with that argument as v, the others valid)
+TARGETS = {
+    "realize": ("solution", "a BranchSolution", lambda g, v, sink: realize(v)),
+    "unfold_net": ("solution", "a BranchSolution", lambda g, v, sink: unfold_net(v)),
+    "component_params": ("solution", "a BranchSolution", lambda g, v, sink: component_params(v)),
+    "export_modules_svg": ("solution", "a BranchSolution", lambda g, v, sink: export_modules_svg(v, ModuleOptions(), sink)),
+    "export_modules_svg-opts": ("opts", "a ModuleOptions", lambda g, v, sink: export_modules_svg(g["solution"], v, sink)),
+    "verify_uniform": ("segment", "a MeshSegment", lambda g, v, sink: verify_uniform(v)),
+    "export_obj": ("segment", "a MeshSegment", lambda g, v, sink: export_obj(v, sink)),
+    "export_obj-frame": ("frame", "a bool", lambda g, v, sink: export_obj(g["segment"], sink, frame=v)),
+    "export_net_svg": ("net", "a NetLayout", lambda g, v, sink: export_net_svg(v, sink)),
+    "format_report": ("report", "a CatalogReport", lambda g, v, sink: format_report(v)),
+}
+
+# a value of another kind: for an object its neighbour in the good table, for a bool a branch
+OTHER = {"solution": "segment", "segment": "solution", "net": "solution", "report": "entries", "opts": "net", "frame": "solution"}
+
+LISTS = {
+    "build_report": lambda v, sink: build_report(v),
+    "write_catalog": lambda v, sink: write_catalog(v, sink),
+    "write_catalog_csv": lambda v, sink: write_catalog_csv(v, sink),
+}
+
+
+@pytest.mark.parametrize("bad", ["none", "text", "number", "other"])
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_wrong_object_is_refused_by_name(good, target, bad):
+    name, kind, call = TARGETS[target]
+    value = {"none": None, "text": "no", "number": 1, "other": good[OTHER[name]]}[bad]
+    sink = io.StringIO()
+    with pytest.raises(ParameterError, match=rf"^{name} must be {kind}, got "):
+        call(good, value, sink)
+    assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad", ["none", "lone_entry", "none_item", "none_after_entry", "report_item"])
+@pytest.mark.parametrize("target", LISTS)
+def test_a_wrong_entry_list_is_refused_by_name(good, target, bad):
+    entry = good["entries"][0]
+    value, named = {
+        "none": (None, "entries must be a list of CatalogEntry, got "),
+        "lone_entry": (entry, "entries must be a list of CatalogEntry, got "),
+        "none_item": ([None], "entries[0] must be a CatalogEntry, got "),
+        "none_after_entry": ([entry, None], "entries[1] must be a CatalogEntry, got "),
+        "report_item": ([entry, good["report"]], "entries[1] must be a CatalogEntry, got "),
+    }[bad]
+    sink = io.StringIO()
+    with pytest.raises(ParameterError, match=f"^{re.escape(named)}"):
+        LISTS[target](value, sink)
+    assert sink.getvalue() == ""
+
+
+def test_a_list_of_exact_items_is_checked_without_an_item_loop(monkeypatch, good):
+    # the entry lists of the writers and the report are taken on one set of item
+    # types; only a list holding some other type is checked item by item
+    calls = Counter()
+    check = errors.check_type
+    monkeypatch.setattr(errors, "check_type", lambda name, *rest: calls.update([name]) or check(name, *rest))
+    entries = good["entries"]
+    write_catalog(entries, io.StringIO())
+    write_catalog_csv(entries, io.StringIO())
+    build_report(entries)
+    assert not calls
+
+    class Tagged(CatalogEntry):
+        pass
+
+    tagged = [entries[0], Tagged(**vars(entries[1]))]
+    assert errors.check_items("entries", tagged, CatalogEntry) == tagged
+    assert calls == Counter(["entries[0]", "entries[1]"])
+
