@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import check_int
 
 __all__ = [
     "BandSpec",
@@ -63,9 +63,7 @@ class BandSpec:
     def __post_init__(self) -> None:
         n, s = self.n_strips, self.shift
         check_int("n_strips", n, 2, MAX_STRIPS)
-        check_int("shift", s, 1)
-        if s > n - 1:
-            raise ParameterError(f"shift must be in [1, {n - 1}], got {s}")
+        check_int("shift", s, 1, n - 1)
         if s > n // 2:
             object.__setattr__(self, "shift", n - s)
 

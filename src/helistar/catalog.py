@@ -129,19 +129,22 @@ def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False
     bands = [band for band in bands if include_compounds or band.components == 1]
     per_band = solve_band(bands)
     verdicts = iter(classify([sol for sols in per_band for sol in sols]))
-    entries: list[CatalogEntry] = []
-    for band, sols in zip(bands, per_band):
-        names = [_entry_name(sol) for sol in sols]
-        for sol, name in zip(sols, names):
-            cls = next(verdicts)
-            entries.append(CatalogEntry(
-                name=name if names.count(name) == 1 else f"{name} [b{sol.branch_index}]",
-                n_strips=band.n_strips, shift=band.shift, branch_index=sol.branch_index,
-                winding_m=sol.winding_m, theta=sol.params.theta, r=sol.params.r, h=sol.params.h,
-                residual=sol.residual, intersecting=cls.intersecting, vertex_figure=cls.vertex_figure,
-                components=band.components, chirality_note=CHIRALITY_NOTE,
-            ))
-    return entries
+    return [entry for band, sols in zip(bands, per_band) for entry in _band_entries(band, sols, verdicts)]
+
+
+def _band_entries(band: BandSpec, sols: list[BranchSolution], verdicts) -> list[CatalogEntry]:
+    """The entries of one band's branches, drawing exactly one verdict per branch from the iterable verdicts."""
+    names = [_entry_name(sol) for sol in sols]
+    return [
+        CatalogEntry(
+            name=name if names.count(name) == 1 else f"{name} [b{sol.branch_index}]",
+            n_strips=band.n_strips, shift=band.shift, branch_index=sol.branch_index,
+            winding_m=sol.winding_m, theta=sol.params.theta, r=sol.params.r, h=sol.params.h,
+            residual=sol.residual, intersecting=cls.intersecting, vertex_figure=cls.vertex_figure,
+            components=band.components, chirality_note=CHIRALITY_NOTE,
+        )
+        for sol, name, cls in zip(sols, names, verdicts)  # sols first: a band used up draws no verdict
+    ]
 
 
 @dataclass
@@ -156,6 +159,16 @@ class CatalogReport:
     entry_total: int
     collisions: list[str]
     compound_star_labels: list[str]
+
+    def __post_init__(self) -> None:
+        self.rows = check_items("rows", self.rows, dict)
+        check_int("star_total", self.star_total, 0)
+        check_int("crossed_total", self.crossed_total, 0)
+        check_int("plain_total", self.plain_total, 0)
+        check_int("compound_entries", self.compound_entries, 0)
+        check_int("entry_total", self.entry_total, 0)
+        self.collisions = check_items("collisions", self.collisions, str)
+        self.compound_star_labels = check_items("compound_star_labels", self.compound_star_labels, str)
 
     def as_dict(self) -> dict:
         return {
@@ -263,8 +276,10 @@ def _typed(name: str, v):
     kind = _ENTRY_TYPES[name]
     if kind is float:
         check_real(name, v)
-    elif not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
-        raise ParameterError(f"{name} must be {kind.__name__}, got {v!r}")
+    elif kind is int:
+        check_int(name, v)
+    else:
+        check_type(name, v, kind)
     return kind(v)
 
 

@@ -19,6 +19,7 @@ import sys
 from .analysis import classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
 from .catalog import (
+    _band_entries,
     build_report,
     enumerate_catalog,
     format_report,
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_RESULT = 3
+
+# the catalog entry fields of one solve row, in order; the band's own are in the record once
+_SOLVE_FIELDS = ("branch_index", "winding_m", "theta", "r", "h", "residual", "intersecting", "vertex_figure")
 
 # what each _cmd_* returns: (exit code, the --json payload, the text layout)
 _Record = tuple[int, dict, str]
@@ -61,19 +65,7 @@ def _pick_branch(args: argparse.Namespace):
 def _cmd_solve(args: argparse.Namespace) -> _Record:
     band = _band(args)
     sols = solve_band(band)
-    rows = [
-        {
-            "branch_index": sol.branch_index,
-            "winding_m": sol.winding_m,
-            "theta": sol.params.theta,
-            "r": sol.params.r,
-            "h": sol.params.h,
-            "residual": sol.residual,
-            "intersecting": cls.intersecting,
-            "vertex_figure": cls.vertex_figure,
-        }
-        for sol, cls in zip(sols, classify(sols))
-    ]
+    rows = [{f: getattr(e, f) for f in _SOLVE_FIELDS} for e in _band_entries(band, sols, classify(sols))]
     payload = {"n_strips": band.n_strips, "shift": band.shift, "components": band.components,
                "branches": rows}
     text = [

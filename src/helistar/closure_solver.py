@@ -59,7 +59,8 @@ order, a root whose a/b system is singular, whose A or B is too small, whose
 residual is too large, or, from one vertex star of all survivors, whose
 dihedral is too near pi. Every step works lane by lane or row by row, so
 a band's branches are the same bits alone as in any batch. A branch holds its
-band, params and number; the rest is derived from them (BranchSolution). One
+band, params and number, and the rest is derived from them; the acceptance
+pass hands each kept branch the residual and dihedrals it computed. One
 routine, _helix_lanes, computes every helix vertex as x, y and z lanes, for
 helix_points ((len, 3) rows), the vertex star and analysis's face predicate.
 
@@ -80,7 +81,7 @@ from functools import cached_property
 import numpy as np
 
 from .band_combinatorics import BandSpec, vertex_neighbor_cycle
-from .errors import check_array, check_items, check_real
+from .errors import check_array, check_int, check_items, check_real, check_type
 
 __all__ = [
     "HelixParams",
@@ -121,7 +122,7 @@ BRACKET_BUDGET = 2048
 _NEIGHBOURS = np.arange(-1, 2)
 
 # Most branches remembered, a band without branches counting as one: bounds
-# the memo at about 3.9 MB (470 B a branch), well above a 5..24 census (1149)
+# the memo at about 4.3 MB (530 B a branch, its residual and dihedrals held), well above a 5..24 census (1149)
 SOLVED_BRANCHES = 8192
 # band -> its branches, least recently used first
 _SOLVED: dict[BandSpec, tuple[BranchSolution, ...]] = {}
@@ -147,12 +148,28 @@ class BranchSolution:
     Those are the only fields, so equality, hashing and dataclasses.replace
     see only them, and no branch disagrees with its root: offsets, winding_m
     (winding_estimate), residual (_residual) and dihedrals (_interior_dihedrals)
-    are derived from band and params, the last three once, on first read.
+    are derived from band and params, the last three once, on first read. A
+    branch from the solver (_solved) arrives with the residual and dihedrals
+    its acceptance pass computed, the same bits; a branch built or replaced
+    by hand computes its own.
     """
 
     band: BandSpec
     params: HelixParams
     branch_index: int
+
+    def __post_init__(self) -> None:
+        check_type("band", self.band, BandSpec)
+        check_type("params", self.params, HelixParams)
+        check_int("branch_index", self.branch_index, 1)
+
+    @classmethod
+    def _solved(cls, band: BandSpec, params: HelixParams, branch_index: int, residual: float,
+                dihedrals: tuple[float, float, float]) -> BranchSolution:
+        """A branch whose residual and dihedrals are the values given, as they would be read."""
+        self = cls(band, params, branch_index)
+        self.__dict__.update(residual=residual, dihedrals=dihedrals)
+        return self
 
     @property
     def offsets(self) -> tuple[int, int, int]:
@@ -479,8 +496,8 @@ def solve_band(bands: BandSpec | Sequence[BandSpec]) -> list[BranchSolution] | l
     this order, when the a/b system of _solve_AB is singular, when A < MIN_A
     or B < MIN_B (flat or axis-collapsed), when _residual exceeds
     RESIDUAL_TOL, or when a dihedral, from one stack for this test only, is
-    within COPLANAR_GAP of pi; a kept branch computes its own residual and
-    dihedrals, to the same bits, when they are first read. A kept root's faces
+    within COPLANAR_GAP of pi; each kept branch is handed the residual and
+    dihedrals this pass computed for it. A kept root's faces
     have sides within RESIDUAL_TOL of 1, so none has zero area. An empty
     result is an answer, not an error.
 
@@ -538,17 +555,18 @@ def _solve_fresh(bands: list[BandSpec], points: int = GRID_POINTS) -> list[list[
     abc, lo = abc[:, flip], roots[flip]
     width = _grid_point(cell[flip] + 1, points) - lo
     roots[flip] = _bisect(abc, lo, width, _determinant(*abc, lo))
-    found: list[tuple[int, HelixParams]] = []  # (band index, params) of each survivor
+    found: list[tuple[int, HelixParams, float]] = []  # (band index, params, residual) of each survivor
     for i, theta in zip(owner.tolist(), roots.tolist()):
         AB = _solve_AB(bands[i], theta)
         if AB is None or AB[0] < MIN_A or AB[1] < MIN_B:
             continue
         params = HelixParams(r=math.sqrt(AB[0] / 2.0), theta=theta, h=math.sqrt(AB[1]))
-        if _residual(bands[i], params) <= RESIDUAL_TOL:
-            found.append((i, params))
-    angles = _interior_dihedrals([bands[i] for i, _ in found], [p for _, p in found]) if found else []
+        residual = _residual(bands[i], params)
+        if residual <= RESIDUAL_TOL:
+            found.append((i, params, residual))
+    angles = _interior_dihedrals([bands[i] for i, _, _ in found], [p for _, p, _ in found]) if found else []
     branches: list[list[BranchSolution]] = [[] for _ in bands]
-    for (i, params), dihedrals in zip(found, angles):
+    for (i, params, residual), dihedrals in zip(found, angles):
         if min(abs(v - math.pi) for v in dihedrals) > COPLANAR_GAP:
-            branches[i].append(BranchSolution(band=bands[i], params=params, branch_index=len(branches[i]) + 1))
+            branches[i].append(BranchSolution._solved(bands[i], params, len(branches[i]) + 1, residual, dihedrals))
     return branches

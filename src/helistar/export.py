@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError, check_int, check_real, check_type
+from .errors import ParameterError, check_int, check_items, check_real, check_type
 from .realization import MAX_WINDOW, MeshSegment
 
 __all__ = [
@@ -102,6 +102,15 @@ class NetLayout:
     triangles: list[tuple[Label, Label, Label]]
     folds: list[Fold] = field(default_factory=list)
     seam_pairs: list[tuple[Label, Label]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        check_int("n_strips", self.n_strips, 2)
+        check_int("shift", self.shift, 1)
+        check_int("rows", self.rows, 1, MAX_WINDOW)
+        check_type("points", self.points, dict)
+        self.triangles = check_items("triangles", self.triangles, tuple)
+        self.folds = check_items("folds", self.folds, Fold)
+        self.seam_pairs = check_items("seam_pairs", self.seam_pairs, tuple)
 
 
 def _direction(angle: float) -> str:

@@ -182,3 +182,22 @@ def test_the_package_passes_whole_arrays(monkeypatch, tetrahelix):
     seg, tower = realize(tetrahelix, 10), antiprism_tower(5, 4)
     helix_points(tetrahelix.params, np.arange(30))
     assert calls == Counter(check_int=len(seg.boundary_marks) + len(tower.boundary_marks))
+
+
+@pytest.mark.parametrize("big", [2**63, 2**70, -(2**70)], ids=["int64_max_plus_1", "70_bits", "minus_70_bits"])
+@pytest.mark.parametrize("target", [t for t, (_, ints, _, _) in TARGETS.items() if ints])
+def test_an_integer_beyond_64_bits_is_refused(target, big):
+    # every entry is an int, so only the conversion to int64 can find it
+    name, _, good, call = TARGETS[target]
+    rows, _ = with_last(good, big)
+    with pytest.raises(ParameterError, match=rf"^{name} must hold integers of at most 64 bits$"):
+        call(rows.tolist())
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_rows_that_do_not_stack_are_refused_by_name(target):
+    # numpy cannot put a 2-D array beside a list of two in one object array
+    name, _, _, call = TARGETS[target]
+    want = r"(an array|a \d-D array of shape \(.*\))"
+    with pytest.raises(ParameterError, match=rf"^{name} must be {want}: "):
+        call([[1, 2], np.zeros((2, 2))])

@@ -41,6 +41,11 @@ class TestBandSpec:
         with pytest.raises(ParameterError):
             BandSpec(n, s)
 
+    @pytest.mark.parametrize("n,s", [(5, 5), (5, 9), (2, 2), (5, 0)])
+    def test_a_shift_outside_one_to_n_minus_one_is_named_with_its_range(self, n, s):
+        with pytest.raises(ParameterError, match=rf"^shift must be an integer >= 1 and <= {n - 1}, got {s}$"):
+            BandSpec(n, s)
+
     def test_strips_are_bounded(self):
         assert BandSpec(MAX_STRIPS, 1).n_strips == MAX_STRIPS == 1000
         with pytest.raises(ParameterError, match="n_strips must be an integer >= 2 and <= 1000"):

@@ -305,15 +305,15 @@ class TestPersistence:
         [
             ('{"entries": 5}', "'entries' must be a list"),
             ('{"entries": [5]}', "entry 0: must be an object"),
-            (pinned_doc(n_strips="abc"), "entry 1: field 'n_strips'"),
-            (pinned_doc(n_strips=None), "entry 1: field 'n_strips'"),
-            (pinned_doc(intersecting="false"), "entry 1: field 'intersecting'"),
-            (pinned_doc(intersecting=0), "entry 1: field 'intersecting'"),
-            (pinned_doc(n_strips=5.7), "entry 1: field 'n_strips'"),
-            (pinned_doc(components=True), "entry 1: field 'components'"),
+            (pinned_doc(n_strips="abc"), "entry 1: field 'n_strips': n_strips must be an integer, got 'abc'$"),
+            (pinned_doc(n_strips=None), "entry 1: field 'n_strips': n_strips must be an integer, got None$"),
+            (pinned_doc(intersecting="false"), "entry 1: field 'intersecting': intersecting must be a bool, got 'false'$"),
+            (pinned_doc(intersecting=0), "entry 1: field 'intersecting': intersecting must be a bool, got 0$"),
+            (pinned_doc(n_strips=5.7), "entry 1: field 'n_strips': n_strips must be an integer, got 5.7$"),
+            (pinned_doc(components=True), "entry 1: field 'components': components must be an integer, got True$"),
             (pinned_doc(theta="1.5"), "entry 1: field 'theta'"),
             (pinned_doc(r=True), "entry 1: field 'r'"),
-            (pinned_doc(vertex_figure=1), "entry 1: field 'vertex_figure'"),
+            (pinned_doc(vertex_figure=1), "entry 1: field 'vertex_figure': vertex_figure must be a str, got 1$"),
             (pinned_doc(theta=math.nan), "entry 1: field 'theta'"),
             (pinned_doc(r=math.inf), "entry 1: field 'r'"),
             (pinned_doc(h=-math.inf), "entry 1: field 'h'"),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helistar import cli
+from helistar import cli, enumerate_catalog
 from helistar.realization import MAX_WINDOW
 
 
@@ -28,6 +28,22 @@ class TestSolve:
         assert len(doc["branches"]) == 1
         assert abs(doc["branches"][0]["theta"] - 2.300523983) < 1e-9
         assert doc["branches"][0]["winding_m"] == 1
+
+    def test_rows_are_the_catalog_entries_of_the_band(self, capsys):
+        # every band of 5..12, compounds too: a row is its catalog entry's branch fields, in entry order
+        fields = ["branch_index", "winding_m", "theta", "r", "h", "residual", "intersecting", "vertex_figure"]
+        entries = enumerate_catalog(5, 12, include_compounds=True)
+        rows = 0
+        for n in range(5, 13):
+            for s in range(1, n // 2 + 1):
+                code, out, _ = run(capsys, "solve", "--strips", str(n), "--shift", str(s), "--json")
+                doc = json.loads(out)
+                band = [e for e in entries if (e.n_strips, e.shift) == (n, s)]
+                assert code == (0 if band else 3)
+                assert [list(row.items()) for row in doc["branches"]] == [[(f, getattr(e, f)) for f in fields] for e in band]
+                assert all((doc["n_strips"], doc["shift"], doc["components"]) == (n, s, e.components) for e in band)
+                rows += len(doc["branches"])
+        assert rows == len(entries) == 124
 
     def test_shift_out_of_range_is_invalid(self, capsys):
         code, _, err = run(capsys, "solve", "--strips", "5", "--shift", "5")

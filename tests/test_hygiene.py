@@ -323,16 +323,26 @@ def test_unknown_flag_is_caught():
     assert unknown_flags(readme, {"--json", "--strips", "--edge-mm"}) == ["--planted", "--stale-flag"]
 
 
+def _state_owner(node: ast.AST) -> ast.expr | None:
+    """x when node writes x's own state: object.__setattr__(x, ...) (x '' without
+    arguments), x.__dict__[key] = value or x.__dict__.update(...); else None."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+        return node.args[0] if node.args else ast.Name("")
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "update":
+        written = node.func.value
+    elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        written = node.value
+    else:
+        return None
+    return written.value if isinstance(written, ast.Attribute) and written.attr == "__dict__" else None
+
+
 def foreign_frozen_writes(tree: ast.Module) -> list[str]:
-    """Calls object.__setattr__(x, ...) whose x is not self: a frozen object
-    written from outside its own class."""
-    return [
-        f"line {node.lineno}: {ast.unparse(node.args[0]) if node.args else ''}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and ast.unparse(node.func) == "object.__setattr__"
-        and not (node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "self")
-    ]
+    """Writes to the state of an x that is not self (_state_owner): a frozen object,
+    or the values it caches, written from outside its own class."""
+    owners = [(node.lineno, x) for node in ast.walk(tree) if (x := _state_owner(node)) is not None]
+    owners.sort(key=lambda write: write[0])
+    return [f"line {line}: {ast.unparse(x)}" for line, x in owners if not (isinstance(x, ast.Name) and x.id == "self")]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src/helistar").rglob("*.py")), ids=lambda p: p.name)
@@ -341,11 +351,20 @@ def test_frozen_objects_are_written_only_by_their_own_class(path):
 
 
 def test_foreign_frozen_write_is_caught():
+    # a write to the instance dict sets a cached value behind the class's back; a read or
+    # another dict's update is no write, and a class may fill the dict of the self it builds
     tree = ast.parse(
         "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n\n"
-        "def solve(branch):\n    object.__setattr__(branch, 'dihedrals', ())\n    object.__setattr__(branch.params, 'r', 1.0)\n"
+        "def solve(branch):\n    object.__setattr__(branch, 'dihedrals', ())\n"
+        "    object.__setattr__(branch.params, 'r', 1.0)\n\n"
+        "class D:\n    @classmethod\n    def made(cls):\n        self = cls()\n"
+        "        self.__dict__.update(x=1)\n        self.__dict__['y'] = 2\n        return self\n\n"
+        "def cache(branch, seen):\n    branch.__dict__['residual'] = 0.0\n    branch.params.__dict__.update(r=1.0)\n"
+        "    seen.update(branch.__dict__)\n    return branch.__dict__['residual']\n"
     )
-    assert foreign_frozen_writes(tree) == ["line 6: branch", "line 7: branch.params"]
+    assert foreign_frozen_writes(tree) == [
+        "line 6: branch", "line 7: branch.params", "line 18: branch", "line 19: branch.params",
+    ]
 
 
 def imports_outside_all(tree: ast.Module, package: str) -> list[str]:

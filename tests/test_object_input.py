@@ -1,5 +1,6 @@
 """Object arguments: one refusal table over every public operation that takes a
-package object or a list of them, checked by errors.check_type and errors.check_items.
+package object or a list of them, checked by errors.check_type and errors.check_items,
+and one over package objects built with a wrong field, which check their own fields.
 
 A refusal raises ParameterError whose message starts with the argument's name,
 or with the bad item's, name[i], before anything is written to the sink.
@@ -12,10 +13,14 @@ from collections import Counter
 import pytest
 
 from helistar import (
+    BranchSolution,
     CatalogEntry,
+    CatalogReport,
     ModuleOptions,
+    NetLayout,
     ParameterError,
     build_report,
+    classify,
     component_params,
     enumerate_catalog,
     export_modules_svg,
@@ -115,3 +120,65 @@ def test_a_list_of_exact_items_is_checked_without_an_item_loop(monkeypatch, good
     assert errors.check_items("entries", tagged, CatalogEntry) == tagged
     assert calls == Counter(["entries[0]", "entries[1]"])
 
+
+def branch(g, **fields):
+    """The good branch with fields replaced, built by hand."""
+    sol = g["solution"]
+    return BranchSolution(**{"band": sol.band, "params": sol.params, "branch_index": 1, **fields})
+
+
+def net(g, **fields):
+    """The good net with fields replaced, built by hand."""
+    return NetLayout(**{**vars(g["net"]), **fields})
+
+
+def report(g, **fields):
+    """The good report with fields replaced, built by hand."""
+    return CatalogReport(**{**vars(g["report"]), **fields})
+
+
+# a package object with one wrong field, passed on to an operation -> the message it must raise
+FIELDS = {
+    "branch-band": (lambda g, sink: realize(branch(g, band=None)), "band must be a BandSpec, got None"),
+    "branch-params": (lambda g, sink: classify([branch(g, params=None)]), "params must be a HelixParams, got None"),
+    "branch-index-zero": (
+        lambda g, sink: unfold_net(branch(g, branch_index=0)),
+        "branch_index must be an integer >= 1, got 0",
+    ),
+    "branch-index-real": (
+        lambda g, sink: export_modules_svg(branch(g, branch_index=1.0), ModuleOptions(), sink),
+        "branch_index must be an integer >= 1, got 1.0",
+    ),
+    "net-points": (lambda g, sink: export_net_svg(NetLayout(5, 2, 2, None, []), sink), "points must be a dict, got None"),
+    "net-rows": (lambda g, sink: export_net_svg(net(g, rows=True), sink), "rows must be an integer >= 1"),
+    "net-fold": (lambda g, sink: export_net_svg(net(g, folds=[None]), sink), "folds[0] must be a Fold, got None"),
+    "net-seam": (
+        lambda g, sink: export_net_svg(net(g, seam_pairs=[[(3, 0), (0, 2)]]), sink),
+        "seam_pairs[0] must be a tuple, got [",
+    ),
+    "report-rows": (
+        lambda g, sink: format_report(CatalogReport(None, 0, 0, 0, 0, 0, [], [])),
+        "rows must be a list of dict, got None",
+    ),
+    "report-total": (
+        lambda g, sink: format_report(report(g, star_total="56")),
+        "star_total must be an integer >= 0, got '56'",
+    ),
+    "report-negative": (
+        lambda g, sink: format_report(report(g, entry_total=-1)),
+        "entry_total must be an integer >= 0, got -1",
+    ),
+    "report-collision": (
+        lambda g, sink: format_report(report(g, collisions=[None])),
+        "collisions[0] must be a str, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", FIELDS)
+def test_a_wrong_field_is_refused_by_name(good, target):
+    call, named = FIELDS[target]
+    sink = io.StringIO()
+    with pytest.raises(ParameterError, match=f"^{re.escape(named)}"):
+        call(good, sink)
+    assert sink.getvalue() == ""
