@@ -7,6 +7,7 @@ Every HelistarError that reaches the CLI exits 2 (invalid input); an empty
 result exits 3 and a failed verification exits 1 without raising.
 """
 
+import contextlib
 import reprlib
 import sys
 
@@ -61,8 +62,8 @@ def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | No
 
     shape gives each axis's length, None for any (shape None: any shape); an empty 1-D
     sequence is zero rows. A numeric ndarray of a kind in kinds, finite if real, is returned
-    whole. Anything else is checked entry by entry (name[i][j]) with check_int or check_real,
-    since np.asarray turns [0.5, True] into floats, and comes back as int64 or float.
+    whole. Anything else comes back as int64 or float, checked entry by entry (name[i][j]) since np.asarray
+    turns [0.5, True] into floats; entries all Python ints (or floats, for reals) need only one cast.
     """
     want = "an array" if shape is None else f"a {len(shape)}-D array of shape {tuple(shape)}".replace("None", "m")
     try:
@@ -74,15 +75,19 @@ def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | No
         raise ParameterError(f"{name} must be {want}, got {repr(value) if arr.ndim == 0 else f'shape {arr.shape}'}")
     if arr.dtype.kind in kinds and (arr.dtype.kind != "f" or np.isfinite(arr).all()):
         return arr
-    check = check_real if "f" in kinds else check_int
-    for i, v in enumerate(arr.ravel().tolist()):
+    check, dtype = (check_real, float) if "f" in kinds else (check_int, np.int64)
+    if set(map(type, flat := arr.ravel().tolist())) <= {int, dtype}:  # no bool, str or other scalar: one cast
+        with contextlib.suppress(OverflowError):  # then walked, for the message
+            if np.isfinite(cast := arr.astype(dtype)).all():
+                return cast
+    for i, v in enumerate(flat):
         v = v.item() if isinstance(v, np.generic) else v
         try:
             check(name, v)
         except ParameterError:  # raised again, naming the entry: built only on failure
             check(name + "".join(f"[{j}]" for j in np.unravel_index(i, arr.shape)), v)
     try:
-        return arr.astype(float if "f" in kinds else np.int64)
+        return arr.astype(dtype)
     except OverflowError:  # an int beyond 64 bits
         raise ParameterError(f"{name} must hold integers of at most 64 bits") from None
 
@@ -96,12 +101,12 @@ def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:
 
 
 def check_items(name: str, values, kind: type) -> list:
-    """values as a new list; ParameterError unless it is iterable and each item, name[i], passes check_type.
+    """values as a new list; ParameterError unless it is a non-text iterable and each item, name[i], passes check_type.
 
     Items all exactly of the class kind pass on one set of their types, with no loop over them.
     """
     try:
-        items = list(values)
+        items = list(None if isinstance(values, (str, bytes)) else values)  # text is no list: list(None) raises
     except TypeError:
         raise ParameterError(f"{name} must be a list of {kind.__name__}, got {reprlib.repr(values)}") from None
     if not set(map(type, items)) <= {kind}:

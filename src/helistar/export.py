@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError, check_int, check_items, check_real, check_type
+from .errors import ParameterError, check_array, check_int, check_items, check_real, check_type
 from .realization import MAX_WINDOW, MeshSegment
 
 __all__ = [
@@ -74,11 +74,15 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
         fh.write(_fill(line, rows + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fold:
     edge: tuple[Label, Label]
     cls: str            # 'a' | 'b' | 'c'
     angle: float        # interior dihedral, radians, in (0, 2pi)
+
+    def __init__(self, edge: tuple[Label, Label], cls: str, angle: float) -> None:
+        fields = self.__dict__  # stored directly: the generated frozen init calls object.__setattr__ per field
+        fields["edge"], fields["cls"], fields["angle"] = edge, cls, angle
 
     @property
     def direction(self) -> str:  # 'mountain' (< pi) | 'valley' (> pi), read off the angle
@@ -135,13 +139,10 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
     triangles = [tri for i in range(n) for j in range(rows)
                  for tri in (((i, j), (i + 1, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1), (i, j + 1)))]
 
-    folds: list[Fold] = []
-    for cls, angle, mk in zip("abc", solution.dihedrals, (
-        [((i, j), (i + 1, j)) for j in range(1, rows) for i in range(n)],
-        [((i + 1, j), (i, j + 1)) for j in range(rows) for i in range(n)],
-        [((i, j), (i, j + 1)) for j in range(rows) for i in range(1, n)],
-    )):
-        folds += [Fold(e, cls, angle) for e in mk]
+    a, b, c = solution.dihedrals
+    folds = [Fold(((i, j), (i + 1, j)), "a", a) for j in range(1, rows) for i in range(n)]
+    folds += [Fold(((i + 1, j), (i, j + 1)), "b", b) for j in range(rows) for i in range(n)]
+    folds += [Fold(((i, j), (i, j + 1)), "c", c) for j in range(rows) for i in range(1, n)]
 
     seam = [((n, j), (0, j + s)) for j in range(rows - s + 1)] if rows >= s else []
     return NetLayout(
@@ -173,10 +174,13 @@ def _text(size: float, body: str = "%s") -> str:
     return f'<text x="%.3f" y="%.3f" font-size="{size}">{body}</text>\n'
 
 
-def _fill(template: str, *columns) -> str:
-    """template once per row of the columns side by side, each row filling its slots in order."""
+_FOLD_ROW = {d: _line(d) + _text(2.6, "%.1f") for d in ("mountain", "valley")}  # a fold's line, then its degrees
+
+
+def _fill(template: str | list[str], *columns) -> str:
+    """template (row i: template[i], if a list) once per row of the columns side by side, filling its slots in order."""
     rows = np.column_stack(columns)
-    return template * len(rows) % tuple(rows.ravel().tolist())
+    return (template * len(rows) if isinstance(template, str) else "".join(template)) % tuple(rows.ravel().tolist())
 
 
 def _write_sheet(sink, w: float, h: float, desc: str, body, footer_x: float, footer: str) -> None:
@@ -206,23 +210,27 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     check_type("net", net, NetLayout)
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
-    row_of = {label: k for k, label in enumerate(net.points)}
-    points = np.array(list(net.points.values()), dtype=float).reshape(-1, 2)
-    xmax, ymax = points.max(axis=0).tolist()
+    row_of = dict(zip(net.points, range(len(net.points))))
+    points = check_array("points", list(net.points.values()), "iuf", (None, 2))
     n, s, rows = net.n_strips, net.shift, net.rows
+    try:  # the row of points of every label the sheet reads, before points.max: points may be empty
+        corners = [row_of[c] for c in [(0, 0), (n, 0), (n, rows), (0, rows)]]
+        fold_ends = [row_of[label] for f in net.folds for label in f.edge]
+        seam_ends = [row_of[label] for pair in net.seam_pairs for label in pair]
+    except KeyError as exc:
+        raise ParameterError(f"points must hold label {exc.args[0]}, which the sheet reads") from None
+    xmax, ymax = points.max(axis=0).tolist()
 
     def body() -> str:
         # flip y so row numbers grow upward on the page
         page = np.column_stack([margin + points[:, 0] * edge_mm, margin + (ymax - points[:, 1]) * edge_mm])
-        corners = page[[row_of[c] for c in [(0, 0), (n, 0), (n, rows), (0, rows)]]]
-        ends = page[[row_of[label] for f in net.folds for label in f.edge]].reshape(-1, 4)
-        marks = page[[row_of[label] for pair in net.seam_pairs for label in pair]].reshape(-1, 2, 2)
-        directions = np.array([f.direction for f in net.folds], dtype=object)
-        degrees = [math.degrees(f.angle) for f in net.folds]
+        ends = page[fold_ends].reshape(-1, 4)
+        marks = page[seam_ends].reshape(-1, 2, 2)
+        angles = [f.angle for f in net.folds]  # np.degrees has math.degrees' bits: one product by 180/pi
         beside = marks[..., 0] + np.array([1.0, -1.0]) * 0.08 * edge_mm  # x of a seam number, per end
         return (
-            _CUT % tuple(corners.ravel().tolist())
-            + _fill(_line("%s") + _text(2.6, "%.1f"), directions, ends, (ends[:, :2] + ends[:, 2:]) / 2, degrees)
+            _CUT % tuple(page[corners].ravel().tolist())
+            + _fill([_FOLD_ROW[_direction(a)] for a in angles], ends, (ends[:, :2] + ends[:, 2:]) / 2, np.degrees(angles))
             + _fill(_text(3.2, "%d"), beside.ravel(), marks[..., 1].ravel(), np.arange(beside.size) // 2)
         )
 

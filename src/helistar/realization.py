@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band_combinatorics import prototype_faces
-from .closure_solver import BranchSolution, _dot, _normals, helix_points
+from .closure_solver import BranchSolution, _dot, helix_points
 from .errors import ParameterError, WindowError, check_array, check_int, check_type
 
 __all__ = [
@@ -29,6 +29,9 @@ __all__ = [
 UNIFORM_TOL = 1e-9  # max deviation of edge length, face angle and constellation
 MAX_WINDOW = 1000  # largest periods, net rows, sheet columns, tower rings or gon
 
+_NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # a face's corners i+1 and i+2, by corner i
+_SIX, _PAIRS = np.arange(6), np.triu_indices(7, k=1)  # a 1-ring's neighbor rows, and its pairs of points
+
 
 @dataclass
 class MeshSegment:
@@ -41,7 +44,7 @@ class MeshSegment:
     ring edges first, then per ring gap and column the two diagonals.
     boundary_marks are the vertex indices whose face ring is incomplete in
     this window. Each field goes through check_array: vertices finite reals, and
-    faces, edges and boundary_marks (any iterable, kept as a set) ints in [0, len(vertices)).
+    faces, edges and boundary_marks (an array or any iterable, kept as a set) ints in [0, len(vertices)).
     """
 
     vertices: np.ndarray
@@ -54,8 +57,8 @@ class MeshSegment:
         count, marks = len(self.vertices), self.boundary_marks
         self.faces = _vertex_indices("faces", self.faces, (None, 3), count)
         self.edges = _vertex_indices("edges", self.edges, (None, 2), count)
-        marks = _vertex_indices("boundary_marks", list(marks) if hasattr(marks, "__iter__") else marks, (None,), count)
-        self.boundary_marks = set(marks.tolist())
+        marks = marks if isinstance(marks, np.ndarray) or not hasattr(marks, "__iter__") else list(marks)
+        self.boundary_marks = set(_vertex_indices("boundary_marks", marks, (None,), count).tolist())
 
 
 def _vertex_indices(name: str, value, shape: tuple, count: int) -> np.ndarray:
@@ -95,10 +98,11 @@ def _outward(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
     Flipping per face would break the opposite-traversal pairing on shared edges.
     """
-    p = verts[faces]
-    n = _normals(p)
-    radial = float(np.sum(n[:, :2] * p.mean(axis=1)[:, :2]))
-    return faces[:, [0, 2, 1]] if radial < 0.0 else faces
+    q = verts.T.take(faces.T, axis=1)  # coordinate, corner, face
+    u, v = q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]
+    # x and y of each face's _normals and corner mean, with their bits, summed as np.sum sums an (F, 2) array
+    xy = (u[1:] * v[::-2] - u[::-2] * v[1:]) * ((q[:2, 0] + q[:2, 1] + q[:2, 2]) / 3.0)
+    return faces[:, [0, 2, 1]] if float(np.sum(np.ascontiguousarray(xy.T))) < 0.0 else faces
 
 
 def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
@@ -113,13 +117,12 @@ def realize(solution: BranchSolution, periods: int = 2) -> MeshSegment:
     check_int("periods", periods, 1, MAX_WINDOW)
     a, b, c = solution.band.offsets
     kmax = periods * c
-    verts = helix_points(solution.params, np.arange(kmax + 1))
+    verts = helix_points(solution.params, k := np.arange(kmax + 1))
 
-    faces = _outward(verts, (np.arange(kmax - c + 1)[:, None, None] + prototype_faces(solution.band)).reshape(-1, 3))
-    edges = np.concatenate([np.arange(kmax - d + 1)[:, None] + [0, d] for d in (a, b, c)])
+    faces = _outward(verts, (k[: kmax - c + 1, None, None] + prototype_faces(solution.band)).reshape(-1, 3))
+    edges = np.concatenate([k[: kmax - d + 1, None] + [0, d] for d in (a, b, c)])
 
-    boundary = set(range(c)) | set(range(kmax - c + 1, kmax + 1))
-    return MeshSegment(vertices=verts, faces=faces, edges=edges, boundary_marks=boundary)
+    return MeshSegment(vertices=verts, faces=faces, edges=edges, boundary_marks=k[(k < c) | (k > kmax - c)])
 
 
 def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = None) -> UniformityReport:
@@ -144,40 +147,41 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     if not interior.size:
         raise WindowError("window has no interior vertex; enlarge periods")
 
-    d = verts[edges[:, 0]] - verts[edges[:, 1]]
-    edge_dev = float(np.max(np.abs(np.sqrt(_dot(d, d)) - 1.0), initial=0.0))
+    u, v = edges.T
+    d = verts.take(u, axis=0) - verts.take(v, axis=0)
+    edge_dev = float(np.abs(np.sqrt(_dot(d, d)) - 1.0).max(initial=0.0))
 
-    p = verts[faces]
-    e1 = np.roll(p, -1, axis=1) - p  # corner i to corner i+1
-    e2 = np.roll(p, -2, axis=1) - p  # corner i to corner i+2
+    p = verts.take(faces, axis=0)
+    side = p.take(_NEXT, axis=1) - p  # corner i to corner i+1; corner i to i+2 is -side[i+2], exactly
+    length = np.sqrt(_dot(side, side))
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero-length side gives a NaN, which fails below
-        cosang = np.clip(_dot(e1, e2) / (np.sqrt(_dot(e1, e1)) * np.sqrt(_dot(e2, e2))), -1.0, 1.0)
-    # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine
-    ends = (cosang.min(), cosang.max()) if cosang.size else ()
+        cosang = _dot(side, -side.take(_AFTER_NEXT, axis=1)) / (length * length.take(_AFTER_NEXT, axis=1))
+    # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine, clipped to [-1, 1]
+    ends = (max(cosang.min(), -1.0), min(cosang.max(), 1.0)) if cosang.size else ()
     ang_dev = max((abs(math.acos(x) - math.pi / 3.0) for x in ends), default=0.0)
 
-    # u*n + v for both directions of every edge, sorted and distinct
-    adj = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]]))
-    adj = adj[np.diff(adj, prepend=-1) != 0]
+    # u*n + v for both directions of every edge, sorted and distinct, then n*n: above every key
+    adj = np.sort(np.concatenate([u * n + v, v * n + u, [n * n]]))
+    adj = adj[np.concatenate([[True], adj[1:] != adj[:-1]])]
     centers = interior[np.bincount(adj // n, minlength=n)[interior] == 6]
     first = np.searchsorted(adj, centers * n)  # row of each center's first neighbor
-    rings = np.column_stack([centers, adj[first[:, None] + np.arange(6)] % n])
-    iu, ju = np.triu_indices(7, k=1)
-    dx, dy, dz = (x.take(rings[:, iu]) - x.take(rings[:, ju]) for x in verts.T)
+    rings = np.column_stack([centers, adj[first[:, None] + _SIX] % n])
+    ri, rj = rings[:, _PAIRS[0]], rings[:, _PAIRS[1]]
+    dx, dy, dz = (x[ri] - x[rj] for x in np.ascontiguousarray(verts.T))
     sig = np.sort(np.sqrt(dx * dx + dy * dy + dz * dz), axis=-1)  # np.linalg.norm's sum order, so its bits
-    const_dev = float(np.max(np.abs(sig - sig[:1]), initial=0.0))
+    const_dev = float(np.abs(sig - sig[:1]).max(initial=0.0))
 
     def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*n + max
         return np.minimum(u, v) * n + np.maximum(u, v)
 
-    sides = np.sort(keys(faces, faces[:, [1, 2, 0]]), axis=None)
-    inner_edges = keys(*edges[inner[edges].all(axis=1)].T)
+    sides = np.sort(keys(faces, faces.take(_NEXT, axis=1)), axis=None)
+    inner_edges = keys(u, v)[inner[u] & inner[v]]
     # faces per inner edge: how often its key occurs among the sorted side keys
     per_edge = np.searchsorted(sides, inner_edges, "right") - np.searchsorted(sides, inner_edges)
     # and the distinct sides with both ends interior that no edge row lists
-    listed = np.searchsorted(adj, sides, "right") > np.searchsorted(adj, sides)
+    listed = adj[np.searchsorted(adj, sides)] == sides  # a row of adj: its last key, n*n, is above every side
     unlisted = sides[inner[sides // n] & inner[sides % n] & ~listed]
-    bad = int(np.count_nonzero(per_edge != 2)) + int(np.count_nonzero(np.diff(unlisted, prepend=-1)))
+    bad = int(np.count_nonzero(per_edge != 2)) + len(set(unlisted.tolist()))
 
     return UniformityReport(
         vertex_count=n,
@@ -222,7 +226,4 @@ def antiprism_tower(gon: int, rings: int) -> MeshSegment:
         np.stack([lo, hi, lo_next, hi], axis=-1).reshape(-1, 2),
     ])
 
-    boundary = set(range(gon)) | set(range((rings - 1) * gon, rings * gon))
-    return MeshSegment(
-        vertices=verts, faces=_outward(verts, faces), edges=edges, boundary_marks=boundary
-    )
+    return MeshSegment(verts, _outward(verts, faces), edges, boundary_marks=(ring[[0, -1]] + col).ravel())

@@ -372,9 +372,8 @@ class TestBandPass:
 
     @pytest.mark.parametrize("bad", [1, None, "ab"])
     def test_non_branch_is_refused(self, band52, bad):
-        # as an element, after a good branch, and as the argument itself (a str is a list of letters)
-        bare = r"solutions\[0\]" if isinstance(bad, str) else "solutions"
-        for solutions, named in (([bad], r"solutions\[0\]"), ([band52[0], bad], r"solutions\[1\]"), (bad, bare)):
+        # as an element, after a good branch, and as the argument itself (a str is not a list of its letters)
+        for solutions, named in (([bad], r"solutions\[0\]"), ([band52[0], bad], r"solutions\[1\]"), (bad, "solutions")):
             with pytest.raises(ParameterError, match=f"^{named} must be"):
                 classify(solutions)
 

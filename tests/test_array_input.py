@@ -172,16 +172,31 @@ def test_a_mesh_without_vertices_is_taken(empty):
     assert seg.faces.shape == (0, 3) and seg.edges.shape == (0, 2)
 
 
-def test_the_package_passes_whole_arrays(monkeypatch, tetrahelix):
-    # realize and antiprism_tower hand MeshSegment ndarrays, which are taken with
-    # no entry loop; only the boundary marks, a set, are checked one by one
+def entry_checks(monkeypatch) -> Counter:
+    """The calls of check_int and check_real from here on, counted by name."""
     calls = Counter()
     for name in ("check_int", "check_real"):
         check = getattr(errors, name)
         monkeypatch.setattr(errors, name, lambda *args, _name=name, _check=check: calls.update([_name]) or _check(*args))
+    return calls
+
+
+def test_the_package_passes_whole_arrays(monkeypatch, tetrahelix):
+    # realize and antiprism_tower hand MeshSegment ndarrays, the boundary marks
+    # too, which are all taken with no entry loop
+    calls = entry_checks(monkeypatch)
     seg, tower = realize(tetrahelix, 10), antiprism_tower(5, 4)
     helix_points(tetrahelix.params, np.arange(30))
-    assert calls == Counter(check_int=len(seg.boundary_marks) + len(tower.boundary_marks))
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("kinds, value", [("iu", [[0, 2**62], [-1, 5]]), ("iuf", [[0.5, 1], [2**70, -0.0]])])
+def test_plain_python_numbers_are_cast_without_an_entry_loop(monkeypatch, kinds, value):
+    # ints (and floats, for reals) only: one cast, the same array as the walk gives
+    calls = entry_checks(monkeypatch)
+    got = errors.check_array("x", value, kinds, (None, 2))
+    want = np.array(value, dtype=float if "f" in kinds else np.int64)
+    assert not calls and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("big", [2**63, 2**70, -(2**70)], ids=["int64_max_plus_1", "70_bits", "minus_70_bits"])

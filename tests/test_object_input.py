@@ -84,12 +84,13 @@ def test_a_wrong_object_is_refused_by_name(good, target, bad):
     assert sink.getvalue() == ""
 
 
-@pytest.mark.parametrize("bad", ["none", "lone_entry", "none_item", "none_after_entry", "report_item"])
+@pytest.mark.parametrize("bad", ["none", "text", "lone_entry", "none_item", "none_after_entry", "report_item"])
 @pytest.mark.parametrize("target", LISTS)
 def test_a_wrong_entry_list_is_refused_by_name(good, target, bad):
     entry = good["entries"][0]
     value, named = {
         "none": (None, "entries must be a list of CatalogEntry, got "),
+        "text": ("ab", "entries must be a list of CatalogEntry, got 'ab'"),
         "lone_entry": (entry, "entries must be a list of CatalogEntry, got "),
         "none_item": ([None], "entries[0] must be a CatalogEntry, got "),
         "none_after_entry": ([entry, None], "entries[1] must be a CatalogEntry, got "),
@@ -156,6 +157,27 @@ FIELDS = {
         lambda g, sink: export_net_svg(net(g, seam_pairs=[[(3, 0), (0, 2)]]), sink),
         "seam_pairs[0] must be a tuple, got [",
     ),
+    # points lacking a label the sheet reads: a corner, then a fold end that is no corner
+    "net-no-points": (
+        lambda g, sink: export_net_svg(NetLayout(5, 2, 2, {}, []), sink),
+        "points must hold label (0, 0), which the sheet reads",
+    ),
+    "net-one-point": (
+        lambda g, sink: export_net_svg(NetLayout(5, 2, 2, {(0, 0): [0.0, 0.0]}, []), sink),
+        "points must hold label (5, 0), which the sheet reads",
+    ),
+    "net-fold-end": (
+        lambda g, sink: export_net_svg(net(g, points={k: v for k, v in g["net"].points.items() if k != (1, 1)}), sink),
+        "points must hold label (1, 1), which the sheet reads",
+    ),
+    "net-point-nan": (
+        lambda g, sink: export_net_svg(net(g, points={**g["net"].points, (0, 0): [float("nan"), 0.0]}), sink),
+        "points[0][0] must be a finite real, got nan",
+    ),
+    "net-point-bool": (
+        lambda g, sink: export_net_svg(net(g, points={**g["net"].points, (0, 0): [0.0, True]}), sink),
+        "points[0][1] must be a finite real, got True",
+    ),
     "report-rows": (
         lambda g, sink: format_report(CatalogReport(None, 0, 0, 0, 0, 0, [], [])),
         "rows must be a list of dict, got None",
@@ -171,6 +193,15 @@ FIELDS = {
     "report-collision": (
         lambda g, sink: format_report(report(g, collisions=[None])),
         "collisions[0] must be a str, got None",
+    ),
+    # a str or bytes is iterable, but not a list of its characters
+    "report-collisions-text": (
+        lambda g, sink: format_report(CatalogReport([], 0, 0, 0, 0, 0, "ab", [])),
+        "collisions must be a list of str, got 'ab'",
+    ),
+    "report-collisions-bytes": (
+        lambda g, sink: format_report(report(g, collisions=b"ab")),
+        "collisions must be a list of str, got b'ab'",
     ),
 }
 

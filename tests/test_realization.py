@@ -92,6 +92,27 @@ class TestRealize:
                 u, w = sorted(e)
                 assert (u, w) in directed and (w, u) in directed
 
+    def test_faces_point_outward(self):
+        # the outward rule itself, recomputed with np.cross and corner means: on every branch of
+        # 3..16 at periods 1, 2, 4 and 6 (the CLI's generate and verify defaults) and 24, the summed
+        # radial component of the face normals is not negative, and the rule flips some windows
+        flipped = kept = 0
+        for n in range(3, 17):
+            for s in range(1, n // 2 + 1):  # a shift above n/2 is the mirror band, the same BandSpec
+                for sol in solve_band(BandSpec(n, s)):
+                    a, _, c = sol.offsets
+                    for periods in (1, 2, 4, 6, 24):
+                        seg = realize(sol, periods)
+                        p = seg.vertices[seg.faces]
+                        normals = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+                        radial = np.sum(normals[:, :2] * p.mean(axis=1)[:, :2])
+                        assert radial >= 0.0, (n, s, sol.branch_index, periods, radial)
+                        # U_0 is (0, a, c) as built, (0, c, a) once flipped
+                        assert seg.faces[0].tolist() in ([0, a, c], [0, c, a])
+                        flipped += seg.faces[0].tolist() == [0, c, a]
+                        kept += seg.faces[0].tolist() == [0, a, c]
+        assert flipped and kept
+
     def test_edges_are_the_three_classes(self, tetrahelix):
         seg = realize(tetrahelix, 4)
         a, b, c = tetrahelix.offsets
