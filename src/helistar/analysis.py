@@ -18,10 +18,11 @@ Two exact finite tests stand in for questions about an infinite surface:
   branches, of any bands, go through the triangle-triangle predicate
   together, scanned in stages so that a branch leaves at its first hit, in
   calls of at most ROW_BUDGET rows; in each call the side test against
-  U_0's plane runs first, and the other face's plane only for the rows it
-  leaves. That batched predicate, on the x, y and z coordinate lanes that
-  closure_solver._helix_lanes gives every corner (helix_points's bits),
-  is the only one, and triangles_properly_intersect is a batch of one.
+  U_0's plane runs first, and the other face's plane and the interval step
+  only for the rows it leaves. That batched predicate, on the x, y and z
+  coordinate lanes that closure_solver._helix_lanes gives every corner
+  (helix_points's bits), is the only one, and triangles_properly_intersect
+  is a batch of one.
 
 * Vertex figure. The six neighbors of a vertex, in face-adjacency cycle order,
   form a closed hexagon. Projected along the vertex normal (the sum of the six
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
-from .closure_solver import BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
+from .closure_solver import _NEXT, _ROT, BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
 from .errors import check_array, check_int, check_items, check_type
 
 __all__ = [
@@ -63,8 +64,10 @@ BLOCK_ROWS = 64 * ROW_BUDGET  # most kept rows (3c - 2 per branch) per classify 
 FaceId = tuple[str, int]
 Witness = tuple[FaceId, FaceId]
 
-# hexagon sides (i, i+1) and (j, j+1), for the 9 pairs that share no corner
-_SIDE_PAIRS = np.array([(i, i + 1, j, (j + 1) % 6) for i in range(4) for j in range(i + 2, 6) if j - i != 5])
+# the 9 pairs of hexagon sides (i, i+1), (j, j+1) sharing no corner, as the terms (j, i), (j, i+1) over
+# (i, j), (i, j+1) of _figure_kind's table of cross products, side x with corner y at 6x + y
+_SIDE_TERMS = np.array([[(6 * j + i, 6 * j + i + 1), (6 * i + j, 6 * i + (j + 1) % 6)]
+                        for i in range(4) for j in range(i + 2, 6) if j - i != 5]).transpose(1, 2, 0)
 
 
 @dataclass
@@ -145,68 +148,69 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
 def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(x*x' + y*y') + z*z' of broadcastable (3, ...) coordinate lanes, entry by entry; it can
     differ in the last bit from _dot, whose one BLAS dot per row may fuse its sums."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    p = u * v
+    return p[0] + p[1] + p[2]
 
 
 def _unit_cross(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Length (m,) and direction (3, m) of the cross product of (3, m) coordinate lanes, component
-    by component as _cross; a zero product has a NaN direction, which callers mask."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = u[i] * v[j] - u[j] * v[i]
-        length = np.sqrt(_lane_dot(n, n))
-        return length, n / length
+    """Length (m,) and direction (3, m) of the cross product of (3, m) coordinate lanes, component by
+    component as _cross; a zero product has a NaN direction, which callers mask and silence."""
+    u, v = u.take(_ROT, axis=0), v.take(_ROT, axis=0)
+    n = u[0] * v[1] - u[1] * v[0]
+    length = np.sqrt(_lane_dot(n, n))
+    return length, n / length
 
 
 def _plane(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal length and unit normal of the triangles of (3, 3, m) lanes; the normal is _normals's bits."""
-    return _unit_cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    """Normal length and unit normal of the triangles of (3, 3, m) lanes, _cross of the edges from
+    corner 0; a degenerate triangle's NaN normal raises no warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _unit_cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
 
 
 def _straddles(dist: np.ndarray) -> np.ndarray:
     """True for each lane of signed corner distances (3, m) whose triangle is not strictly on one side of the plane."""
-    return ~((dist.min(axis=0) > _PLANE_EPS) | (dist.max(axis=0) < -_PLANE_EPS))
+    return (dist.min(axis=0) > _PLANE_EPS) == (dist.max(axis=0) < -_PLANE_EPS)  # at most one holds
 
 
 def _intersect(P: np.ndarray, Q: np.ndarray, shared: np.ndarray, plane1) -> np.ndarray:
     """Proper intersection of each triangle pair of two (3 coordinates, 3 corners, m) lane stacks.
 
-    Moeller's interval test in array passes over ever fewer lanes, a lane
-    being one row; every distance, normal, cut axis and interval end is a
-    sum over whole coordinate lanes. plane1 is _plane(P). The first pass
-    rejects rows sharing an edge, with a degenerate P, or with Q strictly on
-    one side of P's plane (about half of a census's rows); only the
-    survivors get Q's plane, which rejects a degenerate Q and P strictly on
-    one side of it. Coplanar survivors go through the 2D clip one by one;
-    the others intersect when the two triangles' intervals on the planes'
-    common line overlap by more than MEASURE_TOL. Every step works lane by
-    lane, so a row's verdict is the same bits in any stack, and whichever
-    rows a pass drops.
+    Moeller's interval test in array passes, a lane being one row; every
+    distance, normal, cut axis and interval end is a sum over whole
+    coordinate lanes. plane1 is _plane(P). The first pass rejects rows
+    sharing an edge, with a degenerate P, or with Q strictly on one side of
+    P's plane (about half of a census's rows); only the survivors get the
+    second pass: Q's plane, which rejects a degenerate Q and P strictly on
+    one side of it, and the interval step, in which the two triangles
+    intersect when their intervals on the planes' common line overlap by
+    more than MEASURE_TOL. Coplanar survivors go through the 2D clip one by
+    one instead. Every step works lane by lane, so a row's verdict is the
+    same bits in any stack, and whichever rows a pass drops.
     """
     hit = np.zeros(P.shape[-1], dtype=bool)
     n1n, n1 = plane1
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
         d2 = _lane_dot(n1[:, None], Q - P[:, :1])
-        rows = np.flatnonzero((shared < 2) & (n1n != 0.0) & _straddles(d2))
-        P, Q, n1, d2 = (x.take(rows, axis=-1) for x in (P, Q, n1, d2))  # take keeps lanes contiguous
+        rows = ((shared < 2) & (n1n != 0.0) & _straddles(d2)).nonzero()[0]
+        tri = np.concatenate([P[:, :, None], Q[:, :, None]], axis=2).take(rows, axis=-1)  # (3, 3, 2, rows)
+        (P, Q), n1, d2 = tri.transpose(2, 0, 1, 3), n1.take(rows, axis=-1), d2.take(rows, axis=-1)
         n2n, n2 = _plane(Q)
-        d1 = _lane_dot(n2[:, None], P - Q[:, :1])
-        live = (n2n != 0.0) & _straddles(d1)
-        coplanar = live & np.all(np.abs(d2) <= _PLANE_EPS, axis=0)
-
-        cut = np.flatnonzero(live & ~coplanar)
-        _, axis = _unit_cross(n1.take(cut, axis=-1), n2.take(cut, axis=-1))
-        # the parameter interval along axis where each triangle meets the other's plane, P's
-        # lanes beside Q's, (3, 3, 2, rows): from on-plane corners and strict edge crossings
-        tri, dist = (np.stack([x.take(cut, axis=-1), y.take(cut, axis=-1)], axis=-2) for x, y in ((P, Q), (d1, d2)))
-        nxt = [1, 2, 0]  # edge i runs from corner i to corner nxt[i]
+        dist = np.concatenate([_lane_dot(n2[:, None], P - Q[:, :1])[:, None], d2[:, None]], axis=1)  # to the other plane
         on = np.abs(dist) <= _PLANE_EPS
-        ok = np.concatenate([on, (dist * dist[nxt] < 0.0) & ~on & ~on[nxt]])
-        s = dist / (dist - dist[nxt])  # masked off where the edge does not cross
+        live = (n2n != 0.0) & _straddles(dist[:, 0])
+        coplanar = live & on[:, 1].all(axis=0)
+        # where each triangle meets the other's plane along the cut axis: on-plane corners, strict edge crossings
+        _, axis = _unit_cross(n1, n2)
+        nxt = _ROT[0]  # edge i runs from corner i to corner nxt[i]
+        after = dist.take(nxt, axis=0)
+        ok = np.concatenate([on, (dist * after < 0.0) & ~(on | on.take(nxt, axis=0))])
+        s = dist / (dist - after)  # masked off where the edge does not cross
         t = _lane_dot(axis[:, None, None], np.concatenate([tri, tri + s * (tri.take(nxt, axis=1) - tri)], axis=1))
-        lo, hi = np.where(ok, t, np.inf).min(axis=0), np.where(ok, t, -np.inf).max(axis=0)  # (2, rows)
-        hit[rows[cut]] = hi.min(axis=0) - lo.max(axis=0) > MEASURE_TOL
-    for i in np.flatnonzero(coplanar):
+        t = np.where(ok, t, np.nan)  # fmin and fmax skip these; a row's ok ends are all NaN or none
+        lo, hi = np.fmin.reduce(t, axis=0), np.fmax.reduce(t, axis=0)  # (2, rows)
+        hit[rows] = live & ~coplanar & (hi.min(axis=0) - lo.max(axis=0) > MEASURE_TOL)
+    for i in coplanar.nonzero()[0]:
         hit[rows[i]] = _coplanar_intersect(P[..., i].T, Q[..., i].T, n1[:, i])
     return hit
 
@@ -240,24 +244,24 @@ def _kept_rows(bands: list[BandSpec]) -> tuple[np.ndarray, ...]:
     then each kept face's corners, shared count and code, stacked band after
     band, and each band's row length.
 
-    Corners are vertex indices. The kept faces are U_k for -c <= k <= -1 and
-    D_k for -c <= k <= c, except D_0, D_-b and D_a, the three faces that
-    share an edge with U_0 = (0, a, c); they are in scan order, U_k before
-    D_k, k ascending, 3c - 2 of them. A kept face's shared count is how many
-    of its corners are 0, a or c, and its code is 2k for U_k and 2k + 1 for
-    D_k (_face_id).
+    Corners are vertex indices. Every face of the window, codes -2c to 2c + 1,
+    is compared corner by corner with U_0 = (0, a, c). The kept faces are
+    U_k for -c <= k <= -1 and D_k for -c <= k <= c, except those sharing two
+    corners (an edge) with U_0: D_0, D_-b and D_a. They are in scan order,
+    U_k before D_k, k ascending, 3c - 2 of them. A kept face's shared count
+    is how many of its corners are U_0's, and its code is 2k for U_k and
+    2k + 1 for D_k (_face_id).
     """
     shape = np.array([prototype_faces(band) for band in bands])
-    a, b, c = shape[:, 0, 1], shape[:, 1, 2], shape[:, 0, 2]
-    width = 4 * c + 2  # the window's faces, codes -2c to 2c + 1
-    band = np.repeat(np.arange(len(bands)), width)
-    code = np.arange(len(band)) - np.repeat(np.cumsum(width) - width + 2 * c, width)
-    k, is_d = code // 2, code % 2
-    keep = np.flatnonzero(np.where(is_d, (k != 0) & (k != -b[band]) & (k != a[band]), k < 0))
-    band, k, is_d = band[keep], k[keep], is_d[keep]
-    corners = shape[band, is_d] + k[:, None]
-    shared = ((corners == 0) | (corners == a[band, None]) | (corners == c[band, None])).sum(axis=-1)
-    return shape[:, 0], corners, shared, code[keep], np.bincount(band, minlength=len(bands))
+    u0 = shape[:, 0]
+    width = 4 * u0[:, 2] + 2
+    band = np.arange(len(bands)).repeat(width)
+    code = np.arange(len(band)) - (width.cumsum() - width // 2 - 1).repeat(width)
+    is_d = code % 2
+    corners = shape[band, is_d] + (code // 2)[:, None]
+    shared = (corners[:, :, None] == u0[band, None]).sum(axis=(1, 2))
+    keep = ((shared < 2) & ((code < 0) | (is_d == 1))).nonzero()[0]
+    return u0, corners[keep], shared[keep], code[keep], np.bincount(band[keep], minlength=len(bands))
 
 
 def _face_id(code: int) -> FaceId:
@@ -293,38 +297,36 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
     lane, a lane being one row, so a branch's result is the same bits in any batch.
     """
     u0, corners, shared, codes, sizes = _kept_rows(bands)
-    length = sizes[band]
-    start = (np.cumsum(sizes) - sizes)[band]  # each branch's kept row in the stacked tables
+    length, start = sizes[band], (sizes.cumsum() - sizes)[band]  # each branch's kept row in the tables
     lanes, ks = np.ascontiguousarray(helix.T), np.ascontiguousarray(corners.T)  # take copies a strided source whole
     proto = _helix_lanes(lanes, u0[band].T)  # U_0, once per branch
     length1, unit1 = _plane(proto)
 
-    first_hit = np.full(len(helix), -1)  # kept-row position of each branch's witness
-    done = np.zeros(len(helix), dtype=np.intp)  # positions scanned so far
-    live = np.arange(len(helix))
+    first_hit = np.full(len(band), -1)  # kept-table position of each branch's witness
+    live, begin = np.arange(len(band)), np.zeros(len(band), dtype=np.intp)  # positions scanned so far
     for tenths in (1, 2, 3, 4, 6, 10):
-        end = length[live]
-        if (end - done[live]).sum() > ROW_BUDGET:
+        end = full = length[live]
+        count = end - begin
+        if count.sum() > ROW_BUDGET:
             end = -(-end * tenths // 10)  # rounded up
-        count = end - done[live]
-        owner = np.repeat(live, count)
-        pos = np.arange(count.sum()) + np.repeat(done[live] - (np.cumsum(count) - count), count)
-        at = start[owner] + pos
+            count = end - begin
+        owner = live.repeat(count)
+        at = np.arange(len(owner)) + (start[live] + begin - (count.cumsum() - count)).repeat(count)
         hits = np.zeros(len(at), dtype=bool)
         for i in range(0, len(at), ROW_BUDGET):
             o, r = owner[i:i + ROW_BUDGET], at[i:i + ROW_BUDGET]
             P, Q = proto.take(o, axis=-1), _helix_lanes(lanes.take(o, axis=-1), ks.take(r, axis=-1))
             hits[i:i + ROW_BUDGET] = _intersect(P, Q, shared[r], (length1[o], unit1.take(o, axis=-1)))
-        hit_rows = np.flatnonzero(hits)
+        hit_rows = hits.nonzero()[0]
         hit_owner = owner[hit_rows]  # each branch's rows are together, in scan order
         first = np.ones(len(hit_owner), dtype=bool)
         first[1:] = hit_owner[1:] != hit_owner[:-1]
-        first_hit[hit_owner[first]] = pos[hit_rows[first]]
-        done[live] = end
-        live = live[(first_hit[live] < 0) & (end < length[live])]
+        first_hit[hit_owner[first]] = at[hit_rows[first]]
+        more = (first_hit[live] < 0) & (end < full)
+        live, begin = live[more], end[more]
         if not live.size:
             break
-    witness = codes[start + first_hit].tolist()  # read only where first_hit >= 0
+    witness = codes[first_hit].tolist()  # read only where first_hit >= 0
     return [
         (False, None) if hit < 0 else (True, (("U", 0), _face_id(code)))
         for code, hit in zip(witness, first_hit.tolist())
@@ -344,15 +346,16 @@ def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness 
 def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     """simple or crossed for each hexagon of a (..., 6, 2) stack.
 
-    A hexagon is crossed when two of its non-adjacent sides properly cross.
+    A hexagon is crossed when two of its non-adjacent sides properly cross:
+    the ends of each side lie strictly on opposite sides of the other's line.
+    Every side's cross product with every corner relative to the side's start
+    is computed once, and the 9 pairs read their four terms from that table.
     """
-    p1, p2, q1, q2 = np.moveaxis(polygon2d[..., _SIDE_PAIRS, :], -2, 0)
-    cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    d1 = cross(q2 - q1, p1 - q1)
-    d2 = cross(q2 - q1, p2 - q1)
-    d3 = cross(p2 - p1, q1 - p1)
-    d4 = cross(p2 - p1, q2 - p1)
-    return np.where(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0), axis=-1), "crossed", "simple")
+    rel = polygon2d[..., None, :, :] - polygon2d[..., :, None, :]  # [..., x, y] is corner y - corner x
+    side = (polygon2d.take(_NEXT, axis=-2) - polygon2d)[..., None, :]  # side x runs from corner x to corner x + 1
+    cross = (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0]).reshape(*rel.shape[:-3], 36)
+    terms = cross[..., _SIDE_TERMS]
+    return np.where(((terms[..., 0, :] * terms[..., 1, :]) < 0.0).all(axis=-2).any(axis=-1), "crossed", "simple")
 
 
 def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -361,25 +364,19 @@ def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> 
     The branches come as _batch gives them. Each hexagon is projected along
     its own vertex normal, the sum of its fan (_vertex_star); a branch whose
     normal sum degenerates (below 1e-9, or NaN from a zero-area fan face) is
-    indeterminate and is left out of the projection rather than guessed.
+    indeterminate, whatever its projection gave, rather than guessed.
     One _vertex_star call gives every branch's star, each at its own band's
     neighbour cycle, and every step after it works row by row.
     """
-    with np.errstate(invalid="ignore"):  # a zero-area fan face gives a NaN sum
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate normal sum gives NaN rows
         pts, fan = _vertex_star(helix, np.array([[0, *vertex_neighbor_cycle(b)] for b in bands])[band])
-    center, polygon = pts[:, :1], pts[:, 1:]
-    axis = fan.sum(axis=1)
-    norm = np.sqrt(_dot(axis, axis))
-    kinds = np.full(len(helix), "indeterminate")
-    ok = norm >= 1e-9
-    axis = axis[ok] / norm[ok, None]
-
-    seed = np.where(np.abs(axis[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-    e1 = _unit(_cross(axis, seed))
-    e2 = _cross(axis, e1)
-    rel = (polygon - center)[ok]
-    flat = np.stack([(rel @ e1[..., None])[..., 0], (rel @ e2[..., None])[..., 0]], axis=-1)
-    kinds[ok] = _figure_kind(flat)
+        polygon, rel = pts[:, 1:], pts[:, 1:] - pts[:, :1]
+        axis = fan.sum(axis=1)
+        norm = np.sqrt(_dot(axis, axis))
+        axis = axis / norm[:, None]
+        e1 = _unit(_cross(axis, np.where(np.abs(axis[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])))
+        flat = np.concatenate([rel @ e1[..., None], rel @ _cross(axis, e1)[..., None]], axis=-1)
+        kinds = np.where(norm >= 1e-9, _figure_kind(flat), "indeterminate")
     return polygon, kinds.tolist()
 
 

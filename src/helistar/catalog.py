@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .analysis import classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
-from .closure_solver import BranchSolution, HelixParams, solve_band, winding_estimate
+from .closure_solver import BranchSolution, HelixParams, _winding, solve_band
 from .errors import CatalogFormatError, ParameterError, check_int, check_items, check_real, check_type
 from .export import _opened
 
@@ -90,12 +90,15 @@ def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixPara
     component: (1, band, params).
     """
     check_type("solution", solution, BranchSolution)
-    band, p = solution.band, solution.params
-    g = band.components
-    theta_c = math.fmod(g * p.theta, 2.0 * math.pi)
-    if theta_c > math.pi:
-        theta_c = 2.0 * math.pi - theta_c
-    return g, BandSpec(band.n_strips // g, band.shift // g), HelixParams(r=p.r, theta=theta_c, h=g * p.h)
+    g, n, s, theta_c = _component(solution)
+    return g, BandSpec(n, s), HelixParams(r=solution.params.r, theta=theta_c, h=g * solution.params.h)
+
+
+def _component(solution: BranchSolution) -> tuple[int, int, int, float]:
+    """g, the component's n and s, and its twist, as component_params gives them, with no object built."""
+    band, g = solution.band, solution.band.components
+    theta_c = math.fmod(g * solution.params.theta, 2.0 * math.pi)
+    return g, band.n_strips // g, band.shift // g, 2.0 * math.pi - theta_c if theta_c > math.pi else theta_c
 
 
 def _base_name(n: int, s: int, m: int) -> str:
@@ -109,8 +112,8 @@ def _entry_name(solution: BranchSolution) -> str:
     g = band.components
     if g == 1:
         return _base_name(band.n_strips, band.shift, solution.winding_m)
-    g, comp, cp = component_params(solution)
-    return f"compound {g} x {_base_name(comp.n_strips, comp.shift, winding_estimate(comp, cp))}"
+    g, n, s, theta_c = _component(solution)
+    return f"compound {g} x {_base_name(n, s, _winding(n, s, theta_c))}"
 
 
 def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False) -> list[CatalogEntry]:
@@ -147,6 +150,9 @@ def _band_entries(band: BandSpec, sols: list[BranchSolution], verdicts) -> list[
     ]
 
 
+_REPORT_KEYS = ("n", "s", "components", "branches", "plain", "stars", "crossed")  # of a build_report row
+
+
 @dataclass
 class CatalogReport:
     """Per-(n, s) summary rows plus totals and notes."""
@@ -162,6 +168,12 @@ class CatalogReport:
 
     def __post_init__(self) -> None:
         self.rows = check_items("rows", self.rows, dict)
+        for i, row in enumerate(self.rows):
+            if row.keys() != set(_REPORT_KEYS):
+                raise ParameterError(f"rows[{i}] must hold the keys {', '.join(_REPORT_KEYS)}, got {reprlib.repr(row)}")
+            if not all(type(value) is int and value >= 0 for value in row.values()):  # named only on failure
+                for key, value in row.items():
+                    check_int(f"rows[{i}][{key!r}]", value, 0)
         check_int("star_total", self.star_total, 0)
         check_int("crossed_total", self.crossed_total, 0)
         check_int("plain_total", self.plain_total, 0)

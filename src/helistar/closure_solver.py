@@ -110,6 +110,8 @@ GRID_POINTS = 200_000
 # Fan face i at vertex k, (k, k + w_i, k + w_(i+1)) with w the neighbour cycle,
 # as rows of helix_points over [k, *(k + w)]
 _FAN = np.array([(0, i + 1, (i + 1) % 6 + 1) for i in range(6)])
+# A 3-vector's components rotated by one and by two places (_cross); a 6-cycle's successors
+_ROT, _NEXT = np.array([[1, 2, 0], [2, 0, 1]]), _FAN[:, 2] - 1
 
 # Points at which D is sampled in each analytic bracket, ends included, and
 # Newton steps from the sub-cell that holds the sign change: algorithm
@@ -210,7 +212,7 @@ def _helix_lanes(helix, ks: np.ndarray) -> np.ndarray:
     vertex is the same bits in any stack and any layout."""
     r, theta, h = helix
     t = ks * theta
-    return np.stack([r * np.cos(t), r * np.sin(t), ks * h])
+    return np.concatenate([r * np.cos(t), r * np.sin(t), ks * h]).reshape(3, *t.shape)
 
 
 def chord(params: HelixParams, d: int) -> float:
@@ -242,7 +244,12 @@ def winding_estimate(band: BandSpec, params: HelixParams) -> int:
 
     m = 1 labels the plain helical deltahedron, m >= 2 the star-style twists.
     """
-    return round(band.n_strips * band.shift * params.theta / (2.0 * math.pi))
+    return _winding(band.n_strips, band.shift, params.theta)
+
+
+def _winding(n: int, s: int, theta: float) -> int:
+    """winding_estimate of the band (n, s) at twist theta, from the plain numbers."""
+    return round(n * s * theta / (2.0 * math.pi))
 
 
 def _solve_AB(band: BandSpec, theta: float) -> tuple[float, float] | None:
@@ -265,15 +272,9 @@ def _solve_AB(band: BandSpec, theta: float) -> tuple[float, float] | None:
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (..., 3) stacks, component by component."""
-    return np.stack(
-        [
-            u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-            u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-            u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
-        ],
-        axis=-1,
-    )
+    """Row-wise cross product of (..., 3) stacks, component by component: u_(i+1) v_(i+2) - u_(i+2) v_(i+1)."""
+    u, v = u.take(_ROT, axis=-1), v.take(_ROT, axis=-1)
+    return u[..., 0, :] * v[..., 1, :] - u[..., 1, :] * v[..., 0, :]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -289,11 +290,6 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(u, v)
 
 
-def _normals(tri: np.ndarray) -> np.ndarray:
-    """Orientation normals (unnormalized) of a (..., 3, 3) stack of triangles."""
-    return _cross(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     """Rows of v scaled to unit length (the Euclidean norm of each row)."""
     return v / np.sqrt(_dot(v, v))[..., None]
@@ -302,10 +298,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _vertex_star(helix: np.ndarray, stars) -> tuple[np.ndarray, np.ndarray]:
     """Vertex 0's star in each row of helix (_helix_rows), stars holding each row's [0, *w],
     w its neighbour cycle: v_0 and v_(w_i) in cycle order, (rows, 7, 3), and the unit normals
-    of the fan faces (0, w_i, w_(i+1)), (rows, 6, 3). A zero-area fan face gives a NaN
-    normal, and numpy's warning unless the caller silences it. Rows are independent."""
-    star = np.moveaxis(_helix_lanes(helix.T[..., None], stars), 0, -1)
-    return star, _unit(_normals(star[:, _FAN]))
+    of the fan faces (0, w_i, w_(i+1)), (rows, 6, 3), _cross of its edges from v_0. A zero-area
+    fan face gives a NaN normal, and numpy's warning unless the caller silences it. Rows are independent."""
+    star = _helix_lanes(helix.T[..., None], stars).transpose(1, 2, 0)
+    spokes = star[:, 1:] - star[:, :1]
+    return star, _unit(_cross(spokes, spokes.take(_NEXT, axis=1)))
 
 
 def _interior_dihedrals(bands: list[BandSpec], params: list[HelixParams]) -> list[tuple[float, float, float]]:

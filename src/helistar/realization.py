@@ -100,7 +100,7 @@ def _outward(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """
     q = verts.T.take(faces.T, axis=1)  # coordinate, corner, face
     u, v = q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]
-    # x and y of each face's _normals and corner mean, with their bits, summed as np.sum sums an (F, 2) array
+    # x and y of each face's _cross normal and corner mean, with their bits, summed as np.sum sums an (F, 2) array
     xy = (u[1:] * v[::-2] - u[::-2] * v[1:]) * ((q[:2, 0] + q[:2, 1] + q[:2, 2]) / 3.0)
     return faces[:, [0, 2, 1]] if float(np.sum(np.ascontiguousarray(xy.T))) < 0.0 else faces
 

@@ -326,6 +326,17 @@ class TestBandPass:
                     checked += 1
         assert checked > 300
 
+    def test_band_by_band_matches_one_call_to_n_64(self):
+        # the CLI's call shape, one band a call, against one call over every
+        # branch of 3..64: the call the pinned 3..64 fingerprint digest covers
+        bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
+        per_band = [sols for sols in solve_band(bands) if sols]
+        whole = classify([sol for sols in per_band for sol in sols])
+        alone = [cls for sols in per_band for cls in classify(sols)]
+        assert len(alone) == len(whole) == 23_796
+        fields = lambda cls: (cls.intersecting, cls.witness, cls.vertex_figure, cls.figure_polygon.tobytes())
+        assert list(map(fields, alone)) == list(map(fields, whole))
+
     def test_band_pass_reproduces_the_witness_pin(self, solutions_5_12):
         _, expected = pinned_witnesses()
         got = {

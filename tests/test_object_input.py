@@ -182,6 +182,15 @@ FIELDS = {
         lambda g, sink: format_report(CatalogReport(None, 0, 0, 0, 0, 0, [], [])),
         "rows must be a list of dict, got None",
     ),
+    # a row must hold the counts build_report writes, each an int >= 0
+    "report-row-keys": (
+        lambda g, sink: format_report(CatalogReport([{}], 0, 0, 0, 0, 0, [], [])),
+        "rows[0] must hold the keys n, s, components, branches, plain, stars, crossed, got {}",
+    ),
+    "report-row-count": (
+        lambda g, sink: format_report(report(g, rows=[*g["report"].rows, {**g["report"].rows[0], "n": "x"}])),
+        "rows[3]['n'] must be an integer >= 0, got 'x'",
+    ),
     "report-total": (
         lambda g, sink: format_report(report(g, star_total="56")),
         "star_total must be an integer >= 0, got '56'",
