@@ -8,6 +8,7 @@ valley folds with their angles, and the seam labels that tell you which
 edge glues to which.
 """
 
+import math
 import pathlib
 
 from helistar import (
@@ -26,14 +27,14 @@ out.mkdir(exist_ok=True)
 branch = solve_band(BandSpec(5, 2))[0]
 net = unfold_net(branch, rows=3)
 
-print(f"net: {len(net.triangles)} triangles, {len(net.folds)} folds,"
+print(f"net: {len(net.triangles)} triangles, {len(net.fold_angles)} folds,"
       f" {len(net.seam_pairs)} seam pairs")
 
 # Mountain folds close toward you, valleys away. A reflex dihedral
 # (> pi) flips the direction, which is exactly what makes the star
 # models fold back through themselves.
-mountains = sum(1 for f in net.folds if f.direction == "mountain")
-print(f"{mountains} mountain folds, {len(net.folds) - mountains} valley folds")
+mountains = int((net.fold_angles < math.pi).sum())
+print(f"{mountains} mountain folds, {len(net.fold_angles) - mountains} valley folds")
 
 export_net_svg(net, out / "star_5_2_net.svg", edge_mm=30.0)
 print("wrote", out / "star_5_2_net.svg")

@@ -45,7 +45,6 @@ from .errors import (
     WindowError,
 )
 from .export import (
-    Fold,
     ModuleOptions,
     NetLayout,
     export_modules_svg,

@@ -130,7 +130,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Record:
 def _cmd_net(args: argparse.Namespace) -> _Record:
     net = unfold_net(_pick_branch(args), rows=args.rows)
     export_net_svg(net, args.out, edge_mm=args.edge_mm)
-    folds = len(net.folds)
+    folds = len(net.fold_angles)
     return EXIT_OK, {"out": args.out, "folds": folds}, f"wrote {args.out}: {folds} fold lines"
 
 

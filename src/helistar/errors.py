@@ -65,14 +65,14 @@ def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | No
     whole. Anything else comes back as int64 or float, checked entry by entry (name[i][j]) since np.asarray
     turns [0.5, True] into floats; entries all Python ints (or floats, for reals) need only one cast.
     """
-    want = "an array" if shape is None else f"a {len(shape)}-D array of shape {tuple(shape)}".replace("None", "m")
     try:
         arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
     except (TypeError, ValueError) as exc:  # rows that do not stack
-        raise ParameterError(f"{name} must be {want}: {exc}") from None
+        raise ParameterError(f"{name} must be {_array_text(shape)}: {exc}") from None
     arr = arr.reshape(0, *shape[1:]) if arr.shape == (0,) and shape and shape[0] is None else arr  # [] is zero rows
     if shape is not None and (arr.ndim != len(shape) or any(w not in (None, d) for w, d in zip(shape, arr.shape))):
-        raise ParameterError(f"{name} must be {want}, got {repr(value) if arr.ndim == 0 else f'shape {arr.shape}'}")
+        got = repr(value) if arr.ndim == 0 else f"shape {arr.shape}"
+        raise ParameterError(f"{name} must be {_array_text(shape)}, got {got}")
     if arr.dtype.kind in kinds and (arr.dtype.kind != "f" or np.isfinite(arr).all()):
         return arr
     check, dtype = (check_real, float) if "f" in kinds else (check_int, np.int64)
@@ -90,6 +90,11 @@ def check_array(name: str, value, kinds: str, shape: tuple[int | None, ...] | No
         return arr.astype(dtype)
     except OverflowError:  # an int beyond 64 bits
         raise ParameterError(f"{name} must hold integers of at most 64 bits") from None
+
+
+def _array_text(shape: tuple[int | None, ...] | None) -> str:
+    """check_array's wording of a shape, built only for a message."""
+    return "an array" if shape is None else f"a {len(shape)}-D array of shape {tuple(shape)}".replace("None", "m")
 
 
 def check_type(name: str, value, kind: type | tuple[type, ...]) -> None:

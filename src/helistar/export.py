@@ -16,25 +16,22 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closure_solver import BranchSolution
-from .errors import ParameterError, check_array, check_int, check_items, check_real, check_type
-from .realization import MAX_WINDOW, MeshSegment
+from .errors import ParameterError, check_array, check_int, check_real, check_type
+from .realization import MAX_WINDOW, MeshSegment, _vertex_indices
 
 __all__ = [
     "NetLayout",
-    "Fold",
     "ModuleOptions",
     "export_obj",
     "unfold_net",
     "export_net_svg",
     "export_modules_svg",
 ]
-
-Label = tuple[int, int]
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 SQRT3_4 = SQRT3_2 / 2.0  # quarter-point to rhombus centre, in edges
@@ -74,51 +71,40 @@ def export_obj(segment: MeshSegment, sink, frame: bool = False) -> None:
         fh.write(_fill(line, rows + 1))
 
 
-@dataclass(frozen=True, init=False)
-class Fold:
-    edge: tuple[Label, Label]
-    cls: str            # 'a' | 'b' | 'c'
-    angle: float        # interior dihedral, radians, in (0, 2pi)
-
-    def __init__(self, edge: tuple[Label, Label], cls: str, angle: float) -> None:
-        fields = self.__dict__  # stored directly: the generated frozen init calls object.__setattr__ per field
-        fields["edge"], fields["cls"], fields["angle"] = edge, cls, angle
-
-    @property
-    def direction(self) -> str:  # 'mountain' (< pi) | 'valley' (> pi), read off the angle
-        return _direction(self.angle)
-
-
 @dataclass
 class NetLayout:
-    """Flat lattice window of a band: points, triangles, folds, seam pairs.
+    """Flat lattice window of a band as arrays: points, triangles, folds, seam pairs.
 
-    points maps lattice label (i, j) to plane coordinates in edge units,
-    P(i, j) = (i*sqrt(3)/2, j + i/2). triangles are label triples in the same
-    orientation order as their 3D counterparts. seam_pairs lists the gluing
-    ((n, j), (0, j+s)) for every pair inside the window.
+    points is (m, 2), m = (n_strips + 1)(rows + 1): row i*(rows + 1) + j is lattice
+    label (i, j), at P(i, j) = (i*sqrt(3)/2, j + i/2) in edge units. triangles
+    (2*n_strips*rows, 3), fold_edges (f, 2) and seam_pairs (p, 2) hold point rows;
+    triangles are in the orientation order of their 3D counterparts, and seam
+    pair j glues (n, j) to (0, j + s). fold_angles (f,) is each fold's interior
+    dihedral: mountain below pi, valley above. A fold's class is its row
+    difference: rows + 1 for a, -rows for b, 1 for c. Each array is checked whole
+    when built: points finite reals, the row arrays ints in [0, m).
     """
 
     n_strips: int
     shift: int
     rows: int
-    points: dict[Label, np.ndarray]
-    triangles: list[tuple[Label, Label, Label]]
-    folds: list[Fold] = field(default_factory=list)
-    seam_pairs: list[tuple[Label, Label]] = field(default_factory=list)
+    points: np.ndarray
+    triangles: np.ndarray
+    fold_edges: np.ndarray
+    fold_angles: np.ndarray
+    seam_pairs: np.ndarray
 
     def __post_init__(self) -> None:
         check_int("n_strips", self.n_strips, 2)
         check_int("shift", self.shift, 1)
         check_int("rows", self.rows, 1, MAX_WINDOW)
-        check_type("points", self.points, dict)
-        self.triangles = check_items("triangles", self.triangles, tuple)
-        self.folds = check_items("folds", self.folds, Fold)
-        self.seam_pairs = check_items("seam_pairs", self.seam_pairs, tuple)
-
-
-def _direction(angle: float) -> str:
-    return "mountain" if angle < math.pi else "valley"
+        m = (self.n_strips + 1) * (self.rows + 1)
+        self.points = check_array("points", self.points, "iuf", (m, 2)).astype(float, copy=False)
+        self.triangles = _vertex_indices("triangles", self.triangles, (None, 3), m)
+        self.fold_edges = _vertex_indices("fold_edges", self.fold_edges, (None, 2), m)
+        f = len(self.fold_edges)
+        self.fold_angles = check_array("fold_angles", self.fold_angles, "iuf", (f,)).astype(float, copy=False)
+        self.seam_pairs = _vertex_indices("seam_pairs", self.seam_pairs, (None, 2), m)
 
 
 def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
@@ -126,28 +112,27 @@ def unfold_net(solution: BranchSolution, rows: int = 2) -> NetLayout:
 
     The window covers strip-boundary lines i in [0, n] and rows j in [0, rows].
     Interior lattice edges become folds carrying the edge class's interior
-    dihedral; the two boundary columns are the seam and carry the shift
+    dihedral, class a (j in [1, rows)), then b, then c, each j outer and i
+    inner; the two boundary columns are the seam and carry the shift
     correspondence instead of a fold. rows is at most MAX_WINDOW.
     """
     check_type("solution", solution, BranchSolution)
     check_int("rows", rows, 1, MAX_WINDOW)
-    n, s = solution.band.n_strips, solution.band.shift
+    n, s, r = solution.band.n_strips, solution.band.shift, rows + 1  # r: point rows per lattice line
 
-    ii, jj = np.divmod(np.arange((n + 1) * (rows + 1)), rows + 1)  # every label, i outer
-    points = dict(zip(zip(ii.tolist(), jj.tolist()), np.column_stack([ii * SQRT3_2, jj + ii / 2.0])))
-
-    triangles = [tri for i in range(n) for j in range(rows)
-                 for tri in (((i, j), (i + 1, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1), (i, j + 1)))]
-
-    a, b, c = solution.dihedrals
-    folds = [Fold(((i, j), (i + 1, j)), "a", a) for j in range(1, rows) for i in range(n)]
-    folds += [Fold(((i + 1, j), (i, j + 1)), "b", b) for j in range(rows) for i in range(n)]
-    folds += [Fold(((i, j), (i, j + 1)), "c", c) for j in range(rows) for i in range(1, n)]
-
-    seam = [((n, j), (0, j + s)) for j in range(rows - s + 1)] if rows >= s else []
+    ii, jj = np.divmod(np.arange((n + 1) * r), r)  # every label, i outer
+    grid = np.arange(rows) + np.arange(n)[:, None] * r  # the row of (i, j), i < n and j < rows
+    # at each (i, j), j outer: the ends of (i, j)-(i+1, j), (i+1, j)-(i, j+1) and (i, j)-(i, j+1)
+    ends = grid.T[None, :, :, None] + np.array([[0, r], [r, 1], [0, 1]])[:, None, None]
+    j = np.arange(rows - s + 1)  # empty when rows < s: no complete pair
     return NetLayout(
         n_strips=n, shift=s, rows=rows,
-        points=points, triangles=triangles, folds=folds, seam_pairs=seam,
+        points=np.column_stack([ii * SQRT3_2, jj + ii / 2.0]),
+        triangles=(grid[..., None, None] + np.array([[0, r, 1], [r, r + 1, 1]])).reshape(-1, 3),
+        # an a fold for j >= 1, every b fold, a c fold for i >= 1
+        fold_edges=np.concatenate([ends[0, 1:].reshape(-1, 2), ends[1].reshape(-1, 2), ends[2, :, 1:].reshape(-1, 2)]),
+        fold_angles=np.repeat(solution.dihedrals, [n * (rows - 1), n * rows, (n - 1) * rows]),
+        seam_pairs=np.column_stack([n * r + j, j + s]),
     )
 
 
@@ -174,7 +159,8 @@ def _text(size: float, body: str = "%s") -> str:
     return f'<text x="%.3f" y="%.3f" font-size="{size}">{body}</text>\n'
 
 
-_FOLD_ROW = {d: _line(d) + _text(2.6, "%.1f") for d in ("mountain", "valley")}  # a fold's line, then its degrees
+# a fold's line, then its degrees: mountain below pi, valley above; objects, so a take shares the two strings
+_FOLD_ROWS = np.array([_line(d) + _text(2.6, "%.1f") for d in ("mountain", "valley")], dtype=object)
 
 
 def _fill(template: str | list[str], *columns) -> str:
@@ -210,28 +196,22 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     check_type("net", net, NetLayout)
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
-    row_of = dict(zip(net.points, range(len(net.points))))
-    points = check_array("points", list(net.points.values()), "iuf", (None, 2))
-    n, s, rows = net.n_strips, net.shift, net.rows
-    try:  # the row of points of every label the sheet reads, before points.max: points may be empty
-        corners = [row_of[c] for c in [(0, 0), (n, 0), (n, rows), (0, rows)]]
-        fold_ends = [row_of[label] for f in net.folds for label in f.edge]
-        seam_ends = [row_of[label] for pair in net.seam_pairs for label in pair]
-    except KeyError as exc:
-        raise ParameterError(f"points must hold label {exc.args[0]}, which the sheet reads") from None
+    points, n, s, rows = net.points, net.n_strips, net.shift, net.rows
+    corners = [0, n * (rows + 1), n * (rows + 1) + rows, rows]  # the rows of (0, 0), (n, 0), (n, rows), (0, rows)
     xmax, ymax = points.max(axis=0).tolist()
 
     def body() -> str:
-        # flip y so row numbers grow upward on the page
-        page = np.column_stack([margin + points[:, 0] * edge_mm, margin + (ymax - points[:, 1]) * edge_mm])
-        ends = page[fold_ends].reshape(-1, 4)
-        marks = page[seam_ends].reshape(-1, 2, 2)
-        angles = [f.angle for f in net.folds]  # np.degrees has math.degrees' bits: one product by 180/pi
-        beside = marks[..., 0] + np.array([1.0, -1.0]) * 0.08 * edge_mm  # x of a seam number, per end
+        # flip y so row numbers grow upward on the page: x, ymax - y (as -y + ymax, the same bits), scaled
+        page = margin + (points * [1.0, -1.0] + [0.0, ymax]) * edge_mm
+        ends = page.take(net.fold_edges, axis=0).reshape(-1, 4)
+        # each seam number beside its end: right of the right column, left of the left (y + 0.0 is y; -0 writes 0.000)
+        marks = (page.take(net.seam_pairs, axis=0) + [[0.08 * edge_mm, 0.0], [-0.08 * edge_mm, 0.0]]).reshape(-1, 2)
+        angles = net.fold_angles  # np.degrees has math.degrees' bits: one product by 180/pi
+        templates = _FOLD_ROWS.take(angles >= math.pi).tolist()  # mountain (0) or valley (1), per fold
         return (
-            _CUT % tuple(page[corners].ravel().tolist())
-            + _fill([_FOLD_ROW[_direction(a)] for a in angles], ends, (ends[:, :2] + ends[:, 2:]) / 2, np.degrees(angles))
-            + _fill(_text(3.2, "%d"), beside.ravel(), marks[..., 1].ravel(), np.arange(beside.size) // 2)
+            _CUT % tuple(page.take(corners, axis=0).ravel().tolist())
+            + _fill(templates, ends, (ends[:, :2] + ends[:, 2:]) / 2, np.degrees(angles))
+            + _fill(_text(3.2, "%d"), marks, np.arange(len(marks)) // 2)
         )
 
     _write_sheet(
@@ -281,7 +261,7 @@ def export_modules_svg(solution: BranchSolution, opts: ModuleOptions, sink) -> i
     check_type("opts", opts, ModuleOptions)
     count = (opts.periods - 1) * solution.band.n_strips + 1  # face pairs in the window = faces/2, c = n
     angle = solution.dihedrals[2]
-    fold_dir = _direction(angle)
+    fold_dir = "mountain" if angle < math.pi else "valley"
     edge, cols = opts.edge_mm, opts.columns
     pitch_x, pitch_y = edge + GAP_MM, 2.0 * SQRT3_2 * edge + GAP_MM
     w = cols * pitch_x + GAP_MM

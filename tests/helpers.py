@@ -16,7 +16,8 @@ each interior 1-ring off the neighbor cycle of the band, and
 face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
 must agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
 each sheet one element per Python call, each coordinate formatted on its own;
-the exporters' one-pass templates must write the same bytes. colleague_brackets
+the exporters' one-pass templates must write the same bytes; fold_classes reads each
+net fold's edge class off its point rows alone. colleague_brackets
 locates each band's roots from the eigenvalues of its component's colleague
 matrix and snaps them to the grid; the solver's analytic bracket pass must find
 the same flips and zeros. catalog_json_oracle and catalog_csv_oracle write a
@@ -67,8 +68,9 @@ from helistar.export import _SVG_STYLE, GAP_MM, SQRT3_2
 FOLD_SIGN = 1.0
 
 
-def _phi(label: tuple[int, int], n: int, s: int) -> int:
-    i, j = label
+def _phi(row: int, n: int, s: int, rows: int) -> int:
+    """Helix index of the net's point row: label (i, j) is row i*(rows + 1) + j."""
+    i, j = divmod(row, rows + 1)
     return i * s + j * n
 
 
@@ -83,17 +85,17 @@ def refold_max_error(solution: BranchSolution, rows: int = 2) -> float:
     n, s = net.n_strips, net.shift
     params = solution.params
 
-    fold_angle = {frozenset(f.edge): f.angle for f in net.folds}
-    tris = net.triangles
+    fold_angle = {frozenset(e): a for e, a in zip(net.fold_edges.tolist(), net.fold_angles.tolist())}
+    tris = net.triangles.tolist()
     by_edge: dict[frozenset, list[int]] = {}
     for t_idx, tri in enumerate(tris):
         for u in range(3):
             by_edge.setdefault(frozenset((tri[u], tri[(u + 1) % 3])), []).append(t_idx)
 
-    def true_pos(label):
-        return helix_points(params, [_phi(label, n, s)])[0]
+    def true_pos(row):
+        return helix_points(params, [_phi(row, n, s, net.rows)])[0]
 
-    placed: dict[tuple[int, int], np.ndarray] = {}
+    placed: dict[int, np.ndarray] = {}
     seed = tris[0]
     for lbl in seed:
         placed[lbl] = true_pos(lbl)
@@ -350,23 +352,33 @@ def _sheet(w: float, h: float, desc: str, body, footer_x: float, footer: str) ->
     return (sheet + _sheet_text(footer_x, h - 5.0, 3.5, footer) + "</svg>\n").replace("-0.000", "0.000")
 
 
+def fold_classes(net: NetLayout) -> list[str]:
+    """Each fold's edge class, read off its row difference: rows + 1 for a, -rows for b, 1 for c.
+
+    Point row i*(rows + 1) + j is lattice label (i, j), so the a edge (i, j)-(i+1, j),
+    the b edge (i+1, j)-(i, j+1) and the c edge (i, j)-(i, j+1) step by those rows.
+    """
+    step = {net.rows + 1: "a", -net.rows: "b", 1: "c"}
+    return [step[v - u] for u, v in net.fold_edges.tolist()]
+
+
 def net_svg_oracle(net: NetLayout, edge_mm: float = 40.0) -> str:
     """export_net_svg's sheet, element by element."""
     margin = 0.35 * edge_mm
-    xmax, ymax = (max(float(p[k]) for p in net.points.values()) for k in (0, 1))
+    xmax, ymax = (max(float(p[k]) for p in net.points) for k in (0, 1))
     n, s, rows = net.n_strips, net.shift, net.rows
 
-    def at(label):
-        p = net.points[label]
+    def at(row):  # point row i*(rows + 1) + j is lattice label (i, j)
+        p = net.points[row]
         return margin + p[0] * edge_mm, margin + (ymax - p[1]) * edge_mm
 
     def body():
-        yield _sheet_cut(at(c) for c in [(0, 0), (n, 0), (n, rows), (0, rows)])
-        for f in net.folds:
-            p, q = at(f.edge[0]), at(f.edge[1])
-            yield _sheet_line(f.direction, p, q)
-            yield _sheet_text((p[0] + q[0]) / 2, (p[1] + q[1]) / 2, 2.6, f"{math.degrees(f.angle):.1f}")
-        for idx, pair in enumerate(net.seam_pairs):
+        yield _sheet_cut(at(i * (rows + 1) + j) for i, j in [(0, 0), (n, 0), (n, rows), (0, rows)])
+        for (u, v), angle in zip(net.fold_edges.tolist(), net.fold_angles.tolist()):
+            p, q = at(u), at(v)
+            yield _sheet_line("mountain" if angle < math.pi else "valley", p, q)
+            yield _sheet_text((p[0] + q[0]) / 2, (p[1] + q[1]) / 2, 2.6, f"{math.degrees(angle):.1f}")
+        for idx, pair in enumerate(net.seam_pairs.tolist()):
             for (x, y), side in zip(map(at, pair), (1.0, -1.0)):
                 yield _sheet_text(x + side * 0.08 * edge_mm, y, 3.2, idx)
 

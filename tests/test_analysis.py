@@ -516,3 +516,24 @@ class TestStagedScan:
                 calls.clear()
                 classify(sols)
                 assert len(calls) == 1
+
+
+class TestEmbeddingLaw:
+    """ROADMAP items 15 and 18, measured: a branch of a connected band is
+    non-intersecting exactly when its meridian winds once, |w| = 1, and each
+    band has exactly one such branch. w = s*round(n*theta/2pi) - n*round(s*theta/2pi)
+    comes from theta alone, with no analysis code; the verdict is classify's."""
+
+    def test_non_intersecting_exactly_when_w_is_one_on_3_to_40(self):
+        bands = [BandSpec(n, s) for n in range(3, 41) for s in range(1, n // 2 + 1) if math.gcd(n, s) == 1]
+        branches = solve_band(bands)
+        verdicts = iter(classify([sol for sols in branches for sol in sols]))
+        for band, sols in zip(bands, branches):
+            n, s = band.n_strips, band.shift
+            turns = [sol.params.theta / (2.0 * math.pi) for sol in sols]
+            w = [s * round(n * t) - n * round(s * t) for t in turns]
+            embedded = [not next(verdicts).intersecting for _ in sols]
+            assert embedded == [abs(x) == 1 for x in w], (n, s, w)
+            assert embedded.count(True) == 1, (n, s, w)
+        assert next(verdicts, None) is None
+        assert (len(bands), sum(map(len, branches))) == (244, 3671)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 import helistar
 from helistar import (
     BandSpec,
-    Fold,
     MeshSegment,
     ModuleOptions,
     ParameterError,
@@ -32,7 +32,7 @@ from helistar import (
 )
 from helistar.realization import MAX_WINDOW
 
-from helpers import modules_svg_oracle, net_svg_oracle, pinned_meshes, refold_max_error
+from helpers import fold_classes, modules_svg_oracle, net_svg_oracle, pinned_meshes, refold_max_error
 
 
 def parse_obj(text):
@@ -136,17 +136,16 @@ class TestNet:
     def test_lattice_counts(self, band52):
         n, rows = 5, 3
         net = unfold_net(band52[0], rows=rows)
-        assert len(net.points) == (n + 1) * (rows + 1)
-        assert len(net.triangles) == 2 * n * rows
-        by_cls = {}
-        for f in net.folds:
-            by_cls[f.cls] = by_cls.get(f.cls, 0) + 1
-        assert by_cls == {"a": n * (rows - 1), "b": n * rows, "c": (n - 1) * rows}
+        assert net.points.shape == ((n + 1) * (rows + 1), 2)
+        assert net.triangles.shape == (2 * n * rows, 3)
+        # a fold's class is its row difference: rows + 1 for a, -rows for b, 1 for c
+        by_cls = Counter(np.diff(net.fold_edges).ravel().tolist())
+        assert by_cls == {rows + 1: n * (rows - 1), -rows: n * rows, 1: (n - 1) * rows}
 
     def test_lattice_edges_are_unit(self, band52):
         net = unfold_net(band52[0], rows=2)
         for tri in net.triangles:
-            pts = [net.points[lbl] for lbl in tri]
+            pts = net.points[tri]
             for u in range(3):
                 d = np.linalg.norm(pts[u] - pts[(u + 1) % 3])
                 assert abs(d - 1.0) < 1e-12
@@ -154,16 +153,30 @@ class TestNet:
     def test_fold_angles_match_dihedrals(self, band52):
         sol = band52[0]
         net = unfold_net(sol, rows=2)
-        angles = dict(zip("abc", sol.dihedrals))
-        for f in net.folds:
-            assert f.angle == angles[f.cls]
-            assert f.direction == ("mountain" if f.angle < math.pi else "valley")
+        angles = dict(zip((3, -2, 1), sol.dihedrals))  # a, b, c by row difference at rows = 2
+        for (u, v), angle in zip(net.fold_edges.tolist(), net.fold_angles.tolist()):
+            assert angle == angles[v - u]
+
+    def test_every_fold_carries_its_class_dihedral(self, solutions_5_12):
+        # the class comes from the fold's point rows alone, the angle from the branch
+        nets = 0
+        for (n, s), sols in solutions_5_12.items():
+            for sol in sols:
+                dihedral = dict(zip("abc", sol.dihedrals))
+                for rows in (1, 2, 3):
+                    net = unfold_net(sol, rows=rows)
+                    classes = fold_classes(net)
+                    assert [classes.count(c) for c in "abc"] == [n * (rows - 1), n * rows, (n - 1) * rows]
+                    assert net.fold_angles.tolist() == [dihedral[c] for c in classes]
+                    nets += 1
+        assert nets == 3 * 124
 
     def test_seam_pairs_follow_the_shift(self, band52):
         net = unfold_net(band52[0], rows=3)
-        assert net.seam_pairs == [((5, 0), (0, 2)), ((5, 1), (0, 3))]
+        labels = [[divmod(row, 4) for row in pair] for pair in net.seam_pairs.tolist()]  # row i*4 + j is (i, j)
+        assert labels == [[(5, 0), (0, 2)], [(5, 1), (0, 3)]]
         # window shorter than the shift leaves no complete pair
-        assert unfold_net(band52[0], rows=1).seam_pairs == []
+        assert unfold_net(band52[0], rows=1).seam_pairs.shape == (0, 2)
 
     def test_rows_bound(self, tetrahelix):
         assert len(unfold_net(tetrahelix, rows=MAX_WINDOW).points) == 4 * (MAX_WINDOW + 1)
@@ -195,7 +208,7 @@ class TestNetSvg:
         export_net_svg(net, buf)
         svg = buf.getvalue()
         assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-        assert svg.count('class="mountain"') + svg.count('class="valley"') == len(net.folds)
+        assert svg.count('class="mountain"') + svg.count('class="valley"') == len(net.fold_angles)
         assert svg.count('class="cut"') == 1
         assert "<desc>" in svg and "viewBox" in svg
         # each seam pair is labeled on both columns
@@ -207,8 +220,8 @@ class TestNetSvg:
         buf = io.StringIO()
         export_net_svg(net, buf)
         svg = buf.getvalue()
-        m = sum(1 for f in net.folds if f.direction == "mountain")
-        v = len(net.folds) - m
+        m = int(np.count_nonzero(net.fold_angles < math.pi))
+        v = len(net.fold_angles) - m
         assert svg.count('<line class="mountain"') == m
         assert svg.count('<line class="valley"') == v
 
@@ -343,26 +356,25 @@ class TestSheetBytes:
 
 
 def _move_point(net):
-    # past the old right edge and below row 0, so the sheet size and signs change
-    net.points[(1, 1)] = net.points[(1, 1)] + np.array([9.25, -1.5])
+    # label (1, 1), at row rows + 2: past the old right edge and below row 0, so the sheet size and signs change
+    net.points[net.rows + 2] += [9.25, -1.5]
 
 
 def _move_point_onto_the_margin(net):
-    # a page x a hair below zero, which the sheet writes as 0.000
-    net.points[(0, 1)] = np.array([-0.35 - 1e-9, net.points[(0, 1)][1]])
+    # label (0, 1), at row 1: a page x a hair below zero, which the sheet writes as 0.000
+    net.points[1, 0] = -0.35 - 1e-9
 
 
 def _flip_a_fold(net):
-    f = net.folds[3]
-    net.folds[3] = Fold(f.edge, f.cls, 2.0 * math.pi - f.angle)
+    net.fold_angles[3] = 2.0 * math.pi - net.fold_angles[3]
 
 
 def _drop_folds(net):
-    net.folds = []
+    net.fold_edges, net.fold_angles = net.fold_edges[:0], net.fold_angles[:0]
 
 
 def _drop_seam_pairs(net):
-    net.seam_pairs = []
+    net.seam_pairs = net.seam_pairs[:0]
 
 
 class TestSheetOracle:
@@ -384,7 +396,7 @@ class TestSheetOracle:
     def test_no_folds_and_no_seam_pairs_leave_the_outline(self, band52):
         net = unfold_net(band52[0], rows=1)
         _drop_folds(net)
-        assert net.seam_pairs == []
+        assert len(net.seam_pairs) == 0
         buf = io.StringIO()
         export_net_svg(net, buf)
         assert buf.getvalue() == net_svg_oracle(net)

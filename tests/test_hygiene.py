@@ -85,7 +85,7 @@ def test_all_lists_every_public_name():
     # __all__ is computed from the namespace, so this list is what holds the public names fixed
     assert sorted(helistar.__all__) == [
         "BandSpec", "BranchSolution", "CatalogEntry", "CatalogFormatError", "CatalogReport",
-        "Classification", "Fold", "HelistarError", "HelixParams", "MeshSegment", "ModuleOptions",
+        "Classification", "HelistarError", "HelixParams", "MeshSegment", "ModuleOptions",
         "NetLayout", "ParameterError",
         "UniformityReport", "WindowError", "antiprism_tower", "build_report", "chord", "classify",
         "closure_determinant", "component_params", "enumerate_catalog",

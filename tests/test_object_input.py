@@ -150,33 +150,66 @@ FIELDS = {
         lambda g, sink: export_modules_svg(branch(g, branch_index=1.0), ModuleOptions(), sink),
         "branch_index must be an integer >= 1, got 1.0",
     ),
-    "net-points": (lambda g, sink: export_net_svg(NetLayout(5, 2, 2, None, []), sink), "points must be a dict, got None"),
-    "net-rows": (lambda g, sink: export_net_svg(net(g, rows=True), sink), "rows must be an integer >= 1"),
-    "net-fold": (lambda g, sink: export_net_svg(net(g, folds=[None]), sink), "folds[0] must be a Fold, got None"),
-    "net-seam": (
-        lambda g, sink: export_net_svg(net(g, seam_pairs=[[(3, 0), (0, 2)]]), sink),
-        "seam_pairs[0] must be a tuple, got [",
+    # the good net is the tetrahelix's at rows = 2: 12 point rows, 13 folds, 2 seam pairs
+    "net-points": (
+        lambda g, sink: export_net_svg(NetLayout(3, 1, 2, None, [], [], [], []), sink),
+        "points must be a 2-D array of shape (12, 2), got None",
     ),
-    # points lacking a label the sheet reads: a corner, then a fold end that is no corner
+    "net-rows": (lambda g, sink: export_net_svg(net(g, rows=True), sink), "rows must be an integer >= 1"),
     "net-no-points": (
-        lambda g, sink: export_net_svg(NetLayout(5, 2, 2, {}, []), sink),
-        "points must hold label (0, 0), which the sheet reads",
+        lambda g, sink: export_net_svg(net(g, points=[]), sink),
+        "points must be a 2-D array of shape (12, 2), got shape (0,)",
     ),
     "net-one-point": (
-        lambda g, sink: export_net_svg(NetLayout(5, 2, 2, {(0, 0): [0.0, 0.0]}, []), sink),
-        "points must hold label (5, 0), which the sheet reads",
+        lambda g, sink: export_net_svg(net(g, points=[[0.0, 0.0]]), sink),
+        "points must be a 2-D array of shape (12, 2), got shape (1, 2)",
     ),
-    "net-fold-end": (
-        lambda g, sink: export_net_svg(net(g, points={k: v for k, v in g["net"].points.items() if k != (1, 1)}), sink),
-        "points must hold label (1, 1), which the sheet reads",
+    # points of another window: the shape follows n_strips and rows
+    "net-other-rows": (
+        lambda g, sink: export_net_svg(net(g, rows=3), sink),
+        "points must be a 2-D array of shape (16, 2), got shape (12, 2)",
     ),
     "net-point-nan": (
-        lambda g, sink: export_net_svg(net(g, points={**g["net"].points, (0, 0): [float("nan"), 0.0]}), sink),
+        lambda g, sink: export_net_svg(net(g, points=[[float("nan"), 0.0], *g["net"].points[1:].tolist()]), sink),
         "points[0][0] must be a finite real, got nan",
     ),
     "net-point-bool": (
-        lambda g, sink: export_net_svg(net(g, points={**g["net"].points, (0, 0): [0.0, True]}), sink),
+        lambda g, sink: export_net_svg(net(g, points=[[0.0, True], *g["net"].points[1:].tolist()]), sink),
         "points[0][1] must be a finite real, got True",
+    ),
+    # a point row outside [0, 12): past the end, then negative, which would index from the end
+    "net-triangle": (
+        lambda g, sink: export_net_svg(net(g, triangles=g["net"].triangles + 1), sink),
+        "triangles must hold vertex indices in [0, 12), got 1..12",
+    ),
+    "net-fold": (
+        lambda g, sink: export_net_svg(net(g, fold_edges=g["net"].fold_edges + 2), sink),
+        "fold_edges must hold vertex indices in [0, 12), got 3..12",
+    ),
+    "net-fold-end": (
+        lambda g, sink: export_net_svg(net(g, fold_edges=g["net"].fold_edges - 2), sink),
+        "fold_edges must hold vertex indices in [0, 12), got -1..8",
+    ),
+    "net-fold-row": (
+        lambda g, sink: export_net_svg(net(g, fold_edges=[[0, 1.5]], fold_angles=[1.0]), sink),
+        "fold_edges[0][1] must be an integer, got 1.5",
+    ),
+    "net-seam": (
+        lambda g, sink: export_net_svg(net(g, seam_pairs=[[12, 2]]), sink),
+        "seam_pairs must hold vertex indices in [0, 12), got 2..12",
+    ),
+    "net-seam-negative": (
+        lambda g, sink: export_net_svg(net(g, seam_pairs=[[9, -1]]), sink),
+        "seam_pairs must hold vertex indices in [0, 12), got -1..9",
+    ),
+    # one angle a fold
+    "net-fold-angles": (
+        lambda g, sink: export_net_svg(net(g, fold_angles=g["net"].fold_angles[1:]), sink),
+        "fold_angles must be a 1-D array of shape (13,), got shape (12,)",
+    ),
+    "net-fold-angle-nan": (
+        lambda g, sink: export_net_svg(net(g, fold_angles=[float("nan")] * 13), sink),
+        "fold_angles[0] must be a finite real, got nan",
     ),
     "report-rows": (
         lambda g, sink: format_report(CatalogReport(None, 0, 0, 0, 0, 0, [], [])),

@@ -208,7 +208,7 @@ class TestDihedrals:
         assert (moved.winding_m, moved.residual.hex()) == (second.winding_m, second.residual.hex())
         assert (second.winding_m, second.residual) != (first.winding_m, first.residual)
         assert moved.dihedrals == second.dihedrals != first.dihedrals
-        assert unfold_net(moved).folds == unfold_net(second).folds
+        assert unfold_net(moved).fold_angles.tolist() == unfold_net(second).fold_angles.tolist()
         sheets = [io.StringIO(), io.StringIO()]
         for sol, sheet in zip((moved, second), sheets):
             export_modules_svg(sol, ModuleOptions(), sheet)
