@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band_combinatorics import prototype_faces
-from .closure_solver import BranchSolution, _dot, helix_points
+from .closure_solver import _ROT, BranchSolution, _dot, helix_points
 from .errors import ParameterError, WindowError, check_array, check_int, check_type
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
 UNIFORM_TOL = 1e-9  # max deviation of edge length, face angle and constellation
 MAX_WINDOW = 1000  # largest periods, net rows, sheet columns, tower rings or gon
 
-_NEXT, _AFTER_NEXT = np.array([1, 2, 0]), np.array([2, 0, 1])  # a face's corners i+1 and i+2, by corner i
 _SIX, _PAIRS = np.arange(6), np.triu_indices(7, k=1)  # a 1-ring's neighbor rows, and its pairs of points
 
 
@@ -152,10 +151,10 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     edge_dev = float(np.abs(np.sqrt(_dot(d, d)) - 1.0).max(initial=0.0))
 
     p = verts.take(faces, axis=0)
-    side = p.take(_NEXT, axis=1) - p  # corner i to corner i+1; corner i to i+2 is -side[i+2], exactly
+    side = p.take(_ROT[0], axis=1) - p  # corner i to corner i+1; corner i to i+2 (_ROT[1]) is -side[i+2], exactly
     length = np.sqrt(_dot(side, side))
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero-length side gives a NaN, which fails below
-        cosang = _dot(side, -side.take(_AFTER_NEXT, axis=1)) / (length * length.take(_AFTER_NEXT, axis=1))
+        cosang = _dot(side, -side.take(_ROT[1], axis=1)) / (length * length.take(_ROT[1], axis=1))
     # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine, clipped to [-1, 1]
     ends = (max(cosang.min(), -1.0), min(cosang.max(), 1.0)) if cosang.size else ()
     ang_dev = max((abs(math.acos(x) - math.pi / 3.0) for x in ends), default=0.0)
@@ -174,7 +173,7 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*n + max
         return np.minimum(u, v) * n + np.maximum(u, v)
 
-    sides = np.sort(keys(faces, faces.take(_NEXT, axis=1)), axis=None)
+    sides = np.sort(keys(faces, faces.take(_ROT[0], axis=1)), axis=None)
     inner_edges = keys(u, v)[inner[u] & inner[v]]
     # faces per inner edge: how often its key occurs among the sorted side keys
     per_edge = np.searchsorted(sides, inner_edges, "right") - np.searchsorted(sides, inner_edges)

@@ -9,8 +9,7 @@ test's scan with no symmetry reduction, at any base vertex, and
 shifted_witness moves a base-0 result there; figure_oracle decides the vertex
 figure at any vertex with its own projection and crossing test, sharing no
 code with helistar.analysis. All are deliberately independent of the
-implementation paths they check. pinned_meshes is the mesh set behind the
-OBJ and uniformity-report byte pins, and faces_per_side_bad counts bad
+implementation paths they check. faces_per_side_bad counts bad
 interior edges with a Counter over side tuples. cycle_constellation_dev reads
 each interior 1-ring off the neighbor cycle of the band, and
 face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
@@ -45,12 +44,10 @@ from helistar import (
     MeshSegment,
     ModuleOptions,
     NetLayout,
-    antiprism_tower,
     closure_determinant,
     helix_points,
     prototype_faces,
     realize,
-    solve_band,
     triangles_properly_intersect,
     unfold_net,
     vertex_neighbor_cycle,
@@ -276,19 +273,6 @@ def figure_oracle(solution: BranchSolution, base: int) -> str:
             if 0.0 < t < 1.0 and 0.0 < u < 1.0:
                 return "crossed"
     return "simple"
-
-
-def pinned_meshes():
-    """(mesh, offsets) for every branch of n 3..12 (all shifts) at periods 1, 2
-    and 24, then (tower, None) for gon 3..12 at rings 2, 3 and 6."""
-    bands = [BandSpec(n, s) for n in range(3, 13) for s in range(1, n)]
-    for sols in solve_band(bands):
-        for sol in sols:
-            for periods in (1, 2, 24):
-                yield realize(sol, periods), sol.offsets
-    for gon in range(3, 13):
-        for rings in (2, 3, 6):
-            yield antiprism_tower(gon, rings), None
 
 
 def faces_per_side_bad(segment: MeshSegment) -> int:

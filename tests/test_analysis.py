@@ -1,13 +1,10 @@
 """Intersection predicate fixtures, classifier verdicts, vertex figures."""
 
-import hashlib
-import json
 import math
 import random
 import warnings
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +23,6 @@ from helistar.analysis import BLOCK_ROWS, ROW_BUDGET, classify_face_intersection
 from helpers import brute_force_intersecting, figure_oracle, full_scan_witnesses, kept_row_oracle, lanes, shifted_witness
 
 T_BASE = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-
-
-def pinned_witnesses():
-    """Rows of face_witnesses_5_12.json, and (n, s, branch) -> (verdict, witness)."""
-    rows = json.loads((Path(__file__).parent / "data" / "face_witnesses_5_12.json").read_text())
-    expected = {}
-    for n, s, branch, hit, witness in rows:
-        expected[(n, s, branch)] = (hit, None if witness is None else tuple(map(tuple, witness)))
-    return rows, expected
 
 
 class TestPredicateFixtures:
@@ -167,18 +155,6 @@ class TestClassifier:
         assert b3.winding_m == 6
         assert not classify([b3])[0].intersecting
 
-    def test_witnesses_are_pinned(self, solutions_5_12):
-        # verdict and witness of every 5..12 branch, recorded from the scalar
-        # pair-by-pair scan; pins the scan order the demos print
-        rows, expected = pinned_witnesses()
-        assert [5, 2, 1, True, [["U", 0], ["D", -2]]] in rows
-        got = {
-            (n, s, sol.branch_index): classify_face_intersection(sol)
-            for (n, s), sols in solutions_5_12.items()
-            for sol in sols
-        }
-        assert got == expected
-
     @pytest.mark.parametrize("base", [3, 7, 11])
     def test_screw_invariance(self, band52, base):
         # the unreduced scan at v_base finds classify's witness, moved up by base
@@ -263,18 +239,6 @@ class TestFullScan:
             hits += sum(hit for hit, _ in expected)
         assert checked == 1149 and hits > 500
 
-    def test_census_verdicts_are_pinned(self, bands_5_24):
-        # verdict, witness and figure of every branch of 5..24 with compounds,
-        # classified as a census does, in one call
-        branches = [sol for sols in bands_5_24 for sol in sols]
-        lines = [
-            f"{sol.band.n_strips} {sol.band.shift} {sol.branch_index} {cls.intersecting} {cls.witness} {cls.vertex_figure}"
-            for sol, cls in zip(branches, classify(branches), strict=True)
-        ]
-        assert len(lines) == 1149
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "d8c754220121ffdc45146d3c1a43c8e87b5e20646f2f5727b2f4a7ed26a18a00"
-
     @pytest.mark.parametrize("base", [-7, 3])
     def test_one_branch_matches_the_full_scan_at_other_bases(self, bands_5_24, base):
         # the unreduced scan at v_base finds each branch's base-0 witness, moved up by base
@@ -336,15 +300,6 @@ class TestBandPass:
         assert len(alone) == len(whole) == 23_796
         fields = lambda cls: (cls.intersecting, cls.witness, cls.vertex_figure, cls.figure_polygon.tobytes())
         assert list(map(fields, alone)) == list(map(fields, whole))
-
-    def test_band_pass_reproduces_the_witness_pin(self, solutions_5_12):
-        _, expected = pinned_witnesses()
-        got = {
-            (n, s, sol.branch_index): (cls.intersecting, cls.witness)
-            for (n, s), sols in solutions_5_12.items()
-            for sol, cls in zip(sols, classify(sols), strict=True)
-        }
-        assert got == expected
 
     def test_order_follows_the_input(self, solutions_5_12):
         sols = solutions_5_12[(11, 2)]

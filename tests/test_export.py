@@ -1,6 +1,5 @@
 """OBJ, net, and module-sheet emission plus the fold-forward round trip."""
 
-import hashlib
 import io
 import math
 import os
@@ -32,7 +31,8 @@ from helistar import (
 )
 from helistar.realization import MAX_WINDOW
 
-from helpers import fold_classes, modules_svg_oracle, net_svg_oracle, pinned_meshes, refold_max_error
+import fingerprint
+from helpers import fold_classes, modules_svg_oracle, net_svg_oracle, refold_max_error
 
 
 def parse_obj(text):
@@ -112,24 +112,6 @@ class TestObj:
             export_obj(seg, sink, frame=frame)
             assert sink.writes <= 2, (periods, frame)
             assert sink.getvalue().count("\n") == len(seg.vertices) + len(seg.edges if frame else seg.faces)
-
-
-# faces then frame of every mesh of helpers.pinned_meshes
-OBJ_SHA256 = "493433ba99f38459f9f407b63edee0972daa125cb317e081033c9473e96ef058"
-
-
-class TestObjBytes:
-    def test_every_face_and_frame_file_matches_its_pin(self):
-        digest = hashlib.sha256()
-        files = 0
-        for seg, _ in pinned_meshes():
-            for frame in (False, True):
-                buf = io.StringIO()
-                export_obj(seg, buf, frame=frame)
-                digest.update(buf.getvalue().encode())
-                files += 1
-        assert files == 2 * (254 * 3 + 30)
-        assert digest.hexdigest() == OBJ_SHA256
 
 
 class TestNet:
@@ -327,32 +309,15 @@ class TestModulesSvg:
             assert abs(math.hypot(dx, dy) - opts.slit_fraction) < 1e-12
 
 
-# net (rows, edge_mm) and module-sheet options covered by the byte pin below
-NET_CASES = [(2, 40.0), (1, 0.3), (3, 12.5), (5, 1e6)]
-MODULE_CASES = [ModuleOptions(), ModuleOptions(12.5, 3, 2, 0.4), ModuleOptions(0.3, 4, 7, 0.43)]
-SHEETS_SHA256 = "0fd2a192917db582fd9b963ecb70a49802d38e9033e8003a5ca614c023c6a166"
-
-
-class TestSheetBytes:
-    def test_every_sheet_of_3_to_12_parses_and_matches_its_pin(self):
-        bands = [BandSpec(n, s) for n in range(3, 13) for s in range(1, n // 2 + 1)]
-        digest = hashlib.sha256()
-        sheets = 0
-        for sols in solve_band(bands):
-            for sol in sols:
-                for rows, edge_mm in NET_CASES:
-                    buf = io.StringIO()
-                    export_net_svg(unfold_net(sol, rows=rows), buf, edge_mm=edge_mm)
-                    ET.fromstring(buf.getvalue())
-                    digest.update(buf.getvalue().encode())
-                for opts in MODULE_CASES:
-                    buf = io.StringIO()
-                    export_modules_svg(sol, opts, buf)
-                    ET.fromstring(buf.getvalue())
-                    digest.update(buf.getvalue().encode())
-                sheets += len(NET_CASES) + len(MODULE_CASES)
-        assert sheets > 500
-        assert digest.hexdigest() == SHEETS_SHA256
+class TestPinnedSheets:
+    def test_every_sheet_of_the_sheet_pin_parses(self):
+        # fingerprint.sheets, whose bytes the sheet pin holds: one net per NET_CASES
+        # and one module sheet per MODULE_CASES for each of the 127 branches of 3..12
+        count = 0
+        for text in fingerprint.sheets():
+            ET.fromstring(text)
+            count += 1
+        assert count == 127 * (len(fingerprint.NET_CASES) + len(fingerprint.MODULE_CASES))
 
 
 def _move_point(net):

@@ -1,11 +1,17 @@
-"""The branch fingerprint (fingerprint.py): its 3..64 pin and its diff."""
+"""The pins (fingerprint.py): each pin against tests/data, the command that
+re-records them, and the branch fingerprint's record and diff."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
 import fingerprint
-from fingerprint import diff, digest, record
+import helistar as hs
+from fingerprint import DATA, diff, digest, record
+
+STORED = fingerprint.stored_pins()
 
 
 @pytest.fixture(scope="module")
@@ -17,20 +23,43 @@ def fields(line: str) -> dict:
     return dict(item.split("=", 1) for item in line.split())
 
 
-def test_the_3_64_record_is_pinned():
-    # every branch of 3..64, compounds included: solver, verdict and figure bits
-    lines = record(3, 64)
-    assert len(lines) == 23796
-    assert digest(lines) == "1ca02c1f74569cb1b7f1512730e1beb2467cd628ab93296ef2c95acf26eabf42"
-    # its verdict, witness, figure, polygon and dihedral fields, in the layout of
-    # the hand-run digest that CHANGES.md quotes for the face-lane change
-    def verdict_line(f):
-        pairs = None if f["witness"] == "none" else tuple((w[0], int(w[1:])) for w in f["witness"].split(","))
-        head = [f["n"], f["s"], f["branch"], f["intersecting"], str(pairs), f["figure"]]
-        return " ".join(head + f["polygon"].split(",") + f["dihedrals"].split(","))
+@pytest.fixture(scope="module")
+def recomputed():
+    return fingerprint.pin_values()
 
-    verdicts = [verdict_line(fields(line)) for line in lines]
-    assert digest(verdicts) == "b72429cb6b1f0dd0cdc3616453bc4f3fdbfcebf56584fd21dd37405da7a812eb"
+
+@pytest.mark.parametrize("name", STORED)
+def test_pin(recomputed, name):
+    # each digest of pins.json and each golden text, recomputed from the tree
+    assert recomputed[name] == STORED[name]
+
+
+def test_pins_reports_every_pin_unchanged_and_writes_tests_data(recomputed, tmp_path):
+    assert fingerprint.pins(tmp_path, recomputed) == [f"{name}: unchanged" for name in STORED]
+    written = sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*") if path.is_file())
+    assert written == sorted(map(Path, ["pins.json", *fingerprint.GOLDENS]))
+    for path in written:
+        assert (tmp_path / path).read_bytes() == (DATA / path).read_bytes(), path
+
+
+def test_pins_name_a_one_ulp_theta_move_in_the_record_but_not_its_discrete_fields(recomputed, tmp_path, monkeypatch):
+    solve = hs.solve_band
+
+    def moved(bands):
+        # branch 1 of (64, 1), its theta up one ulp; its residual and dihedrals follow
+        sols = [list(branches) for branches in solve(bands)]
+        where = next(i for i, band in enumerate(bands) if (band.n_strips, band.shift) == (64, 1))
+        sol = sols[where][0]
+        theta = math.nextafter(sol.params.theta, math.inf)
+        sols[where][0] = dataclasses.replace(sol, params=dataclasses.replace(sol.params, theta=theta))
+        return sols
+
+    monkeypatch.setattr(hs, "solve_band", moved)
+    values = recomputed | fingerprint.branch_pins()  # only the record is recomputed
+    lines = fingerprint.pins(tmp_path, values)
+    assert lines[0] == f"record_3_64: {STORED['record_3_64']} -> {values['record_3_64']}"
+    assert values["record_3_64"] != STORED["record_3_64"]
+    assert lines[1:] == [f"{name}: unchanged" for name in list(STORED)[1:]]
 
 
 def test_a_record_has_one_line_of_every_field_per_branch(record_5_8):

@@ -1,7 +1,8 @@
 """Source hygiene a linter would check: unread imports, the package's __all__,
 imports that stay within the declared runtime dependencies, frozen objects
 written only by their own class, README naming only names and CLI flags
-that exist, and README stating pyproject's numpy floor."""
+that exist, README stating pyproject's numpy floor, and bit pins kept in
+tests/data rather than in test sources."""
 
 import argparse
 import ast
@@ -458,3 +459,23 @@ def test_solving_never_loads_numpy_polynomial():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+# a sha256 hex digest, or a float written by float.hex
+PIN_LITERAL = re.compile(r"(?<![0-9a-fA-F])[0-9a-f]{64}(?![0-9a-fA-F])|[-+]?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[-+]?\d+")
+
+
+def pin_literals(source: str) -> list[str]:
+    """Digests and float.hex values written out in source, which belong in tests/data/pins.json."""
+    return PIN_LITERAL.findall(source)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name)
+def test_no_pin_is_written_in_a_test_source(path):
+    assert pin_literals(path.read_text()) == []
+
+
+def test_pin_literal_is_caught():
+    digest, hexed = "0f" * 32, (0.1).hex()
+    source = f'PIN = "{digest}"\nTHETA = "{hexed}"  # {(-2.5).hex()}\nMASK, ID = 0x7FFF, "{digest}0"\n'
+    assert pin_literals(source) == [digest, hexed, (-2.5).hex()]

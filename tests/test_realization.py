@@ -1,12 +1,9 @@
 """Mesh windows, uniformity checks, dihedrals, antiprism towers."""
 
-import hashlib
 import io
-import json
 import math
 import re
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +24,8 @@ from helistar import (
 from helistar import closure_solver as cs
 from helistar.realization import MAX_WINDOW
 
-from helpers import cycle_constellation_dev, face_angle_dev_per_corner, faces_per_side_bad, pinned_meshes
+import fingerprint
+from helpers import cycle_constellation_dev, face_angle_dev_per_corner, faces_per_side_bad
 
 
 def regular_tetrahedron_dihedral():
@@ -154,19 +152,6 @@ class TestDihedrals:
         for sol in band52:
             for v in sol.dihedrals:
                 assert 0.0 < v < 2.0 * math.pi
-
-    def test_dihedrals_are_pinned(self, solutions_5_12):
-        # float.hex of the a, b, c dihedrals of every 5..12 branch, compounds
-        # included, recorded before the class edges were read off the cycle
-        rows = json.loads((Path(__file__).parent / "data" / "dihedrals_5_12.json").read_text())
-        assert len(rows) == 124
-        expected = {(n, s, branch): angles for n, s, branch, *angles in rows}
-        got = {
-            (n, s, sol.branch_index): [v.hex() for v in sol.dihedrals]
-            for (n, s), sols in solutions_5_12.items()
-            for sol in sols
-        }
-        assert got == expected
 
     def test_band_stack_rows_equal_single_branches(self, monkeypatch):
         # the rows of the solver's one stack per band, which its coplanarity
@@ -432,27 +417,30 @@ class TestSideCounts:
         assert rep.face_count == len(seg.faces)
 
 
-# float.hex of every report field over helpers.pinned_meshes, both ring paths
-# for helix windows; a window with no interior vertex contributes its error name
-REPORTS_SHA256 = "fb0336e2486e74421479cef512fc3bfae9163ec68b0c7caa5f2352f9e768c424"
+class TestPinnedReports:
+    def test_every_report_of_the_report_pin_matches_the_side_oracle(self):
+        # fingerprint.pinned_meshes, whose reports the report pin holds; a window
+        # at periods 1 has no interior vertex, nor has a tower of 2 rings
+        meshes = reports = 0
+        for seg in fingerprint.pinned_meshes():
+            meshes += 1
+            try:
+                rep = verify_uniform(seg)
+            except WindowError:
+                continue
+            assert rep.bad_interior_edges == faces_per_side_bad(seg)
+            reports += 1
+        assert (meshes, reports) == (254 * 3 + 30, 254 * 2 + 10 * 2)
 
-
-class TestReportBytes:
-    def test_every_report_matches_its_pin_and_the_side_oracle(self):
-        digest = hashlib.sha256()
-        reports = 0
-        for seg, offsets in pinned_meshes():
-            for ring_offsets in (offsets, None) if offsets else (None,):
-                try:
-                    rep = verify_uniform(seg, ring_offsets)
-                except WindowError:
-                    digest.update(b"WindowError\n")
-                    continue
-                assert rep.bad_interior_edges == faces_per_side_bad(seg)
-                digest.update((" ".join(float(v).hex() for v in rep.as_dict().values()) + "\n").encode())
-                reports += 1
-        assert reports == 2 * 254 * 2 + 10 * 2
-        assert digest.hexdigest() == REPORTS_SHA256
+    def test_offsets_are_ignored(self, solutions_5_12):
+        # a positional caller may still pass a branch's offsets: the report is the same
+        windows = 0
+        for sols in solutions_5_12.values():
+            for sol in sols:
+                seg = realize(sol, 24)
+                assert verify_uniform(seg, sol.offsets).as_dict() == verify_uniform(seg).as_dict()
+                windows += 1
+        assert windows == 124
 
 
 class TestAntiprismTower:
