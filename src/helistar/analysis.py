@@ -40,6 +40,7 @@ a list of one branch, are this module's names only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,11 @@ def _clip_area(sub: list[np.ndarray], clip: list[np.ndarray]) -> float:
 
 
 def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
-    e1 = t1[1] - t1[0]
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n1, e1)
-    to2d = lambda p: np.array([np.dot(p - t1[0], e1), np.dot(p - t1[0], e2)])
-    q1 = [to2d(p) for p in t1]
-    q2 = [to2d(p) for p in t2]
+    """Proper intersection of two triangles in the plane of t1, unit normal n1: t1 and t2 are
+    (3 coordinates, 3 corners) lanes, projected on t1's plane along its first edge and n1 x that."""
+    e1 = _unit(t1[:, 1] - t1[:, 0])
+    basis = np.stack([e1, _cross(n1, e1)], axis=-1)[:, None]  # (3, 1, 2)
+    q1, q2 = (list(_dot((t - t1[:, :1])[..., None], basis)) for t in (t1, t2))
     s = _shoelace(q1)
     if s == 0.0:  # degenerate source triangle, nothing to clip against
         return False
@@ -129,35 +129,28 @@ def _coplanar_intersect(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray) -> bool:
     # area can vanish while the boundaries still share a positive-length
     # segment; collinear edge overlap counts as a proper intersection too
     cross2 = lambda u, v: u[0] * v[1] - u[1] * v[0]
+    dot2 = lambda u, v: u[0] * v[0] + u[1] * v[1]
     for i in range(3):
         for j in range(3):
             p1, p2 = q1[i], q1[(i + 1) % 3]
             p3, p4 = q2[j], q2[(j + 1) % 3]
             d = p2 - p1
-            L = float(np.linalg.norm(d))
+            L = math.sqrt(dot2(d, d))
             u = d / L
             if abs(cross2(u, p3 - p1)) > _PLANE_EPS or abs(cross2(u, p4 - p1)) > _PLANE_EPS:
                 continue
             a1, a2 = sorted((0.0, L))
-            b1, b2 = sorted((float(np.dot(p3 - p1, u)), float(np.dot(p4 - p1, u))))
+            b1, b2 = sorted((dot2(p3 - p1, u), dot2(p4 - p1, u)))
             if min(a2, b2) - max(a1, b1) > MEASURE_TOL:
                 return True
     return False
 
 
-def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(x*x' + y*y') + z*z' of broadcastable (3, ...) coordinate lanes, entry by entry; it can
-    differ in the last bit from _dot, whose one BLAS dot per row may fuse its sums."""
-    p = u * v
-    return p[0] + p[1] + p[2]
-
-
 def _unit_cross(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Length (m,) and direction (3, m) of the cross product of (3, m) coordinate lanes, component by
-    component as _cross; a zero product has a NaN direction, which callers mask and silence."""
-    u, v = u.take(_ROT, axis=0), v.take(_ROT, axis=0)
-    n = u[0] * v[1] - u[1] * v[0]
-    length = np.sqrt(_lane_dot(n, n))
+    """Length (m,) and direction (3, m) of the _cross of (3, m) coordinate lanes; a zero
+    product has a NaN direction, which callers mask and silence."""
+    n = _cross(u, v)
+    length = np.sqrt(_dot(n, n))
     return length, n / length
 
 
@@ -191,12 +184,12 @@ def _intersect(P: np.ndarray, Q: np.ndarray, shared: np.ndarray, plane1) -> np.n
     hit = np.zeros(P.shape[-1], dtype=bool)
     n1n, n1 = plane1
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected rows divide by zero
-        d2 = _lane_dot(n1[:, None], Q - P[:, :1])
+        d2 = _dot(n1[:, None], Q - P[:, :1])
         rows = ((shared < 2) & (n1n != 0.0) & _straddles(d2)).nonzero()[0]
         tri = np.concatenate([P[:, :, None], Q[:, :, None]], axis=2).take(rows, axis=-1)  # (3, 3, 2, rows)
         (P, Q), n1, d2 = tri.transpose(2, 0, 1, 3), n1.take(rows, axis=-1), d2.take(rows, axis=-1)
         n2n, n2 = _plane(Q)
-        dist = np.concatenate([_lane_dot(n2[:, None], P - Q[:, :1])[:, None], d2[:, None]], axis=1)  # to the other plane
+        dist = np.concatenate([_dot(n2[:, None], P - Q[:, :1])[:, None], d2[:, None]], axis=1)  # to the other plane
         on = np.abs(dist) <= _PLANE_EPS
         live = (n2n != 0.0) & _straddles(dist[:, 0])
         coplanar = live & on[:, 1].all(axis=0)
@@ -206,12 +199,12 @@ def _intersect(P: np.ndarray, Q: np.ndarray, shared: np.ndarray, plane1) -> np.n
         after = dist.take(nxt, axis=0)
         ok = np.concatenate([on, (dist * after < 0.0) & ~(on | on.take(nxt, axis=0))])
         s = dist / (dist - after)  # masked off where the edge does not cross
-        t = _lane_dot(axis[:, None, None], np.concatenate([tri, tri + s * (tri.take(nxt, axis=1) - tri)], axis=1))
+        t = _dot(axis[:, None, None], np.concatenate([tri, tri + s * (tri.take(nxt, axis=1) - tri)], axis=1))
         t = np.where(ok, t, np.nan)  # fmin and fmax skip these; a row's ok ends are all NaN or none
         lo, hi = np.fmin.reduce(t, axis=0), np.fmax.reduce(t, axis=0)  # (2, rows)
         hit[rows] = live & ~coplanar & (hi.min(axis=0) - lo.max(axis=0) > MEASURE_TOL)
     for i in coplanar.nonzero()[0]:
-        hit[rows[i]] = _coplanar_intersect(P[..., i].T, Q[..., i].T, n1[:, i])
+        hit[rows[i]] = _coplanar_intersect(P[..., i], Q[..., i], n1[:, i])
     return hit
 
 
@@ -370,14 +363,14 @@ def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> 
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate normal sum gives NaN rows
         pts, fan = _vertex_star(helix, np.array([[0, *vertex_neighbor_cycle(b)] for b in bands])[band])
-        polygon, rel = pts[:, 1:], pts[:, 1:] - pts[:, :1]
-        axis = fan.sum(axis=1)
+        rel = pts[..., 1:] - pts[..., :1]
+        axis = np.add.accumulate(fan, axis=-1)[..., -1]  # the six fan normals added first to last
         norm = np.sqrt(_dot(axis, axis))
-        axis = axis / norm[:, None]
-        e1 = _unit(_cross(axis, np.where(np.abs(axis[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])))
-        flat = np.concatenate([rel @ e1[..., None], rel @ _cross(axis, e1)[..., None]], axis=-1)
+        axis = axis / norm
+        e1 = _unit(_cross(axis, np.where(np.abs(axis[:1]) > 0.9, [[0.0], [1.0], [0.0]], [[1.0], [0.0], [0.0]])))
+        flat = np.stack([_dot(rel, e1[..., None]), _dot(rel, _cross(axis, e1)[..., None])], axis=-1)
         kinds = np.where(norm >= 1e-9, _figure_kind(flat), "indeterminate")
-    return polygon, kinds.tolist()
+    return np.ascontiguousarray(pts[..., 1:].transpose(1, 2, 0)), kinds.tolist()
 
 
 def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:

@@ -62,7 +62,10 @@ a band's branches are the same bits alone as in any batch. A branch holds its
 band, params and number, and the rest is derived from them; the acceptance
 pass hands each kept branch the residual and dihedrals it computed. One
 routine, _helix_lanes, computes every helix vertex as x, y and z lanes, for
-helix_points ((len, 3) rows), the vertex star and analysis's face predicate.
+helix_points ((len, 3) rows), the vertex star and analysis's face predicate,
+and one kernel on such lanes, _dot, _cross and _unit, takes every dot and
+cross product of the package without a BLAS call, so no pinned bit depends
+on the CPU's BLAS kernel.
 
 That makes a band's branches a function of the band alone, and every field
 they are made of is frozen, so solve_band remembers them, keyed by the band: a
@@ -272,37 +275,35 @@ def _solve_AB(band: BandSpec, theta: float) -> tuple[float, float] | None:
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (..., 3) stacks, component by component: u_(i+1) v_(i+2) - u_(i+2) v_(i+1)."""
-    u, v = u.take(_ROT, axis=-1), v.take(_ROT, axis=-1)
-    return u[..., 0, :] * v[..., 1, :] - u[..., 1, :] * v[..., 0, :]
+    """Cross product of broadcastable x, y, z lanes (3, ...), component by component: u_(i+1) v_(i+2) - u_(i+2) v_(i+1)."""
+    u, v = u.take(_ROT, axis=0), v.take(_ROT, axis=0)
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of broadcastable (..., 3) stacks.
+    """(x*x' + y*y') + z*z' of broadcastable x, y, z lanes (3, ...), entry by entry.
 
-    np.vecdot runs numpy's dot loop once per row, the loop np.dot runs on
-    one pair of 3-vectors and a matmul of a (1, 3) by a (3, 1) row runs too,
-    so stacked and single-vector results agree bit for bit, also for rows
-    gathered or reversed and for components at a stride. An elementwise product summed along the row,
-    or einsum, adds in another order and differs in the last bit in about a
-    third of rows. vecdot needs numpy 2.0.
+    Every entry is three products and two sums in that order, so it is the
+    same bits in any stack, layout or gather, and on any CPU: no BLAS kernel
+    picks how it adds.
     """
-    return np.vecdot(u, v)
+    p = u * v
+    return p[0] + p[1] + p[2]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """Rows of v scaled to unit length (the Euclidean norm of each row)."""
-    return v / np.sqrt(_dot(v, v))[..., None]
+    """x, y, z lanes (3, ...) of v scaled to unit length."""
+    return v / np.sqrt(_dot(v, v))
 
 
 def _vertex_star(helix: np.ndarray, stars) -> tuple[np.ndarray, np.ndarray]:
     """Vertex 0's star in each row of helix (_helix_rows), stars holding each row's [0, *w],
-    w its neighbour cycle: v_0 and v_(w_i) in cycle order, (rows, 7, 3), and the unit normals
-    of the fan faces (0, w_i, w_(i+1)), (rows, 6, 3), _cross of its edges from v_0. A zero-area
-    fan face gives a NaN normal, and numpy's warning unless the caller silences it. Rows are independent."""
-    star = _helix_lanes(helix.T[..., None], stars).transpose(1, 2, 0)
-    spokes = star[:, 1:] - star[:, :1]
-    return star, _unit(_cross(spokes, spokes.take(_NEXT, axis=1)))
+    w its neighbour cycle, as x, y, z lanes: v_0 and v_(w_i) in cycle order, (3, rows, 7), and the
+    unit normals of the fan faces (0, w_i, w_(i+1)), (3, rows, 6), _cross of its edges from v_0. A
+    zero-area fan face gives a NaN normal, and numpy's warning unless the caller silences it. Rows are independent."""
+    star = _helix_lanes(helix.T[..., None], stars)
+    spokes = star[..., 1:] - star[..., :1]
+    return star, _unit(_cross(spokes, spokes.take(_NEXT, axis=-1)))
 
 
 def _interior_dihedrals(bands: list[BandSpec], params: list[HelixParams]) -> list[tuple[float, float, float]]:
@@ -320,12 +321,12 @@ def _interior_dihedrals(bands: list[BandSpec], params: list[HelixParams]) -> lis
     pts, fan = _vertex_star(_helix_rows(params), [[0, *vertex_neighbor_cycle(band)] for band in bands])
     j = np.array([5, 1, 0])
     before, after = _FAN[j - 1], _FAN[j]
-    origin = pts[:, :1]
-    e = _unit(pts[:, after[:, 1]] - origin)
-    w = pts[:, np.stack([before[:, 1], after[:, 2]], axis=1)] - origin[:, None]
-    u = _unit(w - _dot(w, e[..., None, :])[..., None] * e[..., None, :])
+    origin = pts[..., :1]
+    e = _unit(pts[..., after[:, 1]] - origin)[..., None, :]
+    w = pts[..., np.stack([before[:, 1], after[:, 2]])] - origin[..., None]
+    u = _unit(w - _dot(w, e) * e)
     cosines = np.clip(_dot(u[..., 0, :], u[..., 1, :]), -1.0, 1.0).tolist()
-    outside = (_dot(u[..., 0, :], fan[:, j]) > 0.0).tolist()
+    outside = (_dot(u[..., 0, :], fan[..., j]) > 0.0).tolist()
     # math.acos, not np.arccos: the two differ in the last bit, and these
     # angles are printed in net and module sheets
     return [

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,8 +192,11 @@ def export_net_svg(net: NetLayout, sink, edge_mm: float = 40.0) -> None:
     Millimeter user units, triangle edge = edge_mm. Mountain folds are dashed,
     valleys dash-dot; each fold carries its dihedral in degrees. The seam rows
     are numbered so row j on the right column meets row j + s on the left.
+    The net's fields are checked again, as a NetLayout built from them is, so
+    a field reassigned after unfold_net raises ParameterError too.
     """
     check_type("net", net, NetLayout)
+    net = replace(net)  # a copy, built from the fields as they are now
     check_real("edge_mm", edge_mm, above=0)
     margin = 0.35 * edge_mm
     points, n, s, rows = net.points, net.n_strips, net.shift, net.rows

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band_combinatorics import prototype_faces
-from .closure_solver import _ROT, BranchSolution, _dot, helix_points
+from .closure_solver import _ROT, BranchSolution, _cross, _dot, helix_points
 from .errors import ParameterError, WindowError, check_array, check_int, check_type
 
 __all__ = [
@@ -98,9 +98,8 @@ def _outward(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     Flipping per face would break the opposite-traversal pairing on shared edges.
     """
     q = verts.T.take(faces.T, axis=1)  # coordinate, corner, face
-    u, v = q[:, 1] - q[:, 0], q[:, 2] - q[:, 0]
-    # x and y of each face's _cross normal and corner mean, with their bits, summed as np.sum sums an (F, 2) array
-    xy = (u[1:] * v[::-2] - u[::-2] * v[1:]) * ((q[:2, 0] + q[:2, 1] + q[:2, 2]) / 3.0)
+    # x and y of each face's _cross normal and corner mean, summed as np.sum sums an (F, 2) array
+    xy = _cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])[:2] * ((q[:2, 0] + q[:2, 1] + q[:2, 2]) / 3.0)
     return faces[:, [0, 2, 1]] if float(np.sum(np.ascontiguousarray(xy.T))) < 0.0 else faces
 
 
@@ -138,8 +137,9 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     it stays in the signature only so that positional callers keep working.
     """
     check_type("segment", segment, MeshSegment)
-    verts, faces, edges = segment.vertices, segment.faces, segment.edges
-    n = len(verts)
+    faces, edges = segment.faces, segment.edges
+    lanes = np.ascontiguousarray(segment.vertices.T)  # x, y, z
+    n = lanes.shape[1]
     inner = np.ones(n, dtype=bool)
     inner[list(segment.boundary_marks)] = False
     interior = np.flatnonzero(inner)
@@ -147,14 +147,14 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
         raise WindowError("window has no interior vertex; enlarge periods")
 
     u, v = edges.T
-    d = verts.take(u, axis=0) - verts.take(v, axis=0)
+    d = lanes.take(u, axis=1) - lanes.take(v, axis=1)
     edge_dev = float(np.abs(np.sqrt(_dot(d, d)) - 1.0).max(initial=0.0))
 
-    p = verts.take(faces, axis=0)
-    side = p.take(_ROT[0], axis=1) - p  # corner i to corner i+1; corner i to i+2 (_ROT[1]) is -side[i+2], exactly
+    p = lanes.take(faces, axis=1)  # coordinate, face, corner
+    side = p.take(_ROT[0], axis=2) - p  # corner i to corner i+1; corner i to i+2 (_ROT[1]) is -side[i+2], exactly
     length = np.sqrt(_dot(side, side))
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero-length side gives a NaN, which fails below
-        cosang = _dot(side, -side.take(_ROT[1], axis=1)) / (length * length.take(_ROT[1], axis=1))
+        cosang = _dot(side, -side.take(_ROT[1], axis=2)) / (length * length.take(_ROT[1], axis=1))
     # acos is decreasing, so the largest |angle - pi/3| is at an extreme cosine, clipped to [-1, 1]
     ends = (max(cosang.min(), -1.0), min(cosang.max(), 1.0)) if cosang.size else ()
     ang_dev = max((abs(math.acos(x) - math.pi / 3.0) for x in ends), default=0.0)
@@ -165,9 +165,8 @@ def verify_uniform(segment: MeshSegment, offsets: tuple[int, int, int] | None = 
     centers = interior[np.bincount(adj // n, minlength=n)[interior] == 6]
     first = np.searchsorted(adj, centers * n)  # row of each center's first neighbor
     rings = np.column_stack([centers, adj[first[:, None] + _SIX] % n])
-    ri, rj = rings[:, _PAIRS[0]], rings[:, _PAIRS[1]]
-    dx, dy, dz = (x[ri] - x[rj] for x in np.ascontiguousarray(verts.T))
-    sig = np.sort(np.sqrt(dx * dx + dy * dy + dz * dz), axis=-1)  # np.linalg.norm's sum order, so its bits
+    d = lanes.take(rings[:, _PAIRS[0]], axis=1) - lanes.take(rings[:, _PAIRS[1]], axis=1)
+    sig = np.sort(np.sqrt(_dot(d, d)), axis=-1)
     const_dev = float(np.abs(sig - sig[:1]).max(initial=0.0))
 
     def keys(u, v):  # edge (u, v) or (v, u) as the one integer min*n + max

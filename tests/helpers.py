@@ -12,8 +12,9 @@ code with helistar.analysis. All are deliberately independent of the
 implementation paths they check. faces_per_side_bad counts bad
 interior edges with a Counter over side tuples. cycle_constellation_dev reads
 each interior 1-ring off the neighbor cycle of the band, and
-face_angle_dev_per_corner takes one math.acos per face corner; verify_uniform
-must agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
+face_angle_dev_per_corner takes one math.acos per face corner, its dots
+written out in Python floats as (x*x' + y*y') + z*z'; verify_uniform must
+agree with both bit for bit. net_svg_oracle and modules_svg_oracle write
 each sheet one element per Python call, each coordinate formatted on its own;
 the exporters' one-pass templates must write the same bytes; fold_classes reads each
 net fold's edge class off its point rows alone. colleague_brackets
@@ -302,12 +303,13 @@ def cycle_constellation_dev(segment: MeshSegment, band: BandSpec) -> float:
 def face_angle_dev_per_corner(segment: MeshSegment) -> float:
     """max |angle - pi/3| over every corner of every face, one math.acos per
     corner; 0.0 with no faces. Meant for faces with three distinct corners."""
+    dot = lambda u, v: (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
     dev = 0.0
     for face in segment.faces.tolist():
-        p = segment.vertices[face]
+        p = segment.vertices[face].tolist()
         for i in range(3):
-            e1, e2 = p[(i + 1) % 3] - p[i], p[(i + 2) % 3] - p[i]
-            cos = np.dot(e1, e2) / (np.sqrt(np.dot(e1, e1)) * np.sqrt(np.dot(e2, e2)))
+            e1, e2 = ([b - a for a, b in zip(p[i], p[(i + k) % 3])] for k in (1, 2))
+            cos = dot(e1, e2) / (math.sqrt(dot(e1, e1)) * math.sqrt(dot(e2, e2)))
             dev = max(dev, abs(math.acos(min(max(cos, -1.0), 1.0)) - math.pi / 3.0))
     return dev
 

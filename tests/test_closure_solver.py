@@ -698,12 +698,13 @@ class TestHelixPoints:
             assert abs(chord(p, d) - float(np.linalg.norm(pts[1] - pts[0]))) < 1e-12
 
 
-class TestRowDot:
-    """_dot sums each row as np.dot does on that pair of 3-vectors, bit for bit.
+class TestDot:
+    """_dot is (x*x' + y*y') + z*z' of x, y, z lanes, entry by entry, bit for bit.
 
-    Every stacked geometry step (normals, planes, dihedrals, face angles)
-    relies on this: a dot that adds in another order, such as an elementwise
-    product summed along the row or einsum, changes last bits of pinned output.
+    Every geometry step (normals, planes, dihedrals, face angles, the vertex
+    figure's projection) takes its dots here, so each is three products and two
+    sums in that order, whatever the stack, layout or gather, and with no BLAS
+    kernel to pick another order. The reference writes each sum out in Python floats.
     """
 
     rng = np.random.default_rng(2013)
@@ -713,27 +714,33 @@ class TestRowDot:
     T = rng.normal(size=(3000, 3, 3)) * 10.0 ** rng.uniform(-4, 4, size=(3000, 3, 3))
 
     @staticmethod
-    def same_bits(got, want) -> bool:
-        return got.shape == np.shape(want) and got.tobytes() == np.asarray(want, dtype=float).tobytes()
+    def same_bits(got, u, v) -> bool:
+        """got is (x*x' + y*y') + z*z' of each entry of the broadcast lanes u, v, summed in Python floats."""
+        u, v = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(u, v))
+        want = [(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a, b in zip(u.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist())]
+        return got.shape == u.shape[:-1] and got.tobytes() == np.array(want).tobytes()
 
-    def test_stacks_of_rows(self):
-        assert self.same_bits(cs._dot(self.U, self.V), [np.dot(u, v) for u, v in zip(self.U, self.V)])
+    def test_stacks(self):
+        # the lanes as transposed views of row stacks, and as contiguous copies
+        u, v = self.U.T, self.V.T
+        assert self.same_bits(cs._dot(u, v), u, v)
+        assert self.same_bits(cs._dot(u.copy(), v.copy()), u, v)
 
-    def test_one_row_against_three(self):
-        got = cs._dot(self.U[:, None], self.T)
-        assert self.same_bits(got, [[np.dot(u, t) for t in tri] for u, tri in zip(self.U, self.T)])
+    def test_one_against_three(self):
+        u, T = self.U.T[..., None], self.T.transpose(2, 0, 1)
+        assert self.same_bits(cs._dot(u, T), u, T)
 
-    @pytest.mark.parametrize("view", ["fancy", "reversed", "strided"])
+    @pytest.mark.parametrize("view", ["fancy", "reversed", "strided", "coordinates_reversed"])
     def test_views_that_are_not_contiguous(self, view):
-        # rows gathered, rows in reverse, and components at a stride of two; a
-        # negative stride along the components is left out, since there numpy's
-        # dot loop, in _dot and np.dot alike, can take another path than on a copy
+        # entries gathered, entries in reverse, coordinates at a stride of two, and coordinates in reverse
         order = self.rng.permutation(len(self.U))
-        wide = np.concatenate([self.U, self.V], axis=1)
+        u, v, T = (np.ascontiguousarray(a.T) for a in (self.U, self.V, self.T))  # (3, 3000), (3, 3, 3000)
+        wide = np.stack([u, v], axis=1).reshape(6, -1)  # x, x', y, y', z, z'
         u, v, T = {
-            "fancy": (self.U[order], self.V[order[::-1]], self.T[order]),
-            "reversed": (self.U[::-1], self.V, self.T[::-1]),
-            "strided": (wide[:, ::2], wide[:, 1::2], np.concatenate([self.T, self.T], axis=2)[..., 1::2]),
+            "fancy": (u[:, order], v[:, order[::-1]], T[..., order]),
+            "reversed": (u[:, ::-1], v, T[..., ::-1]),
+            "strided": (wide[::2], wide[1::2], np.stack([T, T], axis=1).reshape(6, 3, -1)[1::2]),
+            "coordinates_reversed": (u[::-1], v[::-1], T[::-1]),
         }[view]
-        assert self.same_bits(cs._dot(u, v), [np.dot(a, b) for a, b in zip(u, v)])
-        assert self.same_bits(cs._dot(u[:, None], T), [[np.dot(a, t) for t in tri] for a, tri in zip(u, T)])
+        assert self.same_bits(cs._dot(u, v), u, v)
+        assert self.same_bits(cs._dot(u[:, None], T), u[:, None], T)

@@ -1,8 +1,9 @@
 """Source hygiene a linter would check: unread imports, the package's __all__,
 imports that stay within the declared runtime dependencies, frozen objects
 written only by their own class, README naming only names and CLI flags
-that exist, README stating pyproject's numpy floor, and bit pins kept in
-tests/data rather than in test sources."""
+that exist, README stating pyproject's numpy floor, no product of numpy's
+BLAS or linalg in the package, and bit pins kept in tests/data rather than in
+test sources."""
 
 import argparse
 import ast
@@ -413,6 +414,45 @@ def test_runtime_imports_are_declared_dependencies():
 def test_foreign_import_is_caught():
     tree = ast.parse("import os, numpy\nfrom scipy.optimize import bisect\nfrom . import cli\n")
     assert foreign_imports(tree, {"numpy"}) == ["line 2: scipy.optimize"]
+
+
+# numpy's products that run through BLAS or add in an order of their own: the package takes every dot
+# and cross product with closure_solver's lane kernel, so its bits do not depend on the CPU's BLAS kernel
+FOREIGN_PRODUCTS = {"dot", "vecdot", "matmul", "einsum", "inner", "tensordot", "cross", "linalg"}
+
+
+def foreign_products(tree: ast.Module) -> list[int]:
+    """Lines of code that take a product outside the lane kernel: an @ or @=, an
+    np.dot, np.vecdot, np.matmul, np.einsum, np.inner, np.tensordot or np.cross,
+    anything under np.linalg, or an import of one of them from numpy."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr in FOREIGN_PRODUCTS:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+            if node.module == "numpy.linalg" or any(alias.name in FOREIGN_PRODUCTS for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/helistar").rglob("*.py")), ids=lambda p: p.name)
+def test_no_product_outside_the_lane_kernel(path):
+    assert foreign_products(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_foreign_product_is_caught():
+    # comments and strings do not count; a name that is only spelled like one does not either
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import cross, sum\nfrom numpy.linalg import norm\n\n"
+        "def f(a, b):  # not np.dot(a, b)\n    c = a @ b\n    c @= b\n"
+        "    d = np.linalg.norm(a) + np.dot(a, b) + np.vecdot(a, b)\n"
+        "    e = np.matmul(a, b), np.einsum('i,i', a, b), np.inner(a, b), np.tensordot(a, b, 1)\n"
+        "    return np.cross(a, b), 'np.dot', a.dot, np.sum(a * b), dot(a)\n"
+    )
+    assert foreign_products(tree) == [2, 3, 6, 7, 8, 9, 10]
 
 
 def numpy_floors(readme: str, dependencies: list[str]) -> tuple[str | None, str | None]:

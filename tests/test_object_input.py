@@ -133,6 +133,14 @@ def net(g, **fields):
     return NetLayout(**{**vars(g["net"]), **fields})
 
 
+def reassigned(g, **fields):
+    """A net unfolded afresh, then fields reassigned: NetLayout checks none of them, the sheet each."""
+    net = unfold_net(g["solution"])
+    for name, value in fields.items():
+        setattr(net, name, value)
+    return net
+
+
 def report(g, **fields):
     """The good report with fields replaced, built by hand."""
     return CatalogReport(**{**vars(g["report"]), **fields})
@@ -210,6 +218,15 @@ FIELDS = {
     "net-fold-angle-nan": (
         lambda g, sink: export_net_svg(net(g, fold_angles=[float("nan")] * 13), sink),
         "fold_angles[0] must be a finite real, got nan",
+    ),
+    # a field reassigned after the net was built
+    "net-fold-angles-reassigned": (
+        lambda g, sink: export_net_svg(reassigned(g, fold_angles=g["net"].fold_angles[1:]), sink),
+        "fold_angles must be a 1-D array of shape (13,), got shape (12,)",
+    ),
+    "net-fold-edges-reassigned": (
+        lambda g, sink: export_net_svg(reassigned(g, fold_edges=g["net"].fold_edges + 100), sink),
+        "fold_edges must hold vertex indices in [0, 12), got 101..110",
     ),
     "report-rows": (
         lambda g, sink: format_report(CatalogReport(None, 0, 0, 0, 0, 0, [], [])),
