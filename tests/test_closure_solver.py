@@ -717,7 +717,8 @@ class TestDot:
     def same_bits(got, u, v) -> bool:
         """got is (x*x' + y*y') + z*z' of each entry of the broadcast lanes u, v, summed in Python floats."""
         u, v = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(u, v))
-        want = [(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a, b in zip(u.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist())]
+        rows = zip(u.reshape(-1, 3).tolist(), v.reshape(-1, 3).tolist())
+        want = [(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2] for a, b in rows]
         return got.shape == u.shape[:-1] and got.tobytes() == np.array(want).tobytes()
 
     def test_stacks(self):
