@@ -18,6 +18,8 @@ pins recomputes every pin (pin_values) and writes it to tests/data: digests
 to pins.json, golden texts (demo and CLI stdout) to their own files. It prints
 unchanged or old -> new for each, a golden text by its sha256. A change that
 moves only reals leaves the digest of the record's discrete fields unchanged.
+catalog_5_24 pins the census product: the catalog JSON, the CSV and the
+report text of 5..24 strips with compounds (census_texts).
 bench/reference/ has its own recorder, bench/record_reference.py.
 """
 
@@ -190,6 +192,15 @@ def branch_pins() -> dict[str, str]:
     return {"record_3_64": digest(lines), "record_3_64_discrete": digest(discrete(lines))}
 
 
+def census_texts() -> list[str]:
+    """The census product of 5..24 with compounds: the catalog JSON, with the
+    options the bench records, the CSV and the report text."""
+    entries = hs.enumerate_catalog(5, 24, include_compounds=True)
+    options = {"n_min": 5, "n_max": 24, "include_compounds": True}
+    return [_written(hs.write_catalog, entries, options=options), _written(hs.write_catalog_csv, entries),
+            hs.format_report(hs.build_report(entries))]
+
+
 def pin_values() -> dict[str, str]:
     """Every pin recomputed from the tree: digests by name, golden texts by their path under tests/data."""
     meshes = list(pinned_meshes())
@@ -197,6 +208,7 @@ def pin_values() -> dict[str, str]:
     values["obj"] = _sha256(_written(hs.export_obj, seg, frame=frame) for seg in meshes for frame in (False, True))
     values["sheets"] = _sha256(sheets())
     values["reports"] = _sha256(map(_report_line, meshes))
+    values["catalog_5_24"] = _sha256(census_texts())
     values |= {f"demos/{demo.stem}.txt": demo_transcript(demo) for demo in DEMOS}
     values |= {name: _stdout(lambda: cli.main(command.split())) for name, command in CLI_GOLDENS.items()}
     return values
