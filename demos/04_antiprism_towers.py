@@ -9,15 +9,13 @@ a helix. The square tower has the famously tidy rise of 2**(-1/4).
 
 import math
 
-import numpy as np
-
 from helistar import antiprism_tower, verify_uniform
 
 for gon in (3, 4, 5, 6, 8):
     seg = antiprism_tower(gon, rings=4)
     # Read the ring radius and rise straight off the mesh: vertex 0 sits
     # on ring 0, vertex gon directly above it on ring 1.
-    r = float(np.linalg.norm(seg.vertices[0][:2]))
+    r = math.hypot(*seg.vertices[0][:2])
     h = float(seg.vertices[gon][2])
     print(
         f"{gon}-gonal tower: r={r:.9f} h={h:.9f}"
@@ -38,7 +36,7 @@ print("square tower uniform:", report.passed)
 seg = antiprism_tower(4, rings=5)
 worst = 0.0
 for u, v in seg.edges:
-    worst = max(worst, abs(np.linalg.norm(seg.vertices[u] - seg.vertices[v]) - 1.0))
+    worst = max(worst, abs(math.dist(seg.vertices[u], seg.vertices[v]) - 1.0))
 print("worst edge deviation:", worst)
 
 # Octahedron fact: the 3-gonal tower's rise equals sqrt(2/3), the

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .band_combinatorics import BandSpec, prototype_faces, vertex_neighbor_cycle
-from .closure_solver import _NEXT, _ROT, BranchSolution, _cross, _dot, _helix_lanes, _helix_rows, _unit, _vertex_star
+from .band_combinatorics import MAX_STRIPS, _neighbor_cycles, _prototype_rows
+from .closure_solver import _NEXT, _ROT, BranchSolution, _cross, _dot, _helix_lanes, _unit, _vertex_star
 from .errors import check_array, check_int, check_items, check_type
 
 __all__ = [
@@ -223,38 +224,38 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
     return bool(_intersect(P, Q, np.array([shared]), _plane(P))[0])
 
 
-def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, list[BandSpec], np.ndarray]:
-    """What the passes read of branches of any bands: each branch's
-    (r, theta, h) row (_helix_rows), the bands among them, in order of first
-    appearance, and each branch's index into that list."""
-    seen: dict = {}
-    band = np.array([seen.setdefault(sol.band, len(seen)) for sol in solutions], dtype=np.intp)
-    return _helix_rows([sol.params for sol in solutions]), list(seen), band
+def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the passes read of branches of any bands, field by field: their r, theta and h
+    lanes, (3, branches), the offsets (a, b, c) of their bands in (n, s) order, and each one's band."""
+    params, bands = (list(map(attrgetter(name), solutions)) for name in ("params", "band"))
+    lanes = np.array([np.fromiter(map(attrgetter(name), params), float, len(params)) for name in ("r", "theta", "h")])
+    n, s = (np.fromiter(map(attrgetter(name), bands), np.intp, len(bands)) for name in ("n_strips", "shift"))
+    _, first, band = np.unique(n * (MAX_STRIPS + 1) + s, return_index=True, return_inverse=True)
+    return lanes, np.stack([s, n - s, n], axis=1)[first], band
 
 
-def _kept_rows(bands: list[BandSpec]) -> tuple[np.ndarray, ...]:
-    """U_0's kept row in each band, in one array pass: U_0's corners per band,
-    then each kept face's corners, shared count and code, stacked band after
-    band, and each band's row length.
+def _kept_rows(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """U_0's kept row in each band of a (bands, 3) array of offsets: U_0's corners
+    per band, then each kept face's corners (vertex indices), shared count and
+    code, stacked band after band, and each band's row length.
 
-    Corners are vertex indices. Every face of the window, codes -2c to 2c + 1,
-    is compared corner by corner with U_0 = (0, a, c). The kept faces are
-    U_k for -c <= k <= -1 and D_k for -c <= k <= c, except those sharing two
-    corners (an edge) with U_0: D_0, D_-b and D_a. They are in scan order,
-    U_k before D_k, k ascending, 3c - 2 of them. A kept face's shared count
-    is how many of its corners are U_0's, and its code is 2k for U_k and
-    2k + 1 for D_k (_face_id).
+    The window's codes run -2c to 2c + 1, 2k for U_k and 2k + 1 for D_k
+    (_face_id). Corner p of U_k or D_k is corner q of U_0 = (0, a, c) where
+    k = q - p, so the shared counts are one bincount of those codes. The kept
+    faces, in scan order, are U_k for -c <= k <= -1 and D_k for -c <= k <= c,
+    except D_0, D_-b and D_a, which share an edge with U_0: 3c - 2 of them.
     """
-    shape = np.array([prototype_faces(band) for band in bands])
-    u0 = shape[:, 0]
-    width = 4 * u0[:, 2] + 2
-    band = np.arange(len(bands)).repeat(width)
-    code = np.arange(len(band)) - (width.cumsum() - width // 2 - 1).repeat(width)
-    is_d = code % 2
-    corners = shape[band, is_d] + (code // 2)[:, None]
-    shared = (corners[:, :, None] == u0[band, None]).sum(axis=(1, 2))
-    keep = ((shared < 2) & ((code < 0) | (is_d == 1))).nonzero()[0]
-    return u0, corners[keep], shared[keep], code[keep], np.bincount(band[keep], minlength=len(bands))
+    shape = _prototype_rows(offsets)
+    width = 4 * offsets[:, 2] + 2
+    zero = width.cumsum() - width // 2 - 1  # where each band's code 0 sits
+    band = np.arange(len(offsets)).repeat(width)
+    code = np.arange(len(band)) - zero.repeat(width)
+    meets = zero[:, None, None, None] + 2 * (shape[:, :1, None] - shape[..., None]) + np.arange(2)[:, None, None]
+    shared = np.bincount(meets.ravel(), minlength=len(band))
+    keep = ((shared < 2) & ((code < 0) | (code % 2 == 1))).nonzero()[0]
+    band, code = band[keep], code[keep]
+    corners = shape.reshape(-1, 3)[2 * band + code % 2] + (code // 2)[:, None]
+    return shape[:, 0], corners, shared[keep], code, np.bincount(band, minlength=len(offsets))
 
 
 def _face_id(code: int) -> FaceId:
@@ -262,8 +263,8 @@ def _face_id(code: int) -> FaceId:
     return "UD"[code % 2], code // 2
 
 
-def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> list[tuple[bool, Witness | None]]:
-    """Verdict and first witness pair of each branch, of any bands, in staged predicate calls.
+def _face_pass(lanes: np.ndarray, offsets: np.ndarray, band: np.ndarray) -> tuple[list[bool], list[Witness | None]]:
+    """Verdicts and first witness pairs of branches of any bands, in staged predicate calls.
 
     The branches come as _batch gives them. The scan order is prototype U_0
     then D_0, each against the window of faces with base index in [-c, c],
@@ -280,18 +281,17 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
 
     Most branches hit early in their row, so the rows are scanned in stages,
     up to 10%, 20%, 30%, 40%, 60% and 100% of each row's length, and a
-    branch leaves the scan at its first hit. Each stage runs across all branches, in
-    predicate calls of at most ROW_BUDGET rows; once the rows left fit in
-    one call, that stage scans them to their ends, so a small band is one
-    call. Each call computes the corners of its own rows with _helix_lanes,
-    as the lanes the predicate takes; U_0's corners and plane are computed
-    once per branch and gathered for each row. A witness is the
-    first hit in scan order whatever the stages, and every step works lane by
-    lane, a lane being one row, so a branch's result is the same bits in any batch.
+    branch leaves the scan at its first hit. Each stage runs across all
+    branches, in predicate calls of at most ROW_BUDGET rows; once the rows
+    left fit in one call, that stage scans them to their ends. Each call
+    computes its rows' corners with _helix_lanes; U_0's corners and plane are
+    computed once per branch. A witness is the first hit in scan order
+    whatever the stages, and every step works lane by lane, a lane being one
+    row, so a branch's result is the same bits in any batch.
     """
-    u0, corners, shared, codes, sizes = _kept_rows(bands)
+    u0, corners, shared, codes, sizes = _kept_rows(offsets)
     length, start = sizes[band], (sizes.cumsum() - sizes)[band]  # each branch's kept row in the tables
-    lanes, ks = np.ascontiguousarray(helix.T), np.ascontiguousarray(corners.T)  # take copies a strided source whole
+    lanes, ks = np.ascontiguousarray(lanes), np.ascontiguousarray(corners.T)  # take copies a strided source whole
     proto = _helix_lanes(lanes, u0[band].T)  # U_0, once per branch
     length1, unit1 = _plane(proto)
 
@@ -319,11 +319,9 @@ def _face_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> li
         live, begin = live[more], end[more]
         if not live.size:
             break
-    witness = codes[first_hit].tolist()  # read only where first_hit >= 0
-    return [
-        (False, None) if hit < 0 else (True, (("U", 0), _face_id(code)))
-        for code, hit in zip(witness, first_hit.tolist())
-    ]
+    witness, hits = codes[first_hit].tolist(), (first_hit >= 0).tolist()  # witness read only on a hit
+    pairs = {code: (("U", 0), _face_id(code)) for code in set(witness)}
+    return hits, [pairs[code] if hit else None for code, hit in zip(witness, hits)]
 
 
 def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness | None]:
@@ -333,7 +331,7 @@ def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness 
     screw symmetry. Anything but a BranchSolution raises ParameterError.
     """
     check_type("solution", solution, BranchSolution)
-    return _face_pass(*_batch([solution]))[0]
+    return next(zip(*_face_pass(*_batch([solution]))))
 
 
 def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
@@ -351,7 +349,7 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     return np.where(((terms[..., 0, :] * terms[..., 1, :]) < 0.0).all(axis=-2).any(axis=-1), "crossed", "simple")
 
 
-def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def _figure_pass(lanes: np.ndarray, offsets: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Neighbor hexagons, (branches, 6, 3), and figure kinds of branches of any bands.
 
     The branches come as _batch gives them. Each hexagon is projected along
@@ -362,7 +360,7 @@ def _figure_pass(helix: np.ndarray, bands: list[BandSpec], band: np.ndarray) -> 
     neighbour cycle, and every step after it works row by row.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate normal sum gives NaN rows
-        pts, fan = _vertex_star(helix, np.array([[0, *vertex_neighbor_cycle(b)] for b in bands])[band])
+        pts, fan = _vertex_star(lanes.T, np.insert(_neighbor_cycles(offsets), 0, 0, axis=1)[band])
         rel = pts[..., 1:] - pts[..., :1]
         axis = np.add.accumulate(fan, axis=-1)[..., -1]  # the six fan normals added first to last
         norm = np.sqrt(_dot(axis, axis))
@@ -391,24 +389,24 @@ def vertex_figure(solution: BranchSolution) -> tuple[np.ndarray, str]:
 def classify(solutions: list[BranchSolution]) -> list[Classification]:
     """Full classification of each branch, in input order; the branches may be of any bands.
 
-    The branches are taken in input order, in blocks of at most BLOCK_ROWS
-    kept rows (3c - 2 a branch; a branch with more is a block of its own),
-    which bounds the working set (a stage's row indices grow with the block);
-    each block is grouped by band (_batch), and the face pass and the figure
-    pass each run once over it. A branch gets the same result, to the bit, in
-    any block. On the paper's range, kept rows of at most 70 faces, each
-    stage of a block is a handful of predicate calls: 23 calls and 20,438
-    rows for the 1149 branches of 5..24 with compounds (62,295 kept rows),
-    in one block; 5..64 is split. classify([]) is [];
-    anything but a list of BranchSolution raises ParameterError.
+    Each branch is read once (_batch), then the branches are taken in input
+    order in blocks of at most BLOCK_ROWS kept rows (3c - 2 a branch; a
+    branch with more is a block of its own), which bounds the working set;
+    the face pass and the figure pass each run once over a block. A branch
+    gets the same result, to the bit, in any block. The 1149 branches of
+    5..24 with compounds (62,295 kept rows) are one block, 23 predicate calls
+    and 20,438 rows; 5..64 is split. classify([]) is []; anything but a list
+    of BranchSolution raises ParameterError.
     """
     solutions = check_items("solutions", solutions, BranchSolution)
-    rows = np.cumsum([0] + [3 * sol.band.offsets[2] - 2 for sol in solutions])  # kept rows before each branch
+    lanes, offsets, band = _batch(solutions)
+    rows = np.concatenate([[0], (3 * offsets[band, 2] - 2).cumsum()])  # kept rows before each branch
     out: list[Classification] = []
     while len(out) < len(solutions):
         lo = len(out)
         hi = max(lo + 1, int(np.searchsorted(rows, rows[lo] + BLOCK_ROWS, "right")) - 1)
-        block = _batch(solutions[lo:hi])
+        bands, local = np.unique(band[lo:hi], return_inverse=True)
+        block = lanes[:, lo:hi], offsets[bands], local
         polygons, kinds = _figure_pass(*block)
-        out += map(Classification, *zip(*_face_pass(*block)), kinds, polygons)
+        out += map(Classification, *_face_pass(*block), kinds, polygons)
     return out

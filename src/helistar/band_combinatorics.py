@@ -88,8 +88,13 @@ def prototype_faces(band: BandSpec) -> np.ndarray:
 
     A (2, 3) intp array; face U_k or D_k is its row plus k.
     """
-    a, b, c = band.offsets
-    return np.array([(0, a, c), (0, c, b)], dtype=np.intp)
+    return _prototype_rows(np.array([band.offsets], dtype=np.intp))[0]
+
+
+def _prototype_rows(offsets: np.ndarray) -> np.ndarray:
+    """prototype_faces of each band of a (bands, 3) array of offsets (a, b, c), (bands, 2, 3)."""
+    a, b, c = offsets.T
+    return np.stack([0 * a, a, c, 0 * a, c, b], axis=1).reshape(-1, 2, 3)
 
 
 def vertex_neighbor_cycle(band: BandSpec) -> list[int]:
@@ -99,5 +104,10 @@ def vertex_neighbor_cycle(band: BandSpec) -> list[int]:
     vertex visits the neighbors as [c, b, -a, -c, -b, a]. The vertex figure,
     the face fan and the faces at each class edge are read off the cycle.
     """
-    a, b, c = band.offsets
-    return [c, b, -a, -c, -b, a]
+    return _neighbor_cycles(np.array([band.offsets]))[0].tolist()
+
+
+def _neighbor_cycles(offsets: np.ndarray) -> np.ndarray:
+    """vertex_neighbor_cycle of each band of a (bands, 3) array of offsets (a, b, c), (bands, 6)."""
+    a, b, c = offsets.T
+    return np.stack([c, b, -a, -c, -b, a], axis=1)

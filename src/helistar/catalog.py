@@ -19,11 +19,15 @@ import json
 import math
 import operator
 import reprlib
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import __version__
-from .analysis import classify
+from .analysis import Classification, classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
 from .closure_solver import BranchSolution, HelixParams, _winding, solve_band
 from .errors import CatalogFormatError, ParameterError, check_int, check_items, check_real, check_type
@@ -90,15 +94,14 @@ def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixPara
     component: (1, band, params).
     """
     check_type("solution", solution, BranchSolution)
-    g, n, s, theta_c = _component(solution)
-    return g, BandSpec(n, s), HelixParams(r=solution.params.r, theta=theta_c, h=g * solution.params.h)
+    band, g, params = solution.band, solution.band.components, solution.params
+    return g, BandSpec(band.n_strips // g, band.shift // g), HelixParams(params.r, _twist(g, params.theta), g * params.h)
 
 
-def _component(solution: BranchSolution) -> tuple[int, int, int, float]:
-    """g, the component's n and s, and its twist, as component_params gives them, with no object built."""
-    band, g = solution.band, solution.band.components
-    theta_c = math.fmod(g * solution.params.theta, 2.0 * math.pi)
-    return g, band.n_strips // g, band.shift // g, 2.0 * math.pi - theta_c if theta_c > math.pi else theta_c
+def _twist(g: int, theta: float) -> float:
+    """The twist of the component of a branch of g components at twist theta: g*theta folded into (0, pi]."""
+    turn = math.fmod(g * theta, 2.0 * math.pi)
+    return 2.0 * math.pi - turn if turn > math.pi else turn
 
 
 def _base_name(n: int, s: int, m: int) -> str:
@@ -107,13 +110,12 @@ def _base_name(n: int, s: int, m: int) -> str:
     return f"{n}({s}) helical deltahedron"
 
 
-def _entry_name(solution: BranchSolution) -> str:
-    band = solution.band
-    g = band.components
+def _entry_name(n: int, s: int, g: int, m: int, theta: float) -> str:
+    """A branch's name, suffix aside, from its band's n, s and g, its winding_m and its twist."""
     if g == 1:
-        return _base_name(band.n_strips, band.shift, solution.winding_m)
-    g, n, s, theta_c = _component(solution)
-    return f"compound {g} x {_base_name(n, s, _winding(n, s, theta_c))}"
+        return _base_name(n, s, m)
+    n, s = n // g, s // g
+    return f"compound {g} x {_base_name(n, s, _winding(n, s, _twist(g, theta)))}"
 
 
 def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False) -> list[CatalogEntry]:
@@ -130,24 +132,26 @@ def enumerate_catalog(n_min: int, n_max: int, *, include_compounds: bool = False
     check_type("include_compounds", include_compounds, bool)
     bands = [BandSpec(n, s) for n in range(n_min, n_max + 1) for s in range(1, n // 2 + 1)]
     bands = [band for band in bands if include_compounds or band.components == 1]
-    per_band = solve_band(bands)
-    verdicts = iter(classify([sol for sols in per_band for sol in sols]))
-    return [entry for band, sols in zip(bands, per_band) for entry in _band_entries(band, sols, verdicts)]
+    solutions = [sol for sols in solve_band(bands) for sol in sols]
+    return _entries(solutions, classify(solutions))
 
 
-def _band_entries(band: BandSpec, sols: list[BranchSolution], verdicts) -> list[CatalogEntry]:
-    """The entries of one band's branches, drawing exactly one verdict per branch from the iterable verdicts."""
-    names = [_entry_name(sol) for sol in sols]
-    return [
-        CatalogEntry(
-            name=name if names.count(name) == 1 else f"{name} [b{sol.branch_index}]",
-            n_strips=band.n_strips, shift=band.shift, branch_index=sol.branch_index,
-            winding_m=sol.winding_m, theta=sol.params.theta, r=sol.params.r, h=sol.params.h,
-            residual=sol.residual, intersecting=cls.intersecting, vertex_figure=cls.vertex_figure,
-            components=band.components, chirality_note=CHIRALITY_NOTE,
-        )
-        for sol, name, cls in zip(sols, names, verdicts)  # sols first: a band used up draws no verdict
-    ]
+def _entries(solutions: list[BranchSolution], verdicts: list[Classification]) -> list[CatalogEntry]:
+    """The entries of branches of any bands, in order, each with its verdict, built column by column.
+
+    A name holds its band's n and s, or g and its component's, so a repeated
+    name is a winding collision inside one band: its branches get the " [bN]" suffix.
+    """
+    n, s, index, m, theta, r, h, residual = zip(*[
+        (band.n_strips, band.shift, sol.branch_index, sol.winding_m, p.theta, p.r, p.h, sol.residual)
+        for sol in solutions for band, p in [(sol.band, sol.params)]
+    ]) if solutions else [()] * 8
+    g = list(map(math.gcd, n, s))
+    names = list(map(_entry_name, n, s, g, m, theta))
+    repeated = {name for name, count in Counter(names).items() if count > 1}
+    names = [f"{name} [b{i}]" if name in repeated else name for name, i in zip(names, index)]
+    hit, figure = [c.intersecting for c in verdicts], [c.vertex_figure for c in verdicts]
+    return list(map(CatalogEntry, names, n, s, index, m, theta, r, h, residual, hit, figure, g, repeat(CHIRALITY_NOTE)))
 
 
 _REPORT_KEYS = ("n", "s", "components", "branches", "plain", "stars", "crossed")  # of a build_report row
@@ -196,52 +200,46 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
     compound_star_labels records every star-style label n-m(s) that lands on
     a compound band under this seam convention (gcd(n, s) > 1): the label
     exists in the naming scheme but the object is a compound, so it is kept
-    out of the star tally and flagged instead.
+    out of the star tally and flagged instead. The entries are read field by
+    field and counted by column: one row per (n, s), in (n, s) order, whose
+    components are its first entry's.
     """
     entries = check_items("entries", entries, CatalogEntry)
-    # per (n, s): its row, its compound labels, and per base name its branches and bare names
-    groups: dict[tuple[int, int], tuple[dict, list[str], dict[str, list[int]]]] = {}
-    for e in entries:
-        key = n, s = e.n_strips, e.shift
-        if key not in groups:
-            row = {"n": n, "s": s, "components": e.components, "branches": 0, "plain": 0, "stars": 0, "crossed": 0}
-            groups[key] = row, [], {}
-        row, labels, names = groups[key]
-        row["branches"] += 1
-        if e.components == 1:
-            row["plain"] += e.winding_m <= 1
-            row["stars"] += e.is_star
-            row["crossed"] += e.vertex_figure == "crossed"
-        g = row["components"]
-        if g > 1 and e.winding_m >= 2:
-            labels.append(
-                f"{n}-{e.winding_m}({s}) is a {g}-compound under this seam "
-                f"convention (branch {e.branch_index}, named {e.name!r}); "
-                f"excluded from the star tally"
-            )
-        base = e.name.split(" [b")[0]
-        count = names.setdefault(base, [0, 0])
-        count[0] += 1
-        count[1] += e.name == base  # a catalog read back from a hand-edited file may lack the suffix
+    columns = [(e.n_strips, e.shift, e.components, e.winding_m, e.intersecting, e.vertex_figure, e.name) for e in entries]
+    n, s, g, m, hit, figure, names = list(zip(*columns)) or [()] * 7
+    ns = np.array([n, s])
+    order = np.lexsort(ns[::-1])  # (n, s) order, and entry order inside one (n, s)
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ns[:, order[1:]] != ns[:, order[:-1]]).any(axis=0)
+    heads, group = order[starts].tolist(), np.empty_like(order)  # each row's first entry, and each entry's row
+    group[order] = starts.cumsum() - 1
+    own, m, figure = np.array(g) == 1, np.array(m), np.array(figure, dtype=object)
+    counts = [np.bincount(group[flags], minlength=len(heads)).tolist() for flags in (
+        slice(None), own & (m <= 1), own & np.array(hit, dtype=bool) & (figure == "simple"), own & (figure == "crossed")
+    )]
+    rows = [{"n": n[i], "s": s[i], "components": g[i], "branches": b, "plain": p, "stars": k, "crossed": x}
+            for i, b, p, k, x in zip(heads, *counts)]
 
-    rows: list[dict] = []
-    collisions: list[str] = []
-    compound_labels: list[str] = []
-    for (n, s), (row, labels, names) in sorted(groups.items()):
-        rows.append(row)
-        compound_labels += labels
-        collisions += [
-            f"({n},{s}): winding label {nm!r} shared by {total} branches; "
-            + (f"{bare} without a branch suffix" if bare else "branch suffix added")
-            for nm, (total, bare) in names.items()
-            if total > 1
-        ]
-
+    labelled = order[((np.array([g[i] for i in heads])[group] > 1) & (m >= 2))[order]].tolist()
+    compound_labels = [
+        f"{n[head]}-{e.winding_m}({s[head]}) is a {g[head]}-compound under this seam convention "
+        f"(branch {e.branch_index}, named {e.name!r}); excluded from the star tally"
+        for head, e in zip((heads[j] for j in group[labelled].tolist()), map(entries.__getitem__, labelled))
+    ]
+    bases = [name.split(" [b")[0] if " [b" in name else name for name in names]
+    keyed = list(zip(group.tolist(), bases))
+    bare = Counter(compress(keyed, map(operator.eq, names, bases)))  # a hand-edited file may lack the suffix
+    collisions = [
+        f"({n[heads[j]]},{s[heads[j]]}): winding label {name!r} shared by {total} branches; "
+        + (f"{bare[j, name]} without a branch suffix" if bare[j, name] else "branch suffix added")
+        for (j, name), total in Counter(keyed).items()
+        if total > 1
+    ]
     return CatalogReport(
         rows=rows,
-        star_total=sum(r["stars"] for r in rows),
-        crossed_total=sum(r["crossed"] for r in rows),
-        plain_total=sum(r["plain"] for r in rows),
+        star_total=sum(counts[2]),
+        crossed_total=sum(counts[3]),
+        plain_total=sum(counts[1]),
         compound_entries=sum(r["branches"] for r in rows if r["components"] > 1),
         entry_total=len(entries),
         collisions=sorted(collisions),
@@ -293,12 +291,6 @@ def _typed(name: str, v):
     else:
         check_type(name, v, kind)
     return kind(v)
-
-
-def _scalar(v) -> str:
-    """Catalog text of one option value: a real as in an entry column (_texts),
-    anything else, ints and bools too, as JSON."""
-    return _texts([v], float, json.dumps)[0] if isinstance(v, float) else json.dumps(v)
 
 
 def _exact(kind: type, values) -> bool:
@@ -356,9 +348,12 @@ def write_catalog(entries: list[CatalogEntry], sink, options: dict | None = None
         if str(k) in opt:
             raise ParameterError(f"option keys {opt[str(k)][0]!r} and {k!r} both write as {str(k)!r}")
         opt[str(k)] = (k, v)
-    recorded = ", ".join(f"{json.dumps(text)}: {_scalar(v)}" for text, (_, v) in sorted(opt.items()))
+    texted = {text: "%.15g" % (v + 0.0) if isinstance(v, float) else json.dumps(v) for text, (_, v) in opt.items()}
+    recorded = ", ".join(f"{json.dumps(text)}: {texted[text]}" for text in sorted(texted))
     texts = [_texts(column, kind, encode_basestring_ascii) for column, kind in zip(_columns(entries), _ENTRY_TYPES.values())]
-    body = ",".join(_ENTRY_TEMPLATE % row for row in zip(*texts)) + ("\n  " if entries else "")
+    keys = _ENTRY_TEMPLATE.split("%s")  # the text before each field's, and the entry's end
+    rows = zip(*(part for key, column in zip(keys, texts) for part in (repeat(key), column)), repeat(keys[-1]))
+    body = ",".join(map("".join, rows)) + ("\n  " if entries else "")
     with _opened(sink) as fh:
         fh.write(f'{{\n  "generated_by": "helistar {__version__}",\n  "options": {{{recorded}}},\n')
         fh.write(f'  "entries": [{body}]\n}}\n')

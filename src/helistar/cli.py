@@ -19,7 +19,7 @@ import sys
 from .analysis import classify
 from .band_combinatorics import MAX_STRIPS, BandSpec
 from .catalog import (
-    _band_entries,
+    _entries,
     build_report,
     enumerate_catalog,
     format_report,
@@ -65,7 +65,7 @@ def _pick_branch(args: argparse.Namespace):
 def _cmd_solve(args: argparse.Namespace) -> _Record:
     band = _band(args)
     sols = solve_band(band)
-    rows = [{f: getattr(e, f) for f in _SOLVE_FIELDS} for e in _band_entries(band, sols, classify(sols))]
+    rows = [{f: getattr(e, f) for f in _SOLVE_FIELDS} for e in _entries(sols, classify(sols))]
     payload = {"n_strips": band.n_strips, "shift": band.shift, "components": band.components,
                "branches": rows}
     text = [

@@ -22,6 +22,9 @@ locates each band's roots from the eigenvalues of its component's colleague
 matrix and snaps them to the grid; the solver's analytic bracket pass must find
 the same flips and zeros. catalog_json_oracle and catalog_csv_oracle write a
 catalog one value per Python call; the column writers must write the same bytes.
+report_oracle builds the breakdown report one entry at a time, and entry_name_oracle
+names a branch from its band and twist alone; build_report and the catalog's
+namer must agree with them.
 kept_row_oracle builds U_0's kept row by comparing every window face with U_0.
 """
 
@@ -42,6 +45,7 @@ from helistar import (
     BandSpec,
     BranchSolution,
     CatalogEntry,
+    CatalogReport,
     MeshSegment,
     ModuleOptions,
     NetLayout,
@@ -520,3 +524,80 @@ def kept_row_oracle(band: BandSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     slot = np.arange(len(window))  # U_k at 2*(k+c), D_k after it
     keep = np.flatnonzero((shared < 2) & ((slot < 2 * c) | (slot % 2 == 1)))
     return shape[0], window[keep], shared[keep], [("UD"[i % 2], i // 2 - c) for i in keep.tolist()]
+
+
+def report_oracle(entries: list[CatalogEntry]) -> CatalogReport:
+    """build_report's report, entry by entry: one dict update per entry and field."""
+    # per (n, s): its row, its compound labels, and per base name its branches and bare names
+    groups: dict[tuple[int, int], tuple[dict, list[str], dict[str, list[int]]]] = {}
+    for e in entries:
+        key = n, s = e.n_strips, e.shift
+        if key not in groups:
+            row = {"n": n, "s": s, "components": e.components, "branches": 0, "plain": 0, "stars": 0, "crossed": 0}
+            groups[key] = row, [], {}
+        row, labels, names = groups[key]
+        row["branches"] += 1
+        if e.components == 1:
+            row["plain"] += e.winding_m <= 1
+            row["stars"] += e.is_star
+            row["crossed"] += e.vertex_figure == "crossed"
+        g = row["components"]
+        if g > 1 and e.winding_m >= 2:
+            labels.append(
+                f"{n}-{e.winding_m}({s}) is a {g}-compound under this seam "
+                f"convention (branch {e.branch_index}, named {e.name!r}); "
+                f"excluded from the star tally"
+            )
+        base = e.name.split(" [b")[0]
+        count = names.setdefault(base, [0, 0])
+        count[0] += 1
+        count[1] += e.name == base  # a catalog read back from a hand-edited file may lack the suffix
+
+    rows: list[dict] = []
+    collisions: list[str] = []
+    compound_labels: list[str] = []
+    for (n, s), (row, labels, names) in sorted(groups.items()):
+        rows.append(row)
+        compound_labels += labels
+        collisions += [
+            f"({n},{s}): winding label {nm!r} shared by {total} branches; "
+            + (f"{bare} without a branch suffix" if bare else "branch suffix added")
+            for nm, (total, bare) in names.items()
+            if total > 1
+        ]
+
+    return CatalogReport(
+        rows=rows,
+        star_total=sum(r["stars"] for r in rows),
+        crossed_total=sum(r["crossed"] for r in rows),
+        plain_total=sum(r["plain"] for r in rows),
+        compound_entries=sum(r["branches"] for r in rows if r["components"] > 1),
+        entry_total=len(entries),
+        collisions=sorted(collisions),
+        compound_star_labels=compound_labels,
+    )
+
+
+def entry_name_oracle(solutions: list[BranchSolution]) -> list[str]:
+    """The catalog name of each branch, from its band and twist alone.
+
+    A band (n, s) with g = gcd(n, s) is named by its component (n/g, s/g) at
+    twist theta' = g*theta folded into (0, pi], the size of the remainder of
+    g*theta by 2 pi (theta itself when g = 1), with winding m = round(n s
+    theta' / 2 pi) of that component: "n-m(s)" for m >= 2, else "n(s)
+    helical deltahedron", behind "compound g x " when g > 1. A name that two
+    branches of one band share gets " [bN]", N the branch index.
+    """
+    names = []
+    for sol in solutions:
+        n, s, theta = sol.band.n_strips, sol.band.shift, sol.params.theta
+        g = math.gcd(n, s)
+        if g > 1:
+            n, s, theta = n // g, s // g, abs(math.remainder(g * theta, 2.0 * math.pi))
+        m = round(n * s * theta / (2.0 * math.pi))
+        name = f"{n}-{m}({s})" if m >= 2 else f"{n}({s}) helical deltahedron"
+        names.append(name if g == 1 else f"compound {g} x {name}")
+    shared = Counter(zip((sol.band for sol in solutions), names))
+    return [
+        f"{name} [b{sol.branch_index}]" if shared[sol.band, name] > 1 else name for sol, name in zip(solutions, names)
+    ]

@@ -255,13 +255,13 @@ class TestKeptRow:
         # pass names its witness with
         bands = [BandSpec(n, s) for n in range(3, 65) for s in range(1, n // 2 + 1)]
         bands = [band for band in bands if band.offsets[0] < band.offsets[1]]
-        u0, *rows, sizes = analysis._kept_rows(bands)
+        u0, *rows, sizes = analysis._kept_rows(np.array([band.offsets for band in bands]))
         assert len(bands) == 992 and rows[2].dtype.kind == "i"
         ends = np.cumsum(sizes)
         for i, band in enumerate(bands):
             ref = kept_row_oracle(band)
             got = [u0[i], *(row[ends[i] - sizes[i]:ends[i]] for row in rows)]
-            alone = analysis._kept_rows([band])
+            alone = analysis._kept_rows(np.array([band.offsets]))
             for x, y, z in zip(got[:3], ref[:3], [alone[0][0], *alone[1:3]]):
                 assert x.dtype == y.dtype and x.tolist() == y.tolist() == z.tolist(), band
             assert list(map(analysis._face_id, got[3].tolist())) == ref[3], band
@@ -396,11 +396,11 @@ class TestStagedScan:
         seen = {"_face_pass": [], "_figure_pass": []}
 
         def record(name, blocks):
-            def stand_in(helix, bands, band):  # the block's branches and kept rows; no verdicts needed here
-                blocks.append((len(helix), sum(3 * bands[i].offsets[2] - 2 for i in band)))
+            def stand_in(lanes, offsets, band):  # the block's branches and kept rows; no verdicts needed here
+                blocks.append((len(band), sum(3 * offsets[i, 2] - 2 for i in band)))
                 if name == "_face_pass":
-                    return [(False, None)] * len(helix)
-                return np.zeros((len(helix), 6, 3)), ["simple"] * len(helix)
+                    return [False] * len(band), [None] * len(band)
+                return np.zeros((len(band), 6, 3)), ["simple"] * len(band)
             return stand_in
 
         for name, blocks in seen.items():

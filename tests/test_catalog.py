@@ -24,7 +24,7 @@ from helistar import (
     write_catalog_csv,
 )
 from helistar.catalog import _ENTRY_FIELDS
-from helpers import catalog_csv_oracle, catalog_json_oracle
+from helpers import catalog_csv_oracle, catalog_json_oracle, entry_name_oracle, report_oracle
 
 TET_THETA = math.acos(-2.0 / 3.0)
 TET_R = 3.0 * math.sqrt(3.0) / 10.0
@@ -113,6 +113,14 @@ class TestNaming:
         for e in six_two:
             assert e.name.startswith("compound 2 x 3(1) helical deltahedron")
             assert e.components == 2
+
+    def test_every_name_of_3_to_40_matches_the_name_oracle(self):
+        # the oracle names each branch from its band and twist, with no code of the catalog's
+        bands = [BandSpec(n, s) for n in range(3, 41) for s in range(1, n // 2 + 1)]
+        names = entry_name_oracle([sol for sols in solve_band(bands) for sol in sols])
+        assert [e.name for e in enumerate_catalog(3, 40, include_compounds=True)] == names
+        assert all(any(kind in name for name in names) for kind in ("-", "helical deltahedron", "compound", " [b"))
+        assert any(name.startswith("compound") and " [b" in name for name in names)
 
     def test_winding_collision_gets_branch_suffix(self, catalog_entries):
         nine_one = [e for e in catalog_entries if (e.n_strips, e.shift) == (9, 1)]
@@ -455,11 +463,12 @@ MIXED_ENTRIES = [
 ]
 
 
-class TestColumnWriters:
-    @pytest.fixture(scope="class")
-    def census_5_24(self):
-        return enumerate_catalog(5, 24, include_compounds=True)
+@pytest.fixture(scope="module")
+def census_5_24():
+    return enumerate_catalog(5, 24, include_compounds=True)
 
+
+class TestColumnWriters:
     def test_census_bytes_match_the_per_value_writers(self, census_5_24):
         opts = {"n_min": 5, "n_max": 24, "include_compounds": True, "grid_points": 200000}
         assert len(census_5_24) == 1149
@@ -485,6 +494,37 @@ class TestColumnWriters:
         for write in (write_catalog, write_catalog_csv):
             with pytest.raises(ParameterError, match="^r must be a finite real"):
                 write(bad, io.StringIO())
+
+
+class TestReportOracle:
+    """build_report against report_oracle, its per-entry loop."""
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_census_report_matches_the_per_entry_oracle(self, census_5_24, order):
+        entries = census_5_24[::order]
+        rep = build_report(entries)
+        assert rep == report_oracle(entries)
+        assert (rep.entry_total, len(rep.rows), len(rep.collisions), len(rep.compound_star_labels)) == (1149, 130, 167, 360)
+
+    @pytest.mark.parametrize("entries", [[], MIXED_ENTRIES, MIXED_ENTRIES[::-1], MIXED_ENTRIES + PINNED_ENTRIES])
+    def test_mixed_entries_report_as_the_oracle(self, entries):
+        assert build_report(entries) == report_oracle(entries)
+
+    def test_colliding_names_report_as_the_oracle(self, census_5_24):
+        # names shared inside one (n, s), suffixed, bare or both, and a name shared across two (n, s)
+        five_one = [e for e in census_5_24 if (e.n_strips, e.shift) == (5, 1)]
+        six_one = [e for e in census_5_24 if (e.n_strips, e.shift) == (6, 1)]
+        cases = [
+            [replace(e, name=f"5-2(1) [b{e.branch_index}]") for e in five_one],
+            [replace(e, name="5-2(1)") for e in five_one],
+            [replace(five_one[0], name="5-2(1) [b1]"), replace(five_one[1], name="5-2(1)")],
+            [replace(e, name="shared") for e in five_one[:1] + six_one[:1]] + six_one[1:],
+            [*six_one, *[replace(e, name="5-2(1)") for e in five_one], *six_one],
+        ]
+        for entries in cases:
+            assert build_report(entries) == report_oracle(entries)
+        # the last case lists each (6, 1) entry twice: every one of its names collides, and so does 5-2(1)
+        assert [len(build_report(entries).collisions) for entries in cases] == [1, 1, 1, 0, len(six_one) + 1]
 
 
 AWKWARD_TEXTS = ["a\nb", "a\rb", "a\r\nb", "\n", "\r", "\r\n", 'say "hi"', '"', "x,y", ",", " lead", "trail ", " ", ""]

@@ -438,7 +438,10 @@ def foreign_products(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src/helistar").rglob("*.py")), ids=lambda p: p.name)
+# the demos too: their printed reals are pinned transcripts, so they take norms with math.hypot and math.dist
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src/helistar").rglob("*.py")) + sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
+)
 def test_no_product_outside_the_lane_kernel(path):
     assert foreign_products(ast.parse(path.read_text(), str(path))) == []
 
