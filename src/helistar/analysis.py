@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .band_combinatorics import MAX_STRIPS, _neighbor_cycles, _prototype_rows
+from .band_combinatorics import _neighbor_cycle, _prototype_rows
 from .closure_solver import _NEXT, _ROT, BranchSolution, _cross, _dot, _helix_lanes, _unit, _vertex_star
 from .errors import check_array, check_int, check_items, check_type
 
@@ -225,13 +224,12 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
 
 
 def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the passes read of branches of any bands, field by field: their r, theta and h
-    lanes, (3, branches), the offsets (a, b, c) of their bands in (n, s) order, and each one's band."""
-    params, bands = (list(map(attrgetter(name), solutions)) for name in ("params", "band"))
-    lanes = np.array([np.fromiter(map(attrgetter(name), params), float, len(params)) for name in ("r", "theta", "h")])
-    n, s = (np.fromiter(map(attrgetter(name), bands), np.intp, len(bands)) for name in ("n_strips", "shift"))
-    _, first, band = np.unique(n * (MAX_STRIPS + 1) + s, return_index=True, return_inverse=True)
-    return lanes, np.stack([s, n - s, n], axis=1)[first], band
+    """What the passes read of branches of any bands, field by field: their r, theta and h lanes,
+    (3, branches), the offsets (a, b, c) of their bands in order of first appearance, and each one's band."""
+    params, bands, seen = [sol.params for sol in solutions], [sol.band for sol in solutions], {}
+    band = np.array([seen.setdefault((b.n_strips, b.shift), len(seen)) for b in bands], dtype=np.intp)
+    lanes = np.array([[p.r for p in params], [p.theta for p in params], [p.h for p in params]], dtype=float)
+    return lanes, np.array([(s, n - s, n) for n, s in seen], dtype=np.intp).reshape(-1, 3), band
 
 
 def _kept_rows(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,7 +243,7 @@ def _kept_rows(offsets: np.ndarray) -> tuple[np.ndarray, ...]:
     faces, in scan order, are U_k for -c <= k <= -1 and D_k for -c <= k <= c,
     except D_0, D_-b and D_a, which share an edge with U_0: 3c - 2 of them.
     """
-    shape = _prototype_rows(offsets)
+    shape = np.array(_prototype_rows(*offsets.T)).transpose(2, 0, 1)  # (bands, 2, 3)
     width = 4 * offsets[:, 2] + 2
     zero = width.cumsum() - width // 2 - 1  # where each band's code 0 sits
     band = np.arange(len(offsets)).repeat(width)
@@ -360,7 +358,7 @@ def _figure_pass(lanes: np.ndarray, offsets: np.ndarray, band: np.ndarray) -> tu
     neighbour cycle, and every step after it works row by row.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate normal sum gives NaN rows
-        pts, fan = _vertex_star(lanes.T, np.insert(_neighbor_cycles(offsets), 0, 0, axis=1)[band])
+        pts, fan = _vertex_star(lanes.T, np.array([0 * offsets[:, 0], *_neighbor_cycle(*offsets.T)]).T[band])
         rel = pts[..., 1:] - pts[..., :1]
         axis = np.add.accumulate(fan, axis=-1)[..., -1]  # the six fan normals added first to last
         norm = np.sqrt(_dot(axis, axis))
@@ -399,14 +397,12 @@ def classify(solutions: list[BranchSolution]) -> list[Classification]:
     of BranchSolution raises ParameterError.
     """
     solutions = check_items("solutions", solutions, BranchSolution)
-    lanes, offsets, band = _batch(solutions)
-    rows = np.concatenate([[0], (3 * offsets[band, 2] - 2).cumsum()])  # kept rows before each branch
+    rows = np.cumsum([0] + [3 * sol.band.n_strips - 2 for sol in solutions])  # kept rows before each branch
     out: list[Classification] = []
     while len(out) < len(solutions):
         lo = len(out)
         hi = max(lo + 1, int(np.searchsorted(rows, rows[lo] + BLOCK_ROWS, "right")) - 1)
-        bands, local = np.unique(band[lo:hi], return_inverse=True)
-        block = lanes[:, lo:hi], offsets[bands], local
+        block = _batch(solutions[lo:hi])
         polygons, kinds = _figure_pass(*block)
         out += map(Classification, *_face_pass(*block), kinds, polygons)
     return out

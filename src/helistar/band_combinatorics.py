@@ -88,13 +88,12 @@ def prototype_faces(band: BandSpec) -> np.ndarray:
 
     A (2, 3) intp array; face U_k or D_k is its row plus k.
     """
-    return _prototype_rows(np.array([band.offsets], dtype=np.intp))[0]
+    return np.array(_prototype_rows(*band.offsets), dtype=np.intp)
 
 
-def _prototype_rows(offsets: np.ndarray) -> np.ndarray:
-    """prototype_faces of each band of a (bands, 3) array of offsets (a, b, c), (bands, 2, 3)."""
-    a, b, c = offsets.T
-    return np.stack([0 * a, a, c, 0 * a, c, b], axis=1).reshape(-1, 2, 3)
+def _prototype_rows(a, b, c) -> list[list]:
+    """The rows of prototype_faces of offsets a, b, c: ints, or arrays with one entry per band."""
+    return [[0 * a, a, c], [0 * a, c, b]]
 
 
 def vertex_neighbor_cycle(band: BandSpec) -> list[int]:
@@ -104,10 +103,9 @@ def vertex_neighbor_cycle(band: BandSpec) -> list[int]:
     vertex visits the neighbors as [c, b, -a, -c, -b, a]. The vertex figure,
     the face fan and the faces at each class edge are read off the cycle.
     """
-    return _neighbor_cycles(np.array([band.offsets]))[0].tolist()
+    return _neighbor_cycle(*band.offsets)
 
 
-def _neighbor_cycles(offsets: np.ndarray) -> np.ndarray:
-    """vertex_neighbor_cycle of each band of a (bands, 3) array of offsets (a, b, c), (bands, 6)."""
-    a, b, c = offsets.T
-    return np.stack([c, b, -a, -c, -b, a], axis=1)
+def _neighbor_cycle(a, b, c) -> list:
+    """vertex_neighbor_cycle of offsets a, b, c: ints, or arrays with one entry per band."""
+    return [c, b, -a, -c, -b, a]
