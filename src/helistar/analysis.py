@@ -224,8 +224,9 @@ def triangles_properly_intersect(t1: np.ndarray, t2: np.ndarray, shared: int = 0
 
 
 def _batch(solutions: list[BranchSolution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the passes read of branches of any bands, field by field: their r, theta and h lanes,
-    (3, branches), the offsets (a, b, c) of their bands in order of first appearance, and each one's band."""
+    """What the passes read of branches of any bands, each field in one pass over them: their r,
+    theta and h lanes, (3, branches), the offsets (a, b, c) of their bands in order of first
+    appearance, one row a band, and each branch's row."""
     params, bands, seen = [sol.params for sol in solutions], [sol.band for sol in solutions], {}
     band = np.array([seen.setdefault((b.n_strips, b.shift), len(seen)) for b in bands], dtype=np.intp)
     lanes = np.array([[p.r for p in params], [p.theta for p in params], [p.h for p in params]], dtype=float)
@@ -329,7 +330,8 @@ def classify_face_intersection(solution: BranchSolution) -> tuple[bool, Witness 
     screw symmetry. Anything but a BranchSolution raises ParameterError.
     """
     check_type("solution", solution, BranchSolution)
-    return next(zip(*_face_pass(*_batch([solution]))))
+    hits, witnesses = _face_pass(*_batch([solution]))
+    return hits[0], witnesses[0]
 
 
 def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
@@ -338,12 +340,13 @@ def _figure_kind(polygon2d: np.ndarray) -> np.ndarray:
     A hexagon is crossed when two of its non-adjacent sides properly cross:
     the ends of each side lie strictly on opposite sides of the other's line.
     Every side's cross product with every corner relative to the side's start
-    is computed once, and the 9 pairs read their four terms from that table.
+    is computed once, on the x and y lanes, and the 9 pairs read their four
+    terms from that table.
     """
-    rel = polygon2d[..., None, :, :] - polygon2d[..., :, None, :]  # [..., x, y] is corner y - corner x
-    side = (polygon2d.take(_NEXT, axis=-2) - polygon2d)[..., None, :]  # side x runs from corner x to corner x + 1
-    cross = (side[..., 0] * rel[..., 1] - side[..., 1] * rel[..., 0]).reshape(*rel.shape[:-3], 36)
-    terms = cross[..., _SIDE_TERMS]
+    x, y = polygon2d[..., 0], polygon2d[..., 1]
+    rx, ry = x[..., None, :] - x[..., :, None], y[..., None, :] - y[..., :, None]  # [..., i, j]: corner j - corner i
+    sx, sy = (x.take(_NEXT, axis=-1) - x)[..., None], (y.take(_NEXT, axis=-1) - y)[..., None]  # side i: corner i, i + 1
+    terms = (sx * ry - sy * rx).reshape(*x.shape[:-1], 36)[..., _SIDE_TERMS]
     return np.where(((terms[..., 0, :] * terms[..., 1, :]) < 0.0).all(axis=-2).any(axis=-1), "crossed", "simple")
 
 

@@ -95,7 +95,8 @@ def component_params(solution: BranchSolution) -> tuple[int, BandSpec, HelixPara
     """
     check_type("solution", solution, BranchSolution)
     band, g, params = solution.band, solution.band.components, solution.params
-    return g, BandSpec(band.n_strips // g, band.shift // g), HelixParams(params.r, _twist(g, params.theta), g * params.h)
+    theta_c = _twist(g, params.theta)
+    return g, BandSpec(band.n_strips // g, band.shift // g), HelixParams(r=params.r, theta=theta_c, h=g * params.h)
 
 
 def _twist(g: int, theta: float) -> float:
@@ -205,26 +206,27 @@ def build_report(entries: list[CatalogEntry]) -> CatalogReport:
     components are its first entry's.
     """
     entries = check_items("entries", entries, CatalogEntry)
-    columns = [(e.n_strips, e.shift, e.components, e.winding_m, e.intersecting, e.vertex_figure, e.name) for e in entries]
-    n, s, g, m, hit, figure, names = list(zip(*columns)) or [()] * 7
+    values = [(e.n_strips, e.shift, e.components, e.winding_m, e.intersecting, e.vertex_figure, e.name) for e in entries]
+    n, s, g, m, hit, figure, names = list(zip(*values)) or [()] * 7
     ns = np.array([n, s])
     order = np.lexsort(ns[::-1])  # (n, s) order, and entry order inside one (n, s)
     starts = np.ones(len(order), dtype=bool)
     starts[1:] = (ns[:, order[1:]] != ns[:, order[:-1]]).any(axis=0)
     heads, group = order[starts].tolist(), np.empty_like(order)  # each row's first entry, and each entry's row
     group[order] = starts.cumsum() - 1
-    own, m, figure = np.array(g) == 1, np.array(m), np.array(figure, dtype=object)
-    counts = [np.bincount(group[flags], minlength=len(heads)).tolist() for flags in (
-        slice(None), own & (m <= 1), own & np.array(hit, dtype=bool) & (figure == "simple"), own & (figure == "crossed")
-    )]
+    own, winding, figure = np.array(g) == 1, np.array(m), np.array(figure, dtype=object)
+    stars = own & np.array(hit, dtype=bool) & (figure == "simple")
+    counts = [np.bincount(group[flags], minlength=len(heads)).tolist()
+              for flags in (slice(None), own & (winding <= 1), stars, own & (figure == "crossed"))]
     rows = [{"n": n[i], "s": s[i], "components": g[i], "branches": b, "plain": p, "stars": k, "crossed": x}
             for i, b, p, k, x in zip(heads, *counts)]
 
-    labelled = order[((np.array([g[i] for i in heads])[group] > 1) & (m >= 2))[order]].tolist()
+    row_g = np.array([g[i] for i in heads])
+    labelled = order[((row_g[group] > 1) & (winding >= 2))[order]].tolist()  # row by row, in entry order
     compound_labels = [
-        f"{n[head]}-{e.winding_m}({s[head]}) is a {g[head]}-compound under this seam convention "
-        f"(branch {e.branch_index}, named {e.name!r}); excluded from the star tally"
-        for head, e in zip((heads[j] for j in group[labelled].tolist()), map(entries.__getitem__, labelled))
+        f"{n[head]}-{m[i]}({s[head]}) is a {g[head]}-compound under this seam convention "
+        f"(branch {entries[i].branch_index}, named {names[i]!r}); excluded from the star tally"
+        for i, head in zip(labelled, map(heads.__getitem__, group[labelled].tolist()))
     ]
     bases = [name.split(" [b")[0] if " [b" in name else name for name in names]
     keyed = list(zip(group.tolist(), bases))
