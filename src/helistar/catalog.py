@@ -172,9 +172,9 @@ class CatalogReport:
     compound_star_labels: list[str]
 
     def __post_init__(self) -> None:
-        self.rows = check_items("rows", self.rows, dict)
+        self.rows, keys = check_items("rows", self.rows, dict), set(_REPORT_KEYS)
         for i, row in enumerate(self.rows):
-            if row.keys() != set(_REPORT_KEYS):
+            if row.keys() != keys:
                 raise ParameterError(f"rows[{i}] must hold the keys {', '.join(_REPORT_KEYS)}, got {reprlib.repr(row)}")
             if not all(type(value) is int and value >= 0 for value in row.values()):  # named only on failure
                 for key, value in row.items():
